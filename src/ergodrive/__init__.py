@@ -16,7 +16,7 @@ from .ergotropy import (Counterexample, Decomposition, DeltaResult, ErgotropyRep
                         full_report, gain_g, noncyclic_ergotropy, upper_bound_delta)
 from .errors import (BranchAmbiguity, ConvergenceError, ErgodriveError,
                      ValidationError, VerificationFailed)
-from .linalg import (HermEig, UnitaryPhases, dagger, herm_expi, herm_expi_batch,
+from .linalg import (HermEig, UnitaryPhases, dagger, herm_expi_batch,
                      hermitian_eig, principal_log_unitary, reunitarize,
                      trace_distance)
 from .states import (DensityMatrix, HamiltonianOp, ThermalSolveResult,

@@ -149,7 +149,7 @@ def run_fig1(cfg: dict, seed: int = 0, threads: int = 1):
     return header, rows, crossover
 
 
-def run_fig2(cfg: dict, seed: int = 0, threads: int = 1):
+def run_fig2(cfg: dict, threads: int = 1):
     """STA cost vs optimal cost for the quarter-period rotating drive."""
     omega0 = float(cfg.get("omega0", 1.0))
     s = tls.TlsState(float(cfg.get("p_i", 0.4)),
@@ -178,7 +178,7 @@ def run_fig2(cfg: dict, seed: int = 0, threads: int = 1):
     return header, rows
 
 
-def run_fig3(cfg: dict, seed: int = 0, threads: int = 1):
+def run_fig3(cfg: dict, threads: int = 1):
     """Cost landscape over (mu, omega_bar) with a fixed final-gap conversion."""
     tau = float(cfg.get("tau", 1.0))
     omega_f = float(cfg.get("omega_f", 20.0 / tau))
@@ -264,10 +264,10 @@ def main(argv=None) -> int:
             write_csv(header, rows, args.out)
             sys.stderr.write("crossover_p = %s\n" % _fmt(crossover))
         elif args.command == "fig2":
-            header, rows = run_fig2(cfg, args.seed, args.threads)
+            header, rows = run_fig2(cfg, args.threads)
             write_csv(header, rows, args.out)
         elif args.command == "fig3":
-            header, rows = run_fig3(cfg, args.seed, args.threads)
+            header, rows = run_fig3(cfg, args.threads)
             write_csv(header, rows, args.out)
         elif args.command == "counterexample":
             header, rows = run_counterexample(cfg)

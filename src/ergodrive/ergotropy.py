@@ -101,14 +101,19 @@ def coherent_entropy_identity_residual(rho_i: DensityMatrix, h_i: HamiltonianOp,
     return abs(e_coh - (c + s_d - s_r) / beta)
 
 
-def delta_noncyclic(rho_i: DensityMatrix, h_i: HamiltonianOp,
-                    h_f: HamiltonianOp) -> DeltaResult:
+def _same_energy_solve(rho_i: DensityMatrix, h_i: HamiltonianOp) -> states.ThermalSolveResult:
+    return states.solve_beta_for_energy(h_i, h_i.energy(rho_i), rho_i.tols)
+
+
+def delta_noncyclic(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp,
+                    same_energy: Optional[states.ThermalSolveResult] = None) -> DeltaResult:
     """Ergotropy difference between rho_i and the same-energy thermal state.
 
     The matching inverse temperature may come out negative (mean energy above
     the flat-state value); the result is still computed and flagged.
+    ``same_energy`` passes in that state's solve when the caller already has it.
     """
-    solve = states.solve_beta_for_energy(h_i, h_i.energy(rho_i), rho_i.tols)
+    solve = _same_energy_solve(rho_i, h_i) if same_energy is None else same_energy
     delta = (states.passive_energy(solve.state, h_f)
              - states.passive_energy(rho_i, h_f))
     return DeltaResult(delta, solve.beta, solve.beta < 0)
@@ -126,14 +131,16 @@ def gain_g(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp) -> floa
     return float((p - r) @ h_f.energies)
 
 
-def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp,
-                      h_f: HamiltonianOp) -> UpperBoundResult:
+def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp,
+                      same_energy: Optional[states.ThermalSolveResult] = None
+                      ) -> UpperBoundResult:
     """Upper bound on delta_noncyclic from the same-energy thermal state.
 
     value = Tr[passive(rho_th)_f h_f] - Tr[tau_f(beta_i) h_f], with rho_th the
     same-energy Gibbs state of h_i and beta_i >= 0 matching S(rho_i) on h_f.
     The equivalent entropic form beta_i^{-1}[dS + S(passive(rho_th)_f || tau_f)]
     is evaluated as a cross-check; the two must agree to identity tolerance.
+    ``same_energy`` passes in the solve for rho_th when the caller already has it.
     """
     tols = rho_i.tols
     scale = max(h_f.spectral_width, 1e-300)
@@ -143,8 +150,9 @@ def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp,
     if s_i >= np.log(rho_i.dim) - 1e-12:
         raise NegativeBeta("entropy-matched beta_i must be positive; "
                            "the input is maximally mixed")
-    solve_e = states.solve_beta_for_energy(h_i, h_i.energy(rho_i), tols)
-    rho_th = solve_e.state
+    if same_energy is None:
+        same_energy = _same_energy_solve(rho_i, h_i)
+    rho_th = same_energy.state
     solve_s = states.solve_beta_for_entropy(h_f, s_i, tols)
     beta_i = solve_s.beta
     if beta_i <= 0:
@@ -169,7 +177,8 @@ def full_report(rho_i: DensityMatrix, h_i: HamiltonianOp,
     neg_flag = False
     majorization_holds = False
     try:
-        d = delta_noncyclic(rho_i, h_i, h_f)
+        same_energy = _same_energy_solve(rho_i, h_i)
+        d = delta_noncyclic(rho_i, h_i, h_f, same_energy)
         delta, beta, neg_flag = d.value, d.beta, d.negative_temperature
         p_th = states.thermal_populations(h_i.energies, beta)
         majorization_holds = states.majorizes(rho_i.populations_desc(), p_th)
@@ -178,7 +187,7 @@ def full_report(rho_i: DensityMatrix, h_i: HamiltonianOp,
     bound = None
     if delta is not None:
         try:
-            bound = upper_bound_delta(rho_i, h_i, h_f).value
+            bound = upper_bound_delta(rho_i, h_i, h_f, same_energy).value
         except (NegativeBeta, EntropyOutOfRange):
             pass
     return ErgotropyReport(

@@ -59,14 +59,10 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    v = v.copy()
-    for n in range(v.shape[1]):
-        k = int(np.argmax(np.abs(v[:, n])))
-        z = v[k, n]
-        if abs(z) > 0:
-            v[:, n] *= np.conj(z) / abs(z)
-    return v
+    """Rotate each column of an orthonormal basis so its largest-magnitude
+    entry is real positive."""
+    z = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
+    return v * (z.conj() / np.hypot(z.real, z.imag))   # hypot: abs() of one scalar
 
 
 def _degenerate_blocks(values: np.ndarray, atol: float):
@@ -157,12 +153,6 @@ def principal_log_unitary(u, tols: Tolerances = DEFAULT_TOLS):
     chi = (vectors * phases) @ dagger(vectors)
     chi = 0.5 * (chi + dagger(chi))
     return chi, UnitaryPhases(phases, vectors)
-
-
-def herm_expi(h, dt: float = 1.0, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """exp(-i h dt) for Hermitian h, via the spectral decomposition."""
-    eig = hermitian_eig(h, tols)
-    return (eig.vectors * np.exp(-1j * eig.values * dt)) @ dagger(eig.vectors)
 
 
 def herm_expi_batch(h: np.ndarray, dt) -> np.ndarray:

@@ -3,14 +3,18 @@
 Conventions: hbar = 1, entropies in nats, inverse temperature beta may be
 negative where an energy constraint demands it (population inversion); the
 entropy-matched solver is restricted to beta >= 0 where the map is monotone.
+Every state and Hamiltonian is diagonalized once, when it is built, and hands
+out its spectrum as read-only arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import linalg
 from .errors import (DimMismatch, EnergyOutOfRange, EntropyOutOfRange, LengthMismatch,
@@ -19,6 +23,19 @@ from .linalg import HermEig, dagger, hermitian_eig
 from .tolerances import DEFAULT_TOLS, Tolerances
 
 BETA_MAX_SCALE = 1e4  # solver bracket: |beta| <= BETA_MAX_SCALE / spectral width
+# absolute beta tolerance of the solvers, in units of 1 / spectral width: below
+# it the Gibbs weights round to their beta = 0 values, so a solve never stops
+# on beta = 0 itself unless the flat state already matches its target
+BETA_XTOL_SCALE = 1e-18
+BETA_RTOL = 4 * np.finfo(float).eps   # relative beta tolerance of the solvers
+ROUNDING = 4 * np.finfo(float).eps    # rounding error of a mean energy or entropy, relative
+_LOG1P_FLOOR = -1.0 + np.finfo(float).eps   # keeps log1p(f / tail) finite
+BRACKET_GROWTH = 16.0  # the bracket search multiplies its trial point by this
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -40,24 +57,33 @@ class DensityMatrix:
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > self.tols.trace:
             raise NotAState(f"trace {tr} is not 1 within {self.tols.trace}")
-        if float(np.linalg.eigvalsh(m).min()) < -self.tols.eig_floor:
-            raise NotAState("density matrix has a negative eigenvalue beyond tolerance")
         object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "_spectrum", None)
+        self.eig()   # the one eigendecomposition, which also checks positivity
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
     def eig(self) -> HermEig:
-        """Ascending eigenvalues (clamped to >= 0) and canonical eigenvectors."""
-        values, vectors = hermitian_eig(self.mat, self.tols)
-        return HermEig(np.clip(values, 0.0, None), vectors)
+        """Ascending eigenvalues (clamped to >= 0) and canonical eigenvectors.
+
+        Computed once, during construction; the arrays are read-only.
+        """
+        if self._spectrum is None:
+            values, vectors = hermitian_eig(self.mat, self.tols)
+            if float(values[0]) < -self.tols.eig_floor:
+                raise NotAState("density matrix has a negative eigenvalue beyond tolerance")
+            values = np.clip(values, 0.0, None)
+            desc = values[np.argsort(-values, kind="stable")]
+            object.__setattr__(self, "_spectrum",
+                               HermEig(_read_only(values), _read_only(vectors)))
+            object.__setattr__(self, "_populations_desc", _read_only(desc))
+        return self._spectrum
 
     def populations_desc(self) -> np.ndarray:
-        """Eigenvalues sorted descending with a stable tie-break."""
-        vals = self.eig().values
-        order = np.argsort(-vals, kind="stable")
-        return vals[order]
+        """Eigenvalues sorted descending with a stable tie-break (read-only)."""
+        return self._populations_desc
 
     def purity(self) -> float:
         return float(np.trace(self.mat @ self.mat).real)
@@ -72,9 +98,10 @@ class HamiltonianOp:
 
     def __post_init__(self):
         m = linalg.as_square(self.mat, "hamiltonian")
-        spectrum = hermitian_eig(m, self.tols)
+        values, vectors = hermitian_eig(m, self.tols)
         object.__setattr__(self, "mat", 0.5 * (m + dagger(m)))
-        object.__setattr__(self, "_spectrum", spectrum)
+        object.__setattr__(self, "_spectrum",
+                           HermEig(_read_only(values), _read_only(vectors)))
 
     @property
     def dim(self) -> int:
@@ -82,11 +109,12 @@ class HamiltonianOp:
 
     @property
     def energies(self) -> np.ndarray:
+        """Ascending energies (read-only)."""
         return self._spectrum.values
 
     @property
     def basis(self) -> np.ndarray:
-        """Canonical eigenbasis, columns ordered by ascending energy."""
+        """Canonical eigenbasis, columns ordered by ascending energy (read-only)."""
         return self._spectrum.vectors
 
     @property
@@ -110,24 +138,17 @@ def _check_dims(rho: DensityMatrix, h: HamiltonianOp):
         raise DimMismatch(f"state dim {rho.dim} != hamiltonian dim {h.dim}")
 
 
-def check_prob_vector(p, atol: float = 1e-12) -> np.ndarray:
-    """Validate a probability vector (nonnegative, sums to 1)."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise DimMismatch("probability vector must be 1-d")
-    if p.min() < -atol or abs(p.sum() - 1.0) > max(atol * len(p), atol):
-        raise NotAState(f"not a probability vector: min {p.min()}, sum {p.sum()}")
-    return np.clip(p, 0.0, None)
+def _on_basis(h: HamiltonianOp, pops: np.ndarray, tols: Tolerances) -> DensityMatrix:
+    """The state diagonal in h's eigenbasis with the given populations."""
+    v = h.basis
+    return DensityMatrix((v * pops) @ dagger(v), tols)
 
 
 # ---------------------------------------------------------------- operations
 
 def dephase(rho: DensityMatrix, h: HamiltonianOp) -> DensityMatrix:
     """Remove coherences in the energy eigenbasis of h."""
-    _check_dims(rho, h)
-    v = h.basis
-    pops = np.einsum("in,ij,jn->n", v.conj(), rho.mat, v).real
-    return DensityMatrix((v * pops) @ dagger(v), rho.tols)
+    return _on_basis(h, energy_populations(rho, h), rho.tols)
 
 
 def energy_populations(rho: DensityMatrix, h: HamiltonianOp) -> np.ndarray:
@@ -140,9 +161,7 @@ def energy_populations(rho: DensityMatrix, h: HamiltonianOp) -> np.ndarray:
 def passive_state(rho: DensityMatrix, h: HamiltonianOp) -> DensityMatrix:
     """Passive rearrangement: descending populations on ascending energies."""
     _check_dims(rho, h)
-    r = rho.populations_desc()
-    v = h.basis
-    return DensityMatrix((v * r) @ dagger(v), rho.tols)
+    return _on_basis(h, rho.populations_desc(), rho.tols)
 
 
 def passive_energy(rho: DensityMatrix, h: HamiltonianOp) -> float:
@@ -153,9 +172,7 @@ def passive_energy(rho: DensityMatrix, h: HamiltonianOp) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -Tr rho ln rho in nats, with 0 ln 0 = 0."""
-    vals = rho.eig().values
-    vals = vals[vals > 0.0]
-    return float(-(vals * np.log(vals)).sum())
+    return _shannon(rho.eig().values)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
@@ -168,9 +185,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
     null = svals <= support_atol
     if weights[null].sum() > support_atol * rho.dim:
         return float("inf")
-    rvals = rho.eig().values
-    rvals = rvals[rvals > 0.0]
-    tr_rho_ln_rho = float((rvals * np.log(rvals)).sum())
+    tr_rho_ln_rho = -_shannon(rho.eig().values)
     keep = ~null
     tr_rho_ln_sigma = float((weights[keep] * np.log(svals[keep])).sum())
     return tr_rho_ln_rho - tr_rho_ln_sigma
@@ -195,57 +210,101 @@ def thermal_populations(energies: np.ndarray, beta: float) -> np.ndarray:
 
 def thermal_state(h: HamiltonianOp, beta: float) -> DensityMatrix:
     """Gibbs state of h at inverse temperature beta (beta < 0 allowed)."""
-    p = thermal_populations(h.energies, beta)
-    v = h.basis
-    return DensityMatrix((v * p) @ dagger(v), h.tols)
+    return _on_basis(h, thermal_populations(h.energies, beta), h.tols)
 
 
 def _mean_energy(energies: np.ndarray, beta: float) -> float:
     return float(thermal_populations(energies, beta) @ energies)
 
 
-def _entropy_of_beta(energies: np.ndarray, beta: float) -> float:
-    p = thermal_populations(energies, beta)
-    p = p[p > 0]
+def _shannon(p: np.ndarray) -> float:
+    """-sum p ln p in nats, with 0 ln 0 = 0."""
+    p = p[p > 0.0]
     return float(-(p * np.log(p)).sum())
 
 
-def _bisect(f, lo: float, hi: float, n_iter: int = 200) -> float:
-    """Root of a monotone decreasing f on [lo, hi] with f(lo) >= 0 >= f(hi)."""
-    flo, fhi = f(lo), f(hi)
-    if flo < 0 or fhi > 0:
-        raise NoConvergence("root not bracketed")
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, abs(lo), abs(hi)):
+def _entropy_of_beta(energies: np.ndarray, beta: float) -> float:
+    return _shannon(thermal_populations(energies, beta))
+
+
+def _decreasing_root(f, f0: float, tail: float, noise: float, stop: float,
+                     xtol: float) -> float:
+    """Root x in (0, stop] of a decreasing f with f(0) = f0 > 0 and f -> -tail.
+
+    x is dimensionless (beta times the spectral width, or its square). A
+    point where |f| <= ``noise``, the rounding error of f, is a root. The
+    bracket grows geometrically from x = 1 until f changes sign. Brent's
+    method (scipy's brentq, rtol 4 eps, absolute ``xtol``) then runs on
+    log1p(f / tail), which has the sign of f and is nearly linear where f
+    nears an exponential tail, so a target near a spectrum edge costs about
+    as many evaluations as a central one. Raises NoConvergence when
+    f(stop) > 0 or Brent's iteration limit is hit.
+    """
+    def f_or_zero(x):
+        fx = f(x)
+        return 0.0 if abs(fx) <= noise else fx
+
+    lo, f_lo = 0.0, f0
+    hi = 1.0
+    while hi < stop:
+        f_hi = f_or_zero(hi)
+        if f_hi <= 0:
             break
-    return 0.5 * (lo + hi)
+        lo, f_lo = hi, f_hi
+        hi *= BRACKET_GROWTH
+    else:
+        hi = stop
+        f_hi = f_or_zero(hi)
+    if f_hi > 0:
+        raise NoConvergence("root not bracketed")
+    if f_hi == 0:
+        return hi
+    known = {lo: f_lo, hi: f_hi}
+
+    def g(x):
+        y = (known[x] if x in known else f_or_zero(x)) / tail
+        return math.log1p(max(y, _LOG1P_FLOOR))
+
+    try:
+        return brentq(g, lo, hi, xtol=xtol, rtol=BETA_RTOL)
+    except RuntimeError as exc:
+        raise NoConvergence(f"beta solve: {exc}") from exc
 
 
 def solve_beta_for_energy(h: HamiltonianOp, energy: float,
                           tols: Tolerances = DEFAULT_TOLS) -> ThermalSolveResult:
     """Inverse temperature whose Gibbs state on h has the given mean energy.
 
-    Mean energy is strictly decreasing in beta, so bisection on
-    [-beta_max, beta_max] finds the unique solution; beta < 0 corresponds to
-    energies above the flat-state mean (population inversion).
+    Mean energy is strictly decreasing in beta, so the solution in
+    [-beta_max, beta_max] is unique; beta < 0 corresponds to energies above
+    the flat-state mean (population inversion). The sign of beta is that of
+    f(0) = mean_energy(0) - energy, so beta is exactly 0.0 when the flat
+    state matches, and a bracketed Brent solve on that half of the interval
+    finds |beta|.
     """
     en = h.energies
     width = h.spectral_width
     if width <= 0 or not (en[0] < energy < en[-1]):
         raise EnergyOutOfRange(f"energy {energy} not strictly inside "
                                f"({en[0]}, {en[-1]})")
-    beta_max = BETA_MAX_SCALE / width
-    beta = _bisect(lambda b: _mean_energy(en, b) - energy, -beta_max, beta_max)
-    residual = abs(_mean_energy(en, beta) - energy)
+    noise = ROUNDING * max(abs(en[0]), abs(en[-1]))
+    f0 = _mean_energy(en, 0.0) - energy
+    if f0 > 0:
+        beta = _decreasing_root(lambda x: _mean_energy(en, x / width) - energy,
+                                f0, energy - en[0], noise,
+                                BETA_MAX_SCALE, BETA_XTOL_SCALE) / width
+    elif f0 < 0:
+        beta = -_decreasing_root(lambda x: energy - _mean_energy(en, -x / width),
+                                 -f0, en[-1] - energy, noise,
+                                 BETA_MAX_SCALE, BETA_XTOL_SCALE) / width
+    else:
+        beta = 0.0
+    p = thermal_populations(en, beta)
+    residual = abs(float(p @ en) - energy)
     if residual > tols.beta_residual * width:
         raise NoConvergence(f"energy residual {residual:.3e} exceeds "
                             f"{tols.beta_residual * width:.3e}")
-    return ThermalSolveResult(beta, thermal_state(h, beta), residual)
+    return ThermalSolveResult(beta, _on_basis(h, p, h.tols), residual)
 
 
 def solve_beta_for_entropy(h: HamiltonianOp, entropy: float,
@@ -253,7 +312,8 @@ def solve_beta_for_entropy(h: HamiltonianOp, entropy: float,
     """Inverse temperature beta >= 0 whose Gibbs state has the given entropy.
 
     Restricted to the beta >= 0 branch where S(beta) is monotone (ln d at
-    beta = 0 down to the ground-degeneracy entropy). Targets below the
+    beta = 0 down to the ground-degeneracy entropy) and solved there by the
+    same bracketed Brent solve as the energy match. Targets below the
     beta_max floor return beta_max with the residual reported rather than
     raising: the caller sees how far the saturated solver landed.
     """
@@ -265,15 +325,23 @@ def solve_beta_for_entropy(h: HamiltonianOp, entropy: float,
     if not (-1e-12 <= entropy <= np.log(d) + 1e-12):
         raise EntropyOutOfRange(f"entropy {entropy} outside [0, ln {d}]")
     beta_max = BETA_MAX_SCALE / width
-    s_floor = _entropy_of_beta(en, beta_max)
+    p = thermal_populations(en, beta_max)
+    s_floor = _shannon(p)
     if entropy <= s_floor:
-        return ThermalSolveResult(beta_max, thermal_state(h, beta_max),
-                                  abs(s_floor - entropy))
-    beta = _bisect(lambda b: _entropy_of_beta(en, b) - entropy, 0.0, beta_max)
-    residual = abs(_entropy_of_beta(en, beta) - entropy)
+        return ThermalSolveResult(beta_max, _on_basis(h, p, h.tols), abs(s_floor - entropy))
+    f0 = _entropy_of_beta(en, 0.0) - entropy
+    beta = 0.0   # also for targets up to the slack above the computed ln d
+    if f0 > 0:
+        # S is quadratic in beta at 0, so the solve runs in y = (beta width)^2
+        y = _decreasing_root(lambda y: _entropy_of_beta(en, math.sqrt(y) / width) - entropy,
+                             f0, entropy, ROUNDING * np.log(d),
+                             BETA_MAX_SCALE**2, BETA_XTOL_SCALE**2)
+        beta = math.sqrt(y) / width
+    p = thermal_populations(en, beta)
+    residual = abs(_shannon(p) - entropy)
     if residual > tols.beta_residual:
         raise NoConvergence(f"entropy residual {residual:.3e}")
-    return ThermalSolveResult(beta, thermal_state(h, beta), residual)
+    return ThermalSolveResult(beta, _on_basis(h, p, h.tols), residual)
 
 
 def majorizes(p, q, slack: float = DEFAULT_TOLS.majorization_slack) -> bool:

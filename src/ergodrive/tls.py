@@ -126,6 +126,18 @@ def _eig_gaps(p: float, c_abs: float, disc: float):
     return (big, small) if p <= 0.5 else (small, big)
 
 
+def _eig_split(s: TlsState):
+    """(r1, r0, a, b): eigenvalues r1 <= r0 of rho and the overlap magnitudes
+    a = sqrt((r0-p)/(r0-r1)), b = sqrt((p-r1)/(r0-r1)); a = b = None at the
+    maximally mixed point, where the eigenbasis is arbitrary."""
+    disc = np.hypot(s.p - 0.5, abs(s.c))
+    r1, r0 = 0.5 - disc, 0.5 + disc
+    if r0 - r1 < 1e-15:
+        return r1, r0, None, None
+    up, dn = _eig_gaps(s.p, abs(s.c), disc)
+    return r1, r0, np.sqrt(up / (r0 - r1)), np.sqrt(dn / (r0 - r1))
+
+
 def eigs_r(s: TlsState):
     """Eigenvalues r1 <= r0 of rho and eigenvectors, columns [|r1>, |r0>].
 
@@ -133,13 +145,9 @@ def eigs_r(s: TlsState):
     a = sqrt((r0-p)/(r0-r1)), b = sqrt((p-r1)/(r0-r1)). The maximally mixed
     point returns the computational basis.
     """
-    disc = np.hypot(s.p - 0.5, abs(s.c))
-    r1, r0 = 0.5 - disc, 0.5 + disc
-    if r0 - r1 < 1e-15:
+    r1, r0, a, b = _eig_split(s)
+    if a is None:
         return r1, r0, np.eye(2, dtype=complex)
-    up, dn = _eig_gaps(s.p, abs(s.c), disc)
-    a = np.sqrt(up / (r0 - r1))
-    b = np.sqrt(dn / (r0 - r1))
     phase = np.exp(1j * s.psi)
     vecs = np.array([[a, phase * b],
                      [-np.conj(phase) * b, a]], dtype=complex)
@@ -148,13 +156,9 @@ def eigs_r(s: TlsState):
 
 def ab_overlaps(s: TlsState) -> Tuple[float, float]:
     """(a, b) overlap magnitudes of the rho eigenbasis with the energy basis."""
-    disc = np.hypot(s.p - 0.5, abs(s.c))
-    r1, r0 = 0.5 - disc, 0.5 + disc
-    if r0 - r1 < 1e-15:
+    _, _, a, b = _eig_split(s)
+    if a is None:
         return 1.0, 0.0
-    up, dn = _eig_gaps(s.p, abs(s.c), disc)
-    a = np.sqrt(up / (r0 - r1))
-    b = np.sqrt(dn / (r0 - r1))
     return float(a), float(b)
 
 

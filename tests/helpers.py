@@ -1,8 +1,8 @@
-"""Random problem instances shared across the test modules."""
+"""Random problem instances and oracles shared across the test modules."""
 
 import numpy as np
 
-from ergodrive import DensityMatrix, HamiltonianOp
+from ergodrive import DensityMatrix, HamiltonianOp, hermitian_eig
 
 
 def random_unitary(rng, d):
@@ -35,3 +35,9 @@ def random_instance(rng, d, scale=1.0):
 def random_probs(rng, d):
     p = rng.exponential(size=d)
     return p / p.sum()
+
+
+def herm_expi(h, dt=1.0):
+    """exp(-i h dt) for Hermitian h, via the spectral decomposition."""
+    eig = hermitian_eig(h)
+    return (eig.vectors * np.exp(-1j * eig.values * dt)) @ eig.vectors.conj().T

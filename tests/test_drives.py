@@ -7,14 +7,14 @@ import pytest
 
 from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
                        TlsState, converged_final_unitary, counterdiabatic_cost,
-                       example1_wmin, final_unitary, herm_expi, optimize_phases,
+                       example1_wmin, final_unitary, optimize_phases,
                        passive_state, propagate_u0, smoothstep, smoothstep_dot,
                        synthesize_drive, target_unitary, trace_distance,
                        verify_drive)
 from ergodrive.errors import (DimMismatch, DimTooLarge, GaugeFailure,
                               LengthMismatch, NoConvergence, ParamInconsistent,
                               ParamOutOfRange, VerificationFailed)
-from helpers import random_density, random_instance
+from helpers import herm_expi, random_density, random_instance
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -6,7 +6,7 @@ import pytest
 from ergodrive import linalg
 from ergodrive.errors import (BranchAmbiguity, NotHermitian, NotUnitary,
                               TooFarFromUnitary, ValidationError)
-from helpers import random_hermitian, random_unitary
+from helpers import herm_expi, random_hermitian, random_unitary
 
 
 def expm_taylor(a, terms=40, squarings=12):
@@ -28,7 +28,7 @@ def test_herm_expi_matches_taylor_series():
         for scale in (0.1, 1.0, 5.0):
             h = random_hermitian(rng, d, scale)
             dt = rng.uniform(0.1, 2.0)
-            got = linalg.herm_expi(h, dt)
+            got = herm_expi(h, dt)
             want = expm_taylor(-1j * h * dt)
             assert np.abs(got - want).max() < 1e-10
 
@@ -40,7 +40,7 @@ def test_herm_expi_batch_matches_single():
         dt = 0.37
         batch = linalg.herm_expi_batch(hs, dt)
         for k in range(7):
-            assert np.abs(batch[k] - linalg.herm_expi(hs[k], dt)).max() < 1e-12
+            assert np.abs(batch[k] - herm_expi(hs[k], dt)).max() < 1e-12
 
 
 def test_herm_expi_batch_broadcast_dt():
@@ -49,7 +49,7 @@ def test_herm_expi_batch_broadcast_dt():
     dts = np.array([0.1, 0.2, 0.3, 0.4])
     batch = linalg.herm_expi_batch(hs, dts)
     for k in range(4):
-        assert np.abs(batch[k] - linalg.herm_expi(hs[k], dts[k])).max() < 1e-12
+        assert np.abs(batch[k] - herm_expi(hs[k], dts[k])).max() < 1e-12
 
 
 def test_herm_expi_batch_small_norm_limit():
@@ -85,6 +85,26 @@ def test_hermitian_eig_deterministic_and_degenerate():
     assert np.abs(vecs - np.eye(3)).max() < 1e-12
 
 
+def fix_column_phases_loop(v):
+    """Column-by-column reference for linalg._fix_column_phases."""
+    v = v.copy()
+    for n in range(v.shape[1]):
+        z = v[int(np.argmax(np.abs(v[:, n]))), n]
+        v[:, n] *= np.conj(z) / abs(z)
+    return v
+
+
+def test_column_phase_fix_matches_the_loop_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for d in (1, 2, 3, 5, 8):
+        for _ in range(50):
+            v = random_unitary(rng, d)
+            got = linalg._fix_column_phases(v)
+            assert got.tobytes() == fix_column_phases_loop(v).tobytes()
+            peak = got[np.abs(got).argmax(axis=0), np.arange(d)]
+            assert np.abs(peak.imag).max() < 1e-15 and np.all(peak.real > 0.0)
+
+
 def test_hermitian_eig_rejects_nonhermitian():
     with pytest.raises(NotHermitian):
         linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -98,7 +118,7 @@ def test_principal_log_round_trip_and_branch():
         assert np.abs(chi - chi.conj().T).max() < 1e-12
         assert np.all(modes.phases >= -np.pi) and np.all(modes.phases < np.pi)
         assert np.all(np.diff(modes.phases) >= 0)
-        back = linalg.herm_expi(chi, -1.0)  # exp(i chi)
+        back = herm_expi(chi, -1.0)  # exp(i chi)
         assert np.abs(back - u).max() < 1e-11
 
 

@@ -12,8 +12,7 @@ from ergodrive import (DensityMatrix, HamiltonianOp, dephase,
                        solve_beta_for_entropy, thermal_populations,
                        thermal_state, von_neumann_entropy, coherence_rel_entropy)
 from ergodrive.errors import (DimMismatch, EnergyOutOfRange, EntropyOutOfRange,
-                              LengthMismatch, NotAState, ValidationError)
-from ergodrive.states import check_prob_vector
+                              LengthMismatch, NotAState)
 from helpers import random_density, random_hermitian, random_instance, random_probs
 
 
@@ -173,14 +172,6 @@ def test_majorizes():
     assert majorizes([0.4, 0.6], [0.6, 0.4])    # order-insensitive
     with pytest.raises(LengthMismatch):
         majorizes([0.5, 0.5], [1.0, 0.0, 0.0])
-
-
-def test_check_prob_vector():
-    assert np.allclose(check_prob_vector([0.5, 0.5]), [0.5, 0.5])
-    with pytest.raises(ValidationError):
-        check_prob_vector([0.7, 0.7])
-    with pytest.raises(ValidationError):
-        check_prob_vector([1.2, -0.2])
 
 
 def test_matrix_json_round_trip():

@@ -1,0 +1,216 @@
+"""Thermal beta solves and cached spectra: properties, sign rule, work counts."""
+
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from ergodrive import (DEFAULT_TOLS, DensityMatrix, HamiltonianOp, delta_noncyclic,
+                       full_report, solve_beta_for_energy, solve_beta_for_entropy,
+                       thermal_populations, upper_bound_delta)
+from ergodrive import states
+from ergodrive.errors import NoConvergence
+from helpers import random_instance
+
+MAX_EVALS = 40   # Gibbs-weight evaluations per solve, bracket search included
+PROPERTY = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@contextmanager
+def counting(module, name):
+    """Count calls of module.name for the duration of the block."""
+    original = getattr(module, name)
+    calls = [0]
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    setattr(module, name, wrapper)
+    try:
+        yield calls
+    finally:
+        setattr(module, name, original)
+
+
+@st.composite
+def spectra(draw):
+    """A Hamiltonian with d = 2..5 levels, width 1e-3..1e3 and an energy offset."""
+    d = draw(st.integers(2, 5))
+    width = 10.0 ** draw(st.floats(-3.0, 3.0))
+    inner = draw(st.lists(st.floats(0.0, 1.0), min_size=d - 2, max_size=d - 2))
+    levels = np.array([0.0, *inner, 1.0]) * width
+    offset = draw(st.floats(-2.0, 2.0)) * width
+    return HamiltonianOp(np.diag(levels + offset))
+
+
+@st.composite
+def energy_problems(draw):
+    h = draw(spectra())
+    en, width = h.energies, h.spectral_width
+    kind = draw(st.sampled_from(["low edge", "high edge", "flat mean", "inside"]))
+    gap = width * 10.0 ** -draw(st.floats(1.0, 12.0))
+    if kind == "low edge":
+        target = en[0] + gap
+    elif kind == "high edge":
+        target = en[-1] - gap
+    elif kind == "flat mean":
+        target = float(np.nextafter(en.mean(), draw(st.sampled_from([-np.inf, np.inf]))))
+    else:
+        target = en[0] + width * draw(st.floats(0.01, 0.99))
+    assume(en[0] < target < en[-1])
+    return h, target
+
+
+@st.composite
+def entropy_problems(draw):
+    h = draw(spectra())
+    ln_d = np.log(h.dim)
+    kind = draw(st.sampled_from(["near 0", "near ln d", "inside"]))
+    small = 10.0 ** -draw(st.floats(1.0, 14.0))
+    target = {"near 0": ln_d * small, "near ln d": ln_d * (1.0 - small),
+              "inside": ln_d * draw(st.floats(0.01, 0.99))}[kind]
+    return h, target
+
+
+def _mean_energy(en, beta):
+    return float(thermal_populations(en, beta) @ en)
+
+
+def _entropy(en, beta):
+    p = thermal_populations(en, beta)
+    p = p[p > 0]
+    return float(-(p * np.log(p)).sum())
+
+
+@PROPERTY
+@given(energy_problems())
+def test_energy_solve_meets_the_residual_bound(problem):
+    h, target = problem
+    en, width = h.energies, h.spectral_width
+    beta_max = states.BETA_MAX_SCALE / width
+    # targets past the Gibbs energies at +-beta_max have no root in the bracket
+    assume(_mean_energy(en, beta_max) < target < _mean_energy(en, -beta_max))
+    with counting(states, "thermal_populations") as evals:
+        res = solve_beta_for_energy(h, target)
+    assert evals[0] <= MAX_EVALS
+    assert abs(res.beta) <= beta_max
+    assert res.residual <= DEFAULT_TOLS.beta_residual * width
+    assert abs(_mean_energy(en, res.beta) - target) == res.residual
+    assert abs(h.energy(res.state) - target) <= DEFAULT_TOLS.beta_residual * width + 1e-12 * (
+        abs(en[0]) + abs(en[-1]))
+
+
+@PROPERTY
+@given(entropy_problems())
+def test_entropy_solve_meets_the_residual_bound(problem):
+    h, target = problem
+    en, width = h.energies, h.spectral_width
+    beta_max = states.BETA_MAX_SCALE / width
+    with counting(states, "thermal_populations") as evals:
+        res = solve_beta_for_entropy(h, target)
+    assert evals[0] <= MAX_EVALS
+    assert 0.0 <= res.beta <= beta_max
+    assert abs(_entropy(en, res.beta) - target) == res.residual
+    if res.beta < beta_max:
+        assert res.residual <= DEFAULT_TOLS.beta_residual
+    else:   # saturated: the target lies at or below the entropy floor
+        assert target <= _entropy(en, beta_max)
+
+
+def test_unreachable_energy_raises_no_convergence():
+    h = HamiltonianOp(np.diag([0.0, 1e-3, 1.0]))
+    edge = _mean_energy(h.energies, states.BETA_MAX_SCALE / h.spectral_width)
+    assert edge > 0.0
+    with pytest.raises(NoConvergence):
+        solve_beta_for_energy(h, 0.5 * edge)
+
+
+def test_beta_is_exactly_zero_when_the_flat_state_matches():
+    h = HamiltonianOp(np.diag([-1.0, 0.0, 1.0]))
+    assert _mean_energy(h.energies, 0.0) == 0.0
+    res = solve_beta_for_energy(h, 0.0)
+    assert res.beta == 0.0 and np.copysign(1.0, res.beta) == 1.0
+    flat_entropy = _entropy(h.energies, 0.0)
+    assert solve_beta_for_entropy(h, flat_entropy).beta == 0.0
+
+
+def test_sign_of_beta_follows_the_flat_state_residual():
+    h = HamiltonianOp(np.diag([-1.0, 0.0, 1.0]))
+    above = float(np.nextafter(0.0, 1.0))
+    assert solve_beta_for_energy(h, above).beta < 0.0    # f(0) < 0
+    assert solve_beta_for_energy(h, -above).beta > 0.0   # f(0) > 0
+
+
+def test_maximally_mixed_flag_is_the_sign_of_the_roundoff():
+    rng = np.random.default_rng(24)
+    signs = set()
+    for _ in range(40):
+        d = int(rng.integers(2, 6))
+        _, h_i, h_f = random_instance(rng, d)
+        rho = DensityMatrix(np.eye(d) / d)
+        f0 = _mean_energy(h_i.energies, 0.0) - h_i.energy(rho)
+        report = full_report(rho, h_i, h_f)
+        assert np.sign(report.beta_same_energy) == np.sign(f0)
+        assert report.negative_temperature_flag == (f0 < 0)
+        signs.add(np.sign(f0))
+    assert signs >= {-1.0, 1.0}
+
+
+def test_saturated_entropy_returns_beta_max():
+    h = HamiltonianOp(np.diag([0.0, 0.5, 2.0]))
+    beta_max = states.BETA_MAX_SCALE / h.spectral_width
+    assert solve_beta_for_entropy(h, 0.0).beta == beta_max
+    floor = _entropy(h.energies, beta_max)
+    res = solve_beta_for_entropy(h, 0.5 * floor)
+    assert res.beta == beta_max
+    assert abs(res.residual - 0.5 * floor) <= 1e-15 * floor
+
+
+def test_one_eigendecomposition_per_object_and_one_energy_solve_per_report():
+    rng = np.random.default_rng(31)
+    instances = [random_instance(rng, d) for d in (2, 3, 4, 5)]
+    built = [0]
+    post_init = {cls: cls.__post_init__ for cls in (DensityMatrix, HamiltonianOp)}
+
+    def counted(cls):
+        def wrapper(self):
+            built[0] += 1
+            post_init[cls](self)
+        return wrapper
+
+    try:
+        for cls in post_init:
+            cls.__post_init__ = counted(cls)
+        with counting(states, "hermitian_eig") as eigs, \
+                counting(states, "solve_beta_for_energy") as solves:
+            for rho, h_i, h_f in instances:
+                full_report(rho, h_i, h_f)
+    finally:
+        for cls, original in post_init.items():
+            cls.__post_init__ = original
+    assert built[0] > 0
+    assert eigs[0] == built[0]
+    assert solves[0] == len(instances)
+
+
+def test_shared_solve_matches_the_standalone_calls():
+    rng = np.random.default_rng(32)
+    rho, h_i, h_f = random_instance(rng, 4)
+    solve = solve_beta_for_energy(h_i, h_i.energy(rho))
+    assert delta_noncyclic(rho, h_i, h_f, solve) == delta_noncyclic(rho, h_i, h_f)
+    assert upper_bound_delta(rho, h_i, h_f, solve) == upper_bound_delta(rho, h_i, h_f)
+
+
+def test_cached_spectra_are_read_only():
+    rng = np.random.default_rng(33)
+    rho, h, _ = random_instance(rng, 3)
+    assert rho.eig() is rho.eig()
+    arrays = [rho.eig().values, rho.eig().vectors, rho.populations_desc(),
+              h.energies, h.basis]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.0

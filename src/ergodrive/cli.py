@@ -1,10 +1,12 @@
 """Command-line front end: scenario execution, figure sweeps, CSV/JSON output.
 
 Output is deterministic: a fixed config and seed give byte-identical files.
-CSV cells are printed with 17 significant digits and LF line endings; Monte
-Carlo columns draw from a generator seeded per grid point as [seed, i, j],
-so results do not depend on the thread count. Exit codes: 0 success,
-2 validation error, 3 convergence failure (error JSON goes to stderr).
+CSV cells are printed with 17 significant digits and LF line endings. The
+figure sweeps evaluate the two-level closed forms on the whole parameter grid
+at once; fig1's Monte Carlo columns draw from a generator seeded per grid
+point as [seed, i, j]. ``--threads`` is accepted for compatibility and has no
+effect. Exit codes: 0 success, 2 validation error, 3 convergence failure
+(error JSON goes to stderr).
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import ergotropy, tls
+from . import ergotropy, states, tls
 from .drives import Schedule, optimize_phases, synthesize_drive, verify_drive
 from .errors import ConvergenceError, ParamOutOfRange, ValidationError, VerificationFailed
+from .linalg import hermitian_eigvals
 from .states import DensityMatrix, HamiltonianOp, matrix_from_json
 from .tolerances import DEFAULT_TOLS
 
@@ -31,9 +33,9 @@ def _fmt(v) -> str:
 
 
 def write_csv(header, rows, path=None):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+    """Header and rows as CSV; every cell is formatted as _fmt formats it."""
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    text = "".join([",".join(header) + "\n"] + [row_fmt % tuple(row) for row in rows])
     if path is None:
         sys.stdout.write(text)
     else:
@@ -67,12 +69,39 @@ def _tols(cfg: dict):
     return DEFAULT_TOLS.with_(**cfg.get("tolerances", {}))
 
 
-def _map_ordered(worker, items, threads):
-    """Run worker over items, results in item order regardless of scheduling."""
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(worker, items))
-    return [worker(it) for it in items]
+def _points(cfg: dict, key: str, default: int) -> int:
+    n = int(cfg.get(key, default))
+    if n < 1:
+        raise ParamOutOfRange(f"{key} must be >= 1, got {n}")
+    return n
+
+
+def _positive(cfg: dict, key: str, default: float) -> float:
+    v = float(cfg.get(key, default))
+    if not v > 0:
+        raise ParamOutOfRange(f"{key} must be > 0, got {v}")
+    return v
+
+
+def _grid(cfg: dict, axis: str, lo: float, hi: float, n: int) -> np.ndarray:
+    """linspace over cfg's {axis}_min, {axis}_max, {axis}_points."""
+    return np.linspace(float(cfg.get(f"{axis}_min", lo)), float(cfg.get(f"{axis}_max", hi)),
+                       _points(cfg, f"{axis}_points", n))
+
+
+def _cells(a, b):
+    """Every (a[i], b[j]) pair, i-major, as two flat arrays."""
+    aa, bb = np.meshgrid(a, b, indexing="ij")
+    return aa.ravel(), bb.ravel()
+
+
+def _fixed_state(cfg: dict) -> tls.TlsState:
+    """The initial state of the fig2 and fig3 sweeps."""
+    return tls.TlsState(float(cfg.get("p_i", 0.4)), complex(cfg.get("c_abs", np.sqrt(0.24))))
+
+
+def _rows(*columns) -> list:
+    return list(zip(*(c.tolist() for c in np.broadcast_arrays(*columns))))
 
 
 def _load_instance(cfg: dict):
@@ -116,90 +145,71 @@ def fig1_crossover(ps, deltas, wmins) -> float:
     return float(ps[k]) if k < len(ps) else float("nan")
 
 
-def run_fig1(cfg: dict, seed: int = 0, threads: int = 1):
+def run_fig1(cfg: dict, seed: int = 0):
     """Gain vs cost over the (p_i, |c_i|) disk for proportional Hamiltonians."""
-    tau = float(cfg.get("tau", 10.0))
+    tau = _positive(cfg, "tau", 10.0)
     lam_f_omega = float(cfg.get("lam_f_omega", 1.0))
-    n_p = int(cfg.get("p_points", 200))
-    n_c = int(cfg.get("c_points", 200))
     draws = int(cfg.get("mc_draws", 4096))
-    ps = np.linspace(float(cfg.get("p_min", 0.0)), float(cfg.get("p_max", 1.0)), n_p)
-    fracs = np.linspace(0.0, 1.0, n_c)
+    if draws < 0 or draws == 1:
+        raise ParamOutOfRange(f"mc_draws must be 0 or >= 2, got {draws}")
+    ps = _grid(cfg, "p", 0.0, 1.0, 200)
+    fracs = np.linspace(0.0, 1.0, _points(cfg, "c_points", 200))
+    p, frac = _cells(ps, fracs)
+    c = frac * np.sqrt(np.maximum(p * (1.0 - p), 0.0))
+    tls.check_bloch(p, c)
     h = HamiltonianOp(0.5 * lam_f_omega * _SZ)
-
-    def point(ij):
-        i, j = ij
-        p = float(ps[i])
-        c = float(fracs[j] * np.sqrt(max(p * (1.0 - p), 0.0)))
-        s = tls.TlsState(p, c)
-        delta = tls.example1_delta(s, lam_f_omega)
-        g = ergotropy.gain_g(s.density(), h, h)
-        w_min = tls.example1_wmin(s, tau)
-        if draws > 0:
-            rng = np.random.default_rng([seed, i, j])
-            mean, err = tls.example1_phase_average(s, tau, draws, rng)
-        else:
-            mean = err = float("nan")
-        return (p, c, delta, g, w_min, mean, err)
-
-    rows = _map_ordered(point, [(i, j) for i in range(n_p) for j in range(n_c)], threads)
-    top = [rows[i * n_c + (n_c - 1)] for i in range(n_p)]   # maximal-coherence slice
-    crossover = fig1_crossover(ps, [r[2] for r in top], [r[4] for r in top])
+    rho = tls.density_matrices(p, c)
+    g = ergotropy.transport_gain(states.basis_populations(rho, h.basis),
+                                 states.populations_desc_stack(rho), h.energies)
+    delta = tls.delta_enc(p, c, lam_f_omega)
+    w_min = tls.cost(tls.theta1(p, c), tau)
+    mean = np.full(p.shape, np.nan)
+    err = np.full(p.shape, np.nan)
+    if draws > 0:
+        n_c = len(fracs)
+        for k, (p_k, c_k) in enumerate(zip(p.tolist(), c.tolist())):
+            rng = np.random.default_rng([seed, k // n_c, k % n_c])
+            mean[k], err[k] = tls.example1_phase_average(tls.TlsState(p_k, c_k), tau, draws, rng)
+    top = slice(len(fracs) - 1, None, len(fracs))   # maximal-coherence slice
+    crossover = fig1_crossover(ps, delta[top], w_min[top])
     header = ["p_i", "c_abs", "delta_enc", "g", "w_min", "w_mc_mean", "w_mc_stderr"]
-    return header, rows, crossover
+    return header, _rows(p, c, delta, g, w_min, mean, err), crossover
 
 
-def run_fig2(cfg: dict, threads: int = 1):
+def run_fig2(cfg: dict):
     """STA cost vs optimal cost for the quarter-period rotating drive."""
-    omega0 = float(cfg.get("omega0", 1.0))
-    s = tls.TlsState(float(cfg.get("p_i", 0.4)),
-                     complex(cfg.get("c_abs", np.sqrt(0.24))))
-    ots = np.linspace(float(cfg.get("ot_min", 0.5)), float(cfg.get("ot_max", 20.0)),
-                      int(cfg.get("ot_points", 40)))
-    otss = np.linspace(float(cfg.get("ots_min", 0.5)), float(cfg.get("ots_max", 20.0)),
-                       int(cfg.get("ots_points", 40)))
+    omega0 = _positive(cfg, "omega0", 1.0)
+    s = _fixed_state(cfg)
+    ot, ots = _cells(_grid(cfg, "ot", 0.5, 20.0, 40), _grid(cfg, "ots", 0.5, 20.0, 40))
+    tau = ot / omega0
+    mu, omega_bar, omega_f, eps_f = tls.cos_sin_drive(omega0, tau, ots / omega0)
+    tls.check_drive(tau, omega_bar)
+    gap = np.hypot(omega_f, eps_f)
     h_i = HamiltonianOp(0.5 * omega0 * _SZ)
-
-    def point(ij):
-        i, j = ij
-        tau, tau_star = float(ots[i]) / omega0, float(otss[j]) / omega0
-        params = tls.MuDynParams.cos_sin(omega0, tau, tau_star)
-        split = tls.example2_theta_split(s, params)
-        h_f = HamiltonianOp(0.5 * (params.omega_f * _SZ + params.eps_f * _SX))
-        g = ergotropy.gain_g(s.density(), h_i, h_f)
-        return (float(ots[i]), float(otss[j]), tls.counterdiabatic_rate(params),
-                split.wmin_range[0], tls.example1_delta(s, params.Omega_f), g,
-                tls.delta_e_sta(s.p, params))
-
-    rows = _map_ordered(point, [(i, j) for i in range(len(ots)) for j in range(len(otss))],
-                        threads)
+    rho = s.density()
+    e_f = hermitian_eigvals(0.5 * (omega_f[:, None, None] * _SZ + eps_f[:, None, None] * _SX))
+    g = ergotropy.transport_gain(states.energy_populations(rho, h_i),
+                                 rho.populations_desc(), e_f)
+    w_min_lower = tls.cost_floor(tls.theta1_min(s), tls.theta2(mu, omega_bar), tau)
+    rows = _rows(ot, ots, tls.cd_rate(mu, omega_bar, tau), w_min_lower,
+                 tls.delta_enc(s.p, abs(s.c), gap), g,
+                 tls.sta_delta(gap, s.p, mu, omega_bar))
     header = ["omega0_tau", "omega0_taustar", "w_sta", "w_min_lower",
               "delta_enc", "g", "delta_e_sta"]
     return header, rows
 
 
-def run_fig3(cfg: dict, threads: int = 1):
+def run_fig3(cfg: dict):
     """Cost landscape over (mu, omega_bar) with a fixed final-gap conversion."""
-    tau = float(cfg.get("tau", 1.0))
-    omega_f = float(cfg.get("omega_f", 20.0 / tau))
-    s = tls.TlsState(float(cfg.get("p_i", 0.4)),
-                     complex(cfg.get("c_abs", np.sqrt(0.24))))
-    mus = np.linspace(float(cfg.get("mu_min", 0.0)), float(cfg.get("mu_max", 4.0)),
-                      int(cfg.get("mu_points", 41)))
-    obs = np.linspace(float(cfg.get("ob_min", 0.0)), float(cfg.get("ob_max", 4.0)),
-                      int(cfg.get("ob_points", 41)))
-
-    def point(ij):
-        i, j = ij
-        params = tls.MuDynParams(mu=float(mus[i]), omega_bar=float(obs[j]),
-                                 omega_f=omega_f, eps_f=0.0, tau=tau)
-        split = tls.example2_theta_split(s, params)
-        return (float(mus[i]), float(obs[j]), tls.counterdiabatic_rate(params),
-                split.wmin_range[0], split.wmin_range[1],
-                tls.example1_delta(s, params.Omega_f), tls.delta_e_sta(s.p, params))
-
-    rows = _map_ordered(point, [(i, j) for i in range(len(mus)) for j in range(len(obs))],
-                        threads)
+    tau = _positive(cfg, "tau", 1.0)
+    gap = float(np.hypot(float(cfg.get("omega_f", 20.0 / tau)), 0.0))
+    s = _fixed_state(cfg)
+    mu, omega_bar = _cells(_grid(cfg, "mu", 0.0, 4.0, 41), _grid(cfg, "ob", 0.0, 4.0, 41))
+    tls.check_drive(tau, omega_bar)
+    w_min_lower = tls.cost_floor(tls.theta1_min(s), tls.theta2(mu, omega_bar), tau)
+    rows = _rows(mu, omega_bar, tls.cd_rate(mu, omega_bar, tau), w_min_lower,
+                 tls.worst_cost(tau), tls.delta_enc(s.p, abs(s.c), gap),
+                 tls.sta_delta(gap, s.p, mu, omega_bar))
     header = ["mu", "omega_bar", "w_sta", "w_min_lower", "w_min_upper",
               "delta_enc", "delta_e_sta"]
     return header, rows
@@ -240,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--seed", type=int, default=0, help="PRNG seed")
         p.add_argument("--steps", type=int, default=None, help="integrator steps override")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; sweeps run single-threaded")
     return ap
 
 
@@ -260,14 +271,14 @@ def main(argv=None) -> int:
         elif args.command == "drive-synth":
             write_json(run_drive_synth(cfg, args.steps), args.out)
         elif args.command == "fig1":
-            header, rows, crossover = run_fig1(cfg, args.seed, args.threads)
+            header, rows, crossover = run_fig1(cfg, args.seed)
             write_csv(header, rows, args.out)
             sys.stderr.write("crossover_p = %s\n" % _fmt(crossover))
         elif args.command == "fig2":
-            header, rows = run_fig2(cfg, args.threads)
+            header, rows = run_fig2(cfg)
             write_csv(header, rows, args.out)
         elif args.command == "fig3":
-            header, rows = run_fig3(cfg, args.threads)
+            header, rows = run_fig3(cfg)
             write_csv(header, rows, args.out)
         elif args.command == "counterexample":
             header, rows = run_counterexample(cfg)

@@ -18,9 +18,8 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from .errors import (DimMismatch, DimTooLarge, GaugeFailure, LengthMismatch,
-                     NoConvergence, ParamInconsistent, ParamOutOfRange,
-                     VerificationFailed)
-from .linalg import (dagger, frob, herm_expi_batch, principal_log_unitary,
+                     ParamInconsistent, ParamOutOfRange, VerificationFailed)
+from .linalg import (dagger, herm_expi_batch, principal_log_unitary,
                      reunitarize, trace_distance, unitarity_defect)
 from .states import DensityMatrix, HamiltonianOp, matrix_to_json, passive_energy, passive_state
 from .tls import MuDynParams, wrap_pi
@@ -234,23 +233,6 @@ def final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule,
             prod = np.concatenate([prod, even[-1:]], axis=0)
         m = prod
     return reunitarize(m[0], tols)
-
-
-def converged_final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule,
-                            rtol: float = 1e-8, n_limit: int = 100_000,
-                            tols: Tolerances = DEFAULT_TOLS) -> Tuple[np.ndarray, int]:
-    """U0(t_f) with the grid doubled until it moves by <= rtol (Frobenius)."""
-    n = sched.n_steps
-    prev = final_unitary(h_i, h_f, sched, tols)
-    while True:
-        n *= 2
-        cur = final_unitary(h_i, h_f, replace(sched, n_steps=n), tols)
-        if frob(cur - prev) <= rtol:
-            return cur, n
-        if n >= n_limit:
-            raise NoConvergence(f"U(t_f) still moves by {frob(cur - prev):.3e} "
-                                f"under grid doubling at n_steps = {n}")
-        prev = cur
 
 
 def _descending_eigvectors(rho: DensityMatrix) -> Tuple[np.ndarray, np.ndarray]:

@@ -126,9 +126,19 @@ def gain_g(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp) -> floa
     ascending h_f levels; G is the work a cyclic process then extracts, so
     G >= 0 and G is insensitive to the coherences' phases.
     """
-    p = states.energy_populations(rho_i, h_i)
-    r = rho_i.populations_desc()
-    return float((p - r) @ h_f.energies)
+    return float(transport_gain(states.energy_populations(rho_i, h_i),
+                                rho_i.populations_desc(), h_f.energies))
+
+
+def transport_gain(p, r, e_f):
+    """G = (p - r) . e_f from the energy populations p (ascending h_i order),
+    the descending eigenvalues r and the ascending final energies e_f.
+
+    Broadcasts over leading axes, one G per row. np.vecdot runs the same dot
+    kernel per row as a single 1-D product, so each G is bit-equal to its own
+    gain_g; a stacked matmul or einsum sums in another order.
+    """
+    return np.vecdot(np.subtract(p, r), e_f)
 
 
 def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp,

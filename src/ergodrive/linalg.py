@@ -127,6 +127,18 @@ def hermitian_eig(m, tols: Tolerances = DEFAULT_TOLS) -> HermEig:
     return HermEig(values, vectors)
 
 
+def hermitian_eigvals(m) -> np.ndarray:
+    """Ascending eigenvalues of a stack m[..., d, d] of Hermitian matrices.
+
+    hermitian_eig's symmetrization and LAPACK call over the stack, so row k
+    is bit-equal to hermitian_eig(m[k]).values (a batched eigh gives the same
+    bits as one call per matrix; eigvalsh, another LAPACK path, does not).
+    No hermiticity check: callers build the stack Hermitian.
+    """
+    m = np.asarray(m, dtype=complex)
+    return np.linalg.eigh(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))[0]
+
+
 def principal_log_unitary(u, tols: Tolerances = DEFAULT_TOLS):
     """Hermitian chi with u = exp(i chi), eigenphases on the principal branch.
 

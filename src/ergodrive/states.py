@@ -158,6 +158,26 @@ def energy_populations(rho: DensityMatrix, h: HamiltonianOp) -> np.ndarray:
     return np.einsum("in,ij,jn->n", v.conj(), rho.mat, v).real
 
 
+# Stacked forms for the figure sweeps. The one-object forms above keep their
+# own expressions, so the path every report takes gains no call layer.
+
+def basis_populations(mats: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """energy_populations over a stack mats[..., d, d]: the real diagonals
+    <v_n|m|v_n> in the basis columns v_n."""
+    return np.einsum("in,...ij,jn->...n", basis.conj(), mats, basis).real
+
+
+def populations_desc_stack(mats: np.ndarray) -> np.ndarray:
+    """DensityMatrix.populations_desc over a stack mats[..., d, d] of density
+    matrices built valid by the caller: eigenvalues clamped to >= 0, sorted
+    descending with a stable tie-break. Row k is bit-equal to
+    DensityMatrix(mats[k]).populations_desc(), with no object, validation or
+    eigenvectors kept.
+    """
+    values = np.clip(linalg.hermitian_eigvals(mats), 0.0, None)
+    return np.take_along_axis(values, np.argsort(-values, axis=-1, kind="stable"), axis=-1)
+
+
 def passive_state(rho: DensityMatrix, h: HamiltonianOp) -> DensityMatrix:
     """Passive rearrangement: descending populations on ascending energies."""
     _check_dims(rho, h)

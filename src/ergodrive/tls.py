@@ -5,6 +5,12 @@ rho = [[p, c], [conj(c), 1-p]] and H = (omega sz + eps sx)/2 with sz = diag(1,-1
 Rotating drives keep mu = (d omega/dt eps - d eps/dt omega)/Omega^3 constant;
 nu = Omega_bar sqrt(1 + mu^2) is the total precession angle in the rotating
 frame, nu_c = cos(nu), nu_s = sin(nu).
+
+Each closed form is written once, as a kernel that broadcasts over arrays of
+its parameters (theta1, theta2, delta_enc, sta_delta, cost, ...). The figure
+sweeps evaluate the kernels on whole grids; the functions taking a TlsState
+or MuDynParams are their scalar forms. Squares go through sq(), so every
+array element rounds exactly as the scalar form does.
 """
 
 from __future__ import annotations
@@ -24,6 +30,43 @@ def wrap_pi(x):
     return (np.asarray(x) + np.pi) % (2 * np.pi) - np.pi
 
 
+def sq(x):
+    """x**2 rounded as libm pow rounds it, which is what ``x ** 2`` does for a
+    float scalar; an array's ``x ** 2`` is x*x, which differs in the last bit
+    for about one value in a thousand."""
+    return np.float_power(x, 2)
+
+
+def check_bloch(p, c_abs):
+    """Refuse populations outside [0, 1] or coherences outside the Bloch ball.
+
+    Broadcasts; raises ParamOutOfRange naming the first offending point.
+    """
+    bad_p = ~np.logical_and(-1e-14 <= p, p <= 1 + 1e-14)
+    if np.count_nonzero(bad_p):
+        p = np.broadcast_to(p, bad_p.shape)[bad_p].flat[0]
+        raise ParamOutOfRange(f"population p = {p} outside [0, 1]")
+    c2, p1p = sq(c_abs), p * (1 - p)
+    bad_c = c2 > p1p + 1e-14
+    if np.count_nonzero(bad_c):
+        c2, p1p = (np.broadcast_to(x, bad_c.shape)[bad_c].flat[0] for x in (c2, p1p))
+        raise ParamOutOfRange(f"coherence exceeds the Bloch ball: |c|^2 = {c2} > p(1-p) = {p1p}")
+
+
+def check_drive(tau, omega_bar):
+    """Refuse tau <= 0 or omega_bar < 0 anywhere in (broadcast) arrays."""
+    if np.count_nonzero(np.logical_or(np.less_equal(tau, 0), np.less(omega_bar, 0))):
+        raise ParamOutOfRange("need tau > 0 and omega_bar >= 0")
+
+
+def density_matrices(p, c):
+    """[[p, c], [conj(c), 1 - p]], stacked over the broadcast shape of p and c."""
+    p, c = np.broadcast_arrays(p, c)
+    m = np.empty(p.shape + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = p, c, np.conj(c), 1 - p
+    return m
+
+
 @dataclass(frozen=True)
 class TlsState:
     """Qubit state by excited population p and coherence c = <1|rho|0>."""
@@ -32,11 +75,7 @@ class TlsState:
     c: complex = 0.0
 
     def __post_init__(self):
-        if not (-1e-14 <= self.p <= 1 + 1e-14):
-            raise ParamOutOfRange(f"population p = {self.p} outside [0, 1]")
-        if abs(self.c) ** 2 > self.p * (1 - self.p) + 1e-14:
-            raise ParamOutOfRange("coherence exceeds the Bloch ball: "
-                                  f"|c|^2 = {abs(self.c)**2} > p(1-p) = {self.p*(1-self.p)}")
+        check_bloch(self.p, abs(self.c))
 
     @property
     def psi(self) -> float:
@@ -44,8 +83,7 @@ class TlsState:
         return float(np.angle(self.c))
 
     def density(self) -> DensityMatrix:
-        return DensityMatrix(np.array([[self.p, self.c],
-                                       [np.conj(self.c), 1 - self.p]], dtype=complex))
+        return DensityMatrix(density_matrices(self.p, self.c))
 
     @classmethod
     def from_density(cls, rho: DensityMatrix) -> "TlsState":
@@ -72,8 +110,7 @@ class MuDynParams:
     Omega_f: Optional[float] = None
 
     def __post_init__(self):
-        if self.tau <= 0 or self.omega_bar < 0:
-            raise ParamOutOfRange("need tau > 0 and omega_bar >= 0")
+        check_drive(self.tau, self.omega_bar)
         hyp = float(np.hypot(self.omega_f, self.eps_f))
         if self.Omega_f is None:
             object.__setattr__(self, "Omega_f", hyp)
@@ -92,16 +129,13 @@ class MuDynParams:
     @classmethod
     def cos_sin(cls, omega0: float, tau: float, tau_star: float) -> "MuDynParams":
         """omega = omega0 cos(pi t / 2 tau*), eps = omega0 sin(pi t / 2 tau*)."""
-        if omega0 <= 0 or tau_star <= 0:
-            raise ParamOutOfRange("need omega0 > 0 and tau_star > 0")
-        ang = np.pi * tau / (2 * tau_star)
-        return cls(mu=-np.pi / (2 * omega0 * tau_star), omega_bar=omega0 * tau,
-                   tau=tau, tau_star=tau_star,
-                   omega_f=omega0 * np.cos(ang), eps_f=omega0 * np.sin(ang))
+        mu, omega_bar, omega_f, eps_f = cos_sin_drive(omega0, tau, tau_star)
+        return cls(mu=mu, omega_bar=omega_bar, tau=tau, tau_star=tau_star,
+                   omega_f=omega_f, eps_f=eps_f)
 
     @property
     def nu(self) -> float:
-        return float(self.omega_bar * np.sqrt(1 + self.mu**2))
+        return float(_nu(self.mu, self.omega_bar))
 
     @property
     def nu_c(self) -> float:
@@ -112,30 +146,46 @@ class MuDynParams:
         return float(np.sin(self.nu))
 
 
+def cos_sin_drive(omega0, tau, tau_star):
+    """(mu, omega_bar, omega_f, eps_f) of the quarter-period cos/sin drive.
+
+    Broadcasts over tau and tau_star; refuses omega0 <= 0 or tau_star <= 0.
+    """
+    if np.count_nonzero(np.logical_or(np.less_equal(omega0, 0), np.less_equal(tau_star, 0))):
+        raise ParamOutOfRange("need omega0 > 0 and tau_star > 0")
+    ang = np.pi * tau / (2 * tau_star)
+    return (-np.pi / (2 * omega0 * tau_star), omega0 * tau,
+            omega0 * np.cos(ang), omega0 * np.sin(ang))
+
+
+def _nu(mu, omega_bar):
+    """Total rotating-frame precession angle omega_bar sqrt(1 + mu^2)."""
+    return omega_bar * np.sqrt(1 + sq(mu))
+
+
 # ------------------------------------------------------------ state algebra
 
-def _eig_gaps(p: float, c_abs: float, disc: float):
-    """Stable (r0 - p, p - r1): the small gap is |c|^2 over the large one.
+def _eig_split(p, c_abs):
+    """(r1, r0, a, b, mixed) of rho(p, |c|), broadcast over arrays.
 
-    Direct subtraction loses half the digits when |c| << |p - 1/2|; the
-    conjugate identity disc^2 - (p - 1/2)^2 = |c|^2 avoids it, so diagonal
-    states get an exactly zero small gap.
+    r1 <= r0 are the eigenvalues and a = sqrt((r0-p)/(r0-r1)),
+    b = sqrt((p-r1)/(r0-r1)) the overlap magnitudes of its eigenbasis with the
+    energy basis. ``mixed`` marks the maximally mixed points, where that basis
+    is arbitrary and (a, b) = (1, 0). The gaps (r0 - p, p - r1) are evaluated
+    stably: direct subtraction loses half the digits when |c| << |p - 1/2|,
+    while the conjugate identity disc^2 - (p - 1/2)^2 = |c|^2 makes the small
+    gap |c|^2 over the large one, exactly zero for diagonal states.
     """
-    big = disc + abs(p - 0.5)
-    small = c_abs**2 / big if big > 0.0 else 0.0
-    return (big, small) if p <= 0.5 else (small, big)
-
-
-def _eig_split(s: TlsState):
-    """(r1, r0, a, b): eigenvalues r1 <= r0 of rho and the overlap magnitudes
-    a = sqrt((r0-p)/(r0-r1)), b = sqrt((p-r1)/(r0-r1)); a = b = None at the
-    maximally mixed point, where the eigenbasis is arbitrary."""
-    disc = np.hypot(s.p - 0.5, abs(s.c))
+    disc = np.hypot(p - 0.5, c_abs)
     r1, r0 = 0.5 - disc, 0.5 + disc
-    if r0 - r1 < 1e-15:
-        return r1, r0, None, None
-    up, dn = _eig_gaps(s.p, abs(s.c), disc)
-    return r1, r0, np.sqrt(up / (r0 - r1)), np.sqrt(dn / (r0 - r1))
+    width = r0 - r1
+    mixed = width < 1e-15
+    big = disc + np.abs(p - 0.5)
+    # adding the mask keeps the mixed points (the only ones where big or width
+    # can be 0) away from 0 / 0; their (a, b) is then set to (1, 0)
+    small = sq(c_abs) / (big + mixed)
+    a, b = np.sqrt(np.where(p <= 0.5, (big, small), (small, big)) / (width + mixed))
+    return r1, r0, np.where(mixed, 1.0, a), np.where(mixed, 0.0, b), mixed
 
 
 def eigs_r(s: TlsState):
@@ -145,8 +195,8 @@ def eigs_r(s: TlsState):
     a = sqrt((r0-p)/(r0-r1)), b = sqrt((p-r1)/(r0-r1)). The maximally mixed
     point returns the computational basis.
     """
-    r1, r0, a, b = _eig_split(s)
-    if a is None:
+    r1, r0, a, b, mixed = _eig_split(s.p, abs(s.c))
+    if mixed:
         return r1, r0, np.eye(2, dtype=complex)
     phase = np.exp(1j * s.psi)
     vecs = np.array([[a, phase * b],
@@ -156,29 +206,53 @@ def eigs_r(s: TlsState):
 
 def ab_overlaps(s: TlsState) -> Tuple[float, float]:
     """(a, b) overlap magnitudes of the rho eigenbasis with the energy basis."""
-    _, _, a, b = _eig_split(s)
-    if a is None:
-        return 1.0, 0.0
+    _, _, a, b, _ = _eig_split(s.p, abs(s.c))
     return float(a), float(b)
+
+
+def theta1(p, c_abs):
+    """State rotation half-angle arctan(b/a) reaching the passive basis; broadcasts."""
+    _, _, a, b, _ = _eig_split(p, c_abs)
+    return np.arctan2(b, a)
+
+
+def cost(theta, tau):
+    """Drive cost sqrt2 theta / tau of a rotation by half-angle theta; broadcasts."""
+    return np.sqrt(2.0) / tau * theta
+
+
+def cost_floor(theta1, theta2, tau):
+    """sqrt2 |theta1 - theta2| / tau: the phase-optimal cost at aligned
+    coherence phase, the lower end of the w_min range; broadcasts."""
+    return cost(np.abs(theta1 - theta2), tau)
+
+
+def worst_cost(tau):
+    """sqrt2 pi / tau: the cost with no phase control at all; broadcasts."""
+    return np.sqrt(2.0) * np.pi / tau
 
 
 # ------------------------------------------------- proportional-drive example
 
+def delta_enc(p, c_abs, gap):
+    """Ergotropy difference gap (disc - 1/2 + p) for proportional Hamiltonians
+    with final gap ``gap``, disc = sqrt((p - 1/2)^2 + |c|^2); broadcasts."""
+    return gap * (np.sqrt(sq(p - 0.5) + sq(c_abs)) - 0.5 + p)
+
+
 def example1_delta(s: TlsState, lam_f_omega: float) -> float:
     """Ergotropy difference for proportional Hamiltonians, final gap lam_f_omega."""
-    disc = np.sqrt((s.p - 0.5) ** 2 + abs(s.c) ** 2)
-    return float(lam_f_omega * (disc - 0.5 + s.p))
+    return float(delta_enc(s.p, abs(s.c), lam_f_omega))
 
 
 def theta1_min(s: TlsState) -> float:
     """Smallest rotation half-angle reaching the passive basis: arctan(b/a)."""
-    a, b = ab_overlaps(s)
-    return float(np.arctan2(b, a))
+    return float(theta1(s.p, abs(s.c)))
 
 
 def example1_wmin(s: TlsState, tau: float) -> float:
     """Minimal drive cost for the proportional example, optimal phases."""
-    return np.sqrt(2.0) / tau * theta1_min(s)
+    return cost(theta1_min(s), tau)
 
 
 def example1_thetas(s: TlsState, phi1, phi0):
@@ -245,22 +319,45 @@ def constmu_final_density(p_i: float, params: MuDynParams) -> DensityMatrix:
     return DensityMatrix(m)
 
 
+def sta_delta(gap, p_i, mu, omega_bar):
+    """Omega_f (p_f - p_i) of the bare constant-mu drive with final gap
+    Omega_f = ``gap``; broadcasts over every argument."""
+    return (gap * (0.5 - p_i) * sq(mu) * (1 - np.cos(_nu(mu, omega_bar)))
+            / (1 + sq(mu)))
+
+
 def delta_e_sta(p_i: float, params: MuDynParams) -> float:
     """Ergotropy difference produced by the bare rotating drive alone.
 
     Equals Omega_f (p_f - p_i): only the population moved into the upper
     final level counts, and it vanishes as mu -> 0 (adiabatic limit).
     """
-    mu, nc = params.mu, params.nu_c
-    return float(params.Omega_f * (0.5 - p_i) * mu**2 * (1 - nc) / (1 + mu**2))
+    return float(sta_delta(params.Omega_f, p_i, params.mu, params.omega_bar))
+
+
+def cd_rate(mu, omega_bar, tau):
+    """|mu| Omega_bar / tau; broadcasts."""
+    return np.abs(mu) * omega_bar / tau
 
 
 def counterdiabatic_rate(params: MuDynParams) -> float:
     """|mu| Omega_bar / tau: the time-averaged counterdiabatic coupling norm."""
-    return abs(params.mu) * params.omega_bar / params.tau
+    return float(cd_rate(params.mu, params.omega_bar, params.tau))
 
 
 # --------------------------------------------- rotating-drive minimal cost
+
+def _alpha_beta(mu, omega_bar):
+    """alpha_beta_phase over arrays of (mu, omega_bar)."""
+    nu = _nu(mu, omega_bar)
+    nc = np.cos(nu)
+    mu2 = 1 + sq(mu)
+    den = np.sqrt(2 * mu2)
+    s_sign = np.where(np.sin(nu) >= 0, 1.0, -1.0)
+    alpha_exp = (s_sign * np.sqrt(np.maximum((1 + nc) * mu2, 0.0))
+                 - 1j * np.sqrt(np.maximum(1 - nc, 0.0))) / den
+    return alpha_exp, mu * np.sqrt(np.maximum(1 - nc, 0.0)) / den
+
 
 def alpha_beta_phase(params: MuDynParams):
     """(alpha e^{i phi_alpha}, beta) of the bare-drive transported basis.
@@ -269,19 +366,20 @@ def alpha_beta_phase(params: MuDynParams):
     overlap, alpha e^{i phi_alpha} = [sign(nu_s) sqrt((1+nu_c)(1+mu^2))
     - i sqrt(1-nu_c)] / sqrt(2(1+mu^2)) and beta = mu sqrt((1-nu_c)/(2(1+mu^2))).
     """
-    mu, nc, ns = params.mu, params.nu_c, params.nu_s
-    den = np.sqrt(2 * (1 + mu**2))
-    s_sign = 1.0 if ns >= 0 else -1.0
-    alpha_exp = (s_sign * np.sqrt(max((1 + nc) * (1 + mu**2), 0.0))
-                 - 1j * np.sqrt(max(1 - nc, 0.0))) / den
-    beta = mu * np.sqrt(max(1 - nc, 0.0)) / den
+    alpha_exp, beta = _alpha_beta(params.mu, params.omega_bar)
     return complex(alpha_exp), float(beta)
+
+
+def theta2(mu, omega_bar):
+    """Bare-drive rotation half-angle arctan(|beta| / |alpha|); broadcasts."""
+    alpha_exp, beta = _alpha_beta(mu, omega_bar)
+    # hypot, as the scalar abs() of a complex: np.abs rounds differently
+    return np.arctan2(np.abs(beta), np.hypot(alpha_exp.real, alpha_exp.imag))
 
 
 def theta2_min(params: MuDynParams) -> float:
     """Bare-drive rotation half-angle: arctan(|beta| / alpha)."""
-    alpha_exp, beta = alpha_beta_phase(params)
-    return float(np.arctan2(abs(beta), abs(alpha_exp)))
+    return float(theta2(params.mu, params.omega_bar))
 
 
 def overlap_w(s: TlsState, params: MuDynParams) -> float:
@@ -294,7 +392,7 @@ def overlap_w(s: TlsState, params: MuDynParams) -> float:
 
 def example2_wmin(s: TlsState, params: MuDynParams) -> float:
     """Minimal cost with optimal target phases at the state's coherence phase."""
-    return float(np.sqrt(2.0) / params.tau * np.arccos(np.clip(overlap_w(s, params), 0.0, 1.0)))
+    return float(cost(np.arccos(np.clip(overlap_w(s, params), 0.0, 1.0)), params.tau))
 
 
 class ThetaSplit(NamedTuple):
@@ -314,10 +412,10 @@ def example2_theta_split(s: TlsState, params: MuDynParams) -> ThetaSplit:
     the worst case is sqrt2 pi/tau.
     """
     t1, t2 = theta1_min(s), theta2_min(params)
-    lo = np.sqrt(2.0) / params.tau * abs(t1 - t2)
+    lo = float(cost_floor(t1, t2, params.tau))
     return ThetaSplit(
-        theta1=float(t1), theta2=float(t2),
-        wmin_range=(float(lo), float(np.sqrt(2.0) * np.pi / params.tau)),
+        theta1=t1, theta2=t2,
+        wmin_range=(lo, float(worst_cost(params.tau))),
         w_psi=example2_wmin(s, params),
-        psi_band=(float(lo), float(np.sqrt(2.0) / params.tau * (t1 + t2))),
+        psi_band=(lo, float(cost(t1 + t2, params.tau))),
     )

@@ -1,8 +1,17 @@
 """Random problem instances and oracles shared across the test modules."""
 
+import dataclasses
+
 import numpy as np
 
-from ergodrive import DensityMatrix, HamiltonianOp, hermitian_eig
+from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, TlsState, cli,
+                       counterdiabatic_rate, delta_e_sta, example1_delta,
+                       example1_phase_average, example1_wmin, example2_theta_split,
+                       final_unitary, gain_g, hermitian_eig)
+from ergodrive.errors import NoConvergence
+
+SZ = np.diag([1.0, -1.0]).astype(complex)
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def random_unitary(rng, d):
@@ -41,3 +50,91 @@ def herm_expi(h, dt=1.0):
     """exp(-i h dt) for Hermitian h, via the spectral decomposition."""
     eig = hermitian_eig(h)
     return (eig.vectors * np.exp(-1j * eig.values * dt)) @ eig.vectors.conj().T
+
+
+def converged_final_unitary(h_i, h_f, sched, rtol=1e-8, n_limit=100_000):
+    """U0(t_f) with the grid doubled until it moves by <= rtol (Frobenius)."""
+    n = sched.n_steps
+    prev = final_unitary(h_i, h_f, sched)
+    while True:
+        n *= 2
+        cur = final_unitary(h_i, h_f, dataclasses.replace(sched, n_steps=n))
+        if np.linalg.norm(cur - prev) <= rtol:
+            return cur, n
+        if n >= n_limit:
+            raise NoConvergence(f"U(t_f) still moves by {np.linalg.norm(cur - prev):.3e} "
+                                f"under grid doubling at n_steps = {n}")
+        prev = cur
+
+
+# ------------------------------------------------------------- figure oracle
+# The figure sweeps evaluated point by point through the scalar tls and
+# ergotropy API, one TlsState, MuDynParams, DensityMatrix and HamiltonianOp
+# per grid cell, with the same defaults as the CLI.
+
+def _linspace(cfg, axis, lo, hi, n):
+    return np.linspace(float(cfg.get(f"{axis}_min", lo)), float(cfg.get(f"{axis}_max", hi)),
+                       int(cfg.get(f"{axis}_points", n)))
+
+
+def fig1_oracle(cfg, seed=0):
+    """(rows, crossover) of fig1."""
+    tau = float(cfg.get("tau", 10.0))
+    lam_f_omega = float(cfg.get("lam_f_omega", 1.0))
+    draws = int(cfg.get("mc_draws", 4096))
+    ps = _linspace(cfg, "p", 0.0, 1.0, 200)
+    fracs = np.linspace(0.0, 1.0, int(cfg.get("c_points", 200)))
+    h = HamiltonianOp(0.5 * lam_f_omega * SZ)
+    rows = []
+    for i, p in enumerate(ps.tolist()):
+        for j, frac in enumerate(fracs):
+            c = float(frac * np.sqrt(max(p * (1.0 - p), 0.0)))
+            s = TlsState(p, c)
+            mean = err = float("nan")
+            if draws > 0:
+                rng = np.random.default_rng([seed, i, j])
+                mean, err = example1_phase_average(s, tau, draws, rng)
+            rows.append((p, c, example1_delta(s, lam_f_omega), gain_g(s.density(), h, h),
+                         example1_wmin(s, tau), mean, err))
+    top = rows[len(fracs) - 1::len(fracs)]
+    return rows, cli.fig1_crossover(ps, [r[2] for r in top], [r[4] for r in top])
+
+
+def _fixed_state(cfg):
+    return TlsState(float(cfg.get("p_i", 0.4)), complex(cfg.get("c_abs", np.sqrt(0.24))))
+
+
+def fig2_oracle(cfg):
+    omega0 = float(cfg.get("omega0", 1.0))
+    s = _fixed_state(cfg)
+    h_i = HamiltonianOp(0.5 * omega0 * SZ)
+    rows = []
+    for ot in _linspace(cfg, "ot", 0.5, 20.0, 40).tolist():
+        for ots in _linspace(cfg, "ots", 0.5, 20.0, 40).tolist():
+            params = MuDynParams.cos_sin(omega0, ot / omega0, ots / omega0)
+            h_f = HamiltonianOp(0.5 * (params.omega_f * SZ + params.eps_f * SX))
+            rows.append((ot, ots, counterdiabatic_rate(params),
+                         example2_theta_split(s, params).wmin_range[0],
+                         example1_delta(s, params.Omega_f), gain_g(s.density(), h_i, h_f),
+                         delta_e_sta(s.p, params)))
+    return rows
+
+
+def fig3_oracle(cfg):
+    tau = float(cfg.get("tau", 1.0))
+    omega_f = float(cfg.get("omega_f", 20.0 / tau))
+    s = _fixed_state(cfg)
+    rows = []
+    for mu in _linspace(cfg, "mu", 0.0, 4.0, 41).tolist():
+        for ob in _linspace(cfg, "ob", 0.0, 4.0, 41).tolist():
+            params = MuDynParams(mu=mu, omega_bar=ob, omega_f=omega_f, eps_f=0.0, tau=tau)
+            split = example2_theta_split(s, params)
+            rows.append((mu, ob, counterdiabatic_rate(params), *split.wmin_range,
+                         example1_delta(s, params.Omega_f), delta_e_sta(s.p, params)))
+    return rows
+
+
+def csv_text(header, rows):
+    """CSV as the CLI writes it, formatting one cell at a time."""
+    lines = [",".join(header)] + [",".join("%.17g" % float(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Command-line interface: determinism, schemas, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -185,3 +186,47 @@ def test_json_output_is_sorted_and_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     keys = list(json.loads(a.read_text()))
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("fig1", {"p_points": 0}, "p_points must be >= 1"),
+    ("fig1", {"c_points": 0}, "c_points must be >= 1"),
+    ("fig1", {"p_points": 3, "c_points": 3, "mc_draws": 0, "tau": 0}, "tau must be > 0"),
+    ("fig1", {"p_points": 2, "c_points": 2, "mc_draws": 1}, "mc_draws must be 0 or >= 2"),
+    ("fig1", {"p_points": 2, "c_points": 2, "mc_draws": -4}, "mc_draws must be 0 or >= 2"),
+    ("fig1", {"p_points": 3, "c_points": 3, "mc_draws": 0, "p_min": -0.1},
+     "population p = -0.1 outside [0, 1]"),
+    ("fig1", {"p_points": 3, "c_points": 3, "mc_draws": 0, "p_max": 1.5},
+     "population p = 1.5 outside [0, 1]"),
+    ("fig2", {"ot_points": 0}, "ot_points must be >= 1"),
+    ("fig2", {"ots_points": 0}, "ots_points must be >= 1"),
+    ("fig2", {"ot_min": 0}, "need tau > 0 and omega_bar >= 0"),
+    ("fig2", {"ots_min": 0}, "need omega0 > 0 and tau_star > 0"),
+    ("fig2", {"omega0": -1.0}, "omega0 must be > 0"),
+    ("fig2", {"omega0": 0.0}, "omega0 must be > 0"),
+    ("fig3", {"mu_points": 0}, "mu_points must be >= 1"),
+    ("fig3", {"ob_points": 0}, "ob_points must be >= 1"),
+    ("fig3", {"tau": 0}, "tau must be > 0"),
+    ("fig3", {"ob_min": -0.5}, "need tau > 0 and omega_bar >= 0"),
+])
+def test_degenerate_sweep_configs_are_refused(tmp_path, capsys, command, cfg, message):
+    path = write_cfg(tmp_path, "bad.json", cfg)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", path, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ParamOutOfRange", "message": err["message"]}
+    assert message in err["message"]
+    assert not out.exists()
+
+
+def test_write_csv_formats_cells_as_the_per_cell_formatter(capsys):
+    row = (float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 3, -7, True,
+           np.float64(0.1), np.float32(0.1), np.int64(12), np.float64(-0.0), 1e-310, 2.0**70)
+    header = [f"c{k}" for k in range(len(row))]
+    cli.write_csv(header, [row, list(reversed(row))])
+    want = [",".join(header), ",".join(cli._fmt(v) for v in row),
+            ",".join(cli._fmt(v) for v in reversed(row))]
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+    assert want[1].startswith("nan,inf,-inf,-0,0,3,-7,1,0.10000000000000001,")

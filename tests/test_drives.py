@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
-                       TlsState, converged_final_unitary, counterdiabatic_cost,
+                       TlsState, counterdiabatic_cost,
                        example1_wmin, final_unitary, optimize_phases,
                        passive_state, propagate_u0, smoothstep, smoothstep_dot,
                        synthesize_drive, target_unitary, trace_distance,
@@ -14,7 +14,7 @@ from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
 from ergodrive.errors import (DimMismatch, DimTooLarge, GaugeFailure,
                               LengthMismatch, NoConvergence, ParamInconsistent,
                               ParamOutOfRange, VerificationFailed)
-from helpers import herm_expi, random_density, random_instance
+from helpers import converged_final_unitary, herm_expi, random_density, random_instance
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

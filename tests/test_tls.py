@@ -6,13 +6,14 @@ import pytest
 from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
                        TlsState, alpha_beta_phase,
                        constmu_final_density, constmu_final_state,
-                       converged_final_unitary, counterdiabatic_rate,
+                       counterdiabatic_rate,
                        delta_e_sta, delta_noncyclic, eigs_r, example1_delta,
                        example1_phase_average, example1_thetas, example1_wmin,
                        example2_theta_split, example2_wmin, final_basis,
                        gain_g, overlap_w, theta1_min, theta2_min, trace_distance)
 from ergodrive.errors import ParamInconsistent, ParamOutOfRange
 from ergodrive.tls import ab_overlaps, wrap_pi
+from helpers import converged_final_unitary
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

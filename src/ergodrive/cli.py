@@ -167,9 +167,9 @@ def run_fig1(cfg: dict, seed: int = 0):
     err = np.full(p.shape, np.nan)
     if draws > 0:
         n_c = len(fracs)
-        for k, (p_k, c_k) in enumerate(zip(p.tolist(), c.tolist())):
+        for k, a_k in enumerate(tls.overlaps(p, c)[0].tolist()):
             rng = np.random.default_rng([seed, k // n_c, k % n_c])
-            mean[k], err[k] = tls.example1_phase_average(tls.TlsState(p_k, c_k), tau, draws, rng)
+            mean[k], err[k] = tls.example1_phase_average(a_k, tau, draws, rng)
     top = slice(len(fracs) - 1, None, len(fracs))   # maximal-coherence slice
     crossover = fig1_crossover(ps, delta[top], w_min[top])
     header = ["p_i", "c_abs", "delta_enc", "g", "w_min", "w_mc_mean", "w_mc_stderr"]

@@ -121,8 +121,7 @@ def hermitian_eig(m, tols: Tolerances = DEFAULT_TOLS) -> HermEig:
     if hermiticity_defect(m) > tols.hermiticity * scale:
         raise NotHermitian(f"hermiticity defect {hermiticity_defect(m):.3e} "
                            f"exceeds {tols.hermiticity * scale:.3e}")
-    hm = 0.5 * (m + dagger(m))
-    values, vectors = np.linalg.eigh(hm)
+    values, vectors = _symmetrized_eigh(m)
     vectors = _canonicalize(values, np.asarray(vectors, dtype=complex), scale)
     return HermEig(values, vectors)
 
@@ -130,13 +129,16 @@ def hermitian_eig(m, tols: Tolerances = DEFAULT_TOLS) -> HermEig:
 def hermitian_eigvals(m) -> np.ndarray:
     """Ascending eigenvalues of a stack m[..., d, d] of Hermitian matrices.
 
-    hermitian_eig's symmetrization and LAPACK call over the stack, so row k
-    is bit-equal to hermitian_eig(m[k]).values (a batched eigh gives the same
-    bits as one call per matrix; eigvalsh, another LAPACK path, does not).
+    Row k is bit-equal to hermitian_eig(m[k]).values: a batched eigh gives the
+    same bits as one call per matrix (eigvalsh, another LAPACK path, does not).
     No hermiticity check: callers build the stack Hermitian.
     """
-    m = np.asarray(m, dtype=complex)
-    return np.linalg.eigh(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))[0]
+    return _symmetrized_eigh(np.asarray(m, dtype=complex))[0]
+
+
+def _symmetrized_eigh(m: np.ndarray):
+    """LAPACK eigh of the Hermitian part (m + m^dag) / 2 of m[..., d, d]."""
+    return np.linalg.eigh(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
 
 
 def principal_log_unitary(u, tols: Tolerances = DEFAULT_TOLS):

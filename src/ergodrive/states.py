@@ -74,8 +74,7 @@ class DensityMatrix:
             values, vectors = hermitian_eig(self.mat, self.tols)
             if float(values[0]) < -self.tols.eig_floor:
                 raise NotAState("density matrix has a negative eigenvalue beyond tolerance")
-            values = np.clip(values, 0.0, None)
-            desc = values[np.argsort(-values, kind="stable")]
+            values, desc = _clamped_spectrum(values)
             object.__setattr__(self, "_spectrum",
                                HermEig(_read_only(values), _read_only(vectors)))
             object.__setattr__(self, "_populations_desc", _read_only(desc))
@@ -133,6 +132,18 @@ class ThermalSolveResult(NamedTuple):
     residual: float        # |target - achieved| in the solved quantity
 
 
+def _clamped_spectrum(values: np.ndarray):
+    """(values clamped to >= 0, the clamped values sorted descending with a
+    stable tie-break), along the last axis of a spectrum or a stack of them.
+
+    Negation is exact, so -sort(-v) holds the same elements, signed zeros
+    included, as v indexed by its stable descending argsort, at half the cost
+    of np.take_along_axis on the small spectra of a report.
+    """
+    values = np.clip(values, 0.0, None)
+    return values, -np.sort(-values, axis=-1, kind="stable")
+
+
 def _check_dims(rho: DensityMatrix, h: HamiltonianOp):
     if rho.dim != h.dim:
         raise DimMismatch(f"state dim {rho.dim} != hamiltonian dim {h.dim}")
@@ -154,28 +165,21 @@ def dephase(rho: DensityMatrix, h: HamiltonianOp) -> DensityMatrix:
 def energy_populations(rho: DensityMatrix, h: HamiltonianOp) -> np.ndarray:
     """Diagonal of rho in the energy eigenbasis, ascending-energy order."""
     _check_dims(rho, h)
-    v = h.basis
-    return np.einsum("in,ij,jn->n", v.conj(), rho.mat, v).real
+    return basis_populations(rho.mat, h.basis)
 
-
-# Stacked forms for the figure sweeps. The one-object forms above keep their
-# own expressions, so the path every report takes gains no call layer.
 
 def basis_populations(mats: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """energy_populations over a stack mats[..., d, d]: the real diagonals
-    <v_n|m|v_n> in the basis columns v_n."""
+    """The real diagonals <v_n|m|v_n> of a matrix or a stack mats[..., d, d]
+    in the basis columns v_n."""
     return np.einsum("in,...ij,jn->...n", basis.conj(), mats, basis).real
 
 
 def populations_desc_stack(mats: np.ndarray) -> np.ndarray:
     """DensityMatrix.populations_desc over a stack mats[..., d, d] of density
-    matrices built valid by the caller: eigenvalues clamped to >= 0, sorted
-    descending with a stable tie-break. Row k is bit-equal to
-    DensityMatrix(mats[k]).populations_desc(), with no object, validation or
-    eigenvectors kept.
+    matrices built valid by the caller, with no object, validation or
+    eigenvectors kept; row k is bit-equal to that of DensityMatrix(mats[k]).
     """
-    values = np.clip(linalg.hermitian_eigvals(mats), 0.0, None)
-    return np.take_along_axis(values, np.argsort(-values, axis=-1, kind="stable"), axis=-1)
+    return _clamped_spectrum(linalg.hermitian_eigvals(mats))[1]
 
 
 def passive_state(rho: DensityMatrix, h: HamiltonianOp) -> DensityMatrix:

@@ -204,15 +204,22 @@ def eigs_r(s: TlsState):
     return r1, r0, vecs
 
 
+def overlaps(p, c_abs):
+    """(a, b) overlap magnitudes of the rho(p, |c|) eigenbasis with the energy
+    basis; broadcasts."""
+    _, _, a, b, _ = _eig_split(p, c_abs)
+    return a, b
+
+
 def ab_overlaps(s: TlsState) -> Tuple[float, float]:
     """(a, b) overlap magnitudes of the rho eigenbasis with the energy basis."""
-    _, _, a, b, _ = _eig_split(s.p, abs(s.c))
+    a, b = overlaps(s.p, abs(s.c))
     return float(a), float(b)
 
 
 def theta1(p, c_abs):
     """State rotation half-angle arctan(b/a) reaching the passive basis; broadcasts."""
-    _, _, a, b, _ = _eig_split(p, c_abs)
+    a, b = overlaps(p, c_abs)
     return np.arctan2(b, a)
 
 
@@ -255,21 +262,26 @@ def example1_wmin(s: TlsState, tau: float) -> float:
     return cost(theta1_min(s), tau)
 
 
-def example1_thetas(s: TlsState, phi1, phi0):
+def example1_thetas(s, phi1, phi0):
     """Principal eigenphases (theta_plus, theta_minus) of the correction log.
 
-    Vectorized over phase arrays; the relative phases the bare drive adds can
-    be absorbed into (phi1, phi0), so they do not appear here.
+    s is a TlsState or its overlap magnitude a = ab_overlaps(s)[0], through
+    which alone the eigenphases depend on the state; a sweep that already holds
+    a passes it and builds no state. Vectorized over phase arrays; the relative
+    phases the bare drive adds can be absorbed into (phi1, phi0), so they do
+    not appear here.
     """
-    a, _ = ab_overlaps(s)
+    a = ab_overlaps(s)[0] if isinstance(s, TlsState) else s
     sig = 0.5 * (np.asarray(phi1) + np.asarray(phi0))
     gam = np.arccos(np.clip(a * np.cos(0.5 * (np.asarray(phi1) - np.asarray(phi0))), -1.0, 1.0))
     return wrap_pi(sig + gam), wrap_pi(sig - gam)
 
 
-def example1_phase_average(s: TlsState, tau: float, n_draws: int,
-                           rng: np.random.Generator):
-    """Monte Carlo mean and standard error of the cost over uniform phases."""
+def example1_phase_average(s, tau: float, n_draws: int, rng: np.random.Generator):
+    """Monte Carlo mean and standard error of the cost over uniform phases.
+
+    s is a TlsState or its overlap magnitude a, as in example1_thetas.
+    """
     phi = rng.uniform(-np.pi, np.pi, size=(2, n_draws))
     tp, tm = example1_thetas(s, phi[0], phi[1])
     w = np.sqrt(tp**2 + tm**2) / tau

@@ -1,5 +1,6 @@
 """Whole-grid figure sweeps against the per-point oracle, byte for byte."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -57,6 +58,39 @@ FIG3 = {
                "ob_points": 9},
 }
 
+# sha256 of the CSV text followed by the stderr text of every case above, as
+# the per-point sweeps (one set of objects per grid cell) printed them before
+# the sweeps became array programs. The oracle shares its closed-form kernels
+# with the sweeps; these digests pin the bytes independently of them.
+RECORDED_SHA256 = {
+    "fig1/benchmark": "6d18ad8be2f82947d011d7de624807b5936a7f63b6843f73db475f0c23945779",
+    "fig1/benchmark_seed": "c8343690f51c339f03881b9c8bceab533b3aa90767372af834ce02d4f06b3fcf",
+    "fig1/default": "4162d39ac5f6999948ddb78ae850b3571337fe941c8039f8d04a358e56a2b8b0",
+    "fig1/edges": "ac1a5462d7410c6394bdb51cb59f13d2607f95a93d0da53acdc47d0a044aab8a",
+    "fig1/inner_range": "3784e3f45f14926d083716e546772e4f4947be51bb83ba5748e9cbd75a80f51f",
+    "fig1/negative_gap": "d3ac52c8ea0b17b8bf8264576608341a8abe3f242c0db06ed0b9982963f2e821",
+    "fig1/one_c": "fd0ca690480ea900a759db373b72f4d240c3ca7690f56dd7fd0ea2b9daf78759",
+    "fig1/one_cell": "d406fd0195111efe99fdeecf1152aa98e07401e4e2ed32e814417dc369fdd6a3",
+    "fig1/one_p": "481adf97032c29425c98ef814cc8468d479995f7a4e63ad6add74b105e61aef3",
+    "fig1/zero_gap": "caa047ea1d817c9281b1bf1df5b59b7dd146ab27d886c1a293fc827922012621",
+    "fig2/benchmark": "b468d2b150f2b447776a2d3cc690c6e16d16998624c93886683df8b38b5ec03c",
+    "fig2/default": "4cb6fb43ca4ca5b3e7d7a3872cb1e4e002bb9ffe30478dfe812ba11cbefdac8e",
+    "fig2/excited": "2dc09c8e0a47a60d26c3c159925996096ac9be1f6fe33ca7bcb29bfb59abe46e",
+    "fig2/ground": "a04fd8ab88b8107ae99bafac708fd443bb540f8ba2d8279bfc7218a24cc19f98",
+    "fig2/maximally_mixed": "94e3291595c2ec02ba0b944390a23c7cf6359a43cbe0141e244f05d01eb4de03",
+    "fig2/one_ot": "e4696e1966e67cde7ed8c8ae9f03c2f5506fe118ecbd59b20b99c4f8bcb6d949",
+    "fig2/one_ots": "d53ed7d15c0f3329f1ffb5e5ab44f3bf9671b5cda6957f04ef44f6436abee956",
+    "fig2/wide": "815d1bd7e608490e1c86375c4fbc7579027b9b37fce83b5f1c6a098bd9c934ee",
+    "fig3/benchmark": "e661bc22465f8e20dc5212e1e25c0f1b7fbf16293bff623701d74ef64d7d8d8b",
+    "fig3/default": "ce2066c3e182785a7fe500f0d7e1aeac369dfcd8e0e56b4fd2edd2c56f581f33",
+    "fig3/ground": "5d4815cac1f0725437884f6e93ba1383cefd83fcf36570e5a94ee0b640cbef33",
+    "fig3/maximally_mixed": "d0da09a01ccf322322f709517a5ca988c135914649d88258e36d30c6189f308a",
+    "fig3/negative_omega_f": "48e431259be2023b63a61b64d5bdf7cd6f43f2cd06a4cf18e648173dc64c3578",
+    "fig3/one_mu": "aef160307ffd32e33a96b92f27e6c90928f89e0bed67d64eda88fe89722bbeae",
+    "fig3/one_ob": "483f4e7840d176782b5a47b1391e470303508f54217e98fbb567974a80da3d93",
+    "fig3/signed_mu": "3b5816c78725228321836e3e1d2553a9d5aede99a98935cc4ea796b3f9cf3ebb",
+}
+
 
 def run_cli(tmp_path, capsys, name, cfg, seed=0):
     cfg_path = tmp_path / f"{name}.json"
@@ -68,6 +102,10 @@ def run_cli(tmp_path, capsys, name, cfg, seed=0):
     return out.read_text(), capsys.readouterr().err
 
 
+def digest(text, err=""):
+    return hashlib.sha256((text + err).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("case", sorted(FIG1))
 def test_fig1_matches_the_per_point_oracle(tmp_path, capsys, case):
     cfg, seed = FIG1[case]
@@ -75,18 +113,21 @@ def test_fig1_matches_the_per_point_oracle(tmp_path, capsys, case):
     rows, crossover = fig1_oracle(cfg, seed)
     assert text == csv_text(HEADERS["fig1"], rows)
     assert err == "crossover_p = %.17g\n" % crossover
+    assert digest(text, err) == RECORDED_SHA256[f"fig1/{case}"]
 
 
 @pytest.mark.parametrize("case", sorted(FIG2))
 def test_fig2_matches_the_per_point_oracle(tmp_path, capsys, case):
     text, _ = run_cli(tmp_path, capsys, "fig2", FIG2[case])
     assert text == csv_text(HEADERS["fig2"], fig2_oracle(FIG2[case]))
+    assert digest(text) == RECORDED_SHA256[f"fig2/{case}"]
 
 
 @pytest.mark.parametrize("case", sorted(FIG3))
 def test_fig3_matches_the_per_point_oracle(tmp_path, capsys, case):
     text, _ = run_cli(tmp_path, capsys, "fig3", FIG3[case])
     assert text == csv_text(HEADERS["fig3"], fig3_oracle(FIG3[case]))
+    assert digest(text) == RECORDED_SHA256[f"fig3/{case}"]
 
 
 def test_oracle_grids_reach_both_signs_of_sin_nu():

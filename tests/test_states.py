@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ergodrive import (DensityMatrix, HamiltonianOp, dephase,
+from ergodrive import (DensityMatrix, HamiltonianOp, dephase, states,
                        energy_populations, majorizes, matrix_from_json,
                        matrix_to_json, passive_energy, passive_state,
                        relative_entropy, solve_beta_for_energy,
@@ -31,6 +31,18 @@ def test_density_matrix_validation():
 def test_populations_desc_sorted():
     rho = DensityMatrix(np.diag([0.25, 0.5, 0.25]))
     assert np.array_equal(rho.populations_desc(), [0.5, 0.25, 0.25])
+
+
+def test_clamped_spectrum_matches_argsort_indexing_bit_for_bit():
+    rng = np.random.default_rng(4)
+    levels = [0.0, -0.0, 1e-17, -1e-17, -3e-16, 0.25, 0.5, 1.0]
+    spectra = np.sort(rng.choice(levels, size=(400, 4)), axis=-1)
+    clamped, desc = states._clamped_spectrum(spectra)
+    for row, c, got in zip(spectra, clamped, desc):
+        want = np.clip(row, 0.0, None)
+        assert c.tobytes() == want.tobytes()
+        assert got.tobytes() == want[np.argsort(-want, kind="stable")].tobytes()
+        assert states._clamped_spectrum(row)[1].tobytes() == got.tobytes()
 
 
 def test_hamiltonian_spectrum():

@@ -155,6 +155,15 @@ def test_phase_average_deterministic_under_seed():
     assert a == b
 
 
+def test_phase_average_of_the_overlap_is_that_of_the_state():
+    rng = np.random.default_rng(11)
+    for s in [TlsState(0.5, 0.0), TlsState(0.0, 0.0), TlsState(0.6, 0.3)] + [
+            random_tls(rng) for _ in range(20)]:
+        a, _ = ab_overlaps(s)
+        assert (example1_phase_average(a, 0.7, 64, np.random.default_rng(3))
+                == example1_phase_average(s, 0.7, 64, np.random.default_rng(3)))
+
+
 def test_mudyn_params_validation():
     with pytest.raises(ParamOutOfRange):
         MuDynParams(mu=1.0, omega_bar=1.0, omega_f=1.0, eps_f=0.0, tau=0.0)

@@ -7,9 +7,9 @@ reports and figure sweeps.
 """
 
 from .drives import (DriveSynthesis, PhaseOptResult, PropagatorTrace, Schedule,
-                     counterdiabatic_cost, final_unitary, optimize_phases,
-                     propagate_u0, smoothstep, smoothstep_dot, synthesize_drive,
-                     target_unitary, verify_drive)
+                     counterdiabatic_cost, optimize_phases, propagate_u0,
+                     smoothstep, smoothstep_dot, synthesize_drive, target_unitary,
+                     verify_drive)
 from .ergotropy import (Counterexample, Decomposition, DeltaResult, ErgotropyReport,
                         UpperBoundResult, coherent_entropy_identity_residual,
                         counterexample_populations, decompose, delta_noncyclic,

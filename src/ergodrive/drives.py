@@ -1,12 +1,13 @@
 """Time-dependent drive machinery.
 
 Schedules interpolate H0(t) between an initial and a final Hamiltonian (or
-rotate a two-level gap); the bare propagator U0 is built by midpoint
-exponential stepping. A target unitary R maps the state's descending
-eigenvectors onto the ascending final energy basis, chi = principal log of
-U0(t_f)^dag R generates the correction V(t) = -fdot(t) U0 chi U0^dag, and the
-cost functionals w, w_min follow from chi's eigenphases. Everything here is
-in hbar = 1 units.
+rotate a two-level gap). The bare propagator U0 is one blocked ordered
+product of midpoint exponential steps, re-unitarized every 64 steps; the
+same kernel propagates H0 + V in verify_drive. A target unitary R maps the
+state's descending eigenvectors onto the ascending final energy basis,
+chi = principal log of U0(t_f)^dag R generates the correction
+V(t) = -fdot(t) U0 chi U0^dag, and the cost functionals w, w_min follow
+from chi's eigenphases. Everything here is in hbar = 1 units.
 """
 
 from __future__ import annotations
@@ -45,14 +46,17 @@ def smoothstep_dot(s):
 
 
 def _sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar-or-vectorized callable on a time grid."""
+    """Evaluate a vectorized callable on a time grid; a scalar result is constant."""
     try:
         out = np.asarray(fn(ts), dtype=float)
-        if out.shape == ts.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([float(fn(t)) for t in ts])
+    except (TypeError, ValueError) as exc:
+        raise ParamOutOfRange(f"schedule callables must accept a time array: {exc}") from exc
+    if out.ndim == 0:
+        return np.full(ts.shape, float(out))
+    if out.shape != ts.shape:
+        raise ParamOutOfRange(f"schedule callable returned shape {out.shape} "
+                              f"on a grid of shape {ts.shape}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -197,6 +201,35 @@ class PropagatorTrace(NamedTuple):
     unitarity_drift: float     # worst defect seen before each re-unitarization
 
 
+def _ordered_products(steps: np.ndarray,
+                      tols: Tolerances = DEFAULT_TOLS) -> Tuple[np.ndarray, float]:
+    """Running products steps[k-1] ... steps[0] for k = 0..n, and the drift.
+
+    The steps are cut into blocks of _REUNITARIZE_EVERY; the products inside
+    every block are formed side by side and in place, one batched matmul per
+    position. The blocks are then chained in order onto the running total,
+    which is re-unitarized at each block end, so every 64th sample and the
+    last one are unitary to rounding. drift is the worst defect seen before a
+    re-unitarization.
+    """
+    n, d = steps.shape[0], steps.shape[-1]
+    m = _REUNITARIZE_EVERY
+    u = np.eye(d, dtype=complex)
+    samples = np.empty((-(-n // m) * m + 1, d, d), dtype=complex)   # identity-padded
+    samples[0] = samples[n + 1:] = u
+    samples[1:n + 1] = steps
+    blocks = samples[1:].reshape(-1, m, d, d)
+    for j in range(1, min(m, n)):
+        blocks[:, j] = blocks[:, j] @ blocks[:, j - 1]
+    drift = 0.0
+    for lo in range(0, n, m):
+        hi = min(lo + m, n)
+        samples[lo + 1:hi + 1] = samples[lo + 1:hi + 1] @ u
+        drift = max(drift, unitarity_defect(samples[hi]))
+        samples[hi] = u = reunitarize(samples[hi], tols)
+    return samples[:n + 1], drift
+
+
 def propagate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule,
                  tols: Tolerances = DEFAULT_TOLS) -> PropagatorTrace:
     """Bare propagator by midpoint exponential stepping, sampled on the grid."""
@@ -204,35 +237,7 @@ def propagate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule,
     ts = sched.times()
     dt = sched.tau / sched.n_steps
     steps = herm_expi_batch(sched.h0_batch(h_i, h_f, ts[:-1] + 0.5 * dt), dt)
-    d = h_i.dim
-    u = np.eye(d, dtype=complex)
-    samples = np.empty((sched.n_steps + 1, d, d), dtype=complex)
-    samples[0] = u
-    drift = 0.0
-    for k in range(sched.n_steps):
-        u = steps[k] @ u
-        if (k + 1) % _REUNITARIZE_EVERY == 0:
-            drift = max(drift, unitarity_defect(u))
-            u = reunitarize(u, tols)
-        samples[k + 1] = u
-    drift = max(drift, unitarity_defect(u))
-    return PropagatorTrace(ts, samples, drift)
-
-
-def final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule,
-                  tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """U0(t_f) only, via an ordered tree product of the step matrices."""
-    sched.validate_against(h_i, h_f)
-    dt = sched.tau / sched.n_steps
-    mids = sched.times()[:-1] + 0.5 * dt
-    m = herm_expi_batch(sched.h0_batch(h_i, h_f, mids), dt)
-    while m.shape[0] > 1:
-        even, odd = m[0::2], m[1::2]
-        prod = odd @ even[:odd.shape[0]]
-        if even.shape[0] > odd.shape[0]:   # odd count: latest factor stays last
-            prod = np.concatenate([prod, even[-1:]], axis=0)
-        m = prod
-    return reunitarize(m[0], tols)
+    return PropagatorTrace(ts, *_ordered_products(steps, tols))
 
 
 def _descending_eigvectors(rho: DensityMatrix) -> Tuple[np.ndarray, np.ndarray]:
@@ -338,16 +343,8 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     v_mid = -fdot_mid[:, None, None] * np.einsum(
         "tij,jk,tlk->til", u0_mid, synth.chi, u0_mid.conj())
     steps = herm_expi_batch(sched.h0_batch(h_i, h_f, mids) + v_mid, dt)
-
-    d = h_i.dim
-    u = np.eye(d, dtype=complex)
-    u_samples = np.empty((n + 1, d, d), dtype=complex)
-    u_samples[0] = u
-    for k in range(n):
-        u = steps[k] @ u
-        if (k + 1) % _REUNITARIZE_EVERY == 0:
-            u = reunitarize(u, tols)
-        u_samples[k + 1] = u
+    u_samples, _ = _ordered_products(steps, tols)
+    u = u_samples[-1]
 
     rho_f = DensityMatrix(u @ rho_i.mat @ dagger(u))
     state_distance = trace_distance(rho_f.mat, synth.target_passive.mat)
@@ -421,7 +418,7 @@ def optimize_phases(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp
     over n_draws uniform phase vectors (phases are then reported as None).
     """
     if u_f is None:
-        u_f = final_unitary(h_i, h_f, sched, tols)
+        u_f = propagate_u0(h_i, h_f, sched, tols).u_samples[-1]
     _, v_r = _descending_eigvectors(rho_i)
     a_mat = dagger(u_f) @ h_f.basis
     c = np.einsum("in,in->n", v_r.conj(), a_mat)

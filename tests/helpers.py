@@ -7,8 +7,9 @@ import numpy as np
 from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, TlsState, cli,
                        counterdiabatic_rate, delta_e_sta, example1_delta,
                        example1_phase_average, example1_wmin, example2_theta_split,
-                       final_unitary, gain_g, hermitian_eig)
+                       gain_g, hermitian_eig, propagate_u0, reunitarize)
 from ergodrive.errors import NoConvergence
+from ergodrive.linalg import unitarity_defect
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -52,13 +53,36 @@ def herm_expi(h, dt=1.0):
     return (eig.vectors * np.exp(-1j * eig.values * dt)) @ eig.vectors.conj().T
 
 
+def sequential_products(steps):
+    """(samples, drift) of the step product formed one step at a time.
+
+    samples[k] = steps[k-1] ... steps[0], re-unitarized after every 64th
+    step; drift is the worst unitarity defect seen before each
+    re-unitarization and at the end. Oracle for the blocked kernel behind
+    propagate_u0 and verify_drive.
+    """
+    d = steps.shape[-1]
+    u = np.eye(d, dtype=complex)
+    samples = np.empty((steps.shape[0] + 1, d, d), dtype=complex)
+    samples[0] = u
+    drift = 0.0
+    for k in range(steps.shape[0]):
+        u = steps[k] @ u
+        if (k + 1) % 64 == 0:
+            drift = max(drift, unitarity_defect(u))
+            u = reunitarize(u)
+        samples[k + 1] = u
+    drift = max(drift, unitarity_defect(u))
+    return samples, drift
+
+
 def converged_final_unitary(h_i, h_f, sched, rtol=1e-8, n_limit=100_000):
     """U0(t_f) with the grid doubled until it moves by <= rtol (Frobenius)."""
     n = sched.n_steps
-    prev = final_unitary(h_i, h_f, sched)
+    prev = propagate_u0(h_i, h_f, sched).u_samples[-1]
     while True:
         n *= 2
-        cur = final_unitary(h_i, h_f, dataclasses.replace(sched, n_steps=n))
+        cur = propagate_u0(h_i, h_f, dataclasses.replace(sched, n_steps=n)).u_samples[-1]
         if np.linalg.norm(cur - prev) <= rtol:
             return cur, n
         if n >= n_limit:

@@ -13,9 +13,9 @@ from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
                        TlsState, cli, coherent_entropy_identity_residual,
                        constmu_final_density, counterdiabatic_cost,
                        counterexample_populations, decompose, delta_noncyclic,
-                       example1_phase_average, example1_wmin, final_unitary,
-                       gain_g, majorizes, noncyclic_ergotropy, passive_energy,
-                       principal_log_unitary, synthesize_drive,
+                       example1_phase_average, example1_wmin, gain_g, majorizes,
+                       noncyclic_ergotropy, passive_energy, principal_log_unitary,
+                       propagate_u0, synthesize_drive,
                        thermal_populations, trace_distance, upper_bound_delta,
                        verify_drive)
 from ergodrive.errors import NegativeBeta
@@ -100,7 +100,7 @@ def test_acceptance_5_rotating_drive_propagator_and_sta_cost():
         sched = Schedule.rotating_constant_mu(params, n_steps=32768)
         h_i = HamiltonianOp(0.5 * ob * SZ)
         h_f = HamiltonianOp(0.5 * (params.omega_f * SZ + params.eps_f * SX))
-        u = final_unitary(h_i, h_f, sched)
+        u = propagate_u0(h_i, h_f, sched).u_samples[-1]
         p_i = rng.uniform(0.05, 0.95)
         rho_i = np.diag([p_i, 1.0 - p_i]).astype(complex)
         dist = trace_distance(u @ rho_i @ u.conj().T,

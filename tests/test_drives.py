@@ -1,20 +1,23 @@
 """Schedules, propagators, drive synthesis, verification, phase optimization."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
-                       TlsState, counterdiabatic_cost,
-                       example1_wmin, final_unitary, optimize_phases,
+                       TlsState, counterdiabatic_cost, drives,
+                       example1_wmin, herm_expi_batch, optimize_phases,
                        passive_state, propagate_u0, smoothstep, smoothstep_dot,
                        synthesize_drive, target_unitary, trace_distance,
                        verify_drive)
 from ergodrive.errors import (DimMismatch, DimTooLarge, GaugeFailure,
                               LengthMismatch, NoConvergence, ParamInconsistent,
-                              ParamOutOfRange, VerificationFailed)
-from helpers import converged_final_unitary, herm_expi, random_density, random_instance
+                              ParamOutOfRange, TooFarFromUnitary, VerificationFailed)
+from ergodrive.linalg import unitarity_defect
+from helpers import (converged_final_unitary, herm_expi, random_density, random_instance,
+                     sequential_products)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -86,13 +89,62 @@ def test_propagator_exact_for_commuting_schedule():
     assert np.abs(trace.u_samples[-1] - exact).max() < 1e-12
 
 
+def _midpoint_steps(h_i, h_f, sched):
+    dt = sched.tau / sched.n_steps
+    return herm_expi_batch(sched.h0_batch(h_i, h_f, sched.times()[:-1] + 0.5 * dt), dt)
+
+
 def test_final_unitary_matches_stepwise_product():
     rng = np.random.default_rng(50)
     for n_steps in (64, 65, 127):
         rho, h_i, h_f = random_instance(rng, 3)
         sched = Schedule.linear(1.0, n_steps=n_steps)
-        assert np.abs(final_unitary(h_i, h_f, sched)
-                      - propagate_u0(h_i, h_f, sched).u_samples[-1]).max() < 1e-12
+        oracle, _ = sequential_products(_midpoint_steps(h_i, h_f, sched))
+        assert np.abs(propagate_u0(h_i, h_f, sched).u_samples[-1]
+                      - oracle[-1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 127, 4096])
+def test_blocked_propagator_matches_sequential_oracle(d, n_steps):
+    _, h_i, h_f = random_instance(np.random.default_rng([59, d, n_steps]), d)
+    sched = Schedule.linear(1.0, n_steps=n_steps)
+    trace = propagate_u0(h_i, h_f, sched)
+    oracle, oracle_drift = sequential_products(_midpoint_steps(h_i, h_f, sched))
+    assert np.abs(trace.u_samples - oracle).max() <= 1e-13
+    assert trace.unitarity_drift < 1e-12 and oracle_drift < 1e-12
+    assert np.array_equal(trace.u_samples[0], np.eye(d))
+    for k in list(range(64, n_steps + 1, 64)) + [n_steps]:
+        assert unitarity_defect(trace.u_samples[k]) <= 1e-13
+
+
+def test_ordered_products_refuses_non_unitary_steps():
+    rng = np.random.default_rng(60)
+    _, h_i, h_f = random_instance(rng, 3)
+    steps = 1.5 * _midpoint_steps(h_i, h_f, Schedule.linear(1.0, n_steps=100))
+    with pytest.raises(TooFarFromUnitary):
+        drives._ordered_products(steps)
+
+
+def test_constant_schedule_callables_broadcast():
+    h = HamiltonianOp(0.5 * SZ)
+    rot = Schedule.rotating_callables(lambda t: 1.0, lambda t: 0.0, tau=1.5, n_steps=64)
+    trace = propagate_u0(h, h, rot)
+    assert np.abs(trace.u_samples[-1] - herm_expi(h.mat, 1.5)).max() < 1e-12
+
+
+def test_schedule_callable_of_wrong_shape_is_refused():
+    h = HamiltonianOp(0.5 * SZ)
+    rot = Schedule.rotating_callables(lambda t: np.ones(3), lambda t: 0 * t, tau=1.0)
+    with pytest.raises(ParamOutOfRange):
+        propagate_u0(h, h, rot)
+
+
+def test_schedule_callable_without_array_support_is_refused():
+    h = HamiltonianOp(0.5 * SZ)
+    rot = Schedule.rotating_callables(lambda t: math.cos(0 * t), lambda t: 0 * t, tau=1.0)
+    with pytest.raises(ParamOutOfRange):
+        propagate_u0(h, h, rot)
 
 
 def test_converged_final_unitary():
@@ -101,7 +153,7 @@ def test_converged_final_unitary():
     sched = Schedule.linear(1.0, n_steps=256)
     u, n = converged_final_unitary(h_i, h_f, sched, rtol=1e-8)
     assert n > 256
-    dense = final_unitary(h_i, h_f, dataclasses.replace(sched, n_steps=4 * n))
+    dense = propagate_u0(h_i, h_f, dataclasses.replace(sched, n_steps=4 * n)).u_samples[-1]
     assert np.abs(u - dense).max() < 1e-7
     with pytest.raises(NoConvergence):
         converged_final_unitary(h_i, h_f, sched, rtol=0.0)
@@ -187,7 +239,7 @@ def test_optimizer_modes_agree_for_qubits():
     for _ in range(5):
         rho, h_i, h_f = random_instance(rng, 2)
         sched = Schedule.linear(1.3, n_steps=2048)
-        u_f = final_unitary(h_i, h_f, sched)
+        u_f = propagate_u0(h_i, h_f, sched).u_samples[-1]
         best = optimize_phases(rho, h_i, h_f, sched, mode="analytic2", u_f=u_f)
         grid = optimize_phases(rho, h_i, h_f, sched, mode="grid",
                                grid_points=128, u_f=u_f)
@@ -204,7 +256,7 @@ def test_optimizer_grid_covers_qutrits():
     rng = np.random.default_rng(56)
     rho, h_i, h_f = random_instance(rng, 3)
     sched = Schedule.linear(1.0, n_steps=1024)
-    u_f = final_unitary(h_i, h_f, sched)
+    u_f = propagate_u0(h_i, h_f, sched).u_samples[-1]
     grid = optimize_phases(rho, h_i, h_f, sched, mode="grid", grid_points=16, u_f=u_f)
     synth = synthesize_drive(rho, h_i, h_f, sched, grid.phases)
     assert abs(synth.w_min - grid.value) < 1e-10
@@ -228,7 +280,7 @@ def test_monte_carlo_mode_is_seeded_and_reports_spread():
     rng = np.random.default_rng(58)
     rho, h_i, h_f = random_instance(rng, 2)
     sched = Schedule.linear(1.0, n_steps=512)
-    u_f = final_unitary(h_i, h_f, sched)
+    u_f = propagate_u0(h_i, h_f, sched).u_samples[-1]
     a = optimize_phases(rho, h_i, h_f, sched, mode="monte_carlo", n_draws=500, u_f=u_f)
     b = optimize_phases(rho, h_i, h_f, sched, mode="monte_carlo", n_draws=500, u_f=u_f)
     assert a.value == b.value and a.stderr == b.stderr   # default seed is fixed

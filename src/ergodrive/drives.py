@@ -2,8 +2,13 @@
 
 Schedules interpolate H0(t) between an initial and a final Hamiltonian (or
 rotate a two-level gap). The bare propagator U0 is one blocked ordered
-product of midpoint exponential steps, re-unitarized every 64 steps; the
-same kernel propagates H0 + V in verify_drive. A target unitary R maps the
+product of midpoint exponential steps, projected onto the unitaries every 64
+steps; the same kernel propagates H0 + V in verify_drive. Every stack of
+small matrices on a time grid is kept time-innermost, as a (d, d, n) array
+(handed out as (n, d, d) views): the step exponentials are one Taylor
+kernel over the stack, and every product or conjugation U X U^dag is d
+broadcast multiply-adds over length-n vectors (linalg.matmul_t), not n
+small matmuls. A target unitary R maps the
 state's descending eigenvectors onto the ascending final energy basis,
 chi = principal log of U0(t_f)^dag R generates the correction
 V(t) = -fdot(t) U0 chi U0^dag, and the cost functionals w, w_min follow
@@ -20,8 +25,8 @@ from scipy.integrate import trapezoid
 
 from .errors import (DimMismatch, DimTooLarge, GaugeFailure, LengthMismatch,
                      ParamInconsistent, ParamOutOfRange, VerificationFailed)
-from .linalg import (dagger, herm_expi_batch, principal_log_unitary,
-                     reunitarize, trace_distance, unitarity_defect)
+from .linalg import (dagger, herm_expi_batch, matmul_t, polar_project,
+                     principal_log_unitary, rmatmul_t, trace_distance)
 from .states import DensityMatrix, HamiltonianOp, matrix_to_json, passive_energy, passive_state
 from .tls import MuDynParams, wrap_pi
 from .tolerances import DEFAULT_TOLS, Tolerances
@@ -122,14 +127,16 @@ class Schedule:
         return np.linspace(self.t_i, self.t_f, n + 1)
 
     def h0_batch(self, h_i: HamiltonianOp, h_f: HamiltonianOp, ts: np.ndarray) -> np.ndarray:
-        """H0 sampled on ts, shape (len(ts), d, d)."""
+        """H0 sampled on ts, shape (len(ts), d, d): a view of a time-innermost
+        (d, d, len(ts)) array."""
         if self.kind == "interp":
-            li = _sample(self.lam_i, ts)
-            lf = _sample(self.lam_f, ts)
-            return li[:, None, None] * h_i.mat + lf[:, None, None] * h_f.mat
-        om = _sample(self.omega, ts)
-        ep = _sample(self.eps, ts)
-        return 0.5 * (om[:, None, None] * _SZ + ep[:, None, None] * _SX)
+            h = h_i.mat[..., None] * _sample(self.lam_i, ts)
+            h += h_f.mat[..., None] * _sample(self.lam_f, ts)
+        else:
+            h = _SZ[..., None] * _sample(self.omega, ts)
+            h += _SX[..., None] * _sample(self.eps, ts)
+            h *= 0.5
+        return _time_first(h)
 
     def validate_against(self, h_i: HamiltonianOp, h_f: HamiltonianOp):
         if h_i.dim != h_f.dim:
@@ -198,36 +205,62 @@ class Schedule:
 class PropagatorTrace(NamedTuple):
     times: np.ndarray
     u_samples: np.ndarray      # (n_steps + 1, d, d); u_samples[0] = identity
-    unitarity_drift: float     # worst defect seen before each re-unitarization
+    unitarity_drift: float     # worst defect of a chained 64-step block total before projection
+
+
+def _time_first(a: np.ndarray) -> np.ndarray:
+    """(..., n) time-innermost stack as an (n, ...) view."""
+    return np.moveaxis(a, -1, 0)
+
+
+def _time_last(a: np.ndarray) -> np.ndarray:
+    """(n, ...) stack as a time-innermost (..., n) view."""
+    return np.moveaxis(a, 0, -1)
+
+
+def _conjugate(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """u x u^dag = u (u x)^dag over a time-innermost stack u[d, d, n], for a
+    constant Hermitian x[d, d]."""
+    tmp = np.empty((1,) + u.shape[1:], dtype=complex)
+    ux = matmul_t(u, x[..., None], np.empty(u.shape, dtype=complex), tmp)
+    return matmul_t(u, np.swapaxes(np.conj(ux, out=ux), 0, 1),
+                    np.empty(u.shape, dtype=complex), tmp)
 
 
 def _ordered_products(steps: np.ndarray,
                       tols: Tolerances = DEFAULT_TOLS) -> Tuple[np.ndarray, float]:
     """Running products steps[k-1] ... steps[0] for k = 0..n, and the drift.
 
-    The steps are cut into blocks of _REUNITARIZE_EVERY; the products inside
-    every block are formed side by side and in place, one batched matmul per
-    position. The blocks are then chained in order onto the running total,
-    which is re-unitarized at each block end, so every 64th sample and the
-    last one are unitary to rounding. drift is the worst defect seen before a
-    re-unitarization.
+    The steps are copied into one identity-padded time-innermost buffer and
+    cut into blocks of _REUNITARIZE_EVERY. The products inside every block
+    are formed side by side and in place, one broadcast product per
+    position. The block totals are chained in order and the chained totals
+    projected onto the unitaries in one batched SVD; drift is the worst
+    defect ||s^2 - 1|| before that projection. Each block's running products
+    are then multiplied, in place, by the projected total of the blocks
+    before it (its head), and every 64th sample and the last one are the
+    projected totals themselves, unitary to rounding. Returns the samples as
+    an (n + 1, d, d) view of the buffer.
     """
     n, d = steps.shape[0], steps.shape[-1]
     m = _REUNITARIZE_EVERY
-    u = np.eye(d, dtype=complex)
-    samples = np.empty((-(-n // m) * m + 1, d, d), dtype=complex)   # identity-padded
-    samples[0] = samples[n + 1:] = u
-    samples[1:n + 1] = steps
-    blocks = samples[1:].reshape(-1, m, d, d)
+    nb = -(-n // m)
+    buf = np.empty((d, d, nb * m + 1), dtype=complex)
+    eye = np.eye(d)[..., None]
+    buf[..., :1] = buf[..., n + 1:] = eye
+    buf[..., 1:n + 1] = _time_last(steps)
+    blocks = buf[..., 1:].reshape(d, d, nb, m)
+    prod, tmp = np.empty((2, d, d, nb), dtype=complex)
     for j in range(1, min(m, n)):
-        blocks[:, j] = blocks[:, j] @ blocks[:, j - 1]
-    drift = 0.0
-    for lo in range(0, n, m):
-        hi = min(lo + m, n)
-        samples[lo + 1:hi + 1] = samples[lo + 1:hi + 1] @ u
-        drift = max(drift, unitarity_defect(samples[hi]))
-        samples[hi] = u = reunitarize(samples[hi], tols)
-    return samples[:n + 1], drift
+        blocks[..., j] = matmul_t(blocks[..., j], blocks[..., j - 1], prod, tmp)
+    last = np.minimum(np.arange(1, nb + 1) * m, n)   # buffer index of each block's end
+    ends = np.ascontiguousarray(_time_first(buf[..., last]))
+    for b in range(1, nb):
+        ends[b] = ends[b] @ ends[b - 1]
+    ends, drift = polar_project(ends, tols)
+    rmatmul_t(blocks[:, :, 1:], _time_last(ends[:-1])[..., None])
+    buf[..., last] = _time_last(ends)
+    return _time_first(buf[..., :n + 1]), drift
 
 
 def propagate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule,
@@ -305,8 +338,8 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
     thetas = modes.phases
     w_min = float(np.linalg.norm(thetas)) / sched.tau
     fdot = _sample(sched.ramp_fdot, trace.times)
-    core = np.einsum("tij,jk,tlk->til", trace.u_samples, chi, trace.u_samples.conj())
-    v_samples = -fdot[:, None, None] * core
+    v = _conjugate(_time_last(trace.u_samples), chi)
+    v *= -fdot
     if np.all(fdot >= -1e-12):
         w = w_min * float(sched.ramp_f(sched.t_f) - sched.ramp_f(sched.t_i))
     else:
@@ -314,7 +347,7 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
     final_state = DensityMatrix(r @ rho_i.mat @ dagger(r))
     return DriveSynthesis(chi=chi, thetas=thetas,
                           phases_phi=np.asarray(phases_phi, dtype=float),
-                          v_samples=v_samples, w=w, w_min=w_min,
+                          v_samples=_time_first(v), w=w, w_min=w_min,
                           final_state=final_state,
                           target_passive=passive_state(rho_i, h_f))
 
@@ -337,13 +370,16 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     dt = sched.tau / n
     mids = ts[:-1] + 0.5 * dt
 
+    # each (d, d, n) buffer is dropped once consumed, which bounds peak memory
     fine = propagate_u0(h_i, h_f, replace(sched, n_steps=2 * n), tols)
-    u0_mid = fine.u_samples[1::2]
-    fdot_mid = _sample(sched.ramp_fdot, mids)
-    v_mid = -fdot_mid[:, None, None] * np.einsum(
-        "tij,jk,tlk->til", u0_mid, synth.chi, u0_mid.conj())
-    steps = herm_expi_batch(sched.h0_batch(h_i, h_f, mids) + v_mid, dt)
-    u_samples, _ = _ordered_products(steps, tols)
+    v_mid = _conjugate(_time_last(fine.u_samples[1::2]), synth.chi)
+    del fine
+    v_mid *= -_sample(sched.ramp_fdot, mids)
+    h_mid = _time_last(sched.h0_batch(h_i, h_f, mids))
+    h_mid += v_mid
+    del v_mid
+    u_samples, _ = _ordered_products(herm_expi_batch(_time_first(h_mid), dt), tols)
+    del h_mid
     u = u_samples[-1]
 
     rho_f = DensityMatrix(u @ rho_i.mat @ dagger(u))
@@ -355,13 +391,15 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
         float(np.abs(ends[0] + synth.v_samples[0] - h_i.mat).max()),
         float(np.abs(ends[1] + synth.v_samples[-1] - h_f.mat).max()))
 
-    h_tot = sched.h0_batch(h_i, h_f, ts) + synth.v_samples
+    h_tot = _time_last(sched.h0_batch(h_i, h_f, ts))
+    h_tot += _time_last(synth.v_samples)
     hdot = np.empty_like(h_tot)
-    hdot[1:-1] = (h_tot[2:] - h_tot[:-2]) / (2 * dt)
-    hdot[0] = (-3 * h_tot[0] + 4 * h_tot[1] - h_tot[2]) / (2 * dt)
-    hdot[-1] = (3 * h_tot[-1] - 4 * h_tot[-2] + h_tot[-3]) / (2 * dt)
-    rho_t = np.einsum("tij,jk,tlk->til", u_samples, rho_i.mat, u_samples.conj())
-    work = float(trapezoid(np.einsum("tij,tji->t", rho_t, hdot).real, ts))
+    hdot[..., 1:-1] = (h_tot[..., 2:] - h_tot[..., :-2]) / (2 * dt)
+    hdot[..., 0] = (-3 * h_tot[..., 0] + 4 * h_tot[..., 1] - h_tot[..., 2]) / (2 * dt)
+    hdot[..., -1] = (3 * h_tot[..., -1] - 4 * h_tot[..., -2] + h_tot[..., -3]) / (2 * dt)
+    del h_tot
+    rho_t = _conjugate(_time_last(u_samples), rho_i.mat)
+    work = float(trapezoid(np.einsum("ijt,jit->t", rho_t, hdot).real, ts))
     work_residual = abs(work - (h_f.energy(rho_f) - h_i.energy(rho_i)))
 
     h_scale = max(1.0, float(np.abs(h_i.mat).max()), float(np.abs(h_f.mat).max()))

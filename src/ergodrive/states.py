@@ -71,7 +71,7 @@ class DensityMatrix:
         Computed once, during construction; the arrays are read-only.
         """
         if self._spectrum is None:
-            values, vectors = hermitian_eig(self.mat, self.tols)
+            values, vectors = hermitian_eig(self.mat, self.tols, checked=True)
             if float(values[0]) < -self.tols.eig_floor:
                 raise NotAState("density matrix has a negative eigenvalue beyond tolerance")
             values, desc = _clamped_spectrum(values)

@@ -34,28 +34,38 @@ def sq(x):
     """x**2 rounded as libm pow rounds it, which is what ``x ** 2`` does for a
     float scalar; an array's ``x ** 2`` is x*x, which differs in the last bit
     for about one value in a thousand."""
-    return np.float_power(x, 2)
+    return x ** 2 if type(x) is float else np.float_power(x, 2)
+
+
+def _first_bad(bad, *values):
+    """None if ``bad`` holds nowhere, else ``values`` at its first (broadcast)
+    point. On scalar arguments ``bad`` is a bool and no numpy call is made."""
+    if isinstance(bad, bool):
+        return values if bad else None
+    if not bad.any():
+        return None
+    return tuple(np.broadcast_to(x, bad.shape)[bad].flat[0] for x in values)
 
 
 def check_bloch(p, c_abs):
     """Refuse populations outside [0, 1] or coherences outside the Bloch ball.
 
     Broadcasts; raises ParamOutOfRange naming the first offending point.
+    NaN populations are refused.
     """
-    bad_p = ~np.logical_and(-1e-14 <= p, p <= 1 + 1e-14)
-    if np.count_nonzero(bad_p):
-        p = np.broadcast_to(p, bad_p.shape)[bad_p].flat[0]
-        raise ParamOutOfRange(f"population p = {p} outside [0, 1]")
+    bad = _first_bad((p < -1e-14) | (p > 1 + 1e-14) | (p != p), p)
+    if bad is not None:
+        raise ParamOutOfRange(f"population p = {bad[0]} outside [0, 1]")
     c2, p1p = sq(c_abs), p * (1 - p)
-    bad_c = c2 > p1p + 1e-14
-    if np.count_nonzero(bad_c):
-        c2, p1p = (np.broadcast_to(x, bad_c.shape)[bad_c].flat[0] for x in (c2, p1p))
-        raise ParamOutOfRange(f"coherence exceeds the Bloch ball: |c|^2 = {c2} > p(1-p) = {p1p}")
+    bad = _first_bad(c2 > p1p + 1e-14, c2, p1p)
+    if bad is not None:
+        raise ParamOutOfRange(f"coherence exceeds the Bloch ball: |c|^2 = {bad[0]} "
+                              f"> p(1-p) = {bad[1]}")
 
 
 def check_drive(tau, omega_bar):
     """Refuse tau <= 0 or omega_bar < 0 anywhere in (broadcast) arrays."""
-    if np.count_nonzero(np.logical_or(np.less_equal(tau, 0), np.less(omega_bar, 0))):
+    if _first_bad((tau <= 0) | (omega_bar < 0)) is not None:
         raise ParamOutOfRange("need tau > 0 and omega_bar >= 0")
 
 

@@ -53,6 +53,28 @@ def herm_expi(h, dt=1.0):
     return (eig.vectors * np.exp(-1j * eig.values * dt)) @ eig.vectors.conj().T
 
 
+def pauli_expi(h, dt):
+    """exp(-i h dt) over a stack h[..., 2, 2] of Hermitian matrices, by the
+    Pauli closed form cos(|v| dt) - i sin(|v| dt) v.sigma / |v| times the
+    trace phase; dt a scalar or broadcast against the stack."""
+    h = np.asarray(h, dtype=complex)
+    dt = np.asarray(dt, dtype=float)
+    a = 0.5 * (h[..., 0, 0] + h[..., 1, 1]).real
+    vz = 0.5 * (h[..., 0, 0] - h[..., 1, 1]).real
+    vx = h[..., 0, 1].real
+    vy = -h[..., 0, 1].imag
+    vn = np.sqrt(vx**2 + vy**2 + vz**2)
+    ang = vn * dt
+    sinc = np.where(vn > 0, np.sin(ang) / np.where(vn > 0, vn, 1.0), dt)
+    cosang = np.cos(ang)
+    out = np.empty(np.broadcast_shapes(h.shape[:-2], dt.shape) + (2, 2), dtype=complex)
+    out[..., 0, 0] = cosang - 1j * sinc * vz
+    out[..., 0, 1] = -1j * sinc * (vx - 1j * vy)
+    out[..., 1, 0] = -1j * sinc * (vx + 1j * vy)
+    out[..., 1, 1] = cosang + 1j * sinc * vz
+    return np.exp(-1j * a * dt)[..., None, None] * out
+
+
 def sequential_products(steps):
     """(samples, drift) of the step product formed one step at a time.
 

@@ -126,6 +126,32 @@ def test_ordered_products_refuses_non_unitary_steps():
         drives._ordered_products(steps)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_ordered_products_drift_stays_near_the_sequential_oracle(d):
+    # the kernel's drift is that of the chained block totals, the oracle's
+    # that of each block; both stay at the rounding level of one product
+    eps = np.finfo(float).eps
+    for n_steps in (1, 64, 65, 1000, 4096):
+        _, h_i, h_f = random_instance(np.random.default_rng([61, d, n_steps]), d, 3.0)
+        steps = _midpoint_steps(h_i, h_f, Schedule.linear(1.0, n_steps=n_steps))
+        samples, drift = drives._ordered_products(steps)
+        oracle, oracle_drift = sequential_products(steps)
+        assert samples.shape == oracle.shape
+        assert drift <= 8 * max(oracle_drift, eps)
+        assert np.abs(samples - oracle).max() <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [3, 99])
+def test_ordered_products_refuses_one_bad_step_in_any_block(bad):
+    # n = 100: one full 64-step block and a partial one of 36 steps
+    _, h_i, h_f = random_instance(np.random.default_rng(62), 3)
+    steps = np.array(_midpoint_steps(h_i, h_f, Schedule.linear(1.0, n_steps=100)))
+    drives._ordered_products(steps)
+    steps[bad] *= 1.5
+    with pytest.raises(TooFarFromUnitary):
+        drives._ordered_products(steps)
+
+
 def test_constant_schedule_callables_broadcast():
     h = HamiltonianOp(0.5 * SZ)
     rot = Schedule.rotating_callables(lambda t: 1.0, lambda t: 0.0, tau=1.5, n_steps=64)

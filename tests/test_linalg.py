@@ -1,12 +1,14 @@
 """Dense linear-algebra kernels against independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
 from ergodrive import linalg
 from ergodrive.errors import (BranchAmbiguity, NotHermitian, NotUnitary,
                               TooFarFromUnitary, ValidationError)
-from helpers import herm_expi, random_hermitian, random_unitary
+from helpers import herm_expi, pauli_expi, random_hermitian, random_unitary
 
 
 def expm_taylor(a, terms=40, squarings=12):
@@ -53,13 +55,86 @@ def test_herm_expi_batch_broadcast_dt():
 
 
 def test_herm_expi_batch_small_norm_limit():
-    # the d = 2 closed form must not divide by a vanishing Bloch norm
+    # a vanishing norm must give the identity, a denormal-scale one stay finite
     h = np.zeros((1, 2, 2), dtype=complex)
     out = linalg.herm_expi_batch(h, 0.5)
     assert np.abs(out[0] - np.eye(2)).max() < 1e-15
     h[0, 0, 1] = h[0, 1, 0] = 1e-300
     out = linalg.herm_expi_batch(h, 0.5)
     assert np.isfinite(out).all()
+
+
+def test_taylor_degree_table_meets_its_remainder_bound():
+    # the tail of exp beyond degree m at 1-norm theta is at most
+    # theta^(m+1)/(m+1)! / (1 - theta/(m+2)); the table keeps it below 2^-53
+    thetas = linalg._TAYLOR_THETA
+    assert np.all(np.diff(thetas) > 0)
+    for m, theta in enumerate(thetas, start=1):
+        assert theta**(m + 1) / math.factorial(m + 1) / (1 - theta / (m + 2)) <= 2.0**-53
+
+
+def _unit_one_norm_stack(rng, d, k):
+    hs = np.stack([random_hermitian(rng, d) for _ in range(k)])
+    return hs / np.abs(hs).sum(axis=-2).max(axis=-1)[:, None, None]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_herm_expi_batch_matches_oracles_from_zero_to_squaring_norms(d):
+    # ||h dt||_1 = dt here; from 0.34 on the kernel scales and squares
+    rng = np.random.default_rng([70, d])
+    for norm in (0.0, 1e-8, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 5.0, 50.0, 120.0):
+        hs = _unit_one_norm_stack(rng, d, 8)
+        got = linalg.herm_expi_batch(hs, norm)
+        assert got.shape == hs.shape
+        bound = 1e-14 * max(1.0, norm)
+        for k in range(len(hs)):
+            assert np.abs(got[k] - herm_expi(hs[k], norm)).max() <= bound
+        if d == 2:
+            assert np.abs(got - pauli_expi(hs, norm)).max() <= bound
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_herm_expi_batch_is_unitary_to_rounding_at_step_norms(d):
+    rng = np.random.default_rng([71, d])
+    for norm in (1e-6, 1e-4, 1e-3, 1e-2):
+        for u in linalg.herm_expi_batch(_unit_one_norm_stack(rng, d, 64), norm):
+            assert linalg.unitarity_defect(u) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_herm_expi_batch_broadcasts_dt_against_the_stack(d):
+    rng = np.random.default_rng([72, d])
+    hs = np.stack([random_hermitian(rng, d) for _ in range(4)])
+    dts = np.array([0.0, 0.01, 0.3, 2.0])
+    batch = linalg.herm_expi_batch(hs, dts)
+    one = linalg.herm_expi_batch(hs[0], dts)      # one matrix, four dt
+    grid = linalg.herm_expi_batch(hs, dts[:, None])   # every (dt, h) pair
+    assert batch.shape == one.shape == (4, d, d) and grid.shape == (4, 4, d, d)
+    for k in range(4):
+        assert np.abs(batch[k] - herm_expi(hs[k], dts[k])).max() < 1e-13
+        assert np.abs(one[k] - herm_expi(hs[0], dts[k])).max() < 1e-13
+        for j in range(4):
+            assert np.abs(grid[j, k] - herm_expi(hs[k], dts[j])).max() < 1e-13
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_herm_expi_batch_zero_and_denormal_scale_inputs(d):
+    h = np.zeros((2, d, d), dtype=complex)
+    assert np.array_equal(linalg.herm_expi_batch(h, 0.5), np.broadcast_to(np.eye(d), h.shape))
+    h[1, 0, d - 1] = h[1, d - 1, 0] = 1e-300
+    out = linalg.herm_expi_batch(h, 0.5)
+    assert np.isfinite(out).all()
+    assert np.abs(out - np.eye(d)).max() <= 1e-300
+
+
+def test_herm_expi_batch_runs_no_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("herm_expi_batch called an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    rng = np.random.default_rng(73)
+    for d in (2, 3, 4):
+        linalg.herm_expi_batch(np.stack([random_hermitian(rng, d) for _ in range(3)]), 0.7)
 
 
 def test_hermitian_eig_ascending_orthonormal_reconstructs():

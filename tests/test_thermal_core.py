@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ergodrive import (DEFAULT_TOLS, DensityMatrix, HamiltonianOp, delta_noncyclic,
                        full_report, solve_beta_for_energy, solve_beta_for_entropy,
                        thermal_populations, upper_bound_delta)
-from ergodrive import states
+from ergodrive import linalg, states
 from ergodrive.errors import NoConvergence
 from helpers import random_instance
 
@@ -195,6 +195,45 @@ def test_one_eigendecomposition_per_object_and_one_energy_solve_per_report():
     assert built[0] > 0
     assert eigs[0] == built[0]
     assert solves[0] == len(instances)
+
+
+def test_one_hermiticity_check_per_object():
+    # DensityMatrix checks and symmetrizes its matrix itself; its one
+    # hermitian_eig then neither re-checks nor re-symmetrizes it
+    rng = np.random.default_rng(34)
+    instances = [random_instance(rng, d) for d in (2, 3, 4, 5)]
+    built = [0]
+    post_init = {cls: cls.__post_init__ for cls in (DensityMatrix, HamiltonianOp)}
+
+    def counted(cls):
+        def wrapper(self):
+            built[0] += 1
+            post_init[cls](self)
+        return wrapper
+
+    try:
+        for cls in post_init:
+            cls.__post_init__ = counted(cls)
+        with counting(linalg, "hermiticity_defect") as checks:
+            for rho, h_i, h_f in instances:
+                full_report(rho, h_i, h_f)
+                DensityMatrix(rho.mat)
+                HamiltonianOp(h_f.mat)
+    finally:
+        for cls, original in post_init.items():
+            cls.__post_init__ = original
+    assert built[0] > 2 * len(instances)
+    assert checks[0] == built[0]
+
+
+def test_checked_eigendecomposition_is_bit_identical():
+    rng = np.random.default_rng(35)
+    for d in (2, 3, 5):
+        rho, h, _ = random_instance(rng, d)
+        for m in (rho.mat, h.mat):
+            a, b = linalg.hermitian_eig(m), linalg.hermitian_eig(m, checked=True)
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.vectors.tobytes() == b.vectors.tobytes()
 
 
 def test_shared_solve_matches_the_standalone_calls():

@@ -12,7 +12,7 @@ from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
                        example2_theta_split, example2_wmin, final_basis,
                        gain_g, overlap_w, theta1_min, theta2_min, trace_distance)
 from ergodrive.errors import ParamInconsistent, ParamOutOfRange
-from ergodrive.tls import ab_overlaps, wrap_pi
+from ergodrive.tls import ab_overlaps, check_bloch, check_drive, wrap_pi
 from helpers import converged_final_unitary
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -316,3 +316,23 @@ def test_theta_split_orderings():
         assert blo == lo
         assert blo - 1e-12 <= split.w_psi <= bhi + 1e-12
         assert abs(overlap_w(s, params)) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("check, scalar", [
+    (check_bloch, (1.5, 0.0)),
+    (check_bloch, (-0.25, 0.0)),
+    (check_bloch, (float("nan"), 0.0)),
+    (check_bloch, (0.5, 0.6)),
+    (check_drive, (0.0, 1.0)),
+    (check_drive, (1.0, -0.5)),
+])
+def test_scalar_and_array_inputs_are_refused_alike(check, scalar):
+    with pytest.raises(ParamOutOfRange) as one:
+        check(*scalar)
+    # the same point as the second of three, among valid ones
+    arrays = [np.array([good, x, good]) for x, good in zip(scalar, (0.5, 0.1))]
+    with pytest.raises(ParamOutOfRange) as many:
+        check(*arrays)
+    assert str(one.value) == str(many.value)
+    check(*[a[[0, 2]] for a in arrays])     # the valid points pass
+    check(0.5, 0.1)

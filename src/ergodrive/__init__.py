@@ -23,8 +23,7 @@ from .states import (DensityMatrix, HamiltonianOp, ThermalSolveResult,
                      coherence_rel_entropy, dephase, energy_populations,
                      majorizes, matrix_from_json, matrix_to_json, passive_energy,
                      passive_state, relative_entropy, solve_beta_for_energy,
-                     solve_beta_for_entropy, thermal_populations, thermal_state,
-                     von_neumann_entropy)
+                     solve_beta_for_entropy, thermal_populations, von_neumann_entropy)
 from .tls import (MuDynParams, ThetaSplit, TlsState, alpha_beta_phase,
                   constmu_final_density, constmu_final_state, counterdiabatic_rate,
                   delta_e_sta, eigs_r, example1_delta, example1_phase_average,

@@ -344,7 +344,7 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
         w = w_min * float(sched.ramp_f(sched.t_f) - sched.ramp_f(sched.t_i))
     else:
         w = w_min * float(trapezoid(np.abs(fdot), trace.times))
-    final_state = DensityMatrix(r @ rho_i.mat @ dagger(r))
+    final_state = DensityMatrix(r @ rho_i.mat @ dagger(r), tols)
     return DriveSynthesis(chi=chi, thetas=thetas,
                           phases_phi=np.asarray(phases_phi, dtype=float),
                           v_samples=_time_first(v), w=w, w_min=w_min,
@@ -382,7 +382,7 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     del h_mid
     u = u_samples[-1]
 
-    rho_f = DensityMatrix(u @ rho_i.mat @ dagger(u))
+    rho_f = DensityMatrix(u @ rho_i.mat @ dagger(u), tols)
     state_distance = trace_distance(rho_f.mat, synth.target_passive.mat)
     energy_residual = abs(h_f.energy(rho_f) - passive_energy(rho_i, h_f))
 

@@ -72,11 +72,10 @@ def decompose(rho_i: DensityMatrix, h_i: HamiltonianOp,
     each term is individually nonnegative (permutation minimality for e_inc,
     Schur-Horn majorization for e_coh).
     """
-    rho_d = states.dephase(rho_i, h_i)
-    e_i = h_i.energy(rho_i)
-    e_inc = e_i - states.passive_energy(rho_d, h_i)
-    e_pas = states.passive_energy(rho_d, h_i) - states.passive_energy(rho_d, h_f)
-    e_coh = states.passive_energy(rho_d, h_f) - states.passive_energy(rho_i, h_f)
+    r_d = states._clamped_spectrum(states.energy_populations(rho_i, h_i))[1]   # passive rho_D
+    e_inc = h_i.energy(rho_i) - r_d @ h_i.energies
+    e_pas = r_d @ h_i.energies - r_d @ h_f.energies
+    e_coh = r_d @ h_f.energies - states.passive_energy(rho_i, h_f)
     return Decomposition(e_inc, e_pas, e_coh)
 
 
@@ -91,13 +90,12 @@ def coherent_entropy_identity_residual(rho_i: DensityMatrix, h_i: HamiltonianOp,
     if beta <= 0:
         raise NegativeBeta("identity requires beta > 0")
     e_coh = decompose(rho_i, h_i, h_f).e_coh
-    tau_f = states.thermal_state(h_f, beta)
-    rho_d = states.dephase(rho_i, h_i)
     c = states.coherence_rel_entropy(rho_i, h_i)
-    s_d = states.relative_entropy(states.passive_state(rho_d, h_f), tau_f)
-    s_r = states.relative_entropy(states.passive_state(rho_i, h_f), tau_f)
-    if not (np.isfinite(s_d) and np.isfinite(s_r) and np.isfinite(c)):
-        raise SupportViolation("relative entropy diverged inside the identity")
+    if not np.isfinite(c):
+        raise SupportViolation("relative entropy of coherence diverged")
+    r_d = states._clamped_spectrum(states.energy_populations(rho_i, h_i))[1]
+    s_d = states.gibbs_relative_entropy(r_d, h_f.energies, beta)
+    s_r = states.gibbs_relative_entropy(rho_i.populations_desc(), h_f.energies, beta)
     return abs(e_coh - (c + s_d - s_r) / beta)
 
 
@@ -114,8 +112,8 @@ def delta_noncyclic(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp
     ``same_energy`` passes in that state's solve when the caller already has it.
     """
     solve = _same_energy_solve(rho_i, h_i) if same_energy is None else same_energy
-    delta = (states.passive_energy(solve.state, h_f)
-             - states.passive_energy(rho_i, h_f))
+    delta = float(states._clamped_spectrum(solve.populations)[1] @ h_f.energies
+                  - states.passive_energy(rho_i, h_f))
     return DeltaResult(delta, solve.beta, solve.beta < 0)
 
 
@@ -150,7 +148,12 @@ def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: Hamiltonian
     same-energy Gibbs state of h_i and beta_i >= 0 matching S(rho_i) on h_f.
     The equivalent entropic form beta_i^{-1}[dS + S(passive(rho_th)_f || tau_f)]
     is evaluated as a cross-check; the two must agree to identity tolerance.
-    ``same_energy`` passes in the solve for rho_th when the caller already has it.
+    Both states are population vectors on h_f's eigenbasis; the relative
+    entropy takes tau_f's log weights. ``same_energy`` passes in the solve
+    for rho_th when the caller already has it. There is no bound, and a typed
+    refusal, when rho_i's energy has no Gibbs match on h_i (EnergyOutOfRange),
+    rho_i is maximally mixed (NegativeBeta), or S(rho_i) is below h_f's
+    entropy floor, as at a (nearly) degenerate ground level (EntropyOutOfRange).
     """
     tols = rho_i.tols
     scale = max(h_f.spectral_width, 1e-300)
@@ -162,16 +165,16 @@ def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: Hamiltonian
                            "the input is maximally mixed")
     if same_energy is None:
         same_energy = _same_energy_solve(rho_i, h_i)
-    rho_th = same_energy.state
     solve_s = states.solve_beta_for_entropy(h_f, s_i, tols)
+    if solve_s.residual > tols.beta_residual:
+        raise EntropyOutOfRange(f"S(rho_i) = {s_i} is below the entropy floor of h_f")
     beta_i = solve_s.beta
     if beta_i <= 0:
         raise NegativeBeta("entropy-matched beta_i must be positive")
-    tau_f = solve_s.state
-    p_f = states.passive_state(rho_th, h_f)
-    value = h_f.energy(p_f) - h_f.energy(tau_f)
-    delta_s = states.von_neumann_entropy(rho_th) - states.von_neumann_entropy(rho_i)
-    entropic = (delta_s + states.relative_entropy(p_f, tau_f)) / beta_i
+    p_f = states._clamped_spectrum(same_energy.populations)[1]
+    value = float(p_f @ h_f.energies - solve_s.populations @ h_f.energies)
+    delta_s = states._shannon(same_energy.populations) - s_i
+    entropic = (delta_s + states.gibbs_relative_entropy(p_f, h_f.energies, beta_i)) / beta_i
     if abs(value - entropic) > tols.identity_residual * scale + abs(value) * 1e-9:
         raise NoConvergence(f"bound forms disagree: {value} vs {entropic}")
     return UpperBoundResult(value, entropic, beta_i, delta_s)
@@ -179,37 +182,29 @@ def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: Hamiltonian
 
 def full_report(rho_i: DensityMatrix, h_i: HamiltonianOp,
                 h_f: HamiltonianOp) -> ErgotropyReport:
-    """Assemble the complete ergotropy report for one instance."""
-    e_nc = noncyclic_ergotropy(rho_i, h_i, h_f)
-    dec = decompose(rho_i, h_i, h_f)
-    g = gain_g(rho_i, h_i, h_f)
-    delta = beta = None
-    neg_flag = False
-    majorization_holds = False
+    """Assemble the complete ergotropy report for one instance, building no state.
+
+    delta_e_nc and beta_same_energy are null when rho_i's energy has no Gibbs
+    match on h_i; upper_bound is null then and wherever upper_bound_delta
+    refuses: rho_i maximally mixed or S(rho_i) below h_f's entropy floor.
+    """
+    parts = dict(e_nc=noncyclic_ergotropy(rho_i, h_i, h_f), gain_g=gain_g(rho_i, h_i, h_f),
+                 **decompose(rho_i, h_i, h_f)._asdict())
     try:
         same_energy = _same_energy_solve(rho_i, h_i)
-        d = delta_noncyclic(rho_i, h_i, h_f, same_energy)
-        delta, beta, neg_flag = d.value, d.beta, d.negative_temperature
-        p_th = states.thermal_populations(h_i.energies, beta)
-        majorization_holds = states.majorizes(rho_i.populations_desc(), p_th)
     except EnergyOutOfRange:
-        pass
-    bound = None
-    if delta is not None:
-        try:
-            bound = upper_bound_delta(rho_i, h_i, h_f, same_energy).value
-        except (NegativeBeta, EntropyOutOfRange):
-            pass
+        return ErgotropyReport(**parts, delta_e_nc=None, upper_bound=None,
+                               majorization_holds=False, beta_same_energy=None,
+                               negative_temperature_flag=False)
+    d = delta_noncyclic(rho_i, h_i, h_f, same_energy)
+    try:
+        bound = upper_bound_delta(rho_i, h_i, h_f, same_energy).value
+    except (NegativeBeta, EntropyOutOfRange):
+        bound = None
     return ErgotropyReport(
-        e_nc=float(e_nc), e_inc=float(dec.e_inc), e_pas=float(dec.e_pas),
-        e_coh=float(dec.e_coh),
-        delta_e_nc=None if delta is None else float(delta),
-        gain_g=float(g),
-        upper_bound=None if bound is None else float(bound),
-        majorization_holds=bool(majorization_holds),
-        beta_same_energy=None if beta is None else float(beta),
-        negative_temperature_flag=bool(neg_flag),
-    )
+        **parts, delta_e_nc=d.value, upper_bound=bound,
+        majorization_holds=states.majorizes(rho_i.populations_desc(), same_energy.populations),
+        beta_same_energy=d.beta, negative_temperature_flag=d.negative_temperature)
 
 
 class Counterexample(NamedTuple):

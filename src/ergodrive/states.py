@@ -4,7 +4,9 @@ Conventions: hbar = 1, entropies in nats, inverse temperature beta may be
 negative where an energy constraint demands it (population inversion); the
 entropy-matched solver is restricted to beta >= 0 where the map is monotone.
 Every state and Hamiltonian is diagonalized once, when it is built, and hands
-out its spectrum as read-only arrays.
+out its spectrum as read-only arrays. Gibbs, passive and dephased references
+are population vectors on a known energy basis; dephase and passive_state
+alone build them as matrices.
 """
 
 from __future__ import annotations
@@ -127,9 +129,9 @@ class HamiltonianOp:
 
 
 class ThermalSolveResult(NamedTuple):
-    beta: float            # may be negative (energy matching above the midpoint)
-    state: DensityMatrix
-    residual: float        # |target - achieved| in the solved quantity
+    beta: float              # may be negative (energy matching above the midpoint)
+    populations: np.ndarray  # Gibbs weights on the ascending energies
+    residual: float          # |target - achieved| in the solved quantity
 
 
 def _clamped_spectrum(values: np.ndarray):
@@ -232,9 +234,11 @@ def thermal_populations(energies: np.ndarray, beta: float) -> np.ndarray:
     return p / p.sum()
 
 
-def thermal_state(h: HamiltonianOp, beta: float) -> DensityMatrix:
-    """Gibbs state of h at inverse temperature beta (beta < 0 allowed)."""
-    return _on_basis(h, thermal_populations(h.energies, beta), h.tols)
+def gibbs_relative_entropy(p: np.ndarray, energies: np.ndarray, beta: float) -> float:
+    """S(p || tau) = sum_{p > 0} p (ln p - ln tau) against the Gibbs weights tau
+    of the energies at beta, with ln tau = -beta e - ln Z finite where tau underflows."""
+    x = -beta * energies
+    return -_shannon(p) - float(p @ (x - np.logaddexp.reduce(x)))
 
 
 def _mean_energy(energies: np.ndarray, beta: float) -> float:
@@ -328,7 +332,7 @@ def solve_beta_for_energy(h: HamiltonianOp, energy: float,
     if residual > tols.beta_residual * width:
         raise NoConvergence(f"energy residual {residual:.3e} exceeds "
                             f"{tols.beta_residual * width:.3e}")
-    return ThermalSolveResult(beta, _on_basis(h, p, h.tols), residual)
+    return ThermalSolveResult(beta, p, residual)
 
 
 def solve_beta_for_entropy(h: HamiltonianOp, entropy: float,
@@ -352,7 +356,7 @@ def solve_beta_for_entropy(h: HamiltonianOp, entropy: float,
     p = thermal_populations(en, beta_max)
     s_floor = _shannon(p)
     if entropy <= s_floor:
-        return ThermalSolveResult(beta_max, _on_basis(h, p, h.tols), abs(s_floor - entropy))
+        return ThermalSolveResult(beta_max, p, abs(s_floor - entropy))
     f0 = _entropy_of_beta(en, 0.0) - entropy
     beta = 0.0   # also for targets up to the slack above the computed ln d
     if f0 > 0:
@@ -365,7 +369,7 @@ def solve_beta_for_entropy(h: HamiltonianOp, entropy: float,
     residual = abs(_shannon(p) - entropy)
     if residual > tols.beta_residual:
         raise NoConvergence(f"entropy residual {residual:.3e}")
-    return ThermalSolveResult(beta, _on_basis(h, p, h.tols), residual)
+    return ThermalSolveResult(beta, p, residual)
 
 
 def majorizes(p, q, slack: float = DEFAULT_TOLS.majorization_slack) -> bool:

@@ -7,7 +7,8 @@ import numpy as np
 from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, TlsState, cli,
                        counterdiabatic_rate, delta_e_sta, example1_delta,
                        example1_phase_average, example1_wmin, example2_theta_split,
-                       gain_g, hermitian_eig, propagate_u0, reunitarize)
+                       gain_g, hermitian_eig, propagate_u0, reunitarize,
+                       thermal_populations)
 from ergodrive.errors import NoConvergence
 from ergodrive.linalg import unitarity_defect
 
@@ -45,6 +46,14 @@ def random_instance(rng, d, scale=1.0):
 def random_probs(rng, d):
     p = rng.exponential(size=d)
     return p / p.sum()
+
+
+def thermal_state(h, beta):
+    """Gibbs state of h at inverse temperature beta (beta < 0 allowed), as a
+    DensityMatrix built on h's eigenbasis: oracle for the population-vector
+    thermal references."""
+    v = h.basis
+    return DensityMatrix((v * thermal_populations(h.energies, beta)) @ v.conj().T, h.tols)
 
 
 def herm_expi(h, dt=1.0):

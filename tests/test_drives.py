@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
+from ergodrive import (DEFAULT_TOLS, DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
                        TlsState, counterdiabatic_cost, drives,
                        example1_wmin, herm_expi_batch, optimize_phases,
                        passive_state, propagate_u0, smoothstep, smoothstep_dot,
@@ -216,6 +216,26 @@ def test_synthesize_and_verify_one_instance():
     energy_res, dist = verify_drive(synth, rho, h_i, h_f, sched)
     assert dist <= 1e-6
     assert energy_res <= 1e-8 * h_f.spectral_width
+
+
+def test_drive_states_carry_the_callers_tolerances(monkeypatch):
+    rng = np.random.default_rng(53)
+    tols = DEFAULT_TOLS.with_(trace=1e-11, eig_floor=1e-11)
+    rho, h_i, h_f = random_instance(rng, 3)
+    rho = DensityMatrix(rho.mat, tols)
+    sched = Schedule.linear(1.0, n_steps=1024)
+    seen = []
+    post_init = DensityMatrix.__post_init__
+
+    def recording(self):
+        seen.append(self.tols)
+        post_init(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", recording)
+    synth = synthesize_drive(rho, h_i, h_f, sched, tols=tols)
+    verify_drive(synth, rho, h_i, h_f, sched, tols)
+    assert synth.final_state.tols is tols
+    assert len(seen) == 3 and all(t is tols for t in seen)   # final, target, rho_f
 
 
 def test_nonmonotone_ramp_costs_more():

@@ -7,8 +7,8 @@ from ergodrive import (DensityMatrix, HamiltonianOp, coherent_entropy_identity_r
                        counterexample_populations, decompose, delta_noncyclic,
                        dephase, full_report, gain_g, majorizes, noncyclic_ergotropy,
                        passive_energy, thermal_populations, upper_bound_delta)
-from ergodrive.errors import NegativeBeta, ParamOutOfRange
-from helpers import random_instance
+from ergodrive.errors import EntropyOutOfRange, NegativeBeta, ParamOutOfRange
+from helpers import random_instance, thermal_state
 
 
 def test_pure_excited_qubit_anchor():
@@ -62,7 +62,6 @@ def test_coherent_entropy_identity():
 def test_delta_vanishes_for_thermal_input():
     rng = np.random.default_rng(24)
     _, h_i, h_f = random_instance(rng, 3)
-    from ergodrive import thermal_state
     tau = thermal_state(h_i, 1.3)
     res = delta_noncyclic(tau, h_i, h_f)
     assert abs(res.value) < 1e-10
@@ -149,6 +148,46 @@ def test_upper_bound_rejects_maximally_mixed():
     flat = DensityMatrix(np.eye(3) / 3)
     with pytest.raises(NegativeBeta):
         upper_bound_delta(flat, h, h)
+
+
+_PSI = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+_H_F = np.diag([0.0, 0.4, 1.1])
+LOW_ENTROPY_EDGE = {   # rho_i, h_f; h_i = diag(0, 1, 2)
+    "pure_superposition": (np.outer(_PSI, _PSI), _H_F),
+    "near_pure_1e-05": (np.diag([1.0 - 1e-5, 1e-5, 0.0]), _H_F),
+    "near_pure_1e-11": (np.diag([1.0 - 1e-11, 1e-11, 0.0]), _H_F),
+    "low_entropy_clustered_hf": (np.diag([0.82, 0.18, 0.0]), np.diag([0.0, 0.1, 2.3])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOW_ENTROPY_EDGE))
+def test_low_entropy_edge_has_a_finite_bound(case):
+    # the Gibbs weights matching these entropies underflow to 0 on h_f's top
+    # levels; the entropic form takes their logs in log space
+    mat, hf = LOW_ENTROPY_EDGE[case]
+    rho = DensityMatrix(mat)
+    h_i = HamiltonianOp(np.diag([0.0, 1.0, 2.0]))
+    h_f = HamiltonianOp(hf)
+    report = full_report(rho, h_i, h_f)
+    assert report.upper_bound is not None and np.isfinite(report.upper_bound)
+    scale = max(1.0, h_f.spectral_width)
+    assert report.delta_e_nc <= report.upper_bound + 1e-10 * scale
+    ub = upper_bound_delta(rho, h_i, h_f)
+    assert abs(ub.value - ub.entropic_value) <= rho.tols.identity_residual * scale
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-13])
+def test_bound_refused_below_the_entropy_floor_of_h_f(gap):
+    # a (nearly) doubly degenerate ground level keeps every Gibbs state of
+    # h_f above ln 2 > S(rho): no entropy-matched beta_i exists
+    rho = DensityMatrix(np.diag([0.9, 0.1, 0.0]))
+    h_i = HamiltonianOp(np.diag([0.0, 1.0, 2.0]))
+    h_f = HamiltonianOp(np.diag([0.0, gap, 1.0]))
+    with pytest.raises(EntropyOutOfRange):
+        upper_bound_delta(rho, h_i, h_f)
+    report = full_report(rho, h_i, h_f)
+    assert report.upper_bound is None
+    assert report.delta_e_nc is not None
 
 
 def test_counterexample_reproduces_populations_and_sign_change():

@@ -10,10 +10,11 @@ from ergodrive import (DensityMatrix, HamiltonianOp, dephase, states,
                        matrix_to_json, passive_energy, passive_state,
                        relative_entropy, solve_beta_for_energy,
                        solve_beta_for_entropy, thermal_populations,
-                       thermal_state, von_neumann_entropy, coherence_rel_entropy)
+                       von_neumann_entropy, coherence_rel_entropy)
 from ergodrive.errors import (DimMismatch, EnergyOutOfRange, EntropyOutOfRange,
                               LengthMismatch, NotAState)
-from helpers import random_density, random_hermitian, random_instance, random_probs
+from helpers import (random_density, random_hermitian, random_instance, random_probs,
+                     thermal_state)
 
 
 def test_density_matrix_validation():
@@ -90,6 +91,26 @@ def test_relative_entropy_support_violation_is_inf():
     up = DensityMatrix(np.diag([1.0, 0.0]))
     dn = DensityMatrix(np.diag([0.0, 1.0]))
     assert relative_entropy(up, dn) == np.inf
+
+
+def test_gibbs_relative_entropy_matches_the_matrix_form():
+    rng = np.random.default_rng(16)
+    for d in (2, 3, 5):
+        h = HamiltonianOp(random_hermitian(rng, d))
+        p = np.sort(random_probs(rng, d))[::-1]
+        p[-1] = 0.0
+        p /= p.sum()
+        for beta in (-0.7, 0.0, 1.9):
+            want = relative_entropy(passive_state(DensityMatrix(np.diag(p)), h),
+                                    thermal_state(h, beta))
+            assert abs(states.gibbs_relative_entropy(p, h.energies, beta) - want) < 1e-12
+    # Gibbs weights that underflow to 0 leave the log-space form finite
+    en = np.array([0.0, 1.0, 2.0])
+    p = np.array([0.9, 0.1, 0.0])
+    beta = 800.0
+    assert thermal_populations(en, beta)[1] == 0.0
+    got = states.gibbs_relative_entropy(p, en, beta)
+    assert abs(got - (0.9 * np.log(0.9) + 0.1 * (np.log(0.1) + beta))) < 1e-12 * beta
 
 
 def test_coherence_zero_for_diagonal_log2_for_plus():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ergodrive import (DEFAULT_TOLS, DensityMatrix, HamiltonianOp, delta_noncyclic,
-                       full_report, solve_beta_for_energy, solve_beta_for_entropy,
+from ergodrive import (DEFAULT_TOLS, DensityMatrix, HamiltonianOp, coherence_rel_entropy,
+                       delta_noncyclic, dephase, full_report, passive_state,
+                       solve_beta_for_energy, solve_beta_for_entropy,
                        thermal_populations, upper_bound_delta)
 from ergodrive import linalg, states
 from ergodrive.errors import NoConvergence
@@ -100,7 +101,7 @@ def test_energy_solve_meets_the_residual_bound(problem):
     assert abs(res.beta) <= beta_max
     assert res.residual <= DEFAULT_TOLS.beta_residual * width
     assert abs(_mean_energy(en, res.beta) - target) == res.residual
-    assert abs(h.energy(res.state) - target) <= DEFAULT_TOLS.beta_residual * width + 1e-12 * (
+    assert abs(res.populations @ en - target) <= DEFAULT_TOLS.beta_residual * width + 1e-12 * (
         abs(en[0]) + abs(en[-1]))
 
 
@@ -170,9 +171,9 @@ def test_saturated_entropy_returns_beta_max():
     assert abs(res.residual - 0.5 * floor) <= 1e-15 * floor
 
 
-def test_one_eigendecomposition_per_object_and_one_energy_solve_per_report():
-    rng = np.random.default_rng(31)
-    instances = [random_instance(rng, d) for d in (2, 3, 4, 5)]
+@contextmanager
+def counting_builds():
+    """Count the DensityMatrix and HamiltonianOp objects built in the block."""
     built = [0]
     post_init = {cls: cls.__post_init__ for cls in (DensityMatrix, HamiltonianOp)}
 
@@ -185,16 +186,36 @@ def test_one_eigendecomposition_per_object_and_one_energy_solve_per_report():
     try:
         for cls in post_init:
             cls.__post_init__ = counted(cls)
-        with counting(states, "hermitian_eig") as eigs, \
-                counting(states, "solve_beta_for_energy") as solves:
-            for rho, h_i, h_f in instances:
-                full_report(rho, h_i, h_f)
+        yield built
     finally:
         for cls, original in post_init.items():
             cls.__post_init__ = original
-    assert built[0] > 0
-    assert eigs[0] == built[0]
+
+
+def _states_built_internally(rho, h_i, h_f):
+    """The operations that still build a DensityMatrix from known populations."""
+    dephase(rho, h_i)
+    passive_state(rho, h_f)
+    coherence_rel_entropy(rho, h_i)
+
+
+def test_one_eigendecomposition_per_object_and_one_energy_solve_per_report():
+    rng = np.random.default_rng(31)
+    instances = [random_instance(rng, d) for d in (2, 3, 4, 5)]
+    # the report works on the spectra its inputs already hold
+    with counting_builds() as built, counting(states, "hermitian_eig") as eigs, \
+            counting(linalg, "hermitian_eig") as linalg_eigs, \
+            counting(states, "solve_beta_for_energy") as solves:
+        for rho, h_i, h_f in instances:
+            full_report(rho, h_i, h_f)
+    assert built[0] == 0
+    assert eigs[0] == linalg_eigs[0] == 0
     assert solves[0] == len(instances)
+    with counting_builds() as built, counting(states, "hermitian_eig") as eigs:
+        for rho, h_i, h_f in instances:
+            _states_built_internally(rho, h_i, h_f)
+    assert built[0] == 3 * len(instances)   # two dephased states, one passive
+    assert eigs[0] == built[0]
 
 
 def test_one_hermiticity_check_per_object():
@@ -202,26 +223,12 @@ def test_one_hermiticity_check_per_object():
     # hermitian_eig then neither re-checks nor re-symmetrizes it
     rng = np.random.default_rng(34)
     instances = [random_instance(rng, d) for d in (2, 3, 4, 5)]
-    built = [0]
-    post_init = {cls: cls.__post_init__ for cls in (DensityMatrix, HamiltonianOp)}
-
-    def counted(cls):
-        def wrapper(self):
-            built[0] += 1
-            post_init[cls](self)
-        return wrapper
-
-    try:
-        for cls in post_init:
-            cls.__post_init__ = counted(cls)
-        with counting(linalg, "hermiticity_defect") as checks:
-            for rho, h_i, h_f in instances:
-                full_report(rho, h_i, h_f)
-                DensityMatrix(rho.mat)
-                HamiltonianOp(h_f.mat)
-    finally:
-        for cls, original in post_init.items():
-            cls.__post_init__ = original
+    with counting_builds() as built, counting(linalg, "hermiticity_defect") as checks:
+        for rho, h_i, h_f in instances:
+            full_report(rho, h_i, h_f)
+            _states_built_internally(rho, h_i, h_f)
+            DensityMatrix(rho.mat)
+            HamiltonianOp(h_f.mat)
     assert built[0] > 2 * len(instances)
     assert checks[0] == built[0]
 

@@ -17,18 +17,15 @@ from .ergotropy import (Counterexample, Decomposition, DeltaResult, ErgotropyRep
 from .errors import (BranchAmbiguity, ConvergenceError, ErgodriveError,
                      ValidationError, VerificationFailed)
 from .linalg import (HermEig, UnitaryPhases, dagger, herm_expi_batch,
-                     hermitian_eig, principal_log_unitary, reunitarize,
-                     trace_distance)
+                     hermitian_eig, principal_log_unitary, trace_distance)
 from .states import (DensityMatrix, HamiltonianOp, ThermalSolveResult,
-                     coherence_rel_entropy, dephase, energy_populations,
+                     coherence_rel_entropy, energy_populations,
                      majorizes, matrix_from_json, matrix_to_json, passive_energy,
-                     passive_state, relative_entropy, solve_beta_for_energy,
+                     passive_state, solve_beta_for_energy,
                      solve_beta_for_entropy, thermal_populations, von_neumann_entropy)
-from .tls import (MuDynParams, ThetaSplit, TlsState, alpha_beta_phase,
-                  constmu_final_density, constmu_final_state, counterdiabatic_rate,
-                  delta_e_sta, eigs_r, example1_delta, example1_phase_average,
-                  example1_thetas, example1_wmin, example2_theta_split,
-                  example2_wmin, final_basis, overlap_w, theta1_min, theta2_min)
+from .tls import (MuDynParams, ThetaSplit, TlsState, constmu_final_density,
+                  constmu_final_state, eigs_r, example1_phase_average, example1_thetas,
+                  example2_theta_split, example2_wmin, final_basis, overlap_w)
 from .tolerances import DEFAULT_TOLS, Tolerances
 
 __all__ = [name for name in dir() if not name.startswith("_")]

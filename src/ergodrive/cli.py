@@ -4,14 +4,16 @@ Output is deterministic: a fixed config and seed give byte-identical files.
 CSV cells are printed with 17 significant digits and LF line endings. The
 figure sweeps evaluate the two-level closed forms on the whole parameter grid
 at once; fig1's Monte Carlo columns draw from a generator seeded per grid
-point as [seed, i, j]. ``--threads`` is accepted for compatibility and has no
-effect. Exit codes: 0 success, 2 validation error, 3 convergence failure
-(error JSON goes to stderr).
+point as [seed, i, j]. ``--steps`` belongs to drive-synth; ``--seed`` and
+``--threads`` to the four figure commands, where ``--threads`` has no effect.
+Exit codes: 0 success, 2 validation error, 3 convergence failure (error JSON
+goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -66,7 +68,18 @@ def _require(cfg: dict, key: str):
 
 
 def _tols(cfg: dict):
-    return DEFAULT_TOLS.with_(**cfg.get("tolerances", {}))
+    """DEFAULT_TOLS with cfg's "tolerances" overrides, each naming a field and
+    giving it a finite number >= 0."""
+    over = cfg.get("tolerances", {})
+    if not isinstance(over, dict):
+        raise ParamOutOfRange(f"tolerances must be an object, got {over!r}")
+    fields = [f.name for f in dataclasses.fields(DEFAULT_TOLS)]
+    for key, v in over.items():
+        if key not in fields:
+            raise ParamOutOfRange(f"unknown tolerance {key!r}; known: {', '.join(fields)}")
+        if type(v) not in (int, float) or not 0 <= v < np.inf:
+            raise ParamOutOfRange(f"tolerance {key} must be a finite number >= 0, got {v!r}")
+    return DEFAULT_TOLS.with_(**{key: float(v) for key, v in over.items()})
 
 
 def _points(cfg: dict, key: str, default: int) -> int:
@@ -122,7 +135,8 @@ def run_ergotropy(cfg: dict) -> dict:
 def run_drive_synth(cfg: dict, n_steps=None) -> dict:
     rho, h_i, h_f, tols = _load_instance(cfg)
     tau = float(cfg.get("tau", 1.0))
-    sched = Schedule.linear(tau, n_steps=int(n_steps or cfg.get("n_steps", 4096)))
+    n_steps = cfg.get("n_steps", 4096) if n_steps is None else n_steps
+    sched = Schedule.linear(tau, n_steps=int(n_steps))
     phases_cfg = cfg.get("phases", "zeros")
     if phases_cfg == "analytic2":
         phases = optimize_phases(rho, h_i, h_f, sched, mode="analytic2", tols=tols).phases
@@ -190,7 +204,7 @@ def run_fig2(cfg: dict):
     e_f = hermitian_eigvals(0.5 * (omega_f[:, None, None] * _SZ + eps_f[:, None, None] * _SX))
     g = ergotropy.transport_gain(states.energy_populations(rho, h_i),
                                  rho.populations_desc(), e_f)
-    w_min_lower = tls.cost_floor(tls.theta1_min(s), tls.theta2(mu, omega_bar), tau)
+    w_min_lower = tls.cost_floor(tls.theta1(s.p, abs(s.c)), tls.theta2(mu, omega_bar), tau)
     rows = _rows(ot, ots, tls.cd_rate(mu, omega_bar, tau), w_min_lower,
                  tls.delta_enc(s.p, abs(s.c), gap), g,
                  tls.sta_delta(gap, s.p, mu, omega_bar))
@@ -206,7 +220,7 @@ def run_fig3(cfg: dict):
     s = _fixed_state(cfg)
     mu, omega_bar = _cells(_grid(cfg, "mu", 0.0, 4.0, 41), _grid(cfg, "ob", 0.0, 4.0, 41))
     tls.check_drive(tau, omega_bar)
-    w_min_lower = tls.cost_floor(tls.theta1_min(s), tls.theta2(mu, omega_bar), tau)
+    w_min_lower = tls.cost_floor(tls.theta1(s.p, abs(s.c)), tls.theta2(mu, omega_bar), tau)
     rows = _rows(mu, omega_bar, tls.cd_rate(mu, omega_bar, tau), w_min_lower,
                  tls.worst_cost(tau), tls.delta_enc(s.p, abs(s.c), gap),
                  tls.sta_delta(gap, s.p, mu, omega_bar))
@@ -248,10 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed")
-        p.add_argument("--steps", type=int, default=None, help="integrator steps override")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; sweeps run single-threaded")
+        if name == "drive-synth":
+            p.add_argument("--steps", type=int, default=None, help="integrator steps override")
+        if name not in ("ergotropy", "drive-synth"):   # the four figure commands
+            p.add_argument("--seed", type=int, default=0,
+                           help="PRNG seed of fig1's Monte Carlo columns")
+            p.add_argument("--threads", type=int, default=1,
+                           help="accepted for compatibility; sweeps run single-threaded")
     return ap
 
 

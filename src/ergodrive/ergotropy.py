@@ -15,7 +15,7 @@ import numpy as np
 
 from . import states
 from .errors import (EnergyOutOfRange, EntropyOutOfRange, NegativeBeta, NoConvergence,
-                     ParamOutOfRange, SupportViolation)
+                     ParamOutOfRange)
 from .states import DensityMatrix, HamiltonianOp
 
 
@@ -91,8 +91,6 @@ def coherent_entropy_identity_residual(rho_i: DensityMatrix, h_i: HamiltonianOp,
         raise NegativeBeta("identity requires beta > 0")
     e_coh = decompose(rho_i, h_i, h_f).e_coh
     c = states.coherence_rel_entropy(rho_i, h_i)
-    if not np.isfinite(c):
-        raise SupportViolation("relative entropy of coherence diverged")
     r_d = states._clamped_spectrum(states.energy_populations(rho_i, h_i))[1]
     s_d = states.gibbs_relative_entropy(r_d, h_f.energies, beta)
     s_r = states.gibbs_relative_entropy(rho_i.populations_desc(), h_f.energies, beta)
@@ -203,7 +201,8 @@ def full_report(rho_i: DensityMatrix, h_i: HamiltonianOp,
         bound = None
     return ErgotropyReport(
         **parts, delta_e_nc=d.value, upper_bound=bound,
-        majorization_holds=states.majorizes(rho_i.populations_desc(), same_energy.populations),
+        majorization_holds=states.majorizes(rho_i.populations_desc(), same_energy.populations,
+                                            rho_i.tols.majorization_slack),
         beta_same_energy=d.beta, negative_temperature_flag=d.negative_temperature)
 
 

@@ -62,10 +62,6 @@ class ParamInconsistent(ValidationError):
     pass
 
 
-class SupportViolation(ValidationError):
-    """Relative-entropy support condition violated where a finite value is required."""
-
-
 class DimTooLarge(ValidationError):
     pass
 

@@ -291,15 +291,6 @@ def polar_project(u: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     return p @ qh, drift
 
 
-def reunitarize(u, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Nearest unitary in Frobenius norm (polar factor via SVD).
-
-    Refuses inputs farther than ``tols.unitary_defect_max`` from the unitary
-    manifold: those are integration bugs, not drift to be papered over.
-    """
-    return polar_project(as_square(u, "unitary"), tols)[0]
-
-
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm of a - b."""
     diff = 0.5 * ((a - b) + dagger(a - b))

@@ -4,13 +4,14 @@ Conventions: computational basis ordered [|1>, |0>] (excited first), so
 rho = [[p, c], [conj(c), 1-p]] and H = (omega sz + eps sx)/2 with sz = diag(1,-1).
 Rotating drives keep mu = (d omega/dt eps - d eps/dt omega)/Omega^3 constant;
 nu = Omega_bar sqrt(1 + mu^2) is the total precession angle in the rotating
-frame, nu_c = cos(nu), nu_s = sin(nu).
+frame.
 
 Each closed form is written once, as a kernel that broadcasts over arrays of
-its parameters (theta1, theta2, delta_enc, sta_delta, cost, ...). The figure
-sweeps evaluate the kernels on whole grids; the functions taking a TlsState
-or MuDynParams are their scalar forms. Squares go through sq(), so every
-array element rounds exactly as the scalar form does.
+its parameters (overlaps, theta1, theta2, nu, delta_enc, sta_delta, cost, ...);
+sweeps pass whole grids, scalar callers pass floats. TlsState and MuDynParams
+are validated inputs of the closed forms with logic of their own (eigs_r,
+final_basis, constmu_final_state, overlap_w, example2_theta_split). Squares go
+through sq(), so every array element rounds as the same kernel does on floats.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from .errors import ParamInconsistent, ParamOutOfRange
 from .states import DensityMatrix
-from .tolerances import DEFAULT_TOLS
 
 
 def wrap_pi(x):
@@ -143,18 +143,6 @@ class MuDynParams:
         return cls(mu=mu, omega_bar=omega_bar, tau=tau, tau_star=tau_star,
                    omega_f=omega_f, eps_f=eps_f)
 
-    @property
-    def nu(self) -> float:
-        return float(_nu(self.mu, self.omega_bar))
-
-    @property
-    def nu_c(self) -> float:
-        return float(np.cos(self.nu))
-
-    @property
-    def nu_s(self) -> float:
-        return float(np.sin(self.nu))
-
 
 def cos_sin_drive(omega0, tau, tau_star):
     """(mu, omega_bar, omega_f, eps_f) of the quarter-period cos/sin drive.
@@ -168,8 +156,8 @@ def cos_sin_drive(omega0, tau, tau_star):
             omega0 * np.cos(ang), omega0 * np.sin(ang))
 
 
-def _nu(mu, omega_bar):
-    """Total rotating-frame precession angle omega_bar sqrt(1 + mu^2)."""
+def nu(mu, omega_bar):
+    """Total rotating-frame precession angle omega_bar sqrt(1 + mu^2); broadcasts."""
     return omega_bar * np.sqrt(1 + sq(mu))
 
 
@@ -221,12 +209,6 @@ def overlaps(p, c_abs):
     return a, b
 
 
-def ab_overlaps(s: TlsState) -> Tuple[float, float]:
-    """(a, b) overlap magnitudes of the rho eigenbasis with the energy basis."""
-    a, b = overlaps(s.p, abs(s.c))
-    return float(a), float(b)
-
-
 def theta1(p, c_abs):
     """State rotation half-angle arctan(b/a) reaching the passive basis; broadcasts."""
     a, b = overlaps(p, c_abs)
@@ -257,43 +239,23 @@ def delta_enc(p, c_abs, gap):
     return gap * (np.sqrt(sq(p - 0.5) + sq(c_abs)) - 0.5 + p)
 
 
-def example1_delta(s: TlsState, lam_f_omega: float) -> float:
-    """Ergotropy difference for proportional Hamiltonians, final gap lam_f_omega."""
-    return float(delta_enc(s.p, abs(s.c), lam_f_omega))
-
-
-def theta1_min(s: TlsState) -> float:
-    """Smallest rotation half-angle reaching the passive basis: arctan(b/a)."""
-    return float(theta1(s.p, abs(s.c)))
-
-
-def example1_wmin(s: TlsState, tau: float) -> float:
-    """Minimal drive cost for the proportional example, optimal phases."""
-    return cost(theta1_min(s), tau)
-
-
-def example1_thetas(s, phi1, phi0):
+def example1_thetas(a, phi1, phi0):
     """Principal eigenphases (theta_plus, theta_minus) of the correction log.
 
-    s is a TlsState or its overlap magnitude a = ab_overlaps(s)[0], through
-    which alone the eigenphases depend on the state; a sweep that already holds
-    a passes it and builds no state. Vectorized over phase arrays; the relative
-    phases the bare drive adds can be absorbed into (phi1, phi0), so they do
-    not appear here.
+    The state enters only through its overlap magnitude a = overlaps(p, |c|)[0].
+    Vectorized over phase arrays; the relative phases the bare drive adds can
+    be absorbed into (phi1, phi0), so they do not appear here.
     """
-    a = ab_overlaps(s)[0] if isinstance(s, TlsState) else s
     sig = 0.5 * (np.asarray(phi1) + np.asarray(phi0))
     gam = np.arccos(np.clip(a * np.cos(0.5 * (np.asarray(phi1) - np.asarray(phi0))), -1.0, 1.0))
     return wrap_pi(sig + gam), wrap_pi(sig - gam)
 
 
-def example1_phase_average(s, tau: float, n_draws: int, rng: np.random.Generator):
-    """Monte Carlo mean and standard error of the cost over uniform phases.
-
-    s is a TlsState or its overlap magnitude a, as in example1_thetas.
-    """
+def example1_phase_average(a, tau: float, n_draws: int, rng: np.random.Generator):
+    """Monte Carlo mean and standard error of the cost over uniform phases,
+    for the state of overlap magnitude a, as in example1_thetas."""
     phi = rng.uniform(-np.pi, np.pi, size=(2, n_draws))
-    tp, tm = example1_thetas(s, phi[0], phi[1])
+    tp, tm = example1_thetas(a, phi[0], phi[1])
     w = np.sqrt(tp**2 + tm**2) / tau
     return float(w.mean()), float(w.std(ddof=1) / np.sqrt(n_draws))
 
@@ -324,7 +286,8 @@ def constmu_final_state(p_i: float, params: MuDynParams) -> TlsState:
     c is reported in the final_basis convention; coherent initial states have
     no closed form here and go through the numeric propagator instead.
     """
-    mu, nc, ns = params.mu, params.nu_c, params.nu_s
+    mu, ang = params.mu, nu(params.mu, params.omega_bar)
+    nc, ns = np.cos(ang), np.sin(ang)
     den = 1 + mu**2
     p_f = (2 * p_i + mu**2 - mu**2 * nc * (1 - 2 * p_i)) / (2 * den)
     sgn = 1.0 if params.eps_f >= 0 else -1.0
@@ -342,72 +305,51 @@ def constmu_final_density(p_i: float, params: MuDynParams) -> DensityMatrix:
 
 
 def sta_delta(gap, p_i, mu, omega_bar):
-    """Omega_f (p_f - p_i) of the bare constant-mu drive with final gap
-    Omega_f = ``gap``; broadcasts over every argument."""
-    return (gap * (0.5 - p_i) * sq(mu) * (1 - np.cos(_nu(mu, omega_bar)))
+    """Ergotropy difference Omega_f (p_f - p_i) of the bare constant-mu drive
+    alone, with final gap Omega_f = ``gap``; broadcasts over every argument.
+
+    Only the population moved into the upper final level counts, and it
+    vanishes as mu -> 0 (adiabatic limit).
+    """
+    return (gap * (0.5 - p_i) * sq(mu) * (1 - np.cos(nu(mu, omega_bar)))
             / (1 + sq(mu)))
 
 
-def delta_e_sta(p_i: float, params: MuDynParams) -> float:
-    """Ergotropy difference produced by the bare rotating drive alone.
-
-    Equals Omega_f (p_f - p_i): only the population moved into the upper
-    final level counts, and it vanishes as mu -> 0 (adiabatic limit).
-    """
-    return float(sta_delta(params.Omega_f, p_i, params.mu, params.omega_bar))
-
-
 def cd_rate(mu, omega_bar, tau):
-    """|mu| Omega_bar / tau; broadcasts."""
+    """|mu| Omega_bar / tau, the mean counterdiabatic coupling norm; broadcasts."""
     return np.abs(mu) * omega_bar / tau
-
-
-def counterdiabatic_rate(params: MuDynParams) -> float:
-    """|mu| Omega_bar / tau: the time-averaged counterdiabatic coupling norm."""
-    return float(cd_rate(params.mu, params.omega_bar, params.tau))
 
 
 # --------------------------------------------- rotating-drive minimal cost
 
-def _alpha_beta(mu, omega_bar):
-    """alpha_beta_phase over arrays of (mu, omega_bar)."""
-    nu = _nu(mu, omega_bar)
-    nc = np.cos(nu)
+def alpha_beta(mu, omega_bar):
+    """(alpha e^{i phi_alpha}, beta) of the bare-drive transported basis; broadcasts.
+
+    Exact rotating-frame result: up to a global sign that cancels in the
+    overlap, alpha e^{i phi_alpha} = [sign(sin nu) sqrt((1+cos nu)(1+mu^2))
+    - i sqrt(1-cos nu)] / sqrt(2(1+mu^2)) and beta = mu sqrt((1-cos nu)/(2(1+mu^2))).
+    """
+    ang = nu(mu, omega_bar)
+    nc = np.cos(ang)
     mu2 = 1 + sq(mu)
     den = np.sqrt(2 * mu2)
-    s_sign = np.where(np.sin(nu) >= 0, 1.0, -1.0)
+    s_sign = np.where(np.sin(ang) >= 0, 1.0, -1.0)
     alpha_exp = (s_sign * np.sqrt(np.maximum((1 + nc) * mu2, 0.0))
                  - 1j * np.sqrt(np.maximum(1 - nc, 0.0))) / den
     return alpha_exp, mu * np.sqrt(np.maximum(1 - nc, 0.0)) / den
 
 
-def alpha_beta_phase(params: MuDynParams):
-    """(alpha e^{i phi_alpha}, beta) of the bare-drive transported basis.
-
-    Exact rotating-frame result: up to a global sign that cancels in the
-    overlap, alpha e^{i phi_alpha} = [sign(nu_s) sqrt((1+nu_c)(1+mu^2))
-    - i sqrt(1-nu_c)] / sqrt(2(1+mu^2)) and beta = mu sqrt((1-nu_c)/(2(1+mu^2))).
-    """
-    alpha_exp, beta = _alpha_beta(params.mu, params.omega_bar)
-    return complex(alpha_exp), float(beta)
-
-
 def theta2(mu, omega_bar):
     """Bare-drive rotation half-angle arctan(|beta| / |alpha|); broadcasts."""
-    alpha_exp, beta = _alpha_beta(mu, omega_bar)
+    alpha_exp, beta = alpha_beta(mu, omega_bar)
     # hypot, as the scalar abs() of a complex: np.abs rounds differently
     return np.arctan2(np.abs(beta), np.hypot(alpha_exp.real, alpha_exp.imag))
 
 
-def theta2_min(params: MuDynParams) -> float:
-    """Bare-drive rotation half-angle: arctan(|beta| / alpha)."""
-    return float(theta2(params.mu, params.omega_bar))
-
-
 def overlap_w(s: TlsState, params: MuDynParams) -> float:
     """|W| = |A e^{-i phi_alpha} + B e^{i psi_i}| controlling the optimal cost."""
-    a, b = ab_overlaps(s)
-    alpha_exp, beta = alpha_beta_phase(params)
+    a, b = overlaps(s.p, abs(s.c))
+    alpha_exp, beta = alpha_beta(params.mu, params.omega_bar)
     w = a * np.conj(alpha_exp) + b * beta * np.exp(1j * s.psi)
     return float(abs(w))
 
@@ -433,7 +375,7 @@ def example2_theta_split(s: TlsState, params: MuDynParams) -> ThetaSplit:
     sqrt2(theta1 + theta2)/tau (anti-aligned); with no phase control at all
     the worst case is sqrt2 pi/tau.
     """
-    t1, t2 = theta1_min(s), theta2_min(params)
+    t1, t2 = float(theta1(s.p, abs(s.c))), float(theta2(params.mu, params.omega_bar))
     lo = float(cost_floor(t1, t2, params.tau))
     return ThetaSplit(
         theta1=t1, theta2=t2,

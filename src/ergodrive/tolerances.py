@@ -17,7 +17,6 @@ class Tolerances:
     unitarity: float = 1e-10        # Frobenius defect |u^dag u - 1|
     trace: float = 1e-12            # |Tr rho - 1|
     eig_floor: float = 1e-12        # negative-eigenvalue clamp window
-    reconstruction: float = 1e-10   # spectral-decomposition round trip
     branch_cut: float = 1e-10       # warn when a log phase sits this close to -pi
     unitary_defect_max: float = 0.1  # polar projection refuses beyond this
     beta_residual: float = 1e-10    # thermal solver residual, units of spectral width

@@ -5,12 +5,12 @@ import dataclasses
 import numpy as np
 
 from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, TlsState, cli,
-                       counterdiabatic_rate, delta_e_sta, example1_delta,
-                       example1_phase_average, example1_wmin, example2_theta_split,
-                       gain_g, hermitian_eig, propagate_u0, reunitarize,
-                       thermal_populations)
+                       energy_populations, example1_phase_average, example2_theta_split,
+                       gain_g, hermitian_eig, propagate_u0, thermal_populations,
+                       von_neumann_entropy)
 from ergodrive.errors import NoConvergence
-from ergodrive.linalg import unitarity_defect
+from ergodrive.linalg import polar_project, unitarity_defect
+from ergodrive.tls import cd_rate, cost, delta_enc, overlaps, sta_delta, theta1
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -48,12 +48,47 @@ def random_probs(rng, d):
     return p / p.sum()
 
 
+def near_pure_state(eps):
+    """rho = [[1 - eps, c], [c, eps]] + [0] with c = 0.999 sqrt(eps (1 - eps)),
+    and its relative entropy of coherence in the computational basis, from
+    stable two-point entropies of rho_D and of rho's small eigenvalue."""
+    c = 0.999 * np.sqrt(eps * (1 - eps))
+    rho = np.zeros((3, 3))
+    rho[:2, :2] = [[1 - eps, c], [c, eps]]
+    small = (eps * (1 - eps) - c * c) / (0.5 + np.sqrt(0.25 - eps * (1 - eps) + c * c))
+
+    def two_point(x):
+        return -x * np.log(x) - (1 - x) * np.log1p(-x)
+
+    return DensityMatrix(rho), two_point(eps) - two_point(small)
+
+
 def thermal_state(h, beta):
     """Gibbs state of h at inverse temperature beta (beta < 0 allowed), as a
     DensityMatrix built on h's eigenbasis: oracle for the population-vector
     thermal references."""
     v = h.basis
     return DensityMatrix((v * thermal_populations(h.energies, beta)) @ v.conj().T, h.tols)
+
+
+def dephase(rho, h):
+    """rho with its coherences in h's eigenbasis removed, as a DensityMatrix:
+    oracle for the dephased populations behind coherence_rel_entropy."""
+    v = h.basis
+    return DensityMatrix((v * energy_populations(rho, h)) @ v.conj().T, rho.tols)
+
+
+def relative_entropy(rho, sigma, support_atol=1e-12):
+    """S(rho || sigma) in nats by the general matrix formula, +inf when rho has
+    weight outside supp(sigma): oracle for coherence_rel_entropy and
+    gibbs_relative_entropy."""
+    svals, svecs = sigma.eig()
+    weights = np.einsum("in,ij,jn->n", svecs.conj(), rho.mat, svecs).real
+    null = svals <= support_atol
+    if weights[null].sum() > support_atol * rho.dim:
+        return float("inf")
+    keep = ~null
+    return -von_neumann_entropy(rho) - float((weights[keep] * np.log(svals[keep])).sum())
 
 
 def herm_expi(h, dt=1.0):
@@ -101,7 +136,7 @@ def sequential_products(steps):
         u = steps[k] @ u
         if (k + 1) % 64 == 0:
             drift = max(drift, unitarity_defect(u))
-            u = reunitarize(u)
+            u = polar_project(u)[0]
         samples[k + 1] = u
     drift = max(drift, unitarity_defect(u))
     return samples, drift
@@ -123,9 +158,9 @@ def converged_final_unitary(h_i, h_f, sched, rtol=1e-8, n_limit=100_000):
 
 
 # ------------------------------------------------------------- figure oracle
-# The figure sweeps evaluated point by point through the scalar tls and
-# ergotropy API, one TlsState, MuDynParams, DensityMatrix and HamiltonianOp
-# per grid cell, with the same defaults as the CLI.
+# The figure sweeps evaluated point by point, the tls kernels on floats and
+# one TlsState, MuDynParams, DensityMatrix and HamiltonianOp per grid cell,
+# with the same defaults as the CLI.
 
 def _linspace(cfg, axis, lo, hi, n):
     return np.linspace(float(cfg.get(f"{axis}_min", lo)), float(cfg.get(f"{axis}_max", hi)),
@@ -148,9 +183,9 @@ def fig1_oracle(cfg, seed=0):
             mean = err = float("nan")
             if draws > 0:
                 rng = np.random.default_rng([seed, i, j])
-                mean, err = example1_phase_average(s, tau, draws, rng)
-            rows.append((p, c, example1_delta(s, lam_f_omega), gain_g(s.density(), h, h),
-                         example1_wmin(s, tau), mean, err))
+                mean, err = example1_phase_average(float(overlaps(p, c)[0]), tau, draws, rng)
+            rows.append((p, c, delta_enc(p, c, lam_f_omega), gain_g(s.density(), h, h),
+                         cost(theta1(p, c), tau), mean, err))
     top = rows[len(fracs) - 1::len(fracs)]
     return rows, cli.fig1_crossover(ps, [r[2] for r in top], [r[4] for r in top])
 
@@ -168,10 +203,11 @@ def fig2_oracle(cfg):
         for ots in _linspace(cfg, "ots", 0.5, 20.0, 40).tolist():
             params = MuDynParams.cos_sin(omega0, ot / omega0, ots / omega0)
             h_f = HamiltonianOp(0.5 * (params.omega_f * SZ + params.eps_f * SX))
-            rows.append((ot, ots, counterdiabatic_rate(params),
+            rows.append((ot, ots, cd_rate(params.mu, params.omega_bar, params.tau),
                          example2_theta_split(s, params).wmin_range[0],
-                         example1_delta(s, params.Omega_f), gain_g(s.density(), h_i, h_f),
-                         delta_e_sta(s.p, params)))
+                         delta_enc(s.p, abs(s.c), params.Omega_f),
+                         gain_g(s.density(), h_i, h_f),
+                         sta_delta(params.Omega_f, s.p, params.mu, params.omega_bar)))
     return rows
 
 
@@ -184,8 +220,9 @@ def fig3_oracle(cfg):
         for ob in _linspace(cfg, "ob", 0.0, 4.0, 41).tolist():
             params = MuDynParams(mu=mu, omega_bar=ob, omega_f=omega_f, eps_f=0.0, tau=tau)
             split = example2_theta_split(s, params)
-            rows.append((mu, ob, counterdiabatic_rate(params), *split.wmin_range,
-                         example1_delta(s, params.Omega_f), delta_e_sta(s.p, params)))
+            rows.append((mu, ob, cd_rate(params.mu, params.omega_bar, params.tau),
+                         *split.wmin_range, delta_enc(s.p, abs(s.c), params.Omega_f),
+                         sta_delta(params.Omega_f, s.p, params.mu, params.omega_bar)))
     return rows
 
 

@@ -10,15 +10,16 @@ import time
 import numpy as np
 
 from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
-                       TlsState, cli, coherent_entropy_identity_residual,
+                       cli, coherent_entropy_identity_residual,
                        constmu_final_density, counterdiabatic_cost,
                        counterexample_populations, decompose, delta_noncyclic,
-                       example1_phase_average, example1_wmin, gain_g, majorizes,
+                       example1_phase_average, gain_g, majorizes,
                        noncyclic_ergotropy, passive_energy, principal_log_unitary,
                        propagate_u0, synthesize_drive,
                        thermal_populations, trace_distance, upper_bound_delta,
                        verify_drive)
 from ergodrive.errors import NegativeBeta
+from ergodrive.tls import cost, overlaps, theta1
 from helpers import random_hermitian, random_instance, random_unitary
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -47,7 +48,7 @@ def test_acceptance_2_crossover_population_and_swap_cost():
     assert len(rows) == 200 * 200
     assert abs(crossover - 0.025) <= 0.005
     for tau in (1.0, 3.7, 10.0):
-        w = example1_wmin(TlsState(1.0, 0.0), tau)
+        w = cost(theta1(1.0, 0.0), tau)
         assert abs(w - np.pi / (np.sqrt(2.0) * tau)) <= 1e-10
     dt = time.perf_counter() - t0
     assert dt < 10.0
@@ -64,8 +65,8 @@ def test_acceptance_3_random_phase_cost_band():
         for j, frac in enumerate(fracs):
             c = frac * np.sqrt(p * (1.0 - p))
             rng = np.random.default_rng([0, i, j])
-            mean, stderr = example1_phase_average(
-                TlsState(float(p), complex(c)), tau, 100_000, rng)
+            a = overlaps(float(p), float(c))[0]
+            mean, stderr = example1_phase_average(float(a), tau, 100_000, rng)
             assert stderr < 0.005 * np.pi / tau
             assert lo <= mean <= hi
     dt = time.perf_counter() - t0

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ergodrive import cli, matrix_to_json
+from ergodrive import (DensityMatrix, HamiltonianOp, cli, majorizes, matrix_to_json,
+                       solve_beta_for_energy)
 from helpers import random_hermitian
 
 RHO2 = {"rho_i": matrix_to_json(np.diag([0.3, 0.7]).astype(complex)),
@@ -208,6 +209,21 @@ def test_json_output_is_sorted_and_stable(tmp_path):
     ("fig3", {"ob_points": 0}, "ob_points must be >= 1"),
     ("fig3", {"tau": 0}, "tau must be > 0"),
     ("fig3", {"ob_min": -0.5}, "need tau > 0 and omega_bar >= 0"),
+    ("ergotropy", dict(RHO2, tolerances={"bogus": 1e-9}), "unknown tolerance 'bogus'"),
+    ("ergotropy", dict(RHO2, tolerances={"reconstruction": 1e-9}),
+     "unknown tolerance 'reconstruction'"),
+    ("ergotropy", dict(RHO2, tolerances={"trace": -1e-9}),
+     "tolerance trace must be a finite number >= 0"),
+    ("ergotropy", dict(RHO2, tolerances={"trace": float("nan")}),
+     "tolerance trace must be a finite number >= 0"),
+    ("ergotropy", dict(RHO2, tolerances={"trace": float("inf")}),
+     "tolerance trace must be a finite number >= 0"),
+    ("ergotropy", dict(RHO2, tolerances={"trace": "1e-9"}),
+     "tolerance trace must be a finite number >= 0"),
+    ("ergotropy", dict(RHO2, tolerances={"trace": True}),
+     "tolerance trace must be a finite number >= 0"),
+    ("ergotropy", dict(RHO2, tolerances=[1e-9]), "tolerances must be an object"),
+    ("drive-synth", dict(RHO2, tolerances={"bogus": 1e-9}), "unknown tolerance 'bogus'"),
 ])
 def test_degenerate_sweep_configs_are_refused(tmp_path, capsys, command, cfg, message):
     path = write_cfg(tmp_path, "bad.json", cfg)
@@ -219,6 +235,57 @@ def test_degenerate_sweep_configs_are_refused(tmp_path, capsys, command, cfg, me
     assert err == {"error": "ParamOutOfRange", "message": err["message"]}
     assert message in err["message"]
     assert not out.exists()
+
+
+def test_majorization_slack_override_is_honored(tmp_path, capsys):
+    rho = DensityMatrix(np.diag([0.5, 0.25, 0.25]))
+    h = HamiltonianOp(np.diag([0.0, 1.0, 1.2]))
+    p_th = solve_beta_for_energy(h, h.energy(rho)).populations
+    assert not majorizes(rho.populations_desc(), p_th)
+    assert majorizes(rho.populations_desc(), p_th, slack=0.05)
+    base = {"rho_i": matrix_to_json(rho.mat), "h_i": matrix_to_json(h.mat),
+            "h_f": matrix_to_json(h.mat)}
+    held = []
+    for extra in ({}, {"tolerances": {"majorization_slack": 0.5}}):
+        cfg = write_cfg(tmp_path, "slack.json", dict(base, **extra))
+        assert run(["ergotropy", "--config", cfg]) == 0
+        held.append(json.loads(capsys.readouterr().out)["majorization_holds"])
+    assert held == [False, True]
+
+
+def test_zero_steps_are_refused(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "d.json", RHO2)
+    assert run(["drive-synth", "--config", cfg, "--steps", "0"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ParamOutOfRange", "message": "n_steps must be positive"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("ergotropy", ["--seed", "1"]),
+    ("ergotropy", ["--steps", "64"]),
+    ("ergotropy", ["--threads", "2"]),
+    ("drive-synth", ["--seed", "1"]),
+    ("drive-synth", ["--threads", "2"]),
+    ("fig1", ["--steps", "64"]),
+    ("fig2", ["--steps", "64"]),
+    ("fig3", ["--steps", "64"]),
+    ("counterexample", ["--steps", "64"]),
+])
+def test_flags_belong_to_the_commands_that_take_them(command, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command] + flags)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_every_figure_command_takes_seed_and_threads(tmp_path):
+    configs = {"fig1": {"p_points": 2, "c_points": 2, "mc_draws": 2},
+               "fig2": {"ot_points": 2, "ots_points": 2},
+               "fig3": {"mu_points": 2, "ob_points": 2}, "counterexample": {}}
+    for command, cfg in configs.items():
+        path = write_cfg(tmp_path, f"{command}.json", cfg)
+        assert run([command, "--config", path, "--out", str(tmp_path / "o.csv"),
+                    "--seed", "5", "--threads", "2"]) == 0
 
 
 def test_write_csv_formats_cells_as_the_per_cell_formatter(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from ergodrive import (DEFAULT_TOLS, DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
                        TlsState, counterdiabatic_cost, drives,
-                       example1_wmin, herm_expi_batch, optimize_phases,
+                       herm_expi_batch, optimize_phases,
                        passive_state, propagate_u0, smoothstep, smoothstep_dot,
                        synthesize_drive, target_unitary, trace_distance,
                        verify_drive)
@@ -16,6 +16,7 @@ from ergodrive.errors import (DimMismatch, DimTooLarge, GaugeFailure,
                               LengthMismatch, NoConvergence, ParamInconsistent,
                               ParamOutOfRange, TooFarFromUnitary, VerificationFailed)
 from ergodrive.linalg import unitarity_defect
+from ergodrive.tls import cost, theta1
 from helpers import (converged_final_unitary, herm_expi, random_density, random_instance,
                      sequential_products)
 
@@ -414,4 +415,4 @@ def test_wmin_agrees_with_two_level_closed_form():
         h_f = HamiltonianOp(0.5 * rng.uniform(0.3, 2.0) * SZ)
         sched = Schedule.linear(tau, n_steps=1024)
         best = optimize_phases(s.density(), h_i, h_f, sched, mode="analytic2")
-        assert abs(best.value - example1_wmin(s, tau)) < 1e-12
+        assert abs(best.value - cost(theta1(s.p, abs(s.c)), tau)) < 1e-12

@@ -5,10 +5,10 @@ import pytest
 
 from ergodrive import (DensityMatrix, HamiltonianOp, coherent_entropy_identity_residual,
                        counterexample_populations, decompose, delta_noncyclic,
-                       dephase, full_report, gain_g, majorizes, noncyclic_ergotropy,
-                       passive_energy, thermal_populations, upper_bound_delta)
+                       full_report, gain_g, majorizes, noncyclic_ergotropy,
+                       thermal_populations, upper_bound_delta)
 from ergodrive.errors import EntropyOutOfRange, NegativeBeta, ParamOutOfRange
-from helpers import random_instance, thermal_state
+from helpers import dephase, near_pure_state, random_instance, thermal_state
 
 
 def test_pure_excited_qubit_anchor():
@@ -57,6 +57,16 @@ def test_coherent_entropy_identity():
             assert coherent_entropy_identity_residual(rho, h_i, h_f, beta) < 1e-9
     with pytest.raises(NegativeBeta):
         coherent_entropy_identity_residual(rho, h_i, h_f, 0.0)
+
+
+@pytest.mark.parametrize("eps", [1e-11, 1e-13])
+def test_coherent_entropy_identity_near_pure_states(eps):
+    # rho_D has weight where rho has (almost) none; the identity stays finite
+    rho, _ = near_pure_state(eps)
+    h_i = HamiltonianOp(np.diag([0.0, 1.0, 2.0]))
+    h_f = HamiltonianOp(np.diag([0.0, 0.4, 1.1]))
+    for beta in (0.8, 1.7):
+        assert coherent_entropy_identity_residual(rho, h_i, h_f, beta) < 1e-9
 
 
 def test_delta_vanishes_for_thermal_input():

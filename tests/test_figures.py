@@ -131,14 +131,17 @@ def test_fig3_matches_the_per_point_oracle(tmp_path, capsys, case):
 
 
 def test_oracle_grids_reach_both_signs_of_sin_nu():
-    fig2 = [MuDynParams.cos_sin(1.0, ot, ots).nu_s
+    def sin_nu(params):
+        return np.sin(tls.nu(params.mu, params.omega_bar))
+
+    fig2 = [sin_nu(MuDynParams.cos_sin(1.0, ot, ots))
             for ot in np.linspace(0.5, 20.0, 40) for ots in np.linspace(0.5, 20.0, 40)]
     cfg = FIG3["signed_mu"]
-    fig3 = [MuDynParams(mu=mu, omega_bar=ob, omega_f=20.0, eps_f=0.0, tau=1.0).nu_s
+    fig3 = [sin_nu(MuDynParams(mu=mu, omega_bar=ob, omega_f=20.0, eps_f=0.0, tau=1.0))
             for mu in np.linspace(cfg["mu_min"], cfg["mu_max"], cfg["mu_points"])
             for ob in np.linspace(0.0, cfg["ob_max"], cfg["ob_points"])]
-    for nu_s in (fig2, fig3):
-        assert min(nu_s) < 0 < max(nu_s)
+    for signs in (fig2, fig3):
+        assert min(signs) < 0 < max(signs)
 
 
 @pytest.fixture

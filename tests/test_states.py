@@ -5,16 +5,16 @@ import itertools
 import numpy as np
 import pytest
 
-from ergodrive import (DensityMatrix, HamiltonianOp, dephase, states,
+from ergodrive import (DensityMatrix, HamiltonianOp, states,
                        energy_populations, majorizes, matrix_from_json,
                        matrix_to_json, passive_energy, passive_state,
-                       relative_entropy, solve_beta_for_energy,
+                       solve_beta_for_energy,
                        solve_beta_for_entropy, thermal_populations,
                        von_neumann_entropy, coherence_rel_entropy)
 from ergodrive.errors import (DimMismatch, EnergyOutOfRange, EntropyOutOfRange,
                               LengthMismatch, NotAState)
-from helpers import (random_density, random_hermitian, random_instance, random_probs,
-                     thermal_state)
+from helpers import (dephase, near_pure_state, random_density, random_hermitian,
+                     random_instance, random_probs, relative_entropy, thermal_state)
 
 
 def test_density_matrix_validation():
@@ -119,6 +119,23 @@ def test_coherence_zero_for_diagonal_log2_for_plus():
     assert coherence_rel_entropy(diag, h) < 1e-12
     plus = DensityMatrix(np.full((2, 2), 0.5))
     assert abs(coherence_rel_entropy(plus, h) - np.log(2)) < 1e-12
+
+
+def test_coherence_matches_the_relative_entropy_oracle():
+    rng = np.random.default_rng(17)
+    for d in (2, 3, 4, 5):
+        for _ in range(100):
+            rho, h_i, _ = random_instance(rng, d)
+            want = relative_entropy(rho, dephase(rho, h_i))
+            assert abs(coherence_rel_entropy(rho, h_i) - want) < 1e-14
+
+
+@pytest.mark.parametrize("eps", [1e-11, 1e-13])
+def test_coherence_of_near_pure_states(eps):
+    # the dephased state's support is wider than rho's; C(rho) ~ eps ln(1/eps)
+    rho, want = near_pure_state(eps)
+    got = coherence_rel_entropy(rho, HamiltonianOp(np.diag([0.0, 1.0, 2.0])))
+    assert abs(got - want) <= 1e-3 * want
 
 
 def test_dephase_keeps_populations_kills_coherences():

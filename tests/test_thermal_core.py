@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ergodrive import (DEFAULT_TOLS, DensityMatrix, HamiltonianOp, coherence_rel_entropy,
-                       delta_noncyclic, dephase, full_report, passive_state,
+                       delta_noncyclic, full_report, passive_state,
                        solve_beta_for_energy, solve_beta_for_entropy,
                        thermal_populations, upper_bound_delta)
 from ergodrive import linalg, states
@@ -192,13 +192,6 @@ def counting_builds():
             cls.__post_init__ = original
 
 
-def _states_built_internally(rho, h_i, h_f):
-    """The operations that still build a DensityMatrix from known populations."""
-    dephase(rho, h_i)
-    passive_state(rho, h_f)
-    coherence_rel_entropy(rho, h_i)
-
-
 def test_one_eigendecomposition_per_object_and_one_energy_solve_per_report():
     rng = np.random.default_rng(31)
     instances = [random_instance(rng, d) for d in (2, 3, 4, 5)]
@@ -211,10 +204,18 @@ def test_one_eigendecomposition_per_object_and_one_energy_solve_per_report():
     assert built[0] == 0
     assert eigs[0] == linalg_eigs[0] == 0
     assert solves[0] == len(instances)
+    # C(rho) comes from the spectra rho and h_i already hold
+    with counting_builds() as built, counting(states, "hermitian_eig") as eigs, \
+            counting(linalg, "hermitian_eig") as linalg_eigs:
+        for rho, h_i, _ in instances:
+            coherence_rel_entropy(rho, h_i)
+    assert built[0] == 0
+    assert eigs[0] == linalg_eigs[0] == 0
+    # the passive state is the one operation that builds a DensityMatrix
     with counting_builds() as built, counting(states, "hermitian_eig") as eigs:
-        for rho, h_i, h_f in instances:
-            _states_built_internally(rho, h_i, h_f)
-    assert built[0] == 3 * len(instances)   # two dephased states, one passive
+        for rho, _, h_f in instances:
+            passive_state(rho, h_f)
+    assert built[0] == len(instances)
     assert eigs[0] == built[0]
 
 
@@ -226,7 +227,8 @@ def test_one_hermiticity_check_per_object():
     with counting_builds() as built, counting(linalg, "hermiticity_defect") as checks:
         for rho, h_i, h_f in instances:
             full_report(rho, h_i, h_f)
-            _states_built_internally(rho, h_i, h_f)
+            coherence_rel_entropy(rho, h_i)
+            passive_state(rho, h_f)
             DensityMatrix(rho.mat)
             HamiltonianOp(h_f.mat)
     assert built[0] > 2 * len(instances)

@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
-                       TlsState, alpha_beta_phase,
-                       constmu_final_density, constmu_final_state,
-                       counterdiabatic_rate,
-                       delta_e_sta, delta_noncyclic, eigs_r, example1_delta,
-                       example1_phase_average, example1_thetas, example1_wmin,
+                       TlsState, constmu_final_density, constmu_final_state,
+                       delta_noncyclic, eigs_r, example1_phase_average, example1_thetas,
                        example2_theta_split, example2_wmin, final_basis,
-                       gain_g, overlap_w, theta1_min, theta2_min, trace_distance)
+                       gain_g, overlap_w, trace_distance)
 from ergodrive.errors import ParamInconsistent, ParamOutOfRange
-from ergodrive.tls import ab_overlaps, check_bloch, check_drive, wrap_pi
+from ergodrive.tls import (alpha_beta, cd_rate, check_bloch, check_drive, cost, delta_enc,
+                           nu, overlaps, sta_delta, theta1, theta2, wrap_pi)
 from helpers import converged_final_unitary
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def overlap_a(s):
+    """The overlap magnitude a of a TlsState, as a float."""
+    return float(overlaps(s.p, abs(s.c))[0])
 
 
 def random_tls(rng, p_lo=0.02, p_hi=0.98):
@@ -66,10 +69,12 @@ def test_eigs_r_diagonalizes_the_density():
 def test_ab_overlaps_normalized():
     rng = np.random.default_rng(31)
     for _ in range(50):
-        a, b = ab_overlaps(random_tls(rng))
+        s = random_tls(rng)
+        a, b = overlaps(s.p, abs(s.c))
         assert abs(a * a + b * b - 1.0) < 1e-12
         assert a >= 0 and b >= 0
-    assert ab_overlaps(TlsState(0.5, 0.0)) == (1.0, 0.0)
+    a, b = overlaps(0.5, 0.0)
+    assert a == 1.0 and b == 0.0
 
 
 def test_example1_delta_equals_gain_everywhere():
@@ -79,7 +84,7 @@ def test_example1_delta_equals_gain_everywhere():
         lfw = rng.uniform(0.2, 3.0)
         h_i = HamiltonianOp(0.5 * 0.7 * SZ)
         h_f = HamiltonianOp(0.5 * lfw * SZ)
-        assert abs(gain_g(s.density(), h_i, h_f) - example1_delta(s, lfw)) < 1e-12
+        assert abs(gain_g(s.density(), h_i, h_f) - delta_enc(s.p, abs(s.c), lfw)) < 1e-12
 
 
 def test_example1_delta_vs_thermal_reference():
@@ -96,19 +101,17 @@ def test_example1_delta_vs_thermal_reference():
         want = lfw * (disc - abs(s.p - 0.5))
         assert abs(delta - want) < 1e-12
         if s.p < 0.5:
-            assert abs(delta - example1_delta(s, lfw)) < 1e-12
+            assert abs(delta - delta_enc(s.p, abs(s.c), lfw)) < 1e-12
 
 
 def test_theta1_and_wmin_anchors():
     # full inversion costs pi/(sqrt2 tau); the balanced pure state half that
-    assert abs(theta1_min(TlsState(1.0, 0.0)) - np.pi / 2) < 1e-15
+    assert abs(theta1(1.0, 0.0) - np.pi / 2) < 1e-15
     for tau in (1.0, 3.7, 10.0):
-        assert abs(example1_wmin(TlsState(1.0, 0.0), tau)
-                   - np.pi / (np.sqrt(2.0) * tau)) < 1e-10
-        assert abs(example1_wmin(TlsState(0.5, 0.5), tau)
-                   - np.sqrt(2.0) * np.pi / (4.0 * tau)) < 1e-10
+        assert abs(cost(theta1(1.0, 0.0), tau) - np.pi / (np.sqrt(2.0) * tau)) < 1e-10
+        assert abs(cost(theta1(0.5, 0.5), tau) - np.sqrt(2.0) * np.pi / (4.0 * tau)) < 1e-10
     # passive states cost nothing
-    assert example1_wmin(TlsState(0.2, 0.0), 1.0) < 1e-15
+    assert cost(theta1(0.2, 0.0), 1.0) < 1e-15
 
 
 def test_example1_thetas_matches_matrix_eigenphases():
@@ -120,28 +123,29 @@ def test_example1_thetas_matches_matrix_eigenphases():
         m = np.diag([np.exp(1j * ph1), np.exp(1j * ph0)]) @ vecs.conj().T
         th = np.angle(np.linalg.eigvals(m))
         th = np.where(th >= np.pi, th - 2 * np.pi, th)
-        tp, tm = example1_thetas(s, ph1, ph0)
+        tp, tm = example1_thetas(overlap_a(s), ph1, ph0)
         assert np.abs(np.sort(th) - np.sort([tp, tm])).max() < 1e-12
 
 
 def test_example1_thetas_zero_phases_and_vectorization():
     s = TlsState(0.62, 0.3 * np.exp(1j * 1.1))
-    tp, tm = example1_thetas(s, 0.0, 0.0)
-    t1 = theta1_min(s)
+    a = overlap_a(s)
+    tp, tm = example1_thetas(a, 0.0, 0.0)
+    t1 = theta1(s.p, abs(s.c))
     assert abs(tp - t1) < 1e-14 and abs(tm + t1) < 1e-14
     phi1 = np.linspace(-3.0, 3.0, 17)
     phi0 = np.linspace(-2.0, 2.0, 17)
-    tps, tms = example1_thetas(s, phi1, phi0)
+    tps, tms = example1_thetas(a, phi1, phi0)
     for k in (0, 7, 16):
-        a, b = example1_thetas(s, float(phi1[k]), float(phi0[k]))
-        assert abs(tps[k] - a) < 1e-15 and abs(tms[k] - b) < 1e-15
+        tp, tm = example1_thetas(a, float(phi1[k]), float(phi0[k]))
+        assert abs(tps[k] - tp) < 1e-15 and abs(tms[k] - tm) < 1e-15
 
 
 def test_phase_average_near_zero_coherence_closed_form():
     # r-basis aligned with the energy basis: the mean cost over uniform phases
     # is the mean radius of a square, pi (sqrt2 + ln(1 + sqrt2)) / 3 per tau
     s = TlsState(0.3, 1e-12)
-    mean, stderr = example1_phase_average(s, 1.0, 200_000,
+    mean, stderr = example1_phase_average(overlap_a(s), 1.0, 200_000,
                                           np.random.default_rng(5))
     want = np.pi * (np.sqrt(2.0) + np.log(1.0 + np.sqrt(2.0))) / 3.0
     assert abs(mean - want) < 5 * stderr
@@ -150,18 +154,9 @@ def test_phase_average_near_zero_coherence_closed_form():
 
 def test_phase_average_deterministic_under_seed():
     s = TlsState(0.6, 0.3)
-    a = example1_phase_average(s, 2.0, 1000, np.random.default_rng(9))
-    b = example1_phase_average(s, 2.0, 1000, np.random.default_rng(9))
+    a = example1_phase_average(overlap_a(s), 2.0, 1000, np.random.default_rng(9))
+    b = example1_phase_average(overlap_a(s), 2.0, 1000, np.random.default_rng(9))
     assert a == b
-
-
-def test_phase_average_of_the_overlap_is_that_of_the_state():
-    rng = np.random.default_rng(11)
-    for s in [TlsState(0.5, 0.0), TlsState(0.0, 0.0), TlsState(0.6, 0.3)] + [
-            random_tls(rng) for _ in range(20)]:
-        a, _ = ab_overlaps(s)
-        assert (example1_phase_average(a, 0.7, 64, np.random.default_rng(3))
-                == example1_phase_average(s, 0.7, 64, np.random.default_rng(3)))
 
 
 def test_mudyn_params_validation():
@@ -182,7 +177,7 @@ def test_constant_rate_factory():
     assert abs(np.hypot(p.omega_f, p.eps_f) - om) < 1e-12
     phi_f = np.arctan2(p.eps_f, p.omega_f)
     assert abs(wrap_pi(phi_f - (-0.8 * 2.0))) < 1e-12
-    assert abs(p.nu - 2.0 * np.sqrt(1 + 0.64)) < 1e-12
+    assert abs(nu(p.mu, p.omega_bar) - 2.0 * np.sqrt(1 + 0.64)) < 1e-12
 
 
 def test_cos_sin_factory():
@@ -255,14 +250,15 @@ def test_delta_e_sta_identity_and_limits():
                              omega_f=rng.normal(scale=2), eps_f=rng.normal(scale=2),
                              tau=1.0)
         p_f = constmu_final_state(p_i, params).p
-        assert abs(delta_e_sta(p_i, params) - params.Omega_f * (p_f - p_i)) < 1e-12
+        delta = sta_delta(params.Omega_f, p_i, params.mu, params.omega_bar)
+        assert abs(delta - params.Omega_f * (p_f - p_i)) < 1e-12
     adiabatic = MuDynParams(mu=0.0, omega_bar=1.0, omega_f=1.0, eps_f=0.0, tau=1.0)
-    assert delta_e_sta(0.3, adiabatic) == 0.0
+    assert sta_delta(adiabatic.Omega_f, 0.3, adiabatic.mu, adiabatic.omega_bar) == 0.0
 
 
 def test_counterdiabatic_rate_formula():
     p = MuDynParams(mu=-1.5, omega_bar=2.0, omega_f=1.0, eps_f=0.0, tau=4.0)
-    assert abs(counterdiabatic_rate(p) - 1.5 * 2.0 / 4.0) < 1e-15
+    assert abs(cd_rate(p.mu, p.omega_bar, p.tau) - 1.5 * 2.0 / 4.0) < 1e-15
 
 
 def test_alpha_beta_unit_norm_and_signs():
@@ -270,12 +266,11 @@ def test_alpha_beta_unit_norm_and_signs():
     for _ in range(100):
         params = MuDynParams(mu=rng.normal(scale=2), omega_bar=rng.uniform(0, 4),
                              omega_f=1.0, eps_f=0.0, tau=1.0)
-        alpha_exp, beta = alpha_beta_phase(params)
+        alpha_exp, beta = alpha_beta(params.mu, params.omega_bar)
         assert abs(abs(alpha_exp) ** 2 + beta**2 - 1.0) < 1e-12
         assert np.sign(beta) in (0.0, np.sign(params.mu))
     # adiabatic limit carries the full weight in alpha
-    a, b = alpha_beta_phase(MuDynParams(mu=0.0, omega_bar=2.0, omega_f=1.0,
-                                        eps_f=0.0, tau=1.0))
+    a, b = alpha_beta(0.0, 2.0)
     assert b == 0.0 and abs(abs(a) - 1.0) < 1e-12
 
 
@@ -285,9 +280,10 @@ def test_theta2_closed_form():
         mu = rng.normal(scale=2)
         params = MuDynParams(mu=mu, omega_bar=rng.uniform(0, 4),
                              omega_f=1.0, eps_f=0.0, tau=1.0)
-        want = np.arctan(abs(mu) * np.sqrt(max(1 - params.nu_c, 0.0))
-                         / np.sqrt(2 + mu**2 * (1 + params.nu_c)))
-        assert abs(theta2_min(params) - want) < 1e-12
+        nc = np.cos(nu(params.mu, params.omega_bar))
+        want = np.arctan(abs(mu) * np.sqrt(max(1 - nc, 0.0))
+                         / np.sqrt(2 + mu**2 * (1 + nc)))
+        assert abs(theta2(params.mu, params.omega_bar) - want) < 1e-12
 
 
 def test_example2_wmin_zero_coherence_reduces_to_theta2():
@@ -296,7 +292,7 @@ def test_example2_wmin_zero_coherence_reduces_to_theta2():
         params = MuDynParams(mu=rng.normal(scale=2), omega_bar=rng.uniform(0.1, 4),
                              omega_f=1.0, eps_f=0.0, tau=rng.uniform(0.5, 3))
         s = TlsState(rng.uniform(0.02, 0.48), 0.0)
-        want = np.sqrt(2.0) * theta2_min(params) / params.tau
+        want = np.sqrt(2.0) * theta2(params.mu, params.omega_bar) / params.tau
         assert abs(example2_wmin(s, params) - want) < 1e-12
 
 

@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from . import ergotropy, states, tls
-from .drives import Schedule, optimize_phases, synthesize_drive, verify_drive
+from .drives import (Schedule, optimize_phases, propagate_u0, synthesize_drive,
+                     verify_drive)
 from .errors import ConvergenceError, ParamOutOfRange, ValidationError, VerificationFailed
 from .linalg import hermitian_eigvals
 from .states import DensityMatrix, HamiltonianOp, matrix_from_json
@@ -137,14 +138,17 @@ def run_drive_synth(cfg: dict, n_steps=None) -> dict:
     tau = float(cfg.get("tau", 1.0))
     n_steps = cfg.get("n_steps", 4096) if n_steps is None else n_steps
     sched = Schedule.linear(tau, n_steps=int(n_steps))
+    trace = propagate_u0(h_i, h_f, sched, tols)
     phases_cfg = cfg.get("phases", "zeros")
     if phases_cfg == "analytic2":
-        phases = optimize_phases(rho, h_i, h_f, sched, mode="analytic2", tols=tols).phases
+        phases = optimize_phases(rho, h_i, h_f, sched, mode="analytic2",
+                                 u_f=trace.u_samples[-1], tols=tols).phases
     elif phases_cfg == "zeros":
         phases = np.zeros(rho.dim)
     else:
         phases = np.asarray(phases_cfg, dtype=float)
-    synth = synthesize_drive(rho, h_i, h_f, sched, phases, tols)
+    synth = synthesize_drive(rho, h_i, h_f, sched, phases, tols, trace)
+    del trace   # verify_drive propagates on its own grid: free U0 before it
     energy_res, dist = verify_drive(synth, rho, h_i, h_f, sched, tols)
     return synth.to_json({"final_energy_residual": energy_res,
                           "state_distance": dist})

@@ -12,7 +12,12 @@ small matmuls. A target unitary R maps the
 state's descending eigenvectors onto the ascending final energy basis,
 chi = principal log of U0(t_f)^dag R generates the correction
 V(t) = -fdot(t) U0 chi U0^dag, and the cost functionals w, w_min follow
-from chi's eigenphases. Everything here is in hbar = 1 units.
+from chi's eigenphases. The phase optimizers scan w_min over the free target
+phases phi: the eigenphases of M(phi) = U0(t_f)^dag R(phi) at d = 2, 3 come
+from tr M and det M alone (eigenphases_from_trace_det, one broadcast root
+solve over the batch), and only rows with nearly repeated eigenphases, or
+d >= 4, form M for a general eigensolver. synthesize_drive takes a U0 trace
+a caller already propagated. Everything here is in hbar = 1 units.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .linalg import (dagger, herm_expi_batch, matmul_t, polar_project,
                      principal_log_unitary, rmatmul_t, trace_distance)
 from .states import DensityMatrix, HamiltonianOp, matrix_to_json, passive_energy, passive_state
 from .tls import MuDynParams, wrap_pi
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DEFAULT_TOLS, EIGENPHASE_SEPARATION, Tolerances
 
 _SZ = np.diag([1.0, -1.0]).astype(complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -322,17 +327,23 @@ class DriveSynthesis:
 
 def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp,
                      sched: Schedule, phases_phi=None,
-                     tols: Tolerances = DEFAULT_TOLS) -> DriveSynthesis:
+                     tols: Tolerances = DEFAULT_TOLS,
+                     trace: Optional[PropagatorTrace] = None) -> DriveSynthesis:
     """Build V(t) = -fdot(t) U0 chi U0^dag reaching the passive target.
 
     chi is the principal log of U0(t_f)^dag R. The cost w integrates
     ||V||_F = |fdot| (sum theta^2)^{1/2}; for a monotone ramp the integral
     of |fdot| telescopes to f(t_f) - f(t_i) and w equals w_min exactly,
-    otherwise it is done by trapezoid on the grid.
+    otherwise it is done by trapezoid on the grid. ``trace`` is U0 on
+    sched's grid, as propagate_u0(h_i, h_f, sched, tols) returns it, for a
+    caller that already has it; by default it is propagated here.
     """
     if phases_phi is None:
         phases_phi = np.zeros(rho_i.dim)
-    trace = propagate_u0(h_i, h_f, sched, tols)
+    if trace is None:
+        trace = propagate_u0(h_i, h_f, sched, tols)
+    elif not np.array_equal(trace.times, sched.times()):
+        raise ParamInconsistent("the trace is not sampled on the schedule's grid")
     r = target_unitary(rho_i, h_f, phases_phi)
     chi, modes = principal_log_unitary(dagger(trace.u_samples[-1]) @ r, tols)
     thetas = modes.phases
@@ -423,25 +434,75 @@ class PhaseOptResult(NamedTuple):
     stderr: Optional[float] = None
 
 
+_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi / 3 * np.arange(3))
+
+
+def eigenphases_from_trace_det(tr, det_angle, d: int):
+    """Eigenphases of d x d unitaries (d = 2, 3) from tr M and arg det M.
+
+    With s = e^{i a/d}, a = det_angle on [-pi, pi), the eigenvalues of M are
+    s z_k, where z_k are the roots of z^2 - u z + 1 (d = 2) or of
+    z^3 - u z^2 + conj(u) z - 1 (d = 3), u = tr M / s: a unitary's
+    characteristic polynomial depends only on its trace and determinant.
+    The quadratic is solved as z = e^{+-i arccos(Re u / 2)}; the cubic by
+    Cardano and two Newton steps. Returns (phases[..., d], ok[...]): the
+    phases are on [-pi, pi), in no particular order, and valid only where ok.
+    ok is False where two roots lie closer than EIGENPHASE_SEPARATION, where
+    Newton loses its quadratic convergence (and at a triple root, where
+    Cardano's cube root vanishes); such rows need a general eigensolver.
+    """
+    a = wrap_pi(det_angle) / d
+    u = np.asarray(tr, dtype=complex) * np.exp(-1j * a)
+    if d == 2:
+        gam = np.arccos(np.clip(0.5 * u.real, -1.0, 1.0))
+        psi = np.stack([gam, -gam], axis=-1)
+        ok = 2.0 * np.sin(gam) >= EIGENPHASE_SEPARATION   # |e^{i gam} - e^{-i gam}|
+        return wrap_pi(a[..., None] + psi), ok
+    if d != 3:
+        raise DimTooLarge(f"trace-determinant eigenphases cover d = 2, 3, not {d}")
+    uc = np.conj(u)
+    p = uc - u * u / 3.0                        # z = y + u/3: y^3 + p y + q = 0
+    q = (u * uc).real / 3.0 - 1.0 - 2.0 / 27.0 * u**3
+    half_q = -0.5 * q
+    disc = np.sqrt(half_q * half_q + p**3 / 27.0)
+    w = np.where((np.conj(half_q) * disc).real >= 0.0, half_q + disc, half_q - disc)
+    root = np.abs(w) ** (1.0 / 3.0) * np.exp(1j / 3.0 * np.angle(w))
+    triple = root == 0.0
+    root = np.where(triple, 1.0, root)[..., None] * _CUBE_ROOTS_OF_UNITY
+    z = root - p[..., None] / (3.0 * root) + u[..., None] / 3.0
+    sep = np.minimum(np.minimum(abs(z[..., 0] - z[..., 1]), abs(z[..., 0] - z[..., 2])),
+                     abs(z[..., 1] - z[..., 2]))
+    ok = (sep >= EIGENPHASE_SEPARATION) & ~triple
+    u, uc = u[..., None], uc[..., None]
+    for _ in range(2):
+        slope = (3.0 * z - 2.0 * u) * z + uc   # |slope| >= separation^2 where ok
+        z = z - (((z - u) * z + uc) * z - 1.0) / np.where(ok[..., None], slope, 1.0)
+    return wrap_pi(a[..., None] + np.angle(z)), ok
+
+
 def _phase_costs(m0_det_angle: float, c: np.ndarray, a_mat: np.ndarray,
                  v_r: np.ndarray, phases: np.ndarray, tau: float) -> np.ndarray:
-    """(sum theta^2)^{1/2}/tau for a batch of phase vectors."""
+    """(sum theta^2)^{1/2}/tau for a batch of phase vectors.
+
+    theta are the eigenphases of M = A diag(e^{i phi}) V^dag, whose trace is
+    sum_n e^{i phi_n} c_n and whose determinant has phase
+    m0_det_angle + sum_n phi_n. For d = 2, 3 they come from
+    eigenphases_from_trace_det; the rows it does not serve, and every row
+    at other d, form M and call eigvals.
+    """
     d = c.shape[0]
-    if d == 2:
-        sig = 0.5 * wrap_pi(m0_det_angle + phases.sum(axis=1))
-        tr = (np.exp(1j * phases) * c[None, :]).sum(axis=1)
-        gam = np.arccos(np.clip(0.5 * (tr * np.exp(-1j * sig)).real, -1.0, 1.0))
-        tp, tm = wrap_pi(sig + gam), wrap_pi(sig - gam)
-        return np.sqrt(tp**2 + tm**2) / tau
-    out = np.empty(phases.shape[0])
+    if d in (2, 3):
+        th, ok = eigenphases_from_trace_det((np.exp(1j * phases) * c[None, :]).sum(axis=1),
+                                            m0_det_angle + phases.sum(axis=1), d)
+        rows = np.flatnonzero(~ok)
+    else:
+        th, rows = np.empty(phases.shape), np.arange(phases.shape[0])
     v_r_dag = dagger(v_r)
-    for lo in range(0, phases.shape[0], 8192):
-        ph = phases[lo:lo + 8192]
-        m = (a_mat[None, :, :] * np.exp(1j * ph)[:, None, :]) @ v_r_dag[None, :, :]
-        th = np.angle(np.linalg.eigvals(m))
-        th = np.where(th >= np.pi, th - 2 * np.pi, th)
-        out[lo:lo + 8192] = np.sqrt((th**2).sum(axis=1)) / tau
-    return out
+    for lo in range(0, rows.size, 8192):
+        r = rows[lo:lo + 8192]
+        m = (a_mat[None, :, :] * np.exp(1j * phases[r])[:, None, :]) @ v_r_dag[None, :, :]
+        th[r] = np.angle(np.linalg.eigvals(m))
+    return np.sqrt((th**2).sum(axis=1)) / tau
 
 
 def optimize_phases(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp,

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BranchAmbiguity, DimMismatch, NotHermitian, NotUnitary, TooFarFromUnitary
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DEFAULT_TOLS, DEGENERATE_ULPS, Tolerances
 
 
 class HermEig(NamedTuple):
@@ -114,7 +114,10 @@ def _canonical_block_basis(vecs: np.ndarray) -> np.ndarray:
 
 
 def _canonicalize(values: np.ndarray, vectors: np.ndarray, scale: float) -> np.ndarray:
-    atol = 1e-10 * max(scale, 1.0)
+    """Canonical basis on every block of values split only by roundoff, and
+    canonical column phases. A block wider than roundoff keeps the solver's
+    vectors: re-basing it would pair values with vectors of other values."""
+    atol = DEGENERATE_ULPS * np.finfo(float).eps * max(scale, 1.0)
     for i, j in _degenerate_blocks(values, atol):
         if j - i > 1:
             vectors[:, i:j] = _canonical_block_basis(vectors[:, i:j])

@@ -141,9 +141,10 @@ def _clamped_spectrum(values: np.ndarray):
 
     Negation is exact, so -sort(-v) holds the same elements, signed zeros
     included, as v indexed by its stable descending argsort, at half the cost
-    of np.take_along_axis on the small spectra of a report.
+    of np.take_along_axis on the small spectra of a report. np.maximum is the
+    ufunc that np.clip(values, 0.0, None) calls, without its Python wrapper.
     """
-    values = np.clip(values, 0.0, None)
+    values = np.maximum(values, 0.0)
     return values, -np.sort(-values, axis=-1, kind="stable")
 
 

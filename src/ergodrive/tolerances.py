@@ -7,10 +7,11 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    """One record for every hard-coded numerical threshold.
+    """One record for every overridable numerical threshold.
 
     All checks in the package route through an instance of this class so a
-    single override changes behaviour consistently.
+    single override changes behaviour consistently. The constants below it
+    are part of the algorithms and are not overridable.
     """
 
     hermiticity: float = 1e-12      # max-entry defect |m - m^dag|
@@ -29,3 +30,15 @@ class Tolerances:
 
 
 DEFAULT_TOLS = Tolerances()
+
+# Fixed numerical constants of the algorithms themselves, not overridable:
+# eigenvalues of a Hermitian matrix (or eigenphases of a unitary) this many
+# units of roundoff of its scale apart share one canonical eigenbasis. Pairing
+# a vector with the wrong value of such a block costs at most the block width,
+# so it must stay at roundoff; exactly degenerate matrices come out of LAPACK
+# split by up to about 13 units.
+DEGENERATE_ULPS = 32
+# The trace-and-determinant eigenphase kernel hands a row to eigvals when two
+# of its eigenvalues are closer than this on the unit circle, where its Newton
+# polish loses accuracy.
+EIGENPHASE_SEPARATION = 1e-3

@@ -142,6 +142,25 @@ def sequential_products(steps):
     return samples, drift
 
 
+def eigenphases(m):
+    """Principal eigenphases on [-pi, pi), ascending, of a stack of unitaries
+    m[..., d, d], from a general eigensolver: the oracle of
+    drives.eigenphases_from_trace_det."""
+    th = np.angle(np.linalg.eigvals(m))
+    return np.sort(np.where(th >= np.pi, th - 2 * np.pi, th), axis=-1)
+
+
+def phase_costs_oracle(a_mat, v_r, phases, tau):
+    """drives._phase_costs from eigvals of every M = A diag(e^{i phi}) V^dag."""
+    m = (a_mat * np.exp(1j * phases)[:, None, :]) @ v_r.conj().T
+    return np.sqrt((eigenphases(m) ** 2).sum(axis=-1)) / tau
+
+
+def phase_cost_inputs(m0):
+    """(det_angle, c, a_mat, v_r) of drives._phase_costs for M(phi) = m0 diag(e^{i phi})."""
+    return float(np.angle(np.linalg.det(m0))), np.diagonal(m0).copy(), m0, np.eye(len(m0))
+
+
 def converged_final_unitary(h_i, h_f, sched, rtol=1e-8, n_limit=100_000):
     """U0(t_f) with the grid doubled until it moves by <= rtol (Frobenius)."""
     n = sched.n_steps

@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from ergodrive import (DensityMatrix, HamiltonianOp, cli, majorizes, matrix_to_json,
-                       solve_beta_for_energy)
+from ergodrive import (DEFAULT_TOLS, DensityMatrix, HamiltonianOp, Schedule, cli, drives,
+                       majorizes, matrix_to_json, optimize_phases, solve_beta_for_energy,
+                       synthesize_drive)
 from helpers import random_hermitian
 
 RHO2 = {"rho_i": matrix_to_json(np.diag([0.3, 0.7]).astype(complex)),
@@ -68,6 +69,32 @@ def test_drive_synth_command(tmp_path, capsys):
     assert run(["drive-synth", "--config", cfg, "--steps", "2048"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["phases_phi"] == [0.0, 1.0]
+
+
+def test_drive_synth_propagates_u0_once_per_grid(monkeypatch):
+    rng = np.random.default_rng(72)
+    cfg = {"rho_i": matrix_to_json(np.diag([0.2, 0.8]).astype(complex)),
+           "h_i": matrix_to_json(random_hermitian(rng, 2)),
+           "h_f": matrix_to_json(random_hermitian(rng, 2)),
+           "tau": 1.0, "phases": "analytic2"}
+    grids = []
+    propagate = drives.propagate_u0
+
+    def counting(h_i, h_f, sched, tols=DEFAULT_TOLS):
+        grids.append(sched.n_steps)
+        return propagate(h_i, h_f, sched, tols)
+
+    monkeypatch.setattr(cli, "propagate_u0", counting)
+    monkeypatch.setattr(drives, "propagate_u0", counting)
+    out = cli.run_drive_synth(cfg, 2048)
+    assert grids == [2048, 4096]   # synthesis, then verification's own grid
+    monkeypatch.undo()
+    # the same numbers as optimizer and synthesizer each propagating U0 themselves
+    rho, h_i, h_f, _ = cli._load_instance(cfg)
+    sched = Schedule.linear(1.0, n_steps=2048)
+    phases = optimize_phases(rho, h_i, h_f, sched, mode="analytic2").phases
+    assert out["w_min"] == synthesize_drive(rho, h_i, h_f, sched, phases).w_min
+    assert out["phases_phi"] == phases.tolist()
 
 
 def test_drive_synth_crude_grid_fails_verification(tmp_path, capsys):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergodrive import (DEFAULT_TOLS, DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
                        TlsState, counterdiabatic_cost, drives,
@@ -17,7 +19,8 @@ from ergodrive.errors import (DimMismatch, DimTooLarge, GaugeFailure,
                               ParamOutOfRange, TooFarFromUnitary, VerificationFailed)
 from ergodrive.linalg import unitarity_defect
 from ergodrive.tls import cost, theta1
-from helpers import (converged_final_unitary, herm_expi, random_density, random_instance,
+from helpers import (converged_final_unitary, eigenphases, herm_expi, phase_cost_inputs,
+                     phase_costs_oracle, random_density, random_instance, random_unitary,
                      sequential_products)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -334,6 +337,134 @@ def test_monte_carlo_mode_is_seeded_and_reports_spread():
     best = optimize_phases(rho, h_i, h_f, sched, mode="analytic2", u_f=u_f)
     assert a.value > best.value
     assert a.stderr > 0
+
+
+def circle_mismatch(got, want):
+    """Largest distance on the unit circle from a phase in got[n, d] to the
+    nearest phase of the same row of want."""
+    diff = np.exp(1j * got)[:, :, None] - np.exp(1j * want)[:, None, :]
+    return float(np.abs(diff).min(axis=2).max())
+
+
+def with_eigenphases(rng, thetas):
+    """Stack of unitaries Q diag(e^{i theta}) Q^dag, Q Haar, one per row of thetas."""
+    thetas = np.asarray(thetas, dtype=float)
+    q = np.array([random_unitary(rng, thetas.shape[1]) for _ in thetas])
+    return (q * np.exp(1j * thetas)[:, None, :]) @ q.conj().transpose(0, 2, 1)
+
+
+def trace_det_eigenphases(m):
+    return drives.eigenphases_from_trace_det(np.trace(m, axis1=-2, axis2=-1),
+                                             np.angle(np.linalg.det(m)), m.shape[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
+def test_trace_det_eigenphases_match_eigvals_on_haar_unitaries(seed, d):
+    rng = np.random.default_rng(seed)
+    m = np.array([random_unitary(rng, d) for _ in range(32)])
+    got, ok = trace_det_eigenphases(m)
+    want = eigenphases(m)
+    assert ok.all()
+    assert np.all((got >= -np.pi) & (got < np.pi))
+    assert circle_mismatch(got, want) < 1e-13
+    assert np.abs((got**2).sum(axis=1) - (want**2).sum(axis=1)).max() < 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("thetas", [[0.7, 0.7], [0.0, 0.0], [2.0, 2.0 + 1e-4],
+                                    [0.7, 0.7, -1.2], [0.7, 0.7, 0.7], [0.0, 0.0, 0.0],
+                                    [-3.0, -3.0, 3.0], [0.1, 0.1 + 1e-5, 1.5]])
+def test_repeated_eigenphases_take_the_eigvals_rows(thetas):
+    rng = np.random.default_rng(90)
+    d = len(thetas)
+    m = np.concatenate([with_eigenphases(rng, [thetas]), np.eye(d)[None]])
+    assert not trace_det_eigenphases(m)[1].any()
+    for m0 in m:
+        phases = np.zeros((1, d))
+        got = drives._phase_costs(*phase_cost_inputs(m0), phases, 2.0)
+        assert abs(got[0] - phase_costs_oracle(m0, np.eye(d), phases, 2.0)[0]) < 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("thetas", [[-np.pi + 1e-12, 0.4, 1.9], [np.pi - 1e-12, -0.4, 1.1],
+                                    [-np.pi + 1e-12, 0.5], [np.pi - 1e-12, -2.0]])
+def test_trace_det_eigenphases_at_the_branch_cut(thetas):
+    m = with_eigenphases(np.random.default_rng(91), [thetas] * 8)
+    got, ok = trace_det_eigenphases(m)
+    want = eigenphases(m)
+    assert ok.all()
+    assert np.all((got >= -np.pi) & (got < np.pi))
+    assert circle_mismatch(got, want) < 1e-13
+    assert np.abs((got**2).sum(axis=1) - (want**2).sum(axis=1)).max() < 1e-12
+
+
+def count_eigvals_rows(monkeypatch):
+    rows = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: rows.append(len(m)) or eigvals(m))
+    return rows
+
+
+@pytest.mark.parametrize("d, points", [(3, 16), (2, 128)])
+def test_grid_scan_picks_the_eigvals_argmin(monkeypatch, d, points):
+    rng = np.random.default_rng(92 + d)
+    sched = Schedule.linear(1.0, n_steps=256)
+    axis = np.linspace(-np.pi, np.pi, points, endpoint=False)
+    mesh = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    for _ in range(4):
+        rho, h_i, h_f = random_instance(rng, d)
+        u_f = propagate_u0(h_i, h_f, sched).u_samples[-1]
+        rows = count_eigvals_rows(monkeypatch)
+        res = optimize_phases(rho, h_i, h_f, sched, mode="grid", grid_points=points, u_f=u_f)
+        assert rows == []
+        monkeypatch.undo()
+        costs = phase_costs_oracle(u_f.conj().T @ h_f.basis,
+                                   drives._descending_eigvectors(rho)[1], mesh, sched.tau)
+        k = int(np.argmin(costs))
+        assert np.array_equal(res.phases, mesh[k])
+        assert abs(res.value - costs[k]) < 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+def test_only_rows_with_close_eigenphases_take_eigvals(monkeypatch):
+    rng = np.random.default_rng(94)
+    m0 = with_eigenphases(rng, [[0.3, 0.3, 0.3]])[0]   # M(phi) ~ diag(e^{i phi})
+    phases = np.concatenate([[[0.0, 0.0, 0.0], [0.5, 0.5, -1.0], [1.0, 1.0 + 1e-4, 2.5]],
+                             rng.uniform(-np.pi, np.pi, size=(61, 3))])
+    rows = count_eigvals_rows(monkeypatch)
+    got = drives._phase_costs(*phase_cost_inputs(m0), phases, 1.0)
+    assert rows == [3]
+    monkeypatch.undo()
+    want = phase_costs_oracle(m0, np.eye(3), phases, 1.0)
+    assert np.abs(got - want).max() < 1e-13
+
+
+def test_monte_carlo_beyond_three_levels_uses_eigvals():
+    rng = np.random.default_rng(95)
+    rho, h_i, h_f = random_instance(rng, 4)
+    sched = Schedule.linear(1.0, n_steps=256)
+    u_f = propagate_u0(h_i, h_f, sched).u_samples[-1]
+    res = optimize_phases(rho, h_i, h_f, sched, mode="monte_carlo", n_draws=300,
+                          rng=np.random.default_rng(1), u_f=u_f)
+    draws = np.random.default_rng(1).uniform(-np.pi, np.pi, size=(300, 4))
+    want = phase_costs_oracle(u_f.conj().T @ h_f.basis,
+                              drives._descending_eigvectors(rho)[1], draws, sched.tau)
+    assert np.isfinite(res.value) and np.isfinite(res.stderr)
+    assert abs(res.value - want.mean()) < 1e-13
+
+
+def test_synthesis_takes_the_trace_it_is_handed():
+    rng = np.random.default_rng(96)
+    rho, h_i, h_f = random_instance(rng, 3)
+    sched = Schedule.linear(1.0, n_steps=256)
+    trace = propagate_u0(h_i, h_f, sched)
+    a = synthesize_drive(rho, h_i, h_f, sched, [0.1, 0.2, 0.3])
+    b = synthesize_drive(rho, h_i, h_f, sched, [0.1, 0.2, 0.3], trace=trace)
+    assert np.array_equal(a.chi, b.chi) and np.array_equal(a.v_samples, b.v_samples)
+    assert a.w == b.w and a.w_min == b.w_min
+    with pytest.raises(ParamInconsistent):
+        synthesize_drive(rho, h_i, h_f, dataclasses.replace(sched, n_steps=128), trace=trace)
 
 
 def test_verify_drive_catches_wrong_state():

@@ -8,6 +8,7 @@ import pytest
 from ergodrive import linalg
 from ergodrive.errors import (BranchAmbiguity, NotHermitian, NotUnitary,
                               TooFarFromUnitary, ValidationError)
+from ergodrive.tolerances import DEGENERATE_ULPS
 from helpers import herm_expi, pauli_expi, random_hermitian, random_unitary
 
 
@@ -158,6 +159,32 @@ def test_hermitian_eig_deterministic_and_degenerate():
     vals, vecs = linalg.hermitian_eig(np.eye(3, dtype=complex))
     assert np.allclose(vals, 1.0)
     assert np.abs(vecs - np.eye(3)).max() < 1e-12
+
+
+def test_near_degenerate_blocks_keep_every_eigen_residual_at_roundoff():
+    # values 1e-11 apart were once one block, re-based so that 0 got the
+    # vector of 1e-11: a residual of 1e-11
+    ulp = np.finfo(float).eps
+    m = np.diag([1 - 1e-11, 1e-11, 0.0]).astype(complex)
+    vals, vecs = linalg.hermitian_eig(m)
+    assert np.linalg.norm(m @ vecs - vecs * vals, axis=0).max() <= ulp
+    rng = np.random.default_rng(8)
+    for width in (0.0, 1e-16, 1e-15, 1e-13, 1e-11, 1e-9):
+        for d, scale in ((2, 1.0), (3, 30.0), (5, 1.0)):
+            vals = np.sort(rng.uniform(-1.0, 1.0, d)) * scale
+            vals[1] = vals[0] + width * scale
+            u = random_unitary(rng, d)
+            m = (u * vals) @ u.conj().T
+            got, vecs = linalg.hermitian_eig(m)
+            bound = 2 * DEGENERATE_ULPS * ulp * max(np.abs(m).max(), 1.0)
+            assert np.linalg.norm(m @ vecs - vecs * got, axis=0).max() <= bound
+            w = (u * np.exp(2j * vals / scale)) @ u.conj().T
+            _, modes = linalg.principal_log_unitary(w)
+            resid = w @ modes.vectors - modes.vectors * np.exp(1j * modes.phases)
+            assert np.linalg.norm(resid, axis=0).max() <= 2 * DEGENERATE_ULPS * ulp
+    # a block of bit-equal values keeps the canonical basis
+    vals, vecs = linalg.hermitian_eig(np.diag([0.3, 0.4, 0.3]).astype(complex))
+    assert vals[0] == vals[1] and np.array_equal(vecs, np.eye(3)[:, [0, 2, 1]])
 
 
 def fix_column_phases_loop(v):

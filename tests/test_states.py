@@ -36,7 +36,7 @@ def test_populations_desc_sorted():
 
 def test_clamped_spectrum_matches_argsort_indexing_bit_for_bit():
     rng = np.random.default_rng(4)
-    levels = [0.0, -0.0, 1e-17, -1e-17, -3e-16, 0.25, 0.5, 1.0]
+    levels = [0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17, -3e-16, 0.25, 0.5, 1.0]
     spectra = np.sort(rng.choice(levels, size=(400, 4)), axis=-1)
     clamped, desc = states._clamped_spectrum(spectra)
     for row, c, got in zip(spectra, clamped, desc):

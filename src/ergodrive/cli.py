@@ -3,8 +3,9 @@
 Output is deterministic: a fixed config and seed give byte-identical files.
 CSV cells are printed with 17 significant digits and LF line endings. The
 figure sweeps evaluate the two-level closed forms on the whole parameter grid
-at once; fig1's Monte Carlo columns draw from a generator seeded per grid
-point as [seed, i, j]. ``--steps`` belongs to drive-synth; ``--seed`` and
+at once; fig1's Monte Carlo columns are one call over the grid, evaluated in
+blocks of cells, each drawing from a generator seeded per grid point as
+[seed, i, j]. ``--steps`` belongs to drive-synth; ``--seed`` and
 ``--threads`` to the four figure commands, where ``--threads`` has no effect.
 Exit codes: 0 success, 2 validation error, 3 convergence failure (error JSON
 goes to stderr).
@@ -35,10 +36,12 @@ def _fmt(v) -> str:
     return "%.17g" % float(v)
 
 
-def write_csv(header, rows, path=None):
-    """Header and rows as CSV; every cell is formatted as _fmt formats it."""
+def write_csv(header, columns, path=None):
+    """Header and columns, broadcast to one length, as CSV; every cell is
+    formatted as _fmt formats it."""
+    table = np.column_stack(np.broadcast_arrays(*columns))
     row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
-    text = "".join([",".join(header) + "\n"] + [row_fmt % tuple(row) for row in rows])
+    text = ",".join(header) + "\n" + (row_fmt * len(table)) % tuple(table.ravel().tolist())
     if path is None:
         sys.stdout.write(text)
     else:
@@ -114,10 +117,6 @@ def _fixed_state(cfg: dict) -> tls.TlsState:
     return tls.TlsState(float(cfg.get("p_i", 0.4)), complex(cfg.get("c_abs", np.sqrt(0.24))))
 
 
-def _rows(*columns) -> list:
-    return list(zip(*(c.tolist() for c in np.broadcast_arrays(*columns))))
-
-
 def _load_instance(cfg: dict):
     tols = _tols(cfg)
     rho = DensityMatrix(matrix_from_json(_require(cfg, "rho_i")), tols)
@@ -181,17 +180,15 @@ def run_fig1(cfg: dict, seed: int = 0):
                                  states.populations_desc_stack(rho), h.energies)
     delta = tls.delta_enc(p, c, lam_f_omega)
     w_min = tls.cost(tls.theta1(p, c), tau)
-    mean = np.full(p.shape, np.nan)
-    err = np.full(p.shape, np.nan)
+    mean = err = np.full(p.shape, np.nan)
     if draws > 0:
-        n_c = len(fracs)
-        for k, a_k in enumerate(tls.overlaps(p, c)[0].tolist()):
-            rng = np.random.default_rng([seed, k // n_c, k % n_c])
-            mean[k], err[k] = tls.example1_phase_average(a_k, tau, draws, rng)
+        rngs = [np.random.default_rng([seed, i, j])
+                for i in range(len(ps)) for j in range(len(fracs))]
+        mean, err = tls.example1_phase_average(tls.overlaps(p, c)[0], tau, draws, rngs)
     top = slice(len(fracs) - 1, None, len(fracs))   # maximal-coherence slice
     crossover = fig1_crossover(ps, delta[top], w_min[top])
     header = ["p_i", "c_abs", "delta_enc", "g", "w_min", "w_mc_mean", "w_mc_stderr"]
-    return header, _rows(p, c, delta, g, w_min, mean, err), crossover
+    return header, (p, c, delta, g, w_min, mean, err), crossover
 
 
 def run_fig2(cfg: dict):
@@ -209,12 +206,11 @@ def run_fig2(cfg: dict):
     g = ergotropy.transport_gain(states.energy_populations(rho, h_i),
                                  rho.populations_desc(), e_f)
     w_min_lower = tls.cost_floor(tls.theta1(s.p, abs(s.c)), tls.theta2(mu, omega_bar), tau)
-    rows = _rows(ot, ots, tls.cd_rate(mu, omega_bar, tau), w_min_lower,
-                 tls.delta_enc(s.p, abs(s.c), gap), g,
-                 tls.sta_delta(gap, s.p, mu, omega_bar))
     header = ["omega0_tau", "omega0_taustar", "w_sta", "w_min_lower",
               "delta_enc", "g", "delta_e_sta"]
-    return header, rows
+    return header, (ot, ots, tls.cd_rate(mu, omega_bar, tau), w_min_lower,
+                    tls.delta_enc(s.p, abs(s.c), gap), g,
+                    tls.sta_delta(gap, s.p, mu, omega_bar))
 
 
 def run_fig3(cfg: dict):
@@ -225,12 +221,11 @@ def run_fig3(cfg: dict):
     mu, omega_bar = _cells(_grid(cfg, "mu", 0.0, 4.0, 41), _grid(cfg, "ob", 0.0, 4.0, 41))
     tls.check_drive(tau, omega_bar)
     w_min_lower = tls.cost_floor(tls.theta1(s.p, abs(s.c)), tls.theta2(mu, omega_bar), tau)
-    rows = _rows(mu, omega_bar, tls.cd_rate(mu, omega_bar, tau), w_min_lower,
-                 tls.worst_cost(tau), tls.delta_enc(s.p, abs(s.c), gap),
-                 tls.sta_delta(gap, s.p, mu, omega_bar))
     header = ["mu", "omega_bar", "w_sta", "w_min_lower", "w_min_upper",
               "delta_enc", "delta_e_sta"]
-    return header, rows
+    return header, (mu, omega_bar, tls.cd_rate(mu, omega_bar, tau), w_min_lower,
+                    tls.worst_cost(tau), tls.delta_enc(s.p, abs(s.c), gap),
+                    tls.sta_delta(gap, s.p, mu, omega_bar))
 
 
 def run_counterexample(cfg: dict):
@@ -244,7 +239,7 @@ def run_counterexample(cfg: dict):
         rows.append((beta, e2i, float(e2f), *ce.q, *ce.p_th, ce.delta_e_nc))
     header = ["beta", "e2i", "e2f", "q1", "q2", "q3",
               "pth1", "pth2", "pth3", "delta_e_nc"]
-    return header, rows
+    return header, np.reshape(rows, (-1, len(header))).T
 
 
 # ----------------------------------------------------------------- plumbing
@@ -292,18 +287,18 @@ def main(argv=None) -> int:
         elif args.command == "drive-synth":
             write_json(run_drive_synth(cfg, args.steps), args.out)
         elif args.command == "fig1":
-            header, rows, crossover = run_fig1(cfg, args.seed)
-            write_csv(header, rows, args.out)
+            header, columns, crossover = run_fig1(cfg, args.seed)
+            write_csv(header, columns, args.out)
             sys.stderr.write("crossover_p = %s\n" % _fmt(crossover))
         elif args.command == "fig2":
-            header, rows = run_fig2(cfg)
-            write_csv(header, rows, args.out)
+            header, columns = run_fig2(cfg)
+            write_csv(header, columns, args.out)
         elif args.command == "fig3":
-            header, rows = run_fig3(cfg)
-            write_csv(header, rows, args.out)
+            header, columns = run_fig3(cfg)
+            write_csv(header, columns, args.out)
         elif args.command == "counterexample":
-            header, rows = run_counterexample(cfg)
-            write_csv(header, rows, args.out)
+            header, columns = run_counterexample(cfg)
+            write_csv(header, columns, args.out)
     except ValidationError as exc:
         _emit_error(exc)
         return 2

@@ -12,6 +12,8 @@ sweeps pass whole grids, scalar callers pass floats. TlsState and MuDynParams
 are validated inputs of the closed forms with logic of their own (eigs_r,
 final_basis, constmu_final_state, overlap_w, example2_theta_split). Squares go
 through sq(), so every array element rounds as the same kernel does on floats.
+The Monte Carlo phase average runs over blocks of cells, each cell drawing
+from its own generator, so a batch gives the bytes of one call per cell.
 """
 
 from __future__ import annotations
@@ -25,9 +27,24 @@ from .errors import ParamInconsistent, ParamOutOfRange
 from .states import DensityMatrix
 
 
+_TWO_PI = 2 * np.pi
+
+
 def wrap_pi(x):
-    """Map angles to the principal branch [-pi, pi)."""
-    return (np.asarray(x) + np.pi) % (2 * np.pi) - np.pi
+    """Map angles to the principal branch [-pi, pi); bit for bit
+    ``(x + pi) % 2pi - pi``.
+
+    For y = x + pi in [-2pi, 4pi) the remainder is one exact shift: y - 2pi
+    where y >= 2pi (exact by Sterbenz's lemma), y + 2pi where y < 0 (as
+    numpy's divmod rounds it), y otherwise. Only elements outside that range,
+    or NaN, go through ``%``.
+    """
+    y = np.asarray(x) + np.pi
+    r = y + _TWO_PI * (y < 0) - _TWO_PI * (y >= _TWO_PI)
+    if y.size and not (y.min() >= -_TWO_PI and y.max() < 2 * _TWO_PI):
+        r = np.asarray(r)
+        np.remainder(y, _TWO_PI, out=r, where=~((y >= -_TWO_PI) & (y < 2 * _TWO_PI)))
+    return r - np.pi
 
 
 def sq(x):
@@ -251,13 +268,42 @@ def example1_thetas(a, phi1, phi0):
     return wrap_pi(sig + gam), wrap_pi(sig - gam)
 
 
-def example1_phase_average(a, tau: float, n_draws: int, rng: np.random.Generator):
+# Grid cells per Monte Carlo block: the block's phase draws, (B, 2, n_draws),
+# and the temporaries derived from them stay cache-sized at the figure sweeps'
+# draw counts; larger blocks, and stacking the whole grid, run slower.
+PHASE_BLOCK = 16
+
+
+def example1_phase_average(a, tau: float, n_draws: int, rng):
     """Monte Carlo mean and standard error of the cost over uniform phases,
-    for the state of overlap magnitude a, as in example1_thetas."""
-    phi = rng.uniform(-np.pi, np.pi, size=(2, n_draws))
-    tp, tm = example1_thetas(a, phi[0], phi[1])
-    w = np.sqrt(tp**2 + tm**2) / tau
-    return float(w.mean()), float(w.std(ddof=1) / np.sqrt(n_draws))
+    for the state of overlap magnitude a, as in example1_thetas.
+
+    Broadcasts over a. ``rng`` is one Generator for a scalar a, or a sequence
+    of one Generator per element of a (flat order); each element draws its
+    phases as ``rng.uniform(-pi, pi, size=(2, n_draws))``. Cells are evaluated
+    PHASE_BLOCK at a time, and every element's result is bit for bit that of
+    a call with it alone. A scalar a returns two floats, an array two arrays
+    of its shape.
+    """
+    if np.ndim(a) == 0:
+        mean, err = example1_phase_average(np.reshape(a, 1), tau, n_draws, [rng])
+        return float(mean[0]), float(err[0])
+    a = np.asarray(a, dtype=float)
+    if len(rng) != a.size:
+        raise ParamInconsistent(f"{len(rng)} generators for {a.size} cells")
+    flat = a.ravel()
+    mean, err = np.empty(flat.size), np.empty(flat.size)
+    phi = np.empty((min(PHASE_BLOCK, flat.size), 2, n_draws))
+    for lo in range(0, flat.size, PHASE_BLOCK):
+        cells = slice(lo, min(lo + PHASE_BLOCK, flat.size))
+        block = phi[:cells.stop - lo]
+        for k, gen in enumerate(rng[cells]):
+            block[k] = gen.uniform(-np.pi, np.pi, size=(2, n_draws))
+        tp, tm = example1_thetas(flat[cells, None], block[:, 0], block[:, 1])
+        w = np.sqrt(tp**2 + tm**2) / tau
+        mean[cells] = w.mean(-1)
+        err[cells] = w.std(-1, ddof=1) / np.sqrt(n_draws)
+    return mean.reshape(a.shape), err.reshape(a.shape)
 
 
 # ---------------------------------------------------- constant-mu closed form

@@ -161,6 +161,21 @@ def phase_cost_inputs(m0):
     return float(np.angle(np.linalg.det(m0))), np.diagonal(m0).copy(), m0, np.eye(len(m0))
 
 
+def wrap_pi_oracle(x):
+    """(x + pi) % 2pi - pi, elementwise through numpy's remainder: the form
+    that tls.wrap_pi reproduces bit for bit."""
+    return (np.asarray(x) + np.pi) % (2 * np.pi) - np.pi
+
+
+def phase_average_oracle(a, tau, n_draws, rng):
+    """tls.example1_phase_average for one float a, on 1-D phase arrays."""
+    phi = rng.uniform(-np.pi, np.pi, size=(2, n_draws))
+    sig = 0.5 * (phi[0] + phi[1])
+    gam = np.arccos(np.clip(a * np.cos(0.5 * (phi[0] - phi[1])), -1.0, 1.0))
+    w = np.sqrt(wrap_pi_oracle(sig + gam)**2 + wrap_pi_oracle(sig - gam)**2) / tau
+    return float(w.mean()), float(w.std(ddof=1) / np.sqrt(n_draws))
+
+
 def converged_final_unitary(h_i, h_f, sched, rtol=1e-8, n_limit=100_000):
     """U0(t_f) with the grid doubled until it moves by <= rtol (Frobenius)."""
     n = sched.n_steps

@@ -44,8 +44,8 @@ def test_acceptance_1_three_level_counterexample():
 
 def test_acceptance_2_crossover_population_and_swap_cost():
     t0 = time.perf_counter()
-    _, rows, crossover = cli.run_fig1({"mc_draws": 0})
-    assert len(rows) == 200 * 200
+    _, columns, crossover = cli.run_fig1({"mc_draws": 0})
+    assert [np.shape(col) for col in columns] == [(200 * 200,)] * 7
     assert abs(crossover - 0.025) <= 0.005
     for tau in (1.0, 3.7, 10.0):
         w = cost(theta1(1.0, 0.0), tau)

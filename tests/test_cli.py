@@ -29,12 +29,14 @@ def run(args):
 def test_fmt_and_writers(tmp_path, capsys):
     assert cli._fmt(0.1) == "0.10000000000000001"
     assert cli._fmt(1.0) == "1"
-    cli.write_csv(["a", "b"], [(1.0, 0.5)], None)
+    cli.write_csv(["a", "b"], [(1.0,), (0.5,)], None)
     out = capsys.readouterr().out
     assert out == "a,b\n1,0.5\n"
     path = tmp_path / "t.csv"
     cli.write_csv(["a"], [(2.0,)], str(path))
     assert path.read_bytes() == b"a\n2\n"
+    cli.write_csv(["x", "k"], (np.array([0.5, 2.0]), 7.0))   # scalars broadcast
+    assert capsys.readouterr().out == "x,k\n0.5,7\n2,7\n"
     assert cli.load_config(None) == {}
 
 
@@ -319,7 +321,7 @@ def test_write_csv_formats_cells_as_the_per_cell_formatter(capsys):
     row = (float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 3, -7, True,
            np.float64(0.1), np.float32(0.1), np.int64(12), np.float64(-0.0), 1e-310, 2.0**70)
     header = [f"c{k}" for k in range(len(row))]
-    cli.write_csv(header, [row, list(reversed(row))])
+    cli.write_csv(header, list(zip(row, reversed(row))))
     want = [",".join(header), ",".join(cli._fmt(v) for v in row),
             ",".join(cli._fmt(v) for v in reversed(row))]
     assert capsys.readouterr().out == "\n".join(want) + "\n"

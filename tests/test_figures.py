@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,7 +148,8 @@ def test_oracle_grids_reach_both_signs_of_sin_nu():
 @pytest.fixture
 def counts(monkeypatch):
     """Objects built and per-point closed forms called while a sweep runs."""
-    seen = {"DensityMatrix": 0, "HamiltonianOp": 0, "gain_g": 0, "example2_theta_split": 0}
+    seen = {"DensityMatrix": 0, "HamiltonianOp": 0, "gain_g": 0, "example2_theta_split": 0,
+            "example1_phase_average": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -158,14 +160,15 @@ def counts(monkeypatch):
     for cls in (states.DensityMatrix, states.HamiltonianOp):
         monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
     monkeypatch.setattr(ergotropy, "gain_g", counting("gain_g", ergotropy.gain_g))
-    monkeypatch.setattr(tls, "example2_theta_split",
-                        counting("example2_theta_split", tls.example2_theta_split))
+    for name in ("example1_phase_average", "example2_theta_split"):
+        monkeypatch.setattr(tls, name, counting(name, getattr(tls, name)))
     return seen
 
 
 @pytest.mark.parametrize("name, small, large, most", [
-    ("fig1", {"p_points": 2, "c_points": 2, "mc_draws": 0},
-     {"p_points": 60, "c_points": 50, "mc_draws": 2}, {"DensityMatrix": 0, "HamiltonianOp": 1}),
+    ("fig1", {"p_points": 2, "c_points": 2, "mc_draws": 2},
+     {"p_points": 60, "c_points": 50, "mc_draws": 2},
+     {"DensityMatrix": 0, "HamiltonianOp": 1, "example1_phase_average": 1}),
     ("fig2", {"ot_points": 2, "ots_points": 2}, {"ot_points": 60, "ots_points": 50},
      {"DensityMatrix": 1, "HamiltonianOp": 1}),
     ("fig3", {"mu_points": 2, "ob_points": 2}, {"mu_points": 60, "ob_points": 50},
@@ -179,4 +182,16 @@ def test_sweeps_build_a_fixed_number_of_objects(counts, name, small, large, most
             counts[key] = 0
         run(cfg)
         seen.append(dict(counts))
-    assert seen[0] == seen[1] == dict(most, gain_g=0, example2_theta_split=0)
+    assert seen[0] == seen[1] == dict(dict.fromkeys(counts, 0), **most)
+
+
+def test_fig1_monte_carlo_runs_in_blocks_of_cells_not_on_the_whole_grid():
+    # the phase draws of all 48 x 48 cells at once would take 37.7 MB
+    cfg = {"p_points": 48, "c_points": 48, "mc_draws": 1024}
+    tracemalloc.start()
+    try:
+        cli.run_fig1(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
                        TlsState, constmu_final_density, constmu_final_state,
@@ -10,8 +12,8 @@ from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
                        gain_g, overlap_w, trace_distance)
 from ergodrive.errors import ParamInconsistent, ParamOutOfRange
 from ergodrive.tls import (alpha_beta, cd_rate, check_bloch, check_drive, cost, delta_enc,
-                           nu, overlaps, sta_delta, theta1, theta2, wrap_pi)
-from helpers import converged_final_unitary
+                           nu, overlaps, sta_delta, theta1, theta2, wrap_pi, PHASE_BLOCK)
+from helpers import converged_final_unitary, phase_average_oracle, wrap_pi_oracle
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -35,6 +37,59 @@ def test_wrap_pi():
     assert abs(wrap_pi(1.5 * np.pi) + 0.5 * np.pi) < 1e-15
     out = wrap_pi(np.array([0.0, 2 * np.pi, -3 * np.pi]))
     assert np.allclose(out, [0.0, 0.0, -np.pi])
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _neighbours(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+WRAP_EDGES = [v for x in (0.0, np.pi, 3 * np.pi) for s in (1.0, -1.0) for v in _neighbours(s * x)]
+WRAP_EDGES += [-0.0, 2 * np.pi, -2 * np.pi, 4 * np.pi, -4 * np.pi, 1e300, -1e300, 5e-324,
+               np.inf, -np.inf, np.nan]
+
+
+def test_wrap_pi_is_the_remainder_form_bit_for_bit_at_edges():
+    with np.errstate(invalid="ignore"):   # inf % 2pi is NaN on both sides
+        assert same_bits(wrap_pi(np.array(WRAP_EDGES)), wrap_pi_oracle(np.array(WRAP_EDGES)))
+        for x in WRAP_EDGES:
+            got, want = wrap_pi(x), wrap_pi_oracle(x)
+            assert type(got) is type(want) and same_bits(got, want)
+    assert same_bits(wrap_pi(np.empty((0, 3))), np.empty((0, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(-4 * np.pi, 4 * np.pi), st.floats()), max_size=64))
+def test_wrap_pi_is_the_remainder_form_bit_for_bit(xs):
+    x = np.array(xs, dtype=float)
+    with np.errstate(invalid="ignore"):
+        assert same_bits(wrap_pi(x), wrap_pi_oracle(x))
+
+
+@pytest.mark.parametrize("n_draws", [2, 1024])
+@pytest.mark.parametrize("cells", [1, PHASE_BLOCK - 1, PHASE_BLOCK, PHASE_BLOCK + 1,
+                                   2 * PHASE_BLOCK + 1])
+def test_phase_average_over_cells_equals_one_call_per_cell(cells, n_draws):
+    a = np.random.default_rng(cells).uniform(0.0, 1.0, cells)
+    a[0] = 1.0                        # the aligned (diagonal) state
+    mean, err = example1_phase_average(
+        a, 1.7, n_draws, [np.random.default_rng([3, k]) for k in range(cells)])
+    for one_cell in (example1_phase_average, phase_average_oracle):
+        want = [one_cell(float(a_k), 1.7, n_draws, np.random.default_rng([3, k]))
+                for k, a_k in enumerate(a)]
+        assert same_bits(mean, [m for m, _ in want]) and same_bits(err, [e for _, e in want])
+
+
+def test_phase_average_keeps_the_shape_of_a_and_wants_one_generator_per_cell():
+    a = np.linspace(0.1, 0.9, 6).reshape(2, 3)
+    mean, err = example1_phase_average(a, 1.0, 8, [np.random.default_rng(k) for k in range(6)])
+    assert mean.shape == err.shape == (2, 3)
+    with pytest.raises(ParamInconsistent):
+        example1_phase_average(a, 1.0, 8, [np.random.default_rng(0)] * 5)
 
 
 def test_tls_state_validation_and_round_trip():

@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
+import numbers
 import sys
 
 import numpy as np
@@ -62,7 +64,10 @@ def load_config(path):
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ParamOutOfRange(f"config must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def _require(cfg: dict, key: str):
@@ -86,15 +91,40 @@ def _tols(cfg: dict):
     return DEFAULT_TOLS.with_(**{key: float(v) for key, v in over.items()})
 
 
+def _real(v, name: str) -> float:
+    """v as a float; anything but a finite real number (a bool included) is refused."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ParamOutOfRange(f"{name} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _number(cfg: dict, key: str, default: float) -> float:
+    return _real(cfg.get(key, default), key)
+
+
+def _count(cfg: dict, key: str, default: int) -> int:
+    v = _number(cfg, key, default)
+    if not v.is_integer():
+        raise ParamOutOfRange(f"{key} must be an integer, got {cfg[key]!r}")
+    return int(v)
+
+
+def _numbers(cfg: dict, key: str, default) -> list:
+    v = cfg.get(key, default)
+    if not isinstance(v, list):
+        raise ParamOutOfRange(f"{key} must be a list of numbers, got {v!r}")
+    return [_real(x, f"{key} entry") for x in v]
+
+
 def _points(cfg: dict, key: str, default: int) -> int:
-    n = int(cfg.get(key, default))
+    n = _count(cfg, key, default)
     if n < 1:
         raise ParamOutOfRange(f"{key} must be >= 1, got {n}")
     return n
 
 
 def _positive(cfg: dict, key: str, default: float) -> float:
-    v = float(cfg.get(key, default))
+    v = _number(cfg, key, default)
     if not v > 0:
         raise ParamOutOfRange(f"{key} must be > 0, got {v}")
     return v
@@ -102,7 +132,7 @@ def _positive(cfg: dict, key: str, default: float) -> float:
 
 def _grid(cfg: dict, axis: str, lo: float, hi: float, n: int) -> np.ndarray:
     """linspace over cfg's {axis}_min, {axis}_max, {axis}_points."""
-    return np.linspace(float(cfg.get(f"{axis}_min", lo)), float(cfg.get(f"{axis}_max", hi)),
+    return np.linspace(_number(cfg, f"{axis}_min", lo), _number(cfg, f"{axis}_max", hi),
                        _points(cfg, f"{axis}_points", n))
 
 
@@ -114,7 +144,7 @@ def _cells(a, b):
 
 def _fixed_state(cfg: dict) -> tls.TlsState:
     """The initial state of the fig2 and fig3 sweeps."""
-    return tls.TlsState(float(cfg.get("p_i", 0.4)), complex(cfg.get("c_abs", np.sqrt(0.24))))
+    return tls.TlsState(_number(cfg, "p_i", 0.4), complex(_number(cfg, "c_abs", np.sqrt(0.24))))
 
 
 def _load_instance(cfg: dict):
@@ -134,9 +164,9 @@ def run_ergotropy(cfg: dict) -> dict:
 
 def run_drive_synth(cfg: dict, n_steps=None) -> dict:
     rho, h_i, h_f, tols = _load_instance(cfg)
-    tau = float(cfg.get("tau", 1.0))
-    n_steps = cfg.get("n_steps", 4096) if n_steps is None else n_steps
-    sched = Schedule.linear(tau, n_steps=int(n_steps))
+    tau = _number(cfg, "tau", 1.0)
+    n_steps = _count(cfg, "n_steps", 4096) if n_steps is None else n_steps
+    sched = Schedule.linear(tau, n_steps=n_steps)
     trace = propagate_u0(h_i, h_f, sched, tols)
     phases_cfg = cfg.get("phases", "zeros")
     if phases_cfg == "analytic2":
@@ -145,7 +175,7 @@ def run_drive_synth(cfg: dict, n_steps=None) -> dict:
     elif phases_cfg == "zeros":
         phases = np.zeros(rho.dim)
     else:
-        phases = np.asarray(phases_cfg, dtype=float)
+        phases = np.array(_numbers(cfg, "phases", None))
     synth = synthesize_drive(rho, h_i, h_f, sched, phases, tols, trace)
     del trace   # verify_drive propagates on its own grid: free U0 before it
     energy_res, dist = verify_drive(synth, rho, h_i, h_f, sched, tols)
@@ -165,8 +195,8 @@ def fig1_crossover(ps, deltas, wmins) -> float:
 def run_fig1(cfg: dict, seed: int = 0):
     """Gain vs cost over the (p_i, |c_i|) disk for proportional Hamiltonians."""
     tau = _positive(cfg, "tau", 10.0)
-    lam_f_omega = float(cfg.get("lam_f_omega", 1.0))
-    draws = int(cfg.get("mc_draws", 4096))
+    lam_f_omega = _number(cfg, "lam_f_omega", 1.0)
+    draws = _count(cfg, "mc_draws", 4096)
     if draws < 0 or draws == 1:
         raise ParamOutOfRange(f"mc_draws must be 0 or >= 2, got {draws}")
     ps = _grid(cfg, "p", 0.0, 1.0, 200)
@@ -216,7 +246,7 @@ def run_fig2(cfg: dict):
 def run_fig3(cfg: dict):
     """Cost landscape over (mu, omega_bar) with a fixed final-gap conversion."""
     tau = _positive(cfg, "tau", 1.0)
-    gap = float(np.hypot(float(cfg.get("omega_f", 20.0 / tau)), 0.0))
+    gap = float(np.hypot(_number(cfg, "omega_f", 20.0 / tau), 0.0))
     s = _fixed_state(cfg)
     mu, omega_bar = _cells(_grid(cfg, "mu", 0.0, 4.0, 41), _grid(cfg, "ob", 0.0, 4.0, 41))
     tls.check_drive(tau, omega_bar)
@@ -230,13 +260,12 @@ def run_fig3(cfg: dict):
 
 def run_counterexample(cfg: dict):
     """Same-energy populations whose ergotropy drops below the thermal one."""
-    beta = float(cfg.get("beta", 1.0))
-    e2i = float(cfg.get("e2i", 0.9))
-    e2fs = cfg.get("e2f_list", [0.1, 0.3, 0.5, 0.7, 0.85, 0.95])
+    beta = _number(cfg, "beta", 1.0)
+    e2i = _number(cfg, "e2i", 0.9)
     rows = []
-    for e2f in e2fs:
-        ce = ergotropy.counterexample_populations(beta, e2i, float(e2f))
-        rows.append((beta, e2i, float(e2f), *ce.q, *ce.p_th, ce.delta_e_nc))
+    for e2f in _numbers(cfg, "e2f_list", [0.1, 0.3, 0.5, 0.7, 0.85, 0.95]):
+        ce = ergotropy.counterexample_populations(beta, e2i, e2f)
+        rows.append((beta, e2i, e2f, *ce.q, *ce.p_th, ce.delta_e_nc))
     header = ["beta", "e2i", "e2f", "q1", "q2", "q3",
               "pth1", "pth2", "pth3", "delta_e_nc"]
     return header, np.reshape(rows, (-1, len(header))).T

@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import (DimMismatch, DimTooLarge, GaugeFailure, LengthMismatch,
                      ParamInconsistent, ParamOutOfRange, VerificationFailed)
@@ -34,7 +33,8 @@ from .linalg import (dagger, herm_expi_batch, matmul_t, polar_project,
                      principal_log_unitary, rmatmul_t, trace_distance)
 from .states import DensityMatrix, HamiltonianOp, matrix_to_json, passive_energy, passive_state
 from .tls import MuDynParams, wrap_pi
-from .tolerances import DEFAULT_TOLS, EIGENPHASE_SEPARATION, Tolerances
+from .tolerances import (DEFAULT_TOLS, EIGENPHASE_SEPARATION, VERIFY_ENDPOINT_REL,
+                         VERIFY_ENERGY_REL, VERIFY_STATE_DISTANCE, VERIFY_WORK_REL, Tolerances)
 
 _SZ = np.diag([1.0, -1.0]).astype(complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -354,7 +354,7 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
     if np.all(fdot >= -1e-12):
         w = w_min * float(sched.ramp_f(sched.t_f) - sched.ramp_f(sched.t_i))
     else:
-        w = w_min * float(trapezoid(np.abs(fdot), trace.times))
+        w = w_min * float(np.trapezoid(np.abs(fdot), trace.times))
     final_state = DensityMatrix(r @ rho_i.mat @ dagger(r), tols)
     return DriveSynthesis(chi=chi, thetas=thetas,
                           phases_phi=np.asarray(phases_phi, dtype=float),
@@ -370,10 +370,12 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
 
     Returns (final_energy_residual, state_distance). Raises VerificationFailed
     (with all residuals attached) when the final state is not the passive
-    target to 1e-6 trace distance, the final energy is off the passive
-    minimum by more than 1e-8 x spectral width, the endpoint Hamiltonians
-    are not h_i/h_f, or the explicit work integral of rho(t) dH/dt does not
-    telescope to the total energy change.
+    target to VERIFY_STATE_DISTANCE trace distance, the final energy is off
+    the passive minimum by more than VERIFY_ENERGY_REL x spectral width, the
+    endpoint Hamiltonians are not h_i/h_f to VERIFY_ENDPOINT_REL x their
+    largest entry, or the explicit work integral of rho(t) dH/dt does not
+    telescope to the total energy change to VERIFY_WORK_REL x the energy
+    scale (constants of the tolerances module).
     """
     sched.validate_against(h_i, h_f)
     n = sched.n_steps
@@ -410,7 +412,7 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     hdot[..., -1] = (3 * h_tot[..., -1] - 4 * h_tot[..., -2] + h_tot[..., -3]) / (2 * dt)
     del h_tot
     rho_t = _conjugate(_time_last(u_samples), rho_i.mat)
-    work = float(trapezoid(np.einsum("ijt,jit->t", rho_t, hdot).real, ts))
+    work = float(np.trapezoid(np.einsum("ijt,jit->t", rho_t, hdot).real, ts))
     work_residual = abs(work - (h_f.energy(rho_f) - h_i.energy(rho_i)))
 
     h_scale = max(1.0, float(np.abs(h_i.mat).max()), float(np.abs(h_f.mat).max()))
@@ -422,8 +424,9 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
         "endpoint_residual": endpoint_residual,
         "work_integral_residual": work_residual,
     }
-    if (state_distance > 1e-6 or energy_residual > 1e-8 * width
-            or endpoint_residual > 1e-12 * h_scale or work_residual > 1e-6 * e_scale):
+    if (state_distance > VERIFY_STATE_DISTANCE or energy_residual > VERIFY_ENERGY_REL * width
+            or endpoint_residual > VERIFY_ENDPOINT_REL * h_scale
+            or work_residual > VERIFY_WORK_REL * e_scale):
         raise VerificationFailed("drive verification out of contract", residuals=residuals)
     return energy_residual, state_distance
 
@@ -592,7 +595,7 @@ def counterdiabatic_cost(sched: Schedule,
     dv[0] = (-3 * vecs[0] + 4 * vecs[1] - vecs[2]) / (2 * dt)
     dv[-1] = (3 * vecs[-1] - 4 * vecs[-2] + vecs[-3]) / (2 * dt)
     norm_trace = np.sqrt(2.0 * np.einsum("tij,tij->t", dv.conj(), dv).real)
-    w_sta = float(trapezoid(norm_trace, ts)) / sched.tau
+    w_sta = float(np.trapezoid(norm_trace, ts)) / sched.tau
 
     if sched.mu is not None and sched.omega_bar is not None:
         expected = abs(sched.mu) * sched.omega_bar / sched.tau

@@ -13,6 +13,9 @@ Taylor kernel whose degree comes from a 1-norm bound on the remainder
 (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)); at the
 step norms of a propagator, ||H dt||_1 ~ 1e-3, that is degree 3 to 5 with
 no squaring. polar_project re-unitarizes a whole stack in one batched SVD.
+principal_log_unitary takes a unitary's eigenvectors from eigh of a Cayley
+transform, shifted so that I + u is well conditioned, and its eigenphases
+from their Rayleigh quotients. Everything here is NumPy (LAPACK) only.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BranchAmbiguity, DimMismatch, NotHermitian, NotUnitary, TooFarFromUnitary
 from .tolerances import DEFAULT_TOLS, DEGENERATE_ULPS, Tolerances
@@ -160,6 +162,25 @@ def _symmetrized_eigh(m: np.ndarray):
     return np.linalg.eigh(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
 
 
+def _unitary_eigenvectors(u: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvectors of a unitary u, also for degenerate phases.
+
+    u times a phase, v, has the middle of the widest gap between u's
+    eigenphases at -1, so I + v is well conditioned (its smallest singular
+    value is at least 2 sin(pi / 2d)). The Cayley transform
+    i (I - v)(I + v)^-1 is then Hermitian, with eigenvalue tan(phi / 2) for
+    each eigenphase phi of v, and eigh gives its eigenvectors orthonormal.
+    """
+    d = u.shape[0]
+    theta = np.sort(np.angle(np.linalg.eigvals(u)))
+    gaps = np.diff(theta, append=theta[0] + 2 * np.pi)
+    k = int(gaps.argmax())
+    v = u * np.exp(1j * (np.pi - theta[k] - 0.5 * gaps[k]))
+    eye = np.eye(d)
+    a = 1j * np.linalg.solve(eye + v, eye - v)
+    return np.linalg.eigh(0.5 * (a + dagger(a)))[1]
+
+
 def principal_log_unitary(u, tols: Tolerances = DEFAULT_TOLS):
     """Hermitian chi with u = exp(i chi), eigenphases on the principal branch.
 
@@ -171,14 +192,13 @@ def principal_log_unitary(u, tols: Tolerances = DEFAULT_TOLS):
     if unitarity_defect(u) > tols.unitarity:
         raise NotUnitary(f"unitarity defect {unitarity_defect(u):.3e} "
                          f"exceeds {tols.unitarity:.3e}")
-    # a unitary is normal, so its complex Schur form is diagonal with an
-    # orthonormal (unitary) eigenvector matrix even for degenerate phases
-    t, z = scipy.linalg.schur(u, output="complex")
-    phases = np.angle(np.diagonal(t))
+    vectors = _unitary_eigenvectors(u)
+    # Rayleigh quotients v^dag u v: the eigenvalues, to rounding, of the basis
+    phases = np.angle((vectors.conj() * (u @ vectors)).sum(axis=0))
     phases = np.where(phases >= np.pi, phases - 2 * np.pi, phases)  # [-pi, pi)
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
-    vectors = np.asarray(z, dtype=complex)[:, order]
+    vectors = vectors[:, order]
     if np.any(np.abs(phases + np.pi) < tols.branch_cut):
         warnings.warn("eigenphase within branch-cut tolerance of -pi; "
                       "principal log is ill-conditioned here", BranchAmbiguity)

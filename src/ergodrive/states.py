@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import linalg
 from .errors import (DimMismatch, EnergyOutOfRange, EntropyOutOfRange, LengthMismatch,
@@ -230,6 +229,69 @@ def _entropy_of_beta(energies: np.ndarray, beta: float) -> float:
     return _shannon(thermal_populations(energies, beta))
 
 
+def _div(num: float, den: float) -> float:
+    """num / den as IEEE 754 divides it: inf or nan, not an exception, at den = 0."""
+    try:
+        return num / den
+    except ZeroDivisionError:
+        if num == 0 or num != num:
+            return math.nan
+        return math.copysign(math.inf, num) * math.copysign(1.0, den)
+
+
+def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f in the bracket [a, b] by Brent's method.
+
+    A line-for-line port of brentq in SciPy's Zeros/brentq.c: the same
+    iterates and the same evaluations of f, and the iterate x is accepted
+    once the bracket half-width is below (xtol + rtol |x|) / 2. Raises
+    NoConvergence when f(a) and f(b) have one sign, when f returns NaN or
+    after ``maxiter`` iterations.
+    """
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise NoConvergence("root solve: f returned NaN")
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NoConvergence("root solve: f(a) and f(b) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # interpolate
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:               # extrapolate
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry    # good short step
+            else:
+                spre = scur = sbis         # bisect
+        else:
+            spre = scur = sbis             # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise NoConvergence("root solve: f returned NaN")
+    raise NoConvergence(f"root solve: no convergence after {maxiter} iterations, "
+                        f"value is {xcur!r}")
+
+
 def _decreasing_root(f, f0: float, tail: float, noise: float, stop: float,
                      xtol: float) -> float:
     """Root x in (0, stop] of a decreasing f with f(0) = f0 > 0 and f -> -tail.
@@ -237,7 +299,7 @@ def _decreasing_root(f, f0: float, tail: float, noise: float, stop: float,
     x is dimensionless (beta times the spectral width, or its square). A
     point where |f| <= ``noise``, the rounding error of f, is a root. The
     bracket grows geometrically from x = 1 until f changes sign. Brent's
-    method (scipy's brentq, rtol 4 eps, absolute ``xtol``) then runs on
+    method (_brent, rtol 4 eps, absolute ``xtol``) then runs on
     log1p(f / tail), which has the sign of f and is nearly linear where f
     nears an exponential tail, so a target near a spectrum edge costs about
     as many evaluations as a central one. Raises NoConvergence when
@@ -268,10 +330,7 @@ def _decreasing_root(f, f0: float, tail: float, noise: float, stop: float,
         y = (known[x] if x in known else f_or_zero(x)) / tail
         return math.log1p(max(y, _LOG1P_FLOOR))
 
-    try:
-        return brentq(g, lo, hi, xtol=xtol, rtol=BETA_RTOL)
-    except RuntimeError as exc:
-        raise NoConvergence(f"beta solve: {exc}") from exc
+    return _brent(g, lo, hi, xtol, BETA_RTOL)
 
 
 def solve_beta_for_energy(h: HamiltonianOp, energy: float,

@@ -42,3 +42,12 @@ DEGENERATE_ULPS = 32
 # of its eigenvalues are closer than this on the unit circle, where its Newton
 # polish loses accuracy.
 EIGENPHASE_SEPARATION = 1e-3
+# Acceptance limits of drives.verify_drive: the final state's trace distance
+# from the passive target; the final-energy residual per unit of final
+# spectral width; the endpoint-Hamiltonian residual per unit of the largest
+# Hamiltonian entry (at least 1); the work-integral residual per unit of the
+# larger spectral width (at least 1).
+VERIFY_STATE_DISTANCE = 1e-6
+VERIFY_ENERGY_REL = 1e-8
+VERIFY_ENDPOINT_REL = 1e-12
+VERIFY_WORK_REL = 1e-6

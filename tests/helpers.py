@@ -3,13 +3,15 @@
 import dataclasses
 
 import numpy as np
+from scipy.linalg import schur
+from scipy.optimize import brentq
 
 from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, TlsState, cli,
                        energy_populations, example1_phase_average, example2_theta_split,
                        gain_g, hermitian_eig, propagate_u0, thermal_populations,
                        von_neumann_entropy)
 from ergodrive.errors import NoConvergence
-from ergodrive.linalg import polar_project, unitarity_defect
+from ergodrive.linalg import _canonicalize, dagger, polar_project, unitarity_defect
 from ergodrive.tls import cd_rate, cost, delta_enc, overlaps, sta_delta, theta1
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -95,6 +97,29 @@ def herm_expi(h, dt=1.0):
     """exp(-i h dt) for Hermitian h, via the spectral decomposition."""
     eig = hermitian_eig(h)
     return (eig.vectors * np.exp(-1j * eig.values * dt)) @ eig.vectors.conj().T
+
+
+def principal_log_oracle(u):
+    """(chi, phases) of linalg.principal_log_unitary from the complex Schur
+    form of u, which is diagonal for a unitary with a unitary Schur basis even
+    at degenerate phases; ordered and canonicalized as the package does."""
+    t, z = schur(u, output="complex")
+    phases = np.angle(np.diagonal(t))
+    phases = np.where(phases >= np.pi, phases - 2 * np.pi, phases)
+    order = np.argsort(phases, kind="stable")
+    phases = phases[order]
+    vectors = _canonicalize(phases, z[:, order], 1.0)
+    chi = (vectors * phases) @ dagger(vectors)
+    return 0.5 * (chi + dagger(chi)), phases
+
+
+def brentq_oracle(f, a, b, xtol, rtol, maxiter=100):
+    """SciPy's brentq on f over [a, b] as (root, converged, evaluations), with
+    no exception at the iteration limit: the oracle of states._brent. A
+    same-sign bracket raises ValueError."""
+    r = brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter, full_output=True,
+               disp=False)[1]
+    return r.root, r.converged, r.function_calls
 
 
 def pauli_expi(h, dt):

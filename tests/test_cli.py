@@ -1,11 +1,16 @@
 """Command-line interface: determinism, schemas, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ergodrive
 from ergodrive import (DEFAULT_TOLS, DensityMatrix, HamiltonianOp, Schedule, cli, drives,
                        majorizes, matrix_to_json, optimize_phases, solve_beta_for_energy,
                        synthesize_drive)
@@ -264,6 +269,34 @@ def test_degenerate_sweep_configs_are_refused(tmp_path, capsys, command, cfg, me
     assert err == {"error": "ParamOutOfRange", "message": err["message"]}
     assert message in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("fig3", [1, 2], "config must be a JSON object, got list"),
+    ("fig3", {"tau": "x"}, "tau must be a finite number, got 'x'"),
+    ("fig3", {"tau": None}, "tau must be a finite number, got None"),
+    ("fig3", {"mu_points": "abc"}, "mu_points must be a finite number, got 'abc'"),
+    ("counterexample", {"e2f_list": 3}, "e2f_list must be a list of numbers, got 3"),
+    ("counterexample", {"e2f_list": ["a"]}, "e2f_list entry must be a finite number, got 'a'"),
+    ("fig2", {"c_abs": "1+"}, "c_abs must be a finite number, got '1+'"),
+    ("drive-synth", dict(RHO2, tau="abc"), "tau must be a finite number, got 'abc'"),
+    ("fig1", {"p_points": 2, "c_points": 2, "mc_draws": 2.5}, "mc_draws must be an integer, got 2.5"),
+])
+def test_configs_of_the_wrong_json_type_are_refused(tmp_path, capsys, command, cfg, message):
+    path = write_cfg(tmp_path, "bad.json", cfg)
+    assert run([command, "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "ParamOutOfRange", "message": message}
+
+
+def test_package_imports_no_scipy():
+    code = ("import sys, ergodrive, ergodrive.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(ergodrive.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout == "[]\n"
 
 
 def test_majorization_slack_override_is_honored(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Dense linear-algebra kernels against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from ergodrive import linalg
 from ergodrive.errors import (BranchAmbiguity, NotHermitian, NotUnitary,
                               TooFarFromUnitary, ValidationError)
 from ergodrive.tolerances import DEGENERATE_ULPS
-from helpers import herm_expi, pauli_expi, random_hermitian, random_unitary
+from helpers import (herm_expi, pauli_expi, principal_log_oracle, random_hermitian,
+                     random_unitary)
 
 
 def expm_taylor(a, terms=40, squarings=12):
@@ -222,6 +224,50 @@ def test_principal_log_round_trip_and_branch():
         assert np.all(np.diff(modes.phases) >= 0)
         back = herm_expi(chi, -1.0)  # exp(i chi)
         assert np.abs(back - u).max() < 1e-11
+
+
+def log_cases(seed, d, per_kind=40):
+    """(kind, u) unitaries of dimension d: Haar, exactly degenerate and
+    near-degenerate phases, a phase near +-pi, and +-identity."""
+    rng = np.random.default_rng([seed, d])
+    for kind in ("haar", "degenerate", "near-degenerate", "near the cut"):
+        for _ in range(per_kind):
+            q = random_unitary(rng, d)
+            if kind == "haar":
+                yield kind, q
+                continue
+            phases = rng.uniform(-np.pi, np.pi, d)
+            if kind == "degenerate":
+                phases = rng.choice(phases[:2], d)
+            elif kind == "near-degenerate":
+                gap = rng.choice([1e-9, 1e-11, 1e-13, 1e-15, 3e-16])
+                phases = phases[0] + gap * rng.integers(0, 2, d)
+            else:
+                phases[0] = rng.choice([-1.0, 1.0]) * (np.pi - 10.0 ** rng.uniform(-14.0, -6.0))
+            yield kind, (q * np.exp(1j * phases)) @ q.conj().T
+    for sign in (1.0, -1.0):
+        yield "identity", sign * np.eye(d, dtype=complex)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_principal_log_matches_the_schur_oracle(d):
+    eps = np.finfo(float).eps
+    for kind, u in log_cases(11, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BranchAmbiguity)
+            chi, modes = linalg.principal_log_unitary(u)
+            chi_oracle, phases_oracle = principal_log_oracle(u)
+        vecs = modes.vectors
+        assert np.abs(vecs.conj().T @ vecs - np.eye(d)).max() <= 20 * eps, kind
+        assert np.abs(herm_expi(chi, -1.0) - u).max() <= 64 * eps, kind
+        assert np.all(np.diff(modes.phases) >= 0), kind
+        if np.abs(np.abs(phases_oracle) - np.pi).min() > 1e-5:
+            assert np.abs(modes.phases - phases_oracle).max() <= 8 * eps, kind
+            assert np.abs(chi - chi_oracle).max() <= 128 * eps, kind
+        else:   # the same phases up to 2 pi: a phase at the cut may wrap either way
+            wrapped = np.angle(np.exp(1j * (modes.phases[:, None] - phases_oracle)))
+            assert np.abs(wrapped).min(axis=1).max() <= 8 * eps, kind
+            assert np.abs(wrapped).min(axis=0).max() <= 8 * eps, kind
 
 
 def test_principal_log_warns_on_branch_cut():

@@ -1,5 +1,6 @@
 """Thermal beta solves and cached spectra: properties, sign rule, work counts."""
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -13,7 +14,7 @@ from ergodrive import (DEFAULT_TOLS, DensityMatrix, HamiltonianOp, coherence_rel
                        thermal_populations, upper_bound_delta)
 from ergodrive import linalg, states
 from ergodrive.errors import NoConvergence
-from helpers import random_instance
+from helpers import brentq_oracle, random_instance
 
 MAX_EVALS = 40   # Gibbs-weight evaluations per solve, bracket search included
 PROPERTY = settings(max_examples=150, deadline=None,
@@ -169,6 +170,97 @@ def test_saturated_entropy_returns_beta_max():
     res = solve_beta_for_entropy(h, 0.5 * floor)
     assert res.beta == beta_max
     assert abs(res.residual - 0.5 * floor) <= 1e-15 * floor
+
+
+# Brent's method against SciPy's brentq: monotone functions with a root at r,
+# each scaled by s > 0 (the log1p tail is the shape the beta solves hand it)
+MONOTONE = {
+    "power": lambda x, r, s: math.copysign(abs(x - r) ** s, x - r),
+    "expm1": lambda x, r, s: math.expm1(min(s * (x - r), 700.0)),
+    "atan": lambda x, r, s: math.atan(x - r) + 1e-3 * s * (x - r) ** 3,
+    "log1p tail": lambda x, r, s: math.log1p(max((x - r) / s, -1.0 + 2.2e-16)),
+    "plateaus": lambda x, r, s: max(min(s * (x - r), 1.0), -1.0),
+}
+
+
+def recording(f):
+    """f, and the list of points it is evaluated at."""
+    seen = []
+
+    def g(x):
+        seen.append(float(x).hex())
+        return f(x)
+
+    return g, seen
+
+
+@st.composite
+def brent_problems(draw):
+    """(f, a, b, xtol, maxiter): a monotone f, increasing or decreasing, whose
+    root lies in [a, b] or at an end, the ends in either order. A tiny
+    amplitude makes slopes and their products underflow to 0, where C's
+    division gives inf or nan."""
+    shape = MONOTONE[draw(st.sampled_from(sorted(MONOTONE)))]
+    r = draw(st.floats(-1e3, 1e3))
+    s = 10.0 ** draw(st.floats(-1.0, 1.0))
+    amp = draw(st.sampled_from([-1.0, 1.0, 1e-150, -1e-300]))
+    a = r - 10.0 ** draw(st.floats(-6.0, 2.0)) * draw(st.sampled_from([0.0, 1.0, 1.0, 1.0]))
+    b = r + 10.0 ** draw(st.floats(-6.0, 2.0))
+    if draw(st.booleans()):
+        a, b = b, a
+    xtol = 10.0 ** draw(st.floats(-20.0, -2.0))
+    maxiter = draw(st.sampled_from([100, 100, 100, 3, 8, 20]))
+    return (lambda x: amp * shape(x, r, s)), a, b, xtol, maxiter
+
+
+@PROPERTY
+@given(brent_problems())
+def test_brent_matches_scipy_brentq_bit_for_bit(problem):
+    f, a, b, xtol, maxiter = problem
+    g_oracle, seen_oracle = recording(f)
+    root, converged, calls = brentq_oracle(g_oracle, a, b, xtol, states.BETA_RTOL, maxiter)
+    g, seen = recording(f)
+    if converged:
+        assert states._brent(g, a, b, xtol, states.BETA_RTOL, maxiter).hex() == root.hex()
+    else:
+        with pytest.raises(NoConvergence, match=f"value is {root!r}"):
+            states._brent(g, a, b, xtol, states.BETA_RTOL, maxiter)
+    assert seen == seen_oracle and len(seen) == calls
+
+
+def test_brent_edge_brackets_match_scipy_brentq():
+    rtol = states.BETA_RTOL
+    f = lambda x: x - 0.25   # noqa: E731
+    for a, b in ((0.25, 1.0), (1.0, 0.25), (-1.0, 0.25), (0.25, -1.0)):   # f(a) or f(b) = 0
+        g, seen = recording(f)
+        root, converged, calls = brentq_oracle(f, a, b, 1e-12, rtol)
+        assert states._brent(g, a, b, 1e-12, rtol) == root == 0.25
+        assert converged and len(seen) == calls == 2
+    for a, b in ((0.5, 1.0), (-1.0, 0.0)):   # no sign change
+        with pytest.raises(ValueError):
+            brentq_oracle(f, a, b, 1e-12, rtol)
+        g, seen = recording(f)
+        with pytest.raises(NoConvergence, match="same sign"):
+            states._brent(g, a, b, 1e-12, rtol)
+        assert len(seen) == 2
+    slow = lambda x: math.copysign(abs(x - 0.3) ** 9, x - 0.3)   # noqa: E731
+    for maxiter in (0, 1, 2, 5, 10):   # the iteration limit
+        root, converged, calls = brentq_oracle(slow, 0.0, 1.0, 1e-15, rtol, maxiter)
+        assert not converged
+        g, seen = recording(slow)
+        with pytest.raises(NoConvergence, match=f"after {maxiter} iterations, value is {root!r}"):
+            states._brent(g, 0.0, 1.0, 1e-15, rtol, maxiter)
+        assert len(seen) == calls == maxiter + 2
+    # slopes of order 1e-292 whose product underflows: a zero denominator
+    tiny = lambda x: 1.5656864290340948e-292 * math.copysign(   # noqa: E731
+        abs(x - 0.2739233746429086) ** 1.2982108409263202, x - 0.2739233746429086)
+    g, seen = recording(tiny)
+    root, converged, calls = brentq_oracle(tiny, 0.26271396071462283, 3.026951939715893,
+                                           1e-12, rtol)
+    assert states._brent(g, 0.26271396071462283, 3.026951939715893, 1e-12, rtol) == root
+    assert converged and len(seen) == calls
+    with pytest.raises(NoConvergence, match="NaN"):
+        states._brent(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0, 1e-12, rtol)
 
 
 @contextmanager

@@ -3,13 +3,17 @@
 Schedules interpolate H0(t) between an initial and a final Hamiltonian (or
 rotate a two-level gap). The bare propagator U0 is one blocked ordered
 product of midpoint exponential steps, projected onto the unitaries every 64
-steps; the same kernel propagates H0 + V in verify_drive. Every stack of
-small matrices on a time grid is kept time-innermost, as a (d, d, n) array
-(handed out as (n, d, d) views): the step exponentials are one Taylor
-kernel over the stack, and every product or conjugation U X U^dag is d
-broadcast multiply-adds over length-n vectors (linalg.matmul_t), not n
-small matmuls. A target unitary R maps the
-state's descending eigenvectors onto the ascending final energy basis,
+steps; the same kernel propagates U0 on verify_drive's finer grid and then
+H0 + V. Every stack of small matrices on a time grid is kept time-innermost,
+as a (d, d, n) array (handed out as (n, d, d) views): the step exponentials
+are one Taylor kernel over the stack, and every product or conjugation
+U X U^dag is d broadcast multiply-adds over length-n vectors
+(linalg.matmul_t), not n small matmuls. Every scratch stack of a drive is a
+role of linalg's per-thread workspace: the midpoint H0 stack, verify_drive's
+samples on both grids and its V, H, dH/dt and rho(t). Only the arrays handed
+out, propagate_u0's samples and synthesize_drive's V, are fresh, so
+verify_drive's U0 does not go through propagate_u0. A target unitary R maps
+the state's descending eigenvectors onto the ascending final energy basis,
 chi = principal log of U0(t_f)^dag R generates the correction
 V(t) = -fdot(t) U0 chi U0^dag, and the cost functionals w, w_min follow
 from chi's eigenphases. The phase optimizers scan w_min over the free target
@@ -22,25 +26,33 @@ a caller already propagated. Everything here is in hbar = 1 units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import (DimMismatch, DimTooLarge, GaugeFailure, LengthMismatch,
                      ParamInconsistent, ParamOutOfRange, VerificationFailed)
-from .linalg import (dagger, herm_expi_batch, matmul_t, polar_project,
-                     principal_log_unitary, rmatmul_t, trace_distance)
+from .linalg import (EXPONENT, ROWS, dagger, herm_expi_batch, matmul_t, polar_project,
+                     principal_log_unitary, rmatmul_t, trace_distance, workspace)
 from .states import DensityMatrix, HamiltonianOp, matrix_to_json, passive_energy, passive_state
 from .tls import MuDynParams, wrap_pi
-from .tolerances import (DEFAULT_TOLS, EIGENPHASE_SEPARATION, VERIFY_ENDPOINT_REL,
-                         VERIFY_ENERGY_REL, VERIFY_STATE_DISTANCE, VERIFY_WORK_REL, Tolerances)
+from .tolerances import (DEFAULT_TOLS, EIGENPHASE_SEPARATION, GAUGE_OVERLAP_MIN,
+                         MONOTONE_RAMP_ATOL, ROTATING_ENDPOINT_REL, SCHEDULE_BOUNDARY_ATOL,
+                         STA_CLOSED_FORM_REL, VERIFY_ENDPOINT_REL, VERIFY_ENERGY_REL,
+                         VERIFY_STATE_DISTANCE, VERIFY_WIDTH_FLOOR, VERIFY_WORK_REL, Tolerances)
 
 _SZ = np.diag([1.0, -1.0]).astype(complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
-_BOUNDARY_ATOL = 1e-12
 _REUNITARIZE_EVERY = 64
+# linalg workspace roles of this module: the sample buffer of verify_drive's
+# propagations, two (d, d, n + 1) stacks, and the row through which H0's
+# second term is added
+_SAMPLES = "samples"
+_STACK = "stack"
+_STACK2 = "stack2"
+_H0_ROW = "h0_row"
 
 
 def smoothstep(s):
@@ -74,7 +86,7 @@ class Schedule:
     """Drive schedule on [t_i, t_f].
 
     kind "interp": H0(t) = lam_i(t) h_i + lam_f(t) h_f, boundary values
-    lam_i: 1 -> 0 and lam_f: 0 -> 1 (checked to 1e-12). kind "rotating":
+    lam_i: 1 -> 0 and lam_f: 0 -> 1 (checked to SCHEDULE_BOUNDARY_ATOL). kind "rotating":
     H0(t) = (omega(t) sz + eps(t) sx)/2, two-level only; mu and omega_bar are
     optional metadata used for closed-form cross-checks. ramp_f drives the
     correction V(t); it must run 0 -> 1 with flat endpoints.
@@ -106,7 +118,7 @@ class Schedule:
                 object.__setattr__(self, "lam_f", lambda t: (t - self.t_i) / tau)
             for fn, at, want in ((self.lam_i, self.t_i, 1.0), (self.lam_i, self.t_f, 0.0),
                                  (self.lam_f, self.t_i, 0.0), (self.lam_f, self.t_f, 1.0)):
-                if abs(float(fn(at)) - want) > _BOUNDARY_ATOL:
+                if abs(float(fn(at)) - want) > SCHEDULE_BOUNDARY_ATOL:
                     raise ParamInconsistent(f"lambda({at}) = {float(fn(at))}, expected {want}")
         elif self.kind == "rotating":
             if self.omega is None or self.eps is None:
@@ -120,7 +132,7 @@ class Schedule:
             raise ParamOutOfRange("a custom ramp_f needs its derivative ramp_fdot")
         for fn, at, want in ((self.ramp_f, self.t_i, 0.0), (self.ramp_f, self.t_f, 1.0),
                              (self.ramp_fdot, self.t_i, 0.0), (self.ramp_fdot, self.t_f, 0.0)):
-            if abs(float(fn(at)) - want) > _BOUNDARY_ATOL:
+            if abs(float(fn(at)) - want) > SCHEDULE_BOUNDARY_ATOL:
                 raise ParamInconsistent(f"ramp({at}) = {float(fn(at))}, expected {want}")
 
     @property
@@ -134,14 +146,26 @@ class Schedule:
     def h0_batch(self, h_i: HamiltonianOp, h_f: HamiltonianOp, ts: np.ndarray) -> np.ndarray:
         """H0 sampled on ts, shape (len(ts), d, d): a view of a time-innermost
         (d, d, len(ts)) array."""
+        return _time_first(self._h0_stack(h_i, h_f, ts))
+
+    def _h0_stack(self, h_i: HamiltonianOp, h_f: HamiltonianOp, ts: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+        """H0 on ts written into the time-innermost stack out[d, d, len(ts)]
+        (a fresh array by default). The second term is added one entry at a
+        time through a workspace row, so no second stack is formed."""
         if self.kind == "interp":
-            h = h_i.mat[..., None] * _sample(self.lam_i, ts)
-            h += h_f.mat[..., None] * _sample(self.lam_f, ts)
+            (m0, f0), (m1, f1) = (h_i.mat, self.lam_i), (h_f.mat, self.lam_f)
         else:
-            h = _SZ[..., None] * _sample(self.omega, ts)
-            h += _SX[..., None] * _sample(self.eps, ts)
-            h *= 0.5
-        return _time_first(h)
+            (m0, f0), (m1, f1) = (_SZ, self.omega), (_SX, self.eps)
+        if out is None:
+            out = np.empty(m0.shape + ts.shape, dtype=complex)
+        np.multiply(m0[..., None], _sample(f0, ts), out=out)
+        c1, row = _sample(f1, ts), workspace(_H0_ROW, ts.shape)
+        for i, j in np.ndindex(m1.shape):
+            out[i, j] += np.multiply(m1[i, j], c1, out=row)
+        if self.kind == "rotating":
+            out *= 0.5
+        return out
 
     def validate_against(self, h_i: HamiltonianOp, h_f: HamiltonianOp):
         if h_i.dim != h_f.dim:
@@ -151,8 +175,8 @@ class Schedule:
                 raise DimMismatch("rotating schedules are two-level only")
             scale = max(1.0, float(np.abs(h_i.mat).max()), float(np.abs(h_f.mat).max()))
             ends = self.h0_batch(h_i, h_f, np.array([self.t_i, self.t_f]))
-            if (np.abs(ends[0] - h_i.mat).max() > 1e-10 * scale
-                    or np.abs(ends[1] - h_f.mat).max() > 1e-10 * scale):
+            if (np.abs(ends[0] - h_i.mat).max() > ROTATING_ENDPOINT_REL * scale
+                    or np.abs(ends[1] - h_f.mat).max() > ROTATING_ENDPOINT_REL * scale):
                 raise ParamInconsistent("rotating schedule endpoints disagree with h_i/h_f")
 
     # ------------------------------------------------------------ factories
@@ -223,38 +247,41 @@ def _time_last(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(a, 0, -1)
 
 
-def _conjugate(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """u x u^dag = u (u x)^dag over a time-innermost stack u[d, d, n], for a
-    constant Hermitian x[d, d]."""
-    tmp = np.empty((1,) + u.shape[1:], dtype=complex)
-    ux = matmul_t(u, x[..., None], np.empty(u.shape, dtype=complex), tmp)
-    return matmul_t(u, np.swapaxes(np.conj(ux, out=ux), 0, 1),
-                    np.empty(u.shape, dtype=complex), tmp)
+def _conjugate(u: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out <- u x u^dag = u (u x)^dag over a time-innermost stack u[d, d, n], for
+    a constant Hermitian x[d, d]. u x is formed in the workspace role _STACK2."""
+    tmp = workspace(ROWS, (1,) + u.shape[1:])
+    ux = matmul_t(u, x[..., None], workspace(_STACK2, u.shape), tmp)
+    return matmul_t(u, np.swapaxes(np.conj(ux, out=ux), 0, 1), out, tmp)
 
 
-def _ordered_products(steps: np.ndarray,
+def _buffer_len(n: int) -> int:
+    """Time length of an n-step sample buffer: whole blocks plus the identity."""
+    return -(-n // _REUNITARIZE_EVERY) * _REUNITARIZE_EVERY + 1
+
+
+def _ordered_products(buf: np.ndarray, n: int,
                       tols: Tolerances = DEFAULT_TOLS) -> Tuple[np.ndarray, float]:
     """Running products steps[k-1] ... steps[0] for k = 0..n, and the drift.
 
-    The steps are copied into one identity-padded time-innermost buffer and
-    cut into blocks of _REUNITARIZE_EVERY. The products inside every block
-    are formed side by side and in place, one broadcast product per
-    position. The block totals are chained in order and the chained totals
-    projected onto the unitaries in one batched SVD; drift is the worst
-    defect ||s^2 - 1|| before that projection. Each block's running products
-    are then multiplied, in place, by the projected total of the blocks
-    before it (its head), and every 64th sample and the last one are the
-    projected totals themselves, unitary to rounding. Returns the samples as
-    an (n + 1, d, d) view of the buffer.
+    buf is a time-innermost (d, d, _buffer_len(n)) array whose entries
+    1..n hold the steps; the products are formed in it in place, after
+    padding it with the identity, cut into blocks of _REUNITARIZE_EVERY.
+    The products inside every block are formed side by side, one broadcast
+    product per position. The block totals are chained in order and the
+    chained totals projected onto the unitaries in one batched SVD; drift is
+    the worst defect ||s^2 - 1|| before that projection. Each block's
+    running products are then multiplied, in place, by the projected total
+    of the blocks before it (its head), and every 64th sample and the last
+    one are the projected totals themselves, unitary to rounding. Returns
+    the samples as an (n + 1, d, d) view of buf.
     """
-    n, d = steps.shape[0], steps.shape[-1]
+    d = buf.shape[0]
     m = _REUNITARIZE_EVERY
     nb = -(-n // m)
-    buf = np.empty((d, d, nb * m + 1), dtype=complex)
     eye = np.eye(d)[..., None]
     buf[..., :1] = buf[..., n + 1:] = eye
-    buf[..., 1:n + 1] = _time_last(steps)
-    blocks = buf[..., 1:].reshape(d, d, nb, m)
+    blocks = buf[..., 1:].reshape(d, d, nb, m, copy=False)
     prod, tmp = np.empty((2, d, d, nb), dtype=complex)
     for j in range(1, min(m, n)):
         blocks[..., j] = matmul_t(blocks[..., j], blocks[..., j - 1], prod, tmp)
@@ -268,14 +295,34 @@ def _ordered_products(steps: np.ndarray,
     return _time_first(buf[..., :n + 1]), drift
 
 
+def _midpoint_h0(sched: Schedule, h_i: HamiltonianOp, h_f: HamiltonianOp,
+                 n: int) -> np.ndarray:
+    """H0 at the midpoints of sched's n-step grid, a time-innermost stack in
+    the workspace role linalg.EXPONENT, where herm_expi_batch forms its
+    exponent in place."""
+    mids = sched.times(n)[:-1] + 0.5 * (sched.tau / n)
+    return sched._h0_stack(h_i, h_f, mids, workspace(EXPONENT, (h_i.dim, h_i.dim, n)))
+
+
+def _step_products(h: np.ndarray, dt: float, buf: np.ndarray,
+                   tols: Tolerances) -> Tuple[np.ndarray, float]:
+    """Running products of the steps exp(-i h_k dt) of a time-innermost stack
+    h[d, d, n] in the exponent role (which they overwrite), formed in buf
+    (see _ordered_products)."""
+    n = h.shape[-1]
+    herm_expi_batch(_time_first(h), dt, out=_time_first(buf[..., 1:n + 1]))
+    return _ordered_products(buf, n, tols)
+
+
 def propagate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule,
                  tols: Tolerances = DEFAULT_TOLS) -> PropagatorTrace:
     """Bare propagator by midpoint exponential stepping, sampled on the grid."""
     sched.validate_against(h_i, h_f)
-    ts = sched.times()
-    dt = sched.tau / sched.n_steps
-    steps = herm_expi_batch(sched.h0_batch(h_i, h_f, ts[:-1] + 0.5 * dt), dt)
-    return PropagatorTrace(ts, *_ordered_products(steps, tols))
+    n = sched.n_steps
+    buf = np.empty((h_i.dim, h_i.dim, _buffer_len(n)), dtype=complex)
+    return PropagatorTrace(sched.times(),
+                           *_step_products(_midpoint_h0(sched, h_i, h_f, n), sched.tau / n,
+                                           buf, tols))
 
 
 def _descending_eigvectors(rho: DensityMatrix) -> Tuple[np.ndarray, np.ndarray]:
@@ -349,9 +396,10 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
     thetas = modes.phases
     w_min = float(np.linalg.norm(thetas)) / sched.tau
     fdot = _sample(sched.ramp_fdot, trace.times)
-    v = _conjugate(_time_last(trace.u_samples), chi)
+    u = _time_last(trace.u_samples)
+    v = _conjugate(u, chi, np.empty(u.shape, dtype=complex))
     v *= -fdot
-    if np.all(fdot >= -1e-12):
+    if np.all(fdot >= -MONOTONE_RAMP_ATOL):
         w = w_min * float(sched.ramp_f(sched.t_f) - sched.ramp_f(sched.t_i))
     else:
         w = w_min * float(np.trapezoid(np.abs(fdot), trace.times))
@@ -378,21 +426,22 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     scale (constants of the tolerances module).
     """
     sched.validate_against(h_i, h_f)
-    n = sched.n_steps
+    d, n = h_i.dim, sched.n_steps
     ts = sched.times()
     dt = sched.tau / n
-    mids = ts[:-1] + 0.5 * dt
 
-    # each (d, d, n) buffer is dropped once consumed, which bounds peak memory
-    fine = propagate_u0(h_i, h_f, replace(sched, n_steps=2 * n), tols)
-    v_mid = _conjugate(_time_last(fine.u_samples[1::2]), synth.chi)
-    del fine
-    v_mid *= -_sample(sched.ramp_fdot, mids)
-    h_mid = _time_last(sched.h0_batch(h_i, h_f, mids))
+    # Every (d, d, n) stack is a workspace role, and each stage reuses the
+    # roles the stage before it is done with. The fine grid's samples, in
+    # _SAMPLES, give V at the midpoints (in _STACK); H0 + V is propagated on
+    # the coarse grid in _SAMPLES again; rho(t) then takes _STACK, H(t) the
+    # exponent role and dH/dt _STACK2.
+    fine, _ = _step_products(_midpoint_h0(sched, h_i, h_f, 2 * n), sched.tau / (2 * n),
+                             workspace(_SAMPLES, (d, d, _buffer_len(2 * n))), tols)
+    v_mid = _conjugate(_time_last(fine[1::2]), synth.chi, workspace(_STACK, (d, d, n)))
+    v_mid *= -_sample(sched.ramp_fdot, ts[:-1] + 0.5 * dt)
+    h_mid = _midpoint_h0(sched, h_i, h_f, n)
     h_mid += v_mid
-    del v_mid
-    u_samples, _ = _ordered_products(herm_expi_batch(_time_first(h_mid), dt), tols)
-    del h_mid
+    u_samples, _ = _step_products(h_mid, dt, workspace(_SAMPLES, (d, d, _buffer_len(n))), tols)
     u = u_samples[-1]
 
     rho_f = DensityMatrix(u @ rho_i.mat @ dagger(u), tols)
@@ -404,20 +453,20 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
         float(np.abs(ends[0] + synth.v_samples[0] - h_i.mat).max()),
         float(np.abs(ends[1] + synth.v_samples[-1] - h_f.mat).max()))
 
-    h_tot = _time_last(sched.h0_batch(h_i, h_f, ts))
+    rho_t = _conjugate(_time_last(u_samples), rho_i.mat, workspace(_STACK, (d, d, n + 1)))
+    h_tot = sched._h0_stack(h_i, h_f, ts, workspace(EXPONENT, (d, d, n + 1)))
     h_tot += _time_last(synth.v_samples)
-    hdot = np.empty_like(h_tot)
-    hdot[..., 1:-1] = (h_tot[..., 2:] - h_tot[..., :-2]) / (2 * dt)
+    hdot = workspace(_STACK2, h_tot.shape)
+    np.subtract(h_tot[..., 2:], h_tot[..., :-2], out=hdot[..., 1:-1])
+    hdot[..., 1:-1] /= 2 * dt
     hdot[..., 0] = (-3 * h_tot[..., 0] + 4 * h_tot[..., 1] - h_tot[..., 2]) / (2 * dt)
     hdot[..., -1] = (3 * h_tot[..., -1] - 4 * h_tot[..., -2] + h_tot[..., -3]) / (2 * dt)
-    del h_tot
-    rho_t = _conjugate(_time_last(u_samples), rho_i.mat)
     work = float(np.trapezoid(np.einsum("ijt,jit->t", rho_t, hdot).real, ts))
     work_residual = abs(work - (h_f.energy(rho_f) - h_i.energy(rho_i)))
 
     h_scale = max(1.0, float(np.abs(h_i.mat).max()), float(np.abs(h_f.mat).max()))
     e_scale = max(1.0, h_i.spectral_width, h_f.spectral_width)
-    width = max(h_f.spectral_width, 1e-12)
+    width = max(h_f.spectral_width, VERIFY_WIDTH_FLOOR)
     residuals = {
         "state_distance": state_distance,
         "final_energy_residual": energy_residual,
@@ -583,7 +632,7 @@ def counterdiabatic_cost(sched: Schedule,
     _, vecs = np.linalg.eigh(h)
 
     overlaps = np.einsum("tij,tij->tj", vecs[:-1].conj(), vecs[1:])
-    if float(np.abs(overlaps).min()) < 1e-8:
+    if float(np.abs(overlaps).min()) < GAUGE_OVERLAP_MIN:
         raise GaugeFailure("consecutive eigenvectors nearly orthogonal; refine the grid")
     gamma = np.ones((len(ts), 2), dtype=complex)
     gamma[1:] = np.exp(-1j * np.cumsum(np.angle(overlaps), axis=0))
@@ -599,7 +648,7 @@ def counterdiabatic_cost(sched: Schedule,
 
     if sched.mu is not None and sched.omega_bar is not None:
         expected = abs(sched.mu) * sched.omega_bar / sched.tau
-        if abs(w_sta - expected) > 1e-6 * max(1.0, expected):
+        if abs(w_sta - expected) > STA_CLOSED_FORM_REL * max(1.0, expected):
             raise VerificationFailed(
                 "counterdiabatic cost disagrees with the constant-mu closed form",
                 residuals={"w_sta": w_sta, "closed_form": expected})

@@ -17,6 +17,7 @@ from . import states
 from .errors import (EnergyOutOfRange, EntropyOutOfRange, NegativeBeta, NoConvergence,
                      ParamOutOfRange)
 from .states import DensityMatrix, HamiltonianOp
+from .tolerances import REPORT_ROUNDING_REL
 
 
 class Decomposition(NamedTuple):
@@ -185,8 +186,18 @@ def full_report(rho_i: DensityMatrix, h_i: HamiltonianOp,
     delta_e_nc and beta_same_energy are null when rho_i's energy has no Gibbs
     match on h_i; upper_bound is null then and wherever upper_bound_delta
     refuses: rho_i maximally mixed or S(rho_i) below h_f's entropy floor.
+    delta_e_nc <= upper_bound and gain_g >= 0 hold exactly, but where they
+    hold with equality (every qubit saturates the bound) the computed values
+    can cross by roundoff. A bound below delta_e_nc, or a negative gain_g, by
+    at most the rounding floor REPORT_ROUNDING_REL x the largest absolute
+    energy of h_i and h_f is reported as delta_e_nc, or 0; a larger shortfall
+    is reported as computed, so a real violation still shows.
     """
-    parts = dict(e_nc=noncyclic_ergotropy(rho_i, h_i, h_f), gain_g=gain_g(rho_i, h_i, h_f),
+    e_i, e_f = h_i.energies, h_f.energies   # ascending: the ends hold the largest |e|
+    floor = REPORT_ROUNDING_REL * float(max(-e_i[0], e_i[-1], -e_f[0], e_f[-1]))
+    g = gain_g(rho_i, h_i, h_f)
+    parts = dict(e_nc=noncyclic_ergotropy(rho_i, h_i, h_f),
+                 gain_g=0.0 if -floor <= g < 0.0 else g,
                  **decompose(rho_i, h_i, h_f)._asdict())
     try:
         same_energy = _same_energy_solve(rho_i, h_i)
@@ -199,6 +210,8 @@ def full_report(rho_i: DensityMatrix, h_i: HamiltonianOp,
         bound = upper_bound_delta(rho_i, h_i, h_f, same_energy).value
     except (NegativeBeta, EntropyOutOfRange):
         bound = None
+    if bound is not None and d.value - floor <= bound < d.value:
+        bound = d.value
     return ErgotropyReport(
         **parts, delta_e_nc=d.value, upper_bound=bound,
         majorization_holds=states.majorizes(rho_i.populations_desc(), same_energy.populations,

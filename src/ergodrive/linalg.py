@@ -16,14 +16,26 @@ no squaring. polar_project re-unitarizes a whole stack in one batched SVD.
 principal_log_unitary takes a unitary's eigenvectors from eigh of a Cayley
 transform, shifted so that I + u is well conditioned, and its eigenphases
 from their Rayleigh quotients. Everything here is NumPy (LAPACK) only.
+
+The (d, d, n) scratch of a propagation lives in a per-thread workspace
+(threading.local): a few named roles, each one buffer that grows to the
+largest request and is kept for the thread's later calls, so that a
+propagation in steady state allocates, and faults in, no fresh multi-MB
+stacks. Reuse has to outlive one drive: glibc already recycles memory inside
+a drive, and what it hands back to the kernel is each drive's working set.
+herm_expi_batch's exponent (role EXPONENT) and the row scratch of matmul_t
+and rmatmul_t (role ROWS) live there; drives keeps its own roles there too.
+A request above WORKSPACE_CAP_BYTES is allocated per call and not kept.
+Arrays that leave a public function are never workspace views.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import threading
 import warnings
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -215,6 +227,35 @@ _TAYLOR_THETA = (1.49e-8, 8.73e-6, 2.27e-4, 1.67e-3, 6.56e-3, 1.77e-2,
                  3.81e-2, 6.99e-2, 1.14e-1, 1.73e-1, 2.47e-1, 3.35e-1)
 
 
+# A workspace request above this many bytes gets a fresh array that is not
+# kept, so one very long drive does not pin its working set for the life of
+# the thread. At d = 4 and 8192 steps a role is at most 2 MB.
+WORKSPACE_CAP_BYTES = 32 * 2**20
+_WORKSPACE = threading.local()
+# workspace roles of this module (see the module docstring)
+EXPONENT = "exponent"
+ROWS = "rows"
+
+
+def workspace(role: str, shape, dtype=complex) -> np.ndarray:
+    """Uninitialized C-contiguous scratch array for one role of this thread's workspace.
+
+    Every request for a role returns a view of the same buffer, grown to the
+    largest request so far: a caller owns the view only until the next
+    request for that role, and must not hand it out of a public function.
+    """
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    nbytes = count * dtype.itemsize
+    if nbytes > WORKSPACE_CAP_BYTES:
+        return np.empty(shape, dtype)
+    buffers = _WORKSPACE.__dict__.setdefault("buffers", {})
+    buf = buffers.get(role)
+    if buf is None or buf.nbytes < nbytes:
+        buf = buffers[role] = np.empty(-(-nbytes // 16), dtype=complex)
+    return buf.view(dtype)[:count].reshape(shape)
+
+
 def matmul_t(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """out[i, j, ...] = sum_k a[i, k, ...] b[k, j, ...] over time-innermost stacks.
 
@@ -241,60 +282,77 @@ def rmatmul_t(p: np.ndarray, b: np.ndarray) -> np.ndarray:
     """p <- p b in place over time-innermost stacks (see matmul_t).
 
     Row i of p b needs only row i of p, so the product is formed one row at
-    a time into a one-row scratch and copied back.
+    a time into a one-row scratch (role ROWS) and copied back.
     """
-    row, tmp = np.empty((2, 1) + p.shape[1:], dtype=complex)
+    row, tmp = workspace(ROWS, (2, 1) + p.shape[1:])
     for i in range(p.shape[0]):
         p[i] = matmul_t(p[i:i + 1], b, row, tmp)[0]
     return p
 
 
-def _expm_taylor(a: np.ndarray) -> np.ndarray:
-    """exp(a) over a time-innermost stack a[d, d, n], scaled and squared Taylor.
+def _expm_taylor(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """p <- exp(a) over time-innermost stacks a, p[d, d, n], scaled and squared Taylor.
 
     One degree m and squaring count s serve the whole stack: s halves the
     largest 1-norm theta until it is at most _TAYLOR_THETA[-1], and m is the
     least degree whose tail bound at theta / 2^s is below the unit roundoff.
-    The series is summed by Horner's rule, multiplying by a from the right
-    in place. a is overwritten.
+    The series is summed in p by Horner's rule, multiplying by a from the
+    right in place. a is overwritten (it is the ping-pong buffer of the
+    squarings); p must not overlap it.
     """
     d = a.shape[0]
-    theta = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    col, absval = workspace(ROWS, (2,) + a.shape[1:], float)
+    np.abs(a[0], out=col)     # column 1-norms, summed over rows in order
+    for i in range(1, d):
+        col += np.abs(a[i], out=absval)
+    theta = float(col.max(initial=0.0))
     s = max(0, math.ceil(math.log2(theta / _TAYLOR_THETA[-1]))) if 0.0 < theta < math.inf else 0
     if s:
         a *= 0.5**s
     m = bisect.bisect_left(_TAYLOR_THETA, theta * 0.5**s) + 1
-    p = a * (1.0 / math.factorial(m))
-    diag = p.reshape(d * d, -1)[::d + 1]    # the (i, i) rows, a view
+    np.multiply(a, 1.0 / math.factorial(m), out=p)
+    diag = p.reshape(d * d, -1, copy=False)[::d + 1]    # the (i, i) rows, a view
     diag += 1.0 / math.factorial(m - 1)
     for k in range(m - 2, -1, -1):
         rmatmul_t(p, a)
         diag += 1.0 / math.factorial(k)
     if s:
-        q, tmp = np.empty_like(p), np.empty_like(p[:1])
+        r, q, tmp = p, a, workspace(ROWS, (1,) + p.shape[1:])
         for _ in range(s):
-            p, q = matmul_t(p, p, q, tmp), p
+            r, q = matmul_t(r, r, q, tmp), r
+        if r is not p:
+            p[...] = r
     return p
 
 
-def herm_expi_batch(h: np.ndarray, dt) -> np.ndarray:
+def herm_expi_batch(h: np.ndarray, dt, *, out: Optional[np.ndarray] = None) -> np.ndarray:
     """exp(-i h dt) over a stack of Hermitian matrices h[..., d, d].
 
     ``dt`` may be a scalar or broadcast against the stack dimensions. No
     hermiticity check (hot path); callers guarantee Hermitian input. The
-    stack is laid out time-innermost, (d, d, n), and exponentiated by one
-    scaled-and-squared Taylor kernel for every d; the result is a
-    (..., d, d) view of that layout.
+    stack is laid out time-innermost, (d, d, n), in the workspace role
+    EXPONENT and exponentiated by one scaled-and-squared Taylor kernel for
+    every d. The result is a (..., d, d) view of a time-innermost array:
+    a fresh one, or ``out``, an array of the result's shape that does not
+    overlap h and whose moved (d, d, ...) view flattens to (d, d, n)
+    without a copy. h may itself be the EXPONENT role's view of that
+    layout: it is then overwritten in place.
     """
     h = np.asarray(h, dtype=complex)
     dt = np.asarray(dt, dtype=float)
     d = h.shape[-1]
     stack = np.broadcast_shapes(h.shape[:-2], dt.shape)
     h = h.reshape((1,) * (len(stack) + 2 - h.ndim) + h.shape)
-    a = np.empty((d, d) + stack, dtype=complex)
+    a = workspace(EXPONENT, (d, d) + stack)
     np.multiply(np.moveaxis(h, (-2, -1), (0, 1)), -1j * dt, out=a)
-    out = _expm_taylor(a.reshape(d, d, -1)).reshape(a.shape)
-    return np.moveaxis(out, (0, 1), (-2, -1))
+    if out is None:
+        p = np.empty(a.shape, dtype=complex)
+    elif out.shape != stack + (d, d):
+        raise DimMismatch(f"out has shape {out.shape}, the result {stack + (d, d)}")
+    else:
+        p = np.moveaxis(out, (-2, -1), (0, 1))
+    _expm_taylor(a.reshape(d, d, -1), p.reshape(d, d, -1, copy=False))
+    return np.moveaxis(p, (0, 1), (-2, -1))
 
 
 def polar_project(u: np.ndarray, tols: Tolerances = DEFAULT_TOLS):

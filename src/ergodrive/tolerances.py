@@ -51,3 +51,26 @@ VERIFY_STATE_DISTANCE = 1e-6
 VERIFY_ENERGY_REL = 1e-8
 VERIFY_ENDPOINT_REL = 1e-12
 VERIFY_WORK_REL = 1e-6
+# Schedules: the boundary values of lam_i, lam_f, ramp_f and ramp_fdot are
+# checked to this absolute tolerance; a rotating schedule's endpoint
+# Hamiltonians must match h_i and h_f to this many units of their largest
+# entry (at least 1).
+SCHEDULE_BOUNDARY_ATOL = 1e-12
+ROTATING_ENDPOINT_REL = 1e-10
+# synthesize_drive takes the ramp as monotone, and w = w_min (f(t_f) - f(t_i))
+# exactly, when fdot >= -MONOTONE_RAMP_ATOL on the whole grid.
+MONOTONE_RAMP_ATOL = 1e-12
+# verify_drive measures the final-energy residual in units of h_f's spectral
+# width, but of at least this much.
+VERIFY_WIDTH_FLOOR = 1e-12
+# counterdiabatic_cost refuses consecutive eigenvectors with an overlap below
+# GAUGE_OVERLAP_MIN (the gauge is then lost between samples), and refuses a
+# constant-mu schedule whose cost is off its closed form by more than
+# STA_CLOSED_FORM_REL of that form (at least 1).
+GAUGE_OVERLAP_MIN = 1e-8
+STA_CLOSED_FORM_REL = 1e-6
+# full_report reports an upper bound below delta_e_nc as delta_e_nc, and a
+# negative gain_g as 0, when the shortfall is at most this many units of the
+# largest absolute energy of h_i and h_f (about 45 units of roundoff); a
+# larger one is reported as computed.
+REPORT_ROUNDING_REL = 1e-14

@@ -12,8 +12,9 @@ import pytest
 
 import ergodrive
 from ergodrive import (DEFAULT_TOLS, DensityMatrix, HamiltonianOp, Schedule, cli, drives,
-                       majorizes, matrix_to_json, optimize_phases, solve_beta_for_energy,
-                       synthesize_drive)
+                       ergotropy, majorizes, matrix_to_json, optimize_phases,
+                       solve_beta_for_energy, synthesize_drive)
+from ergodrive.tolerances import REPORT_ROUNDING_REL
 from helpers import random_hermitian
 
 RHO2 = {"rho_i": matrix_to_json(np.diag([0.3, 0.7]).astype(complex)),
@@ -84,17 +85,25 @@ def test_drive_synth_propagates_u0_once_per_grid(monkeypatch):
            "h_i": matrix_to_json(random_hermitian(rng, 2)),
            "h_f": matrix_to_json(random_hermitian(rng, 2)),
            "tau": 1.0, "phases": "analytic2"}
-    grids = []
-    propagate = drives.propagate_u0
+    grids, products = [], []
+    propagate, step_products = drives.propagate_u0, drives._step_products
 
     def counting(h_i, h_f, sched, tols=DEFAULT_TOLS):
         grids.append(sched.n_steps)
         return propagate(h_i, h_f, sched, tols)
 
+    def counting_products(h, dt, buf, tols):
+        products.append(h.shape[-1])
+        return step_products(h, dt, buf, tols)
+
     monkeypatch.setattr(cli, "propagate_u0", counting)
     monkeypatch.setattr(drives, "propagate_u0", counting)
+    monkeypatch.setattr(drives, "_step_products", counting_products)
     out = cli.run_drive_synth(cfg, 2048)
-    assert grids == [2048, 4096]   # synthesis, then verification's own grid
+    # U0 on the synthesis grid; verification propagates U0 on its own grid
+    # (into its workspace, not through propagate_u0), then H0 + V
+    assert grids == [2048]
+    assert products == [2048, 4096, 2048]
     monkeypatch.undo()
     # the same numbers as optimizer and synthesizer each propagating U0 themselves
     rho, h_i, h_f, _ = cli._load_instance(cfg)
@@ -359,3 +368,21 @@ def test_write_csv_formats_cells_as_the_per_cell_formatter(capsys):
             ",".join(cli._fmt(v) for v in reversed(row))]
     assert capsys.readouterr().out == "\n".join(want) + "\n"
     assert want[1].startswith("nan,inf,-inf,-0,0,3,-7,1,0.10000000000000001,")
+
+
+def test_rho2_bound_is_not_reported_below_delta(tmp_path, capsys, monkeypatch):
+    # delta_e_nc and upper_bound are both exactly 0 on RHO2, and the bound
+    # computes a unit of roundoff below delta: within the rounding floor
+    # (the largest |energy| is 1) the report lifts it to delta
+    cfg = write_cfg(tmp_path, "e.json", RHO2)
+    assert run(["ergotropy", "--config", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["delta_e_nc"] <= report["upper_bound"]
+    assert abs(report["delta_e_nc"]) <= REPORT_ROUNDING_REL
+    assert abs(report["upper_bound"]) <= REPORT_ROUNDING_REL
+    assert report["gain_g"] >= 0.0
+    # a shortfall beyond the floor is reported as computed
+    monkeypatch.setattr(ergotropy, "REPORT_ROUNDING_REL", 0.0)
+    assert run(["ergotropy", "--config", cfg]) == 0
+    raw = json.loads(capsys.readouterr().out)
+    assert raw["upper_bound"] < raw["delta_e_nc"] == report["delta_e_nc"]

@@ -1,15 +1,23 @@
 """Schedules, propagators, drive synthesis, verification, phase optimization."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ergodrive
 from ergodrive import (DEFAULT_TOLS, DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
-                       TlsState, counterdiabatic_cost, drives,
+                       TlsState, cli, counterdiabatic_cost, drives, linalg,
                        herm_expi_batch, optimize_phases,
                        passive_state, propagate_u0, smoothstep, smoothstep_dot,
                        synthesize_drive, target_unitary, trace_distance,
@@ -18,10 +26,11 @@ from ergodrive.errors import (DimMismatch, DimTooLarge, GaugeFailure,
                               LengthMismatch, NoConvergence, ParamInconsistent,
                               ParamOutOfRange, TooFarFromUnitary, VerificationFailed)
 from ergodrive.linalg import unitarity_defect
+from ergodrive.states import matrix_to_json
 from ergodrive.tls import cost, theta1
 from helpers import (converged_final_unitary, eigenphases, herm_expi, phase_cost_inputs,
-                     phase_costs_oracle, random_density, random_instance, random_unitary,
-                     sequential_products)
+                     phase_costs_oracle, random_density, random_hermitian, random_instance,
+                     random_probs, random_unitary, sequential_products)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -122,12 +131,20 @@ def test_blocked_propagator_matches_sequential_oracle(d, n_steps):
         assert unitarity_defect(trace.u_samples[k]) <= 1e-13
 
 
+def _ordered_products(steps):
+    """drives._ordered_products on the steps steps[k], copied into a sample buffer."""
+    n, d = steps.shape[0], steps.shape[-1]
+    buf = np.empty((d, d, drives._buffer_len(n)), dtype=complex)
+    buf[..., 1:n + 1] = np.moveaxis(steps, 0, -1)
+    return drives._ordered_products(buf, n)
+
+
 def test_ordered_products_refuses_non_unitary_steps():
     rng = np.random.default_rng(60)
     _, h_i, h_f = random_instance(rng, 3)
     steps = 1.5 * _midpoint_steps(h_i, h_f, Schedule.linear(1.0, n_steps=100))
     with pytest.raises(TooFarFromUnitary):
-        drives._ordered_products(steps)
+        _ordered_products(steps)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -138,7 +155,7 @@ def test_ordered_products_drift_stays_near_the_sequential_oracle(d):
     for n_steps in (1, 64, 65, 1000, 4096):
         _, h_i, h_f = random_instance(np.random.default_rng([61, d, n_steps]), d, 3.0)
         steps = _midpoint_steps(h_i, h_f, Schedule.linear(1.0, n_steps=n_steps))
-        samples, drift = drives._ordered_products(steps)
+        samples, drift = _ordered_products(steps)
         oracle, oracle_drift = sequential_products(steps)
         assert samples.shape == oracle.shape
         assert drift <= 8 * max(oracle_drift, eps)
@@ -150,10 +167,10 @@ def test_ordered_products_refuses_one_bad_step_in_any_block(bad):
     # n = 100: one full 64-step block and a partial one of 36 steps
     _, h_i, h_f = random_instance(np.random.default_rng(62), 3)
     steps = np.array(_midpoint_steps(h_i, h_f, Schedule.linear(1.0, n_steps=100)))
-    drives._ordered_products(steps)
+    _ordered_products(steps)
     steps[bad] *= 1.5
     with pytest.raises(TooFarFromUnitary):
-        drives._ordered_products(steps)
+        _ordered_products(steps)
 
 
 def test_constant_schedule_callables_broadcast():
@@ -547,3 +564,147 @@ def test_wmin_agrees_with_two_level_closed_form():
         sched = Schedule.linear(tau, n_steps=1024)
         best = optimize_phases(s.density(), h_i, h_f, sched, mode="analytic2")
         assert abs(best.value - cost(theta1(s.p, abs(s.c)), tau)) < 1e-12
+
+
+# ---------------------------------------------------------------- workspace
+
+
+def _workspace_buffers():
+    return dict(getattr(linalg._WORKSPACE, "buffers", {}))
+
+
+def _small_rotation(d, seed):
+    """rho close to passive for h_f, h_i close to h_f and tau = 0.3: the drive
+    is a small rotation that verifies even on a 64-step grid."""
+    rng = np.random.default_rng([98, seed, d])
+    h_f = HamiltonianOp(random_hermitian(rng, d, 0.1))
+    h_i = HamiltonianOp(h_f.mat + random_hermitian(rng, d, 0.01))
+    tilt = herm_expi(random_hermitian(rng, d, 0.01))
+    passive = (h_f.basis * np.sort(random_probs(rng, d))[::-1]) @ h_f.basis.conj().T
+    return DensityMatrix(tilt @ passive @ tilt.conj().T), h_i, h_f, 0.3
+
+
+def _drive_cfg(seed, d, n_steps=4096, small=False):
+    if small:
+        rho, h_i, h_f, tau = _small_rotation(d, seed)
+    else:
+        (rho, h_i, h_f), tau = random_instance(np.random.default_rng([97, seed, d]), d), 1.0
+    return {"rho_i": matrix_to_json(rho.mat), "h_i": matrix_to_json(h_i.mat),
+            "h_f": matrix_to_json(h_f.mat), "tau": tau, "n_steps": n_steps}
+
+
+def _one_drive(d, n_steps):
+    """Every array a drive hands out: the U0 trace, the synthesis, a step batch."""
+    rho, h_i, h_f, tau = _small_rotation(d, n_steps)
+    sched = Schedule.linear(tau, n_steps=n_steps)
+    trace = propagate_u0(h_i, h_f, sched)
+    synth = synthesize_drive(rho, h_i, h_f, sched, trace=trace)
+    verify_drive(synth, rho, h_i, h_f, sched)
+    steps = herm_expi_batch(sched.h0_batch(h_i, h_f, sched.times()[:-1]), tau / n_steps)
+    return [trace.u_samples, synth.v_samples, synth.chi, steps]
+
+
+def test_returned_arrays_are_never_workspace_views():
+    # a large drive, then a small one, then one in between: every array an
+    # earlier call returned keeps its values and shares memory with nothing
+    # returned later, nor with the workspace
+    kept = []
+    for d, n in ((4, 4096), (2, 64), (3, 1000)):
+        arrays = _one_drive(d, n)
+        for a in arrays:
+            for b, _ in kept:
+                assert not np.shares_memory(a, b)
+        kept += [(a, a.copy()) for a in arrays]
+    buffers = _workspace_buffers().values()
+    assert buffers
+    for a, snapshot in kept:
+        assert np.array_equal(a, snapshot)
+        assert not any(np.shares_memory(a, buf) for buf in buffers)
+
+
+def test_drive_synth_json_is_the_same_in_a_fresh_process(tmp_path):
+    cfg = _drive_cfg(1, 3)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(cfg))
+    src = str(Path(ergodrive.__file__).resolve().parents[1])
+    fresh = subprocess.run([sys.executable, "-m", "ergodrive.cli", "drive-synth",
+                            "--config", str(path)], capture_output=True, check=True,
+                           env=dict(os.environ, PYTHONPATH=src)).stdout
+    for d in (4, 2):   # other drives leave the workspace grown and dirty
+        cli.run_drive_synth(_drive_cfg(2, d))
+    out = tmp_path / "out.json"
+    assert cli.main(["drive-synth", "--config", str(path), "--out", str(out)]) == 0
+    assert out.read_bytes() == fresh
+
+
+def _poison_workspace():
+    for buf in _workspace_buffers().values():
+        buf.fill(np.nan)
+
+
+def test_poisoned_workspace_changes_no_result():
+    # neither the synthesizer nor the verifier reads workspace content it did
+    # not write itself
+    rho, h_i, h_f = random_instance(np.random.default_rng(99), 4)
+    sched = Schedule.linear(1.0, n_steps=4096)
+    synth = synthesize_drive(rho, h_i, h_f, sched)
+    clean = verify_drive(synth, rho, h_i, h_f, sched)
+    _poison_workspace()
+    poisoned = synthesize_drive(rho, h_i, h_f, sched)
+    assert np.array_equal(poisoned.v_samples, synth.v_samples)
+    _poison_workspace()
+    assert verify_drive(poisoned, rho, h_i, h_f, sched) == clean
+
+
+def test_threads_running_drives_get_the_sequential_results():
+    cfgs = [_drive_cfg(3, d, 1024) for d in (2, 3, 4, 3)]
+    want = [cli.run_drive_synth(cfg) for cfg in cfgs]
+    got = [None] * len(cfgs)
+
+    def work(k):
+        for _ in range(3):
+            got[k] = cli.run_drive_synth(cfgs[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(cfgs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+
+
+def test_second_verification_allocates_no_stacks():
+    # at d = 4 and 4096 steps one (d, d, n) stack is 1 MB; the verifier
+    # allocated 7 MB of them before the workspace
+    rho, h_i, h_f = random_instance(np.random.default_rng(100), 4)
+    sched = Schedule.linear(1.0, n_steps=4096)
+    synth = synthesize_drive(rho, h_i, h_f, sched)
+    first = verify_drive(synth, rho, h_i, h_f, sched)
+    tracemalloc.start()
+    try:
+        second = verify_drive(synth, rho, h_i, h_f, sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert second == first
+    assert peak < 2**20
+
+
+def test_drive_above_the_retention_cap_leaves_the_workspace_as_it_was(monkeypatch):
+    cfg = _drive_cfg(4, 4, small=True)
+    want = cli.run_drive_synth(cfg)
+    monkeypatch.setattr(linalg._WORKSPACE, "buffers", {})
+    cli.run_drive_synth(_drive_cfg(4, 2, 64, small=True))
+    before = {role: buf.nbytes for role, buf in _workspace_buffers().items()}
+    # every role of a 64-step d = 2 drive fits below the cap, no role of a
+    # 4096-step d = 4 drive does
+    monkeypatch.setattr(linalg, "WORKSPACE_CAP_BYTES", 32 * 2**10)
+    assert max(before.values()) <= linalg.WORKSPACE_CAP_BYTES
+    assert cli.run_drive_synth(cfg) == want
+    assert {role: buf.nbytes for role, buf in _workspace_buffers().items()} == before

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergodrive import (DensityMatrix, HamiltonianOp, coherent_entropy_identity_residual,
                        counterexample_populations, decompose, delta_noncyclic,
@@ -151,6 +153,18 @@ def test_upper_bound_dominates_delta():
             assert abs(ub.value - ub.entropic_value) < 1e-9 * scale
             if d == 2:
                 assert abs(ub.value - delta) < 1e-10   # qubit saturates the bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5))
+def test_report_has_delta_at_most_bound_and_nonnegative_gain(seed, d):
+    # every qubit saturates the bound, so about half of them compute a bound
+    # a unit of roundoff below delta before the report's rounding floor
+    rho, h_i, h_f = random_instance(np.random.default_rng(seed), d)
+    report = full_report(rho, h_i, h_f)
+    assert report.gain_g >= 0.0
+    if report.delta_e_nc is not None and report.upper_bound is not None:
+        assert report.delta_e_nc <= report.upper_bound
 
 
 def test_upper_bound_rejects_maximally_mixed():

@@ -1,13 +1,14 @@
 """Dense linear-algebra kernels against independent oracles."""
 
 import math
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 from ergodrive import linalg
-from ergodrive.errors import (BranchAmbiguity, NotHermitian, NotUnitary,
+from ergodrive.errors import (BranchAmbiguity, DimMismatch, NotHermitian, NotUnitary,
                               TooFarFromUnitary, ValidationError)
 from ergodrive.tolerances import DEGENERATE_ULPS
 from helpers import (herm_expi, pauli_expi, principal_log_oracle, random_hermitian,
@@ -128,6 +129,46 @@ def test_herm_expi_batch_zero_and_denormal_scale_inputs(d):
     out = linalg.herm_expi_batch(h, 0.5)
     assert np.isfinite(out).all()
     assert np.abs(out - np.eye(d)).max() <= 1e-300
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_herm_expi_batch_into_out_is_bit_equal(d):
+    # step norms, then one and two squarings (the odd count ends in the
+    # ping-pong buffer and is copied back)
+    rng = np.random.default_rng([74, d])
+    n = 100
+    hs = _unit_one_norm_stack(rng, d, n)
+    for dt in (1e-3, 0.5, 1.0):
+        want = linalg.herm_expi_batch(hs, dt)
+        buf = np.full((d, d, n + 3), np.nan, dtype=complex)
+        got = linalg.herm_expi_batch(hs, dt, out=np.moveaxis(buf[..., 1:n + 1], -1, 0))
+        assert np.shares_memory(got, buf) and np.array_equal(got, want)
+        assert np.isnan(buf[..., 0]).all() and np.isnan(buf[..., n + 1:]).all()
+    with pytest.raises(DimMismatch):
+        linalg.herm_expi_batch(hs, 0.1, out=np.empty((n, d, d + 1), dtype=complex))
+
+
+def test_workspace_roles_are_kept_grown_and_per_thread(monkeypatch):
+    monkeypatch.setattr(linalg._WORKSPACE, "buffers", {}, raising=False)
+    a = linalg.workspace("t", (3, 4))
+    b = linalg.workspace("t", (2, 2))       # smaller: the same memory
+    assert np.shares_memory(a, b) and b.flags.c_contiguous
+    c = linalg.workspace("t", (5, 5))       # larger: the role grows
+    assert not np.shares_memory(a, c)
+    assert np.shares_memory(c, linalg.workspace("t", (5, 5)))
+    f = linalg.workspace("t", (4, 2), float)
+    assert f.dtype == float and np.shares_memory(c, f)
+    assert not np.shares_memory(c, linalg.workspace("u", (5, 5)))
+    seen = []
+    other = threading.Thread(target=lambda: seen.append(linalg.workspace("t", (5, 5))))
+    other.start()
+    other.join(timeout=10)
+    assert not other.is_alive() and not np.shares_memory(seen[0], c)
+    # a request above the cap is fresh and leaves the role as it was
+    monkeypatch.setattr(linalg, "WORKSPACE_CAP_BYTES", 1024)
+    big = linalg.workspace("t", (9, 9))
+    assert not np.shares_memory(big, c)
+    assert linalg._WORKSPACE.buffers["t"].nbytes == 25 * 16
 
 
 def test_herm_expi_batch_runs_no_eigendecomposition(monkeypatch):

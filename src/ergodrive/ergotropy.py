@@ -17,7 +17,8 @@ from . import states
 from .errors import (EnergyOutOfRange, EntropyOutOfRange, NegativeBeta, NoConvergence,
                      ParamOutOfRange)
 from .states import DensityMatrix, HamiltonianOp
-from .tolerances import REPORT_ROUNDING_REL
+from .tolerances import (BOUND_FORMS_REL, BOUND_SCALE_FLOOR, COUNTEREXAMPLE_ENERGY_ATOL,
+                         ENTROPY_CEILING_ATOL, REPORT_ROUNDING_REL)
 
 
 class Decomposition(NamedTuple):
@@ -155,11 +156,11 @@ def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: Hamiltonian
     entropy floor, as at a (nearly) degenerate ground level (EntropyOutOfRange).
     """
     tols = rho_i.tols
-    scale = max(h_f.spectral_width, 1e-300)
+    scale = max(h_f.spectral_width, BOUND_SCALE_FLOOR)
     s_i = states.von_neumann_entropy(rho_i)
     # at the entropy ceiling beta_i -> 0 and 1/beta_i amplifies roundoff past
     # any cross-check, so the flat corner is rejected outright
-    if s_i >= np.log(rho_i.dim) - 1e-12:
+    if s_i >= np.log(rho_i.dim) - ENTROPY_CEILING_ATOL:
         raise NegativeBeta("entropy-matched beta_i must be positive; "
                            "the input is maximally mixed")
     if same_energy is None:
@@ -174,7 +175,7 @@ def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: Hamiltonian
     value = float(p_f @ h_f.energies - solve_s.populations @ h_f.energies)
     delta_s = states._shannon(same_energy.populations) - s_i
     entropic = (delta_s + states.gibbs_relative_entropy(p_f, h_f.energies, beta_i)) / beta_i
-    if abs(value - entropic) > tols.identity_residual * scale + abs(value) * 1e-9:
+    if abs(value - entropic) > tols.identity_residual * scale + abs(value) * BOUND_FORMS_REL:
         raise NoConvergence(f"bound forms disagree: {value} vs {entropic}")
     return UpperBoundResult(value, entropic, beta_i, delta_s)
 
@@ -245,7 +246,7 @@ def counterexample_populations(beta: float, e2i: float, e2f: float) -> Counterex
     q = p_th + np.array([alpha / e2i - alpha, -alpha / e2i, alpha])
     if q.min() < 0:
         raise ParamOutOfRange(f"perturbed populations not a distribution: {q}")
-    if abs(q @ en_i - p_th @ en_i) > 1e-12:
+    if abs(q @ en_i - p_th @ en_i) > COUNTEREXAMPLE_ENERGY_ATOL:
         raise NoConvergence("energy matching broken in counterexample construction")
     en_f = np.array([0.0, e2f, 1.0])
     delta = float(np.sort(p_th)[::-1] @ np.sort(en_f)

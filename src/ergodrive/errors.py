@@ -71,7 +71,7 @@ class NoConvergence(ConvergenceError):
 
 
 class GaugeFailure(ConvergenceError):
-    """Eigenvector gauge could not be fixed along the grid (near-zero overlap)."""
+    """Eigenbasis flips between grid samples: the mixing angle jumps by about pi."""
 
 
 class VerificationFailed(ConvergenceError):

@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import BranchAmbiguity, DimMismatch, NotHermitian, NotUnitary, TooFarFromUnitary
-from .tolerances import DEFAULT_TOLS, DEGENERATE_ULPS, Tolerances
+from .tolerances import BLOCK_BASIS_NORM_MIN, DEFAULT_TOLS, DEGENERATE_ULPS, Tolerances
 
 
 class HermEig(NamedTuple):
@@ -61,10 +61,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def frob(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, "fro"))
-
-
 def as_square(m, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -79,8 +75,7 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Frobenius norm of u^dag u - 1."""
-    d = u.shape[0]
-    return frob(dagger(u) @ u - np.eye(d))
+    return float(np.linalg.norm(dagger(u) @ u - np.eye(u.shape[0]), "fro"))
 
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
@@ -118,7 +113,7 @@ def _canonical_block_basis(vecs: np.ndarray) -> np.ndarray:
         for u in out:
             cand -= u * np.vdot(u, cand)
         nrm = np.linalg.norm(cand)
-        if nrm > 1e-8:
+        if nrm > BLOCK_BASIS_NORM_MIN:
             out.append(cand / nrm)
         if len(out) == k:
             break
@@ -325,11 +320,10 @@ def _expm_taylor(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p
 
 
-def herm_expi_batch(h: np.ndarray, dt, *, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """exp(-i h dt) over a stack of Hermitian matrices h[..., d, d].
+def herm_expi_batch(h: np.ndarray, dt: float, *, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(-i h dt) over a stack of Hermitian matrices h[..., d, d], one step dt.
 
-    ``dt`` may be a scalar or broadcast against the stack dimensions. No
-    hermiticity check (hot path); callers guarantee Hermitian input. The
+    No hermiticity check (hot path); callers guarantee Hermitian input. The
     stack is laid out time-innermost, (d, d, n), in the workspace role
     EXPONENT and exponentiated by one scaled-and-squared Taylor kernel for
     every d. The result is a (..., d, d) view of a time-innermost array:
@@ -339,16 +333,13 @@ def herm_expi_batch(h: np.ndarray, dt, *, out: Optional[np.ndarray] = None) -> n
     layout: it is then overwritten in place.
     """
     h = np.asarray(h, dtype=complex)
-    dt = np.asarray(dt, dtype=float)
     d = h.shape[-1]
-    stack = np.broadcast_shapes(h.shape[:-2], dt.shape)
-    h = h.reshape((1,) * (len(stack) + 2 - h.ndim) + h.shape)
-    a = workspace(EXPONENT, (d, d) + stack)
+    a = workspace(EXPONENT, (d, d) + h.shape[:-2])
     np.multiply(np.moveaxis(h, (-2, -1), (0, 1)), -1j * dt, out=a)
     if out is None:
         p = np.empty(a.shape, dtype=complex)
-    elif out.shape != stack + (d, d):
-        raise DimMismatch(f"out has shape {out.shape}, the result {stack + (d, d)}")
+    elif out.shape != h.shape:
+        raise DimMismatch(f"out has shape {out.shape}, the result {h.shape}")
     else:
         p = np.moveaxis(out, (-2, -1), (0, 1))
     _expm_taylor(a.reshape(d, d, -1), p.reshape(d, d, -1, copy=False))

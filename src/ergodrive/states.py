@@ -20,9 +20,9 @@ import numpy as np
 
 from . import linalg
 from .errors import (DimMismatch, EnergyOutOfRange, EntropyOutOfRange, LengthMismatch,
-                     NoConvergence, NotAState)
+                     NoConvergence, NotAState, NotHermitian)
 from .linalg import HermEig, dagger, hermitian_eig
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DEFAULT_TOLS, ENTROPY_RANGE_ATOL, Tolerances
 
 BETA_MAX_SCALE = 1e4  # solver bracket: |beta| <= BETA_MAX_SCALE / spectral width
 # absolute beta tolerance of the solvers, in units of 1 / spectral width: below
@@ -44,7 +44,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Validated density matrix.
 
-    Hermitian to tolerance, unit trace, eigenvalues >= -eig_floor (small
+    Finite, Hermitian to tolerance, unit trace, eigenvalues >= -eig_floor (small
     negatives are clamped to zero wherever eigenvalues are consumed).
     """
 
@@ -53,6 +53,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = linalg.as_square(self.mat, "density matrix")
+        if not np.isfinite(m).all():
+            raise NotAState("density matrix has a non-finite entry")
         if linalg.hermiticity_defect(m) > self.tols.hermiticity:
             raise NotAState("density matrix is not Hermitian within tolerance")
         m = 0.5 * (m + dagger(m))
@@ -92,13 +94,15 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class HamiltonianOp:
-    """Hermitian Hamiltonian with its cached ascending spectrum."""
+    """Finite Hermitian Hamiltonian with its cached ascending spectrum."""
 
     mat: np.ndarray
     tols: Tolerances = field(default=DEFAULT_TOLS, repr=False, compare=False)
 
     def __post_init__(self):
         m = linalg.as_square(self.mat, "hamiltonian")
+        if not np.isfinite(m).all():
+            raise NotHermitian("hamiltonian has a non-finite entry")
         values, vectors = hermitian_eig(m, self.tols)
         object.__setattr__(self, "mat", 0.5 * (m + dagger(m)))
         object.__setattr__(self, "_spectrum",
@@ -384,7 +388,7 @@ def solve_beta_for_entropy(h: HamiltonianOp, entropy: float,
     d = len(en)
     if width <= 0:
         raise EntropyOutOfRange("degenerate spectrum: entropy is constant in beta")
-    if not (-1e-12 <= entropy <= np.log(d) + 1e-12):
+    if not (-ENTROPY_RANGE_ATOL <= entropy <= np.log(d) + ENTROPY_RANGE_ATOL):
         raise EntropyOutOfRange(f"entropy {entropy} outside [0, ln {d}]")
     beta_max = BETA_MAX_SCALE / width
     p = thermal_populations(en, beta_max)

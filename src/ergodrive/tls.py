@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ParamInconsistent, ParamOutOfRange
 from .states import DensityMatrix
+from .tolerances import BLOCH_ATOL, MIXED_WIDTH_MIN, OMEGA_F_REL
 
 
 _TWO_PI = 2 * np.pi
@@ -54,36 +55,38 @@ def sq(x):
     return x ** 2 if type(x) is float else np.float_power(x, 2)
 
 
-def _first_bad(bad, *values):
-    """None if ``bad`` holds nowhere, else ``values`` at its first (broadcast)
-    point. On scalar arguments ``bad`` is a bool and no numpy call is made."""
-    if isinstance(bad, bool):
-        return values if bad else None
-    if not bad.any():
+def _first_outside(ok, *values):
+    """None if ``ok`` holds everywhere, else ``values`` at its first (broadcast)
+    point where it fails. On scalar arguments ``ok`` is a bool and no numpy call is made."""
+    if isinstance(ok, bool):
+        return None if ok else values
+    if ok.all():
         return None
+    bad = ~ok
     return tuple(np.broadcast_to(x, bad.shape)[bad].flat[0] for x in values)
 
 
 def check_bloch(p, c_abs):
     """Refuse populations outside [0, 1] or coherences outside the Bloch ball.
 
-    Broadcasts; raises ParamOutOfRange naming the first offending point.
-    NaN populations are refused.
+    Broadcasts; raises ParamOutOfRange naming the first offending point. Each
+    test states the valid region, so NaN falls outside it.
     """
-    bad = _first_bad((p < -1e-14) | (p > 1 + 1e-14) | (p != p), p)
+    bad = _first_outside((p >= -BLOCH_ATOL) & (p <= 1 + BLOCH_ATOL), p)
     if bad is not None:
         raise ParamOutOfRange(f"population p = {bad[0]} outside [0, 1]")
     c2, p1p = sq(c_abs), p * (1 - p)
-    bad = _first_bad(c2 > p1p + 1e-14, c2, p1p)
+    bad = _first_outside(c2 <= p1p + BLOCH_ATOL, c2, p1p)
     if bad is not None:
-        raise ParamOutOfRange(f"coherence exceeds the Bloch ball: |c|^2 = {bad[0]} "
-                              f"> p(1-p) = {bad[1]}")
+        raise ParamOutOfRange(f"coherence outside the Bloch ball: |c|^2 = {bad[0]}, "
+                              f"p(1-p) = {bad[1]}")
 
 
 def check_drive(tau, omega_bar):
-    """Refuse tau <= 0 or omega_bar < 0 anywhere in (broadcast) arrays."""
-    if _first_bad((tau <= 0) | (omega_bar < 0)) is not None:
-        raise ParamOutOfRange("need tau > 0 and omega_bar >= 0")
+    """Refuse anything but finite tau > 0 and omega_bar >= 0 in (broadcast) arrays."""
+    if _first_outside((tau > 0) & (tau < np.inf) & (omega_bar >= 0)
+                      & (omega_bar < np.inf)) is not None:
+        raise ParamOutOfRange("need tau > 0 and omega_bar >= 0, both finite")
 
 
 def density_matrices(p, c):
@@ -141,13 +144,14 @@ class MuDynParams:
         hyp = float(np.hypot(self.omega_f, self.eps_f))
         if self.Omega_f is None:
             object.__setattr__(self, "Omega_f", hyp)
-        elif abs(self.Omega_f - hyp) > 1e-12 * max(1.0, hyp):
+        elif not abs(self.Omega_f - hyp) <= OMEGA_F_REL * max(1.0, hyp):
             raise ParamInconsistent(f"Omega_f = {self.Omega_f} but "
                                     f"hypot(omega_f, eps_f) = {hyp}")
 
     @classmethod
     def constant_rate(cls, mu: float, omega_bar: float, tau: float) -> "MuDynParams":
         """Constant gap Omega = omega_bar/tau, Bloch angle phi(t) = -mu Omega t."""
+        check_drive(tau, omega_bar)
         om = omega_bar / tau
         phi_f = -mu * omega_bar
         return cls(mu=mu, omega_bar=omega_bar, tau=tau,
@@ -194,7 +198,7 @@ def _eig_split(p, c_abs):
     disc = np.hypot(p - 0.5, c_abs)
     r1, r0 = 0.5 - disc, 0.5 + disc
     width = r0 - r1
-    mixed = width < 1e-15
+    mixed = width < MIXED_WIDTH_MIN
     big = disc + np.abs(p - 0.5)
     # adding the mask keeps the mixed points (the only ones where big or width
     # can be 0) away from 0 / 0; their (a, b) is then set to (1, 0)

@@ -63,9 +63,9 @@ MONOTONE_RAMP_ATOL = 1e-12
 # verify_drive measures the final-energy residual in units of h_f's spectral
 # width, but of at least this much.
 VERIFY_WIDTH_FLOOR = 1e-12
-# counterdiabatic_cost refuses consecutive eigenvectors with an overlap below
-# GAUGE_OVERLAP_MIN (the gauge is then lost between samples), and refuses a
-# constant-mu schedule whose cost is off its closed form by more than
+# counterdiabatic_cost refuses a step dtheta of the mixing angle over which
+# consecutive eigenvectors overlap by |cos(dtheta / 2)| < GAUGE_OVERLAP_MIN, and
+# a constant-mu schedule whose cost is off its closed form by more than
 # STA_CLOSED_FORM_REL of that form (at least 1).
 GAUGE_OVERLAP_MIN = 1e-8
 STA_CLOSED_FORM_REL = 1e-6
@@ -74,3 +74,13 @@ STA_CLOSED_FORM_REL = 1e-6
 # largest absolute energy of h_i and h_f (about 45 units of roundoff); a
 # larger one is reported as computed.
 REPORT_ROUNDING_REL = 1e-14
+# Thresholds of single checks elsewhere, named here with their values unchanged:
+BOUND_SCALE_FLOOR = 1e-300       # upper_bound_delta: floor of its cross-check scale, h_f's width
+ENTROPY_CEILING_ATOL = 1e-12     # upper_bound_delta: S(rho_i) this close to ln d is refused
+BOUND_FORMS_REL = 1e-9           # upper_bound_delta: its two forms' slack, relative to the value
+COUNTEREXAMPLE_ENERGY_ATOL = 1e-12   # counterexample_populations: mean-energy check
+BLOCK_BASIS_NORM_MIN = 1e-8      # _canonical_block_basis: least norm of a kept basis vector
+ENTROPY_RANGE_ATOL = 1e-12       # solve_beta_for_entropy: slack on the range [0, ln d]
+BLOCH_ATOL = 1e-14               # tls.check_bloch: slack on 0 <= p <= 1 and |c|^2 <= p (1 - p)
+OMEGA_F_REL = 1e-12              # MuDynParams: |Omega_f - hypot(omega_f, eps_f)|, relative (>= 1)
+MIXED_WIDTH_MIN = 1e-15          # tls: a qubit state with a smaller eigenvalue gap is flat

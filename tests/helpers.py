@@ -6,7 +6,7 @@ import numpy as np
 from scipy.linalg import schur
 from scipy.optimize import brentq
 
-from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, TlsState, cli,
+from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, TlsState, cli, drives,
                        energy_populations, example1_phase_average, example2_theta_split,
                        gain_g, hermitian_eig, propagate_u0, thermal_populations,
                        von_neumann_entropy)
@@ -199,6 +199,28 @@ def phase_average_oracle(a, tau, n_draws, rng):
     gam = np.arccos(np.clip(a * np.cos(0.5 * (phi[0] - phi[1])), -1.0, 1.0))
     w = np.sqrt(wrap_pi_oracle(sig + gam)**2 + wrap_pi_oracle(sig - gam)**2) / tau
     return float(w.mean()), float(w.std(ddof=1) / np.sqrt(n_draws))
+
+
+def counterdiabatic_cost_oracle(sched):
+    """(w_sta, norm_trace) of drives.counterdiabatic_cost along the instantaneous
+    eigenvectors: eigh of every sample of H = (omega sz + eps sx) / 2, the gauge
+    fixed by parallel transport between samples, and second-order differences of
+    the vectors in (2 sum_n <edot_n|edot_n>)^{1/2}. The oracle of the
+    mixing-angle form."""
+    ts = sched.times()
+    om, ep = drives._sample(sched.omega, ts), drives._sample(sched.eps, ts)
+    _, vecs = np.linalg.eigh(0.5 * (om[:, None, None] * SZ + ep[:, None, None] * SX))
+    overlaps = np.einsum("tij,tij->tj", vecs[:-1].conj(), vecs[1:])
+    gamma = np.ones((len(ts), 2), dtype=complex)
+    gamma[1:] = np.exp(-1j * np.cumsum(np.angle(overlaps), axis=0))
+    vecs = vecs * gamma[:, None, :]
+    dt = sched.tau / sched.n_steps
+    dv = np.empty_like(vecs)
+    dv[1:-1] = (vecs[2:] - vecs[:-2]) / (2 * dt)
+    dv[0] = (-3 * vecs[0] + 4 * vecs[1] - vecs[2]) / (2 * dt)
+    dv[-1] = (3 * vecs[-1] - 4 * vecs[-2] + vecs[-3]) / (2 * dt)
+    norm_trace = np.sqrt(2.0 * np.einsum("tij,tij->t", dv.conj(), dv).real)
+    return float(np.trapezoid(norm_trace, ts)) / sched.tau, norm_trace
 
 
 def converged_final_unitary(h_i, h_f, sched, rtol=1e-8, n_limit=100_000):

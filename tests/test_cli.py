@@ -215,6 +215,29 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert err["error"] == "DimMismatch"
 
 
+def _with_entry(matrix, value):
+    return dict(matrix, re=[value] + matrix["re"][1:])
+
+
+@pytest.mark.parametrize("command, key, value, error", [
+    ("ergotropy", "rho_i", float("nan"), "NotAState"),
+    ("drive-synth", "rho_i", float("nan"), "NotAState"),
+    ("drive-synth", "h_i", float("nan"), "NotHermitian"),
+    ("drive-synth", "h_i", float("inf"), "NotHermitian"),
+    ("ergotropy", "h_f", float("-inf"), "NotHermitian"),
+])
+def test_non_finite_matrix_entries_exit_2(tmp_path, capsys, command, key, value, error):
+    # json writes NaN and Infinity, and json.load reads them back
+    cfg = write_cfg(tmp_path, "nan.json", dict(RHO2, **{key: _with_entry(RHO2[key], value)}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(err)
+    assert out == "" and set(payload) == {"error", "message"}
+    assert payload["error"] == error and "non-finite" in payload["message"]
+
+
 def test_crossover_helper():
     ps = [0.0, 0.1, 0.2, 0.3]
     assert cli.fig1_crossover(ps, [1.0, 1.0, 1.0, 1.0], [0.5] * 4) == 0.0

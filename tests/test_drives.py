@@ -28,9 +28,10 @@ from ergodrive.errors import (DimMismatch, DimTooLarge, GaugeFailure,
 from ergodrive.linalg import unitarity_defect
 from ergodrive.states import matrix_to_json
 from ergodrive.tls import cost, theta1
-from helpers import (converged_final_unitary, eigenphases, herm_expi, phase_cost_inputs,
-                     phase_costs_oracle, random_density, random_hermitian, random_instance,
-                     random_probs, random_unitary, sequential_products)
+from helpers import (converged_final_unitary, counterdiabatic_cost_oracle, eigenphases,
+                     herm_expi, phase_cost_inputs, phase_costs_oracle, random_density,
+                     random_hermitian, random_instance, random_probs, random_unitary,
+                     sequential_products)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -547,6 +548,40 @@ def test_counterdiabatic_cost_error_taxonomy():
     with pytest.raises(VerificationFailed) as exc:
         counterdiabatic_cost(lying)
     assert "closed_form" in exc.value.residuals
+
+
+def _random_rotating_schedule(rng, n_steps):
+    """omega = r cos(phi), eps = r sin(phi) with a smooth gap r > 0 and a
+    smooth angle phi that may wind through the branch cut of atan2."""
+    r0, r1, wr = rng.uniform(0.8, 1.5), rng.uniform(0.0, 0.3), rng.uniform(0.5, 2.0)
+    c0, c1 = rng.uniform(-np.pi, np.pi), rng.uniform(-2.0, 2.0)
+    c2, w = rng.uniform(0.0, 0.5), rng.uniform(0.5, 2.0)
+
+    def gap(t):
+        return r0 + r1 * np.sin(wr * t)
+
+    def phi(t):
+        return c0 + c1 * t + c2 * np.sin(w * t)
+
+    return Schedule.rotating_callables(lambda t: gap(t) * np.cos(phi(t)),
+                                       lambda t: gap(t) * np.sin(phi(t)),
+                                       tau=rng.uniform(1.0, 2.0), n_steps=n_steps)
+
+
+def test_counterdiabatic_cost_matches_the_eigenvector_oracle():
+    # the mixing-angle form against eigh of every sample, gauge-fixed and
+    # differentiated; both are second order in the step
+    rng = np.random.default_rng(512)
+    params = MuDynParams.constant_rate(mu=1.5, omega_bar=2.0, tau=1.0)
+    scheds = [Schedule.rotating_cos_sin(1.0, tau=2.0, tau_star=0.7, n_steps=8192),
+              Schedule.rotating_constant_mu(params, n_steps=8192)]
+    scheds += [_random_rotating_schedule(rng, 8192) for _ in range(6)]
+    for sched in scheds:
+        w, norm_trace = counterdiabatic_cost(sched)
+        w_oracle, norm_oracle = counterdiabatic_cost_oracle(sched)
+        assert abs(w - w_oracle) <= 1e-7
+        assert norm_trace.shape == norm_oracle.shape == (8193,)
+        assert np.abs(norm_trace - norm_oracle).max() <= 1e-7
 
 
 def test_wmin_agrees_with_two_level_closed_form():

@@ -49,15 +49,6 @@ def test_herm_expi_batch_matches_single():
             assert np.abs(batch[k] - herm_expi(hs[k], dt)).max() < 1e-12
 
 
-def test_herm_expi_batch_broadcast_dt():
-    rng = np.random.default_rng(3)
-    hs = np.stack([random_hermitian(rng, 2) for _ in range(4)])
-    dts = np.array([0.1, 0.2, 0.3, 0.4])
-    batch = linalg.herm_expi_batch(hs, dts)
-    for k in range(4):
-        assert np.abs(batch[k] - herm_expi(hs[k], dts[k])).max() < 1e-12
-
-
 def test_herm_expi_batch_small_norm_limit():
     # a vanishing norm must give the identity, a denormal-scale one stay finite
     h = np.zeros((1, 2, 2), dtype=complex)
@@ -103,22 +94,6 @@ def test_herm_expi_batch_is_unitary_to_rounding_at_step_norms(d):
     for norm in (1e-6, 1e-4, 1e-3, 1e-2):
         for u in linalg.herm_expi_batch(_unit_one_norm_stack(rng, d, 64), norm):
             assert linalg.unitarity_defect(u) <= 1e-14
-
-
-@pytest.mark.parametrize("d", [3, 4])
-def test_herm_expi_batch_broadcasts_dt_against_the_stack(d):
-    rng = np.random.default_rng([72, d])
-    hs = np.stack([random_hermitian(rng, d) for _ in range(4)])
-    dts = np.array([0.0, 0.01, 0.3, 2.0])
-    batch = linalg.herm_expi_batch(hs, dts)
-    one = linalg.herm_expi_batch(hs[0], dts)      # one matrix, four dt
-    grid = linalg.herm_expi_batch(hs, dts[:, None])   # every (dt, h) pair
-    assert batch.shape == one.shape == (4, d, d) and grid.shape == (4, 4, d, d)
-    for k in range(4):
-        assert np.abs(batch[k] - herm_expi(hs[k], dts[k])).max() < 1e-13
-        assert np.abs(one[k] - herm_expi(hs[0], dts[k])).max() < 1e-13
-        for j in range(4):
-            assert np.abs(grid[j, k] - herm_expi(hs[k], dts[j])).max() < 1e-13
 
 
 @pytest.mark.parametrize("d", [3, 5])

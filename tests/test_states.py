@@ -1,6 +1,7 @@
 """States, passivity, entropies, and thermal solvers."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ergodrive import (DensityMatrix, HamiltonianOp, states,
                        solve_beta_for_entropy, thermal_populations,
                        von_neumann_entropy, coherence_rel_entropy)
 from ergodrive.errors import (DimMismatch, EnergyOutOfRange, EntropyOutOfRange,
-                              LengthMismatch, NotAState)
+                              LengthMismatch, NotAState, NotHermitian)
 from helpers import (dephase, near_pure_state, random_density, random_hermitian,
                      random_instance, random_probs, relative_entropy, thermal_state)
 
@@ -27,6 +28,19 @@ def test_density_matrix_validation():
     rho = DensityMatrix(np.diag([0.25, 0.75]))
     assert rho.dim == 2
     assert abs(rho.purity() - (0.25**2 + 0.75**2)) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan, 1j * np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+def test_non_finite_entries_are_refused_before_any_arithmetic(bad, entry):
+    m = np.diag([0.3, 0.7]).astype(complex)
+    m[entry] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotAState, match="non-finite"):
+            DensityMatrix(m)
+        with pytest.raises(NotHermitian, match="non-finite"):
+            HamiltonianOp(m)
 
 
 def test_populations_desc_sorted():

@@ -376,6 +376,13 @@ def test_theta_split_orderings():
     (check_bloch, (0.5, 0.6)),
     (check_drive, (0.0, 1.0)),
     (check_drive, (1.0, -0.5)),
+    (check_bloch, (0.5, float("nan"))),
+    (check_bloch, (float("inf"), 0.0)),
+    (check_bloch, (0.5, float("inf"))),
+    (check_drive, (float("nan"), 1.0)),
+    (check_drive, (1.0, float("nan"))),
+    (check_drive, (float("inf"), 1.0)),
+    (check_drive, (1.0, float("inf"))),
 ])
 def test_scalar_and_array_inputs_are_refused_alike(check, scalar):
     with pytest.raises(ParamOutOfRange) as one:
@@ -387,3 +394,16 @@ def test_scalar_and_array_inputs_are_refused_alike(check, scalar):
     assert str(one.value) == str(many.value)
     check(*[a[[0, 2]] for a in arrays])     # the valid points pass
     check(0.5, 0.1)
+
+
+def test_non_finite_states_and_drives_are_refused():
+    nan = float("nan")
+    with pytest.raises(ParamOutOfRange, match="Bloch ball"):
+        TlsState(0.4, nan)
+    with pytest.raises(ParamOutOfRange, match="outside"):
+        TlsState(nan, 0.0)
+    for args in [(1.0, nan, 1.0), (1.0, 1.0, nan), (1.0, float("inf"), 1.0), (1.0, 1.0, 0.0)]:
+        with pytest.raises(ParamOutOfRange, match="both finite"):
+            MuDynParams.constant_rate(*args)
+    with pytest.raises(ParamInconsistent):
+        MuDynParams(mu=1.0, omega_bar=1.0, omega_f=1.0, eps_f=0.0, tau=1.0, Omega_f=nan)

@@ -148,37 +148,38 @@ def _fixed_state(cfg: dict) -> tls.TlsState:
 
 
 def _load_instance(cfg: dict):
+    """(rho_i, h_i, h_f), each carrying cfg's tolerance record."""
     tols = _tols(cfg)
     rho = DensityMatrix(matrix_from_json(_require(cfg, "rho_i")), tols)
     h_i = HamiltonianOp(matrix_from_json(_require(cfg, "h_i")), tols)
     h_f = HamiltonianOp(matrix_from_json(_require(cfg, "h_f")), tols)
-    return rho, h_i, h_f, tols
+    return rho, h_i, h_f
 
 
 # ----------------------------------------------------------------- scenarios
 
 def run_ergotropy(cfg: dict) -> dict:
-    rho, h_i, h_f, _ = _load_instance(cfg)
+    rho, h_i, h_f = _load_instance(cfg)
     return ergotropy.full_report(rho, h_i, h_f).to_json()
 
 
 def run_drive_synth(cfg: dict, n_steps=None) -> dict:
-    rho, h_i, h_f, tols = _load_instance(cfg)
+    rho, h_i, h_f = _load_instance(cfg)
     tau = _number(cfg, "tau", 1.0)
     n_steps = _count(cfg, "n_steps", 4096) if n_steps is None else n_steps
     sched = Schedule.linear(tau, n_steps=n_steps)
-    trace = propagate_u0(h_i, h_f, sched, tols)
+    trace = propagate_u0(h_i, h_f, sched)
     phases_cfg = cfg.get("phases", "zeros")
     if phases_cfg == "analytic2":
         phases = optimize_phases(rho, h_i, h_f, sched, mode="analytic2",
-                                 u_f=trace.u_samples[-1], tols=tols).phases
+                                 u_f=trace.u_samples[-1]).phases
     elif phases_cfg == "zeros":
         phases = np.zeros(rho.dim)
     else:
         phases = np.array(_numbers(cfg, "phases", None))
-    synth = synthesize_drive(rho, h_i, h_f, sched, phases, tols, trace)
+    synth = synthesize_drive(rho, h_i, h_f, sched, phases, trace)
     del trace   # verify_drive propagates on its own grid: free U0 before it
-    energy_res, dist = verify_drive(synth, rho, h_i, h_f, sched, tols)
+    energy_res, dist = verify_drive(synth, rho, h_i, h_f, sched)
     return synth.to_json({"final_energy_residual": energy_res,
                           "state_distance": dist})
 

@@ -1,10 +1,10 @@
 """Time-dependent drive machinery.
 
-Schedules interpolate H0(t) between an initial and a final Hamiltonian (or
-rotate a two-level gap). The bare propagator U0 is one blocked ordered
-product of midpoint exponential steps, projected onto the unitaries every 64
-steps; the same kernel propagates U0 on verify_drive's finer grid and then
-H0 + V. Every stack of small matrices on a time grid is kept time-innermost,
+Schedules run on [0, tau] and interpolate H0(t) between an initial and a
+final Hamiltonian (or rotate a two-level gap). The bare propagator U0 is one
+blocked ordered product of midpoint exponential steps, projected onto the
+unitaries every 64 steps (linalg.step_products); the same kernel propagates
+U0 on verify_drive's finer grid and then H0 + V. Every stack of small matrices on a time grid is kept time-innermost,
 as a (d, d, n) array (handed out as (n, d, d) views): the step exponentials
 are one Taylor kernel over the stack, and every product or conjugation
 U X U^dag is d broadcast multiply-adds over length-n vectors
@@ -14,14 +14,15 @@ samples on both grids and its V, H, dH/dt and rho(t). Only the arrays handed
 out, propagate_u0's samples and synthesize_drive's V, are fresh, so
 verify_drive's U0 does not go through propagate_u0. A target unitary R maps
 the state's descending eigenvectors onto the ascending final energy basis,
-chi = principal log of U0(t_f)^dag R generates the correction
+chi = principal log of U0(tau)^dag R generates the correction
 V(t) = -fdot(t) U0 chi U0^dag, and the cost functionals w, w_min follow
 from chi's eigenphases. The phase optimizers scan w_min over the free target
-phases phi: the eigenphases of M(phi) = U0(t_f)^dag R(phi) at d = 2, 3 come
+phases phi: the eigenphases of M(phi) = U0(tau)^dag R(phi) at d = 2, 3 come
 from tr M and det M alone (eigenphases_from_trace_det, one broadcast root
 solve over the batch), and only rows with nearly repeated eigenphases, or
 d >= 4, form M for a general eigensolver. synthesize_drive takes a U0 trace
-a caller already propagated. Everything here is in hbar = 1 units.
+a caller already propagated. Tolerances are read from the arguments (the
+state's record, else h_i's). Everything here is in hbar = 1 units.
 """
 
 from __future__ import annotations
@@ -33,19 +34,18 @@ import numpy as np
 
 from .errors import (DimMismatch, DimTooLarge, GaugeFailure, LengthMismatch,
                      ParamInconsistent, ParamOutOfRange, VerificationFailed)
-from .linalg import (EXPONENT, ROWS, dagger, herm_expi_batch, matmul_t, polar_project,
-                     principal_log_unitary, rmatmul_t, trace_distance, workspace)
+from .linalg import (EXPONENT, ROWS, buffer_len, dagger, matmul_t, principal_log_unitary,
+                     step_products, trace_distance, workspace)
 from .states import DensityMatrix, HamiltonianOp, matrix_to_json, passive_energy, passive_state
-from .tls import MuDynParams, wrap_pi
-from .tolerances import (DEFAULT_TOLS, EIGENPHASE_SEPARATION, GAUGE_OVERLAP_MIN,
-                         MONOTONE_RAMP_ATOL, ROTATING_ENDPOINT_REL, SCHEDULE_BOUNDARY_ATOL,
-                         STA_CLOSED_FORM_REL, VERIFY_ENDPOINT_REL, VERIFY_ENERGY_REL,
-                         VERIFY_STATE_DISTANCE, VERIFY_WIDTH_FLOOR, VERIFY_WORK_REL, Tolerances)
+from .tls import MuDynParams, check_count, wrap_pi
+from .tolerances import (EIGENPHASE_SEPARATION, GAUGE_OVERLAP_MIN, MONOTONE_RAMP_ATOL,
+                         ROTATING_ENDPOINT_REL, SCHEDULE_BOUNDARY_ATOL, STA_CLOSED_FORM_REL,
+                         VERIFY_ENDPOINT_REL, VERIFY_ENERGY_REL, VERIFY_STATE_DISTANCE,
+                         VERIFY_WIDTH_FLOOR, VERIFY_WORK_REL)
 
 _SZ = np.diag([1.0, -1.0]).astype(complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
-_REUNITARIZE_EVERY = 64
 # linalg workspace roles of this module: the sample buffer of verify_drive's
 # propagations, two (d, d, n + 1) stacks, and the row through which H0's
 # second term is added
@@ -83,17 +83,17 @@ def _sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Drive schedule on [t_i, t_f].
+    """Drive schedule on [0, tau].
 
     kind "interp": H0(t) = lam_i(t) h_i + lam_f(t) h_f, boundary values
     lam_i: 1 -> 0 and lam_f: 0 -> 1 (checked to SCHEDULE_BOUNDARY_ATOL). kind "rotating":
     H0(t) = (omega(t) sz + eps(t) sx)/2, two-level only; mu and omega_bar are
     optional metadata used for closed-form cross-checks. ramp_f drives the
-    correction V(t); it must run 0 -> 1 with flat endpoints.
+    correction V(t); it must run 0 -> 1 with flat endpoints. n_steps is an
+    integer >= 1.
     """
 
-    t_i: float
-    t_f: float
+    tau: float
     kind: str = "interp"
     lam_i: Optional[Callable] = None
     lam_f: Optional[Callable] = None
@@ -106,18 +106,17 @@ class Schedule:
     omega_bar: Optional[float] = None
 
     def __post_init__(self):
-        if not self.t_f > self.t_i:
-            raise ParamOutOfRange(f"need t_f > t_i, got [{self.t_i}, {self.t_f}]")
-        if self.n_steps < 1:
-            raise ParamOutOfRange("n_steps must be positive")
-        tau = self.t_f - self.t_i
+        tau = self.tau
+        if not 0 < tau < np.inf:
+            raise ParamOutOfRange(f"need 0 < tau < inf, got {tau}")
+        check_count(self.n_steps, "n_steps", 1)
         if self.kind == "interp":
             if self.lam_i is None:
-                object.__setattr__(self, "lam_i", lambda t: 1.0 - (t - self.t_i) / tau)
+                object.__setattr__(self, "lam_i", lambda t: 1.0 - t / tau)
             if self.lam_f is None:
-                object.__setattr__(self, "lam_f", lambda t: (t - self.t_i) / tau)
-            for fn, at, want in ((self.lam_i, self.t_i, 1.0), (self.lam_i, self.t_f, 0.0),
-                                 (self.lam_f, self.t_i, 0.0), (self.lam_f, self.t_f, 1.0)):
+                object.__setattr__(self, "lam_f", lambda t: t / tau)
+            for fn, at, want in ((self.lam_i, 0.0, 1.0), (self.lam_i, tau, 0.0),
+                                 (self.lam_f, 0.0, 0.0), (self.lam_f, tau, 1.0)):
                 if abs(float(fn(at)) - want) > SCHEDULE_BOUNDARY_ATOL:
                     raise ParamInconsistent(f"lambda({at}) = {float(fn(at))}, expected {want}")
         elif self.kind == "rotating":
@@ -126,22 +125,18 @@ class Schedule:
         else:
             raise ParamOutOfRange(f"unknown schedule kind {self.kind!r}")
         if self.ramp_f is None:
-            object.__setattr__(self, "ramp_f", lambda t: smoothstep((t - self.t_i) / tau))
-            object.__setattr__(self, "ramp_fdot", lambda t: smoothstep_dot((t - self.t_i) / tau) / tau)
+            object.__setattr__(self, "ramp_f", lambda t: smoothstep(t / tau))
+            object.__setattr__(self, "ramp_fdot", lambda t: smoothstep_dot(t / tau) / tau)
         elif self.ramp_fdot is None:
             raise ParamOutOfRange("a custom ramp_f needs its derivative ramp_fdot")
-        for fn, at, want in ((self.ramp_f, self.t_i, 0.0), (self.ramp_f, self.t_f, 1.0),
-                             (self.ramp_fdot, self.t_i, 0.0), (self.ramp_fdot, self.t_f, 0.0)):
+        for fn, at, want in ((self.ramp_f, 0.0, 0.0), (self.ramp_f, tau, 1.0),
+                             (self.ramp_fdot, 0.0, 0.0), (self.ramp_fdot, tau, 0.0)):
             if abs(float(fn(at)) - want) > SCHEDULE_BOUNDARY_ATOL:
                 raise ParamInconsistent(f"ramp({at}) = {float(fn(at))}, expected {want}")
 
-    @property
-    def tau(self) -> float:
-        return self.t_f - self.t_i
-
     def times(self, n_steps: Optional[int] = None) -> np.ndarray:
         n = self.n_steps if n_steps is None else n_steps
-        return np.linspace(self.t_i, self.t_f, n + 1)
+        return np.linspace(0.0, self.tau, n + 1)
 
     def h0_batch(self, h_i: HamiltonianOp, h_f: HamiltonianOp, ts: np.ndarray) -> np.ndarray:
         """H0 sampled on ts, shape (len(ts), d, d): a view of a time-innermost
@@ -174,7 +169,7 @@ class Schedule:
             if h_i.dim != 2:
                 raise DimMismatch("rotating schedules are two-level only")
             scale = max(1.0, float(np.abs(h_i.mat).max()), float(np.abs(h_f.mat).max()))
-            ends = self.h0_batch(h_i, h_f, np.array([self.t_i, self.t_f]))
+            ends = self.h0_batch(h_i, h_f, np.array([0.0, self.tau]))
             if (np.abs(ends[0] - h_i.mat).max() > ROTATING_ENDPOINT_REL * scale
                     or np.abs(ends[1] - h_f.mat).max() > ROTATING_ENDPOINT_REL * scale):
                 raise ParamInconsistent("rotating schedule endpoints disagree with h_i/h_f")
@@ -182,53 +177,38 @@ class Schedule:
     # ------------------------------------------------------------ factories
 
     @classmethod
-    def linear(cls, tau: float, n_steps: int = 4096, t_i: float = 0.0) -> "Schedule":
-        return cls(t_i=t_i, t_f=t_i + tau, kind="interp", n_steps=n_steps)
+    def linear(cls, tau: float, n_steps: int = 4096) -> "Schedule":
+        return cls(tau, n_steps=n_steps)
 
     @classmethod
-    def from_lambdas(cls, lam_i: Callable, lam_f: Callable, tau: float,
-                     n_steps: int = 4096, t_i: float = 0.0, **kw) -> "Schedule":
-        return cls(t_i=t_i, t_f=t_i + tau, kind="interp",
-                   lam_i=lam_i, lam_f=lam_f, n_steps=n_steps, **kw)
-
-    @classmethod
-    def rotating_callables(cls, omega: Callable, eps: Callable, tau: float,
-                           n_steps: int = 4096, t_i: float = 0.0,
-                           mu: Optional[float] = None,
-                           omega_bar: Optional[float] = None) -> "Schedule":
-        return cls(t_i=t_i, t_f=t_i + tau, kind="rotating", omega=omega, eps=eps,
-                   n_steps=n_steps, mu=mu, omega_bar=omega_bar)
-
-    @classmethod
-    def rotating_constant_mu(cls, params: MuDynParams, n_steps: int = 4096,
-                             t_i: float = 0.0) -> "Schedule":
+    def rotating_constant_mu(cls, params: MuDynParams, n_steps: int = 4096) -> "Schedule":
         """Constant gap Omega = omega_bar/tau, Bloch angle phi(t) = -mu Omega t."""
         om0 = params.omega_bar / params.tau
         mu = params.mu
 
         def omega(t):
-            return om0 * np.cos(mu * om0 * (np.asarray(t, dtype=float) - t_i))
+            return om0 * np.cos(mu * om0 * np.asarray(t, dtype=float))
 
         def eps(t):
-            return -om0 * np.sin(mu * om0 * (np.asarray(t, dtype=float) - t_i))
+            return -om0 * np.sin(mu * om0 * np.asarray(t, dtype=float))
 
-        return cls(t_i=t_i, t_f=t_i + params.tau, kind="rotating", omega=omega,
-                   eps=eps, n_steps=n_steps, mu=mu, omega_bar=params.omega_bar)
+        return cls(params.tau, kind="rotating", omega=omega, eps=eps, n_steps=n_steps,
+                   mu=mu, omega_bar=params.omega_bar)
 
     @classmethod
     def rotating_cos_sin(cls, omega0: float, tau: float, tau_star: float,
-                         n_steps: int = 4096, t_i: float = 0.0) -> "Schedule":
-        """Quarter-period sweep omega0 (cos, sin)(pi (t - t_i)/(2 tau*))."""
+                         n_steps: int = 4096) -> "Schedule":
+        """Quarter-period sweep omega0 (cos, sin)(pi t/(2 tau*))."""
         params = MuDynParams.cos_sin(omega0, tau, tau_star)
 
         def omega(t):
-            return omega0 * np.cos(np.pi * (np.asarray(t, dtype=float) - t_i) / (2 * tau_star))
+            return omega0 * np.cos(np.pi * np.asarray(t, dtype=float) / (2 * tau_star))
 
         def eps(t):
-            return omega0 * np.sin(np.pi * (np.asarray(t, dtype=float) - t_i) / (2 * tau_star))
+            return omega0 * np.sin(np.pi * np.asarray(t, dtype=float) / (2 * tau_star))
 
-        return cls(t_i=t_i, t_f=t_i + tau, kind="rotating", omega=omega, eps=eps,
-                   n_steps=n_steps, mu=params.mu, omega_bar=params.omega_bar)
+        return cls(tau, kind="rotating", omega=omega, eps=eps, n_steps=n_steps,
+                   mu=params.mu, omega_bar=params.omega_bar)
 
 
 class PropagatorTrace(NamedTuple):
@@ -255,46 +235,6 @@ def _conjugate(u: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return matmul_t(u, np.swapaxes(np.conj(ux, out=ux), 0, 1), out, tmp)
 
 
-def _buffer_len(n: int) -> int:
-    """Time length of an n-step sample buffer: whole blocks plus the identity."""
-    return -(-n // _REUNITARIZE_EVERY) * _REUNITARIZE_EVERY + 1
-
-
-def _ordered_products(buf: np.ndarray, n: int,
-                      tols: Tolerances = DEFAULT_TOLS) -> Tuple[np.ndarray, float]:
-    """Running products steps[k-1] ... steps[0] for k = 0..n, and the drift.
-
-    buf is a time-innermost (d, d, _buffer_len(n)) array whose entries
-    1..n hold the steps; the products are formed in it in place, after
-    padding it with the identity, cut into blocks of _REUNITARIZE_EVERY.
-    The products inside every block are formed side by side, one broadcast
-    product per position. The block totals are chained in order and the
-    chained totals projected onto the unitaries in one batched SVD; drift is
-    the worst defect ||s^2 - 1|| before that projection. Each block's
-    running products are then multiplied, in place, by the projected total
-    of the blocks before it (its head), and every 64th sample and the last
-    one are the projected totals themselves, unitary to rounding. Returns
-    the samples as an (n + 1, d, d) view of buf.
-    """
-    d = buf.shape[0]
-    m = _REUNITARIZE_EVERY
-    nb = -(-n // m)
-    eye = np.eye(d)[..., None]
-    buf[..., :1] = buf[..., n + 1:] = eye
-    blocks = buf[..., 1:].reshape(d, d, nb, m, copy=False)
-    prod, tmp = np.empty((2, d, d, nb), dtype=complex)
-    for j in range(1, min(m, n)):
-        blocks[..., j] = matmul_t(blocks[..., j], blocks[..., j - 1], prod, tmp)
-    last = np.minimum(np.arange(1, nb + 1) * m, n)   # buffer index of each block's end
-    ends = np.ascontiguousarray(_time_first(buf[..., last]))
-    for b in range(1, nb):
-        ends[b] = ends[b] @ ends[b - 1]
-    ends, drift = polar_project(ends, tols)
-    rmatmul_t(blocks[:, :, 1:], _time_last(ends[:-1])[..., None])
-    buf[..., last] = _time_last(ends)
-    return _time_first(buf[..., :n + 1]), drift
-
-
 def _midpoint_h0(sched: Schedule, h_i: HamiltonianOp, h_f: HamiltonianOp,
                  n: int) -> np.ndarray:
     """H0 at the midpoints of sched's n-step grid, a time-innermost stack in
@@ -304,25 +244,15 @@ def _midpoint_h0(sched: Schedule, h_i: HamiltonianOp, h_f: HamiltonianOp,
     return sched._h0_stack(h_i, h_f, mids, workspace(EXPONENT, (h_i.dim, h_i.dim, n)))
 
 
-def _step_products(h: np.ndarray, dt: float, buf: np.ndarray,
-                   tols: Tolerances) -> Tuple[np.ndarray, float]:
-    """Running products of the steps exp(-i h_k dt) of a time-innermost stack
-    h[d, d, n] in the exponent role (which they overwrite), formed in buf
-    (see _ordered_products)."""
-    n = h.shape[-1]
-    herm_expi_batch(_time_first(h), dt, out=_time_first(buf[..., 1:n + 1]))
-    return _ordered_products(buf, n, tols)
-
-
-def propagate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule,
-                 tols: Tolerances = DEFAULT_TOLS) -> PropagatorTrace:
-    """Bare propagator by midpoint exponential stepping, sampled on the grid."""
+def propagate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> PropagatorTrace:
+    """Bare propagator by midpoint exponential stepping, sampled on the grid,
+    to h_i's tolerances."""
     sched.validate_against(h_i, h_f)
     n = sched.n_steps
-    buf = np.empty((h_i.dim, h_i.dim, _buffer_len(n)), dtype=complex)
+    buf = np.empty((h_i.dim, h_i.dim, buffer_len(n)), dtype=complex)
     return PropagatorTrace(sched.times(),
-                           *_step_products(_midpoint_h0(sched, h_i, h_f, n), sched.tau / n,
-                                           buf, tols))
+                           *step_products(_midpoint_h0(sched, h_i, h_f, n), sched.tau / n,
+                                          buf, h_i.tols))
 
 
 def _descending_eigvectors(rho: DensityMatrix) -> Tuple[np.ndarray, np.ndarray]:
@@ -356,8 +286,7 @@ class DriveSynthesis:
     v_samples: np.ndarray       # V(t) on the schedule grid
     w: float                    # time-averaged Frobenius cost of V
     w_min: float                # (sum theta^2)^{1/2} / tau
-    final_state: DensityMatrix  # R rho_i R^dag
-    target_passive: DensityMatrix
+    target_passive: DensityMatrix   # R rho_i R^dag, the same for any phases
 
     def to_json(self, residuals: Optional[dict] = None) -> dict:
         out = {
@@ -374,25 +303,25 @@ class DriveSynthesis:
 
 def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp,
                      sched: Schedule, phases_phi=None,
-                     tols: Tolerances = DEFAULT_TOLS,
                      trace: Optional[PropagatorTrace] = None) -> DriveSynthesis:
     """Build V(t) = -fdot(t) U0 chi U0^dag reaching the passive target.
 
-    chi is the principal log of U0(t_f)^dag R. The cost w integrates
-    ||V||_F = |fdot| (sum theta^2)^{1/2}; for a monotone ramp the integral
-    of |fdot| telescopes to f(t_f) - f(t_i) and w equals w_min exactly,
-    otherwise it is done by trapezoid on the grid. ``trace`` is U0 on
-    sched's grid, as propagate_u0(h_i, h_f, sched, tols) returns it, for a
-    caller that already has it; by default it is propagated here.
+    chi is the principal log of U0(tau)^dag R, taken to rho_i's tolerances.
+    The cost w integrates ||V||_F = |fdot| (sum theta^2)^{1/2}; for a
+    monotone ramp the integral of |fdot| telescopes to f(tau) - f(0) and w
+    equals w_min exactly, otherwise it is done by trapezoid on the grid.
+    ``trace`` is U0 on sched's grid, as propagate_u0(h_i, h_f, sched)
+    returns it, for a caller that already has it; by default it is
+    propagated here.
     """
     if phases_phi is None:
         phases_phi = np.zeros(rho_i.dim)
     if trace is None:
-        trace = propagate_u0(h_i, h_f, sched, tols)
+        trace = propagate_u0(h_i, h_f, sched)
     elif not np.array_equal(trace.times, sched.times()):
         raise ParamInconsistent("the trace is not sampled on the schedule's grid")
     r = target_unitary(rho_i, h_f, phases_phi)
-    chi, modes = principal_log_unitary(dagger(trace.u_samples[-1]) @ r, tols)
+    chi, modes = principal_log_unitary(dagger(trace.u_samples[-1]) @ r, rho_i.tols)
     thetas = modes.phases
     w_min = float(np.linalg.norm(thetas)) / sched.tau
     fdot = _sample(sched.ramp_fdot, trace.times)
@@ -400,20 +329,17 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
     v = _conjugate(u, chi, np.empty(u.shape, dtype=complex))
     v *= -fdot
     if np.all(fdot >= -MONOTONE_RAMP_ATOL):
-        w = w_min * float(sched.ramp_f(sched.t_f) - sched.ramp_f(sched.t_i))
+        w = w_min * float(sched.ramp_f(sched.tau) - sched.ramp_f(0.0))
     else:
         w = w_min * float(np.trapezoid(np.abs(fdot), trace.times))
-    final_state = DensityMatrix(r @ rho_i.mat @ dagger(r), tols)
     return DriveSynthesis(chi=chi, thetas=thetas,
                           phases_phi=np.asarray(phases_phi, dtype=float),
                           v_samples=_time_first(v), w=w, w_min=w_min,
-                          final_state=final_state,
                           target_passive=passive_state(rho_i, h_f))
 
 
 def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp,
-                 h_f: HamiltonianOp, sched: Schedule,
-                 tols: Tolerances = DEFAULT_TOLS) -> Tuple[float, float]:
+                 h_f: HamiltonianOp, sched: Schedule) -> Tuple[float, float]:
     """Propagate H0(t) + V(t) end to end and check it does what it promises.
 
     Returns (final_energy_residual, state_distance). Raises VerificationFailed
@@ -423,9 +349,11 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     endpoint Hamiltonians are not h_i/h_f to VERIFY_ENDPOINT_REL x their
     largest entry, or the explicit work integral of rho(t) dH/dt does not
     telescope to the total energy change to VERIFY_WORK_REL x the energy
-    scale (constants of the tolerances module).
+    scale (constants of the tolerances module). The propagations and the
+    final state use rho_i's tolerance record.
     """
     sched.validate_against(h_i, h_f)
+    tols = rho_i.tols
     d, n = h_i.dim, sched.n_steps
     ts = sched.times()
     dt = sched.tau / n
@@ -435,20 +363,20 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     # _SAMPLES, give V at the midpoints (in _STACK); H0 + V is propagated on
     # the coarse grid in _SAMPLES again; rho(t) then takes _STACK, H(t) the
     # exponent role and dH/dt _STACK2.
-    fine, _ = _step_products(_midpoint_h0(sched, h_i, h_f, 2 * n), sched.tau / (2 * n),
-                             workspace(_SAMPLES, (d, d, _buffer_len(2 * n))), tols)
+    fine, _ = step_products(_midpoint_h0(sched, h_i, h_f, 2 * n), sched.tau / (2 * n),
+                            workspace(_SAMPLES, (d, d, buffer_len(2 * n))), tols)
     v_mid = _conjugate(_time_last(fine[1::2]), synth.chi, workspace(_STACK, (d, d, n)))
     v_mid *= -_sample(sched.ramp_fdot, ts[:-1] + 0.5 * dt)
     h_mid = _midpoint_h0(sched, h_i, h_f, n)
     h_mid += v_mid
-    u_samples, _ = _step_products(h_mid, dt, workspace(_SAMPLES, (d, d, _buffer_len(n))), tols)
+    u_samples, _ = step_products(h_mid, dt, workspace(_SAMPLES, (d, d, buffer_len(n))), tols)
     u = u_samples[-1]
 
     rho_f = DensityMatrix(u @ rho_i.mat @ dagger(u), tols)
     state_distance = trace_distance(rho_f.mat, synth.target_passive.mat)
     energy_residual = abs(h_f.energy(rho_f) - passive_energy(rho_i, h_f))
 
-    ends = sched.h0_batch(h_i, h_f, np.array([sched.t_i, sched.t_f]))
+    ends = sched.h0_batch(h_i, h_f, np.array([0.0, sched.tau]))
     endpoint_residual = max(
         float(np.abs(ends[0] + synth.v_samples[0] - h_i.mat).max()),
         float(np.abs(ends[1] + synth.v_samples[-1] - h_f.mat).max()))
@@ -560,16 +488,18 @@ def _phase_costs(m0_det_angle: float, c: np.ndarray, a_mat: np.ndarray,
 def optimize_phases(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp,
                     sched: Schedule, mode: str = "analytic2", n_draws: int = 10_000,
                     rng: Optional[np.random.Generator] = None, grid_points: int = 64,
-                    u_f: Optional[np.ndarray] = None,
-                    tols: Tolerances = DEFAULT_TOLS) -> PhaseOptResult:
+                    u_f: Optional[np.ndarray] = None) -> PhaseOptResult:
     """Pick (or average over) the free target phases phi_n.
 
     "analytic2": closed-form minimizer for d = 2. "grid": exhaustive scan,
     d <= 3. "monte_carlo": mean and standard error of (sum theta^2)^{1/2}/tau
     over n_draws uniform phase vectors (phases are then reported as None).
+    Refuses n_draws < 2 and grid_points < 1.
     """
+    check_count(n_draws, "n_draws", 2)
+    check_count(grid_points, "grid_points", 1)
     if u_f is None:
-        u_f = propagate_u0(h_i, h_f, sched, tols).u_samples[-1]
+        u_f = propagate_u0(h_i, h_f, sched).u_samples[-1]
     _, v_r = _descending_eigvectors(rho_i)
     a_mat = dagger(u_f) @ h_f.basis
     c = np.einsum("in,in->n", v_r.conj(), a_mat)

@@ -100,7 +100,7 @@ def coherent_entropy_identity_residual(rho_i: DensityMatrix, h_i: HamiltonianOp,
 
 
 def _same_energy_solve(rho_i: DensityMatrix, h_i: HamiltonianOp) -> states.ThermalSolveResult:
-    return states.solve_beta_for_energy(h_i, h_i.energy(rho_i), rho_i.tols)
+    return states.solve_beta_for_energy(h_i, h_i.energy(rho_i))
 
 
 def delta_noncyclic(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp,
@@ -165,7 +165,7 @@ def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: Hamiltonian
                            "the input is maximally mixed")
     if same_energy is None:
         same_energy = _same_energy_solve(rho_i, h_i)
-    solve_s = states.solve_beta_for_entropy(h_f, s_i, tols)
+    solve_s = states.solve_beta_for_entropy(h_f, s_i)
     if solve_s.residual > tols.beta_residual:
         raise EntropyOutOfRange(f"S(rho_i) = {s_i} is below the entropy floor of h_f")
     beta_i = solve_s.beta

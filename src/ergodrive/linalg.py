@@ -12,7 +12,9 @@ herm_expi_batch exponentiates such a stack with one scaled-and-squared
 Taylor kernel whose degree comes from a 1-norm bound on the remainder
 (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)); at the
 step norms of a propagator, ||H dt||_1 ~ 1e-3, that is degree 3 to 5 with
-no squaring. polar_project re-unitarizes a whole stack in one batched SVD.
+no squaring. polar_project re-unitarizes a whole stack in one batched SVD;
+step_products chains a stack of step exponentials into running products,
+projecting the chained total of every 64-step block with it.
 principal_log_unitary takes a unitary's eigenvectors from eigh of a Cayley
 transform, shifted so that I + u is well conditioned, and its eigenphases
 from their Rayleigh quotients. Everything here is NumPy (LAPACK) only.
@@ -361,6 +363,57 @@ def polar_project(u: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
                                 f"exceeds {tols.unitary_defect_max}")
     drift = float(np.linalg.norm(s * s - 1.0, axis=-1).max(initial=0.0))
     return p @ qh, drift
+
+
+REUNITARIZE_EVERY = 64   # steps per block of ordered_products
+
+
+def buffer_len(n: int) -> int:
+    """Time length of an n-step sample buffer: whole blocks plus the identity."""
+    return -(-n // REUNITARIZE_EVERY) * REUNITARIZE_EVERY + 1
+
+
+def ordered_products(buf: np.ndarray, n: int, tols: Tolerances = DEFAULT_TOLS):
+    """Running products steps[k-1] ... steps[0] for k = 0..n, and the drift.
+
+    buf is a time-innermost (d, d, buffer_len(n)) array whose entries
+    1..n hold the steps; the products are formed in it in place, after
+    padding it with the identity, cut into blocks of REUNITARIZE_EVERY.
+    The products inside every block are formed side by side, one broadcast
+    product per position. The block totals are chained in order and the
+    chained totals projected onto the unitaries in one batched SVD; drift is
+    the worst defect ||s^2 - 1|| before that projection. Each block's
+    running products are then multiplied, in place, by the projected total
+    of the blocks before it (its head), and every 64th sample and the last
+    one are the projected totals themselves, unitary to rounding. Returns
+    the samples as an (n + 1, d, d) view of buf.
+    """
+    d = buf.shape[0]
+    m = REUNITARIZE_EVERY
+    nb = -(-n // m)
+    eye = np.eye(d)[..., None]
+    buf[..., :1] = buf[..., n + 1:] = eye
+    blocks = buf[..., 1:].reshape(d, d, nb, m, copy=False)
+    prod, tmp = np.empty((2, d, d, nb), dtype=complex)
+    for j in range(1, min(m, n)):
+        blocks[..., j] = matmul_t(blocks[..., j], blocks[..., j - 1], prod, tmp)
+    last = np.minimum(np.arange(1, nb + 1) * m, n)   # buffer index of each block's end
+    ends = np.ascontiguousarray(np.moveaxis(buf[..., last], -1, 0))
+    for b in range(1, nb):
+        ends[b] = ends[b] @ ends[b - 1]
+    ends, drift = polar_project(ends, tols)
+    rmatmul_t(blocks[:, :, 1:], np.moveaxis(ends[:-1], 0, -1)[..., None])
+    buf[..., last] = np.moveaxis(ends, 0, -1)
+    return np.moveaxis(buf[..., :n + 1], -1, 0), drift
+
+
+def step_products(h: np.ndarray, dt: float, buf: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
+    """Running products of the steps exp(-i h_k dt) of a time-innermost stack
+    h[d, d, n] in the EXPONENT role (which they overwrite), formed in buf
+    (see ordered_products)."""
+    n = h.shape[-1]
+    herm_expi_batch(np.moveaxis(h, -1, 0), dt, out=np.moveaxis(buf[..., 1:n + 1], -1, 0))
+    return ordered_products(buf, n, tols)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -337,8 +337,7 @@ def _decreasing_root(f, f0: float, tail: float, noise: float, stop: float,
     return _brent(g, lo, hi, xtol, BETA_RTOL)
 
 
-def solve_beta_for_energy(h: HamiltonianOp, energy: float,
-                          tols: Tolerances = DEFAULT_TOLS) -> ThermalSolveResult:
+def solve_beta_for_energy(h: HamiltonianOp, energy: float) -> ThermalSolveResult:
     """Inverse temperature whose Gibbs state on h has the given mean energy.
 
     Mean energy is strictly decreasing in beta, so the solution in
@@ -346,7 +345,7 @@ def solve_beta_for_energy(h: HamiltonianOp, energy: float,
     the flat-state mean (population inversion). The sign of beta is that of
     f(0) = mean_energy(0) - energy, so beta is exactly 0.0 when the flat
     state matches, and a bracketed Brent solve on that half of the interval
-    finds |beta|.
+    finds |beta|. The residual is held to h's tolerance record.
     """
     en = h.energies
     width = h.spectral_width
@@ -367,21 +366,21 @@ def solve_beta_for_energy(h: HamiltonianOp, energy: float,
         beta = 0.0
     p = thermal_populations(en, beta)
     residual = abs(float(p @ en) - energy)
-    if residual > tols.beta_residual * width:
+    if residual > h.tols.beta_residual * width:
         raise NoConvergence(f"energy residual {residual:.3e} exceeds "
-                            f"{tols.beta_residual * width:.3e}")
+                            f"{h.tols.beta_residual * width:.3e}")
     return ThermalSolveResult(beta, p, residual)
 
 
-def solve_beta_for_entropy(h: HamiltonianOp, entropy: float,
-                           tols: Tolerances = DEFAULT_TOLS) -> ThermalSolveResult:
+def solve_beta_for_entropy(h: HamiltonianOp, entropy: float) -> ThermalSolveResult:
     """Inverse temperature beta >= 0 whose Gibbs state has the given entropy.
 
     Restricted to the beta >= 0 branch where S(beta) is monotone (ln d at
     beta = 0 down to the ground-degeneracy entropy) and solved there by the
     same bracketed Brent solve as the energy match. Targets below the
     beta_max floor return beta_max with the residual reported rather than
-    raising: the caller sees how far the saturated solver landed.
+    raising: the caller sees how far the saturated solver landed. The
+    residual of a solved beta is held to h's tolerance record.
     """
     en = h.energies
     width = h.spectral_width
@@ -405,7 +404,7 @@ def solve_beta_for_entropy(h: HamiltonianOp, entropy: float,
         beta = math.sqrt(y) / width
     p = thermal_populations(en, beta)
     residual = abs(_shannon(p) - entropy)
-    if residual > tols.beta_residual:
+    if residual > h.tols.beta_residual:
         raise NoConvergence(f"entropy residual {residual:.3e}")
     return ThermalSolveResult(beta, p, residual)
 

@@ -18,14 +18,15 @@ from its own generator, so a batch gives the bytes of one call per cell.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from .errors import ParamInconsistent, ParamOutOfRange
 from .states import DensityMatrix
-from .tolerances import BLOCH_ATOL, MIXED_WIDTH_MIN, OMEGA_F_REL
+from .tolerances import BLOCH_ATOL, MIXED_WIDTH_MIN
 
 
 _TWO_PI = 2 * np.pi
@@ -89,6 +90,12 @@ def check_drive(tau, omega_bar):
         raise ParamOutOfRange("need tau > 0 and omega_bar >= 0, both finite")
 
 
+def check_count(n, name: str, least: int):
+    """Refuse anything but an integer n >= least."""
+    if not (isinstance(n, numbers.Integral) and n >= least):
+        raise ParamOutOfRange(f"{name} must be an integer >= {least}, got {n!r}")
+
+
 def density_matrices(p, c):
     """[[p, c], [conj(c), 1 - p]], stacked over the broadcast shape of p and c."""
     p, c = np.broadcast_arrays(p, c)
@@ -127,8 +134,9 @@ class MuDynParams:
     """Constant-mu rotating drive summary.
 
     mu is signed; omega_bar = integral of Omega(t) over the drive; (omega_f,
-    eps_f) are the final Hamiltonian components. tau_star is only meaningful
-    for the quarter-period cos/sin schedule and is carried as metadata.
+    eps_f) are the final Hamiltonian components, and the final gap Omega_f
+    is derived from them. Refuses anything but finite mu, omega_f and eps_f,
+    finite tau > 0 and finite omega_bar >= 0.
     """
 
     mu: float
@@ -136,17 +144,17 @@ class MuDynParams:
     omega_f: float
     eps_f: float
     tau: float
-    tau_star: Optional[float] = None
-    Omega_f: Optional[float] = None
 
     def __post_init__(self):
         check_drive(self.tau, self.omega_bar)
-        hyp = float(np.hypot(self.omega_f, self.eps_f))
-        if self.Omega_f is None:
-            object.__setattr__(self, "Omega_f", hyp)
-        elif not abs(self.Omega_f - hyp) <= OMEGA_F_REL * max(1.0, hyp):
-            raise ParamInconsistent(f"Omega_f = {self.Omega_f} but "
-                                    f"hypot(omega_f, eps_f) = {hyp}")
+        if not np.isfinite([self.mu, self.omega_f, self.eps_f]).all():
+            raise ParamOutOfRange(f"need finite mu, omega_f and eps_f, got "
+                                  f"{self.mu}, {self.omega_f}, {self.eps_f}")
+
+    @property
+    def Omega_f(self) -> float:
+        """Final gap hypot(omega_f, eps_f)."""
+        return float(np.hypot(self.omega_f, self.eps_f))
 
     @classmethod
     def constant_rate(cls, mu: float, omega_bar: float, tau: float) -> "MuDynParams":
@@ -161,17 +169,18 @@ class MuDynParams:
     def cos_sin(cls, omega0: float, tau: float, tau_star: float) -> "MuDynParams":
         """omega = omega0 cos(pi t / 2 tau*), eps = omega0 sin(pi t / 2 tau*)."""
         mu, omega_bar, omega_f, eps_f = cos_sin_drive(omega0, tau, tau_star)
-        return cls(mu=mu, omega_bar=omega_bar, tau=tau, tau_star=tau_star,
-                   omega_f=omega_f, eps_f=eps_f)
+        return cls(mu=mu, omega_bar=omega_bar, tau=tau, omega_f=omega_f, eps_f=eps_f)
 
 
 def cos_sin_drive(omega0, tau, tau_star):
     """(mu, omega_bar, omega_f, eps_f) of the quarter-period cos/sin drive.
 
-    Broadcasts over tau and tau_star; refuses omega0 <= 0 or tau_star <= 0.
+    Broadcasts over tau and tau_star; refuses anything but finite omega0 > 0
+    and tau_star > 0.
     """
-    if np.count_nonzero(np.logical_or(np.less_equal(omega0, 0), np.less_equal(tau_star, 0))):
-        raise ParamOutOfRange("need omega0 > 0 and tau_star > 0")
+    if _first_outside((omega0 > 0) & (omega0 < np.inf) & (tau_star > 0)
+                      & (tau_star < np.inf)) is not None:
+        raise ParamOutOfRange("need omega0 > 0 and tau_star > 0, both finite")
     ang = np.pi * tau / (2 * tau_star)
     return (-np.pi / (2 * omega0 * tau_star), omega0 * tau,
             omega0 * np.cos(ang), omega0 * np.sin(ang))
@@ -287,11 +296,12 @@ def example1_phase_average(a, tau: float, n_draws: int, rng):
     phases as ``rng.uniform(-pi, pi, size=(2, n_draws))``. Cells are evaluated
     PHASE_BLOCK at a time, and every element's result is bit for bit that of
     a call with it alone. A scalar a returns two floats, an array two arrays
-    of its shape.
+    of its shape. Refuses n_draws < 2.
     """
     if np.ndim(a) == 0:
         mean, err = example1_phase_average(np.reshape(a, 1), tau, n_draws, [rng])
         return float(mean[0]), float(err[0])
+    check_count(n_draws, "n_draws", 2)
     a = np.asarray(a, dtype=float)
     if len(rng) != a.size:
         raise ParamInconsistent(f"{len(rng)} generators for {a.size} cells")

@@ -9,9 +9,11 @@ from dataclasses import dataclass, replace
 class Tolerances:
     """One record for every overridable numerical threshold.
 
-    All checks in the package route through an instance of this class so a
-    single override changes behaviour consistently. The constants below it
-    are part of the algorithms and are not overridable.
+    Every DensityMatrix and HamiltonianOp keeps the record it was built with,
+    and the functions that take them read it from them (the state's first),
+    so one override at construction changes behaviour consistently; only
+    the linalg kernels, on raw arrays, take a record as an argument. The
+    constants below it are part of the algorithms and are not overridable.
     """
 
     hermiticity: float = 1e-12      # max-entry defect |m - m^dag|
@@ -82,5 +84,4 @@ COUNTEREXAMPLE_ENERGY_ATOL = 1e-12   # counterexample_populations: mean-energy c
 BLOCK_BASIS_NORM_MIN = 1e-8      # _canonical_block_basis: least norm of a kept basis vector
 ENTROPY_RANGE_ATOL = 1e-12       # solve_beta_for_entropy: slack on the range [0, ln d]
 BLOCH_ATOL = 1e-14               # tls.check_bloch: slack on 0 <= p <= 1 and |c|^2 <= p (1 - p)
-OMEGA_F_REL = 1e-12              # MuDynParams: |Omega_f - hypot(omega_f, eps_f)|, relative (>= 1)
 MIXED_WIDTH_MIN = 1e-15          # tls: a qubit state with a smaller eigenvalue gap is flat

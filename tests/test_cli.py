@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ergodrive
-from ergodrive import (DEFAULT_TOLS, DensityMatrix, HamiltonianOp, Schedule, cli, drives,
+from ergodrive import (BranchAmbiguity, DensityMatrix, HamiltonianOp, Schedule, cli, drives,
                        ergotropy, majorizes, matrix_to_json, optimize_phases,
                        solve_beta_for_energy, synthesize_drive)
 from ergodrive.tolerances import REPORT_ROUNDING_REL
@@ -77,6 +77,13 @@ def test_drive_synth_command(tmp_path, capsys):
     assert run(["drive-synth", "--config", cfg, "--steps", "2048"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["phases_phi"] == [0.0, 1.0]
+    # a tolerance override reaches the drive through the instance's objects: a
+    # branch-cut window wider than 2 pi flags every eigenphase of the log
+    cfg_dict["tolerances"] = {"branch_cut": 7.0}
+    cfg = write_cfg(tmp_path, "d3.json", cfg_dict)
+    with pytest.warns(BranchAmbiguity):
+        assert run(["drive-synth", "--config", cfg, "--steps", "2048"]) == 0
+    assert json.loads(capsys.readouterr().out) == out
 
 
 def test_drive_synth_propagates_u0_once_per_grid(monkeypatch):
@@ -86,11 +93,11 @@ def test_drive_synth_propagates_u0_once_per_grid(monkeypatch):
            "h_f": matrix_to_json(random_hermitian(rng, 2)),
            "tau": 1.0, "phases": "analytic2"}
     grids, products = [], []
-    propagate, step_products = drives.propagate_u0, drives._step_products
+    propagate, step_products = drives.propagate_u0, drives.step_products
 
-    def counting(h_i, h_f, sched, tols=DEFAULT_TOLS):
+    def counting(h_i, h_f, sched):
         grids.append(sched.n_steps)
-        return propagate(h_i, h_f, sched, tols)
+        return propagate(h_i, h_f, sched)
 
     def counting_products(h, dt, buf, tols):
         products.append(h.shape[-1])
@@ -98,7 +105,7 @@ def test_drive_synth_propagates_u0_once_per_grid(monkeypatch):
 
     monkeypatch.setattr(cli, "propagate_u0", counting)
     monkeypatch.setattr(drives, "propagate_u0", counting)
-    monkeypatch.setattr(drives, "_step_products", counting_products)
+    monkeypatch.setattr(drives, "step_products", counting_products)
     out = cli.run_drive_synth(cfg, 2048)
     # U0 on the synthesis grid; verification propagates U0 on its own grid
     # (into its workspace, not through propagate_u0), then H0 + V
@@ -106,7 +113,7 @@ def test_drive_synth_propagates_u0_once_per_grid(monkeypatch):
     assert products == [2048, 4096, 2048]
     monkeypatch.undo()
     # the same numbers as optimizer and synthesizer each propagating U0 themselves
-    rho, h_i, h_f, _ = cli._load_instance(cfg)
+    rho, h_i, h_f = cli._load_instance(cfg)
     sched = Schedule.linear(1.0, n_steps=2048)
     phases = optimize_phases(rho, h_i, h_f, sched, mode="analytic2").phases
     assert out["w_min"] == synthesize_drive(rho, h_i, h_f, sched, phases).w_min
@@ -351,7 +358,7 @@ def test_zero_steps_are_refused(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "d.json", RHO2)
     assert run(["drive-synth", "--config", cfg, "--steps", "0"]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "ParamOutOfRange", "message": "n_steps must be positive"}
+    assert err == {"error": "ParamOutOfRange", "message": "n_steps must be an integer >= 1, got 0"}
 
 
 @pytest.mark.parametrize("command, flags", [

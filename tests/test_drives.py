@@ -22,7 +22,7 @@ from ergodrive import (DEFAULT_TOLS, DensityMatrix, HamiltonianOp, MuDynParams, 
                        passive_state, propagate_u0, smoothstep, smoothstep_dot,
                        synthesize_drive, target_unitary, trace_distance,
                        verify_drive)
-from ergodrive.errors import (DimMismatch, DimTooLarge, GaugeFailure,
+from ergodrive.errors import (BranchAmbiguity, DimMismatch, DimTooLarge, GaugeFailure,
                               LengthMismatch, NoConvergence, ParamInconsistent,
                               ParamOutOfRange, TooFarFromUnitary, VerificationFailed)
 from ergodrive.linalg import unitarity_defect
@@ -48,20 +48,22 @@ def test_smoothstep_shape():
 
 
 def test_schedule_validation():
+    for tau in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ParamOutOfRange, match="0 < tau < inf"):
+            Schedule(tau)
+    for n_steps in (0, 2.5):
+        with pytest.raises(ParamOutOfRange, match="n_steps must be an integer >= 1"):
+            Schedule(1.0, n_steps=n_steps)
     with pytest.raises(ParamOutOfRange):
-        Schedule(t_i=1.0, t_f=1.0)
-    with pytest.raises(ParamOutOfRange):
-        Schedule(t_i=0.0, t_f=1.0, n_steps=0)
-    with pytest.raises(ParamOutOfRange):
-        Schedule(t_i=0.0, t_f=1.0, kind="wiggle")
+        Schedule(1.0, kind="wiggle")
     with pytest.raises(ParamInconsistent):
-        Schedule.from_lambdas(lambda t: 0.5, lambda t: t, tau=1.0)
+        Schedule(1.0, lam_i=lambda t: 0.5, lam_f=lambda t: t)
     with pytest.raises(ParamOutOfRange):
-        Schedule(t_i=0.0, t_f=1.0, ramp_f=lambda t: t)   # derivative missing
+        Schedule(1.0, ramp_f=lambda t: t)   # derivative missing
     with pytest.raises(ParamInconsistent):
-        Schedule(t_i=0.0, t_f=1.0, ramp_f=lambda t: t, ramp_fdot=lambda t: 1.0)
+        Schedule(1.0, ramp_f=lambda t: t, ramp_fdot=lambda t: 1.0)
     with pytest.raises(ParamOutOfRange):
-        Schedule(t_i=0.0, t_f=1.0, kind="rotating")      # omega/eps missing
+        Schedule(1.0, kind="rotating")      # omega/eps missing
     sched = Schedule.linear(2.0, n_steps=100)
     assert sched.tau == 2.0
     assert len(sched.times()) == 101
@@ -74,7 +76,7 @@ def test_validate_against_dimension_rules():
     sched = Schedule.linear(1.0)
     with pytest.raises(DimMismatch):
         sched.validate_against(h2, h3)
-    rot = Schedule.rotating_callables(lambda t: 1.0 + 0 * t, lambda t: 0 * t, tau=1.0)
+    rot = Schedule(1.0, kind="rotating", omega=lambda t: 1.0 + 0 * t, eps=lambda t: 0 * t)
     with pytest.raises(DimMismatch):
         rot.validate_against(h3, h3)
     with pytest.raises(ParamInconsistent):
@@ -83,8 +85,7 @@ def test_validate_against_dimension_rules():
 
 def test_propagator_exact_for_constant_hamiltonian():
     h = HamiltonianOp(np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.1]]))
-    sched = Schedule.from_lambdas(lambda t: 1.0 - t / 2.0, lambda t: t / 2.0,
-                                  tau=2.0)
+    sched = Schedule(2.0, lam_i=lambda t: 1.0 - t / 2.0, lam_f=lambda t: t / 2.0)
     trace = propagate_u0(h, h, sched)
     exact = herm_expi(h.mat, 2.0)
     assert np.abs(trace.u_samples[-1] - exact).max() < 1e-12
@@ -133,11 +134,11 @@ def test_blocked_propagator_matches_sequential_oracle(d, n_steps):
 
 
 def _ordered_products(steps):
-    """drives._ordered_products on the steps steps[k], copied into a sample buffer."""
+    """linalg.ordered_products on the steps steps[k], copied into a sample buffer."""
     n, d = steps.shape[0], steps.shape[-1]
-    buf = np.empty((d, d, drives._buffer_len(n)), dtype=complex)
+    buf = np.empty((d, d, linalg.buffer_len(n)), dtype=complex)
     buf[..., 1:n + 1] = np.moveaxis(steps, 0, -1)
-    return drives._ordered_products(buf, n)
+    return linalg.ordered_products(buf, n)
 
 
 def test_ordered_products_refuses_non_unitary_steps():
@@ -176,21 +177,21 @@ def test_ordered_products_refuses_one_bad_step_in_any_block(bad):
 
 def test_constant_schedule_callables_broadcast():
     h = HamiltonianOp(0.5 * SZ)
-    rot = Schedule.rotating_callables(lambda t: 1.0, lambda t: 0.0, tau=1.5, n_steps=64)
+    rot = Schedule(1.5, kind="rotating", omega=lambda t: 1.0, eps=lambda t: 0.0, n_steps=64)
     trace = propagate_u0(h, h, rot)
     assert np.abs(trace.u_samples[-1] - herm_expi(h.mat, 1.5)).max() < 1e-12
 
 
 def test_schedule_callable_of_wrong_shape_is_refused():
     h = HamiltonianOp(0.5 * SZ)
-    rot = Schedule.rotating_callables(lambda t: np.ones(3), lambda t: 0 * t, tau=1.0)
+    rot = Schedule(1.0, kind="rotating", omega=lambda t: np.ones(3), eps=lambda t: 0 * t)
     with pytest.raises(ParamOutOfRange):
         propagate_u0(h, h, rot)
 
 
 def test_schedule_callable_without_array_support_is_refused():
     h = HamiltonianOp(0.5 * SZ)
-    rot = Schedule.rotating_callables(lambda t: math.cos(0 * t), lambda t: 0 * t, tau=1.0)
+    rot = Schedule(1.0, kind="rotating", omega=lambda t: math.cos(0 * t), eps=lambda t: 0 * t)
     with pytest.raises(ParamOutOfRange):
         propagate_u0(h, h, rot)
 
@@ -240,9 +241,10 @@ def test_synthesize_and_verify_one_instance():
     assert energy_res <= 1e-8 * h_f.spectral_width
 
 
-def test_drive_states_carry_the_callers_tolerances(monkeypatch):
+def test_drive_states_carry_the_states_tolerances(monkeypatch):
     rng = np.random.default_rng(53)
-    tols = DEFAULT_TOLS.with_(trace=1e-11, eig_floor=1e-11)
+    # a branch-cut window wider than 2 pi puts every eigenphase of the log "on the cut"
+    tols = DEFAULT_TOLS.with_(trace=1e-11, eig_floor=1e-11, branch_cut=7.0)
     rho, h_i, h_f = random_instance(rng, 3)
     rho = DensityMatrix(rho.mat, tols)
     sched = Schedule.linear(1.0, n_steps=1024)
@@ -254,10 +256,11 @@ def test_drive_states_carry_the_callers_tolerances(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", recording)
-    synth = synthesize_drive(rho, h_i, h_f, sched, tols=tols)
-    verify_drive(synth, rho, h_i, h_f, sched, tols)
-    assert synth.final_state.tols is tols
-    assert len(seen) == 3 and all(t is tols for t in seen)   # final, target, rho_f
+    with pytest.warns(BranchAmbiguity):   # the principal log reads the state's record
+        synth = synthesize_drive(rho, h_i, h_f, sched)
+    verify_drive(synth, rho, h_i, h_f, sched)
+    assert synth.target_passive.tols is tols
+    assert len(seen) == 2 and all(t is tols for t in seen)   # target, rho_f
 
 
 def test_nonmonotone_ramp_costs_more():
@@ -278,7 +281,7 @@ def test_nonmonotone_ramp_costs_more():
         return ramp_dot(smoothstep(t)) * smoothstep_dot(t)
 
     sched = Schedule.linear(1.0, n_steps=4096)
-    wiggly = Schedule(t_i=0.0, t_f=1.0, ramp_f=f, ramp_fdot=fdot, n_steps=4096)
+    wiggly = Schedule(1.0, ramp_f=f, ramp_fdot=fdot, n_steps=4096)
     base = synthesize_drive(rho, h_i, h_f, sched)
     bumpy = synthesize_drive(rho, h_i, h_f, wiggly)
     assert bumpy.w_min == base.w_min       # same chi, same minimal cost
@@ -342,6 +345,10 @@ def test_optimizer_dimension_and_mode_errors():
     rho2, h_i2, h_f2 = random_instance(rng, 2)
     with pytest.raises(ParamOutOfRange):
         optimize_phases(rho2, h_i2, h_f2, sched, mode="simulated_annealing")
+    for kw in ({"mode": "monte_carlo", "n_draws": 0}, {"mode": "monte_carlo", "n_draws": 1},
+               {"mode": "grid", "grid_points": 0}, {"mode": "grid", "grid_points": 2.5}):
+        with pytest.raises(ParamOutOfRange, match="must be an integer"):
+            optimize_phases(rho2, h_i2, h_f2, sched, **kw)
 
 
 def test_monte_carlo_mode_is_seeded_and_reports_spread():
@@ -512,8 +519,8 @@ def test_verify_drive_catches_endpoint_tampering():
 
 def test_counterdiabatic_cost_anchors():
     # static eigenvectors cost nothing
-    rot = Schedule.rotating_callables(lambda t: 1.0 + 0 * t,
-                                      lambda t: 0.3 + 0 * t, tau=1.0, n_steps=512)
+    rot = Schedule(1.0, kind="rotating", omega=lambda t: 1.0 + 0 * t,
+                   eps=lambda t: 0.3 + 0 * t, n_steps=512)
     w, norm_trace = counterdiabatic_cost(rot)
     assert w < 1e-12
     assert norm_trace.shape == (513,)
@@ -532,15 +539,15 @@ def test_counterdiabatic_cost_error_taxonomy():
     with pytest.raises(ParamOutOfRange):
         counterdiabatic_cost(Schedule.linear(1.0))
     with pytest.raises(ParamOutOfRange):
-        counterdiabatic_cost(Schedule.rotating_callables(
-            lambda t: 1.0 + 0 * t, lambda t: 0 * t, tau=1.0, n_steps=1))
+        counterdiabatic_cost(Schedule(1.0, kind="rotating", omega=lambda t: 1.0 + 0 * t,
+                                      eps=lambda t: 0 * t, n_steps=1))
     with pytest.raises(ParamOutOfRange):   # gap closes at the midpoint
-        counterdiabatic_cost(Schedule.rotating_callables(
-            lambda t: 1.0 - 2.0 * t, lambda t: 0 * t, tau=1.0, n_steps=64))
+        counterdiabatic_cost(Schedule(1.0, kind="rotating", omega=lambda t: 1.0 - 2.0 * t,
+                                      eps=lambda t: 0 * t, n_steps=64))
     with pytest.raises(GaugeFailure):      # eigenbasis flips between samples
-        counterdiabatic_cost(Schedule.rotating_callables(
-            lambda t: np.where(np.asarray(t) < 0.5, 1.0, -1.0),
-            lambda t: 1e-12 + 0 * t, tau=1.0, n_steps=64))
+        counterdiabatic_cost(Schedule(1.0, kind="rotating",
+                                      omega=lambda t: np.where(np.asarray(t) < 0.5, 1.0, -1.0),
+                                      eps=lambda t: 1e-12 + 0 * t, n_steps=64))
     # metadata that contradicts the schedule is rejected
     params = MuDynParams.constant_rate(mu=1.0, omega_bar=2.0, tau=1.0)
     sched = Schedule.rotating_constant_mu(params, n_steps=4096)
@@ -563,9 +570,9 @@ def _random_rotating_schedule(rng, n_steps):
     def phi(t):
         return c0 + c1 * t + c2 * np.sin(w * t)
 
-    return Schedule.rotating_callables(lambda t: gap(t) * np.cos(phi(t)),
-                                       lambda t: gap(t) * np.sin(phi(t)),
-                                       tau=rng.uniform(1.0, 2.0), n_steps=n_steps)
+    return Schedule(rng.uniform(1.0, 2.0), kind="rotating",
+                    omega=lambda t: gap(t) * np.cos(phi(t)),
+                    eps=lambda t: gap(t) * np.sin(phi(t)), n_steps=n_steps)
 
 
 def test_counterdiabatic_cost_matches_the_eigenvector_oracle():

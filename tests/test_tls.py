@@ -11,8 +11,8 @@ from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
                        example2_theta_split, example2_wmin, final_basis,
                        gain_g, overlap_w, trace_distance)
 from ergodrive.errors import ParamInconsistent, ParamOutOfRange
-from ergodrive.tls import (alpha_beta, cd_rate, check_bloch, check_drive, cost, delta_enc,
-                           nu, overlaps, sta_delta, theta1, theta2, wrap_pi, PHASE_BLOCK)
+from ergodrive.tls import (alpha_beta, cd_rate, check_bloch, check_drive, cos_sin_drive, cost,
+                           delta_enc, nu, overlaps, sta_delta, theta1, theta2, wrap_pi, PHASE_BLOCK)
 from helpers import converged_final_unitary, phase_average_oracle, wrap_pi_oracle
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -90,6 +90,9 @@ def test_phase_average_keeps_the_shape_of_a_and_wants_one_generator_per_cell():
     assert mean.shape == err.shape == (2, 3)
     with pytest.raises(ParamInconsistent):
         example1_phase_average(a, 1.0, 8, [np.random.default_rng(0)] * 5)
+    for n_draws in (0, 1, 8.0):   # one draw has no standard error
+        with pytest.raises(ParamOutOfRange, match="n_draws must be an integer >= 2"):
+            example1_phase_average(0.5, 1.0, n_draws, np.random.default_rng(0))
 
 
 def test_tls_state_validation_and_round_trip():
@@ -219,9 +222,6 @@ def test_mudyn_params_validation():
         MuDynParams(mu=1.0, omega_bar=1.0, omega_f=1.0, eps_f=0.0, tau=0.0)
     with pytest.raises(ParamOutOfRange):
         MuDynParams(mu=1.0, omega_bar=-1.0, omega_f=1.0, eps_f=0.0, tau=1.0)
-    with pytest.raises(ParamInconsistent):
-        MuDynParams(mu=1.0, omega_bar=1.0, omega_f=3.0, eps_f=4.0, tau=1.0,
-                    Omega_f=4.9)
     p = MuDynParams(mu=1.0, omega_bar=1.0, omega_f=3.0, eps_f=4.0, tau=1.0)
     assert abs(p.Omega_f - 5.0) < 1e-12
 
@@ -405,5 +405,14 @@ def test_non_finite_states_and_drives_are_refused():
     for args in [(1.0, nan, 1.0), (1.0, 1.0, nan), (1.0, float("inf"), 1.0), (1.0, 1.0, 0.0)]:
         with pytest.raises(ParamOutOfRange, match="both finite"):
             MuDynParams.constant_rate(*args)
-    with pytest.raises(ParamInconsistent):
-        MuDynParams(mu=1.0, omega_bar=1.0, omega_f=1.0, eps_f=0.0, tau=1.0, Omega_f=nan)
+    with pytest.raises(ParamOutOfRange, match="finite mu, omega_f and eps_f"):
+        MuDynParams.constant_rate(nan, 1.0, 1.0)
+    for omega_f, eps_f in [(nan, 0.0), (1.0, float("inf"))]:
+        with pytest.raises(ParamOutOfRange, match="finite mu, omega_f and eps_f"):
+            MuDynParams(mu=1.0, omega_bar=1.0, omega_f=omega_f, eps_f=eps_f, tau=1.0)
+    for args in [(1.0, 1.0, nan), (nan, 1.0, 1.0), (float("inf"), 1.0, 1.0),
+                 (1.0, 1.0, float("inf"))]:
+        with pytest.raises(ParamOutOfRange, match="both finite"):
+            MuDynParams.cos_sin(*args)
+        with pytest.raises(ParamOutOfRange, match="both finite"):
+            cos_sin_drive(*args)

@@ -26,6 +26,5 @@ from .states import (DensityMatrix, HamiltonianOp, ThermalSolveResult,
 from .tls import (MuDynParams, ThetaSplit, TlsState, constmu_final_density,
                   constmu_final_state, eigs_r, example1_phase_average, example1_thetas,
                   example2_theta_split, example2_wmin, final_basis, overlap_w)
-from .tolerances import DEFAULT_TOLS, Tolerances
 
 __all__ = [name for name in dir() if not name.startswith("_")]

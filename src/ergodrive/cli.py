@@ -14,7 +14,6 @@ goes to stderr).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import numbers
@@ -28,7 +27,6 @@ from .drives import (Schedule, optimize_phases, propagate_u0, synthesize_drive,
 from .errors import ConvergenceError, ParamOutOfRange, ValidationError, VerificationFailed
 from .linalg import hermitian_eigvals
 from .states import DensityMatrix, HamiltonianOp, matrix_from_json
-from .tolerances import DEFAULT_TOLS
 
 _SZ = np.diag([1.0, -1.0]).astype(complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -74,21 +72,6 @@ def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ParamOutOfRange(f"config is missing required key {key!r}")
     return cfg[key]
-
-
-def _tols(cfg: dict):
-    """DEFAULT_TOLS with cfg's "tolerances" overrides, each naming a field and
-    giving it a finite number >= 0."""
-    over = cfg.get("tolerances", {})
-    if not isinstance(over, dict):
-        raise ParamOutOfRange(f"tolerances must be an object, got {over!r}")
-    fields = [f.name for f in dataclasses.fields(DEFAULT_TOLS)]
-    for key, v in over.items():
-        if key not in fields:
-            raise ParamOutOfRange(f"unknown tolerance {key!r}; known: {', '.join(fields)}")
-        if type(v) not in (int, float) or not 0 <= v < np.inf:
-            raise ParamOutOfRange(f"tolerance {key} must be a finite number >= 0, got {v!r}")
-    return DEFAULT_TOLS.with_(**{key: float(v) for key, v in over.items()})
 
 
 def _real(v, name: str) -> float:
@@ -148,11 +131,14 @@ def _fixed_state(cfg: dict) -> tls.TlsState:
 
 
 def _load_instance(cfg: dict):
-    """(rho_i, h_i, h_f), each carrying cfg's tolerance record."""
-    tols = _tols(cfg)
-    rho = DensityMatrix(matrix_from_json(_require(cfg, "rho_i")), tols)
-    h_i = HamiltonianOp(matrix_from_json(_require(cfg, "h_i")), tols)
-    h_f = HamiltonianOp(matrix_from_json(_require(cfg, "h_f")), tols)
+    """(rho_i, h_i, h_f) from cfg. The thresholds are fixed, so a config that
+    still sets "tolerances" is refused rather than run without them."""
+    if "tolerances" in cfg:
+        raise ParamOutOfRange("the tolerances key is no longer accepted: "
+                              "the thresholds are fixed")
+    rho = DensityMatrix(matrix_from_json(_require(cfg, "rho_i")))
+    h_i = HamiltonianOp(matrix_from_json(_require(cfg, "h_i")))
+    h_f = HamiltonianOp(matrix_from_json(_require(cfg, "h_f")))
     return rho, h_i, h_f
 
 

@@ -4,14 +4,15 @@ Schedules run on [0, tau] and interpolate H0(t) between an initial and a
 final Hamiltonian (or rotate a two-level gap). The bare propagator U0 is one
 blocked ordered product of midpoint exponential steps, projected onto the
 unitaries every 64 steps (linalg.step_products); the same kernel propagates
-U0 on verify_drive's finer grid and then H0 + V. Every stack of small matrices on a time grid is kept time-innermost,
-as a (d, d, n) array (handed out as (n, d, d) views): the step exponentials
-are one Taylor kernel over the stack, and every product or conjugation
-U X U^dag is d broadcast multiply-adds over length-n vectors
-(linalg.matmul_t), not n small matmuls. Every scratch stack of a drive is a
-role of linalg's per-thread workspace: the midpoint H0 stack, verify_drive's
-samples on both grids and its V, H, dH/dt and rho(t). Only the arrays handed
-out, propagate_u0's samples and synthesize_drive's V, are fresh, so
+U0 on verify_drive's finer grid and then H0 + V. Every stack of small
+matrices on a time grid is kept time-innermost, as a (d, d, n) array
+(handed out as (n, d, d) views): the step exponentials are one Taylor
+kernel over the stack, and every product or conjugation U X U^dag is d
+broadcast multiply-adds over length-n vectors (linalg.matmul_t), not n
+small matmuls. Every scratch stack of a drive is a role of linalg's
+per-thread workspace: the midpoint H0 stack, verify_drive's samples on both
+grids and its V, H, dH/dt and rho(t). Only the arrays handed out,
+propagate_u0's samples and synthesize_drive's V, are fresh, so
 verify_drive's U0 does not go through propagate_u0. A target unitary R maps
 the state's descending eigenvectors onto the ascending final energy basis,
 chi = principal log of U0(tau)^dag R generates the correction
@@ -21,8 +22,8 @@ phases phi: the eigenphases of M(phi) = U0(tau)^dag R(phi) at d = 2, 3 come
 from tr M and det M alone (eigenphases_from_trace_det, one broadcast root
 solve over the batch), and only rows with nearly repeated eigenphases, or
 d >= 4, form M for a general eigensolver. synthesize_drive takes a U0 trace
-a caller already propagated. Tolerances are read from the arguments (the
-state's record, else h_i's). Everything here is in hbar = 1 units.
+a caller already propagated. Every threshold is a constant of the
+tolerances module. Everything here is in hbar = 1 units.
 """
 
 from __future__ import annotations
@@ -245,14 +246,12 @@ def _midpoint_h0(sched: Schedule, h_i: HamiltonianOp, h_f: HamiltonianOp,
 
 
 def propagate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> PropagatorTrace:
-    """Bare propagator by midpoint exponential stepping, sampled on the grid,
-    to h_i's tolerances."""
+    """Bare propagator by midpoint exponential stepping, sampled on the grid."""
     sched.validate_against(h_i, h_f)
     n = sched.n_steps
     buf = np.empty((h_i.dim, h_i.dim, buffer_len(n)), dtype=complex)
     return PropagatorTrace(sched.times(),
-                           *step_products(_midpoint_h0(sched, h_i, h_f, n), sched.tau / n,
-                                          buf, h_i.tols))
+                           *step_products(_midpoint_h0(sched, h_i, h_f, n), sched.tau / n, buf))
 
 
 def _descending_eigvectors(rho: DensityMatrix) -> Tuple[np.ndarray, np.ndarray]:
@@ -306,7 +305,7 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
                      trace: Optional[PropagatorTrace] = None) -> DriveSynthesis:
     """Build V(t) = -fdot(t) U0 chi U0^dag reaching the passive target.
 
-    chi is the principal log of U0(tau)^dag R, taken to rho_i's tolerances.
+    chi is the principal log of U0(tau)^dag R.
     The cost w integrates ||V||_F = |fdot| (sum theta^2)^{1/2}; for a
     monotone ramp the integral of |fdot| telescopes to f(tau) - f(0) and w
     equals w_min exactly, otherwise it is done by trapezoid on the grid.
@@ -321,7 +320,7 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
     elif not np.array_equal(trace.times, sched.times()):
         raise ParamInconsistent("the trace is not sampled on the schedule's grid")
     r = target_unitary(rho_i, h_f, phases_phi)
-    chi, modes = principal_log_unitary(dagger(trace.u_samples[-1]) @ r, rho_i.tols)
+    chi, modes = principal_log_unitary(dagger(trace.u_samples[-1]) @ r)
     thetas = modes.phases
     w_min = float(np.linalg.norm(thetas)) / sched.tau
     fdot = _sample(sched.ramp_fdot, trace.times)
@@ -349,11 +348,9 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     endpoint Hamiltonians are not h_i/h_f to VERIFY_ENDPOINT_REL x their
     largest entry, or the explicit work integral of rho(t) dH/dt does not
     telescope to the total energy change to VERIFY_WORK_REL x the energy
-    scale (constants of the tolerances module). The propagations and the
-    final state use rho_i's tolerance record.
+    scale (constants of the tolerances module).
     """
     sched.validate_against(h_i, h_f)
-    tols = rho_i.tols
     d, n = h_i.dim, sched.n_steps
     ts = sched.times()
     dt = sched.tau / n
@@ -364,15 +361,15 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     # the coarse grid in _SAMPLES again; rho(t) then takes _STACK, H(t) the
     # exponent role and dH/dt _STACK2.
     fine, _ = step_products(_midpoint_h0(sched, h_i, h_f, 2 * n), sched.tau / (2 * n),
-                            workspace(_SAMPLES, (d, d, buffer_len(2 * n))), tols)
+                            workspace(_SAMPLES, (d, d, buffer_len(2 * n))))
     v_mid = _conjugate(_time_last(fine[1::2]), synth.chi, workspace(_STACK, (d, d, n)))
     v_mid *= -_sample(sched.ramp_fdot, ts[:-1] + 0.5 * dt)
     h_mid = _midpoint_h0(sched, h_i, h_f, n)
     h_mid += v_mid
-    u_samples, _ = step_products(h_mid, dt, workspace(_SAMPLES, (d, d, buffer_len(n))), tols)
+    u_samples, _ = step_products(h_mid, dt, workspace(_SAMPLES, (d, d, buffer_len(n))))
     u = u_samples[-1]
 
-    rho_f = DensityMatrix(u @ rho_i.mat @ dagger(u), tols)
+    rho_f = DensityMatrix(u @ rho_i.mat @ dagger(u))
     state_distance = trace_distance(rho_f.mat, synth.target_passive.mat)
     energy_residual = abs(h_f.energy(rho_f) - passive_energy(rho_i, h_f))
 
@@ -494,8 +491,11 @@ def optimize_phases(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp
     "analytic2": closed-form minimizer for d = 2. "grid": exhaustive scan,
     d <= 3. "monte_carlo": mean and standard error of (sum theta^2)^{1/2}/tau
     over n_draws uniform phase vectors (phases are then reported as None).
-    Refuses n_draws < 2 and grid_points < 1.
+    Refuses an unknown mode, n_draws < 2 and grid_points < 1 before any
+    propagation.
     """
+    if mode not in ("analytic2", "grid", "monte_carlo"):
+        raise ParamOutOfRange(f"unknown phase optimization mode {mode!r}")
     check_count(n_draws, "n_draws", 2)
     check_count(grid_points, "grid_points", 1)
     if u_f is None:
@@ -529,15 +529,13 @@ def optimize_phases(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp
         k = int(np.argmin(costs))
         return PhaseOptResult(mesh[k].copy(), float(costs[k]))
 
-    if mode == "monte_carlo":
-        rng = np.random.default_rng(0) if rng is None else rng
-        draws = rng.uniform(-np.pi, np.pi, size=(n_draws, d))
-        costs = _phase_costs(det_angle, c, a_mat, v_r, draws, tau)
-        mean = float(costs.mean())
-        stderr = float(costs.std(ddof=1) / np.sqrt(n_draws))
-        return PhaseOptResult(None, mean, stderr)
-
-    raise ParamOutOfRange(f"unknown phase optimization mode {mode!r}")
+    # mode == "monte_carlo"
+    rng = np.random.default_rng(0) if rng is None else rng
+    draws = rng.uniform(-np.pi, np.pi, size=(n_draws, d))
+    costs = _phase_costs(det_angle, c, a_mat, v_r, draws, tau)
+    mean = float(costs.mean())
+    stderr = float(costs.std(ddof=1) / np.sqrt(n_draws))
+    return PhaseOptResult(None, mean, stderr)
 
 
 def counterdiabatic_cost(sched: Schedule) -> Tuple[float, np.ndarray]:

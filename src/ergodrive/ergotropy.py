@@ -17,8 +17,9 @@ from . import states
 from .errors import (EnergyOutOfRange, EntropyOutOfRange, NegativeBeta, NoConvergence,
                      ParamOutOfRange)
 from .states import DensityMatrix, HamiltonianOp
-from .tolerances import (BOUND_FORMS_REL, BOUND_SCALE_FLOOR, COUNTEREXAMPLE_ENERGY_ATOL,
-                         ENTROPY_CEILING_ATOL, REPORT_ROUNDING_REL)
+from .tolerances import (BETA_RESIDUAL, BOUND_FORMS_REL, BOUND_SCALE_FLOOR,
+                         COUNTEREXAMPLE_ENERGY_ATOL, ENTROPY_CEILING_ATOL, IDENTITY_RESIDUAL,
+                         REPORT_ROUNDING_REL)
 
 
 class Decomposition(NamedTuple):
@@ -155,7 +156,6 @@ def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: Hamiltonian
     rho_i is maximally mixed (NegativeBeta), or S(rho_i) is below h_f's
     entropy floor, as at a (nearly) degenerate ground level (EntropyOutOfRange).
     """
-    tols = rho_i.tols
     scale = max(h_f.spectral_width, BOUND_SCALE_FLOOR)
     s_i = states.von_neumann_entropy(rho_i)
     # at the entropy ceiling beta_i -> 0 and 1/beta_i amplifies roundoff past
@@ -166,7 +166,7 @@ def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: Hamiltonian
     if same_energy is None:
         same_energy = _same_energy_solve(rho_i, h_i)
     solve_s = states.solve_beta_for_entropy(h_f, s_i)
-    if solve_s.residual > tols.beta_residual:
+    if solve_s.residual > BETA_RESIDUAL:
         raise EntropyOutOfRange(f"S(rho_i) = {s_i} is below the entropy floor of h_f")
     beta_i = solve_s.beta
     if beta_i <= 0:
@@ -175,7 +175,7 @@ def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: Hamiltonian
     value = float(p_f @ h_f.energies - solve_s.populations @ h_f.energies)
     delta_s = states._shannon(same_energy.populations) - s_i
     entropic = (delta_s + states.gibbs_relative_entropy(p_f, h_f.energies, beta_i)) / beta_i
-    if abs(value - entropic) > tols.identity_residual * scale + abs(value) * BOUND_FORMS_REL:
+    if abs(value - entropic) > IDENTITY_RESIDUAL * scale + abs(value) * BOUND_FORMS_REL:
         raise NoConvergence(f"bound forms disagree: {value} vs {entropic}")
     return UpperBoundResult(value, entropic, beta_i, delta_s)
 
@@ -215,8 +215,7 @@ def full_report(rho_i: DensityMatrix, h_i: HamiltonianOp,
         bound = d.value
     return ErgotropyReport(
         **parts, delta_e_nc=d.value, upper_bound=bound,
-        majorization_holds=states.majorizes(rho_i.populations_desc(), same_energy.populations,
-                                            rho_i.tols.majorization_slack),
+        majorization_holds=states.majorizes(rho_i.populations_desc(), same_energy.populations),
         beta_same_energy=d.beta, negative_temperature_flag=d.negative_temperature)
 
 

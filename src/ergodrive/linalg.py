@@ -2,7 +2,7 @@
 
 Everything downstream (states, ergotropy, drive synthesis) goes through these
 few routines, so their contracts are deliberately strict: inputs are checked
-against the tolerance record and eigenbases are made deterministic (canonical
+against the tolerances module and eigenbases are made deterministic (canonical
 phase and degenerate-subspace handling) so repeated runs agree bit-for-bit.
 
 Stacks of small matrices on a time grid are laid out time-innermost, as
@@ -42,7 +42,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import BranchAmbiguity, DimMismatch, NotHermitian, NotUnitary, TooFarFromUnitary
-from .tolerances import BLOCK_BASIS_NORM_MIN, DEFAULT_TOLS, DEGENERATE_ULPS, Tolerances
+from .tolerances import (BLOCK_BASIS_NORM_MIN, BRANCH_CUT, DEGENERATE_ULPS, HERMITICITY,
+                         UNITARITY, UNITARY_DEFECT_MAX)
 
 
 class HermEig(NamedTuple):
@@ -135,10 +136,10 @@ def _canonicalize(values: np.ndarray, vectors: np.ndarray, scale: float) -> np.n
     return _fix_column_phases(vectors)
 
 
-def hermitian_eig(m, tols: Tolerances = DEFAULT_TOLS, *, checked: bool = False) -> HermEig:
+def hermitian_eig(m, *, checked: bool = False) -> HermEig:
     """Eigendecomposition of a Hermitian matrix, ascending, canonical basis.
 
-    Raises NotHermitian if the max-entry defect exceeds ``tols.hermiticity``
+    Raises NotHermitian if the max-entry defect exceeds HERMITICITY
     relative to the matrix scale. ``checked=True`` is for callers that have
     already checked m and made it exactly Hermitian: the check and the
     symmetrization are skipped (symmetrizing such an m would not change it).
@@ -147,9 +148,9 @@ def hermitian_eig(m, tols: Tolerances = DEFAULT_TOLS, *, checked: bool = False) 
     scale = max(float(np.abs(m).max()), 1.0) if m.size else 1.0
     if checked:
         values, vectors = np.linalg.eigh(m)
-    elif hermiticity_defect(m) > tols.hermiticity * scale:
+    elif hermiticity_defect(m) > HERMITICITY * scale:
         raise NotHermitian(f"hermiticity defect {hermiticity_defect(m):.3e} "
-                           f"exceeds {tols.hermiticity * scale:.3e}")
+                           f"exceeds {HERMITICITY * scale:.3e}")
     else:
         values, vectors = _symmetrized_eigh(m)
     vectors = _canonicalize(values, np.asarray(vectors, dtype=complex), scale)
@@ -190,17 +191,17 @@ def _unitary_eigenvectors(u: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(0.5 * (a + dagger(a)))[1]
 
 
-def principal_log_unitary(u, tols: Tolerances = DEFAULT_TOLS):
+def principal_log_unitary(u):
     """Hermitian chi with u = exp(i chi), eigenphases on the principal branch.
 
     Returns ``(chi, UnitaryPhases)`` with phases in [-pi, pi), ascending.
-    Warns with BranchAmbiguity when a phase sits within ``tols.branch_cut``
+    Warns with BranchAmbiguity when a phase sits within BRANCH_CUT
     of the -pi cut, where the branch choice is numerically unstable.
     """
     u = as_square(u, "unitary")
-    if unitarity_defect(u) > tols.unitarity:
+    if unitarity_defect(u) > UNITARITY:
         raise NotUnitary(f"unitarity defect {unitarity_defect(u):.3e} "
-                         f"exceeds {tols.unitarity:.3e}")
+                         f"exceeds {UNITARITY:.3e}")
     vectors = _unitary_eigenvectors(u)
     # Rayleigh quotients v^dag u v: the eigenvalues, to rounding, of the basis
     phases = np.angle((vectors.conj() * (u @ vectors)).sum(axis=0))
@@ -208,7 +209,7 @@ def principal_log_unitary(u, tols: Tolerances = DEFAULT_TOLS):
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
     vectors = vectors[:, order]
-    if np.any(np.abs(phases + np.pi) < tols.branch_cut):
+    if np.any(np.abs(phases + np.pi) < BRANCH_CUT):
         warnings.warn("eigenphase within branch-cut tolerance of -pi; "
                       "principal log is ill-conditioned here", BranchAmbiguity)
     vectors = _canonicalize(phases, vectors, 1.0)
@@ -348,19 +349,19 @@ def herm_expi_batch(h: np.ndarray, dt: float, *, out: Optional[np.ndarray] = Non
     return np.moveaxis(p, (0, 1), (-2, -1))
 
 
-def polar_project(u: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
+def polar_project(u: np.ndarray):
     """Nearest unitaries in Frobenius norm over a stack u[..., d, d], and the drift.
 
     Polar factors via one batched SVD. The drift is the largest
     ||u^dag u - 1||_F = ||s^2 - 1|| over the stack. Refuses a matrix farther
-    than ``tols.unitary_defect_max`` from the unitary manifold (||s - 1||):
+    than UNITARY_DEFECT_MAX from the unitary manifold (||s - 1||):
     that is an integration bug, not drift to be papered over.
     """
     p, s, qh = np.linalg.svd(u)
     dist = float(np.linalg.norm(s - 1.0, axis=-1).max(initial=0.0))
-    if dist > tols.unitary_defect_max:
+    if dist > UNITARY_DEFECT_MAX:
         raise TooFarFromUnitary(f"distance to unitary manifold {dist:.3e} "
-                                f"exceeds {tols.unitary_defect_max}")
+                                f"exceeds {UNITARY_DEFECT_MAX}")
     drift = float(np.linalg.norm(s * s - 1.0, axis=-1).max(initial=0.0))
     return p @ qh, drift
 
@@ -373,7 +374,7 @@ def buffer_len(n: int) -> int:
     return -(-n // REUNITARIZE_EVERY) * REUNITARIZE_EVERY + 1
 
 
-def ordered_products(buf: np.ndarray, n: int, tols: Tolerances = DEFAULT_TOLS):
+def ordered_products(buf: np.ndarray, n: int):
     """Running products steps[k-1] ... steps[0] for k = 0..n, and the drift.
 
     buf is a time-innermost (d, d, buffer_len(n)) array whose entries
@@ -401,19 +402,19 @@ def ordered_products(buf: np.ndarray, n: int, tols: Tolerances = DEFAULT_TOLS):
     ends = np.ascontiguousarray(np.moveaxis(buf[..., last], -1, 0))
     for b in range(1, nb):
         ends[b] = ends[b] @ ends[b - 1]
-    ends, drift = polar_project(ends, tols)
+    ends, drift = polar_project(ends)
     rmatmul_t(blocks[:, :, 1:], np.moveaxis(ends[:-1], 0, -1)[..., None])
     buf[..., last] = np.moveaxis(ends, 0, -1)
     return np.moveaxis(buf[..., :n + 1], -1, 0), drift
 
 
-def step_products(h: np.ndarray, dt: float, buf: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
+def step_products(h: np.ndarray, dt: float, buf: np.ndarray):
     """Running products of the steps exp(-i h_k dt) of a time-innermost stack
     h[d, d, n] in the EXPONENT role (which they overwrite), formed in buf
     (see ordered_products)."""
     n = h.shape[-1]
     herm_expi_batch(np.moveaxis(h, -1, 0), dt, out=np.moveaxis(buf[..., 1:n + 1], -1, 0))
-    return ordered_products(buf, n, tols)
+    return ordered_products(buf, n)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

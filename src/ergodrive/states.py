@@ -13,7 +13,8 @@ from the energy populations and the spectrum the state already holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +23,8 @@ from . import linalg
 from .errors import (DimMismatch, EnergyOutOfRange, EntropyOutOfRange, LengthMismatch,
                      NoConvergence, NotAState, NotHermitian)
 from .linalg import HermEig, dagger, hermitian_eig
-from .tolerances import DEFAULT_TOLS, ENTROPY_RANGE_ATOL, Tolerances
+from .tolerances import (BETA_RESIDUAL, EIG_FLOOR, ENTROPY_RANGE_ATOL, HERMITICITY,
+                         MAJORIZATION_SLACK, TRACE)
 
 BETA_MAX_SCALE = 1e4  # solver bracket: |beta| <= BETA_MAX_SCALE / spectral width
 # absolute beta tolerance of the solvers, in units of 1 / spectral width: below
@@ -44,23 +46,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Validated density matrix.
 
-    Finite, Hermitian to tolerance, unit trace, eigenvalues >= -eig_floor (small
+    Finite, Hermitian to tolerance, unit trace, eigenvalues >= -EIG_FLOOR (small
     negatives are clamped to zero wherever eigenvalues are consumed).
     """
 
     mat: np.ndarray
-    tols: Tolerances = field(default=DEFAULT_TOLS, repr=False, compare=False)
 
     def __post_init__(self):
         m = linalg.as_square(self.mat, "density matrix")
         if not np.isfinite(m).all():
             raise NotAState("density matrix has a non-finite entry")
-        if linalg.hermiticity_defect(m) > self.tols.hermiticity:
+        if linalg.hermiticity_defect(m) > HERMITICITY:
             raise NotAState("density matrix is not Hermitian within tolerance")
         m = 0.5 * (m + dagger(m))
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > self.tols.trace:
-            raise NotAState(f"trace {tr} is not 1 within {self.tols.trace}")
+        if abs(tr - 1.0) > TRACE:
+            raise NotAState(f"trace {tr} is not 1 within {TRACE}")
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "_spectrum", None)
         self.eig()   # the one eigendecomposition, which also checks positivity
@@ -75,8 +76,8 @@ class DensityMatrix:
         Computed once, during construction; the arrays are read-only.
         """
         if self._spectrum is None:
-            values, vectors = hermitian_eig(self.mat, self.tols, checked=True)
-            if float(values[0]) < -self.tols.eig_floor:
+            values, vectors = hermitian_eig(self.mat, checked=True)
+            if float(values[0]) < -EIG_FLOOR:
                 raise NotAState("density matrix has a negative eigenvalue beyond tolerance")
             values, desc = _clamped_spectrum(values)
             object.__setattr__(self, "_spectrum",
@@ -97,13 +98,12 @@ class HamiltonianOp:
     """Finite Hermitian Hamiltonian with its cached ascending spectrum."""
 
     mat: np.ndarray
-    tols: Tolerances = field(default=DEFAULT_TOLS, repr=False, compare=False)
 
     def __post_init__(self):
         m = linalg.as_square(self.mat, "hamiltonian")
         if not np.isfinite(m).all():
             raise NotHermitian("hamiltonian has a non-finite entry")
-        values, vectors = hermitian_eig(m, self.tols)
+        values, vectors = hermitian_eig(m)
         object.__setattr__(self, "mat", 0.5 * (m + dagger(m)))
         object.__setattr__(self, "_spectrum",
                            HermEig(_read_only(values), _read_only(vectors)))
@@ -182,7 +182,7 @@ def passive_state(rho: DensityMatrix, h: HamiltonianOp) -> DensityMatrix:
     """Passive rearrangement: descending populations on ascending energies."""
     _check_dims(rho, h)
     v = h.basis
-    return DensityMatrix((v * rho.populations_desc()) @ dagger(v), rho.tols)
+    return DensityMatrix((v * rho.populations_desc()) @ dagger(v))
 
 
 def passive_energy(rho: DensityMatrix, h: HamiltonianOp) -> float:
@@ -345,7 +345,7 @@ def solve_beta_for_energy(h: HamiltonianOp, energy: float) -> ThermalSolveResult
     the flat-state mean (population inversion). The sign of beta is that of
     f(0) = mean_energy(0) - energy, so beta is exactly 0.0 when the flat
     state matches, and a bracketed Brent solve on that half of the interval
-    finds |beta|. The residual is held to h's tolerance record.
+    finds |beta|. The residual is held to BETA_RESIDUAL x spectral width.
     """
     en = h.energies
     width = h.spectral_width
@@ -366,9 +366,9 @@ def solve_beta_for_energy(h: HamiltonianOp, energy: float) -> ThermalSolveResult
         beta = 0.0
     p = thermal_populations(en, beta)
     residual = abs(float(p @ en) - energy)
-    if residual > h.tols.beta_residual * width:
+    if residual > BETA_RESIDUAL * width:
         raise NoConvergence(f"energy residual {residual:.3e} exceeds "
-                            f"{h.tols.beta_residual * width:.3e}")
+                            f"{BETA_RESIDUAL * width:.3e}")
     return ThermalSolveResult(beta, p, residual)
 
 
@@ -380,7 +380,7 @@ def solve_beta_for_entropy(h: HamiltonianOp, entropy: float) -> ThermalSolveResu
     same bracketed Brent solve as the energy match. Targets below the
     beta_max floor return beta_max with the residual reported rather than
     raising: the caller sees how far the saturated solver landed. The
-    residual of a solved beta is held to h's tolerance record.
+    residual of a solved beta is held to BETA_RESIDUAL.
     """
     en = h.energies
     width = h.spectral_width
@@ -404,20 +404,21 @@ def solve_beta_for_entropy(h: HamiltonianOp, entropy: float) -> ThermalSolveResu
         beta = math.sqrt(y) / width
     p = thermal_populations(en, beta)
     residual = abs(_shannon(p) - entropy)
-    if residual > h.tols.beta_residual:
+    if residual > BETA_RESIDUAL:
         raise NoConvergence(f"entropy residual {residual:.3e}")
     return ThermalSolveResult(beta, p, residual)
 
 
-def majorizes(p, q, slack: float = DEFAULT_TOLS.majorization_slack) -> bool:
-    """True when p majorizes q: descending partial sums of p dominate q's."""
+def majorizes(p, q) -> bool:
+    """True when p majorizes q: descending partial sums of p dominate q's,
+    to MAJORIZATION_SLACK."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.ndim != 1:
         raise LengthMismatch(f"shapes {p.shape} and {q.shape} differ")
     cp = np.cumsum(np.sort(p)[::-1])
     cq = np.cumsum(np.sort(q)[::-1])
-    return bool(np.all(cp >= cq - slack))
+    return bool(np.all(cp >= cq - MAJORIZATION_SLACK))
 
 
 # ------------------------------------------------------------- serialization
@@ -431,9 +432,12 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of matrix_to_json, with shape validation."""
+    """Inverse of matrix_to_json, with shape validation: dim must be an
+    integer >= 1 (a bool is not one)."""
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+            raise DimMismatch(f"dim must be an integer >= 1, got {dim!r}")
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj.get("im", np.zeros(dim * dim)), dtype=float)
     except (KeyError, TypeError, ValueError) as exc:

@@ -91,8 +91,8 @@ def check_drive(tau, omega_bar):
 
 
 def check_count(n, name: str, least: int):
-    """Refuse anything but an integer n >= least."""
-    if not (isinstance(n, numbers.Integral) and n >= least):
+    """Refuse anything but an integer n >= least (a bool is not one)."""
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= least):
         raise ParamOutOfRange(f"{name} must be an integer >= {least}, got {n!r}")
 
 

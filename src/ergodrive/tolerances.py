@@ -1,40 +1,21 @@
-"""Numerical tolerance settings used across the package."""
+"""Every numerical threshold of the package, one module constant each.
 
-from __future__ import annotations
+The paper's quantities are exact identities; these thresholds only decide
+whether a computed number is accepted. Each is read where it is used, by
+name; none is carried by an object or passed as an argument.
+"""
 
-from dataclasses import dataclass, replace
+HERMITICITY = 1e-12          # max-entry defect |m - m^dag| (hermitian_eig: per unit of scale)
+UNITARITY = 1e-10            # Frobenius defect |u^dag u - 1| (principal_log_unitary)
+TRACE = 1e-12                # |Tr rho - 1|
+EIG_FLOOR = 1e-12            # negative-eigenvalue clamp window
+BRANCH_CUT = 1e-10           # warn when a log phase sits this close to -pi
+UNITARY_DEFECT_MAX = 0.1     # polar projection refuses beyond this
+BETA_RESIDUAL = 1e-10        # beta solve residual: energy per unit spectral width; entropy in nats
+MAJORIZATION_SLACK = 1e-12   # majorizes: slack on the partial sums
+IDENTITY_RESIDUAL = 1e-9     # energy-identity cross checks, units of spectral width
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """One record for every overridable numerical threshold.
-
-    Every DensityMatrix and HamiltonianOp keeps the record it was built with,
-    and the functions that take them read it from them (the state's first),
-    so one override at construction changes behaviour consistently; only
-    the linalg kernels, on raw arrays, take a record as an argument. The
-    constants below it are part of the algorithms and are not overridable.
-    """
-
-    hermiticity: float = 1e-12      # max-entry defect |m - m^dag|
-    unitarity: float = 1e-10        # Frobenius defect |u^dag u - 1|
-    trace: float = 1e-12            # |Tr rho - 1|
-    eig_floor: float = 1e-12        # negative-eigenvalue clamp window
-    branch_cut: float = 1e-10       # warn when a log phase sits this close to -pi
-    unitary_defect_max: float = 0.1  # polar projection refuses beyond this
-    beta_residual: float = 1e-10    # thermal solver residual, units of spectral width
-    majorization_slack: float = 1e-12
-    identity_residual: float = 1e-9  # energy-identity cross checks, units of spectral width
-
-    def with_(self, **kw) -> "Tolerances":
-        """Copy with selected fields overridden."""
-        return replace(self, **kw)
-
-
-DEFAULT_TOLS = Tolerances()
-
-# Fixed numerical constants of the algorithms themselves, not overridable:
-# eigenvalues of a Hermitian matrix (or eigenphases of a unitary) this many
+# Eigenvalues of a Hermitian matrix (or eigenphases of a unitary) this many
 # units of roundoff of its scale apart share one canonical eigenbasis. Pairing
 # a vector with the wrong value of such a block costs at most the block width,
 # so it must stay at roundoff; exactly degenerate matrices come out of LAPACK
@@ -59,7 +40,7 @@ VERIFY_WORK_REL = 1e-6
 # entry (at least 1).
 SCHEDULE_BOUNDARY_ATOL = 1e-12
 ROTATING_ENDPOINT_REL = 1e-10
-# synthesize_drive takes the ramp as monotone, and w = w_min (f(t_f) - f(t_i))
+# synthesize_drive takes the ramp as monotone, and w = w_min (f(tau) - f(0))
 # exactly, when fdot >= -MONOTONE_RAMP_ATOL on the whole grid.
 MONOTONE_RAMP_ATOL = 1e-12
 # verify_drive measures the final-energy residual in units of h_f's spectral

@@ -70,14 +70,14 @@ def thermal_state(h, beta):
     DensityMatrix built on h's eigenbasis: oracle for the population-vector
     thermal references."""
     v = h.basis
-    return DensityMatrix((v * thermal_populations(h.energies, beta)) @ v.conj().T, h.tols)
+    return DensityMatrix((v * thermal_populations(h.energies, beta)) @ v.conj().T)
 
 
 def dephase(rho, h):
     """rho with its coherences in h's eigenbasis removed, as a DensityMatrix:
     oracle for the dephased populations behind coherence_rel_entropy."""
     v = h.basis
-    return DensityMatrix((v * energy_populations(rho, h)) @ v.conj().T, rho.tols)
+    return DensityMatrix((v * energy_populations(rho, h)) @ v.conj().T)
 
 
 def relative_entropy(rho, sigma, support_atol=1e-12):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ergodrive
-from ergodrive import (DEFAULT_TOLS, DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
+from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
                        TlsState, cli, counterdiabatic_cost, drives, linalg,
                        herm_expi_batch, optimize_phases,
                        passive_state, propagate_u0, smoothstep, smoothstep_dot,
@@ -51,7 +51,7 @@ def test_schedule_validation():
     for tau in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ParamOutOfRange, match="0 < tau < inf"):
             Schedule(tau)
-    for n_steps in (0, 2.5):
+    for n_steps in (0, 2.5, True):
         with pytest.raises(ParamOutOfRange, match="n_steps must be an integer >= 1"):
             Schedule(1.0, n_steps=n_steps)
     with pytest.raises(ParamOutOfRange):
@@ -241,28 +241,6 @@ def test_synthesize_and_verify_one_instance():
     assert energy_res <= 1e-8 * h_f.spectral_width
 
 
-def test_drive_states_carry_the_states_tolerances(monkeypatch):
-    rng = np.random.default_rng(53)
-    # a branch-cut window wider than 2 pi puts every eigenphase of the log "on the cut"
-    tols = DEFAULT_TOLS.with_(trace=1e-11, eig_floor=1e-11, branch_cut=7.0)
-    rho, h_i, h_f = random_instance(rng, 3)
-    rho = DensityMatrix(rho.mat, tols)
-    sched = Schedule.linear(1.0, n_steps=1024)
-    seen = []
-    post_init = DensityMatrix.__post_init__
-
-    def recording(self):
-        seen.append(self.tols)
-        post_init(self)
-
-    monkeypatch.setattr(DensityMatrix, "__post_init__", recording)
-    with pytest.warns(BranchAmbiguity):   # the principal log reads the state's record
-        synth = synthesize_drive(rho, h_i, h_f, sched)
-    verify_drive(synth, rho, h_i, h_f, sched)
-    assert synth.target_passive.tols is tols
-    assert len(seen) == 2 and all(t is tols for t in seen)   # target, rho_f
-
-
 def test_nonmonotone_ramp_costs_more():
     rng = np.random.default_rng(54)
     rho, h_i, h_f = random_instance(rng, 2)
@@ -333,7 +311,7 @@ def test_optimizer_grid_covers_qutrits():
     assert abs(synth.w_min - grid.value) < 1e-10
 
 
-def test_optimizer_dimension_and_mode_errors():
+def test_optimizer_dimension_and_mode_errors(monkeypatch):
     rng = np.random.default_rng(57)
     sched = Schedule.linear(1.0, n_steps=64)
     rho3, h_i3, h_f3 = random_instance(rng, 3)
@@ -343,10 +321,17 @@ def test_optimizer_dimension_and_mode_errors():
     with pytest.raises(DimTooLarge):
         optimize_phases(rho4, h_i4, h_f4, sched, mode="grid")
     rho2, h_i2, h_f2 = random_instance(rng, 2)
-    with pytest.raises(ParamOutOfRange):
+
+    def propagate(*args):
+        raise AssertionError("U0 propagated for refused arguments")
+
+    # a bad mode or count is refused before U0 is propagated
+    monkeypatch.setattr(drives, "propagate_u0", propagate)
+    with pytest.raises(ParamOutOfRange, match="unknown phase optimization mode"):
         optimize_phases(rho2, h_i2, h_f2, sched, mode="simulated_annealing")
     for kw in ({"mode": "monte_carlo", "n_draws": 0}, {"mode": "monte_carlo", "n_draws": 1},
-               {"mode": "grid", "grid_points": 0}, {"mode": "grid", "grid_points": 2.5}):
+               {"mode": "monte_carlo", "n_draws": True}, {"mode": "grid", "grid_points": 0},
+               {"mode": "grid", "grid_points": 2.5}, {"mode": "grid", "grid_points": True}):
         with pytest.raises(ParamOutOfRange, match="must be an integer"):
             optimize_phases(rho2, h_i2, h_f2, sched, **kw)
 

@@ -10,6 +10,7 @@ from ergodrive import (DensityMatrix, HamiltonianOp, coherent_entropy_identity_r
                        full_report, gain_g, majorizes, noncyclic_ergotropy,
                        thermal_populations, upper_bound_delta)
 from ergodrive.errors import EntropyOutOfRange, NegativeBeta, ParamOutOfRange
+from ergodrive.tolerances import IDENTITY_RESIDUAL
 from helpers import dephase, near_pure_state, random_instance, thermal_state
 
 
@@ -197,7 +198,7 @@ def test_low_entropy_edge_has_a_finite_bound(case):
     scale = max(1.0, h_f.spectral_width)
     assert report.delta_e_nc <= report.upper_bound + 1e-10 * scale
     ub = upper_bound_delta(rho, h_i, h_f)
-    assert abs(ub.value - ub.entropic_value) <= rho.tols.identity_residual * scale
+    assert abs(ub.value - ub.entropic_value) <= IDENTITY_RESIDUAL * scale
 
 
 @pytest.mark.parametrize("gap", [0.0, 1e-13])

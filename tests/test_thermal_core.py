@@ -8,12 +8,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ergodrive import (DEFAULT_TOLS, DensityMatrix, HamiltonianOp, coherence_rel_entropy,
+from ergodrive import (DensityMatrix, HamiltonianOp, coherence_rel_entropy,
                        delta_noncyclic, full_report, passive_state,
                        solve_beta_for_energy, solve_beta_for_entropy,
                        thermal_populations, upper_bound_delta)
 from ergodrive import linalg, states
 from ergodrive.errors import NoConvergence
+from ergodrive.tolerances import BETA_RESIDUAL
 from helpers import brentq_oracle, random_instance
 
 MAX_EVALS = 40   # Gibbs-weight evaluations per solve, bracket search included
@@ -100,9 +101,9 @@ def test_energy_solve_meets_the_residual_bound(problem):
         res = solve_beta_for_energy(h, target)
     assert evals[0] <= MAX_EVALS
     assert abs(res.beta) <= beta_max
-    assert res.residual <= DEFAULT_TOLS.beta_residual * width
+    assert res.residual <= BETA_RESIDUAL * width
     assert abs(_mean_energy(en, res.beta) - target) == res.residual
-    assert abs(res.populations @ en - target) <= DEFAULT_TOLS.beta_residual * width + 1e-12 * (
+    assert abs(res.populations @ en - target) <= BETA_RESIDUAL * width + 1e-12 * (
         abs(en[0]) + abs(en[-1]))
 
 
@@ -118,7 +119,7 @@ def test_entropy_solve_meets_the_residual_bound(problem):
     assert 0.0 <= res.beta <= beta_max
     assert abs(_entropy(en, res.beta) - target) == res.residual
     if res.beta < beta_max:
-        assert res.residual <= DEFAULT_TOLS.beta_residual
+        assert res.residual <= BETA_RESIDUAL
     else:   # saturated: the target lies at or below the entropy floor
         assert target <= _entropy(en, beta_max)
 

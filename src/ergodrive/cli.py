@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from . import ergotropy, states, tls
-from .drives import (Schedule, optimize_phases, propagate_u0, synthesize_drive,
-                     verify_drive)
+from .drives import (Schedule, final_unitary, optimize_phases, propagate_u0,
+                     synthesize_drive, verify_drive)
 from .errors import ConvergenceError, ParamOutOfRange, ValidationError, VerificationFailed
 from .linalg import hermitian_eigvals
 from .states import DensityMatrix, HamiltonianOp, matrix_from_json
@@ -150,9 +150,15 @@ def run_ergotropy(cfg: dict) -> dict:
 
 
 def run_drive_synth(cfg: dict, n_steps=None) -> dict:
+    """Synthesize and verify one drive. The step count is n_steps, else the
+    config's n_steps, exactly; with neither, drives.final_unitary picks it by
+    step doubling."""
     rho, h_i, h_f = _load_instance(cfg)
     tau = _number(cfg, "tau", 1.0)
-    n_steps = _count(cfg, "n_steps", 4096) if n_steps is None else n_steps
+    if n_steps is None and "n_steps" in cfg:
+        n_steps = _count(cfg, "n_steps", None)
+    if n_steps is None:
+        n_steps = final_unitary(h_i, h_f, Schedule.linear(tau)).n_steps
     sched = Schedule.linear(tau, n_steps=n_steps)
     trace = propagate_u0(h_i, h_f, sched)
     phases_cfg = cfg.get("phases", "zeros")

@@ -1,29 +1,40 @@
 """Time-dependent drive machinery.
 
 Schedules run on [0, tau] and interpolate H0(t) between an initial and a
-final Hamiltonian (or rotate a two-level gap). The bare propagator U0 is one
-blocked ordered product of midpoint exponential steps, projected onto the
-unitaries every 64 steps (linalg.step_products); the same kernel propagates
-U0 on verify_drive's finer grid and then H0 + V. Every stack of small
-matrices on a time grid is kept time-innermost, as a (d, d, n) array
-(handed out as (n, d, d) views): the step exponentials are one Taylor
-kernel over the stack, and every product or conjugation U X U^dag is d
-broadcast multiply-adds over length-n vectors (linalg.matmul_t), not n
-small matmuls. Every scratch stack of a drive is a role of linalg's
-per-thread workspace: the midpoint H0 stack, verify_drive's samples on both
-grids and its V, H, dH/dt and rho(t). Only the arrays handed out,
-propagate_u0's samples and synthesize_drive's V, are fresh, so
-verify_drive's U0 does not go through propagate_u0. A target unitary R maps
-the state's descending eigenvectors onto the ascending final energy basis,
-chi = principal log of U0(tau)^dag R generates the correction
-V(t) = -fdot(t) U0 chi U0^dag, and the cost functionals w, w_min follow
-from chi's eigenphases. The phase optimizers scan w_min over the free target
-phases phi: the eigenphases of M(phi) = U0(tau)^dag R(phi) at d = 2, 3 come
-from tr M and det M alone (eigenphases_from_trace_det, one broadcast root
-solve over the batch), and only rows with nearly repeated eigenphases, or
-d >= 4, form M for a general eigensolver. synthesize_drive takes a U0 trace
-a caller already propagated. Every threshold is a constant of the
-tolerances module. Everything here is in hbar = 1 units.
+final Hamiltonian (or rotate a two-level gap). Every propagation takes
+Simpson-node fourth-order Magnus steps: on [t_k, t_k + dt], with
+K1 = dt (H(t_k) + 4 H(t_k + dt/2) + H(t_k + dt)) / 6 and
+K2 = dt (H(t_k + dt) - H(t_k)), the step is exp(-i H_eff dt) with
+H_eff dt = K1 + (i/12) [K1, K2] (Blanes, Casas, Oteo & Ros, Phys. Rep.
+470, 151 (2009)), so an n-step grid samples H at its 2n + 1 Simpson nodes.
+The bare propagator U0 is one blocked ordered product of those steps,
+projected onto the unitaries every 64 steps (linalg.step_products); the same
+kernel propagates U0 on verify_drive's grid of 2n steps, whose samples are
+U0 at every Simpson node of the n-step grid, and then H0 + V on the n-step
+grid. final_unitary picks a step count by step doubling: the least
+64 * 2^k at which the step-doubling estimate of U0(tau)'s error is at most
+PROPAGATION_ERROR, with U0(tau) formed by pairwise products of the step
+stack.
+Every stack of small matrices on a time grid is kept time-innermost, as a
+(d, d, n) array (handed out as (n, d, d) views): the step exponentials are
+one Taylor kernel over the stack, and every product or conjugation
+U X U^dag is d broadcast multiply-adds over length-n vectors
+(linalg.matmul_t), not n small matmuls. Every scratch stack of a drive is a
+role of linalg's per-thread workspace: H at the Simpson nodes, the Magnus
+commutator, verify_drive's samples on both grids and its V, dH/dt and
+rho(t). Only the arrays handed out, propagate_u0's samples and
+synthesize_drive's V, are fresh, so verify_drive's U0 does not go through
+propagate_u0. A target unitary R maps the state's descending eigenvectors
+onto the ascending final energy basis, chi = principal log of U0(tau)^dag R
+generates the correction V(t) = -fdot(t) U0 chi U0^dag, and the cost
+functionals w, w_min follow from chi's eigenphases. The phase optimizers
+scan w_min over the free target phases phi: the eigenphases of
+M(phi) = U0(tau)^dag R(phi) at d = 2, 3 come from tr M and det M alone
+(eigenphases_from_trace_det, one broadcast root solve over the batch), and
+only rows with nearly repeated eigenphases, or d >= 4, form M for a general
+eigensolver. synthesize_drive takes a U0 trace a caller already propagated.
+Every threshold is a constant of the tolerances module. Everything here is
+in hbar = 1 units.
 """
 
 from __future__ import annotations
@@ -33,23 +44,26 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import (DimMismatch, DimTooLarge, GaugeFailure, LengthMismatch,
+from .errors import (DimMismatch, DimTooLarge, GaugeFailure, LengthMismatch, NoConvergence,
                      ParamInconsistent, ParamOutOfRange, VerificationFailed)
-from .linalg import (EXPONENT, ROWS, buffer_len, dagger, matmul_t, principal_log_unitary,
-                     step_products, trace_distance, workspace)
+from .linalg import (EXPONENT, ROWS, buffer_len, dagger, herm_expi_batch, matmul_t,
+                     principal_log_unitary, step_products, trace_distance, workspace)
 from .states import DensityMatrix, HamiltonianOp, matrix_to_json, passive_energy, passive_state
 from .tls import MuDynParams, check_count, wrap_pi
 from .tolerances import (EIGENPHASE_SEPARATION, GAUGE_OVERLAP_MIN, MONOTONE_RAMP_ATOL,
-                         ROTATING_ENDPOINT_REL, SCHEDULE_BOUNDARY_ATOL, STA_CLOSED_FORM_REL,
+                         PROPAGATION_ERROR, PROPAGATION_MAX_STEPS, ROTATING_ENDPOINT_REL,
+                         SCHEDULE_BOUNDARY_ATOL, STA_CLOSED_FORM_REL,
                          VERIFY_ENDPOINT_REL, VERIFY_ENERGY_REL, VERIFY_STATE_DISTANCE,
                          VERIFY_WIDTH_FLOOR, VERIFY_WORK_REL)
 
 _SZ = np.diag([1.0, -1.0]).astype(complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
-# linalg workspace roles of this module: the sample buffer of verify_drive's
-# propagations, two (d, d, n + 1) stacks, and the row through which H0's
-# second term is added
+# linalg workspace roles of this module: H (H0, or H0 + V) at the Simpson
+# nodes of a grid, the sample buffer of verify_drive's propagations (and of
+# final_unitary's steps), two (d, d, n + 1) stacks, and the row through which
+# H0's second term is added
+_NODES = "nodes"
 _SAMPLES = "samples"
 _STACK = "stack"
 _STACK2 = "stack2"
@@ -236,22 +250,105 @@ def _conjugate(u: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return matmul_t(u, np.swapaxes(np.conj(ux, out=ux), 0, 1), out, tmp)
 
 
-def _midpoint_h0(sched: Schedule, h_i: HamiltonianOp, h_f: HamiltonianOp,
-                 n: int) -> np.ndarray:
-    """H0 at the midpoints of sched's n-step grid, a time-innermost stack in
-    the workspace role linalg.EXPONENT, where herm_expi_batch forms its
-    exponent in place."""
-    mids = sched.times(n)[:-1] + 0.5 * (sched.tau / n)
-    return sched._h0_stack(h_i, h_f, mids, workspace(EXPONENT, (h_i.dim, h_i.dim, n)))
+def _magnus_exponent(h_nodes: np.ndarray, dt: float) -> np.ndarray:
+    """H_eff of the Simpson-node Magnus-4 step on every interval of a grid.
+
+    h_nodes[d, d, 2n + 1] is H at the grid's Simpson nodes t_0, t_0 + dt/2,
+    t_1, ..., t_n. Per interval, with the node average
+    Hbar = (H(t_k) + 4 H(t_k + dt/2) + H(t_{k+1})) / 6 and the difference
+    D = H(t_{k+1}) - H(t_k), H_eff = Hbar + (i dt / 12) [Hbar, D], which is
+    K1 + (i/12) [K1, K2] over dt. The (d, d, n) result is in the workspace
+    role linalg.EXPONENT, where herm_expi_batch forms its exponent in place;
+    D and Hbar D are formed in the roles _STACK and _STACK2. For Hermitian
+    Hbar and D, s [Hbar, D] = s Hbar D + (s Hbar D)^dag with s = i dt / 12,
+    so the commutator takes one product.
+    """
+    d, n = h_nodes.shape[0], (h_nodes.shape[-1] - 1) // 2
+    left, mid, right = h_nodes[..., :-1:2], h_nodes[..., 1::2], h_nodes[..., 2::2]
+    h_bar = np.multiply(mid, 4.0, out=workspace(EXPONENT, (d, d, n)))
+    h_bar += left
+    h_bar += right
+    h_bar *= 1.0 / 6.0
+    diff = np.subtract(right, left, out=workspace(_STACK, (d, d, n)))
+    comm = matmul_t(h_bar, diff, workspace(_STACK2, (d, d, n)), workspace(ROWS, (1, d, n)))
+    comm *= 1j * dt / 12.0
+    h_bar += comm
+    h_bar += np.swapaxes(np.conj(comm, out=comm), 0, 1)
+    return h_bar
+
+
+def _magnus_h0(sched: Schedule, h_i: HamiltonianOp, h_f: HamiltonianOp,
+               n: int) -> np.ndarray:
+    """H_eff of the Magnus steps of H0 on sched's n-step grid (see
+    _magnus_exponent), from H0 at its Simpson nodes in the role _NODES."""
+    d = h_i.dim
+    nodes = sched._h0_stack(h_i, h_f, sched.times(2 * n), workspace(_NODES, (d, d, 2 * n + 1)))
+    return _magnus_exponent(nodes, sched.tau / n)
 
 
 def propagate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> PropagatorTrace:
-    """Bare propagator by midpoint exponential stepping, sampled on the grid."""
+    """Bare propagator by Simpson-node Magnus-4 steps, sampled on the grid."""
     sched.validate_against(h_i, h_f)
     n = sched.n_steps
     buf = np.empty((h_i.dim, h_i.dim, buffer_len(n)), dtype=complex)
     return PropagatorTrace(sched.times(),
-                           *step_products(_midpoint_h0(sched, h_i, h_f, n), sched.tau / n, buf))
+                           *step_products(_magnus_h0(sched, h_i, h_f, n), sched.tau / n, buf))
+
+
+def _u0_final(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule, n: int) -> np.ndarray:
+    """U0(tau) on sched's grid of n Magnus steps, by pairwise products of the
+    step stack: each pass multiplies neighbouring pairs (later times on the
+    left) into a stack half as long, alternating between the roles _SAMPLES
+    and _STACK."""
+    d = h_i.dim
+    steps = workspace(_SAMPLES, (d, d, n))
+    herm_expi_batch(_time_first(_magnus_h0(sched, h_i, h_f, n)), sched.tau / n,
+                    out=_time_first(steps))
+    roles = (_SAMPLES, _STACK)    # the stack's role, then the role of its pairs
+    while n > 1:
+        half, odd = divmod(n, 2)
+        pairs = workspace(roles[1], (d, d, half + odd))
+        matmul_t(steps[..., 1:2 * half:2], steps[..., :2 * half:2], pairs[..., :half],
+                 workspace(ROWS, (1, d, half)))
+        if odd:
+            pairs[..., half] = steps[..., n - 1]
+        steps, n, roles = pairs, half + odd, roles[::-1]
+    return steps[..., 0].copy()
+
+
+class FinalUnitary(NamedTuple):
+    u: np.ndarray      # U0(tau) on the chosen grid
+    n_steps: int       # the chosen step count
+    error: float       # the estimate of u's largest entry error that met PROPAGATION_ERROR
+
+
+# final_unitary's first step count; later ones double it
+FIRST_ESTIMATE_STEPS = 64
+
+
+def final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> FinalUnitary:
+    """U0(tau) at the least step count n = 64 * 2^k whose step-doubling
+    error estimate is at most PROPAGATION_ERROR.
+
+    For a fourth-order step, U_n(tau) - U(tau) = (16/15) (U_n(tau) - U_2n(tau))
+    to leading order, so the estimate of U_n's error is
+    (16/15) max |U_n(tau) - U_2n(tau)| over the entries. Only sched's tau
+    and Hamiltonian are read, not its n_steps. Raises NoConvergence when the
+    estimate would need a propagation of more than PROPAGATION_MAX_STEPS
+    steps, so the largest n returned is half of that.
+    """
+    sched.validate_against(h_i, h_f)
+    n = FIRST_ESTIMATE_STEPS
+    u = _u0_final(h_i, h_f, sched, n)
+    while 2 * n <= PROPAGATION_MAX_STEPS:
+        finer = _u0_final(h_i, h_f, sched, 2 * n)
+        error = float(np.abs(u - finer).max()) * 16.0 / 15.0
+        if error <= PROPAGATION_ERROR:
+            return FinalUnitary(u, n, error)
+        n, u = 2 * n, finer
+    raise NoConvergence(f"estimated U0(tau) error {error:.3e} at {n // 2} steps is above "
+                        f"{PROPAGATION_ERROR:.0e}, and the next estimate needs more than "
+                        f"{PROPAGATION_MAX_STEPS} steps")
 
 
 def _descending_eigvectors(rho: DensityMatrix) -> Tuple[np.ndarray, np.ndarray]:
@@ -337,9 +434,53 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
                           target_passive=passive_state(rho_i, h_f))
 
 
+# fewest steps of a grid that verify_drive's work integral takes: its
+# one-sided differences at either end read five Simpson nodes
+VERIFY_MIN_STEPS = 2
+
+
+def _grid_derivative(h_nodes: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
+    """dH/dt at the n + 1 points of a grid, into out[d, d, n + 1], from H at
+    its 2n + 1 Simpson nodes (spacing dt / 2) by fourth-order differences:
+    central five-point inside, one-sided five-point at the two ends."""
+    inner = out[..., 1:-1]
+    np.subtract(h_nodes[..., 3:-1:2], h_nodes[..., 1:-3:2], out=inner)
+    inner *= 8.0
+    inner += h_nodes[..., :-4:2]
+    inner -= h_nodes[..., 4::2]
+    one_sided = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])
+    out[..., 0] = h_nodes[..., :5] @ one_sided
+    out[..., -1] = -(h_nodes[..., :-6:-1] @ one_sided)
+    out *= 1.0 / (6.0 * dt)    # 1 / (12 h) at node spacing h = dt / 2
+    return out
+
+
+def _simpson_weights(n: int, dt: float) -> np.ndarray:
+    """Weights of a fourth-order rule on the n + 1 points of a grid, n >= 2:
+    composite Simpson, with the 3/8 rule on the last three intervals when n
+    is odd."""
+    w = np.zeros(n + 1)
+    m = n - 3 if n % 2 else n    # the intervals that Simpson's rule covers
+    if m:
+        w[1:m:2] = 4.0 / 3.0
+        w[2:m:2] = 2.0 / 3.0
+        w[0] = w[m] = 1.0 / 3.0
+    if n % 2:
+        w[m:] += np.array([3.0, 9.0, 9.0, 3.0]) / 8.0
+    return w * dt
+
+
 def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp,
                  h_f: HamiltonianOp, sched: Schedule) -> Tuple[float, float]:
     """Propagate H0(t) + V(t) end to end and check it does what it promises.
+
+    U0 comes from 2n Magnus steps of H0, whose samples are U0 at every
+    Simpson node of sched's n-step grid; V there is formed from them and chi,
+    and H0 + V takes n Magnus steps. The work integral is composite Simpson
+    (with the 3/8 rule on the last three intervals when n is odd) over the
+    n-step grid, with dH/dt from fourth-order differences of H at the
+    Simpson nodes, so n_steps below VERIFY_MIN_STEPS is refused
+    (ParamOutOfRange). The synthesizer's U0 is never read.
 
     Returns (final_energy_residual, state_distance). Raises VerificationFailed
     (with all residuals attached) when the final state is not the passive
@@ -352,21 +493,25 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     """
     sched.validate_against(h_i, h_f)
     d, n = h_i.dim, sched.n_steps
-    ts = sched.times()
+    if n < VERIFY_MIN_STEPS:
+        raise ParamOutOfRange(f"verify_drive needs n_steps >= {VERIFY_MIN_STEPS} "
+                              f"for its fourth-order work integral, got {n}")
     dt = sched.tau / n
+    nodes = sched.times(2 * n)
 
     # Every (d, d, n) stack is a workspace role, and each stage reuses the
     # roles the stage before it is done with. The fine grid's samples, in
-    # _SAMPLES, give V at the midpoints (in _STACK); H0 + V is propagated on
-    # the coarse grid in _SAMPLES again; rho(t) then takes _STACK, H(t) the
-    # exponent role and dH/dt _STACK2.
-    fine, _ = step_products(_midpoint_h0(sched, h_i, h_f, 2 * n), sched.tau / (2 * n),
+    # _SAMPLES, give V at the Simpson nodes (in _STACK); H0 + V at the nodes
+    # takes _NODES, and is propagated on the coarse grid in _SAMPLES again;
+    # rho(t) then takes _STACK and dH/dt _STACK2.
+    fine, _ = step_products(_magnus_h0(sched, h_i, h_f, 2 * n), dt / 2,
                             workspace(_SAMPLES, (d, d, buffer_len(2 * n))))
-    v_mid = _conjugate(_time_last(fine[1::2]), synth.chi, workspace(_STACK, (d, d, n)))
-    v_mid *= -_sample(sched.ramp_fdot, ts[:-1] + 0.5 * dt)
-    h_mid = _midpoint_h0(sched, h_i, h_f, n)
-    h_mid += v_mid
-    u_samples, _ = step_products(h_mid, dt, workspace(_SAMPLES, (d, d, buffer_len(n))))
+    v = _conjugate(_time_last(fine), synth.chi, workspace(_STACK, (d, d, 2 * n + 1)))
+    v *= -_sample(sched.ramp_fdot, nodes)
+    h_nodes = sched._h0_stack(h_i, h_f, nodes, workspace(_NODES, (d, d, 2 * n + 1)))
+    h_nodes += v
+    u_samples, _ = step_products(_magnus_exponent(h_nodes, dt), dt,
+                                 workspace(_SAMPLES, (d, d, buffer_len(n))))
     u = u_samples[-1]
 
     rho_f = DensityMatrix(u @ rho_i.mat @ dagger(u))
@@ -379,14 +524,8 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
         float(np.abs(ends[1] + synth.v_samples[-1] - h_f.mat).max()))
 
     rho_t = _conjugate(_time_last(u_samples), rho_i.mat, workspace(_STACK, (d, d, n + 1)))
-    h_tot = sched._h0_stack(h_i, h_f, ts, workspace(EXPONENT, (d, d, n + 1)))
-    h_tot += _time_last(synth.v_samples)
-    hdot = workspace(_STACK2, h_tot.shape)
-    np.subtract(h_tot[..., 2:], h_tot[..., :-2], out=hdot[..., 1:-1])
-    hdot[..., 1:-1] /= 2 * dt
-    hdot[..., 0] = (-3 * h_tot[..., 0] + 4 * h_tot[..., 1] - h_tot[..., 2]) / (2 * dt)
-    hdot[..., -1] = (3 * h_tot[..., -1] - 4 * h_tot[..., -2] + h_tot[..., -3]) / (2 * dt)
-    work = float(np.trapezoid(np.einsum("ijt,jit->t", rho_t, hdot).real, ts))
+    hdot = _grid_derivative(h_nodes, dt, workspace(_STACK2, (d, d, n + 1)))
+    work = float(_simpson_weights(n, dt) @ np.einsum("ijt,jit->t", rho_t, hdot).real)
     work_residual = abs(work - (h_f.energy(rho_f) - h_i.energy(rho_i)))
 
     h_scale = max(1.0, float(np.abs(h_i.mat).max()), float(np.abs(h_f.mat).max()))
@@ -491,11 +630,16 @@ def optimize_phases(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp
     "analytic2": closed-form minimizer for d = 2. "grid": exhaustive scan,
     d <= 3. "monte_carlo": mean and standard error of (sum theta^2)^{1/2}/tau
     over n_draws uniform phase vectors (phases are then reported as None).
-    Refuses an unknown mode, n_draws < 2 and grid_points < 1 before any
-    propagation.
+    Refuses an unknown mode, a dimension the mode does not cover, n_draws < 2
+    and grid_points < 1 before any propagation.
     """
     if mode not in ("analytic2", "grid", "monte_carlo"):
         raise ParamOutOfRange(f"unknown phase optimization mode {mode!r}")
+    d = rho_i.dim
+    if mode == "analytic2" and d != 2:
+        raise DimTooLarge("the analytic phase minimizer covers d = 2 only")
+    if mode == "grid" and d > 3:
+        raise DimTooLarge(f"grid phase scan over d = {d} axes is not supported")
     check_count(n_draws, "n_draws", 2)
     check_count(grid_points, "grid_points", 1)
     if u_f is None:
@@ -504,12 +648,9 @@ def optimize_phases(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp
     a_mat = dagger(u_f) @ h_f.basis
     c = np.einsum("in,in->n", v_r.conj(), a_mat)
     det_angle = float(np.angle(np.linalg.det(a_mat @ dagger(v_r))))
-    d = rho_i.dim
     tau = sched.tau
 
     if mode == "analytic2":
-        if d != 2:
-            raise DimTooLarge("the analytic phase minimizer covers d = 2 only")
         delta = 0.5 * (np.angle(c[0]) - np.angle(c[1]))
         phases = np.array([-det_angle / 2 - delta, -det_angle / 2 + delta])
         if ((np.exp(1j * phases) * c).sum()).real < 0:
@@ -520,8 +661,6 @@ def optimize_phases(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp
         return PhaseOptResult(phases, float(value))
 
     if mode == "grid":
-        if d > 3:
-            raise DimTooLarge(f"grid phase scan over d = {d} axes is not supported")
         axis = np.linspace(-np.pi, np.pi, grid_points, endpoint=False)
         mesh = np.stack(np.meshgrid(*([axis] * d), indexing="ij"),
                         axis=-1).reshape(-1, d)

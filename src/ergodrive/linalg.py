@@ -11,10 +11,15 @@ broadcast multiply-adds over length-n vectors instead of n tiny matmuls.
 herm_expi_batch exponentiates such a stack with one scaled-and-squared
 Taylor kernel whose degree comes from a 1-norm bound on the remainder
 (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)); at the
-step norms of a propagator, ||H dt||_1 ~ 1e-3, that is degree 3 to 5 with
-no squaring. polar_project re-unitarizes a whole stack in one batched SVD;
+step sizes of the propagations, that is degree 5 to 10 with no squaring at
+the 64 to 256 steps that drive-synth picks by default, and degree 3 to 5 at
+4096 steps. polar_project re-unitarizes a whole stack in one batched SVD;
 step_products chains a stack of step exponentials into running products,
-projecting the chained total of every 64-step block with it.
+projecting the chained total of every 64-step block with it. Its steps are
+drives' Simpson-node fourth-order Magnus steps: it exponentiates their
+effective Hamiltonians H_eff = (K1 + (i/12) [K1, K2]) / dt, which drives
+forms from H at the nodes t_k, t_k + dt/2, t_k + dt (the commutator by
+matmul_t), and chains the results.
 principal_log_unitary takes a unitary's eigenvectors from eigh of a Cayley
 transform, shifted so that I + u is well conditioned, and its eigenphases
 from their Rayleigh quotients. Everything here is NumPy (LAPACK) only.
@@ -227,7 +232,8 @@ _TAYLOR_THETA = (1.49e-8, 8.73e-6, 2.27e-4, 1.67e-3, 6.56e-3, 1.77e-2,
 
 # A workspace request above this many bytes gets a fresh array that is not
 # kept, so one very long drive does not pin its working set for the life of
-# the thread. At d = 4 and 8192 steps a role is at most 2 MB.
+# the thread. A d = 4, 4096-step drive's largest role is 4 MB: H at the
+# 16,385 Simpson nodes of verify_drive's 8192-step grid.
 WORKSPACE_CAP_BYTES = 32 * 2**20
 _WORKSPACE = threading.local()
 # workspace roles of this module (see the module docstring)

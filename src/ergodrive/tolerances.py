@@ -34,6 +34,11 @@ VERIFY_STATE_DISTANCE = 1e-6
 VERIFY_ENERGY_REL = 1e-8
 VERIFY_ENDPOINT_REL = 1e-12
 VERIFY_WORK_REL = 1e-6
+# drives.final_unitary doubles the step count until the step-doubling
+# estimate of U0(tau)'s largest entry error is at most PROPAGATION_ERROR; no
+# propagation it makes has more than PROPAGATION_MAX_STEPS steps.
+PROPAGATION_ERROR = 1e-10
+PROPAGATION_MAX_STEPS = 2**16
 # Schedules: the boundary values of lam_i, lam_f, ramp_f and ramp_fdot are
 # checked to this absolute tolerance; a rotating schedule's endpoint
 # Hamiltonians must match h_i and h_f to this many units of their largest

@@ -1,16 +1,13 @@
 """Random problem instances and oracles shared across the test modules."""
 
-import dataclasses
-
 import numpy as np
 from scipy.linalg import schur
 from scipy.optimize import brentq
 
 from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, TlsState, cli, drives,
                        energy_populations, example1_phase_average, example2_theta_split,
-                       gain_g, hermitian_eig, propagate_u0, thermal_populations,
+                       gain_g, hermitian_eig, thermal_populations,
                        von_neumann_entropy)
-from ergodrive.errors import NoConvergence
 from ergodrive.linalg import _canonicalize, dagger, polar_project, unitarity_defect
 from ergodrive.tls import cd_rate, cost, delta_enc, overlaps, sta_delta, theta1
 
@@ -167,6 +164,29 @@ def sequential_products(steps):
     return samples, drift
 
 
+def magnus4_gauss_final(h_i, h_f, sched, n_steps):
+    """U0(tau) of an interp schedule by n_steps Gauss-Legendre Magnus-4 steps,
+    formed one step at a time: with H1, H2 at the Gauss nodes
+    t_k + dt (1/2 -+ sqrt(3)/6), each step is exp(-i Omega) with
+    Omega = dt (H1 + H2) / 2 + i (sqrt(3)/12) dt^2 [H1, H2], exponentiated
+    through numpy's eigh. The oracle of the Simpson-node propagator."""
+    dt = sched.tau / n_steps
+    t0 = np.arange(n_steps) * dt
+    hs = []
+    for t in (t0 + dt * (0.5 - np.sqrt(3.0) / 6.0), t0 + dt * (0.5 + np.sqrt(3.0) / 6.0)):
+        lam_i = np.broadcast_to(sched.lam_i(t), t.shape)[:, None, None]
+        lam_f = np.broadcast_to(sched.lam_f(t), t.shape)[:, None, None]
+        hs.append(lam_i * h_i.mat + lam_f * h_f.mat)
+    h1, h2 = hs
+    omega = 0.5 * dt * (h1 + h2) + 1j * (np.sqrt(3.0) / 12.0) * dt**2 * (h1 @ h2 - h2 @ h1)
+    w, v = np.linalg.eigh(omega)
+    steps = (v * np.exp(-1j * w)[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    u = np.eye(h_i.dim, dtype=complex)
+    for step in steps:
+        u = step @ u
+    return u
+
+
 def eigenphases(m):
     """Principal eigenphases on [-pi, pi), ascending, of a stack of unitaries
     m[..., d, d], from a general eigensolver: the oracle of
@@ -221,21 +241,6 @@ def counterdiabatic_cost_oracle(sched):
     dv[-1] = (3 * vecs[-1] - 4 * vecs[-2] + vecs[-3]) / (2 * dt)
     norm_trace = np.sqrt(2.0 * np.einsum("tij,tij->t", dv.conj(), dv).real)
     return float(np.trapezoid(norm_trace, ts)) / sched.tau, norm_trace
-
-
-def converged_final_unitary(h_i, h_f, sched, rtol=1e-8, n_limit=100_000):
-    """U0(t_f) with the grid doubled until it moves by <= rtol (Frobenius)."""
-    n = sched.n_steps
-    prev = propagate_u0(h_i, h_f, sched).u_samples[-1]
-    while True:
-        n *= 2
-        cur = propagate_u0(h_i, h_f, dataclasses.replace(sched, n_steps=n)).u_samples[-1]
-        if np.linalg.norm(cur - prev) <= rtol:
-            return cur, n
-        if n >= n_limit:
-            raise NoConvergence(f"U(t_f) still moves by {np.linalg.norm(cur - prev):.3e} "
-                                f"under grid doubling at n_steps = {n}")
-        prev = cur
 
 
 # ------------------------------------------------------------- figure oracle

@@ -118,10 +118,52 @@ def test_drive_synth_crude_grid_fails_verification(tmp_path, capsys):
                     {"rho_i": matrix_to_json(np.diag([0.2, 0.8]).astype(complex)),
                      "h_i": matrix_to_json(random_hermitian(rng, 2, 3.0)),
                      "h_f": matrix_to_json(random_hermitian(rng, 2, 3.0))})
-    assert run(["drive-synth", "--config", cfg, "--steps", "8"]) == 3
+    assert run(["drive-synth", "--config", cfg, "--steps", "4"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "VerificationFailed"
-    assert "residuals" in err
+    assert err["residuals"]["state_distance"] > 1e-6
+
+
+def test_drive_synth_steps_below_the_verification_stencil(tmp_path, capsys):
+    # rho is passive for h_i = h_f diagonal: the drive only corrects phases,
+    # commutes with H0 and verifies on any grid from the stencil's minimum
+    # up; one step is refused, not crashed on
+    cfg = write_cfg(tmp_path, "d.json",
+                    {"rho_i": matrix_to_json(np.diag([0.7, 0.3]).astype(complex)),
+                     "h_i": RHO2["h_f"], "h_f": RHO2["h_f"]})
+    assert run(["drive-synth", "--config", cfg, "--steps", "1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParamOutOfRange" and "n_steps >= 2" in err["message"]
+    for steps in ("2", "3"):
+        assert run(["drive-synth", "--config", cfg, "--steps", steps]) == 0
+        assert json.loads(capsys.readouterr().out)["residuals"]["state_distance"] < 1e-12
+
+
+def test_drive_synth_step_count_is_exact_or_estimated(monkeypatch):
+    rng = np.random.default_rng(73)
+    cfg = {"rho_i": matrix_to_json(np.diag([0.2, 0.8]).astype(complex)),
+           "h_i": matrix_to_json(random_hermitian(rng, 2)),
+           "h_f": matrix_to_json(random_hermitian(rng, 2)), "tau": 1.0}
+    estimates, grids = [], []
+    estimate, propagate = drives.final_unitary, drives.propagate_u0
+
+    def counting_estimate(h_i, h_f, sched):
+        estimates.append(sched.tau)
+        return estimate(h_i, h_f, sched)
+
+    def counting(h_i, h_f, sched):
+        grids.append(sched.n_steps)
+        return propagate(h_i, h_f, sched)
+
+    monkeypatch.setattr(cli, "final_unitary", counting_estimate)
+    monkeypatch.setattr(cli, "propagate_u0", counting)
+    chosen = cli.run_drive_synth(cfg)
+    assert estimates == [1.0] and grids[0] in (64, 128, 256)
+    # an explicit count, from --steps or the config, is honoured with no estimate
+    assert cli.run_drive_synth(cfg, grids[0]) == chosen
+    assert cli.run_drive_synth(dict(cfg, n_steps=grids[0])) == chosen
+    cli.run_drive_synth(dict(cfg, n_steps=100), 33)
+    assert estimates == [1.0] and grids == [grids[0]] * 3 + [33]
 
 
 def test_fig1_deterministic_and_crossover_line(tmp_path, capsys):

@@ -28,10 +28,11 @@ from ergodrive.errors import (BranchAmbiguity, DimMismatch, DimTooLarge, GaugeFa
 from ergodrive.linalg import unitarity_defect
 from ergodrive.states import matrix_to_json
 from ergodrive.tls import cost, theta1
-from helpers import (converged_final_unitary, counterdiabatic_cost_oracle, eigenphases,
-                     herm_expi, phase_cost_inputs, phase_costs_oracle, random_density,
-                     random_hermitian, random_instance, random_probs, random_unitary,
-                     sequential_products)
+from ergodrive.tolerances import PROPAGATION_ERROR
+from helpers import (counterdiabatic_cost_oracle, eigenphases,
+                     herm_expi, magnus4_gauss_final, phase_cost_inputs, phase_costs_oracle,
+                     random_density, random_hermitian, random_instance, random_probs,
+                     random_unitary, sequential_products)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -104,19 +105,94 @@ def test_propagator_exact_for_commuting_schedule():
     assert np.abs(trace.u_samples[-1] - exact).max() < 1e-12
 
 
-def _midpoint_steps(h_i, h_f, sched):
-    dt = sched.tau / sched.n_steps
-    return herm_expi_batch(sched.h0_batch(h_i, h_f, sched.times()[:-1] + 0.5 * dt), dt)
+def _magnus_steps(h_i, h_f, sched):
+    """The Simpson-node Magnus-4 steps of sched's grid, each exponent formed
+    with one matmul per step: exp(-i (K1 + (i/12) [K1, K2]))."""
+    n = sched.n_steps
+    dt = sched.tau / n
+    h = sched.h0_batch(h_i, h_f, sched.times(2 * n))
+    k1 = dt * (h[:-1:2] + 4 * h[1::2] + h[2::2]) / 6
+    k2 = dt * (h[2::2] - h[:-1:2])
+    return herm_expi_batch(k1 + 1j / 12 * (k1 @ k2 - k2 @ k1), 1.0)
 
 
 def test_final_unitary_matches_stepwise_product():
     rng = np.random.default_rng(50)
-    for n_steps in (64, 65, 127):
+    for n_steps in (1, 2, 3, 64, 65, 127):
         rho, h_i, h_f = random_instance(rng, 3)
         sched = Schedule.linear(1.0, n_steps=n_steps)
-        oracle, _ = sequential_products(_midpoint_steps(h_i, h_f, sched))
+        oracle, _ = sequential_products(_magnus_steps(h_i, h_f, sched))
         assert np.abs(propagate_u0(h_i, h_f, sched).u_samples[-1]
                       - oracle[-1]).max() < 1e-12
+        # the pairwise product behind final_unitary, odd stack lengths included
+        assert np.abs(drives._u0_final(h_i, h_f, sched, n_steps) - oracle[-1]).max() < 1e-12
+
+
+def test_magnus_step_is_fourth_order():
+    # non-commuting d = 3 schedule with a curved ramp: every doubling of n
+    # divides the error against the Gauss-Legendre oracle by about 16
+    rng = np.random.default_rng(63)
+    _, h_i, h_f = random_instance(rng, 3)
+    sched = Schedule(1.0, lam_i=lambda t: np.cos(0.5 * np.pi * t) ** 2,
+                     lam_f=lambda t: np.sin(0.5 * np.pi * t) ** 2)
+    want = magnus4_gauss_final(h_i, h_f, sched, 2048)
+    errors = [np.abs(propagate_u0(h_i, h_f, dataclasses.replace(sched, n_steps=n))
+                     .u_samples[-1] - want).max() for n in (16, 32, 64, 128)]
+    assert errors[-1] > 1e-11           # still far above the oracle's own error
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse >= 12 * fine
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_final_unitary_meets_the_error_target(d):
+    # bench-like instances: spectral width 1.5, tau = 1
+    rng = np.random.default_rng([64, d])
+    for _ in range(3):
+        _, h_i, h_f = random_instance(rng, d)
+        h_i, h_f = (HamiltonianOp(h.mat * (1.5 / h.spectral_width)) for h in (h_i, h_f))
+        sched = Schedule.linear(1.0)
+        fu = drives.final_unitary(h_i, h_f, sched)
+        assert fu.n_steps in (64, 128, 256) and fu.error <= PROPAGATION_ERROR
+        want = magnus4_gauss_final(h_i, h_f, sched, 4096)
+        assert np.abs(fu.u - want).max() <= PROPAGATION_ERROR
+        u = propagate_u0(h_i, h_f, dataclasses.replace(sched, n_steps=fu.n_steps)).u_samples[-1]
+        assert np.abs(u - want).max() <= PROPAGATION_ERROR
+
+
+def test_final_unitary_refuses_past_the_step_cap():
+    # a spectral width of a few 1e4 needs far more than 2^16 steps for 1e-10
+    _, h_i, h_f = random_instance(np.random.default_rng(65), 2, 1e4)
+    with pytest.raises(NoConvergence, match="more than 65536 steps"):
+        drives.final_unitary(h_i, h_f, Schedule.linear(1.0))
+
+
+def test_fourth_order_work_integral_rules():
+    # the quadrature is exact on cubics, the differences on quartics, for
+    # every grid from the smallest that verify_drive takes
+    for n in range(drives.VERIFY_MIN_STEPS, 10):
+        tau = 1.7
+        dt = tau / n
+        ts = np.linspace(0.0, tau, n + 1)
+        w = drives._simpson_weights(n, dt)
+        assert abs(w @ (ts**3 - 2 * ts) - (tau**4 / 4 - tau**2)) < 1e-13
+        nodes = np.linspace(0.0, tau, 2 * n + 1)
+        h = (nodes**4 - nodes**2)[None, None, :] * np.array([[1.0, 2j], [-2j, 3.0]])[..., None]
+        got = drives._grid_derivative(h, dt, np.empty((2, 2, n + 1), dtype=complex))
+        want = (4 * ts**3 - 2 * ts)[None, None, :] * np.array([[1.0, 2j], [-2j, 3.0]])[..., None]
+        assert np.abs(got - want).max() < 1e-11
+
+
+def test_verify_drive_refuses_grids_below_its_stencil():
+    h = HamiltonianOp(0.5 * SZ)
+    rho = DensityMatrix(np.diag([0.3, 0.7]))   # passive for h: V = 0
+    for n in (1, 2, 3):
+        sched = Schedule.linear(1.0, n_steps=n)
+        synth = synthesize_drive(rho, h, h, sched)
+        if n < drives.VERIFY_MIN_STEPS:
+            with pytest.raises(ParamOutOfRange, match="n_steps >= 2"):
+                verify_drive(synth, rho, h, h, sched)
+        else:
+            assert verify_drive(synth, rho, h, h, sched)[1] < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -125,7 +201,7 @@ def test_blocked_propagator_matches_sequential_oracle(d, n_steps):
     _, h_i, h_f = random_instance(np.random.default_rng([59, d, n_steps]), d)
     sched = Schedule.linear(1.0, n_steps=n_steps)
     trace = propagate_u0(h_i, h_f, sched)
-    oracle, oracle_drift = sequential_products(_midpoint_steps(h_i, h_f, sched))
+    oracle, oracle_drift = sequential_products(_magnus_steps(h_i, h_f, sched))
     assert np.abs(trace.u_samples - oracle).max() <= 1e-13
     assert trace.unitarity_drift < 1e-12 and oracle_drift < 1e-12
     assert np.array_equal(trace.u_samples[0], np.eye(d))
@@ -144,7 +220,7 @@ def _ordered_products(steps):
 def test_ordered_products_refuses_non_unitary_steps():
     rng = np.random.default_rng(60)
     _, h_i, h_f = random_instance(rng, 3)
-    steps = 1.5 * _midpoint_steps(h_i, h_f, Schedule.linear(1.0, n_steps=100))
+    steps = 1.5 * _magnus_steps(h_i, h_f, Schedule.linear(1.0, n_steps=100))
     with pytest.raises(TooFarFromUnitary):
         _ordered_products(steps)
 
@@ -156,7 +232,7 @@ def test_ordered_products_drift_stays_near_the_sequential_oracle(d):
     eps = np.finfo(float).eps
     for n_steps in (1, 64, 65, 1000, 4096):
         _, h_i, h_f = random_instance(np.random.default_rng([61, d, n_steps]), d, 3.0)
-        steps = _midpoint_steps(h_i, h_f, Schedule.linear(1.0, n_steps=n_steps))
+        steps = _magnus_steps(h_i, h_f, Schedule.linear(1.0, n_steps=n_steps))
         samples, drift = _ordered_products(steps)
         oracle, oracle_drift = sequential_products(steps)
         assert samples.shape == oracle.shape
@@ -168,7 +244,7 @@ def test_ordered_products_drift_stays_near_the_sequential_oracle(d):
 def test_ordered_products_refuses_one_bad_step_in_any_block(bad):
     # n = 100: one full 64-step block and a partial one of 36 steps
     _, h_i, h_f = random_instance(np.random.default_rng(62), 3)
-    steps = np.array(_midpoint_steps(h_i, h_f, Schedule.linear(1.0, n_steps=100)))
+    steps = np.array(_magnus_steps(h_i, h_f, Schedule.linear(1.0, n_steps=100)))
     _ordered_products(steps)
     steps[bad] *= 1.5
     with pytest.raises(TooFarFromUnitary):
@@ -197,15 +273,15 @@ def test_schedule_callable_without_array_support_is_refused():
 
 
 def test_converged_final_unitary():
-    rng = np.random.default_rng(51)
-    _, h_i, h_f = random_instance(rng, 2)
-    sched = Schedule.linear(1.0, n_steps=256)
-    u, n = converged_final_unitary(h_i, h_f, sched, rtol=1e-8)
-    assert n > 256
-    dense = propagate_u0(h_i, h_f, dataclasses.replace(sched, n_steps=4 * n)).u_samples[-1]
-    assert np.abs(u - dense).max() < 1e-7
-    with pytest.raises(NoConvergence):
-        converged_final_unitary(h_i, h_f, sched, rtol=0.0)
+    # a rotating schedule, against the same propagator on a grid 8x finer
+    sched = Schedule.rotating_cos_sin(1.0, tau=2.0, tau_star=0.7, n_steps=4096)
+    angle = np.pi * 2.0 / (2 * 0.7)
+    h_i = HamiltonianOp(0.5 * SZ)
+    h_f = HamiltonianOp(0.5 * (np.cos(angle) * SZ + np.sin(angle) * SX))
+    fu = drives.final_unitary(h_i, h_f, sched)
+    assert fu.n_steps >= 128 and fu.error <= PROPAGATION_ERROR
+    dense = propagate_u0(h_i, h_f, dataclasses.replace(sched, n_steps=8 * fu.n_steps))
+    assert np.abs(fu.u - dense.u_samples[-1]).max() <= PROPAGATION_ERROR
 
 
 def test_target_unitary_reaches_passive_for_any_phases():
@@ -314,6 +390,12 @@ def test_optimizer_grid_covers_qutrits():
 def test_optimizer_dimension_and_mode_errors(monkeypatch):
     rng = np.random.default_rng(57)
     sched = Schedule.linear(1.0, n_steps=64)
+
+    def propagate(*args):
+        raise AssertionError("U0 propagated for refused arguments")
+
+    # a bad mode, dimension or count is refused before U0 is propagated
+    monkeypatch.setattr(drives, "propagate_u0", propagate)
     rho3, h_i3, h_f3 = random_instance(rng, 3)
     with pytest.raises(DimTooLarge):
         optimize_phases(rho3, h_i3, h_f3, sched, mode="analytic2")
@@ -321,12 +403,6 @@ def test_optimizer_dimension_and_mode_errors(monkeypatch):
     with pytest.raises(DimTooLarge):
         optimize_phases(rho4, h_i4, h_f4, sched, mode="grid")
     rho2, h_i2, h_f2 = random_instance(rng, 2)
-
-    def propagate(*args):
-        raise AssertionError("U0 propagated for refused arguments")
-
-    # a bad mode or count is refused before U0 is propagated
-    monkeypatch.setattr(drives, "propagate_u0", propagate)
     with pytest.raises(ParamOutOfRange, match="unknown phase optimization mode"):
         optimize_phases(rho2, h_i2, h_f2, sched, mode="simulated_annealing")
     for kw in ({"mode": "monte_carlo", "n_draws": 0}, {"mode": "monte_carlo", "n_draws": 1},

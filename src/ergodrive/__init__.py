@@ -6,10 +6,10 @@ counterdiabatic comparisons for driven two-level systems, and a CLI for
 reports and figure sweeps.
 """
 
-from .drives import (DriveSynthesis, FinalUnitary, PhaseOptResult, PropagatorTrace, Schedule,
-                     counterdiabatic_cost, final_unitary, optimize_phases, propagate_u0,
-                     smoothstep, smoothstep_dot, synthesize_drive, target_unitary,
-                     verify_drive)
+from .drives import (DriveSynthesis, PhaseOptResult, PropagatorTrace, Schedule,
+                     counterdiabatic_cost, driven_error, final_unitary, optimize_phases,
+                     propagate_u0, smoothstep, smoothstep_dot, synthesize_drive,
+                     target_unitary, verify_drive)
 from .ergotropy import (Counterexample, Decomposition, DeltaResult, ErgotropyReport,
                         UpperBoundResult, coherent_entropy_identity_residual,
                         counterexample_populations, decompose, delta_noncyclic,

@@ -14,7 +14,8 @@ U0 at every Simpson node of the n-step grid, and then H0 + V on the n-step
 grid. final_unitary picks a step count by step doubling: the least
 64 * 2^k at which the step-doubling estimate of U0(tau)'s error is at most
 PROPAGATION_ERROR, with U0(tau) formed by pairwise products of the step
-stack.
+stack. driven_error makes the same estimate for the propagator of H0 + V,
+from a drive's samples on coarsenings of its grid.
 Every stack of small matrices on a time grid is kept time-innermost, as a
 (d, d, n) array (handed out as (n, d, d) views): the step exponentials are
 one Taylor kernel over the stack, and every product or conjugation
@@ -60,9 +61,9 @@ _SZ = np.diag([1.0, -1.0]).astype(complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 # linalg workspace roles of this module: H (H0, or H0 + V) at the Simpson
-# nodes of a grid, the sample buffer of verify_drive's propagations (and of
-# final_unitary's steps), two (d, d, n + 1) stacks, and the row through which
-# H0's second term is added
+# nodes of a grid, the sample buffer of verify_drive's propagations (and the
+# steps of _final_product), two (d, d, n + 1) stacks, and the row through
+# which H0's second term is added
 _NODES = "nodes"
 _SAMPLES = "samples"
 _STACK = "stack"
@@ -295,15 +296,15 @@ def propagate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> Pro
                            *step_products(_magnus_h0(sched, h_i, h_f, n), sched.tau / n, buf))
 
 
-def _u0_final(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule, n: int) -> np.ndarray:
-    """U0(tau) on sched's grid of n Magnus steps, by pairwise products of the
-    step stack: each pass multiplies neighbouring pairs (later times on the
-    left) into a stack half as long, alternating between the roles _SAMPLES
-    and _STACK."""
-    d = h_i.dim
+def _final_product(h_eff: np.ndarray, dt: float) -> np.ndarray:
+    """U(tau), the product of the steps exp(-i h_k dt) of a time-innermost
+    stack h_eff[d, d, n] in the EXPONENT role (which they overwrite), later
+    steps on the left, without the samples before it. Each pass multiplies
+    neighbouring pairs into a stack half as long, alternating between the
+    roles _SAMPLES and _STACK."""
+    d, n = h_eff.shape[0], h_eff.shape[-1]
     steps = workspace(_SAMPLES, (d, d, n))
-    herm_expi_batch(_time_first(_magnus_h0(sched, h_i, h_f, n)), sched.tau / n,
-                    out=_time_first(steps))
+    herm_expi_batch(_time_first(h_eff), dt, out=_time_first(steps))
     roles = (_SAMPLES, _STACK)    # the stack's role, then the role of its pairs
     while n > 1:
         half, odd = divmod(n, 2)
@@ -316,19 +317,18 @@ def _u0_final(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule, n: int) -
     return steps[..., 0].copy()
 
 
-class FinalUnitary(NamedTuple):
-    u: np.ndarray      # U0(tau) on the chosen grid
-    n_steps: int       # the chosen step count
-    error: float       # the estimate of u's largest entry error that met PROPAGATION_ERROR
+def _u0_final(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule, n: int) -> np.ndarray:
+    """U0(tau) on sched's grid of n Magnus steps (see _final_product)."""
+    return _final_product(_magnus_h0(sched, h_i, h_f, n), sched.tau / n)
 
 
 # final_unitary's first step count; later ones double it
 FIRST_ESTIMATE_STEPS = 64
 
 
-def final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> FinalUnitary:
-    """U0(tau) at the least step count n = 64 * 2^k whose step-doubling
-    error estimate is at most PROPAGATION_ERROR.
+def final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> int:
+    """The least step count n = 64 * 2^k at which the step-doubling estimate
+    of U0(tau)'s error is at most PROPAGATION_ERROR.
 
     For a fourth-order step, U_n(tau) - U(tau) = (16/15) (U_n(tau) - U_2n(tau))
     to leading order, so the estimate of U_n's error is
@@ -344,7 +344,7 @@ def final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> Fi
         finer = _u0_final(h_i, h_f, sched, 2 * n)
         error = float(np.abs(u - finer).max()) * 16.0 / 15.0
         if error <= PROPAGATION_ERROR:
-            return FinalUnitary(u, n, error)
+            return n
         n, u = 2 * n, finer
     raise NoConvergence(f"estimated U0(tau) error {error:.3e} at {n // 2} steps is above "
                         f"{PROPAGATION_ERROR:.0e}, and the next estimate needs more than "
@@ -432,6 +432,37 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
                           phases_phi=np.asarray(phases_phi, dtype=float),
                           v_samples=_time_first(v), w=w, w_min=w_min,
                           target_passive=passive_state(rho_i, h_f))
+
+
+def driven_error(synth: DriveSynthesis, h_i: HamiltonianOp, h_f: HamiltonianOp,
+                 sched: Schedule) -> float:
+    """Step-doubling estimate of the largest entry error of U(tau), the
+    propagator of H0 + V over sched's n Magnus steps that verify_drive
+    integrates.
+
+    V rotates at the Bohr frequencies of H0, so U can need a finer grid than
+    U0: with commuting h_i and h_f, U0 is exact on any grid. The n + 1 points
+    of sched's grid are the Simpson nodes of a grid of n/2 steps, and every
+    other one those of a grid of n/4 steps, so H0 + V on sched's grid, V from
+    synth's samples, gives U on both coarser grids with no U0 propagated. For
+    a fourth-order step the error of U_m is |U_m - U_2m| / 15 to leading
+    order, and 16 times that of U_2m, so the estimate for n steps is
+    max |U_{n/4}(tau) - U_{n/2}(tau)| / 240 over the entries. n_steps must be
+    a multiple of 4 (ParamOutOfRange otherwise).
+    """
+    sched.validate_against(h_i, h_f)
+    d, n = h_i.dim, sched.n_steps
+    if n % 4:
+        raise ParamOutOfRange(f"driven_error needs n_steps divisible by 4, got {n}")
+    if synth.v_samples.shape != (n + 1, d, d):
+        raise ParamInconsistent("the drive is not sampled on the schedule's grid")
+    h = sched._h0_stack(h_i, h_f, sched.times(), workspace(_NODES, (d, d, n + 1)))
+    h += _time_last(synth.v_samples)
+    finals = []
+    for stride in (1, 2):    # every point: n/2 steps; every other point: n/4 steps
+        dt = 2 * stride * sched.tau / n
+        finals.append(_final_product(_magnus_exponent(h[..., ::stride], dt), dt))
+    return float(np.abs(finals[0] - finals[1]).max()) / 240.0
 
 
 # fewest steps of a grid that verify_drive's work integral takes: its

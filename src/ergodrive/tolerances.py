@@ -34,10 +34,16 @@ VERIFY_STATE_DISTANCE = 1e-6
 VERIFY_ENERGY_REL = 1e-8
 VERIFY_ENDPOINT_REL = 1e-12
 VERIFY_WORK_REL = 1e-6
-# drives.final_unitary doubles the step count until the step-doubling
-# estimate of U0(tau)'s largest entry error is at most PROPAGATION_ERROR; no
-# propagation it makes has more than PROPAGATION_MAX_STEPS steps.
+# drive-synth's default step count: drives.final_unitary doubles it until
+# the step-doubling estimate of U0(tau)'s largest entry error is at most
+# PROPAGATION_ERROR, and it is doubled further while drives.driven_error, the
+# estimate for the propagator of H0 + V that verify_drive integrates, is above
+# DRIVEN_PROPAGATION_ERROR. That propagator only feeds the verification, so
+# its target is a hundredth of VERIFY_STATE_DISTANCE rather than
+# PROPAGATION_ERROR. No propagation of either has more than
+# PROPAGATION_MAX_STEPS steps.
 PROPAGATION_ERROR = 1e-10
+DRIVEN_PROPAGATION_ERROR = VERIFY_STATE_DISTANCE / 100
 PROPAGATION_MAX_STEPS = 2**16
 # Schedules: the boundary values of lam_i, lam_f, ramp_f and ramp_fdot are
 # checked to this absolute tolerance; a rotating schedule's endpoint

@@ -144,26 +144,59 @@ def test_drive_synth_step_count_is_exact_or_estimated(monkeypatch):
     cfg = {"rho_i": matrix_to_json(np.diag([0.2, 0.8]).astype(complex)),
            "h_i": matrix_to_json(random_hermitian(rng, 2)),
            "h_f": matrix_to_json(random_hermitian(rng, 2)), "tau": 1.0}
-    estimates, grids = [], []
-    estimate, propagate = drives.final_unitary, drives.propagate_u0
+    estimates, driven, grids = [], [], []
+    estimate, driven_error, propagate = (drives.final_unitary, drives.driven_error,
+                                         drives.propagate_u0)
 
     def counting_estimate(h_i, h_f, sched):
         estimates.append(sched.tau)
         return estimate(h_i, h_f, sched)
+
+    def counting_driven(synth, h_i, h_f, sched):
+        driven.append(sched.n_steps)
+        return driven_error(synth, h_i, h_f, sched)
 
     def counting(h_i, h_f, sched):
         grids.append(sched.n_steps)
         return propagate(h_i, h_f, sched)
 
     monkeypatch.setattr(cli, "final_unitary", counting_estimate)
+    monkeypatch.setattr(cli, "driven_error", counting_driven)
     monkeypatch.setattr(cli, "propagate_u0", counting)
     chosen = cli.run_drive_synth(cfg)
-    assert estimates == [1.0] and grids[0] in (64, 128, 256)
+    # U0's count, then one driven estimate per grid tried
+    assert estimates == [1.0] and grids[0] in (64, 128, 256) and driven == grids
+    n = grids[-1]
     # an explicit count, from --steps or the config, is honoured with no estimate
-    assert cli.run_drive_synth(cfg, grids[0]) == chosen
-    assert cli.run_drive_synth(dict(cfg, n_steps=grids[0])) == chosen
+    assert cli.run_drive_synth(cfg, n) == chosen
+    assert cli.run_drive_synth(dict(cfg, n_steps=n)) == chosen
     cli.run_drive_synth(dict(cfg, n_steps=100), 33)
-    assert estimates == [1.0] and grids == [grids[0]] * 3 + [33]
+    assert estimates == [1.0] and driven == grids[:-3] and grids[-3:] == [n, n, 33]
+
+
+@pytest.mark.parametrize("width", [20.0, 50.0])
+def test_drive_synth_default_grid_resolves_the_drive(tmp_path, capsys, width):
+    # h_i = h_f commute, so U0 is exact on any grid and its estimate picks 64
+    # steps; V = -fdot U0 chi U0^dag still rotates at the gap, and the default
+    # count must resolve the propagation of H0 + V that verification integrates
+    h = matrix_to_json(np.diag([0.0, width]).astype(complex))
+    cfg = write_cfg(tmp_path, "gap.json",
+                    {"rho_i": matrix_to_json(np.array([[0.6, 0.3 + 0.1j], [0.3 - 0.1j, 0.4]])),
+                     "h_i": h, "h_f": h, "tau": 1.0})
+    assert run(["drive-synth", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["residuals"]["state_distance"] <= 1e-8
+
+
+def test_drive_synth_default_grid_refuses_past_the_step_cap(tmp_path, capsys):
+    # a gap of 1e4 would need several 1e5 steps to resolve H0 + V
+    h = matrix_to_json(np.diag([0.0, 1e4]).astype(complex))
+    cfg = write_cfg(tmp_path, "wide.json",
+                    {"rho_i": matrix_to_json(np.array([[0.6, 0.3], [0.3, 0.4]])),
+                     "h_i": h, "h_f": h, "tau": 1.0})
+    assert run(["drive-synth", "--config", cfg]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NoConvergence" and "driven propagation" in err["message"]
+    assert "more than 65536 steps" in err["message"]
 
 
 def test_fig1_deterministic_and_crossover_line(tmp_path, capsys):

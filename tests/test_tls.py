@@ -9,7 +9,7 @@ from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
                        TlsState, constmu_final_density, constmu_final_state,
                        delta_noncyclic, eigs_r, example1_phase_average, example1_thetas,
                        example2_theta_split, example2_wmin, final_basis,
-                       final_unitary, gain_g, overlap_w, trace_distance)
+                       final_unitary, gain_g, overlap_w, propagate_u0, trace_distance)
 from ergodrive.errors import ParamInconsistent, ParamOutOfRange
 from ergodrive.tls import (alpha_beta, cd_rate, check_bloch, check_drive, cos_sin_drive, cost,
                            delta_enc, nu, overlaps, sta_delta, theta1, theta2, wrap_pi, PHASE_BLOCK)
@@ -290,7 +290,8 @@ def test_constmu_closed_form_matches_integrator():
         sched = Schedule.rotating_constant_mu(params, n_steps=2048)
         h_i = HamiltonianOp(0.5 * (ob / 1.0) * SZ)
         h_f = HamiltonianOp(0.5 * (params.omega_f * SZ + params.eps_f * SX))
-        u = final_unitary(h_i, h_f, sched).u
+        n = final_unitary(h_i, h_f, sched)
+        u = propagate_u0(h_i, h_f, Schedule.rotating_constant_mu(params, n)).u_samples[-1]
         rho_i = np.diag([p_i, 1 - p_i]).astype(complex)
         rho_f = u @ rho_i @ u.conj().T
         closed = constmu_final_density(p_i, params)

@@ -7,12 +7,12 @@ reports and figure sweeps.
 """
 
 from .drives import (DriveSynthesis, PhaseOptResult, PropagatorTrace, Schedule,
-                     counterdiabatic_cost, driven_error, final_unitary, optimize_phases,
+                     counterdiabatic_cost, driven_error, final_unitary, fix_steps,
+                     optimize_phases,
                      propagate_u0, smoothstep, smoothstep_dot, synthesize_drive,
                      target_unitary, verify_drive)
 from .ergotropy import (Counterexample, Decomposition, DeltaResult, ErgotropyReport,
-                        UpperBoundResult, coherent_entropy_identity_residual,
-                        counterexample_populations, decompose, delta_noncyclic,
+                        UpperBoundResult, counterexample_populations, decompose, delta_noncyclic,
                         full_report, gain_g, noncyclic_ergotropy, upper_bound_delta)
 from .errors import (BranchAmbiguity, ConvergenceError, ErgodriveError,
                      ValidationError, VerificationFailed)
@@ -23,8 +23,7 @@ from .states import (DensityMatrix, HamiltonianOp, ThermalSolveResult,
                      majorizes, matrix_from_json, matrix_to_json, passive_energy,
                      passive_state, solve_beta_for_energy,
                      solve_beta_for_entropy, thermal_populations, von_neumann_entropy)
-from .tls import (MuDynParams, ThetaSplit, TlsState, constmu_final_density,
-                  constmu_final_state, eigs_r, example1_phase_average, example1_thetas,
+from .tls import (MuDynParams, ThetaSplit, TlsState, constmu_final_state, eigs_r, example1_phase_average, example1_thetas,
                   example2_theta_split, example2_wmin, final_basis, overlap_w)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

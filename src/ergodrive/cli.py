@@ -22,13 +22,10 @@ import sys
 import numpy as np
 
 from . import ergotropy, states, tls
-from .drives import (Schedule, driven_error, final_unitary, optimize_phases, propagate_u0,
-                     synthesize_drive, verify_drive)
-from .errors import (ConvergenceError, NoConvergence, ParamOutOfRange, ValidationError,
-                     VerificationFailed)
+from .drives import Schedule, fix_steps, optimize_phases, synthesize_drive, verify_drive
+from .errors import ConvergenceError, ParamOutOfRange, ValidationError, VerificationFailed
 from .linalg import hermitian_eigvals
 from .states import DensityMatrix, HamiltonianOp, matrix_from_json
-from .tolerances import DRIVEN_PROPAGATION_ERROR, PROPAGATION_MAX_STEPS
 
 _SZ = np.diag([1.0, -1.0]).astype(complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -151,9 +148,8 @@ def run_ergotropy(cfg: dict) -> dict:
     return ergotropy.full_report(rho, h_i, h_f).to_json()
 
 
-def _synthesize(cfg: dict, rho, h_i, h_f, sched: Schedule):
-    """The drive of cfg's phases on sched's grid."""
-    trace = propagate_u0(h_i, h_f, sched)
+def _synthesize(cfg: dict, rho, h_i, h_f, sched: Schedule, trace):
+    """The drive of cfg's phases on sched's grid, from U0's trace there."""
     phases_cfg = cfg.get("phases", "zeros")
     if phases_cfg == "analytic2":
         phases = optimize_phases(rho, h_i, h_f, sched, mode="analytic2",
@@ -167,31 +163,15 @@ def _synthesize(cfg: dict, rho, h_i, h_f, sched: Schedule):
 
 def run_drive_synth(cfg: dict, n_steps=None) -> dict:
     """Synthesize and verify one drive. The step count is n_steps, else the
-    config's n_steps, exactly. With neither, it starts at the count
-    drives.final_unitary picks for U0(tau) and doubles while
-    drives.driven_error, the estimate for the propagation of H0 + V that
-    verification integrates, is above DRIVEN_PROPAGATION_ERROR; a verification
-    grid past PROPAGATION_MAX_STEPS steps raises NoConvergence."""
+    config's n_steps, used exactly; with neither, drives.fix_steps picks it
+    by its error targets for U0 and for the propagation of H0 + V that
+    verification integrates."""
     rho, h_i, h_f = _load_instance(cfg)
     tau = _number(cfg, "tau", 1.0)
     if n_steps is None and "n_steps" in cfg:
         n_steps = _count(cfg, "n_steps", None)
-    if n_steps is not None:
-        sched = Schedule.linear(tau, n_steps=n_steps)
-        synth = _synthesize(cfg, rho, h_i, h_f, sched)
-    else:
-        sched = Schedule.linear(tau, n_steps=final_unitary(h_i, h_f, Schedule.linear(tau)))
-        synth = _synthesize(cfg, rho, h_i, h_f, sched)
-        error = driven_error(synth, h_i, h_f, sched)
-        while error > DRIVEN_PROPAGATION_ERROR:
-            if 4 * sched.n_steps > PROPAGATION_MAX_STEPS:    # verification takes 2n steps
-                raise NoConvergence(
-                    f"estimated error {error:.3e} of the driven propagation at "
-                    f"{sched.n_steps} steps is above {DRIVEN_PROPAGATION_ERROR:.0e}, and "
-                    f"verifying on a finer grid needs more than {PROPAGATION_MAX_STEPS} steps")
-            sched = Schedule.linear(tau, n_steps=2 * sched.n_steps)
-            synth = _synthesize(cfg, rho, h_i, h_f, sched)
-            error = driven_error(synth, h_i, h_f, sched)
+    sched, _, synth = fix_steps(h_i, h_f, Schedule.linear(tau, n_steps=n_steps),
+                                lambda grid, trace: _synthesize(cfg, rho, h_i, h_f, grid, trace))
     energy_res, dist = verify_drive(synth, rho, h_i, h_f, sched)
     return synth.to_json({"final_energy_residual": energy_res,
                           "state_distance": dist})

@@ -11,11 +11,13 @@ The bare propagator U0 is one blocked ordered product of those steps,
 projected onto the unitaries every 64 steps (linalg.step_products); the same
 kernel propagates U0 on verify_drive's grid of 2n steps, whose samples are
 U0 at every Simpson node of the n-step grid, and then H0 + V on the n-step
-grid. final_unitary picks a step count by step doubling: the least
-64 * 2^k at which the step-doubling estimate of U0(tau)'s error is at most
-PROPAGATION_ERROR, with U0(tau) formed by pairwise products of the step
-stack. driven_error makes the same estimate for the propagator of H0 + V,
-from a drive's samples on coarsenings of its grid.
+grid. A Schedule's n_steps is explicit, or left open for fix_steps, the one
+home of the step-count rule: final_unitary gives the least 64 * 2^k at which
+the step-doubling estimate of U0(tau)'s error is at most PROPAGATION_ERROR,
+with U0(tau) formed by pairwise products of the step stack, and for a drive
+the count doubles while driven_error, the same estimate for the propagator
+of H0 + V from the drive's samples, is above DRIVEN_PROPAGATION_ERROR.
+propagate_u0 refuses an open count.
 Every stack of small matrices on a time grid is kept time-innermost, as a
 (d, d, n) array (handed out as (n, d, d) views): the step exponentials are
 one Taylor kernel over the stack, and every product or conjugation
@@ -33,13 +35,15 @@ scan w_min over the free target phases phi: the eigenphases of
 M(phi) = U0(tau)^dag R(phi) at d = 2, 3 come from tr M and det M alone
 (eigenphases_from_trace_det, one broadcast root solve over the batch), and
 only rows with nearly repeated eigenphases, or d >= 4, form M for a general
-eigensolver. synthesize_drive takes a U0 trace a caller already propagated.
+eigensolver. synthesize_drive takes a U0 trace a caller already propagated,
+and optimize_phases the final U0.
 Every threshold is a constant of the tolerances module. Everything here is
 in hbar = 1 units.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -47,12 +51,14 @@ import numpy as np
 
 from .errors import (DimMismatch, DimTooLarge, GaugeFailure, LengthMismatch, NoConvergence,
                      ParamInconsistent, ParamOutOfRange, VerificationFailed)
-from .linalg import (EXPONENT, ROWS, buffer_len, dagger, herm_expi_batch, matmul_t,
-                     principal_log_unitary, step_products, trace_distance, workspace)
+from .linalg import (EXPONENT, buffer_len, dagger, herm_expi_batch, matmul_t,
+                     principal_log_unitary, step_products, time_first, time_last,
+                     trace_distance, workspace)
 from .states import DensityMatrix, HamiltonianOp, matrix_to_json, passive_energy, passive_state
 from .tls import MuDynParams, check_count, wrap_pi
-from .tolerances import (EIGENPHASE_SEPARATION, GAUGE_OVERLAP_MIN, MONOTONE_RAMP_ATOL,
-                         PROPAGATION_ERROR, PROPAGATION_MAX_STEPS, ROTATING_ENDPOINT_REL,
+from .tolerances import (DRIVEN_PROPAGATION_ERROR, EIGENPHASE_SEPARATION, GAUGE_OVERLAP_MIN,
+                         MONOTONE_RAMP_ATOL, PROPAGATION_ERROR, PROPAGATION_MAX_STEPS,
+                         ROTATING_ENDPOINT_REL,
                          SCHEDULE_BOUNDARY_ATOL, STA_CLOSED_FORM_REL,
                          VERIFY_ENDPOINT_REL, VERIFY_ENERGY_REL, VERIFY_STATE_DISTANCE,
                          VERIFY_WIDTH_FLOOR, VERIFY_WORK_REL)
@@ -106,7 +112,8 @@ class Schedule:
     H0(t) = (omega(t) sz + eps(t) sx)/2, two-level only; mu and omega_bar are
     optional metadata used for closed-form cross-checks. ramp_f drives the
     correction V(t); it must run 0 -> 1 with flat endpoints. n_steps is an
-    integer >= 1.
+    integer >= 1, or None (the default) to leave the count to the error
+    targets: fix_steps then picks it.
     """
 
     tau: float
@@ -117,7 +124,7 @@ class Schedule:
     eps: Optional[Callable] = None
     ramp_f: Optional[Callable] = None
     ramp_fdot: Optional[Callable] = None
-    n_steps: int = 4096
+    n_steps: Optional[int] = None
     mu: Optional[float] = None
     omega_bar: Optional[float] = None
 
@@ -125,7 +132,8 @@ class Schedule:
         tau = self.tau
         if not 0 < tau < np.inf:
             raise ParamOutOfRange(f"need 0 < tau < inf, got {tau}")
-        check_count(self.n_steps, "n_steps", 1)
+        if self.n_steps is not None:
+            check_count(self.n_steps, "n_steps", 1)
         if self.kind == "interp":
             if self.lam_i is None:
                 object.__setattr__(self, "lam_i", lambda t: 1.0 - t / tau)
@@ -152,12 +160,15 @@ class Schedule:
 
     def times(self, n_steps: Optional[int] = None) -> np.ndarray:
         n = self.n_steps if n_steps is None else n_steps
+        if n is None:
+            raise ParamOutOfRange("the schedule leaves n_steps to the error targets: "
+                                  "fix it first (drives.fix_steps)")
         return np.linspace(0.0, self.tau, n + 1)
 
     def h0_batch(self, h_i: HamiltonianOp, h_f: HamiltonianOp, ts: np.ndarray) -> np.ndarray:
         """H0 sampled on ts, shape (len(ts), d, d): a view of a time-innermost
         (d, d, len(ts)) array."""
-        return _time_first(self._h0_stack(h_i, h_f, ts))
+        return time_first(self._h0_stack(h_i, h_f, ts))
 
     def _h0_stack(self, h_i: HamiltonianOp, h_f: HamiltonianOp, ts: np.ndarray,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -193,11 +204,12 @@ class Schedule:
     # ------------------------------------------------------------ factories
 
     @classmethod
-    def linear(cls, tau: float, n_steps: int = 4096) -> "Schedule":
+    def linear(cls, tau: float, n_steps: Optional[int] = None) -> "Schedule":
         return cls(tau, n_steps=n_steps)
 
     @classmethod
-    def rotating_constant_mu(cls, params: MuDynParams, n_steps: int = 4096) -> "Schedule":
+    def rotating_constant_mu(cls, params: MuDynParams,
+                             n_steps: Optional[int] = None) -> "Schedule":
         """Constant gap Omega = omega_bar/tau, Bloch angle phi(t) = -mu Omega t."""
         om0 = params.omega_bar / params.tau
         mu = params.mu
@@ -213,7 +225,7 @@ class Schedule:
 
     @classmethod
     def rotating_cos_sin(cls, omega0: float, tau: float, tau_star: float,
-                         n_steps: int = 4096) -> "Schedule":
+                         n_steps: Optional[int] = None) -> "Schedule":
         """Quarter-period sweep omega0 (cos, sin)(pi t/(2 tau*))."""
         params = MuDynParams.cos_sin(omega0, tau, tau_star)
 
@@ -233,22 +245,11 @@ class PropagatorTrace(NamedTuple):
     unitarity_drift: float     # worst defect of a chained 64-step block total before projection
 
 
-def _time_first(a: np.ndarray) -> np.ndarray:
-    """(..., n) time-innermost stack as an (n, ...) view."""
-    return np.moveaxis(a, -1, 0)
-
-
-def _time_last(a: np.ndarray) -> np.ndarray:
-    """(n, ...) stack as a time-innermost (..., n) view."""
-    return np.moveaxis(a, 0, -1)
-
-
 def _conjugate(u: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out <- u x u^dag = u (u x)^dag over a time-innermost stack u[d, d, n], for
     a constant Hermitian x[d, d]. u x is formed in the workspace role _STACK2."""
-    tmp = workspace(ROWS, (1,) + u.shape[1:])
-    ux = matmul_t(u, x[..., None], workspace(_STACK2, u.shape), tmp)
-    return matmul_t(u, np.swapaxes(np.conj(ux, out=ux), 0, 1), out, tmp)
+    ux = matmul_t(u, x[..., None], workspace(_STACK2, u.shape))
+    return matmul_t(u, np.swapaxes(np.conj(ux, out=ux), 0, 1), out)
 
 
 def _magnus_exponent(h_nodes: np.ndarray, dt: float) -> np.ndarray:
@@ -271,7 +272,7 @@ def _magnus_exponent(h_nodes: np.ndarray, dt: float) -> np.ndarray:
     h_bar += right
     h_bar *= 1.0 / 6.0
     diff = np.subtract(right, left, out=workspace(_STACK, (d, d, n)))
-    comm = matmul_t(h_bar, diff, workspace(_STACK2, (d, d, n)), workspace(ROWS, (1, d, n)))
+    comm = matmul_t(h_bar, diff, workspace(_STACK2, (d, d, n)))
     comm *= 1j * dt / 12.0
     h_bar += comm
     h_bar += np.swapaxes(np.conj(comm, out=comm), 0, 1)
@@ -288,12 +289,12 @@ def _magnus_h0(sched: Schedule, h_i: HamiltonianOp, h_f: HamiltonianOp,
 
 
 def propagate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> PropagatorTrace:
-    """Bare propagator by Simpson-node Magnus-4 steps, sampled on the grid."""
+    """Bare propagator by Simpson-node Magnus-4 steps on sched's fixed grid."""
     sched.validate_against(h_i, h_f)
-    n = sched.n_steps
+    ts = sched.times()
+    n = len(ts) - 1
     buf = np.empty((h_i.dim, h_i.dim, buffer_len(n)), dtype=complex)
-    return PropagatorTrace(sched.times(),
-                           *step_products(_magnus_h0(sched, h_i, h_f, n), sched.tau / n, buf))
+    return PropagatorTrace(ts, *step_products(_magnus_h0(sched, h_i, h_f, n), sched.tau / n, buf))
 
 
 def _final_product(h_eff: np.ndarray, dt: float) -> np.ndarray:
@@ -304,13 +305,12 @@ def _final_product(h_eff: np.ndarray, dt: float) -> np.ndarray:
     roles _SAMPLES and _STACK."""
     d, n = h_eff.shape[0], h_eff.shape[-1]
     steps = workspace(_SAMPLES, (d, d, n))
-    herm_expi_batch(_time_first(h_eff), dt, out=_time_first(steps))
+    herm_expi_batch(time_first(h_eff), dt, out=time_first(steps))
     roles = (_SAMPLES, _STACK)    # the stack's role, then the role of its pairs
     while n > 1:
         half, odd = divmod(n, 2)
         pairs = workspace(roles[1], (d, d, half + odd))
-        matmul_t(steps[..., 1:2 * half:2], steps[..., :2 * half:2], pairs[..., :half],
-                 workspace(ROWS, (1, d, half)))
+        matmul_t(steps[..., 1:2 * half:2], steps[..., :2 * half:2], pairs[..., :half])
         if odd:
             pairs[..., half] = steps[..., n - 1]
         steps, n, roles = pairs, half + odd, roles[::-1]
@@ -349,6 +349,34 @@ def final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> in
     raise NoConvergence(f"estimated U0(tau) error {error:.3e} at {n // 2} steps is above "
                         f"{PROPAGATION_ERROR:.0e}, and the next estimate needs more than "
                         f"{PROPAGATION_MAX_STEPS} steps")
+
+
+def fix_steps(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule,
+              drive: Optional[Callable] = None):
+    """(sched with its step count fixed, U0's trace there, the drive there or None).
+
+    An explicit n_steps is used exactly. An open one starts at final_unitary's
+    count and, with a drive (``drive(sched, trace)`` builds it), doubles while
+    driven_error is above DRIVEN_PROPAGATION_ERROR, up to a verification of
+    PROPAGATION_MAX_STEPS steps (NoConvergence). One U0 per count tried.
+    """
+    fixed = sched.n_steps is not None
+    if not fixed:
+        sched = dataclasses.replace(sched, n_steps=final_unitary(h_i, h_f, sched))
+    while True:
+        trace = propagate_u0(h_i, h_f, sched)
+        synth = None if drive is None else drive(sched, trace)
+        if fixed or synth is None:
+            return sched, trace, synth
+        error = driven_error(synth, h_i, h_f, sched)
+        if error <= DRIVEN_PROPAGATION_ERROR:
+            return sched, trace, synth
+        if 4 * sched.n_steps > PROPAGATION_MAX_STEPS:    # verification takes 2n steps
+            raise NoConvergence(
+                f"estimated error {error:.3e} of the driven propagation at "
+                f"{sched.n_steps} steps is above {DRIVEN_PROPAGATION_ERROR:.0e}, and "
+                f"verifying on a finer grid needs more than {PROPAGATION_MAX_STEPS} steps")
+        sched = dataclasses.replace(sched, n_steps=2 * sched.n_steps)
 
 
 def _descending_eigvectors(rho: DensityMatrix) -> Tuple[np.ndarray, np.ndarray]:
@@ -408,20 +436,22 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
     equals w_min exactly, otherwise it is done by trapezoid on the grid.
     ``trace`` is U0 on sched's grid, as propagate_u0(h_i, h_f, sched)
     returns it, for a caller that already has it; by default it is
-    propagated here.
+    propagated here, on the grid fix_steps picks for this drive when sched
+    leaves the count open.
     """
     if phases_phi is None:
         phases_phi = np.zeros(rho_i.dim)
     if trace is None:
-        trace = propagate_u0(h_i, h_f, sched)
-    elif not np.array_equal(trace.times, sched.times()):
+        return fix_steps(h_i, h_f, sched, lambda grid, u0: synthesize_drive(
+            rho_i, h_i, h_f, grid, phases_phi, u0))[2]
+    if not np.array_equal(trace.times, sched.times()):
         raise ParamInconsistent("the trace is not sampled on the schedule's grid")
     r = target_unitary(rho_i, h_f, phases_phi)
     chi, modes = principal_log_unitary(dagger(trace.u_samples[-1]) @ r)
     thetas = modes.phases
     w_min = float(np.linalg.norm(thetas)) / sched.tau
     fdot = _sample(sched.ramp_fdot, trace.times)
-    u = _time_last(trace.u_samples)
+    u = time_last(trace.u_samples)
     v = _conjugate(u, chi, np.empty(u.shape, dtype=complex))
     v *= -fdot
     if np.all(fdot >= -MONOTONE_RAMP_ATOL):
@@ -430,7 +460,7 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
         w = w_min * float(np.trapezoid(np.abs(fdot), trace.times))
     return DriveSynthesis(chi=chi, thetas=thetas,
                           phases_phi=np.asarray(phases_phi, dtype=float),
-                          v_samples=_time_first(v), w=w, w_min=w_min,
+                          v_samples=time_first(v), w=w, w_min=w_min,
                           target_passive=passive_state(rho_i, h_f))
 
 
@@ -451,13 +481,14 @@ def driven_error(synth: DriveSynthesis, h_i: HamiltonianOp, h_f: HamiltonianOp,
     a multiple of 4 (ParamOutOfRange otherwise).
     """
     sched.validate_against(h_i, h_f)
-    d, n = h_i.dim, sched.n_steps
+    ts = sched.times()
+    d, n = h_i.dim, len(ts) - 1
     if n % 4:
         raise ParamOutOfRange(f"driven_error needs n_steps divisible by 4, got {n}")
     if synth.v_samples.shape != (n + 1, d, d):
         raise ParamInconsistent("the drive is not sampled on the schedule's grid")
-    h = sched._h0_stack(h_i, h_f, sched.times(), workspace(_NODES, (d, d, n + 1)))
-    h += _time_last(synth.v_samples)
+    h = sched._h0_stack(h_i, h_f, ts, workspace(_NODES, (d, d, n + 1)))
+    h += time_last(synth.v_samples)
     finals = []
     for stride in (1, 2):    # every point: n/2 steps; every other point: n/4 steps
         dt = 2 * stride * sched.tau / n
@@ -520,10 +551,12 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     endpoint Hamiltonians are not h_i/h_f to VERIFY_ENDPOINT_REL x their
     largest entry, or the explicit work integral of rho(t) dH/dt does not
     telescope to the total energy change to VERIFY_WORK_REL x the energy
-    scale (constants of the tolerances module).
+    scale (constants of the tolerances module). A schedule that leaves the
+    count open is verified on the drive's own grid.
     """
     sched.validate_against(h_i, h_f)
-    d, n = h_i.dim, sched.n_steps
+    d = h_i.dim
+    n = len(synth.v_samples) - 1 if sched.n_steps is None else sched.n_steps
     if n < VERIFY_MIN_STEPS:
         raise ParamOutOfRange(f"verify_drive needs n_steps >= {VERIFY_MIN_STEPS} "
                               f"for its fourth-order work integral, got {n}")
@@ -537,7 +570,7 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     # rho(t) then takes _STACK and dH/dt _STACK2.
     fine, _ = step_products(_magnus_h0(sched, h_i, h_f, 2 * n), dt / 2,
                             workspace(_SAMPLES, (d, d, buffer_len(2 * n))))
-    v = _conjugate(_time_last(fine), synth.chi, workspace(_STACK, (d, d, 2 * n + 1)))
+    v = _conjugate(time_last(fine), synth.chi, workspace(_STACK, (d, d, 2 * n + 1)))
     v *= -_sample(sched.ramp_fdot, nodes)
     h_nodes = sched._h0_stack(h_i, h_f, nodes, workspace(_NODES, (d, d, 2 * n + 1)))
     h_nodes += v
@@ -554,7 +587,7 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
         float(np.abs(ends[0] + synth.v_samples[0] - h_i.mat).max()),
         float(np.abs(ends[1] + synth.v_samples[-1] - h_f.mat).max()))
 
-    rho_t = _conjugate(_time_last(u_samples), rho_i.mat, workspace(_STACK, (d, d, n + 1)))
+    rho_t = _conjugate(time_last(u_samples), rho_i.mat, workspace(_STACK, (d, d, n + 1)))
     hdot = _grid_derivative(h_nodes, dt, workspace(_STACK2, (d, d, n + 1)))
     work = float(_simpson_weights(n, dt) @ np.einsum("ijt,jit->t", rho_t, hdot).real)
     work_residual = abs(work - (h_f.energy(rho_f) - h_i.energy(rho_i)))
@@ -662,7 +695,8 @@ def optimize_phases(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp
     d <= 3. "monte_carlo": mean and standard error of (sum theta^2)^{1/2}/tau
     over n_draws uniform phase vectors (phases are then reported as None).
     Refuses an unknown mode, a dimension the mode does not cover, n_draws < 2
-    and grid_points < 1 before any propagation.
+    and grid_points < 1 before any propagation. ``u_f`` is U0(tau); by
+    default U0 is propagated on sched's grid, as fix_steps fixes it.
     """
     if mode not in ("analytic2", "grid", "monte_carlo"):
         raise ParamOutOfRange(f"unknown phase optimization mode {mode!r}")
@@ -674,7 +708,7 @@ def optimize_phases(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp
     check_count(n_draws, "n_draws", 2)
     check_count(grid_points, "grid_points", 1)
     if u_f is None:
-        u_f = propagate_u0(h_i, h_f, sched).u_samples[-1]
+        u_f = fix_steps(h_i, h_f, sched)[1].u_samples[-1]
     _, v_r = _descending_eigvectors(rho_i)
     a_mat = dagger(u_f) @ h_f.basis
     c = np.einsum("in,in->n", v_r.conj(), a_mat)
@@ -687,8 +721,9 @@ def optimize_phases(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp
         if ((np.exp(1j * phases) * c).sum()).real < 0:
             phases += np.array([-np.pi, np.pi])
         phases = wrap_pi(phases)
-        value = np.sqrt(2.0) / tau * np.arccos(
-            np.clip(0.5 * (abs(c[0]) + abs(c[1])), 0.0, 1.0))
+        # arccos of the mean |c_n| = |W_nn|, W = V^dag A, without its loss near 1
+        w_abs = np.abs(dagger(v_r) @ a_mat)
+        value = np.sqrt(2.0) / tau * np.arctan2(w_abs[0, 1] + w_abs[1, 0], abs(c[0]) + abs(c[1]))
         return PhaseOptResult(phases, float(value))
 
     if mode == "grid":
@@ -715,7 +750,8 @@ def counterdiabatic_cost(sched: Schedule) -> Tuple[float, np.ndarray]:
     angle theta = atan2(eps, omega), so norm_trace = (2 sum_n <edot_n|edot_n>)^{1/2}
     = |theta dot| (Berry, J. Phys. A 42, 365303 (2009)), by second-order
     differences of the unwrapped angle; w_sta is its time average. Constant-mu
-    metadata is cross-checked against |mu| omega_bar / tau.
+    metadata is cross-checked against |mu| omega_bar / tau. The step count
+    must be fixed (ParamOutOfRange otherwise).
     """
     if sched.kind != "rotating":
         raise ParamOutOfRange("counterdiabatic cost is defined for rotating schedules")

@@ -82,24 +82,6 @@ def decompose(rho_i: DensityMatrix, h_i: HamiltonianOp,
     return Decomposition(e_inc, e_pas, e_coh)
 
 
-def coherent_entropy_identity_residual(rho_i: DensityMatrix, h_i: HamiltonianOp,
-                                       h_f: HamiltonianOp, beta: float) -> float:
-    """Residual of the entropic identity for the coherent part at beta > 0.
-
-    e_coh = (C(rho_i) + S(passive(rho_D)_f || tau_f) - S(passive(rho_i)_f || tau_f)) / beta
-    with tau_f the Gibbs state of h_f at beta. Exact for any beta > 0; the
-    returned residual is numerical error only.
-    """
-    if beta <= 0:
-        raise NegativeBeta("identity requires beta > 0")
-    e_coh = decompose(rho_i, h_i, h_f).e_coh
-    c = states.coherence_rel_entropy(rho_i, h_i)
-    r_d = states._clamped_spectrum(states.energy_populations(rho_i, h_i))[1]
-    s_d = states.gibbs_relative_entropy(r_d, h_f.energies, beta)
-    s_r = states.gibbs_relative_entropy(rho_i.populations_desc(), h_f.energies, beta)
-    return abs(e_coh - (c + s_d - s_r) / beta)
-
-
 def _same_energy_solve(rho_i: DensityMatrix, h_i: HamiltonianOp) -> states.ThermalSolveResult:
     return states.solve_beta_for_energy(h_i, h_i.energy(rho_i))
 

@@ -6,20 +6,24 @@ against the tolerances module and eigenbases are made deterministic (canonical
 phase and degenerate-subspace handling) so repeated runs agree bit-for-bit.
 
 Stacks of small matrices on a time grid are laid out time-innermost, as
-(d, d, n) arrays, so that a product of two stacks (matmul_t, rmatmul_t) is d
+(d, d, n) arrays, so that a product of two stacks (matmul_t) is d
 broadcast multiply-adds over length-n vectors instead of n tiny matmuls.
 herm_expi_batch exponentiates such a stack with one scaled-and-squared
 Taylor kernel whose degree comes from a 1-norm bound on the remainder
 (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)); at the
-step sizes of the propagations, that is degree 5 to 10 with no squaring at
-the 64 to 256 steps that drive-synth picks by default, and degree 3 to 5 at
-4096 steps. polar_project re-unitarizes a whole stack in one batched SVD;
-step_products chains a stack of step exponentials into running products,
-projecting the chained total of every 64-step block with it. Its steps are
+step sizes of the propagations, that is degree 5 to 12 (mostly 5 to 7, and
+rarely one squaring) at the 64 to 256 steps that drives.fix_steps picks by
+default, and degree 3 to 5 at 4096 steps. polar_project re-unitarizes a
+whole stack in one batched SVD; step_products chains a stack of step
+exponentials into running products, projecting the chained total of every
+64-step block with it (ordered_products). Its steps are
 drives' Simpson-node fourth-order Magnus steps: it exponentiates their
 effective Hamiltonians H_eff = (K1 + (i/12) [K1, K2]) / dt, which drives
 forms from H at the nodes t_k, t_k + dt/2, t_k + dt (the commutator by
 matmul_t), and chains the results.
+On short stacks NumPy's per-call cost dominates, so module constants pick
+kernels by shape: all rows at once in matmul_t up to SHORT_STACK matrices,
+and a log-depth in-block scan in ordered_products up to SCAN_MAX_BLOCKS[d].
 principal_log_unitary takes a unitary's eigenvectors from eigh of a Cayley
 transform, shifted so that I + u is well conditioned, and its eigenphases
 from their Rayleigh quotients. Everything here is NumPy (LAPACK) only.
@@ -30,8 +34,9 @@ largest request and is kept for the thread's later calls, so that a
 propagation in steady state allocates, and faults in, no fresh multi-MB
 stacks. Reuse has to outlive one drive: glibc already recycles memory inside
 a drive, and what it hands back to the kernel is each drive's working set.
-herm_expi_batch's exponent (role EXPONENT) and the row scratch of matmul_t
-and rmatmul_t (role ROWS) live there; drives keeps its own roles there too.
+herm_expi_batch's exponent (role EXPONENT, later ordered_products' second
+stack) and the scratch of matmul_t and the Horner steps (role ROWS) live
+there; drives keeps its own roles there too.
 A request above WORKSPACE_CAP_BYTES is allocated per call and not kept.
 Arrays that leave a public function are never workspace views.
 """
@@ -249,28 +254,44 @@ def workspace(role: str, shape, dtype=complex) -> np.ndarray:
     request for that role, and must not hand it out of a public function.
     """
     dtype = np.dtype(dtype)
-    count = math.prod(shape)
-    nbytes = count * dtype.itemsize
+    nbytes = math.prod(shape) * dtype.itemsize
     if nbytes > WORKSPACE_CAP_BYTES:
         return np.empty(shape, dtype)
     buffers = _WORKSPACE.__dict__.setdefault("buffers", {})
     buf = buffers.get(role)
     if buf is None or buf.nbytes < nbytes:
         buf = buffers[role] = np.empty(-(-nbytes // 16), dtype=complex)
-    return buf.view(dtype)[:count].reshape(shape)
+    return np.ndarray(shape, dtype, buf)
 
 
-def matmul_t(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def _rows_at_once(shape) -> int:
+    """matmul_t's rows per pass over a (d, d, ...) stack (see SHORT_STACK)."""
+    return shape[0] if math.prod(shape[2:]) <= SHORT_STACK else 1
+
+
+def time_first(a: np.ndarray) -> np.ndarray:
+    """(..., n) time-innermost stack as an (n, ...) view (np.moveaxis's, cheaper)."""
+    return a.transpose(a.ndim - 1, *range(a.ndim - 1))
+
+
+def time_last(a: np.ndarray) -> np.ndarray:
+    """(n, ...) stack as a time-innermost (..., n) view."""
+    return a.transpose(*range(1, a.ndim), 0)
+
+
+def matmul_t(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+             tmp: Optional[np.ndarray] = None) -> np.ndarray:
     """out[i, j, ...] = sum_k a[i, k, ...] b[k, j, ...] over time-innermost stacks.
 
     a and b are (d, d, ...) arrays whose trailing axes broadcast; every
     product is d multiply-adds over whole stacks instead of one small matmul
     per stack element. out has the broadcast shape and must not overlap a
-    or b. The product is formed r rows at a time, r = len(tmp): tmp is a
-    scratch array of shape (r,) + out.shape[1:]. One row at a time keeps
-    the scratch small and in cache on long stacks; all rows at once costs
-    fewer calls on short ones.
+    or b. The product is formed r = len(tmp) rows at a time into scratch tmp
+    of shape (r,) + out.shape[1:], by default the role ROWS with
+    _rows_at_once rows. Every r does the same arithmetic, so the same bits.
     """
+    if tmp is None:
+        tmp = workspace(ROWS, (_rows_at_once(out.shape),) + out.shape[1:])
     r = tmp.shape[0]
     for i in range(0, out.shape[0], r):
         o = out[i:i + r]
@@ -282,16 +303,10 @@ def matmul_t(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> 
     return out
 
 
-def rmatmul_t(p: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """p <- p b in place over time-innermost stacks (see matmul_t).
-
-    Row i of p b needs only row i of p, so the product is formed one row at
-    a time into a one-row scratch (role ROWS) and copied back.
-    """
-    row, tmp = workspace(ROWS, (2, 1) + p.shape[1:])
-    for i in range(p.shape[0]):
-        p[i] = matmul_t(p[i:i + 1], b, row, tmp)[0]
-    return p
+def _add_identity(x: np.ndarray, c: float) -> None:
+    """x <- x + c 1 over a time-innermost stack x[d, d, n]."""
+    d = x.shape[0]
+    x.reshape(d * d, -1, copy=False)[::d + 1] += c    # the (i, i) rows, a view
 
 
 def _expm_taylor(a: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -300,9 +315,11 @@ def _expm_taylor(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     One degree m and squaring count s serve the whole stack: s halves the
     largest 1-norm theta until it is at most _TAYLOR_THETA[-1], and m is the
     least degree whose tail bound at theta / 2^s is below the unit roundoff.
-    The series is summed in p by Horner's rule, multiplying by a from the
-    right in place. a is overwritten (it is the ping-pong buffer of the
-    squarings); p must not overlap it.
+    The series is summed by Horner's rule, each step one out-of-place
+    product by a from the right (matmul_t's rows at a time), alternating
+    between p and a second stack in the role ROWS, and starting where the
+    last step lands in p. a is overwritten (it is the ping-pong buffer of
+    the squarings); p must not overlap it.
     """
     d = a.shape[0]
     col, absval = workspace(ROWS, (2,) + a.shape[1:], float)
@@ -314,16 +331,18 @@ def _expm_taylor(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     if s:
         a *= 0.5**s
     m = bisect.bisect_left(_TAYLOR_THETA, theta * 0.5**s) + 1
-    np.multiply(a, 1.0 / math.factorial(m), out=p)
-    diag = p.reshape(d * d, -1, copy=False)[::d + 1]    # the (i, i) rows, a view
-    diag += 1.0 / math.factorial(m - 1)
+    rows = workspace(ROWS, (d + _rows_at_once(a.shape),) + a.shape[1:])
+    q, tmp = rows[:d], rows[d:]
+    acc, spare = (p, q) if m % 2 else (q, p)    # the m - 1 steps end in p
+    np.multiply(a, 1.0 / math.factorial(m), out=acc)
+    _add_identity(acc, 1.0 / math.factorial(m - 1))
     for k in range(m - 2, -1, -1):
-        rmatmul_t(p, a)
-        diag += 1.0 / math.factorial(k)
+        acc, spare = matmul_t(acc, a, spare, tmp), acc
+        _add_identity(acc, 1.0 / math.factorial(k))
     if s:
-        r, q, tmp = p, a, workspace(ROWS, (1,) + p.shape[1:])
+        r, q = p, a
         for _ in range(s):
-            r, q = matmul_t(r, r, q, tmp), r
+            r, q = matmul_t(r, r, q), r
         if r is not p:
             p[...] = r
     return p
@@ -342,17 +361,17 @@ def herm_expi_batch(h: np.ndarray, dt: float, *, out: Optional[np.ndarray] = Non
     layout: it is then overwritten in place.
     """
     h = np.asarray(h, dtype=complex)
-    d = h.shape[-1]
+    d, k = h.shape[-1], h.ndim - 2
     a = workspace(EXPONENT, (d, d) + h.shape[:-2])
-    np.multiply(np.moveaxis(h, (-2, -1), (0, 1)), -1j * dt, out=a)
+    np.multiply(h.transpose(k, k + 1, *range(k)), -1j * dt, out=a)
     if out is None:
         p = np.empty(a.shape, dtype=complex)
     elif out.shape != h.shape:
         raise DimMismatch(f"out has shape {out.shape}, the result {h.shape}")
     else:
-        p = np.moveaxis(out, (-2, -1), (0, 1))
+        p = out.transpose(k, k + 1, *range(k))
     _expm_taylor(a.reshape(d, d, -1), p.reshape(d, d, -1, copy=False))
-    return np.moveaxis(p, (0, 1), (-2, -1))
+    return p.transpose(*range(2, k + 2), 0, 1)
 
 
 def polar_project(u: np.ndarray):
@@ -373,6 +392,13 @@ def polar_project(u: np.ndarray):
 
 
 REUNITARIZE_EVERY = 64   # steps per block of ordered_products
+# matmul_t forms all rows of a stack of at most SHORT_STACK matrices at once:
+# 0.4 to 0.6 of the time of a row at a time at 64 to 128 matrices, while
+# from about 4,096 on a row at a time is 1.0 to 1.2 times faster.
+SHORT_STACK = 1024
+# _block_products scans stacks of at most SCAN_MAX_BLOCKS[d] blocks (indexed
+# by d, the last entry for larger d): the measured crossover of the scan.
+SCAN_MAX_BLOCKS = (0, 0, 48, 20, 12, 8, 6)
 
 
 def buffer_len(n: int) -> int:
@@ -380,38 +406,63 @@ def buffer_len(n: int) -> int:
     return -(-n // REUNITARIZE_EVERY) * REUNITARIZE_EVERY + 1
 
 
+def _block_products(steps: np.ndarray, width: int) -> np.ndarray:
+    """Running products steps[..., j] ... steps[..., 0] inside every block of
+    steps[d, d, nb, m] (the identity from position width on), into the free
+    role EXPONENT; steps is overwritten. Few blocks take a Hillis-Steele scan
+    (CACM 29, 1170 (1986)): pass s = 1, 2, ..., 32 multiplies each position
+    j >= s by position j - s, 6 broadcast products instead of 63 at 5 times
+    the arithmetic, ping-ponging so that the last pass lands in the result.
+    """
+    d, nb = steps.shape[0], steps.shape[2]
+    run = workspace(EXPONENT, steps.shape)
+    if nb <= SCAN_MAX_BLOCKS[min(d, len(SCAN_MAX_BLOCKS) - 1)]:
+        shifts = [2**k for k in range((width - 1).bit_length())]
+        src, dst = (steps, run) if len(shifts) % 2 else (run, steps)
+        if src is run:
+            run[...] = steps
+        for s in shifts:
+            matmul_t(src[..., s:], src[..., :-s], dst[..., s:])
+            dst[..., :s] = src[..., :s]
+            src, dst = dst, src
+    else:
+        run[..., 0] = steps[..., 0]
+        for j in range(1, width):
+            matmul_t(steps[..., j], run[..., j - 1], run[..., j], steps[..., j - 1])
+    return run
+
+
 def ordered_products(buf: np.ndarray, n: int):
     """Running products steps[k-1] ... steps[0] for k = 0..n, and the drift.
 
     buf is a time-innermost (d, d, buffer_len(n)) array whose entries
-    1..n hold the steps; the products are formed in it in place, after
-    padding it with the identity, cut into blocks of REUNITARIZE_EVERY.
-    The products inside every block are formed side by side, one broadcast
-    product per position. The block totals are chained in order and the
-    chained totals projected onto the unitaries in one batched SVD; drift is
-    the worst defect ||s^2 - 1|| before that projection. Each block's
-    running products are then multiplied, in place, by the projected total
-    of the blocks before it (its head), and every 64th sample and the last
-    one are the projected totals themselves, unitary to rounding. Returns
-    the samples as an (n + 1, d, d) view of buf.
+    1..n hold the steps; the products are formed in it, after padding it
+    with the identity, cut into blocks of REUNITARIZE_EVERY. The products
+    inside every block are formed side by side (_block_products). The block
+    totals are chained in order and the chained totals projected onto the
+    unitaries in one batched SVD; drift is the worst defect ||s^2 - 1||
+    before that projection. Each block's running products are then
+    multiplied by the projected total of the blocks before it (its head)
+    into buf, and every 64th sample and the last one are the projected
+    totals themselves, unitary to rounding. Returns the samples as an
+    (n + 1, d, d) view of buf.
     """
     d = buf.shape[0]
     m = REUNITARIZE_EVERY
     nb = -(-n // m)
     eye = np.eye(d)[..., None]
     buf[..., :1] = buf[..., n + 1:] = eye
-    blocks = buf[..., 1:].reshape(d, d, nb, m, copy=False)
-    prod, tmp = np.empty((2, d, d, nb), dtype=complex)
-    for j in range(1, min(m, n)):
-        blocks[..., j] = matmul_t(blocks[..., j], blocks[..., j - 1], prod, tmp)
+    steps = buf[..., 1:].reshape(d, d, nb, m, copy=False)
+    run = _block_products(steps, min(m, n))
     last = np.minimum(np.arange(1, nb + 1) * m, n)   # buffer index of each block's end
-    ends = np.ascontiguousarray(np.moveaxis(buf[..., last], -1, 0))
+    ends = np.ascontiguousarray(time_first(run.reshape(d, d, -1)[..., last - 1]))
     for b in range(1, nb):
         ends[b] = ends[b] @ ends[b - 1]
     ends, drift = polar_project(ends)
-    rmatmul_t(blocks[:, :, 1:], np.moveaxis(ends[:-1], 0, -1)[..., None])
-    buf[..., last] = np.moveaxis(ends, 0, -1)
-    return np.moveaxis(buf[..., :n + 1], -1, 0), drift
+    steps[:, :, 0] = run[:, :, 0]
+    matmul_t(run[:, :, 1:], time_last(ends[:-1])[..., None], steps[:, :, 1:])
+    buf[..., last] = time_last(ends)
+    return time_first(buf[..., :n + 1]), drift
 
 
 def step_products(h: np.ndarray, dt: float, buf: np.ndarray):
@@ -419,7 +470,7 @@ def step_products(h: np.ndarray, dt: float, buf: np.ndarray):
     h[d, d, n] in the EXPONENT role (which they overwrite), formed in buf
     (see ordered_products)."""
     n = h.shape[-1]
-    herm_expi_batch(np.moveaxis(h, -1, 0), dt, out=np.moveaxis(buf[..., 1:n + 1], -1, 0))
+    herm_expi_batch(time_first(h), dt, out=time_first(buf[..., 1:n + 1]))
     return ordered_products(buf, n)
 
 

@@ -355,15 +355,6 @@ def constmu_final_state(p_i: float, params: MuDynParams) -> TlsState:
     return TlsState(float(p_f), complex(c_f))
 
 
-def constmu_final_density(p_i: float, params: MuDynParams) -> DensityMatrix:
-    """Final density matrix in the computational basis (diagonal input)."""
-    s = constmu_final_state(p_i, params)
-    v = final_basis(params)
-    m = (v @ np.array([[s.p, s.c], [np.conj(s.c), 1 - s.p]], dtype=complex)
-         @ v.conj().T)
-    return DensityMatrix(m)
-
-
 def sta_delta(gap, p_i, mu, omega_bar):
     """Ergotropy difference Omega_f (p_f - p_i) of the bare constant-mu drive
     alone, with final gap Omega_f = ``gap``; broadcasts over every argument.

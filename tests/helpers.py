@@ -4,12 +4,15 @@ import numpy as np
 from scipy.linalg import schur
 from scipy.optimize import brentq
 
-from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, TlsState, cli, drives,
-                       energy_populations, example1_phase_average, example2_theta_split,
-                       gain_g, hermitian_eig, thermal_populations,
-                       von_neumann_entropy)
-from ergodrive.linalg import _canonicalize, dagger, polar_project, unitarity_defect
-from ergodrive.tls import cd_rate, cost, delta_enc, overlaps, sta_delta, theta1
+from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, TlsState, cli, decompose,
+                       drives, energy_populations, example1_phase_average,
+                       example2_theta_split, gain_g, hermitian_eig, states,
+                       thermal_populations, von_neumann_entropy)
+from ergodrive.errors import NegativeBeta
+from ergodrive.linalg import (REUNITARIZE_EVERY, _canonicalize, dagger, matmul_t,
+                              polar_project, unitarity_defect)
+from ergodrive.tls import (cd_rate, constmu_final_state, cost, delta_enc, final_basis, overlaps,
+                           sta_delta, theta1)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -164,6 +167,33 @@ def sequential_products(steps):
     return samples, drift
 
 
+def ordered_products_sequential(buf, n):
+    """linalg.ordered_products as it was before the in-block scan: the
+    products inside every block formed one position at a time (63 broadcast
+    products), and the heads multiplied in place a row at a time. The oracle
+    of the scan, and the same bits as the kernel's sequential branch."""
+    d = buf.shape[0]
+    m = REUNITARIZE_EVERY
+    nb = -(-n // m)
+    eye = np.eye(d)[..., None]
+    buf[..., :1] = buf[..., n + 1:] = eye
+    blocks = buf[..., 1:].reshape(d, d, nb, m, copy=False)
+    prod, tmp = np.empty((2, d, d, nb), dtype=complex)
+    for j in range(1, min(m, n)):
+        blocks[..., j] = matmul_t(blocks[..., j], blocks[..., j - 1], prod, tmp)
+    last = np.minimum(np.arange(1, nb + 1) * m, n)   # buffer index of each block's end
+    ends = np.ascontiguousarray(np.moveaxis(buf[..., last], -1, 0))
+    for b in range(1, nb):
+        ends[b] = ends[b] @ ends[b - 1]
+    ends, drift = polar_project(ends)
+    heads, rest = np.moveaxis(ends[:-1], 0, -1)[..., None], blocks[:, :, 1:]
+    row, tmp = np.empty((2, 1) + rest.shape[1:], dtype=complex)
+    for i in range(d):    # rest <- rest heads in place, a row at a time
+        rest[i] = matmul_t(rest[i:i + 1], heads, row, tmp)[0]
+    buf[..., last] = np.moveaxis(ends, 0, -1)
+    return np.moveaxis(buf[..., :n + 1], -1, 0), drift
+
+
 def magnus4_gauss_final(h_i, h_f, sched, n_steps):
     """U0(tau) of an interp schedule by n_steps Gauss-Legendre Magnus-4 steps,
     formed one step at a time: with H1, H2 at the Gauss nodes
@@ -316,3 +346,30 @@ def csv_text(header, rows):
     """CSV as the CLI writes it, formatting one cell at a time."""
     lines = [",".join(header)] + [",".join("%.17g" % float(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def coherent_entropy_identity_residual(rho_i, h_i, h_f, beta):
+    """Residual of the entropic identity for the coherent part at beta > 0.
+
+    e_coh = (C(rho_i) + S(passive(rho_D)_f || tau_f) - S(passive(rho_i)_f || tau_f)) / beta
+    with tau_f the Gibbs state of h_f at beta. Exact for any beta > 0; the
+    returned residual is numerical error only.
+    """
+    if beta <= 0:
+        raise NegativeBeta("identity requires beta > 0")
+    e_coh = decompose(rho_i, h_i, h_f).e_coh
+    c = states.coherence_rel_entropy(rho_i, h_i)
+    r_d = states._clamped_spectrum(states.energy_populations(rho_i, h_i))[1]
+    s_d = states.gibbs_relative_entropy(r_d, h_f.energies, beta)
+    s_r = states.gibbs_relative_entropy(rho_i.populations_desc(), h_f.energies, beta)
+    return abs(e_coh - (c + s_d - s_r) / beta)
+
+
+def constmu_final_density(p_i, params):
+    """Final density matrix of the constant-mu drive in the computational
+    basis (diagonal input), from its closed-form final state."""
+    s = constmu_final_state(p_i, params)
+    v = final_basis(params)
+    m = (v @ np.array([[s.p, s.c], [np.conj(s.c), 1 - s.p]], dtype=complex)
+         @ v.conj().T)
+    return DensityMatrix(m)

@@ -10,8 +10,7 @@ import time
 import numpy as np
 
 from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
-                       cli, coherent_entropy_identity_residual,
-                       constmu_final_density, counterdiabatic_cost,
+                       cli, counterdiabatic_cost,
                        counterexample_populations, decompose, delta_noncyclic,
                        example1_phase_average, gain_g, majorizes,
                        noncyclic_ergotropy, passive_energy, principal_log_unitary,
@@ -20,7 +19,8 @@ from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
                        verify_drive)
 from ergodrive.errors import NegativeBeta
 from ergodrive.tls import cost, overlaps, theta1
-from helpers import random_hermitian, random_instance, random_unitary
+from helpers import (coherent_entropy_identity_residual, constmu_final_density,
+                     random_hermitian, random_instance, random_unitary)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -14,7 +14,7 @@ import ergodrive
 from ergodrive import (Schedule, cli, drives, ergotropy, matrix_to_json, optimize_phases,
                        synthesize_drive)
 from ergodrive.tolerances import REPORT_ROUNDING_REL
-from helpers import random_hermitian
+from helpers import random_hermitian, random_instance
 
 RHO2 = {"rho_i": matrix_to_json(np.diag([0.3, 0.7]).astype(complex)),
         "h_i": matrix_to_json(np.diag([0.0, 1.0]).astype(complex)),
@@ -95,7 +95,6 @@ def test_drive_synth_propagates_u0_once_per_grid(monkeypatch):
         products.append(h.shape[-1])
         return step_products(h, dt, buf)
 
-    monkeypatch.setattr(cli, "propagate_u0", counting)
     monkeypatch.setattr(drives, "propagate_u0", counting)
     monkeypatch.setattr(drives, "step_products", counting_products)
     out = cli.run_drive_synth(cfg, 2048)
@@ -160,9 +159,9 @@ def test_drive_synth_step_count_is_exact_or_estimated(monkeypatch):
         grids.append(sched.n_steps)
         return propagate(h_i, h_f, sched)
 
-    monkeypatch.setattr(cli, "final_unitary", counting_estimate)
-    monkeypatch.setattr(cli, "driven_error", counting_driven)
-    monkeypatch.setattr(cli, "propagate_u0", counting)
+    monkeypatch.setattr(drives, "final_unitary", counting_estimate)
+    monkeypatch.setattr(drives, "driven_error", counting_driven)
+    monkeypatch.setattr(drives, "propagate_u0", counting)
     chosen = cli.run_drive_synth(cfg)
     # U0's count, then one driven estimate per grid tried
     assert estimates == [1.0] and grids[0] in (64, 128, 256) and driven == grids
@@ -172,6 +171,37 @@ def test_drive_synth_step_count_is_exact_or_estimated(monkeypatch):
     assert cli.run_drive_synth(dict(cfg, n_steps=n)) == chosen
     cli.run_drive_synth(dict(cfg, n_steps=100), 33)
     assert estimates == [1.0] and driven == grids[:-3] and grids[-3:] == [n, n, 33]
+
+
+def test_propagations_only_ever_get_a_fixed_step_count(monkeypatch):
+    # a tracer that sums sched.n_steps over every propagate_u0 call sees an
+    # integer each time: under drive-synth's default count, whose driven
+    # estimate doubles 64 to 512 steps here, and under a grid phase scan on
+    # a schedule that leaves its count open
+    h = matrix_to_json(np.diag([0.0, 20.0]).astype(complex))
+    cfg = {"rho_i": matrix_to_json(np.array([[0.6, 0.3 + 0.1j], [0.3 - 0.1j, 0.4]])),
+           "h_i": h, "h_f": h, "tau": 1.0}
+    grids, verified = [], []
+    propagate, verify = drives.propagate_u0, cli.verify_drive
+
+    def counting(h_i, h_f, sched):
+        assert isinstance(sched.n_steps, int)
+        grids.append(sched.n_steps)
+        return propagate(h_i, h_f, sched)
+
+    def verifying(synth, rho, h_i, h_f, sched):
+        verified.append(sched.n_steps)
+        return verify(synth, rho, h_i, h_f, sched)
+
+    monkeypatch.setattr(drives, "propagate_u0", counting)
+    monkeypatch.setattr(cli, "verify_drive", verifying)
+    cli.run_drive_synth(cfg)
+    # one propagation per grid tried, exactly one at the accepted count
+    assert grids == [64, 128, 256, 512] and verified == [512]
+    rho, h_i, h_f = random_instance(np.random.default_rng(74), 3)
+    grids.clear()
+    optimize_phases(rho, h_i, h_f, Schedule.linear(1.0), mode="grid", grid_points=4)
+    assert len(grids) == 1 and grids[0] in (64, 128, 256)
 
 
 @pytest.mark.parametrize("width", [20.0, 50.0])

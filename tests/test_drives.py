@@ -30,9 +30,9 @@ from ergodrive.states import matrix_to_json
 from ergodrive.tls import cost, theta1
 from ergodrive.tolerances import PROPAGATION_ERROR
 from helpers import (counterdiabatic_cost_oracle, eigenphases,
-                     herm_expi, magnus4_gauss_final, phase_cost_inputs, phase_costs_oracle,
-                     random_density, random_hermitian, random_instance, random_probs,
-                     random_unitary, sequential_products)
+                     herm_expi, magnus4_gauss_final, ordered_products_sequential,
+                     phase_cost_inputs, phase_costs_oracle, random_density, random_hermitian,
+                     random_instance, random_probs, random_unitary, sequential_products)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -69,6 +69,15 @@ def test_schedule_validation():
     assert sched.tau == 2.0
     assert len(sched.times()) == 101
     assert abs(sched.lam_i(0.0) - 1.0) < 1e-15 and abs(sched.lam_f(2.0) - 1.0) < 1e-15
+    # by default the count is left to the error targets: nothing that needs
+    # a grid takes such a schedule
+    h = HamiltonianOp(0.5 * SZ)
+    rot = Schedule(2.0, kind="rotating", omega=lambda t: 1.0, eps=lambda t: 0.0)
+    assert Schedule.linear(2.0).n_steps is None and rot.n_steps is None
+    for call in (Schedule.linear(2.0).times, lambda: propagate_u0(h, h, Schedule.linear(2.0)),
+                 lambda: propagate_u0(h, h, rot), lambda: counterdiabatic_cost(rot)):
+        with pytest.raises(ParamOutOfRange, match="n_steps"):
+            call()
 
 
 def test_validate_against_dimension_rules():
@@ -86,7 +95,7 @@ def test_validate_against_dimension_rules():
 
 def test_propagator_exact_for_constant_hamiltonian():
     h = HamiltonianOp(np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.1]]))
-    sched = Schedule(2.0, lam_i=lambda t: 1.0 - t / 2.0, lam_f=lambda t: t / 2.0)
+    sched = Schedule(2.0, lam_i=lambda t: 1.0 - t / 2.0, lam_f=lambda t: t / 2.0, n_steps=4096)
     trace = propagate_u0(h, h, sched)
     exact = herm_expi(h.mat, 2.0)
     assert np.abs(trace.u_samples[-1] - exact).max() < 1e-12
@@ -215,6 +224,19 @@ def test_fourth_order_work_integral_rules():
         assert np.abs(got - want).max() < 1e-11
 
 
+def test_drive_on_an_open_count_takes_the_default_grid():
+    # commuting h_i = h_f: U0's estimate picks 64 steps, the driven estimate
+    # 512 (as drive-synth's default); verification on the open schedule
+    # takes the drive's grid
+    rho = DensityMatrix(np.array([[0.6, 0.3 + 0.1j], [0.3 - 0.1j, 0.4]]))
+    h = HamiltonianOp(np.diag([0.0, 20.0]))
+    synth = synthesize_drive(rho, h, h, Schedule.linear(1.0))
+    fixed = Schedule.linear(1.0, n_steps=512)
+    assert np.array_equal(synth.v_samples, synthesize_drive(rho, h, h, fixed).v_samples)
+    assert verify_drive(synth, rho, h, h, Schedule.linear(1.0)) == verify_drive(
+        synth, rho, h, h, fixed)
+
+
 def test_verify_drive_refuses_grids_below_its_stencil():
     h = HamiltonianOp(0.5 * SZ)
     rho = DensityMatrix(np.diag([0.3, 0.7]))   # passive for h: V = 0
@@ -271,6 +293,26 @@ def test_ordered_products_drift_stays_near_the_sequential_oracle(d):
         assert samples.shape == oracle.shape
         assert drift <= 8 * max(oracle_drift, eps)
         assert np.abs(samples - oracle).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_block_scan_matches_the_sequential_kernel(d):
+    # the Hillis-Steele scan (at most SCAN_MAX_BLOCKS[d] blocks) against the
+    # kernel's former one-position-at-a-time loop, on both sides of the
+    # crossover; above it the kernel runs that loop, so the bits match
+    eps = np.finfo(float).eps
+    crossover = linalg.SCAN_MAX_BLOCKS[d] * linalg.REUNITARIZE_EVERY
+    for n in (1, 2, 63, 64, 65, 127, 128, 200, 256, crossover, crossover + 1, 4096):
+        _, h_i, h_f = random_instance(np.random.default_rng([77, d, n]), d, 3.0)
+        steps = _magnus_steps(h_i, h_f, Schedule.linear(1.0, n_steps=n))
+        samples, drift = _ordered_products(steps)
+        buf = np.empty((d, d, linalg.buffer_len(n)), dtype=complex)
+        buf[..., 1:n + 1] = np.moveaxis(steps, 0, -1)
+        oracle, oracle_drift = ordered_products_sequential(buf, n)
+        assert np.abs(samples - oracle).max() <= 1e-13
+        assert drift <= 8 * max(oracle_drift, eps) and oracle_drift <= 8 * max(drift, eps)
+        if n > crossover:
+            assert np.array_equal(samples, oracle) and drift == oracle_drift
 
 
 @pytest.mark.parametrize("bad", [3, 99])

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergodrive import (DensityMatrix, HamiltonianOp, coherent_entropy_identity_residual,
-                       counterexample_populations, decompose, delta_noncyclic,
+from ergodrive import (DensityMatrix, HamiltonianOp, counterexample_populations, decompose, delta_noncyclic,
                        full_report, gain_g, majorizes, noncyclic_ergotropy,
                        thermal_populations, upper_bound_delta)
 from ergodrive.errors import EntropyOutOfRange, NegativeBeta, ParamOutOfRange
 from ergodrive.tolerances import IDENTITY_RESIDUAL
-from helpers import dephase, near_pure_state, random_instance, thermal_state
+from helpers import (coherent_entropy_identity_residual, dephase, near_pure_state,
+                     random_instance, thermal_state)
 
 
 def test_pure_excited_qubit_anchor():

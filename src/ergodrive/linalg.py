@@ -413,6 +413,7 @@ def _block_products(steps: np.ndarray, width: int) -> np.ndarray:
     (CACM 29, 1170 (1986)): pass s = 1, 2, ..., 32 multiplies each position
     j >= s by position j - s, 6 broadcast products instead of 63 at 5 times
     the arithmetic, ping-ponging so that the last pass lands in the result.
+    More blocks go one position at a time.
     """
     d, nb = steps.shape[0], steps.shape[2]
     run = workspace(EXPONENT, steps.shape)
@@ -425,10 +426,11 @@ def _block_products(steps: np.ndarray, width: int) -> np.ndarray:
             matmul_t(src[..., s:], src[..., :-s], dst[..., s:])
             dst[..., :s] = src[..., :s]
             src, dst = dst, src
-    else:
+    else:    # contiguous scratch: strided output in all 2d - 1 passes is slower
         run[..., 0] = steps[..., 0]
+        prod, tmp = np.empty((2, d, d, nb), dtype=complex)
         for j in range(1, width):
-            matmul_t(steps[..., j], run[..., j - 1], run[..., j], steps[..., j - 1])
+            run[..., j] = matmul_t(steps[..., j], run[..., j - 1], prod, tmp)
     return run
 
 

@@ -35,8 +35,13 @@ scan w_min over the free target phases phi: the eigenphases of
 M(phi) = U0(tau)^dag R(phi) at d = 2, 3 come from tr M and det M alone
 (eigenphases_from_trace_det, one broadcast root solve over the batch), and
 only rows with nearly repeated eigenphases, or d >= 4, form M for a general
-eigensolver. synthesize_drive takes a U0 trace a caller already propagated,
-and optimize_phases the final U0.
+eigensolver. M(phi + s 1) = e^{is} M(phi), so a grid scan over P points
+per axis solves the eigenphases at only P^(d-1) points, one per class of
+index offsets, and shifts them by the multiples of 2 pi / P to cost every
+other point of the class. synthesize_drive takes a U0 trace a caller
+already propagated, and optimize_phases the final U0; on a schedule that
+leaves its count open, optimize_phases propagates nothing and takes U0(tau)
+from final_unitary's estimate at the count it picks.
 Every threshold is a constant of the tolerances module. Everything here is
 in hbar = 1 units.
 """
@@ -57,11 +62,10 @@ from .linalg import (EXPONENT, buffer_len, dagger, herm_expi_batch, matmul_t,
 from .states import DensityMatrix, HamiltonianOp, matrix_to_json, passive_energy, passive_state
 from .tls import MuDynParams, check_count, wrap_pi
 from .tolerances import (DRIVEN_PROPAGATION_ERROR, EIGENPHASE_SEPARATION, GAUGE_OVERLAP_MIN,
-                         MONOTONE_RAMP_ATOL, PROPAGATION_ERROR, PROPAGATION_MAX_STEPS,
-                         ROTATING_ENDPOINT_REL,
-                         SCHEDULE_BOUNDARY_ATOL, STA_CLOSED_FORM_REL,
-                         VERIFY_ENDPOINT_REL, VERIFY_ENERGY_REL, VERIFY_STATE_DISTANCE,
-                         VERIFY_WIDTH_FLOOR, VERIFY_WORK_REL)
+                         GRID_SHIFT_MARGIN, MONOTONE_RAMP_ATOL, PROPAGATION_ERROR,
+                         PROPAGATION_MAX_STEPS, ROTATING_ENDPOINT_REL, SCHEDULE_BOUNDARY_ATOL,
+                         STA_CLOSED_FORM_REL, VERIFY_ENDPOINT_REL, VERIFY_ENERGY_REL,
+                         VERIFY_STATE_DISTANCE, VERIFY_WIDTH_FLOOR, VERIFY_WORK_REL)
 
 _SZ = np.diag([1.0, -1.0]).astype(complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -326,6 +330,24 @@ def _u0_final(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule, n: int) -
 FIRST_ESTIMATE_STEPS = 64
 
 
+def _estimate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp,
+                 sched: Schedule) -> Tuple[int, np.ndarray]:
+    """(n, U_n(tau)): final_unitary's count and U0(tau) on that grid, the
+    pairwise product its estimate formed."""
+    sched.validate_against(h_i, h_f)
+    n = FIRST_ESTIMATE_STEPS
+    u = _u0_final(h_i, h_f, sched, n)
+    while 2 * n <= PROPAGATION_MAX_STEPS:
+        finer = _u0_final(h_i, h_f, sched, 2 * n)
+        error = float(np.abs(u - finer).max()) * 16.0 / 15.0
+        if error <= PROPAGATION_ERROR:
+            return n, u
+        n, u = 2 * n, finer
+    raise NoConvergence(f"estimated U0(tau) error {error:.3e} at {n // 2} steps is above "
+                        f"{PROPAGATION_ERROR:.0e}, and the next estimate needs more than "
+                        f"{PROPAGATION_MAX_STEPS} steps")
+
+
 def final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> int:
     """The least step count n = 64 * 2^k at which the step-doubling estimate
     of U0(tau)'s error is at most PROPAGATION_ERROR.
@@ -337,18 +359,7 @@ def final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> in
     estimate would need a propagation of more than PROPAGATION_MAX_STEPS
     steps, so the largest n returned is half of that.
     """
-    sched.validate_against(h_i, h_f)
-    n = FIRST_ESTIMATE_STEPS
-    u = _u0_final(h_i, h_f, sched, n)
-    while 2 * n <= PROPAGATION_MAX_STEPS:
-        finer = _u0_final(h_i, h_f, sched, 2 * n)
-        error = float(np.abs(u - finer).max()) * 16.0 / 15.0
-        if error <= PROPAGATION_ERROR:
-            return n
-        n, u = 2 * n, finer
-    raise NoConvergence(f"estimated U0(tau) error {error:.3e} at {n // 2} steps is above "
-                        f"{PROPAGATION_ERROR:.0e}, and the next estimate needs more than "
-                        f"{PROPAGATION_MAX_STEPS} steps")
+    return _estimate_u0(h_i, h_f, sched)[0]
 
 
 def fix_steps(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule,
@@ -632,7 +643,11 @@ def eigenphases_from_trace_det(tr, det_angle, d: int):
     Cardano's cube root vanishes); such rows need a general eigensolver.
     """
     a = wrap_pi(det_angle) / d
-    u = np.asarray(tr, dtype=complex) * np.exp(-1j * a)
+    # np.multiply, not the operator: on a large batch numpy reuses the
+    # right-hand temporary of an operator and swaps the factors, and complex
+    # products (fused multiply-adds) then differ in the last bit, so a row's
+    # phases would depend on the size of its batch
+    u = np.multiply(np.asarray(tr, dtype=complex), np.exp(-1j * a))
     if d == 2:
         gam = np.arccos(np.clip(0.5 * u.real, -1.0, 1.0))
         psi = np.stack([gam, -gam], axis=-1)
@@ -660,12 +675,12 @@ def eigenphases_from_trace_det(tr, det_angle, d: int):
     return wrap_pi(a[..., None] + np.angle(z)), ok
 
 
-def _phase_costs(m0_det_angle: float, c: np.ndarray, a_mat: np.ndarray,
-                 v_r: np.ndarray, phases: np.ndarray, tau: float) -> np.ndarray:
-    """(sum theta^2)^{1/2}/tau for a batch of phase vectors.
+def _eigenphases(m0_det_angle: float, c: np.ndarray, a_mat: np.ndarray,
+                 v_r: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Eigenphases theta[n, d] of M = A diag(e^{i phi}) V^dag for a batch of
+    phase vectors phi[n, d], in no particular order.
 
-    theta are the eigenphases of M = A diag(e^{i phi}) V^dag, whose trace is
-    sum_n e^{i phi_n} c_n and whose determinant has phase
+    M's trace is sum_n e^{i phi_n} c_n and its determinant has phase
     m0_det_angle + sum_n phi_n. For d = 2, 3 they come from
     eigenphases_from_trace_det; the rows it does not serve, and every row
     at other d, form M and call eigvals.
@@ -682,7 +697,51 @@ def _phase_costs(m0_det_angle: float, c: np.ndarray, a_mat: np.ndarray,
         r = rows[lo:lo + 8192]
         m = (a_mat[None, :, :] * np.exp(1j * phases[r])[:, None, :]) @ v_r_dag[None, :, :]
         th[r] = np.angle(np.linalg.eigvals(m))
-    return np.sqrt((th**2).sum(axis=1)) / tau
+    return th
+
+
+def _cost(thetas: np.ndarray, tau: float) -> np.ndarray:
+    """(sum theta^2)^{1/2}/tau over the last axis of an eigenphase array."""
+    return np.sqrt((thetas**2).sum(axis=-1)) / tau
+
+
+def _phase_costs(m0_det_angle: float, c: np.ndarray, a_mat: np.ndarray,
+                 v_r: np.ndarray, phases: np.ndarray, tau: float) -> np.ndarray:
+    """(sum theta^2)^{1/2}/tau for a batch of phase vectors, theta the
+    eigenphases of M = A diag(e^{i phi}) V^dag (see _eigenphases)."""
+    return _cost(_eigenphases(m0_det_angle, c, a_mat, v_r, phases), tau)
+
+
+def _grid_scan(m0_det_angle: float, c: np.ndarray, a_mat: np.ndarray, v_r: np.ndarray,
+               points: int, tau: float) -> PhaseOptResult:
+    """The first point of the mesh axis^d, axis = linspace(-pi, pi, points,
+    endpoint=False), in C order, at which _phase_costs is least, and that cost.
+
+    M(phi + s 1) = e^{is} M(phi), so adding s to every phase adds s to every
+    eigenphase (mod 2 pi), and adding m to every index adds m 2 pi / points
+    to every phase of the uniform axis, mapping the mesh onto itself. So the
+    eigenphases are solved once per class of index offsets, at its point
+    (axis[0], axis[j_2], ..., axis[j_d]): points^(d-1) rows. The points
+    (m, m + j_2, ..., m + j_d) mod points of a class cost
+    wrap_pi(theta + m 2 pi / points), one elementwise pass over all classes.
+    Every point whose shifted cost is within GRID_SHIFT_MARGIN / tau of the
+    least is costed again by _phase_costs at its own mesh phases, and the
+    first of them at the least cost wins, so the point and the value are
+    those of _phase_costs over the whole mesh.
+    """
+    d = c.shape[0]
+    axis = np.linspace(-np.pi, np.pi, points, endpoint=False)
+    offsets = np.indices((points,) * (d - 1)).reshape(d - 1, points ** (d - 1)).T
+    firsts = np.concatenate([np.full((len(offsets), 1), axis[0]), axis[offsets]], axis=1)
+    thetas = _eigenphases(m0_det_angle, c, a_mat, v_r, firsts)
+    shifts = np.arange(points) * (2.0 * np.pi / points)
+    shifted = _cost(wrap_pi(thetas[:, None, :] + shifts[None, :, None]), tau)
+    cls, m = np.nonzero(shifted <= shifted.min() + GRID_SHIFT_MARGIN / tau)
+    index = np.concatenate([m[:, None], (m[:, None] + offsets[cls]) % points], axis=1)
+    phases = axis[index[np.argsort(np.ravel_multi_index(index.T, (points,) * d))]]
+    costs = _phase_costs(m0_det_angle, c, a_mat, v_r, phases, tau)
+    k = int(np.argmin(costs))
+    return PhaseOptResult(phases[k], float(costs[k]))
 
 
 def optimize_phases(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp,
@@ -696,7 +755,10 @@ def optimize_phases(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp
     over n_draws uniform phase vectors (phases are then reported as None).
     Refuses an unknown mode, a dimension the mode does not cover, n_draws < 2
     and grid_points < 1 before any propagation. ``u_f`` is U0(tau); by
-    default U0 is propagated on sched's grid, as fix_steps fixes it.
+    default it is U0 propagated on sched's fixed grid, or, when sched leaves
+    the count open, the product final_unitary's estimate formed at its count.
+    The grid scan costs P^(d-1) eigenphase solves for P^d points (see
+    _grid_scan).
     """
     if mode not in ("analytic2", "grid", "monte_carlo"):
         raise ParamOutOfRange(f"unknown phase optimization mode {mode!r}")
@@ -707,7 +769,9 @@ def optimize_phases(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp
         raise DimTooLarge(f"grid phase scan over d = {d} axes is not supported")
     check_count(n_draws, "n_draws", 2)
     check_count(grid_points, "grid_points", 1)
-    if u_f is None:
+    if u_f is None and sched.n_steps is None:
+        u_f = _estimate_u0(h_i, h_f, sched)[1]
+    elif u_f is None:
         u_f = fix_steps(h_i, h_f, sched)[1].u_samples[-1]
     _, v_r = _descending_eigvectors(rho_i)
     a_mat = dagger(u_f) @ h_f.basis
@@ -727,12 +791,7 @@ def optimize_phases(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp
         return PhaseOptResult(phases, float(value))
 
     if mode == "grid":
-        axis = np.linspace(-np.pi, np.pi, grid_points, endpoint=False)
-        mesh = np.stack(np.meshgrid(*([axis] * d), indexing="ij"),
-                        axis=-1).reshape(-1, d)
-        costs = _phase_costs(det_angle, c, a_mat, v_r, mesh, tau)
-        k = int(np.argmin(costs))
-        return PhaseOptResult(mesh[k].copy(), float(costs[k]))
+        return _grid_scan(det_angle, c, a_mat, v_r, grid_points, tau)
 
     # mode == "monte_carlo"
     rng = np.random.default_rng(0) if rng is None else rng

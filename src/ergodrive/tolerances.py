@@ -25,6 +25,20 @@ DEGENERATE_ULPS = 32
 # of its eigenvalues are closer than this on the unit circle, where its Newton
 # polish loses accuracy.
 EIGENPHASE_SEPARATION = 1e-3
+# drives.optimize_phases' grid scan takes each mesh point's cost from the
+# eigenphases at the first point of its class, shifted by a multiple of
+# 2 pi / P, and costs again at its own phases every point whose shifted cost
+# is within GRID_SHIFT_MARGIN / tau of the least. tau times a cost,
+# (sum theta^2)^{1/2}, moves by at most |d theta|_2 when the eigenphases move
+# by d theta on the circle. A unitary's eigenphases are perfectly
+# conditioned, so d theta is the error of the solves alone: at most
+# delta ~ 16 eps / EIGENPHASE_SEPARATION^2 = 3.6e-9 per phase, Newton's
+# residual over the least |p'(z)| of a cubic whose roots are all
+# EIGENPHASE_SEPARATION apart (9.6e-10 was seen against eigvals on such
+# clusters). A point's shifted and direct costs then differ by at most
+# 2 sqrt(3) delta / tau, and the first point at the least direct cost is
+# within twice that, 2.5e-8 / tau, of the least shifted cost.
+GRID_SHIFT_MARGIN = 1e-7
 # Acceptance limits of drives.verify_drive: the final state's trace distance
 # from the passive target; the final-energy residual per unit of final
 # spectral width; the endpoint-Hamiltonian residual per unit of the largest

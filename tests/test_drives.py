@@ -568,12 +568,33 @@ def count_eigvals_rows(monkeypatch):
     return rows
 
 
-@pytest.mark.parametrize("d, points", [(3, 16), (2, 128)])
+def grid_mesh(d, points):
+    axis = np.linspace(-np.pi, np.pi, points, endpoint=False)
+    return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def scan_inputs(rho, h_f, u_f):
+    """(det_angle, c, a_mat, v_r) of drives._phase_costs as optimize_phases forms them."""
+    v_r = drives._descending_eigvectors(rho)[1]
+    a_mat = u_f.conj().T @ h_f.basis
+    return (float(np.angle(np.linalg.det(a_mat @ v_r.conj().T))),
+            np.einsum("in,in->n", v_r.conj(), a_mat), a_mat, v_r)
+
+
+def diagonal_instance(d):
+    """Commuting diagonal h_i = h_f and a diagonal state: with u_f = 1 the
+    target is trivial, M(phi) = diag(e^{i phi})."""
+    h = HamiltonianOp(np.diag(np.arange(d, dtype=float)).astype(complex))
+    rho = DensityMatrix(np.diag(np.linspace(2.0, 1.0, d) / np.linspace(2.0, 1.0, d).sum()))
+    return rho, h, h
+
+
+@pytest.mark.parametrize("d, points", [(3, 16), (2, 128), (3, 7), (2, 9), (3, 1), (2, 1)])
 def test_grid_scan_picks_the_eigvals_argmin(monkeypatch, d, points):
+    # odd point counts leave 0 off the axis, and one point is one class
     rng = np.random.default_rng(92 + d)
     sched = Schedule.linear(1.0, n_steps=256)
-    axis = np.linspace(-np.pi, np.pi, points, endpoint=False)
-    mesh = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    mesh = grid_mesh(d, points)
     for _ in range(4):
         rho, h_i, h_f = random_instance(rng, d)
         u_f = propagate_u0(h_i, h_f, sched).u_samples[-1]
@@ -581,11 +602,94 @@ def test_grid_scan_picks_the_eigvals_argmin(monkeypatch, d, points):
         res = optimize_phases(rho, h_i, h_f, sched, mode="grid", grid_points=points, u_f=u_f)
         assert rows == []
         monkeypatch.undo()
-        costs = phase_costs_oracle(u_f.conj().T @ h_f.basis,
-                                   drives._descending_eigvectors(rho)[1], mesh, sched.tau)
+        inputs = scan_inputs(rho, h_f, u_f)
+        costs = phase_costs_oracle(*inputs[2:], mesh, sched.tau)
         k = int(np.argmin(costs))
         assert np.array_equal(res.phases, mesh[k])
         assert abs(res.value - costs[k]) < 1e-13
+        # the value is the kernel's own cost there, as a scan of every point gives it
+        assert res.value == drives._phase_costs(*inputs, mesh, sched.tau)[k]
+
+
+@pytest.mark.parametrize("d, points", [(2, 7), (3, 9)])
+def test_grid_scan_ties_go_to_the_first_mesh_point(d, points):
+    # M(phi) = diag(e^{i phi}) on an axis without 0: the 2^d points at
+    # +-pi/points on every axis cost exactly the same
+    rho, h, _ = diagonal_instance(d)
+    sched = Schedule.linear(1.0, n_steps=64)
+    u_f = np.eye(d, dtype=complex)
+    mesh = grid_mesh(d, points)
+    costs = drives._phase_costs(*scan_inputs(rho, h, u_f), mesh, sched.tau)
+    ties = np.flatnonzero(costs == costs.min())
+    assert len(ties) == 2**d
+    res = optimize_phases(rho, h, h, sched, mode="grid", grid_points=points, u_f=u_f)
+    assert np.array_equal(res.phases, mesh[ties[0]])
+    assert res.value == costs[ties[0]]
+    oracle = phase_costs_oracle(u_f, np.eye(d), mesh, sched.tau)
+    assert abs(res.value - oracle.min()) < 1e-13
+
+
+@pytest.mark.parametrize("d, points", [(2, 8), (3, 8), (3, 5)])
+def test_grid_scan_solves_one_row_per_class(monkeypatch, d, points):
+    # the eigenphases are solved at points^(d-1) rows, one per class of index
+    # offsets; only the least-cost point is costed again
+    rng = np.random.default_rng(97 + d)
+    sched = Schedule.linear(1.0, n_steps=256)
+    rho, h_i, h_f = random_instance(rng, d)
+    u_f = propagate_u0(h_i, h_f, sched).u_samples[-1]
+    calls = []
+    solve = drives.eigenphases_from_trace_det
+    monkeypatch.setattr(drives, "eigenphases_from_trace_det",
+                        lambda tr, angle, dim: calls.append(len(tr)) or solve(tr, angle, dim))
+    optimize_phases(rho, h_i, h_f, sched, mode="grid", grid_points=points, u_f=u_f)
+    assert calls == [points ** (d - 1), 1]
+
+
+def test_grid_scan_costs_its_candidates_again_in_mesh_order(monkeypatch):
+    # with no bound on the margin every point is a candidate, so the direct
+    # costs are those of the whole mesh, taken in its order
+    rho, h_i, h_f = random_instance(np.random.default_rng(99), 3)
+    u_f = random_unitary(np.random.default_rng(100), 3)
+    seen = []
+    phase_costs = drives._phase_costs
+    monkeypatch.setattr(drives, "GRID_SHIFT_MARGIN", np.inf)
+    monkeypatch.setattr(drives, "_phase_costs",
+                        lambda *args: seen.append(args[4]) or phase_costs(*args))
+    res = optimize_phases(rho, h_i, h_f, Schedule.linear(1.0), mode="grid", grid_points=6, u_f=u_f)
+    mesh = grid_mesh(3, 6)
+    assert len(seen) == 1 and np.array_equal(seen[0], mesh)
+    costs = phase_costs(*scan_inputs(rho, h_f, u_f), mesh, 1.0)
+    assert np.array_equal(res.phases, mesh[np.argmin(costs)]) and res.value == costs.min()
+
+
+def test_grid_scan_sends_one_eigvals_row_per_close_class(monkeypatch):
+    # with M(phi) = diag(e^{i phi}), the classes (0, j, k) with j = 0, k = 0
+    # or j = k have a repeated eigenphase: 3P - 2 of them, each of whose P
+    # mesh points a scan of every point would hand to eigvals. The least
+    # cost, 0 at phi = 0, is repeated too, so its point takes one more row.
+    rho, h, _ = diagonal_instance(3)
+    points = 8
+    rows = count_eigvals_rows(monkeypatch)
+    res = optimize_phases(rho, h, h, Schedule.linear(1.0, n_steps=64), mode="grid",
+                          grid_points=points, u_f=np.eye(3, dtype=complex))
+    assert rows == [3 * points - 2, 1]
+    assert np.array_equal(res.phases, np.zeros(3)) and res.value == 0.0
+
+
+def test_open_schedule_scan_takes_the_estimates_u0(monkeypatch):
+    # U0(tau) is the pairwise product final_unitary's estimate formed, at the
+    # count it returns, and nothing is propagated
+    rng = np.random.default_rng(98)
+    rho, h_i, h_f = random_instance(rng, 3)
+    sched = Schedule.linear(1.0)
+    n, u_n = drives._estimate_u0(h_i, h_f, sched)
+    assert n == drives.final_unitary(h_i, h_f, sched)
+    fixed = dataclasses.replace(sched, n_steps=n)
+    assert np.abs(u_n - propagate_u0(h_i, h_f, fixed).u_samples[-1]).max() < 1e-13
+    monkeypatch.setattr(drives, "propagate_u0", lambda *args: pytest.fail("propagated"))
+    res = optimize_phases(rho, h_i, h_f, sched, mode="grid", grid_points=8)
+    want = optimize_phases(rho, h_i, h_f, sched, mode="grid", grid_points=8, u_f=u_n)
+    assert np.array_equal(res.phases, want.phases) and res.value == want.value
 
 
 @pytest.mark.filterwarnings("error")

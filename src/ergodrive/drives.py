@@ -731,13 +731,12 @@ def _grid_scan(m0_det_angle: float, c: np.ndarray, a_mat: np.ndarray, v_r: np.nd
     """
     d = c.shape[0]
     axis = np.linspace(-np.pi, np.pi, points, endpoint=False)
-    offsets = np.indices((points,) * (d - 1)).reshape(d - 1, points ** (d - 1)).T
-    firsts = np.concatenate([np.full((len(offsets), 1), axis[0]), axis[offsets]], axis=1)
-    thetas = _eigenphases(m0_det_angle, c, a_mat, v_r, firsts)
+    classes = np.indices((1,) + (points,) * (d - 1)).reshape(d, -1).T   # (0, j_2, ..., j_d)
+    thetas = _eigenphases(m0_det_angle, c, a_mat, v_r, axis[classes])
     shifts = np.arange(points) * (2.0 * np.pi / points)
     shifted = _cost(wrap_pi(thetas[:, None, :] + shifts[None, :, None]), tau)
     cls, m = np.nonzero(shifted <= shifted.min() + GRID_SHIFT_MARGIN / tau)
-    index = np.concatenate([m[:, None], (m[:, None] + offsets[cls]) % points], axis=1)
+    index = (classes[cls] + m[:, None]) % points
     phases = axis[index[np.argsort(np.ravel_multi_index(index.T, (points,) * d))]]
     costs = _phase_costs(m0_det_angle, c, a_mat, v_r, phases, tau)
     k = int(np.argmin(costs))

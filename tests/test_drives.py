@@ -585,8 +585,8 @@ def diagonal_instance(d):
     """Commuting diagonal h_i = h_f and a diagonal state: with u_f = 1 the
     target is trivial, M(phi) = diag(e^{i phi})."""
     h = HamiltonianOp(np.diag(np.arange(d, dtype=float)).astype(complex))
-    rho = DensityMatrix(np.diag(np.linspace(2.0, 1.0, d) / np.linspace(2.0, 1.0, d).sum()))
-    return rho, h, h
+    pops = np.linspace(2.0, 1.0, d)
+    return DensityMatrix(np.diag(pops / pops.sum())), h, h
 
 
 @pytest.mark.parametrize("d, points", [(3, 16), (2, 128), (3, 7), (2, 9), (3, 1), (2, 1)])

@@ -1,5 +1,6 @@
 """Command-line interface: determinism, schemas, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -228,6 +229,35 @@ def test_drive_synth_default_grid_refuses_past_the_step_cap(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NoConvergence" and "driven propagation" in err["message"]
     assert "more than 65536 steps" in err["message"]
+
+
+def _pinned_drive_cfg(seed, d, **extra):
+    rho, h_i, h_f = random_instance(np.random.default_rng([75, seed, d]), d)
+    return dict({"rho_i": matrix_to_json(rho.mat), "h_i": matrix_to_json(h_i.mat),
+                 "h_f": matrix_to_json(h_f.mat), "tau": 1.0}, **extra)
+
+
+PINNED_DRIVES = {
+    "d2_analytic2_open": _pinned_drive_cfg(1, 2, phases="analytic2"),
+    "d3_phases": _pinned_drive_cfg(2, 3, phases=[0.4, -1.1, 2.5]),
+    "d4_zeros": _pinned_drive_cfg(3, 4, phases="zeros"),
+    "d3_4096_steps": _pinned_drive_cfg(4, 3, phases=[-0.3, 0.0, 1.7], n_steps=4096),
+}
+# sha256 of cli.run_drive_synth's JSON (as write_json prints it) for every
+# config above, recorded while propagation scratch was still kept in a
+# per-thread workspace: allocating each scratch stack fresh changed no byte
+PINNED_DRIVE_SHA256 = {
+    "d2_analytic2_open": "b32e576006a2aa270bd863e7f5283fc308e56280c191398e5133493d22f8e916",
+    "d3_4096_steps": "ddebad67bd27f1baef5df88c6686d3cf6f2db3bb1908cf0a3886685a93460db9",
+    "d3_phases": "9aeb9129421d0b8933c17653a2fab11c0cef1a8f245f6198c2a31f51605deb83",
+    "d4_zeros": "621e1d80fd7d2d1698908aaee0a9f844e009de328d0d42eb9f71fa8b6f1aa2c2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DRIVES))
+def test_drive_synth_json_matches_its_recorded_digest(case):
+    text = json.dumps(cli.run_drive_synth(PINNED_DRIVES[case]), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DRIVE_SHA256[case]
 
 
 def test_fig1_deterministic_and_crossover_line(tmp_path, capsys):

@@ -22,12 +22,8 @@ Every stack of small matrices on a time grid is kept time-innermost, as a
 (d, d, n) array (handed out as (n, d, d) views): the step exponentials are
 one Taylor kernel over the stack, and every product or conjugation
 U X U^dag is d broadcast multiply-adds over length-n vectors
-(linalg.matmul_t), not n small matmuls. Every scratch stack of a drive is a
-role of linalg's per-thread workspace: H at the Simpson nodes, the Magnus
-commutator, verify_drive's samples on both grids and its V, dH/dt and
-rho(t). Only the arrays handed out, propagate_u0's samples and
-synthesize_drive's V, are fresh, so verify_drive's U0 does not go through
-propagate_u0. A target unitary R maps the state's descending eigenvectors
+(linalg.matmul_t), not n small matmuls. Every scratch stack of a drive is
+a fresh array. A target unitary R maps the state's descending eigenvectors
 onto the ascending final energy basis, chi = principal log of U0(tau)^dag R
 generates the correction V(t) = -fdot(t) U0 chi U0^dag, and the cost
 functionals w, w_min follow from chi's eigenphases. The phase optimizers
@@ -56,9 +52,8 @@ import numpy as np
 
 from .errors import (DimMismatch, DimTooLarge, GaugeFailure, LengthMismatch, NoConvergence,
                      ParamInconsistent, ParamOutOfRange, VerificationFailed)
-from .linalg import (EXPONENT, buffer_len, dagger, herm_expi_batch, matmul_t,
-                     principal_log_unitary, step_products, time_first, time_last,
-                     trace_distance, workspace)
+from .linalg import (buffer_len, dagger, herm_expi_batch, matmul_t, principal_log_unitary,
+                     step_products, time_first, time_last, trace_distance)
 from .states import DensityMatrix, HamiltonianOp, matrix_to_json, passive_energy, passive_state
 from .tls import MuDynParams, check_count, wrap_pi
 from .tolerances import (DRIVEN_PROPAGATION_ERROR, EIGENPHASE_SEPARATION, GAUGE_OVERLAP_MIN,
@@ -69,16 +64,6 @@ from .tolerances import (DRIVEN_PROPAGATION_ERROR, EIGENPHASE_SEPARATION, GAUGE_
 
 _SZ = np.diag([1.0, -1.0]).astype(complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-# linalg workspace roles of this module: H (H0, or H0 + V) at the Simpson
-# nodes of a grid, the sample buffer of verify_drive's propagations (and the
-# steps of _final_product), two (d, d, n + 1) stacks, and the row through
-# which H0's second term is added
-_NODES = "nodes"
-_SAMPLES = "samples"
-_STACK = "stack"
-_STACK2 = "stack2"
-_H0_ROW = "h0_row"
 
 
 def smoothstep(s):
@@ -174,21 +159,17 @@ class Schedule:
         (d, d, len(ts)) array."""
         return time_first(self._h0_stack(h_i, h_f, ts))
 
-    def _h0_stack(self, h_i: HamiltonianOp, h_f: HamiltonianOp, ts: np.ndarray,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
-        """H0 on ts written into the time-innermost stack out[d, d, len(ts)]
-        (a fresh array by default). The second term is added one entry at a
-        time through a workspace row, so no second stack is formed."""
+    def _h0_stack(self, h_i: HamiltonianOp, h_f: HamiltonianOp, ts: np.ndarray) -> np.ndarray:
+        """H0 on ts as a fresh time-innermost stack [d, d, len(ts)]. The second
+        term is added one entry at a time, so no second stack is formed."""
         if self.kind == "interp":
             (m0, f0), (m1, f1) = (h_i.mat, self.lam_i), (h_f.mat, self.lam_f)
         else:
             (m0, f0), (m1, f1) = (_SZ, self.omega), (_SX, self.eps)
-        if out is None:
-            out = np.empty(m0.shape + ts.shape, dtype=complex)
-        np.multiply(m0[..., None], _sample(f0, ts), out=out)
-        c1, row = _sample(f1, ts), workspace(_H0_ROW, ts.shape)
+        out = np.multiply(m0[..., None], _sample(f0, ts))
+        c1 = _sample(f1, ts)
         for i, j in np.ndindex(m1.shape):
-            out[i, j] += np.multiply(m1[i, j], c1, out=row)
+            out[i, j] += np.multiply(m1[i, j], c1)
         if self.kind == "rotating":
             out *= 0.5
         return out
@@ -249,11 +230,12 @@ class PropagatorTrace(NamedTuple):
     unitarity_drift: float     # worst defect of a chained 64-step block total before projection
 
 
-def _conjugate(u: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out <- u x u^dag = u (u x)^dag over a time-innermost stack u[d, d, n], for
-    a constant Hermitian x[d, d]. u x is formed in the workspace role _STACK2."""
-    ux = matmul_t(u, x[..., None], workspace(_STACK2, u.shape))
-    return matmul_t(u, np.swapaxes(np.conj(ux, out=ux), 0, 1), out)
+def _conjugate(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """u x u^dag = u (u x)^dag over a time-innermost stack u[d, d, n], for a
+    constant Hermitian x[d, d], as a fresh stack."""
+    ux = matmul_t(u, x[..., None], np.empty(u.shape, dtype=complex))
+    return matmul_t(u, np.swapaxes(np.conj(ux, out=ux), 0, 1),
+                    np.empty(u.shape, dtype=complex))
 
 
 def _magnus_exponent(h_nodes: np.ndarray, dt: float) -> np.ndarray:
@@ -263,20 +245,17 @@ def _magnus_exponent(h_nodes: np.ndarray, dt: float) -> np.ndarray:
     t_1, ..., t_n. Per interval, with the node average
     Hbar = (H(t_k) + 4 H(t_k + dt/2) + H(t_{k+1})) / 6 and the difference
     D = H(t_{k+1}) - H(t_k), H_eff = Hbar + (i dt / 12) [Hbar, D], which is
-    K1 + (i/12) [K1, K2] over dt. The (d, d, n) result is in the workspace
-    role linalg.EXPONENT, where herm_expi_batch forms its exponent in place;
-    D and Hbar D are formed in the roles _STACK and _STACK2. For Hermitian
+    K1 + (i/12) [K1, K2] over dt, as a fresh (d, d, n) stack. For Hermitian
     Hbar and D, s [Hbar, D] = s Hbar D + (s Hbar D)^dag with s = i dt / 12,
     so the commutator takes one product.
     """
-    d, n = h_nodes.shape[0], (h_nodes.shape[-1] - 1) // 2
     left, mid, right = h_nodes[..., :-1:2], h_nodes[..., 1::2], h_nodes[..., 2::2]
-    h_bar = np.multiply(mid, 4.0, out=workspace(EXPONENT, (d, d, n)))
+    h_bar = np.multiply(mid, 4.0)
     h_bar += left
     h_bar += right
     h_bar *= 1.0 / 6.0
-    diff = np.subtract(right, left, out=workspace(_STACK, (d, d, n)))
-    comm = matmul_t(h_bar, diff, workspace(_STACK2, (d, d, n)))
+    diff = np.subtract(right, left)
+    comm = matmul_t(h_bar, diff, np.empty(diff.shape, dtype=complex))
     comm *= 1j * dt / 12.0
     h_bar += comm
     h_bar += np.swapaxes(np.conj(comm, out=comm), 0, 1)
@@ -286,10 +265,8 @@ def _magnus_exponent(h_nodes: np.ndarray, dt: float) -> np.ndarray:
 def _magnus_h0(sched: Schedule, h_i: HamiltonianOp, h_f: HamiltonianOp,
                n: int) -> np.ndarray:
     """H_eff of the Magnus steps of H0 on sched's n-step grid (see
-    _magnus_exponent), from H0 at its Simpson nodes in the role _NODES."""
-    d = h_i.dim
-    nodes = sched._h0_stack(h_i, h_f, sched.times(2 * n), workspace(_NODES, (d, d, 2 * n + 1)))
-    return _magnus_exponent(nodes, sched.tau / n)
+    _magnus_exponent), from H0 at its Simpson nodes."""
+    return _magnus_exponent(sched._h0_stack(h_i, h_f, sched.times(2 * n)), sched.tau / n)
 
 
 def propagate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> PropagatorTrace:
@@ -303,22 +280,19 @@ def propagate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> Pro
 
 def _final_product(h_eff: np.ndarray, dt: float) -> np.ndarray:
     """U(tau), the product of the steps exp(-i h_k dt) of a time-innermost
-    stack h_eff[d, d, n] in the EXPONENT role (which they overwrite), later
-    steps on the left, without the samples before it. Each pass multiplies
-    neighbouring pairs into a stack half as long, alternating between the
-    roles _SAMPLES and _STACK."""
+    stack h_eff[d, d, n], later steps on the left, without the samples
+    before it. Each pass multiplies neighbouring pairs into a stack half as
+    long."""
     d, n = h_eff.shape[0], h_eff.shape[-1]
-    steps = workspace(_SAMPLES, (d, d, n))
-    herm_expi_batch(time_first(h_eff), dt, out=time_first(steps))
-    roles = (_SAMPLES, _STACK)    # the stack's role, then the role of its pairs
+    steps = time_last(herm_expi_batch(time_first(h_eff), dt))
     while n > 1:
         half, odd = divmod(n, 2)
-        pairs = workspace(roles[1], (d, d, half + odd))
+        pairs = np.empty((d, d, half + odd), dtype=complex)
         matmul_t(steps[..., 1:2 * half:2], steps[..., :2 * half:2], pairs[..., :half])
         if odd:
             pairs[..., half] = steps[..., n - 1]
-        steps, n, roles = pairs, half + odd, roles[::-1]
-    return steps[..., 0].copy()
+        steps, n = pairs, half + odd
+    return steps[..., 0]
 
 
 def _u0_final(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule, n: int) -> np.ndarray:
@@ -463,7 +437,7 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
     w_min = float(np.linalg.norm(thetas)) / sched.tau
     fdot = _sample(sched.ramp_fdot, trace.times)
     u = time_last(trace.u_samples)
-    v = _conjugate(u, chi, np.empty(u.shape, dtype=complex))
+    v = _conjugate(u, chi)
     v *= -fdot
     if np.all(fdot >= -MONOTONE_RAMP_ATOL):
         w = w_min * float(sched.ramp_f(sched.tau) - sched.ramp_f(0.0))
@@ -498,7 +472,7 @@ def driven_error(synth: DriveSynthesis, h_i: HamiltonianOp, h_f: HamiltonianOp,
         raise ParamOutOfRange(f"driven_error needs n_steps divisible by 4, got {n}")
     if synth.v_samples.shape != (n + 1, d, d):
         raise ParamInconsistent("the drive is not sampled on the schedule's grid")
-    h = sched._h0_stack(h_i, h_f, ts, workspace(_NODES, (d, d, n + 1)))
+    h = sched._h0_stack(h_i, h_f, ts)
     h += time_last(synth.v_samples)
     finals = []
     for stride in (1, 2):    # every point: n/2 steps; every other point: n/4 steps
@@ -512,10 +486,12 @@ def driven_error(synth: DriveSynthesis, h_i: HamiltonianOp, h_f: HamiltonianOp,
 VERIFY_MIN_STEPS = 2
 
 
-def _grid_derivative(h_nodes: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
-    """dH/dt at the n + 1 points of a grid, into out[d, d, n + 1], from H at
-    its 2n + 1 Simpson nodes (spacing dt / 2) by fourth-order differences:
+def _grid_derivative(h_nodes: np.ndarray, dt: float) -> np.ndarray:
+    """dH/dt at the n + 1 points of a grid, as a fresh stack [d, d, n + 1], from
+    H at its 2n + 1 Simpson nodes (spacing dt / 2) by fourth-order differences:
     central five-point inside, one-sided five-point at the two ends."""
+    d, n = h_nodes.shape[0], (h_nodes.shape[-1] - 1) // 2
+    out = np.empty((d, d, n + 1), dtype=complex)
     inner = out[..., 1:-1]
     np.subtract(h_nodes[..., 3:-1:2], h_nodes[..., 1:-3:2], out=inner)
     inner *= 8.0
@@ -574,19 +550,14 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     dt = sched.tau / n
     nodes = sched.times(2 * n)
 
-    # Every (d, d, n) stack is a workspace role, and each stage reuses the
-    # roles the stage before it is done with. The fine grid's samples, in
-    # _SAMPLES, give V at the Simpson nodes (in _STACK); H0 + V at the nodes
-    # takes _NODES, and is propagated on the coarse grid in _SAMPLES again;
-    # rho(t) then takes _STACK and dH/dt _STACK2.
     fine, _ = step_products(_magnus_h0(sched, h_i, h_f, 2 * n), dt / 2,
-                            workspace(_SAMPLES, (d, d, buffer_len(2 * n))))
-    v = _conjugate(time_last(fine), synth.chi, workspace(_STACK, (d, d, 2 * n + 1)))
+                            np.empty((d, d, buffer_len(2 * n)), dtype=complex))
+    v = _conjugate(time_last(fine), synth.chi)
     v *= -_sample(sched.ramp_fdot, nodes)
-    h_nodes = sched._h0_stack(h_i, h_f, nodes, workspace(_NODES, (d, d, 2 * n + 1)))
+    h_nodes = sched._h0_stack(h_i, h_f, nodes)
     h_nodes += v
     u_samples, _ = step_products(_magnus_exponent(h_nodes, dt), dt,
-                                 workspace(_SAMPLES, (d, d, buffer_len(n))))
+                                 np.empty((d, d, buffer_len(n)), dtype=complex))
     u = u_samples[-1]
 
     rho_f = DensityMatrix(u @ rho_i.mat @ dagger(u))
@@ -598,8 +569,8 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
         float(np.abs(ends[0] + synth.v_samples[0] - h_i.mat).max()),
         float(np.abs(ends[1] + synth.v_samples[-1] - h_f.mat).max()))
 
-    rho_t = _conjugate(time_last(u_samples), rho_i.mat, workspace(_STACK, (d, d, n + 1)))
-    hdot = _grid_derivative(h_nodes, dt, workspace(_STACK2, (d, d, n + 1)))
+    rho_t = _conjugate(time_last(u_samples), rho_i.mat)
+    hdot = _grid_derivative(h_nodes, dt)
     work = float(_simpson_weights(n, dt) @ np.einsum("ijt,jit->t", rho_t, hdot).real)
     work_residual = abs(work - (h_f.energy(rho_f) - h_i.energy(rho_i)))
 
@@ -641,6 +612,9 @@ def eigenphases_from_trace_det(tr, det_angle, d: int):
     ok is False where two roots lie closer than EIGENPHASE_SEPARATION, where
     Newton loses its quadratic convergence (and at a triple root, where
     Cardano's cube root vanishes); such rows need a general eigensolver.
+    Rows that pass are not all accurate to roundoff: at d = 3 with all three
+    eigenphases within a few 1e-3 of each other, the error grows as
+    eps / sep^2, up to about 1e-9 in a phase (GRID_SHIFT_MARGIN allows for it).
     """
     a = wrap_pi(det_angle) / d
     # np.multiply, not the operator: on a large batch numpy reuses the

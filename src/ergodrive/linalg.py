@@ -26,26 +26,14 @@ kernels by shape: all rows at once in matmul_t up to SHORT_STACK matrices,
 and a log-depth in-block scan in ordered_products up to SCAN_MAX_BLOCKS[d].
 principal_log_unitary takes a unitary's eigenvectors from eigh of a Cayley
 transform, shifted so that I + u is well conditioned, and its eigenphases
-from their Rayleigh quotients. Everything here is NumPy (LAPACK) only.
-
-The (d, d, n) scratch of a propagation lives in a per-thread workspace
-(threading.local): a few named roles, each one buffer that grows to the
-largest request and is kept for the thread's later calls, so that a
-propagation in steady state allocates, and faults in, no fresh multi-MB
-stacks. Reuse has to outlive one drive: glibc already recycles memory inside
-a drive, and what it hands back to the kernel is each drive's working set.
-herm_expi_batch's exponent (role EXPONENT, later ordered_products' second
-stack) and the scratch of matmul_t and the Horner steps (role ROWS) live
-there; drives keeps its own roles there too.
-A request above WORKSPACE_CAP_BYTES is allocated per call and not kept.
-Arrays that leave a public function are never workspace views.
+from their Rayleigh quotients. Everything here is NumPy (LAPACK) only, and
+every scratch stack is a fresh array of the call that uses it.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import threading
 import warnings
 from typing import NamedTuple, Optional
 
@@ -149,12 +137,15 @@ def _canonicalize(values: np.ndarray, vectors: np.ndarray, scale: float) -> np.n
 def hermitian_eig(m, *, checked: bool = False) -> HermEig:
     """Eigendecomposition of a Hermitian matrix, ascending, canonical basis.
 
-    Raises NotHermitian if the max-entry defect exceeds HERMITICITY
-    relative to the matrix scale. ``checked=True`` is for callers that have
-    already checked m and made it exactly Hermitian: the check and the
-    symmetrization are skipped (symmetrizing such an m would not change it).
+    Raises NotHermitian if m has a non-finite entry or its max-entry defect
+    exceeds HERMITICITY relative to the matrix scale. ``checked=True`` is for
+    callers that have already checked m and made it exactly Hermitian: the
+    checks and the symmetrization are skipped (symmetrizing such an m would
+    not change it).
     """
     m = as_square(m)
+    if not (checked or np.isfinite(m).all()):
+        raise NotHermitian("hermitian matrix has a non-finite entry")
     scale = max(float(np.abs(m).max()), 1.0) if m.size else 1.0
     if checked:
         values, vectors = np.linalg.eigh(m)
@@ -205,10 +196,14 @@ def principal_log_unitary(u):
     """Hermitian chi with u = exp(i chi), eigenphases on the principal branch.
 
     Returns ``(chi, UnitaryPhases)`` with phases in [-pi, pi), ascending.
+    Raises NotUnitary if u has a non-finite entry or its unitarity defect
+    exceeds UNITARITY.
     Warns with BranchAmbiguity when a phase sits within BRANCH_CUT
     of the -pi cut, where the branch choice is numerically unstable.
     """
     u = as_square(u, "unitary")
+    if not np.isfinite(u).all():
+        raise NotUnitary("unitary has a non-finite entry")
     if unitarity_defect(u) > UNITARITY:
         raise NotUnitary(f"unitarity defect {unitarity_defect(u):.3e} "
                          f"exceeds {UNITARITY:.3e}")
@@ -235,35 +230,6 @@ _TAYLOR_THETA = (1.49e-8, 8.73e-6, 2.27e-4, 1.67e-3, 6.56e-3, 1.77e-2,
                  3.81e-2, 6.99e-2, 1.14e-1, 1.73e-1, 2.47e-1, 3.35e-1)
 
 
-# A workspace request above this many bytes gets a fresh array that is not
-# kept, so one very long drive does not pin its working set for the life of
-# the thread. A d = 4, 4096-step drive's largest role is 4 MB: H at the
-# 16,385 Simpson nodes of verify_drive's 8192-step grid.
-WORKSPACE_CAP_BYTES = 32 * 2**20
-_WORKSPACE = threading.local()
-# workspace roles of this module (see the module docstring)
-EXPONENT = "exponent"
-ROWS = "rows"
-
-
-def workspace(role: str, shape, dtype=complex) -> np.ndarray:
-    """Uninitialized C-contiguous scratch array for one role of this thread's workspace.
-
-    Every request for a role returns a view of the same buffer, grown to the
-    largest request so far: a caller owns the view only until the next
-    request for that role, and must not hand it out of a public function.
-    """
-    dtype = np.dtype(dtype)
-    nbytes = math.prod(shape) * dtype.itemsize
-    if nbytes > WORKSPACE_CAP_BYTES:
-        return np.empty(shape, dtype)
-    buffers = _WORKSPACE.__dict__.setdefault("buffers", {})
-    buf = buffers.get(role)
-    if buf is None or buf.nbytes < nbytes:
-        buf = buffers[role] = np.empty(-(-nbytes // 16), dtype=complex)
-    return np.ndarray(shape, dtype, buf)
-
-
 def _rows_at_once(shape) -> int:
     """matmul_t's rows per pass over a (d, d, ...) stack (see SHORT_STACK)."""
     return shape[0] if math.prod(shape[2:]) <= SHORT_STACK else 1
@@ -287,11 +253,11 @@ def matmul_t(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     product is d multiply-adds over whole stacks instead of one small matmul
     per stack element. out has the broadcast shape and must not overlap a
     or b. The product is formed r = len(tmp) rows at a time into scratch tmp
-    of shape (r,) + out.shape[1:], by default the role ROWS with
+    of shape (r,) + out.shape[1:], by default a fresh one with
     _rows_at_once rows. Every r does the same arithmetic, so the same bits.
     """
     if tmp is None:
-        tmp = workspace(ROWS, (_rows_at_once(out.shape),) + out.shape[1:])
+        tmp = np.empty((_rows_at_once(out.shape),) + out.shape[1:], dtype=complex)
     r = tmp.shape[0]
     for i in range(0, out.shape[0], r):
         o = out[i:i + r]
@@ -317,12 +283,12 @@ def _expm_taylor(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     least degree whose tail bound at theta / 2^s is below the unit roundoff.
     The series is summed by Horner's rule, each step one out-of-place
     product by a from the right (matmul_t's rows at a time), alternating
-    between p and a second stack in the role ROWS, and starting where the
-    last step lands in p. a is overwritten (it is the ping-pong buffer of
-    the squarings); p must not overlap it.
+    between p and a second stack, and starting where the last step lands in
+    p. a is overwritten (it is the ping-pong buffer of the squarings); p
+    must not overlap it.
     """
     d = a.shape[0]
-    col, absval = workspace(ROWS, (2,) + a.shape[1:], float)
+    col, absval = np.empty((2,) + a.shape[1:])
     np.abs(a[0], out=col)     # column 1-norms, summed over rows in order
     for i in range(1, d):
         col += np.abs(a[i], out=absval)
@@ -331,8 +297,8 @@ def _expm_taylor(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     if s:
         a *= 0.5**s
     m = bisect.bisect_left(_TAYLOR_THETA, theta * 0.5**s) + 1
-    rows = workspace(ROWS, (d + _rows_at_once(a.shape),) + a.shape[1:])
-    q, tmp = rows[:d], rows[d:]
+    q = np.empty(a.shape, dtype=complex)
+    tmp = np.empty((_rows_at_once(a.shape),) + a.shape[1:], dtype=complex)
     acc, spare = (p, q) if m % 2 else (q, p)    # the m - 1 steps end in p
     np.multiply(a, 1.0 / math.factorial(m), out=acc)
     _add_identity(acc, 1.0 / math.factorial(m - 1))
@@ -352,17 +318,15 @@ def herm_expi_batch(h: np.ndarray, dt: float, *, out: Optional[np.ndarray] = Non
     """exp(-i h dt) over a stack of Hermitian matrices h[..., d, d], one step dt.
 
     No hermiticity check (hot path); callers guarantee Hermitian input. The
-    stack is laid out time-innermost, (d, d, n), in the workspace role
-    EXPONENT and exponentiated by one scaled-and-squared Taylor kernel for
-    every d. The result is a (..., d, d) view of a time-innermost array:
-    a fresh one, or ``out``, an array of the result's shape that does not
-    overlap h and whose moved (d, d, ...) view flattens to (d, d, n)
-    without a copy. h may itself be the EXPONENT role's view of that
-    layout: it is then overwritten in place.
+    stack is laid out time-innermost, (d, d, n), and exponentiated by one
+    scaled-and-squared Taylor kernel for every d. The result is a
+    (..., d, d) view of a time-innermost array: a fresh one, or ``out``, an
+    array of the result's shape that does not overlap h and whose moved
+    (d, d, ...) view flattens to (d, d, n) without a copy.
     """
     h = np.asarray(h, dtype=complex)
     d, k = h.shape[-1], h.ndim - 2
-    a = workspace(EXPONENT, (d, d) + h.shape[:-2])
+    a = np.empty((d, d) + h.shape[:-2], dtype=complex)
     np.multiply(h.transpose(k, k + 1, *range(k)), -1j * dt, out=a)
     if out is None:
         p = np.empty(a.shape, dtype=complex)
@@ -408,15 +372,15 @@ def buffer_len(n: int) -> int:
 
 def _block_products(steps: np.ndarray, width: int) -> np.ndarray:
     """Running products steps[..., j] ... steps[..., 0] inside every block of
-    steps[d, d, nb, m] (the identity from position width on), into the free
-    role EXPONENT; steps is overwritten. Few blocks take a Hillis-Steele scan
+    steps[d, d, nb, m] (the identity from position width on), into a fresh
+    stack; steps is overwritten. Few blocks take a Hillis-Steele scan
     (CACM 29, 1170 (1986)): pass s = 1, 2, ..., 32 multiplies each position
     j >= s by position j - s, 6 broadcast products instead of 63 at 5 times
     the arithmetic, ping-ponging so that the last pass lands in the result.
     More blocks go one position at a time.
     """
     d, nb = steps.shape[0], steps.shape[2]
-    run = workspace(EXPONENT, steps.shape)
+    run = np.empty(steps.shape, dtype=complex)
     if nb <= SCAN_MAX_BLOCKS[min(d, len(SCAN_MAX_BLOCKS) - 1)]:
         shifts = [2**k for k in range((width - 1).bit_length())]
         src, dst = (steps, run) if len(shifts) % 2 else (run, steps)
@@ -469,8 +433,7 @@ def ordered_products(buf: np.ndarray, n: int):
 
 def step_products(h: np.ndarray, dt: float, buf: np.ndarray):
     """Running products of the steps exp(-i h_k dt) of a time-innermost stack
-    h[d, d, n] in the EXPONENT role (which they overwrite), formed in buf
-    (see ordered_products)."""
+    h[d, d, n], formed in buf (see ordered_products)."""
     n = h.shape[-1]
     herm_expi_batch(time_first(h), dt, out=time_first(buf[..., 1:n + 1]))
     return ordered_products(buf, n)

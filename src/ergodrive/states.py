@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (DimMismatch, EnergyOutOfRange, EntropyOutOfRange, LengthMismatch,
-                     NoConvergence, NotAState, NotHermitian)
+                     NoConvergence, NotAState)
 from .linalg import HermEig, dagger, hermitian_eig
 from .tolerances import (BETA_RESIDUAL, EIG_FLOOR, ENTROPY_RANGE_ATOL, HERMITICITY,
                          MAJORIZATION_SLACK, TRACE)
@@ -101,9 +101,7 @@ class HamiltonianOp:
 
     def __post_init__(self):
         m = linalg.as_square(self.mat, "hamiltonian")
-        if not np.isfinite(m).all():
-            raise NotHermitian("hamiltonian has a non-finite entry")
-        values, vectors = hermitian_eig(m)
+        values, vectors = hermitian_eig(m)    # refuses a non-finite entry
         object.__setattr__(self, "mat", 0.5 * (m + dagger(m)))
         object.__setattr__(self, "_spectrum",
                            HermEig(_read_only(values), _read_only(vectors)))

@@ -100,7 +100,7 @@ def test_drive_synth_propagates_u0_once_per_grid(monkeypatch):
     monkeypatch.setattr(drives, "step_products", counting_products)
     out = cli.run_drive_synth(cfg, 2048)
     # U0 on the synthesis grid; verification propagates U0 on its own grid
-    # (into its workspace, not through propagate_u0), then H0 + V
+    # (by step_products itself, not through propagate_u0), then H0 + V
     assert grids == [2048]
     assert products == [2048, 4096, 2048]
     monkeypatch.undo()

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from ergodrive.errors import (BranchAmbiguity, DimMismatch, DimTooLarge, GaugeFa
 from ergodrive.linalg import unitarity_defect
 from ergodrive.states import matrix_to_json
 from ergodrive.tls import cost, theta1
-from ergodrive.tolerances import PROPAGATION_ERROR
+from ergodrive.tolerances import GRID_SHIFT_MARGIN, PROPAGATION_ERROR
 from helpers import (counterdiabatic_cost_oracle, eigenphases,
                      herm_expi, magnus4_gauss_final, ordered_products_sequential,
                      phase_cost_inputs, phase_costs_oracle, random_density, random_hermitian,
@@ -219,7 +218,7 @@ def test_fourth_order_work_integral_rules():
         assert abs(w @ (ts**3 - 2 * ts) - (tau**4 / 4 - tau**2)) < 1e-13
         nodes = np.linspace(0.0, tau, 2 * n + 1)
         h = (nodes**4 - nodes**2)[None, None, :] * np.array([[1.0, 2j], [-2j, 3.0]])[..., None]
-        got = drives._grid_derivative(h, dt, np.empty((2, 2, n + 1), dtype=complex))
+        got = drives._grid_derivative(h, dt)
         want = (4 * ts**3 - 2 * ts)[None, None, :] * np.array([[1.0, 2j], [-2j, 3.0]])[..., None]
         assert np.abs(got - want).max() < 1e-11
 
@@ -676,6 +675,31 @@ def test_grid_scan_sends_one_eigvals_row_per_close_class(monkeypatch):
     assert np.array_equal(res.phases, np.zeros(3)) and res.value == 0.0
 
 
+def test_clustered_eigenphases_cost_within_the_grid_shift_margin():
+    # three eigenphases a few 1e-3 apart, every pair above
+    # EIGENPHASE_SEPARATION: the trace-determinant kernel serves the row, and
+    # its error grows as eps / sep^2 (about 1e-10 in a cost here). Shifting
+    # all phases of M by s keeps the cluster, so the mesh's diagonal class
+    # (s, s, s) is clustered at every point
+    rng = np.random.default_rng(101)
+    tau, points = 0.5, 16
+    axis = np.linspace(-np.pi, np.pi, points, endpoint=False)
+    diagonal = np.repeat(axis[:, None], 3, axis=1)
+    mesh = grid_mesh(3, points)
+    assert 1e-9 < GRID_SHIFT_MARGIN / 10
+    for _ in range(64):
+        gaps = np.exp(rng.uniform(np.log(1e-3), np.log(3e-2), size=2))
+        thetas = rng.uniform(-np.pi, np.pi) + np.concatenate([[0.0], np.cumsum(gaps)])
+        m0 = with_eigenphases(rng, [thetas])[0]
+        inputs = phase_cost_inputs(m0)
+        got = drives._phase_costs(*inputs, diagonal, tau)
+        assert np.abs(got - phase_costs_oracle(m0, np.eye(3), diagonal, tau)).max() < 1e-9 / tau
+        costs = drives._phase_costs(*inputs, mesh, tau)
+        k = int(np.argmin(costs))
+        res = drives._grid_scan(*inputs, points, tau)
+        assert np.array_equal(res.phases, mesh[k]) and res.value == costs[k]
+
+
 def test_open_schedule_scan_takes_the_estimates_u0(monkeypatch):
     # U0(tau) is the pairwise product final_unitary's estimate formed, at the
     # count it returns, and nothing is propagated
@@ -849,11 +873,7 @@ def test_wmin_agrees_with_two_level_closed_form():
         assert abs(best.value - cost(theta1(s.p, abs(s.c)), tau)) < 1e-12
 
 
-# ---------------------------------------------------------------- workspace
-
-
-def _workspace_buffers():
-    return dict(getattr(linalg._WORKSPACE, "buffers", {}))
+# ---------------------------------------------------------------- scratch
 
 
 def _small_rotation(d, seed):
@@ -887,10 +907,10 @@ def _one_drive(d, n_steps):
     return [trace.u_samples, synth.v_samples, synth.chi, steps]
 
 
-def test_returned_arrays_are_never_workspace_views():
+def test_returned_arrays_share_no_memory_and_keep_their_values():
     # a large drive, then a small one, then one in between: every array an
     # earlier call returned keeps its values and shares memory with nothing
-    # returned later, nor with the workspace
+    # returned later
     kept = []
     for d, n in ((4, 4096), (2, 64), (3, 1000)):
         arrays = _one_drive(d, n)
@@ -898,11 +918,8 @@ def test_returned_arrays_are_never_workspace_views():
             for b, _ in kept:
                 assert not np.shares_memory(a, b)
         kept += [(a, a.copy()) for a in arrays]
-    buffers = _workspace_buffers().values()
-    assert buffers
     for a, snapshot in kept:
         assert np.array_equal(a, snapshot)
-        assert not any(np.shares_memory(a, buf) for buf in buffers)
 
 
 def test_drive_synth_json_is_the_same_in_a_fresh_process(tmp_path):
@@ -913,30 +930,38 @@ def test_drive_synth_json_is_the_same_in_a_fresh_process(tmp_path):
     fresh = subprocess.run([sys.executable, "-m", "ergodrive.cli", "drive-synth",
                             "--config", str(path)], capture_output=True, check=True,
                            env=dict(os.environ, PYTHONPATH=src)).stdout
-    for d in (4, 2):   # other drives leave the workspace grown and dirty
+    for d in (4, 2):   # other drives run in this process first
         cli.run_drive_synth(_drive_cfg(2, d))
     out = tmp_path / "out.json"
     assert cli.main(["drive-synth", "--config", str(path), "--out", str(out)]) == 0
     assert out.read_bytes() == fresh
 
 
-def _poison_workspace():
-    for buf in _workspace_buffers().values():
-        buf.fill(np.nan)
-
-
-def test_poisoned_workspace_changes_no_result():
-    # neither the synthesizer nor the verifier reads workspace content it did
-    # not write itself
+def test_nan_filled_scratch_changes_no_result(monkeypatch):
+    # neither the synthesizer nor the verifier reads scratch it did not write
+    # itself: with every np.empty array filled with NaN, the results keep
+    # every bit
     rho, h_i, h_f = random_instance(np.random.default_rng(99), 4)
     sched = Schedule.linear(1.0, n_steps=4096)
     synth = synthesize_drive(rho, h_i, h_f, sched)
     clean = verify_drive(synth, rho, h_i, h_f, sched)
-    _poison_workspace()
+    empty, filled = np.empty, []
+
+    def nan_empty(shape, dtype=float, *args, **kwargs):
+        out = empty(shape, dtype, *args, **kwargs)
+        if np.issubdtype(out.dtype, np.inexact):
+            out.fill(np.nan)
+            filled.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
     poisoned = synthesize_drive(rho, h_i, h_f, sched)
+    again = verify_drive(poisoned, rho, h_i, h_f, sched)
+    monkeypatch.undo()
+    assert max(filled) >= 16 * 8192    # a (4, 4, n) stack of the 2n-step grid
     assert np.array_equal(poisoned.v_samples, synth.v_samples)
-    _poison_workspace()
-    assert verify_drive(poisoned, rho, h_i, h_f, sched) == clean
+    assert np.array_equal(poisoned.chi, synth.chi)
+    assert again == clean
 
 
 def test_threads_running_drives_get_the_sequential_results():
@@ -960,34 +985,3 @@ def test_threads_running_drives_get_the_sequential_results():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == want
-
-
-def test_second_verification_allocates_no_stacks():
-    # at d = 4 and 4096 steps one (d, d, n) stack is 1 MB; the verifier
-    # allocated 7 MB of them before the workspace
-    rho, h_i, h_f = random_instance(np.random.default_rng(100), 4)
-    sched = Schedule.linear(1.0, n_steps=4096)
-    synth = synthesize_drive(rho, h_i, h_f, sched)
-    first = verify_drive(synth, rho, h_i, h_f, sched)
-    tracemalloc.start()
-    try:
-        second = verify_drive(synth, rho, h_i, h_f, sched)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert second == first
-    assert peak < 2**20
-
-
-def test_drive_above_the_retention_cap_leaves_the_workspace_as_it_was(monkeypatch):
-    cfg = _drive_cfg(4, 4, small=True)
-    want = cli.run_drive_synth(cfg)
-    monkeypatch.setattr(linalg._WORKSPACE, "buffers", {})
-    cli.run_drive_synth(_drive_cfg(4, 2, 64, small=True))
-    before = {role: buf.nbytes for role, buf in _workspace_buffers().items()}
-    # every role of a 64-step d = 2 drive fits below the cap, no role of a
-    # 4096-step d = 4 drive does
-    monkeypatch.setattr(linalg, "WORKSPACE_CAP_BYTES", 32 * 2**10)
-    assert max(before.values()) <= linalg.WORKSPACE_CAP_BYTES
-    assert cli.run_drive_synth(cfg) == want
-    assert {role: buf.nbytes for role, buf in _workspace_buffers().items()} == before

@@ -1,7 +1,6 @@
 """Dense linear-algebra kernels against independent oracles."""
 
 import math
-import threading
 import warnings
 
 import numpy as np
@@ -153,29 +152,6 @@ def test_out_of_place_horner_gives_the_in_place_bits(monkeypatch, d):
         monkeypatch.undo()
 
 
-def test_workspace_roles_are_kept_grown_and_per_thread(monkeypatch):
-    monkeypatch.setattr(linalg._WORKSPACE, "buffers", {}, raising=False)
-    a = linalg.workspace("t", (3, 4))
-    b = linalg.workspace("t", (2, 2))       # smaller: the same memory
-    assert np.shares_memory(a, b) and b.flags.c_contiguous
-    c = linalg.workspace("t", (5, 5))       # larger: the role grows
-    assert not np.shares_memory(a, c)
-    assert np.shares_memory(c, linalg.workspace("t", (5, 5)))
-    f = linalg.workspace("t", (4, 2), float)
-    assert f.dtype == float and np.shares_memory(c, f)
-    assert not np.shares_memory(c, linalg.workspace("u", (5, 5)))
-    seen = []
-    other = threading.Thread(target=lambda: seen.append(linalg.workspace("t", (5, 5))))
-    other.start()
-    other.join(timeout=10)
-    assert not other.is_alive() and not np.shares_memory(seen[0], c)
-    # a request above the cap is fresh and leaves the role as it was
-    monkeypatch.setattr(linalg, "WORKSPACE_CAP_BYTES", 1024)
-    big = linalg.workspace("t", (9, 9))
-    assert not np.shares_memory(big, c)
-    assert linalg._WORKSPACE.buffers["t"].nbytes == 25 * 16
-
-
 def test_herm_expi_batch_runs_no_eigendecomposition(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("herm_expi_batch called an eigensolver")
@@ -258,6 +234,13 @@ def test_column_phase_fix_matches_the_loop_bit_for_bit():
 def test_hermitian_eig_rejects_nonhermitian():
     with pytest.raises(NotHermitian):
         linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a non-finite entry, in the real or the imaginary part, kept Hermitian
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j, z in ((0, 0, bad), (0, 1, bad), (1, 1, bad), (0, 1, complex(1.0, bad))):
+            m = np.array([[0.0, 1.0], [1.0, 2.0]], dtype=complex)
+            m[i, j], m[j, i] = z, np.conj(z)
+            with pytest.raises(NotHermitian, match="non-finite"):
+                linalg.hermitian_eig(m)
 
 
 def test_principal_log_round_trip_and_branch():
@@ -324,6 +307,12 @@ def test_principal_log_warns_on_branch_cut():
 def test_principal_log_rejects_nonunitary():
     with pytest.raises(NotUnitary):
         linalg.principal_log_unitary(np.diag([2.0, 1.0]).astype(complex))
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j, z in ((0, 0, bad), (0, 1, bad), (1, 1, complex(0.0, bad))):
+            u = np.eye(2, dtype=complex)
+            u[i, j] = z
+            with pytest.raises(NotUnitary, match="non-finite"):
+                linalg.principal_log_unitary(u)
 
 
 def test_reunitarize_projects_and_refuses():

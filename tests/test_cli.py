@@ -244,8 +244,8 @@ PINNED_DRIVES = {
     "d3_4096_steps": _pinned_drive_cfg(4, 3, phases=[-0.3, 0.0, 1.7], n_steps=4096),
 }
 # sha256 of cli.run_drive_synth's JSON (as write_json prints it) for every
-# config above, recorded while propagation scratch was still kept in a
-# per-thread workspace: allocating each scratch stack fresh changed no byte
+# config above, recorded before the propagations' scratch stacks became fresh
+# arrays; they pin the bytes independently of any oracle
 PINNED_DRIVE_SHA256 = {
     "d2_analytic2_open": "b32e576006a2aa270bd863e7f5283fc308e56280c191398e5133493d22f8e916",
     "d3_4096_steps": "ddebad67bd27f1baef5df88c6686d3cf6f2db3bb1908cf0a3886685a93460db9",

@@ -887,13 +887,10 @@ def _small_rotation(d, seed):
     return DensityMatrix(tilt @ passive @ tilt.conj().T), h_i, h_f, 0.3
 
 
-def _drive_cfg(seed, d, n_steps=4096, small=False):
-    if small:
-        rho, h_i, h_f, tau = _small_rotation(d, seed)
-    else:
-        (rho, h_i, h_f), tau = random_instance(np.random.default_rng([97, seed, d]), d), 1.0
+def _drive_cfg(seed, d, n_steps=4096):
+    rho, h_i, h_f = random_instance(np.random.default_rng([97, seed, d]), d)
     return {"rho_i": matrix_to_json(rho.mat), "h_i": matrix_to_json(h_i.mat),
-            "h_f": matrix_to_json(h_f.mat), "tau": tau, "n_steps": n_steps}
+            "h_f": matrix_to_json(h_f.mat), "tau": 1.0, "n_steps": n_steps}
 
 
 def _one_drive(d, n_steps):

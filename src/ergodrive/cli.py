@@ -1,7 +1,8 @@
 """Command-line front end: scenario execution, figure sweeps, CSV/JSON output.
 
 Output is deterministic: a fixed config and seed give byte-identical files.
-CSV cells are printed with 17 significant digits and LF line endings. The
+CSV cells are printed with 17 significant digits and LF line endings, each
+distinct value formatted once and reused wherever it recurs. The
 figure sweeps evaluate the two-level closed forms on the whole parameter grid
 at once; fig1's Monte Carlo columns are one call over the grid, evaluated in
 blocks of cells, each drawing from a generator seeded per grid point as
@@ -14,6 +15,7 @@ goes to stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -37,10 +39,13 @@ def _fmt(v) -> str:
 
 def write_csv(header, columns, path=None):
     """Header and columns, broadcast to one length, as CSV; every cell is
-    formatted as _fmt formats it."""
-    table = np.column_stack(np.broadcast_arrays(*columns))
-    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
-    text = ",".join(header) + "\n" + (row_fmt * len(table)) % tuple(table.ravel().tolist())
+    formatted as _fmt formats it, once per distinct float64 bit pattern."""
+    table = np.column_stack(np.broadcast_arrays(*columns)).astype(np.float64, copy=False)
+    bits, index = np.unique(table.ravel().view(np.int64), return_inverse=True)
+    distinct = ("%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist())).split("\n")
+    cells = np.array(distinct, dtype=object)[index].tolist()
+    row_fmt = ",".join(["%s"] * len(header)) + "\n"
+    text = ",".join(header) + "\n" + (row_fmt * len(table)) % tuple(cells)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -267,7 +272,10 @@ def run_counterexample(cfg: dict):
 
 # ----------------------------------------------------------------- plumbing
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one
+    (parse_args keeps no state between calls)."""
     ap = argparse.ArgumentParser(
         prog="ergodrive",
         description="Work extraction reports, drive synthesis, and figure sweeps.")

@@ -583,9 +583,11 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
         "endpoint_residual": endpoint_residual,
         "work_integral_residual": work_residual,
     }
-    if (state_distance > VERIFY_STATE_DISTANCE or energy_residual > VERIFY_ENERGY_REL * width
-            or endpoint_residual > VERIFY_ENDPOINT_REL * h_scale
-            or work_residual > VERIFY_WORK_REL * e_scale):
+    # each test states the accepted region, so a NaN residual is refused
+    if not (state_distance <= VERIFY_STATE_DISTANCE
+            and energy_residual <= VERIFY_ENERGY_REL * width
+            and endpoint_residual <= VERIFY_ENDPOINT_REL * h_scale
+            and work_residual <= VERIFY_WORK_REL * e_scale):
         raise VerificationFailed("drive verification out of contract", residuals=residuals)
     return energy_residual, state_distance
 

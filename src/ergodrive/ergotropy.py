@@ -148,7 +148,7 @@ def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: Hamiltonian
     if same_energy is None:
         same_energy = _same_energy_solve(rho_i, h_i)
     solve_s = states.solve_beta_for_entropy(h_f, s_i)
-    if solve_s.residual > BETA_RESIDUAL:
+    if not solve_s.residual <= BETA_RESIDUAL:   # NaN is refused too
         raise EntropyOutOfRange(f"S(rho_i) = {s_i} is below the entropy floor of h_f")
     beta_i = solve_s.beta
     if beta_i <= 0:

@@ -364,7 +364,7 @@ def solve_beta_for_energy(h: HamiltonianOp, energy: float) -> ThermalSolveResult
         beta = 0.0
     p = thermal_populations(en, beta)
     residual = abs(float(p @ en) - energy)
-    if residual > BETA_RESIDUAL * width:
+    if not residual <= BETA_RESIDUAL * width:   # NaN is refused too
         raise NoConvergence(f"energy residual {residual:.3e} exceeds "
                             f"{BETA_RESIDUAL * width:.3e}")
     return ThermalSolveResult(beta, p, residual)
@@ -402,7 +402,7 @@ def solve_beta_for_entropy(h: HamiltonianOp, entropy: float) -> ThermalSolveResu
         beta = math.sqrt(y) / width
     p = thermal_populations(en, beta)
     residual = abs(_shannon(p) - entropy)
-    if residual > BETA_RESIDUAL:
+    if not residual <= BETA_RESIDUAL:   # NaN is refused too
         raise NoConvergence(f"entropy residual {residual:.3e}")
     return ThermalSolveResult(beta, p, residual)
 

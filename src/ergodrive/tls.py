@@ -13,7 +13,8 @@ are validated inputs of the closed forms with logic of their own (eigs_r,
 final_basis, constmu_final_state, overlap_w, example2_theta_split). Squares go
 through sq(), so every array element rounds as the same kernel does on floats.
 The Monte Carlo phase average runs over blocks of cells, each cell drawing
-from its own generator, so a batch gives the bytes of one call per cell.
+from its own generator, so a batch gives the bytes of one call per cell; each
+block is evaluated in place, in scratch arrays allocated once per call.
 """
 
 from __future__ import annotations
@@ -41,12 +42,23 @@ def wrap_pi(x):
     numpy's divmod rounds it), y otherwise. Only elements outside that range,
     or NaN, go through ``%``.
     """
-    y = np.asarray(x) + np.pi
-    r = y + _TWO_PI * (y < 0) - _TWO_PI * (y >= _TWO_PI)
+    y = np.asarray(np.asarray(x) + np.pi)
+    out = np.empty(y.shape)
+    _wrap_shifted(y, out, np.empty(y.shape))
+    return out[()]
+
+
+def _wrap_shifted(y, out, tmp):
+    """wrap_pi's body, given y = x + pi: writes wrap_pi(x) to ``out``, with
+    ``tmp`` as scratch. Both are float arrays of y's shape, neither of them y,
+    so the Monte Carlo kernel can wrap into buffers it allocated once."""
+    np.multiply(y < 0, _TWO_PI, out=out)
+    np.add(y, out, out=out)
+    np.multiply(y >= _TWO_PI, _TWO_PI, out=tmp)
+    np.subtract(out, tmp, out=out)
     if y.size and not (y.min() >= -_TWO_PI and y.max() < 2 * _TWO_PI):
-        r = np.asarray(r)
-        np.remainder(y, _TWO_PI, out=r, where=~((y >= -_TWO_PI) & (y < 2 * _TWO_PI)))
-    return r - np.pi
+        np.remainder(y, _TWO_PI, out=out, where=~((y >= -_TWO_PI) & (y < 2 * _TWO_PI)))
+    np.subtract(out, np.pi, out=out)
 
 
 def sq(x):
@@ -276,9 +288,33 @@ def example1_thetas(a, phi1, phi0):
     Vectorized over phase arrays; the relative phases the bare drive adds can
     be absorbed into (phi1, phi0), so they do not appear here.
     """
-    sig = 0.5 * (np.asarray(phi1) + np.asarray(phi0))
-    gam = np.arccos(np.clip(a * np.cos(0.5 * (np.asarray(phi1) - np.asarray(phi0))), -1.0, 1.0))
-    return wrap_pi(sig + gam), wrap_pi(sig - gam)
+    shape = np.broadcast_shapes(np.shape(a), np.shape(phi1), np.shape(phi0))
+    tp, tm = _thetas(a, phi1, phi0, np.empty((5,) + shape))
+    return tp[()], tm[()]
+
+
+def _thetas(a, phi1, phi0, work):
+    """example1_thetas' body, evaluated in place in ``work``, a float stack
+    (5, *shape) over the broadcast shape of the arguments; returns its views
+    (theta_plus, theta_minus). It takes the operations of
+    sig = 0.5 (phi1 + phi0), gam = arccos(clip(a cos(0.5 (phi1 - phi0)), -1, 1)),
+    theta = wrap_pi(sig +- gam) in their order, so it rounds as they do."""
+    tp, tm, gam, y, tmp = (work[k, ...] for k in range(5))   # views, 0-d ones too
+    np.add(phi1, phi0, out=tm)
+    np.multiply(0.5, tm, out=tm)          # sig, held in tm until theta_minus
+    np.subtract(phi1, phi0, out=gam)
+    np.multiply(0.5, gam, out=gam)
+    np.cos(gam, out=gam)
+    np.multiply(a, gam, out=gam)
+    np.clip(gam, -1.0, 1.0, out=gam)
+    np.arccos(gam, out=gam)
+    np.add(tm, gam, out=y)
+    np.add(y, np.pi, out=y)
+    _wrap_shifted(y, tp, tmp)
+    np.subtract(tm, gam, out=y)
+    np.add(y, np.pi, out=y)
+    _wrap_shifted(y, tm, tmp)
+    return tp, tm
 
 
 # Grid cells per Monte Carlo block: the block's phase draws, (B, 2, n_draws),
@@ -307,16 +343,29 @@ def example1_phase_average(a, tau: float, n_draws: int, rng):
         raise ParamInconsistent(f"{len(rng)} generators for {a.size} cells")
     flat = a.ravel()
     mean, err = np.empty(flat.size), np.empty(flat.size)
-    phi = np.empty((min(PHASE_BLOCK, flat.size), 2, n_draws))
+    rows = min(PHASE_BLOCK, flat.size)
+    phi, work = np.empty((rows, 2, n_draws)), np.empty((5, rows, n_draws))
     for lo in range(0, flat.size, PHASE_BLOCK):
         cells = slice(lo, min(lo + PHASE_BLOCK, flat.size))
         block = phi[:cells.stop - lo]
         for k, gen in enumerate(rng[cells]):
             block[k] = gen.uniform(-np.pi, np.pi, size=(2, n_draws))
-        tp, tm = example1_thetas(flat[cells, None], block[:, 0], block[:, 1])
-        w = np.sqrt(tp**2 + tm**2) / tau
-        mean[cells] = w.mean(-1)
-        err[cells] = w.std(-1, ddof=1) / np.sqrt(n_draws)
+        w, tm = _thetas(flat[cells, None], block[:, 0], block[:, 1], work[:, :len(block)])
+        np.square(w, out=w)                      # w = sqrt(tp^2 + tm^2) / tau
+        np.square(tm, out=tm)
+        np.add(w, tm, out=w)
+        np.sqrt(w, out=w)
+        np.divide(w, tau, out=w)
+        # w.mean(-1), then w.std(-1, ddof=1) from that mean in numpy's order:
+        # deviations, squares, sum, / (n - 1), sqrt
+        m = np.add.reduce(w, axis=-1, out=mean[cells])
+        np.divide(m, n_draws, out=m)
+        np.subtract(w, m[:, None], out=w)
+        np.square(w, out=w)
+        e = np.add.reduce(w, axis=-1, out=err[cells])
+        np.divide(e, n_draws - 1, out=e)
+        np.sqrt(e, out=e)
+        np.divide(e, np.sqrt(n_draws), out=e)
     return mean.reshape(a.shape), err.reshape(a.shape)
 
 

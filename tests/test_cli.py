@@ -515,6 +515,56 @@ def test_write_csv_formats_cells_as_the_per_cell_formatter(capsys):
     assert want[1].startswith("nan,inf,-inf,-0,0,3,-7,1,0.10000000000000001,")
 
 
+_NAN_PAYLOADS = np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64).view(float)
+
+
+@pytest.mark.parametrize("columns", [
+    # integers and bools are cast to float before their bits are compared
+    [np.arange(-3, 4), np.full(7, 7), np.array([2**62, -2**63, 0, 1, 2**53 + 1, 5, 5])],
+    [np.array([True, False, True]), np.array([False, False, True])],
+    [np.array([0.0, -0.0, 0.0, -0.0]), np.array([-0.0, -0.0, 0.0, 0.0])],
+    [np.array([np.nan, np.inf, -np.inf, np.nan]), np.array([-np.inf, np.nan, np.inf, np.inf]),
+     np.array([np.inf, -np.inf, *_NAN_PAYLOADS])],
+    [np.array([5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 1e-310])],
+    [np.full(5, 0.1), np.linspace(0.0, 1.0, 5), np.full(5, 0.1)],
+], ids=["ints", "bools", "signed-zeros", "nan-inf", "subnormal", "one-value-column"])
+def test_write_csv_formats_each_distinct_value_as_the_per_cell_formatter(columns, capsys):
+    header = [f"c{k}" for k in range(len(columns))]
+    cli.write_csv(header, columns)
+    want = [",".join(header)] + [",".join(cli._fmt(v) for v in row) for row in zip(*columns)]
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+
+def test_main_shares_one_parser_and_no_state_between_calls(tmp_path, capsys):
+    configs = {"fig1": {"p_points": 3, "c_points": 2, "mc_draws": 4},
+               "fig3": {"mu_points": 3, "ob_points": 2}, "counterexample": {}}
+    paths = {name: write_cfg(tmp_path, f"{name}.json", cfg) for name, cfg in configs.items()}
+    out = tmp_path / "o.csv"
+
+    def once(command, seed):
+        flags = [] if seed is None else ["--seed", seed]
+        assert run([command, "--config", paths[command], "--out", str(out)] + flags) == 0
+        return out.read_bytes()
+
+    fresh = {}
+    for command in configs:
+        for seed in ("5", None):
+            cli.build_parser.cache_clear()
+            fresh[command, seed] = once(command, seed)
+    assert fresh["fig1", "5"] != fresh["fig1", None]   # the seed reaches fig1's draws
+    cli.build_parser.cache_clear()
+    for k in range(12):   # each (command, seed given or not) twice, alternating
+        command, seed = ("fig1", "fig3", "counterexample")[k % 3], ("5", None)[k % 2]
+        assert once(command, seed) == fresh[command, seed]
+    assert cli.build_parser.cache_info().misses == 1
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run(["fig1", "--seed", "five"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+    assert once("fig1", None) == fresh["fig1", None]
+
+
 def test_rho2_bound_is_not_reported_below_delta(tmp_path, capsys, monkeypatch):
     # delta_e_nc and upper_bound are both exactly 0 on RHO2, and the bound
     # computes a unit of roundoff below delta: within the rounding floor

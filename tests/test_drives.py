@@ -771,6 +771,21 @@ def test_verify_drive_catches_wrong_state():
     assert res["state_distance"] > 1e-6
 
 
+def test_verify_drive_refuses_a_nan_residual(monkeypatch):
+    rng = np.random.default_rng(61)
+    rho, h_i, h_f = random_instance(rng, 3)
+    sched = Schedule.linear(1.0, n_steps=256)
+    synth = synthesize_drive(rho, h_i, h_f, sched)
+    verify_drive(synth, rho, h_i, h_f, sched)
+    derivative = drives._grid_derivative
+    monkeypatch.setattr(drives, "_grid_derivative", lambda h, dt: derivative(h, dt) * np.nan)
+    with pytest.raises(VerificationFailed) as exc:
+        verify_drive(synth, rho, h_i, h_f, sched)
+    res = exc.value.residuals
+    assert math.isnan(res["work_integral_residual"])
+    assert res["state_distance"] <= 1e-6   # the other three stay in contract
+
+
 def test_verify_drive_catches_endpoint_tampering():
     rng = np.random.default_rng(60)
     rho, h_i, h_f = random_instance(rng, 2)

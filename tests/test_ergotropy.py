@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergodrive import (DensityMatrix, HamiltonianOp, counterexample_populations, decompose, delta_noncyclic,
-                       full_report, gain_g, majorizes, noncyclic_ergotropy,
+                       full_report, gain_g, majorizes, noncyclic_ergotropy, states,
                        thermal_populations, upper_bound_delta)
 from ergodrive.errors import EntropyOutOfRange, NegativeBeta, ParamOutOfRange
 from ergodrive.tolerances import IDENTITY_RESIDUAL
@@ -213,6 +213,17 @@ def test_bound_refused_below_the_entropy_floor_of_h_f(gap):
     report = full_report(rho, h_i, h_f)
     assert report.upper_bound is None
     assert report.delta_e_nc is not None
+
+
+def test_bound_refuses_a_nan_entropy_residual(monkeypatch):
+    rho, h_i, h_f = random_instance(np.random.default_rng(28), 3)
+    solve = states.solve_beta_for_entropy
+    monkeypatch.setattr(states, "solve_beta_for_entropy",
+                        lambda h, s: solve(h, s)._replace(residual=float("nan")))
+    with pytest.raises(EntropyOutOfRange):
+        upper_bound_delta(rho, h_i, h_f)
+    monkeypatch.undo()
+    assert upper_bound_delta(rho, h_i, h_f).beta_i > 0
 
 
 def test_counterexample_reproduces_populations_and_sign_change():

@@ -132,6 +132,21 @@ def test_unreachable_energy_raises_no_convergence():
         solve_beta_for_energy(h, 0.5 * edge)
 
 
+def test_nan_residuals_are_refused(monkeypatch):
+    # each residual check states the accepted region, so NaN falls outside it
+    h = HamiltonianOp(np.diag([0.0, 0.5, 1.0]))
+    with monkeypatch.context() as m:
+        m.setattr(states, "_decreasing_root", lambda *args: math.nan)
+        with pytest.raises(NoConvergence, match="energy residual nan"):
+            solve_beta_for_energy(h, 0.3)
+    with monkeypatch.context() as m:
+        m.setattr(states, "_shannon", lambda p: math.nan)
+        with pytest.raises(NoConvergence, match="entropy residual nan"):
+            solve_beta_for_entropy(h, 0.5)
+    assert solve_beta_for_energy(h, 0.3).residual <= BETA_RESIDUAL   # unpatched, both solve
+    assert solve_beta_for_entropy(h, 0.5).residual <= BETA_RESIDUAL
+
+
 def test_beta_is_exactly_zero_when_the_flat_state_matches():
     h = HamiltonianOp(np.diag([-1.0, 0.0, 1.0]))
     assert _mean_energy(h.energies, 0.0) == 0.0

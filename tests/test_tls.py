@@ -84,6 +84,20 @@ def test_phase_average_over_cells_equals_one_call_per_cell(cells, n_draws):
         assert same_bits(mean, [m for m, _ in want]) and same_bits(err, [e for _, e in want])
 
 
+def test_phase_average_tail_block_and_draw_counts_match_the_oracle():
+    # a full block, then a short tail at a = 0, 1e-300 and 1; the calls run
+    # back to back with other draw counts, so a scratch array sized or filled
+    # by the call before would show
+    a = np.concatenate([np.random.default_rng(8).uniform(0.0, 1.0, PHASE_BLOCK),
+                        [0.0, 1e-300, 1.0]])
+    for n_draws in (1025, 2, 1025, 3):
+        mean, err = example1_phase_average(
+            a, 0.9, n_draws, [np.random.default_rng([4, k]) for k in range(a.size)])
+        want = [phase_average_oracle(float(a_k), 0.9, n_draws, np.random.default_rng([4, k]))
+                for k, a_k in enumerate(a)]
+        assert same_bits(mean, [m for m, _ in want]) and same_bits(err, [e for _, e in want])
+
+
 def test_phase_average_keeps_the_shape_of_a_and_wants_one_generator_per_cell():
     a = np.linspace(0.1, 0.9, 6).reshape(2, 3)
     mean, err = example1_phase_average(a, 1.0, 8, [np.random.default_rng(k) for k in range(6)])

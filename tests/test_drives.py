@@ -783,7 +783,7 @@ def test_verify_drive_refuses_a_nan_residual(monkeypatch):
         verify_drive(synth, rho, h_i, h_f, sched)
     res = exc.value.residuals
     assert math.isnan(res["work_integral_residual"])
-    assert res["state_distance"] <= 1e-6   # the other three stay in contract
+    assert res["state_distance"] <= 1e-6   # only the work integral saw the NaN
 
 
 def test_verify_drive_catches_endpoint_tampering():

@@ -175,11 +175,11 @@ def run_drive_synth(cfg: dict, n_steps=None) -> dict:
     tau = _number(cfg, "tau", 1.0)
     if n_steps is None and "n_steps" in cfg:
         n_steps = _count(cfg, "n_steps", None)
-    sched, _, synth = fix_steps(h_i, h_f, Schedule.linear(tau, n_steps=n_steps),
-                                lambda grid, trace: _synthesize(cfg, rho, h_i, h_f, grid, trace))
+    sched, synth = fix_steps(h_i, h_f, Schedule.linear(tau, n_steps=n_steps),
+                             lambda grid, trace: _synthesize(cfg, rho, h_i, h_f, grid, trace))
     energy_res, dist = verify_drive(synth, rho, h_i, h_f, sched)
-    return synth.to_json({"final_energy_residual": energy_res,
-                          "state_distance": dist})
+    return dict(synth.to_json(),
+                residuals={"final_energy_residual": energy_res, "state_distance": dist})
 
 
 def fig1_crossover(ps, deltas, wmins) -> float:

@@ -8,16 +8,17 @@ K2 = dt (H(t_k + dt) - H(t_k)), the step is exp(-i H_eff dt) with
 H_eff dt = K1 + (i/12) [K1, K2] (Blanes, Casas, Oteo & Ros, Phys. Rep.
 470, 151 (2009)), so an n-step grid samples H at its 2n + 1 Simpson nodes.
 The bare propagator U0 is one blocked ordered product of those steps,
-projected onto the unitaries every 64 steps (linalg.step_products); the same
-kernel propagates U0 on verify_drive's grid of 2n steps, whose samples are
-U0 at every Simpson node of the n-step grid, and then H0 + V on the n-step
-grid. A Schedule's n_steps is explicit, or left open for fix_steps, the one
-home of the step-count rule: final_unitary gives the least 64 * 2^k at which
-the step-doubling estimate of U0(tau)'s error is at most PROPAGATION_ERROR,
-with U0(tau) formed by pairwise products of the step stack, and for a drive
-the count doubles while driven_error, the same estimate for the propagator
-of H0 + V from the drive's samples, is above DRIVEN_PROPAGATION_ERROR.
-propagate_u0 refuses an open count.
+projected onto the unitaries every 64 steps (linalg.step_products, which
+allocates its own sample buffer); the same kernel propagates U0 on
+verify_drive's grid of 2n steps, whose samples are U0 at every Simpson node
+of the n-step grid, and then H0 + V on the n-step grid. A Schedule's n_steps
+is explicit, or left open for fix_steps, the one home of the step-count
+rule: final_unitary returns (n, U_n(tau)), the least n = 64 * 2^k at which
+the step-doubling estimate of U0(tau)'s error is at most PROPAGATION_ERROR
+and U0(tau) there, formed by pairwise products of the step stack, and for a
+drive the count doubles while driven_error, the same estimate for the
+propagator of H0 + V from the drive's samples, is above
+DRIVEN_PROPAGATION_ERROR. propagate_u0 refuses an open count.
 Every stack of small matrices on a time grid is kept time-innermost, as a
 (d, d, n) array (handed out as (n, d, d) views): the step exponentials are
 one Taylor kernel over the stack, and every product or conjugation
@@ -35,9 +36,10 @@ eigensolver. M(phi + s 1) = e^{is} M(phi), so a grid scan over P points
 per axis solves the eigenphases at only P^(d-1) points, one per class of
 index offsets, and shifts them by the multiples of 2 pi / P to cost every
 other point of the class. synthesize_drive takes a U0 trace a caller
-already propagated, and optimize_phases the final U0; on a schedule that
-leaves its count open, optimize_phases propagates nothing and takes U0(tau)
-from final_unitary's estimate at the count it picks.
+already propagated, and optimize_phases the final U0; otherwise
+optimize_phases takes U0(tau) from final_unitary on a schedule that leaves
+its count open, propagating nothing, and from propagate_u0 on a fixed one.
+verify_drive forms the passive target it checks against itself.
 Every threshold is a constant of the tolerances module. Everything here is
 in hbar = 1 units.
 """
@@ -52,8 +54,8 @@ import numpy as np
 
 from .errors import (DimMismatch, DimTooLarge, GaugeFailure, LengthMismatch, NoConvergence,
                      ParamInconsistent, ParamOutOfRange, VerificationFailed)
-from .linalg import (buffer_len, dagger, herm_expi_batch, matmul_t, principal_log_unitary,
-                     step_products, time_first, time_last, trace_distance)
+from .linalg import (dagger, herm_expi_batch, matmul_t, principal_log_unitary, step_products,
+                     time_first, time_last, trace_distance)
 from .states import DensityMatrix, HamiltonianOp, matrix_to_json, passive_energy, passive_state
 from .tls import MuDynParams, check_count, wrap_pi
 from .tolerances import (DRIVEN_PROPAGATION_ERROR, EIGENPHASE_SEPARATION, GAUGE_OVERLAP_MIN,
@@ -130,7 +132,7 @@ class Schedule:
                 object.__setattr__(self, "lam_f", lambda t: t / tau)
             for fn, at, want in ((self.lam_i, 0.0, 1.0), (self.lam_i, tau, 0.0),
                                  (self.lam_f, 0.0, 0.0), (self.lam_f, tau, 1.0)):
-                if abs(float(fn(at)) - want) > SCHEDULE_BOUNDARY_ATOL:
+                if not abs(float(fn(at)) - want) <= SCHEDULE_BOUNDARY_ATOL:   # NaN too
                     raise ParamInconsistent(f"lambda({at}) = {float(fn(at))}, expected {want}")
         elif self.kind == "rotating":
             if self.omega is None or self.eps is None:
@@ -144,7 +146,7 @@ class Schedule:
             raise ParamOutOfRange("a custom ramp_f needs its derivative ramp_fdot")
         for fn, at, want in ((self.ramp_f, 0.0, 0.0), (self.ramp_f, tau, 1.0),
                              (self.ramp_fdot, 0.0, 0.0), (self.ramp_fdot, tau, 0.0)):
-            if abs(float(fn(at)) - want) > SCHEDULE_BOUNDARY_ATOL:
+            if not abs(float(fn(at)) - want) <= SCHEDULE_BOUNDARY_ATOL:   # NaN too
                 raise ParamInconsistent(f"ramp({at}) = {float(fn(at))}, expected {want}")
 
     def times(self, n_steps: Optional[int] = None) -> np.ndarray:
@@ -274,8 +276,7 @@ def propagate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> Pro
     sched.validate_against(h_i, h_f)
     ts = sched.times()
     n = len(ts) - 1
-    buf = np.empty((h_i.dim, h_i.dim, buffer_len(n)), dtype=complex)
-    return PropagatorTrace(ts, *step_products(_magnus_h0(sched, h_i, h_f, n), sched.tau / n, buf))
+    return PropagatorTrace(ts, *step_products(_magnus_h0(sched, h_i, h_f, n), sched.tau / n))
 
 
 def _final_product(h_eff: np.ndarray, dt: float) -> np.ndarray:
@@ -295,24 +296,33 @@ def _final_product(h_eff: np.ndarray, dt: float) -> np.ndarray:
     return steps[..., 0]
 
 
-def _u0_final(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule, n: int) -> np.ndarray:
-    """U0(tau) on sched's grid of n Magnus steps (see _final_product)."""
-    return _final_product(_magnus_h0(sched, h_i, h_f, n), sched.tau / n)
-
-
 # final_unitary's first step count; later ones double it
 FIRST_ESTIMATE_STEPS = 64
 
 
-def _estimate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp,
-                 sched: Schedule) -> Tuple[int, np.ndarray]:
-    """(n, U_n(tau)): final_unitary's count and U0(tau) on that grid, the
-    pairwise product its estimate formed."""
+def final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp,
+                  sched: Schedule) -> Tuple[int, np.ndarray]:
+    """(n, U_n(tau)): the least step count n = 64 * 2^k at which the
+    step-doubling estimate of U0(tau)'s error is at most PROPAGATION_ERROR,
+    and U0(tau) on that grid, the pairwise product of its steps that the
+    estimate formed (see _final_product).
+
+    For a fourth-order step, U_n(tau) - U(tau) = (16/15) (U_n(tau) - U_2n(tau))
+    to leading order, so the estimate of U_n's error is
+    (16/15) max |U_n(tau) - U_2n(tau)| over the entries. Only sched's tau
+    and Hamiltonian are read, not its n_steps. Raises NoConvergence when the
+    estimate would need a propagation of more than PROPAGATION_MAX_STEPS
+    steps, so the largest n returned is half of that.
+    """
     sched.validate_against(h_i, h_f)
+
+    def u_final(n):
+        return _final_product(_magnus_h0(sched, h_i, h_f, n), sched.tau / n)
+
     n = FIRST_ESTIMATE_STEPS
-    u = _u0_final(h_i, h_f, sched, n)
+    u = u_final(n)
     while 2 * n <= PROPAGATION_MAX_STEPS:
-        finer = _u0_final(h_i, h_f, sched, 2 * n)
+        finer = u_final(2 * n)
         error = float(np.abs(u - finer).max()) * 16.0 / 15.0
         if error <= PROPAGATION_ERROR:
             return n, u
@@ -322,40 +332,26 @@ def _estimate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp,
                         f"{PROPAGATION_MAX_STEPS} steps")
 
 
-def final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> int:
-    """The least step count n = 64 * 2^k at which the step-doubling estimate
-    of U0(tau)'s error is at most PROPAGATION_ERROR.
-
-    For a fourth-order step, U_n(tau) - U(tau) = (16/15) (U_n(tau) - U_2n(tau))
-    to leading order, so the estimate of U_n's error is
-    (16/15) max |U_n(tau) - U_2n(tau)| over the entries. Only sched's tau
-    and Hamiltonian are read, not its n_steps. Raises NoConvergence when the
-    estimate would need a propagation of more than PROPAGATION_MAX_STEPS
-    steps, so the largest n returned is half of that.
-    """
-    return _estimate_u0(h_i, h_f, sched)[0]
-
-
 def fix_steps(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule,
-              drive: Optional[Callable] = None):
-    """(sched with its step count fixed, U0's trace there, the drive there or None).
+              drive: Callable) -> Tuple[Schedule, DriveSynthesis]:
+    """(sched with its step count fixed, the drive there), where
+    ``drive(sched, trace)`` builds the drive from U0's trace on sched's grid.
 
     An explicit n_steps is used exactly. An open one starts at final_unitary's
-    count and, with a drive (``drive(sched, trace)`` builds it), doubles while
-    driven_error is above DRIVEN_PROPAGATION_ERROR, up to a verification of
-    PROPAGATION_MAX_STEPS steps (NoConvergence). One U0 per count tried.
+    count and doubles while driven_error is above DRIVEN_PROPAGATION_ERROR,
+    up to a verification of PROPAGATION_MAX_STEPS steps (NoConvergence). One
+    U0 per count tried.
     """
     fixed = sched.n_steps is not None
     if not fixed:
-        sched = dataclasses.replace(sched, n_steps=final_unitary(h_i, h_f, sched))
+        sched = dataclasses.replace(sched, n_steps=final_unitary(h_i, h_f, sched)[0])
     while True:
-        trace = propagate_u0(h_i, h_f, sched)
-        synth = None if drive is None else drive(sched, trace)
-        if fixed or synth is None:
-            return sched, trace, synth
+        synth = drive(sched, propagate_u0(h_i, h_f, sched))
+        if fixed:
+            return sched, synth
         error = driven_error(synth, h_i, h_f, sched)
         if error <= DRIVEN_PROPAGATION_ERROR:
-            return sched, trace, synth
+            return sched, synth
         if 4 * sched.n_steps > PROPAGATION_MAX_STEPS:    # verification takes 2n steps
             raise NoConvergence(
                 f"estimated error {error:.3e} of the driven propagation at "
@@ -395,19 +391,15 @@ class DriveSynthesis:
     v_samples: np.ndarray       # V(t) on the schedule grid
     w: float                    # time-averaged Frobenius cost of V
     w_min: float                # (sum theta^2)^{1/2} / tau
-    target_passive: DensityMatrix   # R rho_i R^dag, the same for any phases
 
-    def to_json(self, residuals: Optional[dict] = None) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "chi": matrix_to_json(self.chi),
             "thetas": [float(t) for t in self.thetas],
             "phases_phi": [float(p) for p in self.phases_phi],
             "w": self.w,
             "w_min": self.w_min,
         }
-        if residuals is not None:
-            out["residuals"] = {k: float(v) for k, v in residuals.items()}
-        return out
 
 
 def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp,
@@ -428,7 +420,7 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
         phases_phi = np.zeros(rho_i.dim)
     if trace is None:
         return fix_steps(h_i, h_f, sched, lambda grid, u0: synthesize_drive(
-            rho_i, h_i, h_f, grid, phases_phi, u0))[2]
+            rho_i, h_i, h_f, grid, phases_phi, u0))[1]
     if not np.array_equal(trace.times, sched.times()):
         raise ParamInconsistent("the trace is not sampled on the schedule's grid")
     r = target_unitary(rho_i, h_f, phases_phi)
@@ -445,8 +437,7 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
         w = w_min * float(np.trapezoid(np.abs(fdot), trace.times))
     return DriveSynthesis(chi=chi, thetas=thetas,
                           phases_phi=np.asarray(phases_phi, dtype=float),
-                          v_samples=time_first(v), w=w, w_min=w_min,
-                          target_passive=passive_state(rho_i, h_f))
+                          v_samples=time_first(v), w=w, w_min=w_min)
 
 
 def driven_error(synth: DriveSynthesis, h_i: HamiltonianOp, h_f: HamiltonianOp,
@@ -529,7 +520,8 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     (with the 3/8 rule on the last three intervals when n is odd) over the
     n-step grid, with dH/dt from fourth-order differences of H at the
     Simpson nodes, so n_steps below VERIFY_MIN_STEPS is refused
-    (ParamOutOfRange). The synthesizer's U0 is never read.
+    (ParamOutOfRange). The synthesizer's U0 is never read, and the passive
+    target is passive_state(rho_i, h_f), formed here.
 
     Returns (final_energy_residual, state_distance). Raises VerificationFailed
     (with all residuals attached) when the final state is not the passive
@@ -542,7 +534,6 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     count open is verified on the drive's own grid.
     """
     sched.validate_against(h_i, h_f)
-    d = h_i.dim
     n = len(synth.v_samples) - 1 if sched.n_steps is None else sched.n_steps
     if n < VERIFY_MIN_STEPS:
         raise ParamOutOfRange(f"verify_drive needs n_steps >= {VERIFY_MIN_STEPS} "
@@ -550,18 +541,16 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     dt = sched.tau / n
     nodes = sched.times(2 * n)
 
-    fine, _ = step_products(_magnus_h0(sched, h_i, h_f, 2 * n), dt / 2,
-                            np.empty((d, d, buffer_len(2 * n)), dtype=complex))
+    fine, _ = step_products(_magnus_h0(sched, h_i, h_f, 2 * n), dt / 2)
     v = _conjugate(time_last(fine), synth.chi)
     v *= -_sample(sched.ramp_fdot, nodes)
     h_nodes = sched._h0_stack(h_i, h_f, nodes)
     h_nodes += v
-    u_samples, _ = step_products(_magnus_exponent(h_nodes, dt), dt,
-                                 np.empty((d, d, buffer_len(n)), dtype=complex))
+    u_samples, _ = step_products(_magnus_exponent(h_nodes, dt), dt)
     u = u_samples[-1]
 
     rho_f = DensityMatrix(u @ rho_i.mat @ dagger(u))
-    state_distance = trace_distance(rho_f.mat, synth.target_passive.mat)
+    state_distance = trace_distance(rho_f.mat, passive_state(rho_i, h_f).mat)
     energy_residual = abs(h_f.energy(rho_f) - passive_energy(rho_i, h_f))
 
     ends = sched.h0_batch(h_i, h_f, np.array([0.0, sched.tau]))
@@ -730,8 +719,8 @@ def optimize_phases(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp
     over n_draws uniform phase vectors (phases are then reported as None).
     Refuses an unknown mode, a dimension the mode does not cover, n_draws < 2
     and grid_points < 1 before any propagation. ``u_f`` is U0(tau); by
-    default it is U0 propagated on sched's fixed grid, or, when sched leaves
-    the count open, the product final_unitary's estimate formed at its count.
+    default it is propagate_u0's on sched's fixed grid, or, when sched leaves
+    the count open, final_unitary's at the count it picks.
     The grid scan costs P^(d-1) eigenphase solves for P^d points (see
     _grid_scan).
     """
@@ -745,9 +734,9 @@ def optimize_phases(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp
     check_count(n_draws, "n_draws", 2)
     check_count(grid_points, "grid_points", 1)
     if u_f is None and sched.n_steps is None:
-        u_f = _estimate_u0(h_i, h_f, sched)[1]
+        u_f = final_unitary(h_i, h_f, sched)[1]
     elif u_f is None:
-        u_f = fix_steps(h_i, h_f, sched)[1].u_samples[-1]
+        u_f = propagate_u0(h_i, h_f, sched).u_samples[-1]
     _, v_r = _descending_eigvectors(rho_i)
     a_mat = dagger(u_f) @ h_f.basis
     c = np.einsum("in,in->n", v_r.conj(), a_mat)

@@ -157,7 +157,7 @@ def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: Hamiltonian
     value = float(p_f @ h_f.energies - solve_s.populations @ h_f.energies)
     delta_s = states._shannon(same_energy.populations) - s_i
     entropic = (delta_s + states.gibbs_relative_entropy(p_f, h_f.energies, beta_i)) / beta_i
-    if abs(value - entropic) > IDENTITY_RESIDUAL * scale + abs(value) * BOUND_FORMS_REL:
+    if not abs(value - entropic) <= IDENTITY_RESIDUAL * scale + abs(value) * BOUND_FORMS_REL:
         raise NoConvergence(f"bound forms disagree: {value} vs {entropic}")
     return UpperBoundResult(value, entropic, beta_i, delta_s)
 

@@ -431,10 +431,12 @@ def ordered_products(buf: np.ndarray, n: int):
     return time_first(buf[..., :n + 1]), drift
 
 
-def step_products(h: np.ndarray, dt: float, buf: np.ndarray):
+def step_products(h: np.ndarray, dt: float):
     """Running products of the steps exp(-i h_k dt) of a time-innermost stack
-    h[d, d, n], formed in buf (see ordered_products)."""
-    n = h.shape[-1]
+    h[d, d, n], formed in a fresh (d, d, buffer_len(n)) sample buffer (see
+    ordered_products)."""
+    d, n = h.shape[0], h.shape[-1]
+    buf = np.empty((d, d, buffer_len(n)), dtype=complex)
     herm_expi_batch(time_first(h), dt, out=time_first(buf[..., 1:n + 1]))
     return ordered_products(buf, n)
 

@@ -92,9 +92,9 @@ def test_drive_synth_propagates_u0_once_per_grid(monkeypatch):
         grids.append(sched.n_steps)
         return propagate(h_i, h_f, sched)
 
-    def counting_products(h, dt, buf):
+    def counting_products(h, dt):
         products.append(h.shape[-1])
-        return step_products(h, dt, buf)
+        return step_products(h, dt)
 
     monkeypatch.setattr(drives, "propagate_u0", counting)
     monkeypatch.setattr(drives, "step_products", counting_products)

@@ -79,6 +79,14 @@ def test_schedule_validation():
             call()
 
 
+def test_schedule_refuses_nan_boundary_values():
+    nan = lambda t: np.nan + 0 * np.asarray(t)   # noqa: E731
+    with pytest.raises(ParamInconsistent, match="lambda"):
+        Schedule(1.0, lam_i=nan, n_steps=64)
+    with pytest.raises(ParamInconsistent, match="ramp"):
+        Schedule(1.0, ramp_f=nan, ramp_fdot=lambda t: 0 * np.asarray(t), n_steps=64)
+
+
 def test_validate_against_dimension_rules():
     h2 = HamiltonianOp(0.5 * SZ)
     h3 = HamiltonianOp(np.diag([0.0, 1.0, 2.0]))
@@ -134,7 +142,8 @@ def test_final_unitary_matches_stepwise_product():
                       - oracle[-1]).max() < 1e-12
         # the pairwise product behind final_unitary and driven_error, odd
         # stack lengths included
-        assert np.abs(drives._u0_final(h_i, h_f, sched, n_steps) - oracle[-1]).max() < 1e-12
+        u_n = drives._final_product(drives._magnus_h0(sched, h_i, h_f, n_steps), 1.0 / n_steps)
+        assert np.abs(u_n - oracle[-1]).max() < 1e-12
 
 
 def test_magnus_step_is_fourth_order():
@@ -160,7 +169,7 @@ def test_final_unitary_meets_the_error_target(d):
         _, h_i, h_f = random_instance(rng, d)
         h_i, h_f = (HamiltonianOp(h.mat * (1.5 / h.spectral_width)) for h in (h_i, h_f))
         sched = Schedule.linear(1.0)
-        n = drives.final_unitary(h_i, h_f, sched)
+        n, _ = drives.final_unitary(h_i, h_f, sched)
         assert n in (64, 128, 256)
         want = magnus4_gauss_final(h_i, h_f, sched, 4096)
         u = propagate_u0(h_i, h_f, dataclasses.replace(sched, n_steps=n)).u_samples[-1]
@@ -352,7 +361,7 @@ def test_converged_final_unitary():
     angle = np.pi * 2.0 / (2 * 0.7)
     h_i = HamiltonianOp(0.5 * SZ)
     h_f = HamiltonianOp(0.5 * (np.cos(angle) * SZ + np.sin(angle) * SX))
-    n = drives.final_unitary(h_i, h_f, sched)
+    n, _ = drives.final_unitary(h_i, h_f, sched)
     assert n >= 128
     u = propagate_u0(h_i, h_f, dataclasses.replace(sched, n_steps=n)).u_samples[-1]
     dense = propagate_u0(h_i, h_f, dataclasses.replace(sched, n_steps=8 * n))
@@ -700,20 +709,30 @@ def test_clustered_eigenphases_cost_within_the_grid_shift_margin():
         assert np.array_equal(res.phases, mesh[k]) and res.value == costs[k]
 
 
-def test_open_schedule_scan_takes_the_estimates_u0(monkeypatch):
-    # U0(tau) is the pairwise product final_unitary's estimate formed, at the
-    # count it returns, and nothing is propagated
+def test_scan_takes_u0_from_final_unitary_when_open_and_propagate_u0_when_fixed(monkeypatch):
+    # on an open schedule U0(tau) is the pairwise product final_unitary formed
+    # at the count it returns, and nothing is propagated; on a fixed one it is
+    # propagate_u0's last sample, and no count is estimated
     rng = np.random.default_rng(98)
     rho, h_i, h_f = random_instance(rng, 3)
     sched = Schedule.linear(1.0)
-    n, u_n = drives._estimate_u0(h_i, h_f, sched)
-    assert n == drives.final_unitary(h_i, h_f, sched)
+    n, u_n = drives.final_unitary(h_i, h_f, sched)
     fixed = dataclasses.replace(sched, n_steps=n)
-    assert np.abs(u_n - propagate_u0(h_i, h_f, fixed).u_samples[-1]).max() < 1e-13
-    monkeypatch.setattr(drives, "propagate_u0", lambda *args: pytest.fail("propagated"))
-    res = optimize_phases(rho, h_i, h_f, sched, mode="grid", grid_points=8)
-    want = optimize_phases(rho, h_i, h_f, sched, mode="grid", grid_points=8, u_f=u_n)
-    assert np.array_equal(res.phases, want.phases) and res.value == want.value
+    u_fixed = propagate_u0(h_i, h_f, fixed).u_samples[-1]
+    assert np.abs(u_n - u_fixed).max() < 1e-13
+    calls = []
+    estimate, propagate = drives.final_unitary, drives.propagate_u0
+    monkeypatch.setattr(drives, "final_unitary",
+                        lambda *args: calls.append("final_unitary") or estimate(*args))
+    monkeypatch.setattr(drives, "propagate_u0",
+                        lambda *args: calls.append("propagate_u0") or propagate(*args))
+    for grid, u_f, route in ((sched, u_n, "final_unitary"), (fixed, u_fixed, "propagate_u0")):
+        calls.clear()
+        res = optimize_phases(rho, h_i, h_f, grid, mode="grid", grid_points=8)
+        assert calls == [route]
+        want = optimize_phases(rho, h_i, h_f, grid, mode="grid", grid_points=8, u_f=u_f)
+        assert calls == [route]
+        assert np.array_equal(res.phases, want.phases) and res.value == want.value
 
 
 @pytest.mark.filterwarnings("error")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ergodrive import (DensityMatrix, HamiltonianOp, counterexample_populations, decompose, delta_noncyclic,
                        full_report, gain_g, majorizes, noncyclic_ergotropy, states,
                        thermal_populations, upper_bound_delta)
-from ergodrive.errors import EntropyOutOfRange, NegativeBeta, ParamOutOfRange
+from ergodrive.errors import EntropyOutOfRange, NegativeBeta, NoConvergence, ParamOutOfRange
 from ergodrive.tolerances import IDENTITY_RESIDUAL
 from helpers import (coherent_entropy_identity_residual, dephase, near_pure_state,
                      random_instance, thermal_state)
@@ -224,6 +224,13 @@ def test_bound_refuses_a_nan_entropy_residual(monkeypatch):
         upper_bound_delta(rho, h_i, h_f)
     monkeypatch.undo()
     assert upper_bound_delta(rho, h_i, h_f).beta_i > 0
+
+
+def test_bound_refuses_a_nan_entropic_form(monkeypatch):
+    rho, h_i, h_f = random_instance(np.random.default_rng(28), 3)
+    monkeypatch.setattr(states, "gibbs_relative_entropy", lambda p, e, beta: float("nan"))
+    with pytest.raises(NoConvergence, match="bound forms disagree"):
+        upper_bound_delta(rho, h_i, h_f)
 
 
 def test_counterexample_reproduces_populations_and_sign_change():

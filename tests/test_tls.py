@@ -304,7 +304,7 @@ def test_constmu_closed_form_matches_integrator():
         sched = Schedule.rotating_constant_mu(params, n_steps=2048)
         h_i = HamiltonianOp(0.5 * (ob / 1.0) * SZ)
         h_f = HamiltonianOp(0.5 * (params.omega_f * SZ + params.eps_f * SX))
-        n = final_unitary(h_i, h_f, sched)
+        n, _ = final_unitary(h_i, h_f, sched)
         u = propagate_u0(h_i, h_f, Schedule.rotating_constant_mu(params, n)).u_samples[-1]
         rho_i = np.diag([p_i, 1 - p_i]).astype(complex)
         rho_f = u @ rho_i @ u.conj().T

@@ -310,9 +310,10 @@ def final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp,
     For a fourth-order step, U_n(tau) - U(tau) = (16/15) (U_n(tau) - U_2n(tau))
     to leading order, so the estimate of U_n's error is
     (16/15) max |U_n(tau) - U_2n(tau)| over the entries. Only sched's tau
-    and Hamiltonian are read, not its n_steps. Raises NoConvergence when the
-    estimate would need a propagation of more than PROPAGATION_MAX_STEPS
-    steps, so the largest n returned is half of that.
+    and Hamiltonian are read, not its n_steps. Raises NoConvergence at the
+    first estimate that is not a finite number, and when the estimate would
+    need a propagation of more than PROPAGATION_MAX_STEPS steps, so the
+    largest n returned is half of that.
     """
     sched.validate_against(h_i, h_f)
 
@@ -326,6 +327,9 @@ def final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp,
         error = float(np.abs(u - finer).max()) * 16.0 / 15.0
         if error <= PROPAGATION_ERROR:
             return n, u
+        if not np.isfinite(error):
+            raise NoConvergence(f"estimated U0(tau) error at {n} steps is {error}, "
+                                f"not a finite number")
         n, u = 2 * n, finer
     raise NoConvergence(f"estimated U0(tau) error {error:.3e} at {n // 2} steps is above "
                         f"{PROPAGATION_ERROR:.0e}, and the next estimate needs more than "
@@ -339,8 +343,9 @@ def fix_steps(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule,
 
     An explicit n_steps is used exactly. An open one starts at final_unitary's
     count and doubles while driven_error is above DRIVEN_PROPAGATION_ERROR,
-    up to a verification of PROPAGATION_MAX_STEPS steps (NoConvergence). One
-    U0 per count tried.
+    up to a verification of PROPAGATION_MAX_STEPS steps (NoConvergence, as
+    at the first estimate that is not a finite number). One U0 per count
+    tried.
     """
     fixed = sched.n_steps is not None
     if not fixed:
@@ -352,6 +357,9 @@ def fix_steps(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule,
         error = driven_error(synth, h_i, h_f, sched)
         if error <= DRIVEN_PROPAGATION_ERROR:
             return sched, synth
+        if not np.isfinite(error):
+            raise NoConvergence(f"estimated error of the driven propagation at "
+                                f"{sched.n_steps} steps is {error}, not a finite number")
         if 4 * sched.n_steps > PROPAGATION_MAX_STEPS:    # verification takes 2n steps
             raise NoConvergence(
                 f"estimated error {error:.3e} of the driven propagation at "

@@ -21,9 +21,10 @@ drives' Simpson-node fourth-order Magnus steps: it exponentiates their
 effective Hamiltonians H_eff = (K1 + (i/12) [K1, K2]) / dt, which drives
 forms from H at the nodes t_k, t_k + dt/2, t_k + dt (the commutator by
 matmul_t), and chains the results.
-On short stacks NumPy's per-call cost dominates, so module constants pick
-kernels by shape: all rows at once in matmul_t up to SHORT_STACK matrices,
-and a log-depth in-block scan in ordered_products up to SCAN_MAX_BLOCKS[d].
+matmul_t forms all rows of a product at once at every stack length. On
+short stacks NumPy's per-call cost dominates, so one module constant picks a
+kernel by shape: a log-depth in-block scan in ordered_products up to
+SCAN_MAX_BLOCKS[d] blocks, one position at a time above that.
 principal_log_unitary takes a unitary's eigenvectors from eigh of a Cayley
 transform, shifted so that I + u is well conditioned, and its eigenphases
 from their Rayleigh quotients. Everything here is NumPy (LAPACK) only, and
@@ -230,11 +231,6 @@ _TAYLOR_THETA = (1.49e-8, 8.73e-6, 2.27e-4, 1.67e-3, 6.56e-3, 1.77e-2,
                  3.81e-2, 6.99e-2, 1.14e-1, 1.73e-1, 2.47e-1, 3.35e-1)
 
 
-def _rows_at_once(shape) -> int:
-    """matmul_t's rows per pass over a (d, d, ...) stack (see SHORT_STACK)."""
-    return shape[0] if math.prod(shape[2:]) <= SHORT_STACK else 1
-
-
 def time_first(a: np.ndarray) -> np.ndarray:
     """(..., n) time-innermost stack as an (n, ...) view (np.moveaxis's, cheaper)."""
     return a.transpose(a.ndim - 1, *range(a.ndim - 1))
@@ -245,27 +241,21 @@ def time_last(a: np.ndarray) -> np.ndarray:
     return a.transpose(*range(1, a.ndim), 0)
 
 
-def matmul_t(a: np.ndarray, b: np.ndarray, out: np.ndarray,
-             tmp: Optional[np.ndarray] = None) -> np.ndarray:
+def matmul_t(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out[i, j, ...] = sum_k a[i, k, ...] b[k, j, ...] over time-innermost stacks.
 
     a and b are (d, d, ...) arrays whose trailing axes broadcast; every
-    product is d multiply-adds over whole stacks instead of one small matmul
-    per stack element. out has the broadcast shape and must not overlap a
-    or b. The product is formed r = len(tmp) rows at a time into scratch tmp
-    of shape (r,) + out.shape[1:], by default a fresh one with
-    _rows_at_once rows. Every r does the same arithmetic, so the same bits.
+    product is d multiply-adds over whole stacks, all rows at once, instead
+    of one small matmul per stack element. out has the broadcast shape and
+    must not overlap a or b. The d - 1 terms after the first share one
+    scratch stack: a fresh one per term is up to 1.15 times slower at d = 4
+    on 4096-step grids. np.multiply, not the operator, for the reason given
+    at drives.eigenphases_from_trace_det.
     """
-    if tmp is None:
-        tmp = np.empty((_rows_at_once(out.shape),) + out.shape[1:], dtype=complex)
-    r = tmp.shape[0]
-    for i in range(0, out.shape[0], r):
-        o = out[i:i + r]
-        t = tmp[:len(o)]
-        np.multiply(a[i:i + r, 0, None], b[None, 0], out=o)
-        for k in range(1, a.shape[1]):
-            np.multiply(a[i:i + r, k, None], b[None, k], out=t)
-            o += t
+    term = np.empty(out.shape, dtype=complex)
+    np.multiply(a[:, 0, None], b[None, 0], out=out)
+    for k in range(1, a.shape[1]):
+        out += np.multiply(a[:, k, None], b[None, k], out=term)
     return out
 
 
@@ -282,10 +272,9 @@ def _expm_taylor(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     largest 1-norm theta until it is at most _TAYLOR_THETA[-1], and m is the
     least degree whose tail bound at theta / 2^s is below the unit roundoff.
     The series is summed by Horner's rule, each step one out-of-place
-    product by a from the right (matmul_t's rows at a time), alternating
-    between p and a second stack, and starting where the last step lands in
-    p. a is overwritten (it is the ping-pong buffer of the squarings); p
-    must not overlap it.
+    product by a from the right, alternating between p and a second stack,
+    and starting where the last step lands in p. a is overwritten (it is the
+    ping-pong buffer of the squarings); p must not overlap it.
     """
     d = a.shape[0]
     col, absval = np.empty((2,) + a.shape[1:])
@@ -298,12 +287,11 @@ def _expm_taylor(a: np.ndarray, p: np.ndarray) -> np.ndarray:
         a *= 0.5**s
     m = bisect.bisect_left(_TAYLOR_THETA, theta * 0.5**s) + 1
     q = np.empty(a.shape, dtype=complex)
-    tmp = np.empty((_rows_at_once(a.shape),) + a.shape[1:], dtype=complex)
     acc, spare = (p, q) if m % 2 else (q, p)    # the m - 1 steps end in p
     np.multiply(a, 1.0 / math.factorial(m), out=acc)
     _add_identity(acc, 1.0 / math.factorial(m - 1))
     for k in range(m - 2, -1, -1):
-        acc, spare = matmul_t(acc, a, spare, tmp), acc
+        acc, spare = matmul_t(acc, a, spare), acc
         _add_identity(acc, 1.0 / math.factorial(k))
     if s:
         r, q = p, a
@@ -356,10 +344,6 @@ def polar_project(u: np.ndarray):
 
 
 REUNITARIZE_EVERY = 64   # steps per block of ordered_products
-# matmul_t forms all rows of a stack of at most SHORT_STACK matrices at once:
-# 0.4 to 0.6 of the time of a row at a time at 64 to 128 matrices, while
-# from about 4,096 on a row at a time is 1.0 to 1.2 times faster.
-SHORT_STACK = 1024
 # _block_products scans stacks of at most SCAN_MAX_BLOCKS[d] blocks (indexed
 # by d, the last entry for larger d): the measured crossover of the scan.
 SCAN_MAX_BLOCKS = (0, 0, 48, 20, 12, 8, 6)
@@ -392,9 +376,9 @@ def _block_products(steps: np.ndarray, width: int) -> np.ndarray:
             src, dst = dst, src
     else:    # contiguous scratch: strided output in all 2d - 1 passes is slower
         run[..., 0] = steps[..., 0]
-        prod, tmp = np.empty((2, d, d, nb), dtype=complex)
+        prod = np.empty((d, d, nb), dtype=complex)
         for j in range(1, width):
-            run[..., j] = matmul_t(steps[..., j], run[..., j - 1], prod, tmp)
+            run[..., j] = matmul_t(steps[..., j], run[..., j - 1], prod)
     return run
 
 

@@ -89,9 +89,6 @@ class DensityMatrix:
         """Eigenvalues sorted descending with a stable tie-break (read-only)."""
         return self._populations_desc
 
-    def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
-
 
 @dataclass(frozen=True)
 class HamiltonianOp:

@@ -134,12 +134,6 @@ class TlsState:
     def density(self) -> DensityMatrix:
         return DensityMatrix(density_matrices(self.p, self.c))
 
-    @classmethod
-    def from_density(cls, rho: DensityMatrix) -> "TlsState":
-        if rho.dim != 2:
-            raise ParamOutOfRange("TlsState needs a qubit")
-        return cls(float(rho.mat[0, 0].real), complex(rho.mat[0, 1]))
-
 
 @dataclass(frozen=True)
 class MuDynParams:

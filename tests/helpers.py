@@ -178,18 +178,18 @@ def ordered_products_sequential(buf, n):
     eye = np.eye(d)[..., None]
     buf[..., :1] = buf[..., n + 1:] = eye
     blocks = buf[..., 1:].reshape(d, d, nb, m, copy=False)
-    prod, tmp = np.empty((2, d, d, nb), dtype=complex)
+    prod = np.empty((d, d, nb), dtype=complex)
     for j in range(1, min(m, n)):
-        blocks[..., j] = matmul_t(blocks[..., j], blocks[..., j - 1], prod, tmp)
+        blocks[..., j] = matmul_t(blocks[..., j], blocks[..., j - 1], prod)
     last = np.minimum(np.arange(1, nb + 1) * m, n)   # buffer index of each block's end
     ends = np.ascontiguousarray(np.moveaxis(buf[..., last], -1, 0))
     for b in range(1, nb):
         ends[b] = ends[b] @ ends[b - 1]
     ends, drift = polar_project(ends)
     heads, rest = np.moveaxis(ends[:-1], 0, -1)[..., None], blocks[:, :, 1:]
-    row, tmp = np.empty((2, 1) + rest.shape[1:], dtype=complex)
+    row = np.empty((1,) + rest.shape[1:], dtype=complex)
     for i in range(d):    # rest <- rest heads in place, a row at a time
-        rest[i] = matmul_t(rest[i:i + 1], heads, row, tmp)[0]
+        rest[i] = matmul_t(rest[i:i + 1], heads, row)[0]
     buf[..., last] = np.moveaxis(ends, 0, -1)
     return np.moveaxis(buf[..., :n + 1], -1, 0), drift
 

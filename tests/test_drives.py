@@ -183,6 +183,31 @@ def test_final_unitary_refuses_past_the_step_cap():
         drives.final_unitary(h_i, h_f, Schedule.linear(1.0))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_step_count_loops_stop_at_the_first_non_finite_estimate(monkeypatch):
+    # at tau = 1e30 and 1e300 U0's first estimate (64 against 128 steps) is
+    # NaN; at tau = 1e-300 U0's is 0 but the driven one, V ~ 1/tau, is NaN:
+    # each refuses there instead of doubling to the step cap
+    rho = DensityMatrix(np.array([[0.6, 0.3 + 0.1j], [0.3 - 0.1j, 0.4]]))
+    h_i = HamiltonianOp(np.diag([0.0, 1.0]))
+    h_f = HamiltonianOp(np.array([[0.0, 0.2], [0.2, 1.5]]))
+    calls = []
+    product, propagate = drives._final_product, drives.propagate_u0
+    monkeypatch.setattr(drives, "_final_product",
+                        lambda *args: calls.append("_final_product") or product(*args))
+    monkeypatch.setattr(drives, "propagate_u0",
+                        lambda *args: calls.append("propagate_u0") or propagate(*args))
+    for tau, message, want in (
+            (1e30, "U0", ["_final_product"] * 2),
+            (1e300, "U0", ["_final_product"] * 2),
+            (1e-300, "driven", ["_final_product"] * 2 + ["propagate_u0"]
+             + ["_final_product"] * 2)):
+        calls.clear()
+        with pytest.raises(NoConvergence, match=f"{message}.* at 64 steps is nan, not a finite"):
+            synthesize_drive(rho, h_i, h_f, Schedule.linear(tau))
+        assert calls == want
+
+
 def _verified_distance(synth, rho, h_i, h_f, sched):
     """verify_drive's state distance, also when it is out of contract."""
     try:

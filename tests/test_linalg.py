@@ -124,32 +124,22 @@ def test_herm_expi_batch_into_out_is_bit_equal(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_matmul_t_forms_give_the_same_bits(d):
-    # all rows at once (short stacks), one row at a time (long ones) and the
-    # default scratch, on plain stacks, 4-d stacks and a broadcast right factor
+    # all rows at once at every stack length, on plain stacks, 4-d stacks and
+    # a broadcast right factor; a long stack multiplied whole gives the bits
+    # of its 64-matrix slices multiplied one at a time
     rng = np.random.default_rng([75, d])
-    for shape in ((5,), (linalg.SHORT_STACK,), (linalg.SHORT_STACK + 1,), (3, 64)):
+    for shape in ((5,), (1024,), (1025,), (4096,), (3, 64)):
         a, b = (rng.normal(size=(d, d) + shape) + 1j * rng.normal(size=(d, d) + shape)
                 for _ in range(2))
         for right in (b, b[..., :1]):
-            got = [linalg.matmul_t(a, right, np.empty(a.shape, dtype=complex), tmp)
-                   for tmp in (np.empty((1,) + a.shape[1:], dtype=complex),
-                               np.empty(a.shape, dtype=complex), None)]
-            assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
-            assert np.abs(got[0] - np.einsum("ik...,kj...->ij...", a, right)).max() < 1e-13
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_out_of_place_horner_gives_the_in_place_bits(monkeypatch, d):
-    # norms from degree 1 to 12 and through squarings: the short-stack
-    # kernel (out-of-place Horner, all rows) against the long-stack one (in
-    # place, a row at a time), forced by the SHORT_STACK constant
-    rng = np.random.default_rng([76, d])
-    hs = _unit_one_norm_stack(rng, d, 40)
-    for dt in (1e-9, 1e-6, 1e-3, 0.03, 0.3, 1.0, 4.0):
-        short = linalg.herm_expi_batch(hs, dt)
-        monkeypatch.setattr(linalg, "SHORT_STACK", 0)
-        assert np.array_equal(linalg.herm_expi_batch(hs, dt), short)
-        monkeypatch.undo()
+            got = linalg.matmul_t(a, right, np.empty(a.shape, dtype=complex))
+            assert np.abs(got - np.einsum("ik...,kj...->ij...", a, right)).max() < 1e-13
+            if shape == (4096,):
+                for i in range(0, 4096, 64):
+                    cut = slice(i, i + 64) if right.shape[-1] > 1 else slice(None)
+                    piece = linalg.matmul_t(a[..., i:i + 64], right[..., cut],
+                                            np.empty((d, d, 64), dtype=complex))
+                    assert np.array_equal(piece, got[..., i:i + 64])
 
 
 def test_herm_expi_batch_runs_no_eigendecomposition(monkeypatch):

@@ -8,17 +8,18 @@ K2 = dt (H(t_k + dt) - H(t_k)), the step is exp(-i H_eff dt) with
 H_eff dt = K1 + (i/12) [K1, K2] (Blanes, Casas, Oteo & Ros, Phys. Rep.
 470, 151 (2009)), so an n-step grid samples H at its 2n + 1 Simpson nodes.
 The bare propagator U0 is one blocked ordered product of those steps,
-projected onto the unitaries every 64 steps (linalg.step_products, which
-allocates its own sample buffer); the same kernel propagates U0 on
+projected onto the unitaries every 64 steps (linalg.step_products, whose
+kernels return their own arrays); the same kernel propagates U0 on
 verify_drive's grid of 2n steps, whose samples are U0 at every Simpson node
-of the n-step grid, and then H0 + V on the n-step grid. A Schedule's n_steps
-is explicit, or left open for fix_steps, the one home of the step-count
-rule: final_unitary returns (n, U_n(tau)), the least n = 64 * 2^k at which
-the step-doubling estimate of U0(tau)'s error is at most PROPAGATION_ERROR
-and U0(tau) there, formed by pairwise products of the step stack, and for a
-drive the count doubles while driven_error, the same estimate for the
-propagator of H0 + V from the drive's samples, is above
-DRIVEN_PROPAGATION_ERROR. propagate_u0 refuses an open count.
+of the n-step grid, and then H0 + V on the n-step grid, so a verified n
+is at most PROPAGATION_MAX_STEPS / 2. A Schedule's n_steps is explicit, or
+left open for fix_steps, the one home of the step-count rule: final_unitary
+returns (n, U_n(tau)), the least n = 64 * 2^k at which the step-doubling
+estimate of U0(tau)'s error is at most PROPAGATION_ERROR and U0(tau)
+there, formed by pairwise products of the step stack, and for a drive the
+count doubles while driven_error, the same estimate for the propagator of
+H0 + V from the drive's samples, is above DRIVEN_PROPAGATION_ERROR.
+propagate_u0 refuses an open count.
 Every stack of small matrices on a time grid is kept time-innermost, as a
 (d, d, n) array (handed out as (n, d, d) views): the step exponentials are
 one Taylor kernel over the stack, and every product or conjugation
@@ -336,20 +337,29 @@ def final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp,
                         f"{PROPAGATION_MAX_STEPS} steps")
 
 
+def _check_verifiable(n: int) -> None:
+    """Refuse n steps whose verification grid of 2n exceeds PROPAGATION_MAX_STEPS."""
+    if 2 * n > PROPAGATION_MAX_STEPS:
+        raise ParamOutOfRange(f"verifying {n} steps needs a propagation of {2 * n} steps, "
+                              f"more than {PROPAGATION_MAX_STEPS}")
+
+
 def fix_steps(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule,
               drive: Callable) -> Tuple[Schedule, DriveSynthesis]:
     """(sched with its step count fixed, the drive there), where
     ``drive(sched, trace)`` builds the drive from U0's trace on sched's grid.
 
-    An explicit n_steps is used exactly. An open one starts at final_unitary's
-    count and doubles while driven_error is above DRIVEN_PROPAGATION_ERROR,
-    up to a verification of PROPAGATION_MAX_STEPS steps (NoConvergence, as
-    at the first estimate that is not a finite number). One U0 per count
-    tried.
+    An explicit n_steps is used exactly, or refused before anything is
+    sampled when verifying it needs more than PROPAGATION_MAX_STEPS steps
+    (ParamOutOfRange). An open one starts at final_unitary's count and
+    doubles while driven_error is above DRIVEN_PROPAGATION_ERROR, up to a
+    verification of that many steps (NoConvergence, as at the first
+    estimate that is not a finite number). One U0 per count tried.
     """
     fixed = sched.n_steps is not None
     if not fixed:
         sched = dataclasses.replace(sched, n_steps=final_unitary(h_i, h_f, sched)[0])
+    _check_verifiable(sched.n_steps)
     while True:
         synth = drive(sched, propagate_u0(h_i, h_f, sched))
         if fixed:
@@ -528,8 +538,9 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     (with the 3/8 rule on the last three intervals when n is odd) over the
     n-step grid, with dH/dt from fourth-order differences of H at the
     Simpson nodes, so n_steps below VERIFY_MIN_STEPS is refused
-    (ParamOutOfRange). The synthesizer's U0 is never read, and the passive
-    target is passive_state(rho_i, h_f), formed here.
+    (ParamOutOfRange), as is n_steps above PROPAGATION_MAX_STEPS / 2. The
+    synthesizer's U0 is never read, and the passive target is
+    passive_state(rho_i, h_f), formed here.
 
     Returns (final_energy_residual, state_distance). Raises VerificationFailed
     (with all residuals attached) when the final state is not the passive
@@ -546,6 +557,7 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     if n < VERIFY_MIN_STEPS:
         raise ParamOutOfRange(f"verify_drive needs n_steps >= {VERIFY_MIN_STEPS} "
                               f"for its fourth-order work integral, got {n}")
+    _check_verifiable(n)
     dt = sched.tau / n
     nodes = sched.times(2 * n)
 

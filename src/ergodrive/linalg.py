@@ -27,8 +27,11 @@ kernel by shape: a log-depth in-block scan in ordered_products up to
 SCAN_MAX_BLOCKS[d] blocks, one position at a time above that.
 principal_log_unitary takes a unitary's eigenvectors from eigh of a Cayley
 transform, shifted so that I + u is well conditioned, and its eigenphases
-from their Rayleigh quotients. Everything here is NumPy (LAPACK) only, and
-every scratch stack is a fresh array of the call that uses it.
+from their Rayleigh quotients. Everything here is NumPy (LAPACK) only.
+Every propagation kernel returns the array that holds its result, and every
+scratch stack is a fresh array of the call that uses it: herm_expi_batch
+returns fresh exponentials, and ordered_products overwrites the step stack
+it is given and writes the samples into an array of its own.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -265,16 +268,16 @@ def _add_identity(x: np.ndarray, c: float) -> None:
     x.reshape(d * d, -1, copy=False)[::d + 1] += c    # the (i, i) rows, a view
 
 
-def _expm_taylor(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """p <- exp(a) over time-innermost stacks a, p[d, d, n], scaled and squared Taylor.
+def _expm_taylor(a: np.ndarray) -> np.ndarray:
+    """exp(a) over a time-innermost stack a[d, d, n], scaled and squared Taylor.
 
     One degree m and squaring count s serve the whole stack: s halves the
     largest 1-norm theta until it is at most _TAYLOR_THETA[-1], and m is the
     least degree whose tail bound at theta / 2^s is below the unit roundoff.
     The series is summed by Horner's rule, each step one out-of-place
-    product by a from the right, alternating between p and a second stack,
-    and starting where the last step lands in p. a is overwritten (it is the
-    ping-pong buffer of the squarings); p must not overlap it.
+    product by a from the right, and squared s times; both alternate between
+    two fresh stacks, and the last one written is returned. a is scaled in
+    place.
     """
     d = a.shape[0]
     col, absval = np.empty((2,) + a.shape[1:])
@@ -286,43 +289,29 @@ def _expm_taylor(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     if s:
         a *= 0.5**s
     m = bisect.bisect_left(_TAYLOR_THETA, theta * 0.5**s) + 1
-    q = np.empty(a.shape, dtype=complex)
-    acc, spare = (p, q) if m % 2 else (q, p)    # the m - 1 steps end in p
-    np.multiply(a, 1.0 / math.factorial(m), out=acc)
+    acc, spare = np.multiply(a, 1.0 / math.factorial(m)), np.empty(a.shape, dtype=complex)
     _add_identity(acc, 1.0 / math.factorial(m - 1))
     for k in range(m - 2, -1, -1):
         acc, spare = matmul_t(acc, a, spare), acc
         _add_identity(acc, 1.0 / math.factorial(k))
-    if s:
-        r, q = p, a
-        for _ in range(s):
-            r, q = matmul_t(r, r, q), r
-        if r is not p:
-            p[...] = r
-    return p
+    for _ in range(s):
+        acc, spare = matmul_t(acc, acc, spare), acc
+    return acc
 
 
-def herm_expi_batch(h: np.ndarray, dt: float, *, out: Optional[np.ndarray] = None) -> np.ndarray:
+def herm_expi_batch(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i h dt) over a stack of Hermitian matrices h[..., d, d], one step dt.
 
     No hermiticity check (hot path); callers guarantee Hermitian input. The
     stack is laid out time-innermost, (d, d, n), and exponentiated by one
-    scaled-and-squared Taylor kernel for every d. The result is a
-    (..., d, d) view of a time-innermost array: a fresh one, or ``out``, an
-    array of the result's shape that does not overlap h and whose moved
-    (d, d, ...) view flattens to (d, d, n) without a copy.
+    scaled-and-squared Taylor kernel for every d. The result is a fresh
+    array, handed out as a (..., d, d) view of a time-innermost one.
     """
     h = np.asarray(h, dtype=complex)
     d, k = h.shape[-1], h.ndim - 2
     a = np.empty((d, d) + h.shape[:-2], dtype=complex)
     np.multiply(h.transpose(k, k + 1, *range(k)), -1j * dt, out=a)
-    if out is None:
-        p = np.empty(a.shape, dtype=complex)
-    elif out.shape != h.shape:
-        raise DimMismatch(f"out has shape {out.shape}, the result {h.shape}")
-    else:
-        p = out.transpose(k, k + 1, *range(k))
-    _expm_taylor(a.reshape(d, d, -1), p.reshape(d, d, -1, copy=False))
+    p = _expm_taylor(a.reshape(d, d, -1)).reshape(a.shape)
     return p.transpose(*range(2, k + 2), 0, 1)
 
 
@@ -349,80 +338,72 @@ REUNITARIZE_EVERY = 64   # steps per block of ordered_products
 SCAN_MAX_BLOCKS = (0, 0, 48, 20, 12, 8, 6)
 
 
-def buffer_len(n: int) -> int:
-    """Time length of an n-step sample buffer: whole blocks plus the identity."""
-    return -(-n // REUNITARIZE_EVERY) * REUNITARIZE_EVERY + 1
-
-
 def _block_products(steps: np.ndarray, width: int) -> np.ndarray:
     """Running products steps[..., j] ... steps[..., 0] inside every block of
-    steps[d, d, nb, m] (the identity from position width on), into a fresh
-    stack; steps is overwritten. Few blocks take a Hillis-Steele scan
-    (CACM 29, 1170 (1986)): pass s = 1, 2, ..., 32 multiplies each position
-    j >= s by position j - s, 6 broadcast products instead of 63 at 5 times
-    the arithmetic, ping-ponging so that the last pass lands in the result.
-    More blocks go one position at a time.
+    steps[d, d, nb, m] (the identity from position width on); steps is
+    overwritten, and may be the stack returned. Few blocks take a
+    Hillis-Steele scan (CACM 29, 1170 (1986)): pass s = 1, 2, ..., 32
+    multiplies each position j >= s by position j - s, 6 broadcast products
+    instead of 63 at 5 times the arithmetic, alternating between steps and
+    one fresh stack. More blocks go one position at a time into a fresh stack.
     """
     d, nb = steps.shape[0], steps.shape[2]
-    run = np.empty(steps.shape, dtype=complex)
     if nb <= SCAN_MAX_BLOCKS[min(d, len(SCAN_MAX_BLOCKS) - 1)]:
-        shifts = [2**k for k in range((width - 1).bit_length())]
-        src, dst = (steps, run) if len(shifts) % 2 else (run, steps)
-        if src is run:
-            run[...] = steps
-        for s in shifts:
+        src, dst = steps, np.empty(steps.shape, dtype=complex)
+        for s in [2**k for k in range((width - 1).bit_length())]:
             matmul_t(src[..., s:], src[..., :-s], dst[..., s:])
             dst[..., :s] = src[..., :s]
             src, dst = dst, src
-    else:    # contiguous scratch: strided output in all 2d - 1 passes is slower
-        run[..., 0] = steps[..., 0]
-        prod = np.empty((d, d, nb), dtype=complex)
-        for j in range(1, width):
-            run[..., j] = matmul_t(steps[..., j], run[..., j - 1], prod)
+        return src
+    # contiguous scratch: strided output in all 2d - 1 passes is slower
+    run = np.empty(steps.shape, dtype=complex)
+    run[..., 0] = steps[..., 0]
+    prod = np.empty((d, d, nb), dtype=complex)
+    for j in range(1, width):
+        run[..., j] = matmul_t(steps[..., j], run[..., j - 1], prod)
     return run
 
 
-def ordered_products(buf: np.ndarray, n: int):
+def ordered_products(steps: np.ndarray):
     """Running products steps[k-1] ... steps[0] for k = 0..n, and the drift.
 
-    buf is a time-innermost (d, d, buffer_len(n)) array whose entries
-    1..n hold the steps; the products are formed in it, after padding it
-    with the identity, cut into blocks of REUNITARIZE_EVERY. The products
-    inside every block are formed side by side (_block_products). The block
-    totals are chained in order and the chained totals projected onto the
-    unitaries in one batched SVD; drift is the worst defect ||s^2 - 1||
-    before that projection. Each block's running products are then
-    multiplied by the projected total of the blocks before it (its head)
-    into buf, and every 64th sample and the last one are the projected
-    totals themselves, unitary to rounding. Returns the samples as an
-    (n + 1, d, d) view of buf.
+    steps is a time-innermost (d, d, n) stack, overwritten if contiguous,
+    cut into blocks of REUNITARIZE_EVERY, a partial last block padded with
+    the identity. The products inside every block are formed side by side
+    (_block_products). The block totals are chained in order and the chained
+    totals projected onto the unitaries in one batched SVD; drift is the
+    worst defect ||s^2 - 1|| before that projection. Each block's running
+    products are then multiplied by the projected total of the blocks before
+    it (its head) into a fresh (d, d, nb m + 1) sample array that starts
+    with the identity, and every 64th sample and the last one are the
+    projected totals themselves, unitary to rounding. Returns the samples as
+    an (n + 1, d, d) view.
     """
-    d = buf.shape[0]
+    d, n = steps.shape[0], steps.shape[-1]
     m = REUNITARIZE_EVERY
     nb = -(-n // m)
     eye = np.eye(d)[..., None]
-    buf[..., :1] = buf[..., n + 1:] = eye
-    steps = buf[..., 1:].reshape(d, d, nb, m, copy=False)
-    run = _block_products(steps, min(m, n))
-    last = np.minimum(np.arange(1, nb + 1) * m, n)   # buffer index of each block's end
+    if n % m:
+        steps = np.concatenate((steps, np.broadcast_to(eye, (d, d, nb * m - n))), axis=-1)
+    run = _block_products(steps.reshape(d, d, nb, m), min(m, n))
+    last = np.minimum(np.arange(1, nb + 1) * m, n)   # sample index of each block's end
     ends = np.ascontiguousarray(time_first(run.reshape(d, d, -1)[..., last - 1]))
     for b in range(1, nb):
         ends[b] = ends[b] @ ends[b - 1]
     ends, drift = polar_project(ends)
-    steps[:, :, 0] = run[:, :, 0]
-    matmul_t(run[:, :, 1:], time_last(ends[:-1])[..., None], steps[:, :, 1:])
-    buf[..., last] = time_last(ends)
-    return time_first(buf[..., :n + 1]), drift
+    samples = np.empty((d, d, nb * m + 1), dtype=complex)
+    samples[..., :1] = eye
+    blocks = samples[..., 1:].reshape(d, d, nb, m, copy=False)
+    blocks[:, :, 0] = run[:, :, 0]
+    matmul_t(run[:, :, 1:], time_last(ends[:-1])[..., None], blocks[:, :, 1:])
+    samples[..., last] = time_last(ends)
+    return time_first(samples[..., :n + 1]), drift
 
 
 def step_products(h: np.ndarray, dt: float):
     """Running products of the steps exp(-i h_k dt) of a time-innermost stack
-    h[d, d, n], formed in a fresh (d, d, buffer_len(n)) sample buffer (see
-    ordered_products)."""
-    d, n = h.shape[0], h.shape[-1]
-    buf = np.empty((d, d, buffer_len(n)), dtype=complex)
-    herm_expi_batch(time_first(h), dt, out=time_first(buf[..., 1:n + 1]))
-    return ordered_products(buf, n)
+    h[d, d, n] (see ordered_products)."""
+    return ordered_products(time_last(herm_expi_batch(time_first(h), dt)))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -23,16 +23,9 @@ from . import linalg
 from .errors import (DimMismatch, EnergyOutOfRange, EntropyOutOfRange, LengthMismatch,
                      NoConvergence, NotAState)
 from .linalg import HermEig, dagger, hermitian_eig
-from .tolerances import (BETA_RESIDUAL, EIG_FLOOR, ENTROPY_RANGE_ATOL, HERMITICITY,
-                         MAJORIZATION_SLACK, TRACE)
+from .tolerances import (BETA_MAX_SCALE, BETA_RESIDUAL, BETA_RTOL, BETA_XTOL_SCALE, EIG_FLOOR,
+                         ENTROPY_RANGE_ATOL, HERMITICITY, MAJORIZATION_SLACK, ROUNDING, TRACE)
 
-BETA_MAX_SCALE = 1e4  # solver bracket: |beta| <= BETA_MAX_SCALE / spectral width
-# absolute beta tolerance of the solvers, in units of 1 / spectral width: below
-# it the Gibbs weights round to their beta = 0 values, so a solve never stops
-# on beta = 0 itself unless the flat state already matches its target
-BETA_XTOL_SCALE = 1e-18
-BETA_RTOL = 4 * np.finfo(float).eps   # relative beta tolerance of the solvers
-ROUNDING = 4 * np.finfo(float).eps    # rounding error of a mean energy or entropy, relative
 _LOG1P_FLOOR = -1.0 + np.finfo(float).eps   # keeps log1p(f / tail) finite
 BRACKET_GROWTH = 16.0  # the bracket search multiplies its trial point by this
 

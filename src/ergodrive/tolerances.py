@@ -5,6 +5,8 @@ whether a computed number is accepted. Each is read where it is used, by
 name; none is carried by an object or passed as an argument.
 """
 
+import numpy as np
+
 HERMITICITY = 1e-12          # max-entry defect |m - m^dag| (hermitian_eig: per unit of scale)
 UNITARITY = 1e-10            # Frobenius defect |u^dag u - 1| (principal_log_unitary)
 TRACE = 1e-12                # |Tr rho - 1|
@@ -14,6 +16,13 @@ UNITARY_DEFECT_MAX = 0.1     # polar projection refuses beyond this
 BETA_RESIDUAL = 1e-10        # beta solve residual: energy per unit spectral width; entropy in nats
 MAJORIZATION_SLACK = 1e-12   # majorizes: slack on the partial sums
 IDENTITY_RESIDUAL = 1e-9     # energy-identity cross checks, units of spectral width
+BETA_MAX_SCALE = 1e4         # beta solvers' bracket: |beta| <= BETA_MAX_SCALE / spectral width
+# absolute beta tolerance of the solvers, in units of 1 / spectral width: below
+# it the Gibbs weights round to their beta = 0 values, so a solve never stops
+# on beta = 0 itself unless the flat state already matches its target
+BETA_XTOL_SCALE = 1e-18
+BETA_RTOL = 4 * np.finfo(float).eps   # relative beta tolerance of the solvers
+ROUNDING = 4 * np.finfo(float).eps    # rounding error of a mean energy or entropy, relative
 
 # Eigenvalues of a Hermitian matrix (or eigenphases of a unitary) this many
 # units of roundoff of its scale apart share one canonical eigenbasis. Pairing

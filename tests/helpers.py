@@ -167,16 +167,20 @@ def sequential_products(steps):
     return samples, drift
 
 
-def ordered_products_sequential(buf, n):
-    """linalg.ordered_products as it was before the in-block scan: the
-    products inside every block formed one position at a time (63 broadcast
-    products), and the heads multiplied in place a row at a time. The oracle
-    of the scan, and the same bits as the kernel's sequential branch."""
-    d = buf.shape[0]
+def ordered_products_sequential(steps):
+    """linalg.ordered_products as it was before the in-block scan, on a
+    time-innermost (d, d, n) step stack: the products inside every block
+    formed one position at a time (63 broadcast products) in an
+    identity-padded sample buffer, and the heads multiplied in place a row
+    at a time. The oracle of the scan, and the same bits as the kernel's
+    sequential branch."""
+    d, n = steps.shape[0], steps.shape[-1]
     m = REUNITARIZE_EVERY
     nb = -(-n // m)
     eye = np.eye(d)[..., None]
+    buf = np.empty((d, d, nb * m + 1), dtype=complex)
     buf[..., :1] = buf[..., n + 1:] = eye
+    buf[..., 1:n + 1] = steps
     blocks = buf[..., 1:].reshape(d, d, nb, m, copy=False)
     prod = np.empty((d, d, nb), dtype=complex)
     for j in range(1, min(m, n)):

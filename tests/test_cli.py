@@ -231,6 +231,27 @@ def test_drive_synth_default_grid_refuses_past_the_step_cap(tmp_path, capsys):
     assert "more than 65536 steps" in err["message"]
 
 
+@pytest.mark.parametrize("steps", ["32769", str(10**19), None])
+def test_drive_synth_refuses_explicit_counts_past_the_step_cap(tmp_path, capsys, monkeypatch,
+                                                                steps):
+    # verification propagates 2n steps, at most 65536: 32769 is one count
+    # past that, and 10**19 or a config's 1e8 steps would not even fit their
+    # time grids in memory; each is refused before anything is sampled
+    monkeypatch.setattr(Schedule, "times", lambda *args: pytest.fail("sampled a refused grid"))
+    rng = np.random.default_rng(70)
+    cfg = {"rho_i": matrix_to_json(np.diag([0.2, 0.8]).astype(complex)),
+           "h_i": matrix_to_json(random_hermitian(rng, 2)),
+           "h_f": matrix_to_json(random_hermitian(rng, 2)), "tau": 1.0, "phases": "analytic2"}
+    argv = ["drive-synth", "--config"]
+    if steps is None:
+        argv.append(write_cfg(tmp_path, "cap.json", dict(cfg, n_steps=1e8)))
+    else:
+        argv += [write_cfg(tmp_path, "cap.json", cfg), "--steps", steps]
+    assert run(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParamOutOfRange" and "more than 65536" in err["message"]
+
+
 def _pinned_drive_cfg(seed, d, **extra):
     rho, h_i, h_f = random_instance(np.random.default_rng([75, seed, d]), d)
     return dict({"rho_i": matrix_to_json(rho.mat), "h_i": matrix_to_json(h_i.mat),
@@ -242,14 +263,21 @@ PINNED_DRIVES = {
     "d3_phases": _pinned_drive_cfg(2, 3, phases=[0.4, -1.1, 2.5]),
     "d4_zeros": _pinned_drive_cfg(3, 4, phases="zeros"),
     "d3_4096_steps": _pinned_drive_cfg(4, 3, phases=[-0.3, 0.0, 1.7], n_steps=4096),
+    # partial last blocks: the scan (2 blocks, 4 when verified), and the
+    # sequential in-block loop (16 blocks, 32 when verified)
+    "d2_100_steps": _pinned_drive_cfg(5, 2, phases="analytic2", n_steps=100),
+    "d4_1000_steps": _pinned_drive_cfg(6, 4, phases="zeros", n_steps=1000),
 }
 # sha256 of cli.run_drive_synth's JSON (as write_json prints it) for every
 # config above, recorded before the propagations' scratch stacks became fresh
-# arrays; they pin the bytes independently of any oracle
+# arrays (the two partial-block ones before the kernels returned their own
+# arrays); they pin the bytes independently of any oracle
 PINNED_DRIVE_SHA256 = {
+    "d2_100_steps": "28013a7350e1003b7bf2c753d7018059de2adb3e1ab6924231dd395edd1e1089",
     "d2_analytic2_open": "b32e576006a2aa270bd863e7f5283fc308e56280c191398e5133493d22f8e916",
     "d3_4096_steps": "ddebad67bd27f1baef5df88c6686d3cf6f2db3bb1908cf0a3886685a93460db9",
     "d3_phases": "9aeb9129421d0b8933c17653a2fab11c0cef1a8f245f6198c2a31f51605deb83",
+    "d4_1000_steps": "ace625802ced415ec97ffab8190b424f57602789547f2502206508d4eb0377bb",
     "d4_zeros": "621e1d80fd7d2d1698908aaee0a9f844e009de328d0d42eb9f71fa8b6f1aa2c2",
 }
 

@@ -27,7 +27,7 @@ from ergodrive.errors import (BranchAmbiguity, DimMismatch, DimTooLarge, GaugeFa
 from ergodrive.linalg import unitarity_defect
 from ergodrive.states import matrix_to_json
 from ergodrive.tls import cost, theta1
-from ergodrive.tolerances import GRID_SHIFT_MARGIN, PROPAGATION_ERROR
+from ergodrive.tolerances import GRID_SHIFT_MARGIN, PROPAGATION_ERROR, PROPAGATION_MAX_STEPS
 from helpers import (counterdiabatic_cost_oracle, eigenphases,
                      herm_expi, magnus4_gauss_final, ordered_products_sequential,
                      phase_cost_inputs, phase_costs_oracle, random_density, random_hermitian,
@@ -283,6 +283,18 @@ def test_verify_drive_refuses_grids_below_its_stencil():
             assert verify_drive(synth, rho, h, h, sched)[1] < 1e-12
 
 
+def test_verify_drive_refuses_grids_past_the_step_cap(monkeypatch):
+    # 2n verification steps may not exceed PROPAGATION_MAX_STEPS; the
+    # refusal comes before anything is sampled
+    h = HamiltonianOp(0.5 * SZ)
+    rho = DensityMatrix(np.diag([0.3, 0.7]))
+    synth = synthesize_drive(rho, h, h, Schedule.linear(1.0, n_steps=64))
+    monkeypatch.setattr(Schedule, "times", lambda *args: pytest.fail("sampled a refused grid"))
+    for n in (PROPAGATION_MAX_STEPS // 2 + 1, 10**19):
+        with pytest.raises(ParamOutOfRange, match=f"more than {PROPAGATION_MAX_STEPS}"):
+            verify_drive(synth, rho, h, h, Schedule.linear(1.0, n_steps=n))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 127, 4096])
 def test_blocked_propagator_matches_sequential_oracle(d, n_steps):
@@ -298,11 +310,9 @@ def test_blocked_propagator_matches_sequential_oracle(d, n_steps):
 
 
 def _ordered_products(steps):
-    """linalg.ordered_products on the steps steps[k], copied into a sample buffer."""
-    n, d = steps.shape[0], steps.shape[-1]
-    buf = np.empty((d, d, linalg.buffer_len(n)), dtype=complex)
-    buf[..., 1:n + 1] = np.moveaxis(steps, 0, -1)
-    return linalg.ordered_products(buf, n)
+    """linalg.ordered_products on the steps steps[k], copied time-innermost
+    (the kernel overwrites the copy)."""
+    return linalg.ordered_products(np.moveaxis(steps, 0, -1).copy())
 
 
 def test_ordered_products_refuses_non_unitary_steps():
@@ -339,9 +349,7 @@ def test_block_scan_matches_the_sequential_kernel(d):
         _, h_i, h_f = random_instance(np.random.default_rng([77, d, n]), d, 3.0)
         steps = _magnus_steps(h_i, h_f, Schedule.linear(1.0, n_steps=n))
         samples, drift = _ordered_products(steps)
-        buf = np.empty((d, d, linalg.buffer_len(n)), dtype=complex)
-        buf[..., 1:n + 1] = np.moveaxis(steps, 0, -1)
-        oracle, oracle_drift = ordered_products_sequential(buf, n)
+        oracle, oracle_drift = ordered_products_sequential(np.moveaxis(steps, 0, -1))
         assert np.abs(samples - oracle).max() <= 1e-13
         assert drift <= 8 * max(oracle_drift, eps) and oracle_drift <= 8 * max(drift, eps)
         if n > crossover:

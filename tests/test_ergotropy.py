@@ -275,3 +275,30 @@ def test_full_report_fields_and_flags():
     assert abs(rep["beta_same_energy"]) < 1e-9
     assert rep["upper_bound"] is None
     assert not rep["negative_temperature_flag"]
+
+
+H_NULL_I, H_NULL_F = np.diag([0.0, 1.0, 2.0]), np.diag([0.0, 0.4, 1.1])
+
+
+@pytest.mark.parametrize("rho, h_i", [
+    (np.diag([1.0, 0.0, 0.0]), H_NULL_I),          # ground state: beta = +inf
+    (np.diag([0.0, 0.0, 1.0]), H_NULL_I),          # top state: beta = -inf
+    (np.diag([0.5, 0.3, 0.2]), 0.7 * np.eye(3)),   # flat h_i: every beta matches
+])
+def test_full_report_without_a_gibbs_match_is_null(rho, h_i):
+    # rho's energy has no Gibbs match on h_i: the comparisons that need one
+    # are null, and the flags false
+    rep = full_report(DensityMatrix(rho), HamiltonianOp(h_i), HamiltonianOp(H_NULL_F)).to_json()
+    assert rep["delta_e_nc"] is None and rep["upper_bound"] is None
+    assert rep["beta_same_energy"] is None
+    assert rep["majorization_holds"] is False and rep["negative_temperature_flag"] is False
+
+
+def test_full_report_with_a_flat_final_hamiltonian_has_no_bound():
+    # entropy does not depend on beta on a flat h_f, so no beta_i matches S(rho_i)
+    rho, flat = DensityMatrix(np.diag([0.5, 0.3, 0.2])), HamiltonianOp(0.7 * np.eye(3))
+    with pytest.raises(EntropyOutOfRange, match="degenerate spectrum"):
+        states.solve_beta_for_entropy(flat, states.von_neumann_entropy(rho))
+    rep = full_report(rho, HamiltonianOp(H_NULL_I), flat).to_json()
+    assert rep["upper_bound"] is None
+    assert rep["delta_e_nc"] is not None and rep["beta_same_energy"] is not None

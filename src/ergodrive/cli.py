@@ -25,7 +25,8 @@ import numpy as np
 
 from . import ergotropy, states, tls
 from .drives import Schedule, fix_steps, optimize_phases, synthesize_drive, verify_drive
-from .errors import ConvergenceError, ParamOutOfRange, ValidationError, VerificationFailed
+from .errors import (ConvergenceError, DimTooLarge, LengthMismatch, ParamOutOfRange,
+                     ValidationError, VerificationFailed)
 from .linalg import hermitian_eigvals
 from .states import DensityMatrix, HamiltonianOp, matrix_from_json
 
@@ -153,17 +154,18 @@ def run_ergotropy(cfg: dict) -> dict:
     return ergotropy.full_report(rho, h_i, h_f).to_json()
 
 
-def _synthesize(cfg: dict, rho, h_i, h_f, sched: Schedule, trace):
-    """The drive of cfg's phases on sched's grid, from U0's trace there."""
-    phases_cfg = cfg.get("phases", "zeros")
-    if phases_cfg == "analytic2":
-        phases = optimize_phases(rho, h_i, h_f, sched, mode="analytic2",
-                                 u_f=trace.u_samples[-1]).phases
-    elif phases_cfg == "zeros":
-        phases = np.zeros(rho.dim)
-    else:
-        phases = np.array(_numbers(cfg, "phases", None))
-    return synthesize_drive(rho, h_i, h_f, sched, phases, trace)
+def _phases(cfg: dict, dim: int):
+    """cfg's phases, checked before any propagation: "analytic2" (d = 2), which
+    is resolved on each grid, or an array of dim numbers ("zeros" or a list)."""
+    phases = cfg.get("phases", "zeros")
+    if phases == "analytic2" and dim != 2:
+        raise DimTooLarge("the analytic phase minimizer covers d = 2 only")
+    if phases == "analytic2":
+        return phases
+    phases = np.zeros(dim) if phases == "zeros" else np.array(_numbers(cfg, "phases", None))
+    if phases.shape != (dim,):
+        raise LengthMismatch(f"need {dim} phases, got {len(phases)}")
+    return phases
 
 
 def run_drive_synth(cfg: dict, n_steps=None) -> dict:
@@ -175,8 +177,14 @@ def run_drive_synth(cfg: dict, n_steps=None) -> dict:
     tau = _number(cfg, "tau", 1.0)
     if n_steps is None and "n_steps" in cfg:
         n_steps = _count(cfg, "n_steps", None)
-    sched, synth = fix_steps(h_i, h_f, Schedule.linear(tau, n_steps=n_steps),
-                             lambda grid, trace: _synthesize(cfg, rho, h_i, h_f, grid, trace))
+    phases = _phases(cfg, rho.dim)
+
+    def drive(grid, trace):    # the drive on grid, from U0's trace there
+        phi = phases if not isinstance(phases, str) else optimize_phases(
+            rho, h_i, h_f, grid, mode="analytic2", u_f=trace.u_samples[-1]).phases
+        return synthesize_drive(rho, h_i, h_f, grid, phi, trace)
+
+    sched, synth = fix_steps(h_i, h_f, Schedule.linear(tau, n_steps=n_steps), drive)
     energy_res, dist = verify_drive(synth, rho, h_i, h_f, sched)
     return dict(synth.to_json(),
                 residuals={"final_energy_residual": energy_res, "state_distance": dist})

@@ -15,11 +15,11 @@ of the n-step grid, and then H0 + V on the n-step grid, so a verified n
 is at most PROPAGATION_MAX_STEPS / 2. A Schedule's n_steps is explicit, or
 left open for fix_steps, the one home of the step-count rule: final_unitary
 returns (n, U_n(tau)), the least n = 64 * 2^k at which the step-doubling
-estimate of U0(tau)'s error is at most PROPAGATION_ERROR and U0(tau)
-there, formed by pairwise products of the step stack, and for a drive the
-count doubles while driven_error, the same estimate for the propagator of
-H0 + V from the drive's samples, is above DRIVEN_PROPAGATION_ERROR.
-propagate_u0 refuses an open count.
+estimate of U0(tau)'s error, from U_{n/2} and U_n (pairwise products of the
+step stacks), is at most PROPAGATION_ERROR, and U0(tau) there; for a drive
+the count doubles while driven_error, the same estimate for H0 + V from the
+drive's samples, is above DRIVEN_PROPAGATION_ERROR. propagate_u0 refuses an
+open count and one above PROPAGATION_MAX_STEPS.
 Every stack of small matrices on a time grid is kept time-innermost, as a
 (d, d, n) array (handed out as (n, d, d) views): the step exponentials are
 one Taylor kernel over the stack, and every product or conjugation
@@ -273,20 +273,24 @@ def _magnus_h0(sched: Schedule, h_i: HamiltonianOp, h_f: HamiltonianOp,
 
 
 def propagate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> PropagatorTrace:
-    """Bare propagator by Simpson-node Magnus-4 steps on sched's fixed grid."""
+    """Bare propagator by Simpson-node Magnus-4 steps on sched's fixed grid of
+    at most PROPAGATION_MAX_STEPS steps (ParamOutOfRange before sampling)."""
     sched.validate_against(h_i, h_f)
+    n = sched.n_steps
+    if n is not None and n > PROPAGATION_MAX_STEPS:
+        raise ParamOutOfRange(f"propagating {n} steps is more than {PROPAGATION_MAX_STEPS}")
     ts = sched.times()
-    n = len(ts) - 1
     return PropagatorTrace(ts, *step_products(_magnus_h0(sched, h_i, h_f, n), sched.tau / n))
 
 
-def _final_product(h_eff: np.ndarray, dt: float) -> np.ndarray:
-    """U(tau), the product of the steps exp(-i h_k dt) of a time-innermost
-    stack h_eff[d, d, n], later steps on the left, without the samples
-    before it. Each pass multiplies neighbouring pairs into a stack half as
-    long."""
-    d, n = h_eff.shape[0], h_eff.shape[-1]
-    steps = time_last(herm_expi_batch(time_first(h_eff), dt))
+def _final_product(h_nodes: np.ndarray, tau: float) -> np.ndarray:
+    """U(tau) of the m Magnus steps on [0, tau] (see _magnus_exponent) from H
+    at the grid's 2m + 1 Simpson nodes h_nodes[d, d, 2m + 1], later steps on
+    the left, without the samples before it. Each pass multiplies
+    neighbouring pairs into a stack half as long."""
+    d, n = h_nodes.shape[0], (h_nodes.shape[-1] - 1) // 2
+    dt = tau / n
+    steps = time_last(herm_expi_batch(time_first(_magnus_exponent(h_nodes, dt)), dt))
     while n > 1:
         half, odd = divmod(n, 2)
         pairs = np.empty((d, d, half + odd), dtype=complex)
@@ -308,33 +312,35 @@ def final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp,
     and U0(tau) on that grid, the pairwise product of its steps that the
     estimate formed (see _final_product).
 
-    For a fourth-order step, U_n(tau) - U(tau) = (16/15) (U_n(tau) - U_2n(tau))
+    For a fourth-order step, U_{n/2}(tau) - U(tau) = 16 (U_n(tau) - U(tau))
     to leading order, so the estimate of U_n's error is
-    (16/15) max |U_n(tau) - U_2n(tau)| over the entries. Only sched's tau
-    and Hamiltonian are read, not its n_steps. Raises NoConvergence at the
-    first estimate that is not a finite number, and when the estimate would
-    need a propagation of more than PROPAGATION_MAX_STEPS steps, so the
-    largest n returned is half of that.
+    max |U_{n/2}(tau) - U_n(tau)| / 15 over the entries, read off the
+    coarser grid as in driven_error: no grid finer than the n returned is
+    formed. Only sched's tau and Hamiltonian are read, not its n_steps.
+    Raises NoConvergence at the first estimate that is not a finite number,
+    and at a failed one once verifying the next count would need more than
+    PROPAGATION_MAX_STEPS steps, so the largest n tried is a quarter of that.
     """
     sched.validate_against(h_i, h_f)
 
-    def u_final(n):
-        return _final_product(_magnus_h0(sched, h_i, h_f, n), sched.tau / n)
+    def u_final(n):    # from H0 at the 2n + 1 Simpson nodes of the n-step grid
+        return _final_product(sched._h0_stack(h_i, h_f, sched.times(2 * n)), sched.tau)
 
     n = FIRST_ESTIMATE_STEPS
-    u = u_final(n)
-    while 2 * n <= PROPAGATION_MAX_STEPS:
-        finer = u_final(2 * n)
-        error = float(np.abs(u - finer).max()) * 16.0 / 15.0
+    coarse = u_final(n // 2)
+    while True:
+        u = u_final(n)
+        error = float(np.abs(coarse - u).max()) / 15.0
         if error <= PROPAGATION_ERROR:
             return n, u
         if not np.isfinite(error):
             raise NoConvergence(f"estimated U0(tau) error at {n} steps is {error}, "
                                 f"not a finite number")
-        n, u = 2 * n, finer
-    raise NoConvergence(f"estimated U0(tau) error {error:.3e} at {n // 2} steps is above "
-                        f"{PROPAGATION_ERROR:.0e}, and the next estimate needs more than "
-                        f"{PROPAGATION_MAX_STEPS} steps")
+        if 4 * n > PROPAGATION_MAX_STEPS:    # verification takes 2n steps
+            raise NoConvergence(f"estimated U0(tau) error {error:.3e} at {n} steps is above "
+                                f"{PROPAGATION_ERROR:.0e}, and verifying a finer grid needs "
+                                f"more than {PROPAGATION_MAX_STEPS} steps")
+        n, coarse = 2 * n, u
 
 
 def _check_verifiable(n: int) -> None:
@@ -483,10 +489,8 @@ def driven_error(synth: DriveSynthesis, h_i: HamiltonianOp, h_f: HamiltonianOp,
         raise ParamInconsistent("the drive is not sampled on the schedule's grid")
     h = sched._h0_stack(h_i, h_f, ts)
     h += time_last(synth.v_samples)
-    finals = []
-    for stride in (1, 2):    # every point: n/2 steps; every other point: n/4 steps
-        dt = 2 * stride * sched.tau / n
-        finals.append(_final_product(_magnus_exponent(h[..., ::stride], dt), dt))
+    # every point: n/2 steps; every other point: n/4 steps
+    finals = [_final_product(h[..., ::stride], sched.tau) for stride in (1, 2)]
     return float(np.abs(finals[0] - finals[1]).max()) / 240.0
 
 

@@ -252,6 +252,23 @@ def test_drive_synth_refuses_explicit_counts_past_the_step_cap(tmp_path, capsys,
     assert err["error"] == "ParamOutOfRange" and "more than 65536" in err["message"]
 
 
+@pytest.mark.parametrize("phases, dim, tau, error", [
+    ("grid", 2, 1e30, "ParamOutOfRange"),
+    ([0.1, 0.2, 0.3], 2, 1e4, "LengthMismatch"),
+    ("analytic2", 3, 1.0, "DimTooLarge")])
+def test_drive_synth_refuses_bad_phases_before_propagating(tmp_path, capsys, monkeypatch,
+                                                           phases, dim, tau, error):
+    # at tau = 1e30 U0's first estimate is NaN (exit 3), and at tau = 1e4 it
+    # runs to the step cap: the phases are refused before either is sampled
+    monkeypatch.setattr(Schedule, "times", lambda *args: pytest.fail("sampled a grid"))
+    h_f = np.array([[0.0, 0.2], [0.2, 1.5]]) if dim == 2 else np.diag([0.0, 0.4, 1.1])
+    cfg = {"rho_i": matrix_to_json(np.diag(np.arange(1.0, dim + 1) / (dim * (dim + 1) / 2))),
+           "h_i": matrix_to_json(np.diag(np.arange(float(dim)))),
+           "h_f": matrix_to_json(h_f), "tau": tau, "phases": phases}
+    assert run(["drive-synth", "--config", write_cfg(tmp_path, "phases.json", cfg)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error
+
+
 def _pinned_drive_cfg(seed, d, **extra):
     rho, h_i, h_f = random_instance(np.random.default_rng([75, seed, d]), d)
     return dict({"rho_i": matrix_to_json(rho.mat), "h_i": matrix_to_json(h_i.mat),

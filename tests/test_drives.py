@@ -142,7 +142,7 @@ def test_final_unitary_matches_stepwise_product():
                       - oracle[-1]).max() < 1e-12
         # the pairwise product behind final_unitary and driven_error, odd
         # stack lengths included
-        u_n = drives._final_product(drives._magnus_h0(sched, h_i, h_f, n_steps), 1.0 / n_steps)
+        u_n = drives._final_product(sched._h0_stack(h_i, h_f, sched.times(2 * n_steps)), 1.0)
         assert np.abs(u_n - oracle[-1]).max() < 1e-12
 
 
@@ -183,9 +183,28 @@ def test_final_unitary_refuses_past_the_step_cap():
         drives.final_unitary(h_i, h_f, Schedule.linear(1.0))
 
 
+def test_final_unitary_forms_no_grid_finer_than_its_count(monkeypatch):
+    # U_32 first, then one product per count tried, each read off H0 at the
+    # 2n + 1 Simpson nodes of its own grid: nothing finer than the n returned
+    stacks = []
+    product = drives._final_product
+    monkeypatch.setattr(drives, "_final_product",
+                        lambda h_nodes, tau: stacks.append(h_nodes.shape[-1])
+                        or product(h_nodes, tau))
+    rng = np.random.default_rng(67)
+    counts = set()
+    for width in (1.5, 6.0, 20.0):
+        _, h_i, h_f = random_instance(rng, 3, width)
+        stacks.clear()
+        n, _ = drives.final_unitary(h_i, h_f, Schedule.linear(1.0))
+        counts.add(n)
+        assert stacks == [2 * m + 1 for m in 2 ** np.arange(5, n.bit_length())]
+    assert len(counts) == 3
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_step_count_loops_stop_at_the_first_non_finite_estimate(monkeypatch):
-    # at tau = 1e30 and 1e300 U0's first estimate (64 against 128 steps) is
+    # at tau = 1e30 and 1e300 U0's first estimate (32 against 64 steps) is
     # NaN; at tau = 1e-300 U0's is 0 but the driven one, V ~ 1/tau, is NaN:
     # each refuses there instead of doubling to the step cap
     rho = DensityMatrix(np.array([[0.6, 0.3 + 0.1j], [0.3 - 0.1j, 0.4]]))
@@ -239,6 +258,8 @@ def test_driven_error_tracks_the_verified_state_distance(width):
         assert coarse >= 12 * fine
     with pytest.raises(ParamOutOfRange, match="divisible by 4"):
         drives.driven_error(synth, h_i, h_f, dataclasses.replace(sched, n_steps=6))
+    with pytest.raises(ParamInconsistent, match="not sampled on the schedule's grid"):
+        drives.driven_error(synth, h_i, h_f, dataclasses.replace(sched, n_steps=128))
 
 
 def test_fourth_order_work_integral_rules():
@@ -281,6 +302,16 @@ def test_verify_drive_refuses_grids_below_its_stencil():
                 verify_drive(synth, rho, h, h, sched)
         else:
             assert verify_drive(synth, rho, h, h, sched)[1] < 1e-12
+
+
+def test_propagate_u0_refuses_counts_past_the_step_cap(monkeypatch):
+    # no propagation takes more than PROPAGATION_MAX_STEPS steps; the
+    # refusal comes before anything is sampled
+    h = HamiltonianOp(0.5 * SZ)
+    monkeypatch.setattr(Schedule, "times", lambda *args: pytest.fail("sampled a refused grid"))
+    for n in (PROPAGATION_MAX_STEPS + 1, 10**19):
+        with pytest.raises(ParamOutOfRange, match=f"{n} steps is more than 65536"):
+            propagate_u0(h, h, Schedule.linear(1.0, n_steps=n))
 
 
 def test_verify_drive_refuses_grids_past_the_step_cap(monkeypatch):
@@ -572,6 +603,12 @@ def test_trace_det_eigenphases_match_eigvals_on_haar_unitaries(seed, d):
     assert np.all((got >= -np.pi) & (got < np.pi))
     assert circle_mismatch(got, want) < 1e-13
     assert np.abs((got**2).sum(axis=1) - (want**2).sum(axis=1)).max() < 1e-13
+
+
+def test_trace_det_eigenphases_refuse_d_4():
+    # the characteristic polynomial of a 4 x 4 unitary needs more than tr, det
+    with pytest.raises(DimTooLarge, match="d = 2, 3, not 4"):
+        trace_det_eigenphases(np.eye(4, dtype=complex)[None])
 
 
 @pytest.mark.filterwarnings("error")

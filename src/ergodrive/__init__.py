@@ -7,7 +7,7 @@ reports and figure sweeps.
 """
 
 from .drives import (DriveSynthesis, PhaseOptResult, PropagatorTrace, Schedule,
-                     counterdiabatic_cost, driven_error, final_unitary, fix_steps,
+                     counterdiabatic_cost, driven_error, final_unitary,
                      optimize_phases,
                      propagate_u0, smoothstep, smoothstep_dot, synthesize_drive,
                      target_unitary, verify_drive)

@@ -24,11 +24,11 @@ import sys
 import numpy as np
 
 from . import ergotropy, states, tls
-from .drives import Schedule, fix_steps, optimize_phases, synthesize_drive, verify_drive
-from .errors import (ConvergenceError, DimTooLarge, LengthMismatch, ParamOutOfRange,
-                     ValidationError, VerificationFailed)
+from .drives import Schedule, synthesize_drive, verify_drive
+from .errors import ConvergenceError, ParamOutOfRange, ValidationError, VerificationFailed
 from .linalg import hermitian_eigvals
 from .states import DensityMatrix, HamiltonianOp, matrix_from_json
+from .tolerances import FIGURE_MAX_CELLS, FIGURE_MAX_DRAWS
 
 _SZ = np.diag([1.0, -1.0]).astype(complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -118,15 +118,21 @@ def _positive(cfg: dict, key: str, default: float) -> float:
     return v
 
 
-def _grid(cfg: dict, axis: str, lo: float, hi: float, n: int) -> np.ndarray:
-    """linspace over cfg's {axis}_min, {axis}_max, {axis}_points."""
-    return np.linspace(_number(cfg, f"{axis}_min", lo), _number(cfg, f"{axis}_max", hi),
-                       _points(cfg, f"{axis}_points", n))
+def _grid(cfg: dict, axis: str, lo: float, hi: float, n: int) -> tuple:
+    """linspace's (start, stop, num) from cfg's {axis}_min, {axis}_max,
+    {axis}_points, for _cells."""
+    return (_number(cfg, f"{axis}_min", lo), _number(cfg, f"{axis}_max", hi),
+            _points(cfg, f"{axis}_points", n))
 
 
-def _cells(a, b):
-    """Every (a[i], b[j]) pair, i-major, as two flat arrays."""
-    aa, bb = np.meshgrid(a, b, indexing="ij")
+def _cells(a: tuple, b: tuple):
+    """Every pair of points of the linspace axes a and b, a-major, as two flat
+    arrays. More than FIGURE_MAX_CELLS pairs are refused before either axis
+    is formed."""
+    if a[2] * b[2] > FIGURE_MAX_CELLS:
+        raise ParamOutOfRange(f"a {a[2]} x {b[2]} grid has more than "
+                              f"{FIGURE_MAX_CELLS} cells")
+    aa, bb = np.meshgrid(np.linspace(*a), np.linspace(*b), indexing="ij")
     return aa.ravel(), bb.ravel()
 
 
@@ -154,37 +160,27 @@ def run_ergotropy(cfg: dict) -> dict:
     return ergotropy.full_report(rho, h_i, h_f).to_json()
 
 
-def _phases(cfg: dict, dim: int):
-    """cfg's phases, checked before any propagation: "analytic2" (d = 2), which
-    is resolved on each grid, or an array of dim numbers ("zeros" or a list)."""
+def _phases(cfg: dict):
+    """cfg's phases as synthesize_drive takes them, which checks them before
+    any propagation: "zeros" is None, another name is passed on as given,
+    and a list must hold finite numbers."""
     phases = cfg.get("phases", "zeros")
-    if phases == "analytic2" and dim != 2:
-        raise DimTooLarge("the analytic phase minimizer covers d = 2 only")
-    if phases == "analytic2":
-        return phases
-    phases = np.zeros(dim) if phases == "zeros" else np.array(_numbers(cfg, "phases", None))
-    if phases.shape != (dim,):
-        raise LengthMismatch(f"need {dim} phases, got {len(phases)}")
-    return phases
+    if phases == "zeros":
+        return None
+    return phases if isinstance(phases, str) else _numbers(cfg, "phases", None)
 
 
 def run_drive_synth(cfg: dict, n_steps=None) -> dict:
     """Synthesize and verify one drive. The step count is n_steps, else the
-    config's n_steps, used exactly; with neither, drives.fix_steps picks it
+    config's n_steps, used exactly; with neither, synthesize_drive picks it
     by its error targets for U0 and for the propagation of H0 + V that
-    verification integrates."""
+    verification integrates, and verify_drive checks the drive on that grid."""
     rho, h_i, h_f = _load_instance(cfg)
     tau = _number(cfg, "tau", 1.0)
     if n_steps is None and "n_steps" in cfg:
         n_steps = _count(cfg, "n_steps", None)
-    phases = _phases(cfg, rho.dim)
-
-    def drive(grid, trace):    # the drive on grid, from U0's trace there
-        phi = phases if not isinstance(phases, str) else optimize_phases(
-            rho, h_i, h_f, grid, mode="analytic2", u_f=trace.u_samples[-1]).phases
-        return synthesize_drive(rho, h_i, h_f, grid, phi, trace)
-
-    sched, synth = fix_steps(h_i, h_f, Schedule.linear(tau, n_steps=n_steps), drive)
+    sched = Schedule.linear(tau, n_steps=n_steps)
+    synth = synthesize_drive(rho, h_i, h_f, sched, _phases(cfg))
     energy_res, dist = verify_drive(synth, rho, h_i, h_f, sched)
     return dict(synth.to_json(),
                 residuals={"final_energy_residual": energy_res, "state_distance": dist})
@@ -206,9 +202,10 @@ def run_fig1(cfg: dict, seed: int = 0):
     draws = _count(cfg, "mc_draws", 4096)
     if draws < 0 or draws == 1:
         raise ParamOutOfRange(f"mc_draws must be 0 or >= 2, got {draws}")
-    ps = _grid(cfg, "p", 0.0, 1.0, 200)
-    fracs = np.linspace(0.0, 1.0, _points(cfg, "c_points", 200))
-    p, frac = _cells(ps, fracs)
+    if draws > FIGURE_MAX_DRAWS:
+        raise ParamOutOfRange(f"mc_draws must be at most {FIGURE_MAX_DRAWS}, got {draws}")
+    p_axis, n_c = _grid(cfg, "p", 0.0, 1.0, 200), _points(cfg, "c_points", 200)
+    p, frac = _cells(p_axis, (0.0, 1.0, n_c))
     c = frac * np.sqrt(np.maximum(p * (1.0 - p), 0.0))
     tls.check_bloch(p, c)
     h = HamiltonianOp(0.5 * lam_f_omega * _SZ)
@@ -219,11 +216,10 @@ def run_fig1(cfg: dict, seed: int = 0):
     w_min = tls.cost(tls.theta1(p, c), tau)
     mean = err = np.full(p.shape, np.nan)
     if draws > 0:
-        rngs = [np.random.default_rng([seed, i, j])
-                for i in range(len(ps)) for j in range(len(fracs))]
+        rngs = [np.random.default_rng([seed, i, j]) for i in range(p_axis[2]) for j in range(n_c)]
         mean, err = tls.example1_phase_average(tls.overlaps(p, c)[0], tau, draws, rngs)
-    top = slice(len(fracs) - 1, None, len(fracs))   # maximal-coherence slice
-    crossover = fig1_crossover(ps, delta[top], w_min[top])
+    top = slice(n_c - 1, None, n_c)   # maximal-coherence slice
+    crossover = fig1_crossover(p[::n_c], delta[top], w_min[top])
     header = ["p_i", "c_abs", "delta_enc", "g", "w_min", "w_mc_mean", "w_mc_stderr"]
     return header, (p, c, delta, g, w_min, mean, err), crossover
 

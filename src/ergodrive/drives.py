@@ -13,13 +13,14 @@ kernels return their own arrays); the same kernel propagates U0 on
 verify_drive's grid of 2n steps, whose samples are U0 at every Simpson node
 of the n-step grid, and then H0 + V on the n-step grid, so a verified n
 is at most PROPAGATION_MAX_STEPS / 2. A Schedule's n_steps is explicit, or
-left open for fix_steps, the one home of the step-count rule: final_unitary
-returns (n, U_n(tau)), the least n = 64 * 2^k at which the step-doubling
-estimate of U0(tau)'s error, from U_{n/2} and U_n (pairwise products of the
-step stacks), is at most PROPAGATION_ERROR, and U0(tau) there; for a drive
-the count doubles while driven_error, the same estimate for H0 + V from the
-drive's samples, is above DRIVEN_PROPAGATION_ERROR. propagate_u0 refuses an
-open count and one above PROPAGATION_MAX_STEPS.
+left open for synthesize_drive, the one home of the step-count rule:
+final_unitary returns (n, U_n(tau)), the least n = 64 * 2^k at which the
+step-doubling estimate of U0(tau)'s error, from U_{n/2} and U_n (pairwise
+products of the step stacks), is at most PROPAGATION_ERROR, and U0(tau)
+there; for a drive the count doubles while driven_error, the same estimate
+for H0 + V from the drive's samples, is above DRIVEN_PROPAGATION_ERROR.
+propagate_u0 and counterdiabatic_cost refuse an open count and one above
+PROPAGATION_MAX_STEPS.
 Every stack of small matrices on a time grid is kept time-innermost, as a
 (d, d, n) array (handed out as (n, d, d) views): the step exponentials are
 one Taylor kernel over the stack, and every product or conjugation
@@ -36,10 +37,11 @@ only rows with nearly repeated eigenphases, or d >= 4, form M for a general
 eigensolver. M(phi + s 1) = e^{is} M(phi), so a grid scan over P points
 per axis solves the eigenphases at only P^(d-1) points, one per class of
 index offsets, and shifts them by the multiples of 2 pi / P to cost every
-other point of the class. synthesize_drive takes a U0 trace a caller
-already propagated, and optimize_phases the final U0; otherwise
-optimize_phases takes U0(tau) from final_unitary on a schedule that leaves
-its count open, propagating nothing, and from propagate_u0 on a fixed one.
+other point of the class. synthesize_drive propagates one U0 trace per
+count it tries and resolves its target phases there. optimize_phases takes
+the final U0 a caller already has; otherwise it takes U0(tau) from
+final_unitary on a schedule that leaves its count open, propagating nothing,
+and from propagate_u0 on a fixed one.
 verify_drive forms the passive target it checks against itself.
 Every threshold is a constant of the tolerances module. Everything here is
 in hbar = 1 units.
@@ -105,7 +107,7 @@ class Schedule:
     optional metadata used for closed-form cross-checks. ramp_f drives the
     correction V(t); it must run 0 -> 1 with flat endpoints. n_steps is an
     integer >= 1, or None (the default) to leave the count to the error
-    targets: fix_steps then picks it.
+    targets: synthesize_drive then picks it.
     """
 
     tau: float
@@ -154,7 +156,7 @@ class Schedule:
         n = self.n_steps if n_steps is None else n_steps
         if n is None:
             raise ParamOutOfRange("the schedule leaves n_steps to the error targets: "
-                                  "fix it first (drives.fix_steps)")
+                                  "fix it first (drives.synthesize_drive picks one)")
         return np.linspace(0.0, self.tau, n + 1)
 
     def h0_batch(self, h_i: HamiltonianOp, h_f: HamiltonianOp, ts: np.ndarray) -> np.ndarray:
@@ -350,57 +352,45 @@ def _check_verifiable(n: int) -> None:
                               f"more than {PROPAGATION_MAX_STEPS}")
 
 
-def fix_steps(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule,
-              drive: Callable) -> Tuple[Schedule, DriveSynthesis]:
-    """(sched with its step count fixed, the drive there), where
-    ``drive(sched, trace)`` builds the drive from U0's trace on sched's grid.
-
-    An explicit n_steps is used exactly, or refused before anything is
-    sampled when verifying it needs more than PROPAGATION_MAX_STEPS steps
-    (ParamOutOfRange). An open one starts at final_unitary's count and
-    doubles while driven_error is above DRIVEN_PROPAGATION_ERROR, up to a
-    verification of that many steps (NoConvergence, as at the first
-    estimate that is not a finite number). One U0 per count tried.
-    """
-    fixed = sched.n_steps is not None
-    if not fixed:
-        sched = dataclasses.replace(sched, n_steps=final_unitary(h_i, h_f, sched)[0])
-    _check_verifiable(sched.n_steps)
-    while True:
-        synth = drive(sched, propagate_u0(h_i, h_f, sched))
-        if fixed:
-            return sched, synth
-        error = driven_error(synth, h_i, h_f, sched)
-        if error <= DRIVEN_PROPAGATION_ERROR:
-            return sched, synth
-        if not np.isfinite(error):
-            raise NoConvergence(f"estimated error of the driven propagation at "
-                                f"{sched.n_steps} steps is {error}, not a finite number")
-        if 4 * sched.n_steps > PROPAGATION_MAX_STEPS:    # verification takes 2n steps
-            raise NoConvergence(
-                f"estimated error {error:.3e} of the driven propagation at "
-                f"{sched.n_steps} steps is above {DRIVEN_PROPAGATION_ERROR:.0e}, and "
-                f"verifying on a finer grid needs more than {PROPAGATION_MAX_STEPS} steps")
-        sched = dataclasses.replace(sched, n_steps=2 * sched.n_steps)
-
-
 def _descending_eigvectors(rho: DensityMatrix) -> Tuple[np.ndarray, np.ndarray]:
     vals, vecs = rho.eig()
     order = np.argsort(-vals, kind="stable")
     return vals[order], vecs[:, order]
 
 
+def _checked_phases(rho_i: DensityMatrix, h_f: HamiltonianOp, phases_phi):
+    """phases_phi as d finite numbers (None is zeros; LengthMismatch, or
+    ParamOutOfRange for a non-finite one), or the name "analytic2" (d = 2,
+    DimTooLarge; other names ParamOutOfRange)."""
+    d = rho_i.dim
+    if d != h_f.dim:
+        raise DimMismatch(f"state is {d}-dim, hamiltonian {h_f.dim}-dim")
+    if phases_phi is None:
+        return np.zeros(d)
+    if isinstance(phases_phi, str):
+        if phases_phi != "analytic2":
+            raise ParamOutOfRange(f"unknown target phases {phases_phi!r}")
+        if d != 2:
+            raise DimTooLarge("the analytic phase minimizer covers d = 2 only")
+        return phases_phi
+    phases = np.asarray(phases_phi, dtype=float)
+    if phases.shape != (d,):
+        raise LengthMismatch(f"need {d} phases, got shape {phases.shape}")
+    if not np.isfinite(phases).all():
+        raise ParamOutOfRange(f"target phases must be finite, got {phases}")
+    return phases
+
+
 def target_unitary(rho_i: DensityMatrix, h_f: HamiltonianOp,
                    phases_phi) -> np.ndarray:
     """R = sum_n e^{i phi_n} |e_n^f><r_n|, descending r_n onto ascending e_n^f.
 
-    R rho_i R^dag is the passive state of rho_i for h_f, for any phases.
+    R rho_i R^dag is the passive state of rho_i for h_f, for any phases;
+    phases_phi is d numbers (or None, see _checked_phases).
     """
-    if rho_i.dim != h_f.dim:
-        raise DimMismatch(f"state is {rho_i.dim}-dim, hamiltonian {h_f.dim}-dim")
-    phases = np.asarray(phases_phi, dtype=float)
-    if phases.shape != (rho_i.dim,):
-        raise LengthMismatch(f"need {rho_i.dim} phases, got shape {phases.shape}")
+    phases = _checked_phases(rho_i, h_f, phases_phi)
+    if isinstance(phases, str):
+        raise ParamOutOfRange(f"target_unitary takes {rho_i.dim} numbers, not {phases!r}")
     _, v_r = _descending_eigvectors(rho_i)
     return (h_f.basis * np.exp(1j * phases)[None, :]) @ dagger(v_r)
 
@@ -427,41 +417,58 @@ class DriveSynthesis:
 
 
 def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp,
-                     sched: Schedule, phases_phi=None,
-                     trace: Optional[PropagatorTrace] = None) -> DriveSynthesis:
+                     sched: Schedule, phases_phi=None) -> DriveSynthesis:
     """Build V(t) = -fdot(t) U0 chi U0^dag reaching the passive target.
 
-    chi is the principal log of U0(tau)^dag R.
-    The cost w integrates ||V||_F = |fdot| (sum theta^2)^{1/2}; for a
-    monotone ramp the integral of |fdot| telescopes to f(tau) - f(0) and w
-    equals w_min exactly, otherwise it is done by trapezoid on the grid.
-    ``trace`` is U0 on sched's grid, as propagate_u0(h_i, h_f, sched)
-    returns it, for a caller that already has it; by default it is
-    propagated here, on the grid fix_steps picks for this drive when sched
-    leaves the count open.
+    chi is the principal log of U0(tau)^dag R(phi), for phases_phi checked
+    before anything is sampled (see _checked_phases); "analytic2" is
+    optimize_phases' closed-form minimizer of w_min at each grid's U0(tau).
+    An explicit n_steps is used exactly, or refused before anything is
+    sampled when verifying it needs more than PROPAGATION_MAX_STEPS steps
+    (ParamOutOfRange). An open one starts at final_unitary's count and
+    doubles while driven_error is above DRIVEN_PROPAGATION_ERROR, up to a
+    verification of that many steps (NoConvergence, as at the first
+    estimate that is not a finite number): one U0 per count tried, and
+    verify_drive takes the open schedule. The cost w integrates
+    ||V||_F = |fdot| (sum theta^2)^{1/2}; for a monotone ramp the integral
+    of |fdot| telescopes to f(tau) - f(0) and w equals w_min exactly,
+    otherwise it is done by trapezoid on the grid.
     """
-    if phases_phi is None:
-        phases_phi = np.zeros(rho_i.dim)
-    if trace is None:
-        return fix_steps(h_i, h_f, sched, lambda grid, u0: synthesize_drive(
-            rho_i, h_i, h_f, grid, phases_phi, u0))[1]
-    if not np.array_equal(trace.times, sched.times()):
-        raise ParamInconsistent("the trace is not sampled on the schedule's grid")
-    r = target_unitary(rho_i, h_f, phases_phi)
-    chi, modes = principal_log_unitary(dagger(trace.u_samples[-1]) @ r)
-    thetas = modes.phases
-    w_min = float(np.linalg.norm(thetas)) / sched.tau
-    fdot = _sample(sched.ramp_fdot, trace.times)
-    u = time_last(trace.u_samples)
-    v = _conjugate(u, chi)
-    v *= -fdot
-    if np.all(fdot >= -MONOTONE_RAMP_ATOL):
-        w = w_min * float(sched.ramp_f(sched.tau) - sched.ramp_f(0.0))
-    else:
-        w = w_min * float(np.trapezoid(np.abs(fdot), trace.times))
-    return DriveSynthesis(chi=chi, thetas=thetas,
-                          phases_phi=np.asarray(phases_phi, dtype=float),
-                          v_samples=time_first(v), w=w, w_min=w_min)
+    phases = _checked_phases(rho_i, h_f, phases_phi)
+    fixed = sched.n_steps is not None
+    if not fixed:
+        sched = dataclasses.replace(sched, n_steps=final_unitary(h_i, h_f, sched)[0])
+    _check_verifiable(sched.n_steps)
+    while True:
+        trace = propagate_u0(h_i, h_f, sched)
+        phi = phases if not isinstance(phases, str) else optimize_phases(
+            rho_i, h_i, h_f, sched, mode="analytic2", u_f=trace.u_samples[-1]).phases
+        r = target_unitary(rho_i, h_f, phi)
+        chi, modes = principal_log_unitary(dagger(trace.u_samples[-1]) @ r)
+        w_min = float(np.linalg.norm(modes.phases)) / sched.tau
+        fdot = _sample(sched.ramp_fdot, trace.times)
+        v = _conjugate(time_last(trace.u_samples), chi)
+        v *= -fdot
+        if np.all(fdot >= -MONOTONE_RAMP_ATOL):
+            w = w_min * float(sched.ramp_f(sched.tau) - sched.ramp_f(0.0))
+        else:
+            w = w_min * float(np.trapezoid(np.abs(fdot), trace.times))
+        synth = DriveSynthesis(chi=chi, thetas=modes.phases, phases_phi=phi,
+                               v_samples=time_first(v), w=w, w_min=w_min)
+        if fixed:
+            return synth
+        error = driven_error(synth, h_i, h_f, sched)
+        if error <= DRIVEN_PROPAGATION_ERROR:
+            return synth
+        if not np.isfinite(error):
+            raise NoConvergence(f"estimated error of the driven propagation at "
+                                f"{sched.n_steps} steps is {error}, not a finite number")
+        if 4 * sched.n_steps > PROPAGATION_MAX_STEPS:    # verification takes 2n steps
+            raise NoConvergence(
+                f"estimated error {error:.3e} of the driven propagation at "
+                f"{sched.n_steps} steps is above {DRIVEN_PROPAGATION_ERROR:.0e}, and "
+                f"verifying on a finer grid needs more than {PROPAGATION_MAX_STEPS} steps")
+        sched = dataclasses.replace(sched, n_steps=2 * sched.n_steps)
 
 
 def driven_error(synth: DriveSynthesis, h_i: HamiltonianOp, h_f: HamiltonianOp,
@@ -798,10 +805,14 @@ def counterdiabatic_cost(sched: Schedule) -> Tuple[float, np.ndarray]:
     = |theta dot| (Berry, J. Phys. A 42, 365303 (2009)), by second-order
     differences of the unwrapped angle; w_sta is its time average. Constant-mu
     metadata is cross-checked against |mu| omega_bar / tau. The step count
-    must be fixed (ParamOutOfRange otherwise).
+    must be fixed and at most PROPAGATION_MAX_STEPS, like a propagation's
+    (ParamOutOfRange before sampling otherwise).
     """
     if sched.kind != "rotating":
         raise ParamOutOfRange("counterdiabatic cost is defined for rotating schedules")
+    if sched.n_steps is not None and sched.n_steps > PROPAGATION_MAX_STEPS:
+        raise ParamOutOfRange(f"sampling {sched.n_steps} steps is more than "
+                              f"{PROPAGATION_MAX_STEPS}")
     ts = sched.times()
     if len(ts) < 3:
         raise ParamOutOfRange("need at least 2 steps for the mixing-angle derivative")

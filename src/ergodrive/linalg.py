@@ -12,8 +12,8 @@ herm_expi_batch exponentiates such a stack with one scaled-and-squared
 Taylor kernel whose degree comes from a 1-norm bound on the remainder
 (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)); at the
 step sizes of the propagations, that is degree 5 to 12 (mostly 5 to 7, and
-rarely one squaring) at the 64 to 256 steps that drives.fix_steps picks by
-default, and degree 3 to 5 at 4096 steps. polar_project re-unitarizes a
+rarely one squaring) at the 64 to 256 steps that drives.synthesize_drive
+picks by default, and degree 3 to 5 at 4096 steps. polar_project re-unitarizes a
 whole stack in one batched SVD; step_products chains a stack of step
 exponentials into running products, projecting the chained total of every
 64-step block with it (ordered_products). Its steps are

@@ -68,6 +68,13 @@ VERIFY_WORK_REL = 1e-6
 PROPAGATION_ERROR = 1e-10
 DRIVEN_PROPAGATION_ERROR = VERIFY_STATE_DISTANCE / 100
 PROPAGATION_MAX_STEPS = 2**16
+# The figure commands refuse, before forming any grid or draw array, a
+# parameter grid of more than FIGURE_MAX_CELLS cells (512 x 512; each cell
+# becomes a CSV row, and a fig1 cell with Monte Carlo columns its own
+# generator) and more than FIGURE_MAX_DRAWS Monte Carlo draws per fig1 cell
+# (whose scratch blocks take 896 bytes per draw).
+FIGURE_MAX_CELLS = 2**18
+FIGURE_MAX_DRAWS = 2**16
 # Schedules: the boundary values of lam_i, lam_f, ramp_f and ramp_fdot are
 # checked to this absolute tolerance; a rotating schedule's endpoint
 # Hamiltonians must match h_i and h_f to this many units of their largest

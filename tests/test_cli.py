@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -192,7 +193,7 @@ def test_propagations_only_ever_get_a_fixed_step_count(monkeypatch):
         return propagate(h_i, h_f, sched)
 
     def verifying(synth, rho, h_i, h_f, sched):
-        verified.append(sched.n_steps)
+        verified.append(len(synth.v_samples) - 1)   # sched leaves the count open
         return verify(synth, rho, h_i, h_f, sched)
 
     monkeypatch.setattr(drives, "propagate_u0", counting)
@@ -303,6 +304,40 @@ PINNED_DRIVE_SHA256 = {
 def test_drive_synth_json_matches_its_recorded_digest(case):
     text = json.dumps(cli.run_drive_synth(PINNED_DRIVES[case]), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DRIVE_SHA256[case]
+
+
+def test_drive_synth_is_the_library_drive_on_an_open_schedule():
+    # the CLI maps the config and verifies; the step count and the analytic
+    # phases are the library's
+    cfg = PINNED_DRIVES["d2_analytic2_open"]
+    rho, h_i, h_f = cli._load_instance(cfg)
+    out = cli.run_drive_synth(cfg)
+    del out["residuals"]
+    assert synthesize_drive(rho, h_i, h_f, Schedule.linear(1.0), "analytic2").to_json() == out
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("fig1", {"p_points": 10**7, "c_points": 10**7, "mc_draws": 0},
+     "a 10000000 x 10000000 grid has more than 262144 cells"),
+    ("fig1", {"p_points": 4, "c_points": 4, "mc_draws": 10**13},
+     "mc_draws must be at most 65536, got 10000000000000"),
+    ("fig2", {"ot_points": 1024, "ots_points": 257}, "more than 262144 cells"),
+    ("fig3", {"mu_points": 513, "ob_points": 512}, "more than 262144 cells")])
+def test_oversized_figure_configs_are_refused_before_allocating(tmp_path, capsys, command,
+                                                                cfg, message):
+    # the first two would need hundreds of TiB for the grid or for fig1's
+    # draw blocks: each is refused with exit 2 before an array is formed
+    path, out = write_cfg(tmp_path, "big.json", cfg), tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        assert run([command, "--config", path, "--out", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParamOutOfRange" and message in err["message"]
+    assert not out.exists()
 
 
 def test_fig1_deterministic_and_crossover_line(tmp_path, capsys):

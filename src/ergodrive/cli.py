@@ -67,7 +67,12 @@ def load_config(path):
     if path is None:
         return {}
     with open(path) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:    # e.g. an integer past Python's digit limit
+            raise ParamOutOfRange(f"config is not readable: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ParamOutOfRange(f"config must be a JSON object, got {type(cfg).__name__}")
     return cfg
@@ -80,10 +85,15 @@ def _require(cfg: dict, key: str):
 
 
 def _real(v, name: str) -> float:
-    """v as a float; anything but a finite real number (a bool included) is refused."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-        raise ParamOutOfRange(f"{name} must be a finite number, got {v!r}")
-    return float(v)
+    """v as a float; anything but a finite real number (a bool included, or an
+    integer beyond float range) is refused."""
+    try:
+        if not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v):
+            return float(v)
+    except OverflowError:    # its repr may be too long to form
+        raise ParamOutOfRange(f"{name} must be a finite number, got an integer "
+                              f"beyond float range") from None
+    raise ParamOutOfRange(f"{name} must be a finite number, got {v!r}")
 
 
 def _number(cfg: dict, key: str, default: float) -> float:

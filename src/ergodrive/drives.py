@@ -62,10 +62,10 @@ from .linalg import (dagger, herm_expi_batch, matmul_t, principal_log_unitary, s
 from .states import DensityMatrix, HamiltonianOp, matrix_to_json, passive_energy, passive_state
 from .tls import MuDynParams, check_count, wrap_pi
 from .tolerances import (DRIVEN_PROPAGATION_ERROR, EIGENPHASE_SEPARATION, GAUGE_OVERLAP_MIN,
-                         GRID_SHIFT_MARGIN, MONOTONE_RAMP_ATOL, PROPAGATION_ERROR,
-                         PROPAGATION_MAX_STEPS, ROTATING_ENDPOINT_REL, SCHEDULE_BOUNDARY_ATOL,
-                         STA_CLOSED_FORM_REL, VERIFY_ENDPOINT_REL, VERIFY_ENERGY_REL,
-                         VERIFY_STATE_DISTANCE, VERIFY_WIDTH_FLOOR, VERIFY_WORK_REL)
+                         GRID_SHIFT_MARGIN, PROPAGATION_ERROR, PROPAGATION_MAX_STEPS,
+                         ROTATING_ENDPOINT_REL, STA_CLOSED_FORM_REL, VERIFY_ENDPOINT_REL,
+                         VERIFY_ENERGY_REL, VERIFY_STATE_DISTANCE, VERIFY_WIDTH_FLOOR,
+                         VERIFY_WORK_REL)
 
 _SZ = np.diag([1.0, -1.0]).astype(complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -101,56 +101,37 @@ def _sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
 class Schedule:
     """Drive schedule on [0, tau].
 
-    kind "interp": H0(t) = lam_i(t) h_i + lam_f(t) h_f, boundary values
-    lam_i: 1 -> 0 and lam_f: 0 -> 1 (checked to SCHEDULE_BOUNDARY_ATOL). kind "rotating":
-    H0(t) = (omega(t) sz + eps(t) sx)/2, two-level only; mu and omega_bar are
-    optional metadata used for closed-form cross-checks. ramp_f drives the
-    correction V(t); it must run 0 -> 1 with flat endpoints. n_steps is an
-    integer >= 1, or None (the default) to leave the count to the error
-    targets: synthesize_drive then picks it.
+    H0(t) = (1 - t/tau) h_i + (t/tau) h_f, unless omega and eps are given:
+    then the schedule is rotating, H0(t) = (omega(t) sz + eps(t) sx)/2 from
+    vectorized callables of t, two-level only; mu and omega_bar are optional
+    metadata used for closed-form cross-checks. The correction V(t) follows
+    the ramp f(t) = smoothstep(t/tau), which runs 0 -> 1 with flat ends.
+    n_steps is an integer >= 1, or None (the default) to leave the count to
+    the error targets: synthesize_drive then picks it.
     """
 
     tau: float
-    kind: str = "interp"
-    lam_i: Optional[Callable] = None
-    lam_f: Optional[Callable] = None
     omega: Optional[Callable] = None
     eps: Optional[Callable] = None
-    ramp_f: Optional[Callable] = None
-    ramp_fdot: Optional[Callable] = None
     n_steps: Optional[int] = None
     mu: Optional[float] = None
     omega_bar: Optional[float] = None
 
     def __post_init__(self):
-        tau = self.tau
-        if not 0 < tau < np.inf:
-            raise ParamOutOfRange(f"need 0 < tau < inf, got {tau}")
+        if not 0 < self.tau < np.inf:
+            raise ParamOutOfRange(f"need 0 < tau < inf, got {self.tau}")
         if self.n_steps is not None:
             check_count(self.n_steps, "n_steps", 1)
-        if self.kind == "interp":
-            if self.lam_i is None:
-                object.__setattr__(self, "lam_i", lambda t: 1.0 - t / tau)
-            if self.lam_f is None:
-                object.__setattr__(self, "lam_f", lambda t: t / tau)
-            for fn, at, want in ((self.lam_i, 0.0, 1.0), (self.lam_i, tau, 0.0),
-                                 (self.lam_f, 0.0, 0.0), (self.lam_f, tau, 1.0)):
-                if not abs(float(fn(at)) - want) <= SCHEDULE_BOUNDARY_ATOL:   # NaN too
-                    raise ParamInconsistent(f"lambda({at}) = {float(fn(at))}, expected {want}")
-        elif self.kind == "rotating":
-            if self.omega is None or self.eps is None:
-                raise ParamOutOfRange("rotating schedule needs omega(t) and eps(t)")
-        else:
-            raise ParamOutOfRange(f"unknown schedule kind {self.kind!r}")
-        if self.ramp_f is None:
-            object.__setattr__(self, "ramp_f", lambda t: smoothstep(t / tau))
-            object.__setattr__(self, "ramp_fdot", lambda t: smoothstep_dot(t / tau) / tau)
-        elif self.ramp_fdot is None:
-            raise ParamOutOfRange("a custom ramp_f needs its derivative ramp_fdot")
-        for fn, at, want in ((self.ramp_f, 0.0, 0.0), (self.ramp_f, tau, 1.0),
-                             (self.ramp_fdot, 0.0, 0.0), (self.ramp_fdot, tau, 0.0)):
-            if not abs(float(fn(at)) - want) <= SCHEDULE_BOUNDARY_ATOL:   # NaN too
-                raise ParamInconsistent(f"ramp({at}) = {float(fn(at))}, expected {want}")
+        if (self.omega is None) != (self.eps is None):
+            raise ParamOutOfRange("rotating schedule needs omega(t) and eps(t)")
+
+    @property
+    def rotating(self) -> bool:
+        return self.omega is not None
+
+    def ramp_fdot(self, ts: np.ndarray) -> np.ndarray:
+        """The ramp's derivative on ts: smoothstep_dot(t/tau) / tau."""
+        return smoothstep_dot(ts / self.tau) / self.tau
 
     def times(self, n_steps: Optional[int] = None) -> np.ndarray:
         n = self.n_steps if n_steps is None else n_steps
@@ -167,22 +148,21 @@ class Schedule:
     def _h0_stack(self, h_i: HamiltonianOp, h_f: HamiltonianOp, ts: np.ndarray) -> np.ndarray:
         """H0 on ts as a fresh time-innermost stack [d, d, len(ts)]. The second
         term is added one entry at a time, so no second stack is formed."""
-        if self.kind == "interp":
-            (m0, f0), (m1, f1) = (h_i.mat, self.lam_i), (h_f.mat, self.lam_f)
+        if self.rotating:
+            (m0, c0), (m1, c1) = (_SZ, _sample(self.omega, ts)), (_SX, _sample(self.eps, ts))
         else:
-            (m0, f0), (m1, f1) = (_SZ, self.omega), (_SX, self.eps)
-        out = np.multiply(m0[..., None], _sample(f0, ts))
-        c1 = _sample(f1, ts)
+            (m0, c0), (m1, c1) = (h_i.mat, 1.0 - ts / self.tau), (h_f.mat, ts / self.tau)
+        out = np.multiply(m0[..., None], c0)
         for i, j in np.ndindex(m1.shape):
             out[i, j] += np.multiply(m1[i, j], c1)
-        if self.kind == "rotating":
+        if self.rotating:
             out *= 0.5
         return out
 
     def validate_against(self, h_i: HamiltonianOp, h_f: HamiltonianOp):
         if h_i.dim != h_f.dim:
             raise DimMismatch(f"h_i is {h_i.dim}-dim, h_f is {h_f.dim}-dim")
-        if self.kind == "rotating":
+        if self.rotating:
             if h_i.dim != 2:
                 raise DimMismatch("rotating schedules are two-level only")
             scale = max(1.0, float(np.abs(h_i.mat).max()), float(np.abs(h_f.mat).max()))
@@ -210,7 +190,7 @@ class Schedule:
         def eps(t):
             return -om0 * np.sin(mu * om0 * np.asarray(t, dtype=float))
 
-        return cls(params.tau, kind="rotating", omega=omega, eps=eps, n_steps=n_steps,
+        return cls(params.tau, omega=omega, eps=eps, n_steps=n_steps,
                    mu=mu, omega_bar=params.omega_bar)
 
     @classmethod
@@ -225,7 +205,7 @@ class Schedule:
         def eps(t):
             return omega0 * np.sin(np.pi * np.asarray(t, dtype=float) / (2 * tau_star))
 
-        return cls(tau, kind="rotating", omega=omega, eps=eps, n_steps=n_steps,
+        return cls(tau, omega=omega, eps=eps, n_steps=n_steps,
                    mu=params.mu, omega_bar=params.omega_bar)
 
 
@@ -403,7 +383,7 @@ class DriveSynthesis:
     thetas: np.ndarray          # its eigenphases in [-pi, pi), ascending
     phases_phi: np.ndarray      # target phases used
     v_samples: np.ndarray       # V(t) on the schedule grid
-    w: float                    # time-averaged Frobenius cost of V
+    w: float                    # time-averaged Frobenius cost of V: w_min, as int |fdot| dt = 1
     w_min: float                # (sum theta^2)^{1/2} / tau
 
     def to_json(self) -> dict:
@@ -429,10 +409,9 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
     doubles while driven_error is above DRIVEN_PROPAGATION_ERROR, up to a
     verification of that many steps (NoConvergence, as at the first
     estimate that is not a finite number): one U0 per count tried, and
-    verify_drive takes the open schedule. The cost w integrates
-    ||V||_F = |fdot| (sum theta^2)^{1/2}; for a monotone ramp the integral
-    of |fdot| telescopes to f(tau) - f(0) and w equals w_min exactly,
-    otherwise it is done by trapezoid on the grid.
+    verify_drive takes the open schedule. The cost w is the time average of
+    ||V||_F = |fdot| (sum theta^2)^{1/2}; the ramp is monotone from 0 to 1,
+    so the integral of |fdot| is 1 and w is w_min.
     """
     phases = _checked_phases(rho_i, h_f, phases_phi)
     fixed = sched.n_steps is not None
@@ -446,15 +425,10 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
         r = target_unitary(rho_i, h_f, phi)
         chi, modes = principal_log_unitary(dagger(trace.u_samples[-1]) @ r)
         w_min = float(np.linalg.norm(modes.phases)) / sched.tau
-        fdot = _sample(sched.ramp_fdot, trace.times)
         v = _conjugate(time_last(trace.u_samples), chi)
-        v *= -fdot
-        if np.all(fdot >= -MONOTONE_RAMP_ATOL):
-            w = w_min * float(sched.ramp_f(sched.tau) - sched.ramp_f(0.0))
-        else:
-            w = w_min * float(np.trapezoid(np.abs(fdot), trace.times))
+        v *= -sched.ramp_fdot(trace.times)
         synth = DriveSynthesis(chi=chi, thetas=modes.phases, phases_phi=phi,
-                               v_samples=time_first(v), w=w, w_min=w_min)
+                               v_samples=time_first(v), w=w_min, w_min=w_min)
         if fixed:
             return synth
         error = driven_error(synth, h_i, h_f, sched)
@@ -574,7 +548,7 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
 
     fine, _ = step_products(_magnus_h0(sched, h_i, h_f, 2 * n), dt / 2)
     v = _conjugate(time_last(fine), synth.chi)
-    v *= -_sample(sched.ramp_fdot, nodes)
+    v *= -sched.ramp_fdot(nodes)
     h_nodes = sched._h0_stack(h_i, h_f, nodes)
     h_nodes += v
     u_samples, _ = step_products(_magnus_exponent(h_nodes, dt), dt)
@@ -808,7 +782,7 @@ def counterdiabatic_cost(sched: Schedule) -> Tuple[float, np.ndarray]:
     must be fixed and at most PROPAGATION_MAX_STEPS, like a propagation's
     (ParamOutOfRange before sampling otherwise).
     """
-    if sched.kind != "rotating":
+    if not sched.rotating:
         raise ParamOutOfRange("counterdiabatic cost is defined for rotating schedules")
     if sched.n_steps is not None and sched.n_steps > PROPAGATION_MAX_STEPS:
         raise ParamOutOfRange(f"sampling {sched.n_steps} steps is more than "

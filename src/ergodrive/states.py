@@ -428,7 +428,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
             raise DimMismatch(f"dim must be an integer >= 1, got {dim!r}")
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj.get("im", np.zeros(dim * dim)), dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DimMismatch(f"bad matrix object: {exc}") from exc
     if re.size != dim * dim or im.size != dim * dim:
         raise DimMismatch(f"matrix payload length {re.size}/{im.size} != dim^2 = {dim * dim}")

@@ -75,15 +75,9 @@ PROPAGATION_MAX_STEPS = 2**16
 # (whose scratch blocks take 896 bytes per draw).
 FIGURE_MAX_CELLS = 2**18
 FIGURE_MAX_DRAWS = 2**16
-# Schedules: the boundary values of lam_i, lam_f, ramp_f and ramp_fdot are
-# checked to this absolute tolerance; a rotating schedule's endpoint
-# Hamiltonians must match h_i and h_f to this many units of their largest
-# entry (at least 1).
-SCHEDULE_BOUNDARY_ATOL = 1e-12
+# A rotating schedule's endpoint Hamiltonians must match h_i and h_f to this
+# many units of their largest entry (at least 1).
 ROTATING_ENDPOINT_REL = 1e-10
-# synthesize_drive takes the ramp as monotone, and w = w_min (f(tau) - f(0))
-# exactly, when fdot >= -MONOTONE_RAMP_ATOL on the whole grid.
-MONOTONE_RAMP_ATOL = 1e-12
 # verify_drive measures the final-energy residual in units of h_f's spectral
 # width, but of at least this much.
 VERIFY_WIDTH_FLOOR = 1e-12

@@ -199,7 +199,7 @@ def ordered_products_sequential(steps):
 
 
 def magnus4_gauss_final(h_i, h_f, sched, n_steps):
-    """U0(tau) of an interp schedule by n_steps Gauss-Legendre Magnus-4 steps,
+    """U0(tau) of a linear schedule by n_steps Gauss-Legendre Magnus-4 steps,
     formed one step at a time: with H1, H2 at the Gauss nodes
     t_k + dt (1/2 -+ sqrt(3)/6), each step is exp(-i Omega) with
     Omega = dt (H1 + H2) / 2 + i (sqrt(3)/12) dt^2 [H1, H2], exponentiated
@@ -208,9 +208,8 @@ def magnus4_gauss_final(h_i, h_f, sched, n_steps):
     t0 = np.arange(n_steps) * dt
     hs = []
     for t in (t0 + dt * (0.5 - np.sqrt(3.0) / 6.0), t0 + dt * (0.5 + np.sqrt(3.0) / 6.0)):
-        lam_i = np.broadcast_to(sched.lam_i(t), t.shape)[:, None, None]
-        lam_f = np.broadcast_to(sched.lam_f(t), t.shape)[:, None, None]
-        hs.append(lam_i * h_i.mat + lam_f * h_f.mat)
+        s = (t / sched.tau)[:, None, None]
+        hs.append((1.0 - s) * h_i.mat + s * h_f.mat)
     h1, h2 = hs
     omega = 0.5 * dt * (h1 + h2) + 1j * (np.sqrt(3.0) / 12.0) * dt**2 * (h1 @ h2 - h2 @ h1)
     w, v = np.linalg.eigh(omega)

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import ergodrive
-from ergodrive import (Schedule, cli, drives, ergotropy, matrix_to_json, optimize_phases,
-                       synthesize_drive)
+from ergodrive import (DensityMatrix, HamiltonianOp, Schedule, cli, drives, ergotropy,
+                       matrix_to_json, optimize_phases, synthesize_drive)
+from ergodrive.errors import ParamOutOfRange
 from ergodrive.tolerances import REPORT_ROUNDING_REL
 from helpers import random_hermitian, random_instance
 
@@ -306,6 +307,30 @@ def test_drive_synth_json_matches_its_recorded_digest(case):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DRIVE_SHA256[case]
 
 
+# sha256 of synthesize_drive's JSON (as write_json prints it) and of its V
+# samples' bytes on a rotating schedule with the endpoints of
+# test_converged_final_unitary, recorded before Schedule dropped its settable
+# interpolation and ramp callables and its kind
+ROTATING_DRIVE_SHA256 = {
+    "json": "729be7e7b3fe0f91ec9a76315ae91b91487f10ce4929f160b82e4ad36c08e644",
+    "v_samples": "d8ea44f4b22ca4cdf57c9cb3733864495b87ef2d509886193737cd59cb8de048",
+}
+
+
+def test_rotating_drive_matches_its_recorded_digest():
+    angle = np.pi * 2.0 / (2 * 0.7)
+    sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    h_i = HamiltonianOp(0.5 * sz)
+    h_f = HamiltonianOp(0.5 * (np.cos(angle) * sz + np.sin(angle) * sx))
+    rho = DensityMatrix(np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]]))
+    sched = Schedule.rotating_cos_sin(1.0, tau=2.0, tau_star=0.7, n_steps=512)
+    synth = synthesize_drive(rho, h_i, h_f, sched, [0.4, -1.3])
+    text = json.dumps(synth.to_json(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == ROTATING_DRIVE_SHA256["json"]
+    assert (hashlib.sha256(synth.v_samples.tobytes()).hexdigest()
+            == ROTATING_DRIVE_SHA256["v_samples"])
+
+
 def test_drive_synth_is_the_library_drive_on_an_open_schedule():
     # the CLI maps the config and verifies; the step count and the analytic
     # phases are the library's
@@ -430,8 +455,33 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert err["error"] == "DimMismatch"
 
 
+@pytest.mark.parametrize("exponent", [400, 5000])
+def test_integers_beyond_float_range_are_refused_in_process(exponent):
+    # 10**5000 has no repr under Python's 4300-digit limit
+    with pytest.raises(ParamOutOfRange, match="p_points must be a finite number, got an "
+                                              "integer beyond float range"):
+        cli.run_fig1({"p_points": 10**exponent}, 0)
+
+
 def _with_entry(matrix, value):
     return dict(matrix, re=[value] + matrix["re"][1:])
+
+
+@pytest.mark.parametrize("command, text, error", [
+    # beyond float range: math.isfinite and float conversion overflow
+    ("fig1", '{"p_points": 1' + "0" * 400 + "}", "ParamOutOfRange"),
+    ("ergotropy", json.dumps(dict(RHO2, rho_i=_with_entry(RHO2["rho_i"], 10**400))),
+     "DimMismatch"),
+    # past Python's 4300-digit limit, json.load raises a plain ValueError
+    ("drive-synth", '{"tau": ' + "1" * 5001 + "}", "ParamOutOfRange"),
+    ("drive-synth", '{"tau": 1.0,', "JSONDecodeError"),
+])
+def test_oversized_json_integers_exit_2(tmp_path, capsys, command, text, error):
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    assert run([command, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == error
 
 
 @pytest.mark.parametrize("command, key, value, error", [

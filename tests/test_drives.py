@@ -54,24 +54,13 @@ def test_schedule_validation():
     for n_steps in (0, 2.5, True):
         with pytest.raises(ParamOutOfRange, match="n_steps must be an integer >= 1"):
             Schedule(1.0, n_steps=n_steps)
-    with pytest.raises(ParamOutOfRange):
-        Schedule(1.0, kind="wiggle")
-    with pytest.raises(ParamInconsistent):
-        Schedule(1.0, lam_i=lambda t: 0.5, lam_f=lambda t: t)
-    with pytest.raises(ParamOutOfRange):
-        Schedule(1.0, ramp_f=lambda t: t)   # derivative missing
-    with pytest.raises(ParamInconsistent):
-        Schedule(1.0, ramp_f=lambda t: t, ramp_fdot=lambda t: 1.0)
-    with pytest.raises(ParamOutOfRange):
-        Schedule(1.0, kind="rotating")      # omega/eps missing
     sched = Schedule.linear(2.0, n_steps=100)
     assert sched.tau == 2.0
     assert len(sched.times()) == 101
-    assert abs(sched.lam_i(0.0) - 1.0) < 1e-15 and abs(sched.lam_f(2.0) - 1.0) < 1e-15
     # by default the count is left to the error targets: nothing that needs
     # a grid takes such a schedule
     h = HamiltonianOp(0.5 * SZ)
-    rot = Schedule(2.0, kind="rotating", omega=lambda t: 1.0, eps=lambda t: 0.0)
+    rot = Schedule(2.0, omega=lambda t: 1.0, eps=lambda t: 0.0)
     assert Schedule.linear(2.0).n_steps is None and rot.n_steps is None
     for call in (Schedule.linear(2.0).times, lambda: propagate_u0(h, h, Schedule.linear(2.0)),
                  lambda: propagate_u0(h, h, rot), lambda: counterdiabatic_cost(rot)):
@@ -79,12 +68,27 @@ def test_schedule_validation():
             call()
 
 
-def test_schedule_refuses_nan_boundary_values():
-    nan = lambda t: np.nan + 0 * np.asarray(t)   # noqa: E731
-    with pytest.raises(ParamInconsistent, match="lambda"):
-        Schedule(1.0, lam_i=nan, n_steps=64)
-    with pytest.raises(ParamInconsistent, match="ramp"):
-        Schedule(1.0, ramp_f=nan, ramp_fdot=lambda t: 0 * np.asarray(t), n_steps=64)
+def test_schedule_is_rotating_exactly_when_it_has_omega_and_eps():
+    h_i, h_f = HamiltonianOp(np.diag([0.0, 1.0])), HamiltonianOp(np.diag([0.2, 0.7]))
+    tau = 1.0
+    linear = Schedule.linear(tau)
+    ends = linear.h0_batch(h_i, h_f, np.array([0.0, tau]))
+    assert not linear.rotating
+    assert np.array_equal(ends[0], h_i.mat) and np.array_equal(ends[1], h_f.mat)
+    # omega and eps alone make a rotating H0 = (omega sz + eps sx) / 2: h_f
+    # is not read, and omega is not ignored
+    rot = Schedule(tau, omega=lambda t: 1.0 + 0 * t, eps=lambda t: 0.5 + 0 * t)
+    assert rot.rotating
+    want = 0.5 * (SZ + 0.5 * SX)
+    for h0 in rot.h0_batch(h_i, h_f, np.array([0.0, tau])):
+        assert np.array_equal(h0, want)
+    for factory in (Schedule.rotating_cos_sin(1.0, tau=2.0, tau_star=0.7),
+                    Schedule.rotating_constant_mu(MuDynParams.constant_rate(mu=1.5, omega_bar=2.0, tau=1.0))):
+        assert factory.rotating
+    # one of the two is refused, whichever it is
+    for half in ({"omega": lambda t: 1.0 + 0 * t}, {"eps": lambda t: 0 * t}):
+        with pytest.raises(ParamOutOfRange, match="rotating schedule needs omega"):
+            Schedule(tau, **half)
 
 
 def test_validate_against_dimension_rules():
@@ -93,7 +97,7 @@ def test_validate_against_dimension_rules():
     sched = Schedule.linear(1.0)
     with pytest.raises(DimMismatch):
         sched.validate_against(h2, h3)
-    rot = Schedule(1.0, kind="rotating", omega=lambda t: 1.0 + 0 * t, eps=lambda t: 0 * t)
+    rot = Schedule(1.0, omega=lambda t: 1.0 + 0 * t, eps=lambda t: 0 * t)
     with pytest.raises(DimMismatch):
         rot.validate_against(h3, h3)
     with pytest.raises(ParamInconsistent):
@@ -102,7 +106,7 @@ def test_validate_against_dimension_rules():
 
 def test_propagator_exact_for_constant_hamiltonian():
     h = HamiltonianOp(np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.1]]))
-    sched = Schedule(2.0, lam_i=lambda t: 1.0 - t / 2.0, lam_f=lambda t: t / 2.0, n_steps=4096)
+    sched = Schedule.linear(2.0, n_steps=4096)
     trace = propagate_u0(h, h, sched)
     exact = herm_expi(h.mat, 2.0)
     assert np.abs(trace.u_samples[-1] - exact).max() < 1e-12
@@ -147,12 +151,11 @@ def test_final_unitary_matches_stepwise_product():
 
 
 def test_magnus_step_is_fourth_order():
-    # non-commuting d = 3 schedule with a curved ramp: every doubling of n
-    # divides the error against the Gauss-Legendre oracle by about 16
+    # non-commuting d = 3 linear schedule: every doubling of n divides the
+    # error against the Gauss-Legendre oracle by about 16
     rng = np.random.default_rng(63)
     _, h_i, h_f = random_instance(rng, 3)
-    sched = Schedule(1.0, lam_i=lambda t: np.cos(0.5 * np.pi * t) ** 2,
-                     lam_f=lambda t: np.sin(0.5 * np.pi * t) ** 2)
+    sched = Schedule.linear(1.0)
     want = magnus4_gauss_final(h_i, h_f, sched, 2048)
     errors = [np.abs(propagate_u0(h_i, h_f, dataclasses.replace(sched, n_steps=n))
                      .u_samples[-1] - want).max() for n in (16, 32, 64, 128)]
@@ -412,21 +415,21 @@ def test_ordered_products_refuses_one_bad_step_in_any_block(bad):
 
 def test_constant_schedule_callables_broadcast():
     h = HamiltonianOp(0.5 * SZ)
-    rot = Schedule(1.5, kind="rotating", omega=lambda t: 1.0, eps=lambda t: 0.0, n_steps=64)
+    rot = Schedule(1.5, omega=lambda t: 1.0, eps=lambda t: 0.0, n_steps=64)
     trace = propagate_u0(h, h, rot)
     assert np.abs(trace.u_samples[-1] - herm_expi(h.mat, 1.5)).max() < 1e-12
 
 
 def test_schedule_callable_of_wrong_shape_is_refused():
     h = HamiltonianOp(0.5 * SZ)
-    rot = Schedule(1.0, kind="rotating", omega=lambda t: np.ones(3), eps=lambda t: 0 * t)
+    rot = Schedule(1.0, omega=lambda t: np.ones(3), eps=lambda t: 0 * t)
     with pytest.raises(ParamOutOfRange):
         propagate_u0(h, h, rot)
 
 
 def test_schedule_callable_without_array_support_is_refused():
     h = HamiltonianOp(0.5 * SZ)
-    rot = Schedule(1.0, kind="rotating", omega=lambda t: math.cos(0 * t), eps=lambda t: 0 * t)
+    rot = Schedule(1.0, omega=lambda t: math.cos(0 * t), eps=lambda t: 0 * t)
     with pytest.raises(ParamOutOfRange):
         propagate_u0(h, h, rot)
 
@@ -479,29 +482,18 @@ def test_synthesize_and_verify_one_instance():
     assert energy_res <= 1e-8 * h_f.spectral_width
 
 
-def test_nonmonotone_ramp_costs_more():
-    rng = np.random.default_rng(54)
-    rho, h_i, h_f = random_instance(rng, 2)
-
-    def ramp(t):
-        return t + 0.2 * np.sin(2 * np.pi * t)
-
-    def ramp_dot(t):
-        return 1.0 + 0.4 * np.pi * np.cos(2 * np.pi * t)
-
-    # make the ramp boundary-flat by composing with the smooth step
-    def f(t):
-        return ramp(smoothstep(t))
-
-    def fdot(t):
-        return ramp_dot(smoothstep(t)) * smoothstep_dot(t)
-
-    sched = Schedule.linear(1.0, n_steps=4096)
-    wiggly = Schedule(1.0, ramp_f=f, ramp_fdot=fdot, n_steps=4096)
-    base = synthesize_drive(rho, h_i, h_f, sched)
-    bumpy = synthesize_drive(rho, h_i, h_f, wiggly)
-    assert bumpy.w_min == base.w_min       # same chi, same minimal cost
-    assert bumpy.w > bumpy.w_min + 0.05 * bumpy.w_min
+def test_drive_cost_is_w_min_on_every_schedule():
+    # the smoothstep ramp runs monotonically from 0 to 1, so w is w_min exactly
+    rho, h_i, h_f = random_instance(np.random.default_rng(54), 2)
+    for sched in (Schedule.linear(1.0), Schedule.linear(1.0, n_steps=1024)):
+        synth = synthesize_drive(rho, h_i, h_f, sched)
+        assert synth.w == synth.w_min > 0
+    angle = np.pi * 2.0 / (2 * 0.7)
+    h_i = HamiltonianOp(0.5 * SZ)
+    h_f = HamiltonianOp(0.5 * (np.cos(angle) * SZ + np.sin(angle) * SX))
+    rot = Schedule.rotating_cos_sin(1.0, tau=2.0, tau_star=0.7, n_steps=512)
+    synth = synthesize_drive(rho, h_i, h_f, rot, [0.4, -1.3])
+    assert synth.w == synth.w_min > 0
 
 
 def test_trivial_target_needs_no_drive():
@@ -900,7 +892,7 @@ def test_verify_drive_catches_endpoint_tampering():
 
 def test_counterdiabatic_cost_anchors():
     # static eigenvectors cost nothing
-    rot = Schedule(1.0, kind="rotating", omega=lambda t: 1.0 + 0 * t,
+    rot = Schedule(1.0, omega=lambda t: 1.0 + 0 * t,
                    eps=lambda t: 0.3 + 0 * t, n_steps=512)
     w, norm_trace = counterdiabatic_cost(rot)
     assert w < 1e-12
@@ -920,15 +912,15 @@ def test_counterdiabatic_cost_error_taxonomy():
     with pytest.raises(ParamOutOfRange):
         counterdiabatic_cost(Schedule.linear(1.0))
     with pytest.raises(ParamOutOfRange):
-        counterdiabatic_cost(Schedule(1.0, kind="rotating", omega=lambda t: 1.0 + 0 * t,
+        counterdiabatic_cost(Schedule(1.0, omega=lambda t: 1.0 + 0 * t,
                                       eps=lambda t: 0 * t, n_steps=1))
     with pytest.raises(ParamOutOfRange):   # gap closes at the midpoint
-        counterdiabatic_cost(Schedule(1.0, kind="rotating", omega=lambda t: 1.0 - 2.0 * t,
+        counterdiabatic_cost(Schedule(1.0, omega=lambda t: 1.0 - 2.0 * t,
                                       eps=lambda t: 0 * t, n_steps=64))
     with pytest.raises(GaugeFailure):      # eigenbasis flips between samples
-        counterdiabatic_cost(Schedule(1.0, kind="rotating",
-                                      omega=lambda t: np.where(np.asarray(t) < 0.5, 1.0, -1.0),
-                                      eps=lambda t: 1e-12 + 0 * t, n_steps=64))
+        counterdiabatic_cost(Schedule(
+            1.0, omega=lambda t: np.where(np.asarray(t) < 0.5, 1.0, -1.0),
+            eps=lambda t: 1e-12 + 0 * t, n_steps=64))
     # metadata that contradicts the schedule is rejected
     params = MuDynParams.constant_rate(mu=1.0, omega_bar=2.0, tau=1.0)
     sched = Schedule.rotating_constant_mu(params, n_steps=4096)
@@ -961,8 +953,7 @@ def _random_rotating_schedule(rng, n_steps):
     def phi(t):
         return c0 + c1 * t + c2 * np.sin(w * t)
 
-    return Schedule(rng.uniform(1.0, 2.0), kind="rotating",
-                    omega=lambda t: gap(t) * np.cos(phi(t)),
+    return Schedule(rng.uniform(1.0, 2.0), omega=lambda t: gap(t) * np.cos(phi(t)),
                     eps=lambda t: gap(t) * np.sin(phi(t)), n_steps=n_steps)
 
 

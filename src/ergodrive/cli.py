@@ -207,6 +207,7 @@ def fig1_crossover(ps, deltas, wmins) -> float:
 
 def run_fig1(cfg: dict, seed: int = 0):
     """Gain vs cost over the (p_i, |c_i|) disk for proportional Hamiltonians."""
+    tls.check_count(seed, "seed", 0)
     tau = _positive(cfg, "tau", 10.0)
     lam_f_omega = _number(cfg, "lam_f_omega", 1.0)
     draws = _count(cfg, "mc_draws", 4096)

@@ -1,7 +1,8 @@
 """Time-dependent drive machinery.
 
 Schedules run on [0, tau] and interpolate H0(t) between an initial and a
-final Hamiltonian (or rotate a two-level gap). Every propagation takes
+final Hamiltonian, or rotate a two-level gap at a constant rate mu (the
+constant-mu family of tls.MuDynParams). Every propagation takes
 Simpson-node fourth-order Magnus steps: on [t_k, t_k + dt], with
 K1 = dt (H(t_k) + 4 H(t_k + dt/2) + H(t_k + dt)) / 6 and
 K2 = dt (H(t_k + dt) - H(t_k)), the step is exp(-i H_eff dt) with
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from .errors import (DimMismatch, DimTooLarge, GaugeFailure, LengthMismatch, NoC
 from .linalg import (dagger, herm_expi_batch, matmul_t, principal_log_unitary, step_products,
                      time_first, time_last, trace_distance)
 from .states import DensityMatrix, HamiltonianOp, matrix_to_json, passive_energy, passive_state
-from .tls import MuDynParams, check_count, wrap_pi
+from .tls import MuDynParams, check_count, check_drive, wrap_pi
 from .tolerances import (DRIVEN_PROPAGATION_ERROR, EIGENPHASE_SEPARATION, GAUGE_OVERLAP_MIN,
                          GRID_SHIFT_MARGIN, PROPAGATION_ERROR, PROPAGATION_MAX_STEPS,
                          ROTATING_ENDPOINT_REL, STA_CLOSED_FORM_REL, VERIFY_ENDPOINT_REL,
@@ -83,36 +84,22 @@ def smoothstep_dot(s):
     return 6.0 * s * (1.0 - s)
 
 
-def _sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
-    """Evaluate a vectorized callable on a time grid; a scalar result is constant."""
-    try:
-        out = np.asarray(fn(ts), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParamOutOfRange(f"schedule callables must accept a time array: {exc}") from exc
-    if out.ndim == 0:
-        return np.full(ts.shape, float(out))
-    if out.shape != ts.shape:
-        raise ParamOutOfRange(f"schedule callable returned shape {out.shape} "
-                              f"on a grid of shape {ts.shape}")
-    return out
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Drive schedule on [0, tau].
 
-    H0(t) = (1 - t/tau) h_i + (t/tau) h_f, unless omega and eps are given:
-    then the schedule is rotating, H0(t) = (omega(t) sz + eps(t) sx)/2 from
-    vectorized callables of t, two-level only; mu and omega_bar are optional
-    metadata used for closed-form cross-checks. The correction V(t) follows
-    the ramp f(t) = smoothstep(t/tau), which runs 0 -> 1 with flat ends.
-    n_steps is an integer >= 1, or None (the default) to leave the count to
-    the error targets: synthesize_drive then picks it.
+    H0(t) = (1 - t/tau) h_i + (t/tau) h_f, unless mu and omega_bar are given:
+    then the schedule is the constant-mu rotating two-level drive
+    H0(t) = (A/2)(cos(mu A t) sz - sin(mu A t) sx), A = omega_bar/tau, a
+    constant gap whose Bloch angle turns at the rate -mu A (tls.MuDynParams);
+    mu must be finite and omega_bar finite and >= 0, and giving only one of
+    them is refused. The correction V(t) follows the ramp
+    f(t) = smoothstep(t/tau), which runs 0 -> 1 with flat ends. n_steps is an
+    integer >= 1, or None (the default) to leave the count to the error
+    targets: synthesize_drive then picks it.
     """
 
     tau: float
-    omega: Optional[Callable] = None
-    eps: Optional[Callable] = None
     n_steps: Optional[int] = None
     mu: Optional[float] = None
     omega_bar: Optional[float] = None
@@ -122,23 +109,39 @@ class Schedule:
             raise ParamOutOfRange(f"need 0 < tau < inf, got {self.tau}")
         if self.n_steps is not None:
             check_count(self.n_steps, "n_steps", 1)
-        if (self.omega is None) != (self.eps is None):
-            raise ParamOutOfRange("rotating schedule needs omega(t) and eps(t)")
+        if (self.mu is None) != (self.omega_bar is None):
+            raise ParamOutOfRange("a rotating schedule needs both mu and omega_bar")
+        if self.rotating:
+            check_drive(self.tau, self.omega_bar)
+            if not np.isfinite(self.mu):
+                raise ParamOutOfRange(f"need a finite mu, got {self.mu}")
 
     @property
     def rotating(self) -> bool:
-        return self.omega is not None
+        return self.mu is not None
 
     def ramp_fdot(self, ts: np.ndarray) -> np.ndarray:
         """The ramp's derivative on ts: smoothstep_dot(t/tau) / tau."""
         return smoothstep_dot(ts / self.tau) / self.tau
 
     def times(self, n_steps: Optional[int] = None) -> np.ndarray:
+        """The n + 1 points of the n-step grid on [0, tau], n = n_steps or the
+        schedule's own; a grid spacing below the smallest normal float is
+        refused (ParamOutOfRange), as is an open count."""
         n = self.n_steps if n_steps is None else n_steps
         if n is None:
             raise ParamOutOfRange("the schedule leaves n_steps to the error targets: "
                                   "fix it first (drives.synthesize_drive picks one)")
+        if self.tau / n < np.finfo(float).tiny:
+            raise ParamOutOfRange(f"{n} steps on tau = {self.tau} are spaced below "
+                                  f"the smallest normal float")
         return np.linspace(0.0, self.tau, n + 1)
+
+    def _omega_eps(self, ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(omega, eps) = A (cos, -sin)(mu A t) of a rotating schedule on ts."""
+        om0 = self.omega_bar / self.tau
+        angle = self.mu * om0 * ts
+        return om0 * np.cos(angle), -om0 * np.sin(angle)
 
     def h0_batch(self, h_i: HamiltonianOp, h_f: HamiltonianOp, ts: np.ndarray) -> np.ndarray:
         """H0 sampled on ts, shape (len(ts), d, d): a view of a time-innermost
@@ -149,7 +152,7 @@ class Schedule:
         """H0 on ts as a fresh time-innermost stack [d, d, len(ts)]. The second
         term is added one entry at a time, so no second stack is formed."""
         if self.rotating:
-            (m0, c0), (m1, c1) = (_SZ, _sample(self.omega, ts)), (_SX, _sample(self.eps, ts))
+            (m0, m1), (c0, c1) = (_SZ, _SX), self._omega_eps(ts)
         else:
             (m0, c0), (m1, c1) = (h_i.mat, 1.0 - ts / self.tau), (h_f.mat, ts / self.tau)
         out = np.multiply(m0[..., None], c0)
@@ -181,32 +184,14 @@ class Schedule:
     def rotating_constant_mu(cls, params: MuDynParams,
                              n_steps: Optional[int] = None) -> "Schedule":
         """Constant gap Omega = omega_bar/tau, Bloch angle phi(t) = -mu Omega t."""
-        om0 = params.omega_bar / params.tau
-        mu = params.mu
-
-        def omega(t):
-            return om0 * np.cos(mu * om0 * np.asarray(t, dtype=float))
-
-        def eps(t):
-            return -om0 * np.sin(mu * om0 * np.asarray(t, dtype=float))
-
-        return cls(params.tau, omega=omega, eps=eps, n_steps=n_steps,
-                   mu=mu, omega_bar=params.omega_bar)
+        return cls(params.tau, n_steps, params.mu, params.omega_bar)
 
     @classmethod
     def rotating_cos_sin(cls, omega0: float, tau: float, tau_star: float,
                          n_steps: Optional[int] = None) -> "Schedule":
-        """Quarter-period sweep omega0 (cos, sin)(pi t/(2 tau*))."""
-        params = MuDynParams.cos_sin(omega0, tau, tau_star)
-
-        def omega(t):
-            return omega0 * np.cos(np.pi * np.asarray(t, dtype=float) / (2 * tau_star))
-
-        def eps(t):
-            return omega0 * np.sin(np.pi * np.asarray(t, dtype=float) / (2 * tau_star))
-
-        return cls(tau, omega=omega, eps=eps, n_steps=n_steps,
-                   mu=params.mu, omega_bar=params.omega_bar)
+        """Quarter-period sweep omega0 (cos, sin)(pi t/(2 tau*)): constant mu
+        = -pi/(2 omega0 tau*) (tls.MuDynParams.cos_sin)."""
+        return cls.rotating_constant_mu(MuDynParams.cos_sin(omega0, tau, tau_star), n_steps)
 
 
 class PropagatorTrace(NamedTuple):
@@ -777,10 +762,11 @@ def counterdiabatic_cost(sched: Schedule) -> Tuple[float, np.ndarray]:
     The eigenvectors of H = (omega sz + eps sx) / 2 turn by half the mixing
     angle theta = atan2(eps, omega), so norm_trace = (2 sum_n <edot_n|edot_n>)^{1/2}
     = |theta dot| (Berry, J. Phys. A 42, 365303 (2009)), by second-order
-    differences of the unwrapped angle; w_sta is its time average. Constant-mu
-    metadata is cross-checked against |mu| omega_bar / tau. The step count
-    must be fixed and at most PROPAGATION_MAX_STEPS, like a propagation's
-    (ParamOutOfRange before sampling otherwise).
+    differences of the unwrapped angle; w_sta is its time average, checked
+    against the constant-mu closed form |mu| omega_bar / tau to
+    STA_CLOSED_FORM_REL (VerificationFailed). The step count must be fixed
+    and at most PROPAGATION_MAX_STEPS, like a propagation's (ParamOutOfRange
+    before sampling otherwise).
     """
     if not sched.rotating:
         raise ParamOutOfRange("counterdiabatic cost is defined for rotating schedules")
@@ -790,8 +776,7 @@ def counterdiabatic_cost(sched: Schedule) -> Tuple[float, np.ndarray]:
     ts = sched.times()
     if len(ts) < 3:
         raise ParamOutOfRange("need at least 2 steps for the mixing-angle derivative")
-    om = _sample(sched.omega, ts)
-    ep = _sample(sched.eps, ts)
+    om, ep = sched._omega_eps(ts)
     if not np.hypot(om, ep).min() > 0.0:
         raise ParamOutOfRange("the gap must stay positive on the grid")
     theta = np.unwrap(np.arctan2(ep, om))
@@ -801,10 +786,9 @@ def counterdiabatic_cost(sched: Schedule) -> Tuple[float, np.ndarray]:
     norm_trace = np.abs(np.gradient(theta, sched.tau / sched.n_steps, edge_order=2))
     w_sta = float(np.trapezoid(norm_trace, ts)) / sched.tau
 
-    if sched.mu is not None and sched.omega_bar is not None:
-        expected = abs(sched.mu) * sched.omega_bar / sched.tau
-        if abs(w_sta - expected) > STA_CLOSED_FORM_REL * max(1.0, expected):
-            raise VerificationFailed(
-                "counterdiabatic cost disagrees with the constant-mu closed form",
-                residuals={"w_sta": w_sta, "closed_form": expected})
+    expected = abs(sched.mu) * sched.omega_bar / sched.tau
+    if abs(w_sta - expected) > STA_CLOSED_FORM_REL * max(1.0, expected):
+        raise VerificationFailed(
+            "counterdiabatic cost disagrees with the constant-mu closed form",
+            residuals={"w_sta": w_sta, "closed_form": expected})
     return w_sta, norm_trace

@@ -5,7 +5,7 @@ from scipy.linalg import schur
 from scipy.optimize import brentq
 
 from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, TlsState, cli, decompose,
-                       drives, energy_populations, example1_phase_average,
+                       energy_populations, example1_phase_average,
                        example2_theta_split, gain_g, hermitian_eig, states,
                        thermal_populations, von_neumann_entropy)
 from ergodrive.errors import NegativeBeta
@@ -256,12 +256,14 @@ def phase_average_oracle(a, tau, n_draws, rng):
 
 def counterdiabatic_cost_oracle(sched):
     """(w_sta, norm_trace) of drives.counterdiabatic_cost along the instantaneous
-    eigenvectors: eigh of every sample of H = (omega sz + eps sx) / 2, the gauge
-    fixed by parallel transport between samples, and second-order differences of
+    eigenvectors: eigh of every sample of H = (omega sz + eps sx) / 2, with
+    (omega, eps) = A (cos, -sin)(mu A t), A = omega_bar / tau, the gauge fixed
+    by parallel transport between samples, and second-order differences of
     the vectors in (2 sum_n <edot_n|edot_n>)^{1/2}. The oracle of the
     mixing-angle form."""
     ts = sched.times()
-    om, ep = drives._sample(sched.omega, ts), drives._sample(sched.eps, ts)
+    om0 = sched.omega_bar / sched.tau
+    om, ep = om0 * np.cos(sched.mu * om0 * ts), -om0 * np.sin(sched.mu * om0 * ts)
     _, vecs = np.linalg.eigh(0.5 * (om[:, None, None] * SZ + ep[:, None, None] * SX))
     overlaps = np.einsum("tij,tij->tj", vecs[:-1].conj(), vecs[1:])
     gamma = np.ones((len(ts), 2), dtype=complex)

@@ -309,11 +309,11 @@ def test_drive_synth_json_matches_its_recorded_digest(case):
 
 # sha256 of synthesize_drive's JSON (as write_json prints it) and of its V
 # samples' bytes on a rotating schedule with the endpoints of
-# test_converged_final_unitary, recorded before Schedule dropped its settable
-# interpolation and ramp callables and its kind
+# test_converged_final_unitary, recorded when the cos/sin drive became its
+# constant-mu (mu, omega_bar)
 ROTATING_DRIVE_SHA256 = {
-    "json": "729be7e7b3fe0f91ec9a76315ae91b91487f10ce4929f160b82e4ad36c08e644",
-    "v_samples": "d8ea44f4b22ca4cdf57c9cb3733864495b87ef2d509886193737cd59cb8de048",
+    "json": "f8d8afbbce6cc8ddd0dc2b2645a1c37c3935305ac652609a72776ef59bf994f7",
+    "v_samples": "863f9cecd2a2ccf64990d760f91f1ea1a486172b759f2d5a4bca9db5e3cbe855",
 }
 
 
@@ -569,6 +569,31 @@ def test_degenerate_sweep_configs_are_refused(tmp_path, capsys, command, cfg, me
     assert err == {"error": "ParamOutOfRange", "message": err["message"]}
     assert message in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg, flags, message", [
+    # a grid spacing below the smallest normal float, on the open count and
+    # on a fixed one, is refused before anything is sampled
+    ("drive-synth", dict(RHO2, tau=5e-324), [], "spaced below the smallest normal float"),
+    ("drive-synth", dict(RHO2, tau=1e-320), [], "spaced below the smallest normal float"),
+    ("drive-synth", dict(RHO2, tau=1e-320), ["--steps", "8"],
+     "8 steps on tau = 1e-320 are spaced below the smallest normal float"),
+    # a negative seed, with or without Monte Carlo columns
+    ("fig1", {"p_points": 2, "c_points": 2, "mc_draws": 0}, ["--seed", "-1"],
+     "seed must be an integer >= 0, got -1"),
+    ("fig1", {"p_points": 2, "c_points": 2, "mc_draws": 4}, ["--seed", "-1"],
+     "seed must be an integer >= 0, got -1"),
+])
+def test_subnormal_grids_and_negative_seeds_are_refused(tmp_path, capsys, command, cfg, flags,
+                                                        message):
+    path = write_cfg(tmp_path, "bad.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", path, *flags]) == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(err)
+    assert out == "" and payload == {"error": "ParamOutOfRange", "message": payload["message"]}
+    assert message in payload["message"]
 
 
 @pytest.mark.parametrize("command, cfg, message", [

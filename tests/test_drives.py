@@ -60,7 +60,7 @@ def test_schedule_validation():
     # by default the count is left to the error targets: nothing that needs
     # a grid takes such a schedule
     h = HamiltonianOp(0.5 * SZ)
-    rot = Schedule(2.0, omega=lambda t: 1.0, eps=lambda t: 0.0)
+    rot = Schedule(2.0, mu=0.0, omega_bar=2.0)
     assert Schedule.linear(2.0).n_steps is None and rot.n_steps is None
     for call in (Schedule.linear(2.0).times, lambda: propagate_u0(h, h, Schedule.linear(2.0)),
                  lambda: propagate_u0(h, h, rot), lambda: counterdiabatic_cost(rot)):
@@ -68,27 +68,33 @@ def test_schedule_validation():
             call()
 
 
-def test_schedule_is_rotating_exactly_when_it_has_omega_and_eps():
+def test_schedule_is_rotating_exactly_when_it_has_mu_and_omega_bar():
     h_i, h_f = HamiltonianOp(np.diag([0.0, 1.0])), HamiltonianOp(np.diag([0.2, 0.7]))
-    tau = 1.0
+    tau = 2.0
     linear = Schedule.linear(tau)
     ends = linear.h0_batch(h_i, h_f, np.array([0.0, tau]))
     assert not linear.rotating
     assert np.array_equal(ends[0], h_i.mat) and np.array_equal(ends[1], h_f.mat)
-    # omega and eps alone make a rotating H0 = (omega sz + eps sx) / 2: h_f
-    # is not read, and omega is not ignored
-    rot = Schedule(tau, omega=lambda t: 1.0 + 0 * t, eps=lambda t: 0.5 + 0 * t)
+    # mu and omega_bar alone make a rotating H0 = (A/2)(cos(mu A t) sz -
+    # sin(mu A t) sx), A = omega_bar / tau: h_i and h_f are not read
+    rot = Schedule(tau, mu=-np.pi / 8, omega_bar=4.0)
     assert rot.rotating
-    want = 0.5 * (SZ + 0.5 * SX)
-    for h0 in rot.h0_batch(h_i, h_f, np.array([0.0, tau])):
-        assert np.array_equal(h0, want)
+    h0 = rot.h0_batch(h_i, h_f, np.array([0.0, 1.0, tau]))
+    assert np.array_equal(h0[0], SZ)
+    assert np.abs(h0[1] - np.sqrt(0.5) * (SZ + SX)).max() <= 1e-15
+    assert np.abs(h0[2] - SX).max() <= 1e-15
     for factory in (Schedule.rotating_cos_sin(1.0, tau=2.0, tau_star=0.7),
                     Schedule.rotating_constant_mu(MuDynParams.constant_rate(mu=1.5, omega_bar=2.0, tau=1.0))):
         assert factory.rotating
     # one of the two is refused, whichever it is
-    for half in ({"omega": lambda t: 1.0 + 0 * t}, {"eps": lambda t: 0 * t}):
-        with pytest.raises(ParamOutOfRange, match="rotating schedule needs omega"):
+    for half in ({"mu": 1.0}, {"omega_bar": 1.0}):
+        with pytest.raises(ParamOutOfRange, match="needs both mu and omega_bar"):
             Schedule(tau, **half)
+    # as are the values MuDynParams refuses
+    for mu, omega_bar in [(float("nan"), 1.0), (float("inf"), 1.0), (0.5, -1.0),
+                          (0.5, float("inf")), (0.5, float("nan"))]:
+        with pytest.raises(ParamOutOfRange):
+            Schedule(tau, mu=mu, omega_bar=omega_bar)
 
 
 def test_validate_against_dimension_rules():
@@ -97,7 +103,7 @@ def test_validate_against_dimension_rules():
     sched = Schedule.linear(1.0)
     with pytest.raises(DimMismatch):
         sched.validate_against(h2, h3)
-    rot = Schedule(1.0, omega=lambda t: 1.0 + 0 * t, eps=lambda t: 0 * t)
+    rot = Schedule(1.0, mu=0.0, omega_bar=1.0)
     with pytest.raises(DimMismatch):
         rot.validate_against(h3, h3)
     with pytest.raises(ParamInconsistent):
@@ -414,24 +420,42 @@ def test_ordered_products_refuses_one_bad_step_in_any_block(bad):
 
 
 def test_constant_schedule_callables_broadcast():
+    # mu = 0: the rotating H0 stays at (A/2) sz on every sample
     h = HamiltonianOp(0.5 * SZ)
-    rot = Schedule(1.5, omega=lambda t: 1.0, eps=lambda t: 0.0, n_steps=64)
+    rot = Schedule(1.5, n_steps=64, mu=0.0, omega_bar=1.5)
+    assert np.array_equal(rot.h0_batch(h, h, rot.times()), np.broadcast_to(h.mat, (65, 2, 2)))
     trace = propagate_u0(h, h, rot)
     assert np.abs(trace.u_samples[-1] - herm_expi(h.mat, 1.5)).max() < 1e-12
 
 
-def test_schedule_callable_of_wrong_shape_is_refused():
+def test_constant_mu_h0_is_the_closed_form_bit_for_bit():
+    # omega = A cos(mu A t), eps = -A sin(mu A t), A = omega_bar / tau, each
+    # evaluated as written here, then H0 = (omega sz + eps sx) / 2
+    rng = np.random.default_rng(26)
     h = HamiltonianOp(0.5 * SZ)
-    rot = Schedule(1.0, omega=lambda t: np.ones(3), eps=lambda t: 0 * t)
-    with pytest.raises(ParamOutOfRange):
-        propagate_u0(h, h, rot)
+    for _ in range(5):
+        mu, omega_bar, tau = rng.uniform(-4.0, 4.0), rng.uniform(0.0, 4.0), rng.uniform(0.5, 3.0)
+        sched = Schedule.rotating_constant_mu(MuDynParams.constant_rate(mu, omega_bar, tau),
+                                              n_steps=1000)
+        ts = sched.times()
+        om0 = omega_bar / tau
+        omega, eps = om0 * np.cos(mu * om0 * ts), -om0 * np.sin(mu * om0 * ts)
+        want = np.zeros((2, 2, len(ts)), dtype=complex)
+        want[0, 0], want[1, 1], want[0, 1], want[1, 0] = omega, -omega, eps, eps
+        want *= 0.5
+        assert np.array_equal(sched._h0_stack(h, h, ts), want)
 
 
-def test_schedule_callable_without_array_support_is_refused():
-    h = HamiltonianOp(0.5 * SZ)
-    rot = Schedule(1.0, omega=lambda t: math.cos(0 * t), eps=lambda t: 0 * t)
-    with pytest.raises(ParamOutOfRange):
-        propagate_u0(h, h, rot)
+def test_cos_sin_h0_is_the_quarter_period_sweep():
+    # the paper's omega0 (cos, sin)(pi t / (2 tau*)), to a few ulps of omega0
+    for omega0, tau, tau_star in [(1.0, 2.0, 0.7), (1.0, 1.0, 1.5), (2.0, 3.0, 0.9)]:
+        sched = Schedule.rotating_cos_sin(omega0, tau, tau_star, n_steps=4096)
+        ts = sched.times()
+        h0 = sched.h0_batch(HamiltonianOp(0.5 * SZ), HamiltonianOp(0.5 * SZ), ts)
+        angle = np.pi * ts / (2 * tau_star)
+        want = 0.5 * omega0 * (np.cos(angle)[:, None, None] * SZ
+                               + np.sin(angle)[:, None, None] * SX)
+        assert np.abs(h0 - want).max() <= 4 * np.finfo(float).eps * omega0
 
 
 def test_converged_final_unitary():
@@ -892,8 +916,7 @@ def test_verify_drive_catches_endpoint_tampering():
 
 def test_counterdiabatic_cost_anchors():
     # static eigenvectors cost nothing
-    rot = Schedule(1.0, omega=lambda t: 1.0 + 0 * t,
-                   eps=lambda t: 0.3 + 0 * t, n_steps=512)
+    rot = Schedule(1.0, n_steps=512, mu=0.0, omega_bar=1.0)
     w, norm_trace = counterdiabatic_cost(rot)
     assert w < 1e-12
     assert norm_trace.shape == (513,)
@@ -912,22 +935,11 @@ def test_counterdiabatic_cost_error_taxonomy():
     with pytest.raises(ParamOutOfRange):
         counterdiabatic_cost(Schedule.linear(1.0))
     with pytest.raises(ParamOutOfRange):
-        counterdiabatic_cost(Schedule(1.0, omega=lambda t: 1.0 + 0 * t,
-                                      eps=lambda t: 0 * t, n_steps=1))
-    with pytest.raises(ParamOutOfRange):   # gap closes at the midpoint
-        counterdiabatic_cost(Schedule(1.0, omega=lambda t: 1.0 - 2.0 * t,
-                                      eps=lambda t: 0 * t, n_steps=64))
-    with pytest.raises(GaugeFailure):      # eigenbasis flips between samples
-        counterdiabatic_cost(Schedule(
-            1.0, omega=lambda t: np.where(np.asarray(t) < 0.5, 1.0, -1.0),
-            eps=lambda t: 1e-12 + 0 * t, n_steps=64))
-    # metadata that contradicts the schedule is rejected
-    params = MuDynParams.constant_rate(mu=1.0, omega_bar=2.0, tau=1.0)
-    sched = Schedule.rotating_constant_mu(params, n_steps=4096)
-    lying = dataclasses.replace(sched, mu=2.0)
-    with pytest.raises(VerificationFailed) as exc:
-        counterdiabatic_cost(lying)
-    assert "closed_form" in exc.value.residuals
+        counterdiabatic_cost(Schedule(1.0, n_steps=1, mu=1.0, omega_bar=1.0))
+    with pytest.raises(ParamOutOfRange):   # no gap
+        counterdiabatic_cost(Schedule(1.0, n_steps=64, mu=1.0, omega_bar=0.0))
+    with pytest.raises(GaugeFailure):      # the angle turns by pi per step
+        counterdiabatic_cost(Schedule(1.0, n_steps=64, mu=-64 * np.pi, omega_bar=1.0))
 
 
 @pytest.mark.parametrize("n_steps", [PROPAGATION_MAX_STEPS + 1, 10**19])
@@ -941,20 +953,11 @@ def test_counterdiabatic_cost_refuses_counts_past_the_step_cap(monkeypatch, n_st
 
 
 def _random_rotating_schedule(rng, n_steps):
-    """omega = r cos(phi), eps = r sin(phi) with a smooth gap r > 0 and a
-    smooth angle phi that may wind through the branch cut of atan2."""
-    r0, r1, wr = rng.uniform(0.8, 1.5), rng.uniform(0.0, 0.3), rng.uniform(0.5, 2.0)
-    c0, c1 = rng.uniform(-np.pi, np.pi), rng.uniform(-2.0, 2.0)
-    c2, w = rng.uniform(0.0, 0.5), rng.uniform(0.5, 2.0)
-
-    def gap(t):
-        return r0 + r1 * np.sin(wr * t)
-
-    def phi(t):
-        return c0 + c1 * t + c2 * np.sin(w * t)
-
-    return Schedule(rng.uniform(1.0, 2.0), omega=lambda t: gap(t) * np.cos(phi(t)),
-                    eps=lambda t: gap(t) * np.sin(phi(t)), n_steps=n_steps)
+    """A random constant-mu schedule whose angle turns by more than pi either
+    way from 0, so it winds through the branch cut of atan2."""
+    omega_bar, turn = rng.uniform(2.0, 4.0), rng.uniform(1.1 * np.pi, 4.0)
+    return Schedule(rng.uniform(1.0, 2.0), n_steps=n_steps,
+                    mu=rng.choice([-1.0, 1.0]) * turn / omega_bar, omega_bar=omega_bar)
 
 
 def test_counterdiabatic_cost_matches_the_eigenvector_oracle():

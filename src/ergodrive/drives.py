@@ -9,11 +9,14 @@ K2 = dt (H(t_k + dt) - H(t_k)), the step is exp(-i H_eff dt) with
 H_eff dt = K1 + (i/12) [K1, K2] (Blanes, Casas, Oteo & Ros, Phys. Rep.
 470, 151 (2009)), so an n-step grid samples H at its 2n + 1 Simpson nodes.
 The bare propagator U0 is one blocked ordered product of those steps,
-projected onto the unitaries every 64 steps (linalg.step_products, whose
+projected onto the unitaries every 64 steps (linalg.ordered_products, whose
 kernels return their own arrays); the same kernel propagates U0 on
 verify_drive's grid of 2n steps, whose samples are U0 at every Simpson node
 of the n-step grid, and then H0 + V on the n-step grid, so a verified n
-is at most PROPAGATION_MAX_STEPS / 2. A Schedule's n_steps is explicit, or
+is at most PROPAGATION_MAX_STEPS / 2. verify_drive samples H0 once, at the
+Simpson nodes of its 2n-step grid, and takes the n-step grid's nodes from
+every other one: linspace(0, tau, 2m + 1)[::2] is linspace(0, tau, m + 1)
+bit for bit, and H0 is elementwise in t. A Schedule's n_steps is explicit, or
 left open for synthesize_drive, the one home of the step-count rule:
 final_unitary returns (n, U_n(tau)), the least n = 64 * 2^k at which the
 step-doubling estimate of U0(tau)'s error, from U_{n/2} and U_n (pairwise
@@ -38,8 +41,12 @@ only rows with nearly repeated eigenphases, or d >= 4, form M for a general
 eigensolver. M(phi + s 1) = e^{is} M(phi), so a grid scan over P points
 per axis solves the eigenphases at only P^(d-1) points, one per class of
 index offsets, and shifts them by the multiples of 2 pi / P to cost every
-other point of the class. synthesize_drive propagates one U0 trace per
-count it tries and resolves its target phases there. optimize_phases takes
+other point of the class. synthesize_drive forms one U0 trace per count it
+tries and resolves its target phases there: on the count final_unitary
+picks, the trace is the running products of the steps its estimate formed
+on that grid, and the driven estimate takes H0 from every other one of
+their Simpson nodes; each doubled count is propagated afresh by
+propagate_u0, and its H0 sampled afresh. optimize_phases takes
 the final U0 a caller already has; otherwise it takes U0(tau) from
 final_unitary on a schedule that leaves its count open, propagating nothing,
 and from propagate_u0 on a fixed one.
@@ -51,6 +58,7 @@ in hbar = 1 units.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
@@ -58,7 +66,7 @@ import numpy as np
 
 from .errors import (DimMismatch, DimTooLarge, GaugeFailure, LengthMismatch, NoConvergence,
                      ParamInconsistent, ParamOutOfRange, VerificationFailed)
-from .linalg import (dagger, herm_expi_batch, matmul_t, principal_log_unitary, step_products,
+from .linalg import (dagger, herm_expi_batch, matmul_t, ordered_products, principal_log_unitary,
                      time_first, time_last, trace_distance)
 from .states import DensityMatrix, HamiltonianOp, matrix_to_json, passive_energy, passive_state
 from .tls import MuDynParams, check_count, check_drive, wrap_pi
@@ -93,10 +101,10 @@ class Schedule:
     H0(t) = (A/2)(cos(mu A t) sz - sin(mu A t) sx), A = omega_bar/tau, a
     constant gap whose Bloch angle turns at the rate -mu A (tls.MuDynParams);
     mu must be finite and omega_bar finite and >= 0, and giving only one of
-    them is refused. The correction V(t) follows the ramp
-    f(t) = smoothstep(t/tau), which runs 0 -> 1 with flat ends. n_steps is an
-    integer >= 1, or None (the default) to leave the count to the error
-    targets: synthesize_drive then picks it.
+    them is refused, as is a gap A or an angle mu A tau that overflows. The
+    correction V(t) follows the ramp f(t) = smoothstep(t/tau), which runs
+    0 -> 1 with flat ends. n_steps is an integer >= 1, or None (the default)
+    to leave the count to the error targets: synthesize_drive then picks it.
     """
 
     tau: float
@@ -115,6 +123,14 @@ class Schedule:
             check_drive(self.tau, self.omega_bar)
             if not np.isfinite(self.mu):
                 raise ParamOutOfRange(f"need a finite mu, got {self.mu}")
+            # the gap A and the angle mu A t at t = tau, as _omega_eps forms
+            # them, in Python floats, which overflow to inf without a warning
+            tau, gap = float(self.tau), float(self.omega_bar) / float(self.tau)
+            if not (math.isfinite(gap) and math.isfinite(float(self.mu) * gap * tau)):
+                raise ParamOutOfRange(
+                    f"the gap omega_bar / tau and the angle mu omega_bar t / tau up to "
+                    f"t = tau must be finite, got mu = {self.mu}, omega_bar = "
+                    f"{self.omega_bar}, tau = {self.tau}")
 
     @property
     def rotating(self) -> bool:
@@ -150,14 +166,15 @@ class Schedule:
 
     def _h0_stack(self, h_i: HamiltonianOp, h_f: HamiltonianOp, ts: np.ndarray) -> np.ndarray:
         """H0 on ts as a fresh time-innermost stack [d, d, len(ts)]. The second
-        term is added one entry at a time, so no second stack is formed."""
+        term is added one row at a time, so no second full stack is formed,
+        only one row's worth [d, len(ts)]."""
         if self.rotating:
             (m0, m1), (c0, c1) = (_SZ, _SX), self._omega_eps(ts)
         else:
             (m0, c0), (m1, c1) = (h_i.mat, 1.0 - ts / self.tau), (h_f.mat, ts / self.tau)
         out = np.multiply(m0[..., None], c0)
-        for i, j in np.ndindex(m1.shape):
-            out[i, j] += np.multiply(m1[i, j], c1)
+        for i in range(len(m1)):
+            out[i] += np.multiply(m1[i, :, None], c1)
         if self.rotating:
             out *= 0.5
         return out
@@ -232,11 +249,12 @@ def _magnus_exponent(h_nodes: np.ndarray, dt: float) -> np.ndarray:
     return h_bar
 
 
-def _magnus_h0(sched: Schedule, h_i: HamiltonianOp, h_f: HamiltonianOp,
-               n: int) -> np.ndarray:
-    """H_eff of the Magnus steps of H0 on sched's n-step grid (see
-    _magnus_exponent), from H0 at its Simpson nodes."""
-    return _magnus_exponent(sched._h0_stack(h_i, h_f, sched.times(2 * n)), sched.tau / n)
+def _magnus_steps(h_nodes: np.ndarray, tau: float) -> np.ndarray:
+    """The m Magnus steps exp(-i H_eff dt), dt = tau / m, of a grid on
+    [0, tau] (see _magnus_exponent), from H at its 2m + 1 Simpson nodes
+    h_nodes[d, d, 2m + 1], as a fresh time-innermost stack [d, d, m]."""
+    dt = tau / ((h_nodes.shape[-1] - 1) // 2)
+    return time_last(herm_expi_batch(time_first(_magnus_exponent(h_nodes, dt)), dt))
 
 
 def propagate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> PropagatorTrace:
@@ -247,25 +265,27 @@ def propagate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> Pro
     if n is not None and n > PROPAGATION_MAX_STEPS:
         raise ParamOutOfRange(f"propagating {n} steps is more than {PROPAGATION_MAX_STEPS}")
     ts = sched.times()
-    return PropagatorTrace(ts, *step_products(_magnus_h0(sched, h_i, h_f, n), sched.tau / n))
+    h_nodes = sched._h0_stack(h_i, h_f, sched.times(2 * n))
+    return PropagatorTrace(ts, *ordered_products(_magnus_steps(h_nodes, sched.tau)))
 
 
-def _final_product(h_nodes: np.ndarray, tau: float) -> np.ndarray:
-    """U(tau) of the m Magnus steps on [0, tau] (see _magnus_exponent) from H
-    at the grid's 2m + 1 Simpson nodes h_nodes[d, d, 2m + 1], later steps on
-    the left, without the samples before it. Each pass multiplies
-    neighbouring pairs into a stack half as long."""
-    d, n = h_nodes.shape[0], (h_nodes.shape[-1] - 1) // 2
-    dt = tau / n
-    steps = time_last(herm_expi_batch(time_first(_magnus_exponent(h_nodes, dt)), dt))
+def _final_product(h_nodes: np.ndarray, tau: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(U(tau), steps): the product of the m Magnus steps on [0, tau] (see
+    _magnus_steps) from H at the grid's 2m + 1 Simpson nodes
+    h_nodes[d, d, 2m + 1], later steps on the left, without the samples
+    before it, and the stack of those steps, which the product leaves as it
+    is. Each pass multiplies neighbouring pairs into a stack half as long."""
+    steps = _magnus_steps(h_nodes, tau)
+    d, n = steps.shape[0], steps.shape[-1]
+    prod = steps
     while n > 1:
         half, odd = divmod(n, 2)
         pairs = np.empty((d, d, half + odd), dtype=complex)
-        matmul_t(steps[..., 1:2 * half:2], steps[..., :2 * half:2], pairs[..., :half])
+        matmul_t(prod[..., 1:2 * half:2], prod[..., :2 * half:2], pairs[..., :half])
         if odd:
-            pairs[..., half] = steps[..., n - 1]
-        steps, n = pairs, half + odd
-    return steps[..., 0]
+            pairs[..., half] = prod[..., n - 1]
+        prod, n = pairs, half + odd
+    return prod[..., 0], steps
 
 
 # final_unitary's first step count; later ones double it
@@ -288,18 +308,22 @@ def final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp,
     and at a failed one once verifying the next count would need more than
     PROPAGATION_MAX_STEPS steps, so the largest n tried is a quarter of that.
     """
+    return _final_unitary(h_i, h_f, sched)[:2]
+
+
+def _final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule):
+    """final_unitary's (n, U_n(tau)), and the H0 Simpson nodes and Magnus
+    steps of the n-step grid that it formed them from."""
     sched.validate_against(h_i, h_f)
-
-    def u_final(n):    # from H0 at the 2n + 1 Simpson nodes of the n-step grid
-        return _final_product(sched._h0_stack(h_i, h_f, sched.times(2 * n)), sched.tau)
-
+    # each grid of m steps from H0 at its 2m + 1 Simpson nodes, times(2m)
     n = FIRST_ESTIMATE_STEPS
-    coarse = u_final(n // 2)
+    coarse, _ = _final_product(sched._h0_stack(h_i, h_f, sched.times(n)), sched.tau)
     while True:
-        u = u_final(n)
+        h_nodes = sched._h0_stack(h_i, h_f, sched.times(2 * n))
+        u, steps = _final_product(h_nodes, sched.tau)
         error = float(np.abs(coarse - u).max()) / 15.0
         if error <= PROPAGATION_ERROR:
-            return n, u
+            return n, u, h_nodes, steps
         if not np.isfinite(error):
             raise NoConvergence(f"estimated U0(tau) error at {n} steps is {error}, "
                                 f"not a finite number")
@@ -393,18 +417,23 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
     (ParamOutOfRange). An open one starts at final_unitary's count and
     doubles while driven_error is above DRIVEN_PROPAGATION_ERROR, up to a
     verification of that many steps (NoConvergence, as at the first
-    estimate that is not a finite number): one U0 per count tried, and
-    verify_drive takes the open schedule. The cost w is the time average of
-    ||V||_F = |fdot| (sum theta^2)^{1/2}; the ramp is monotone from 0 to 1,
-    so the integral of |fdot| is 1 and w is w_min.
+    estimate that is not a finite number): one U0 per count tried, the first
+    of them the running products of the steps that final_unitary's estimate
+    formed at that count, and verify_drive takes the open schedule. The cost
+    w is the time average of ||V||_F = |fdot| (sum theta^2)^{1/2}; the ramp
+    is monotone from 0 to 1, so the integral of |fdot| is 1 and w is w_min.
     """
     phases = _checked_phases(rho_i, h_f, phases_phi)
     fixed = sched.n_steps is not None
-    if not fixed:
-        sched = dataclasses.replace(sched, n_steps=final_unitary(h_i, h_f, sched)[0])
-    _check_verifiable(sched.n_steps)
-    while True:
+    if fixed:
+        _check_verifiable(sched.n_steps)
         trace = propagate_u0(h_i, h_f, sched)
+    else:
+        n, _, h_nodes, steps = _final_unitary(h_i, h_f, sched)
+        sched = dataclasses.replace(sched, n_steps=n)
+        trace = PropagatorTrace(sched.times(), *ordered_products(steps))
+        h0 = h_nodes[..., ::2]    # H0 on the grid: times(2n)[::2] is times(n) bit for bit
+    while True:
         phi = phases if not isinstance(phases, str) else optimize_phases(
             rho_i, h_i, h_f, sched, mode="analytic2", u_f=trace.u_samples[-1]).phases
         r = target_unitary(rho_i, h_f, phi)
@@ -416,7 +445,7 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
                                v_samples=time_first(v), w=w_min, w_min=w_min)
         if fixed:
             return synth
-        error = driven_error(synth, h_i, h_f, sched)
+        error = _driven_error(h0, v, sched.tau)
         if error <= DRIVEN_PROPAGATION_ERROR:
             return synth
         if not np.isfinite(error):
@@ -428,6 +457,8 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
                 f"{sched.n_steps} steps is above {DRIVEN_PROPAGATION_ERROR:.0e}, and "
                 f"verifying on a finer grid needs more than {PROPAGATION_MAX_STEPS} steps")
         sched = dataclasses.replace(sched, n_steps=2 * sched.n_steps)
+        trace = propagate_u0(h_i, h_f, sched)
+        h0 = sched._h0_stack(h_i, h_f, trace.times)
 
 
 def driven_error(synth: DriveSynthesis, h_i: HamiltonianOp, h_f: HamiltonianOp,
@@ -453,10 +484,15 @@ def driven_error(synth: DriveSynthesis, h_i: HamiltonianOp, h_f: HamiltonianOp,
         raise ParamOutOfRange(f"driven_error needs n_steps divisible by 4, got {n}")
     if synth.v_samples.shape != (n + 1, d, d):
         raise ParamInconsistent("the drive is not sampled on the schedule's grid")
-    h = sched._h0_stack(h_i, h_f, ts)
-    h += time_last(synth.v_samples)
+    return _driven_error(sched._h0_stack(h_i, h_f, ts), time_last(synth.v_samples), sched.tau)
+
+
+def _driven_error(h0: np.ndarray, v: np.ndarray, tau: float) -> float:
+    """driven_error from H0 and V on the n + 1 points of the grid, as
+    time-innermost stacks h0[d, d, n + 1] and v[d, d, n + 1], neither written."""
+    h = np.add(h0, v)
     # every point: n/2 steps; every other point: n/4 steps
-    finals = [_final_product(h[..., ::stride], sched.tau) for stride in (1, 2)]
+    finals = [_final_product(h[..., ::stride], tau)[0] for stride in (1, 2)]
     return float(np.abs(finals[0] - finals[1]).max()) / 240.0
 
 
@@ -531,22 +567,22 @@ def verify_drive(synth: DriveSynthesis, rho_i: DensityMatrix, h_i: HamiltonianOp
     dt = sched.tau / n
     nodes = sched.times(2 * n)
 
-    fine, _ = step_products(_magnus_h0(sched, h_i, h_f, 2 * n), dt / 2)
+    h_fine = sched._h0_stack(h_i, h_f, sched.times(4 * n))
+    fine, _ = ordered_products(_magnus_steps(h_fine, sched.tau))
     v = _conjugate(time_last(fine), synth.chi)
     v *= -sched.ramp_fdot(nodes)
-    h_nodes = sched._h0_stack(h_i, h_f, nodes)
-    h_nodes += v
-    u_samples, _ = step_products(_magnus_exponent(h_nodes, dt), dt)
+    h_nodes = np.add(h_fine[..., ::2], v)    # H0 + V at the Simpson nodes of the n-step grid
+    u_samples, _ = ordered_products(_magnus_steps(h_nodes, sched.tau))
     u = u_samples[-1]
 
     rho_f = DensityMatrix(u @ rho_i.mat @ dagger(u))
     state_distance = trace_distance(rho_f.mat, passive_state(rho_i, h_f).mat)
     energy_residual = abs(h_f.energy(rho_f) - passive_energy(rho_i, h_f))
 
-    ends = sched.h0_batch(h_i, h_f, np.array([0.0, sched.tau]))
+    # H0 at t = 0 and tau: the ends of the fine grid's samples
     endpoint_residual = max(
-        float(np.abs(ends[0] + synth.v_samples[0] - h_i.mat).max()),
-        float(np.abs(ends[1] + synth.v_samples[-1] - h_f.mat).max()))
+        float(np.abs(h_fine[..., 0] + synth.v_samples[0] - h_i.mat).max()),
+        float(np.abs(h_fine[..., -1] + synth.v_samples[-1] - h_f.mat).max()))
 
     rho_t = _conjugate(time_last(u_samples), rho_i.mat)
     hdot = _grid_derivative(h_nodes, dt)

@@ -14,13 +14,12 @@ Taylor kernel whose degree comes from a 1-norm bound on the remainder
 step sizes of the propagations, that is degree 5 to 12 (mostly 5 to 7, and
 rarely one squaring) at the 64 to 256 steps that drives.synthesize_drive
 picks by default, and degree 3 to 5 at 4096 steps. polar_project re-unitarizes a
-whole stack in one batched SVD; step_products chains a stack of step
+whole stack in one batched SVD; ordered_products chains a stack of step
 exponentials into running products, projecting the chained total of every
-64-step block with it (ordered_products). Its steps are
-drives' Simpson-node fourth-order Magnus steps: it exponentiates their
-effective Hamiltonians H_eff = (K1 + (i/12) [K1, K2]) / dt, which drives
-forms from H at the nodes t_k, t_k + dt/2, t_k + dt (the commutator by
-matmul_t), and chains the results.
+64-step block with it. Its steps are drives' Simpson-node fourth-order
+Magnus steps: herm_expi_batch exponentiates their effective Hamiltonians
+H_eff = (K1 + (i/12) [K1, K2]) / dt, which drives forms from H at the
+nodes t_k, t_k + dt/2, t_k + dt (the commutator by matmul_t).
 matmul_t forms all rows of a product at once at every stack length. On
 short stacks NumPy's per-call cost dominates, so one module constant picks a
 kernel by shape: a log-depth in-block scan in ordered_products up to
@@ -262,12 +261,6 @@ def matmul_t(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _add_identity(x: np.ndarray, c: float) -> None:
-    """x <- x + c 1 over a time-innermost stack x[d, d, n]."""
-    d = x.shape[0]
-    x.reshape(d * d, -1, copy=False)[::d + 1] += c    # the (i, i) rows, a view
-
-
 def _expm_taylor(a: np.ndarray) -> np.ndarray:
     """exp(a) over a time-innermost stack a[d, d, n], scaled and squared Taylor.
 
@@ -276,8 +269,9 @@ def _expm_taylor(a: np.ndarray) -> np.ndarray:
     least degree whose tail bound at theta / 2^s is below the unit roundoff.
     The series is summed by Horner's rule, each step one out-of-place
     product by a from the right, and squared s times; both alternate between
-    two fresh stacks, and the last one written is returned. a is scaled in
-    place.
+    two fresh stacks, and the last one written is returned. Each identity
+    term is added through a view of the written stack's diagonal, made once
+    per stack. a is scaled in place.
     """
     d = a.shape[0]
     col, absval = np.empty((2,) + a.shape[1:])
@@ -290,10 +284,13 @@ def _expm_taylor(a: np.ndarray) -> np.ndarray:
         a *= 0.5**s
     m = bisect.bisect_left(_TAYLOR_THETA, theta * 0.5**s) + 1
     acc, spare = np.multiply(a, 1.0 / math.factorial(m)), np.empty(a.shape, dtype=complex)
-    _add_identity(acc, 1.0 / math.factorial(m - 1))
+    # the (i, i) rows of each stack, as views
+    acc_diag, spare_diag = (x.reshape(d * d, -1, copy=False)[::d + 1] for x in (acc, spare))
+    acc_diag += 1.0 / math.factorial(m - 1)
     for k in range(m - 2, -1, -1):
         acc, spare = matmul_t(acc, a, spare), acc
-        _add_identity(acc, 1.0 / math.factorial(k))
+        acc_diag, spare_diag = spare_diag, acc_diag
+        acc_diag += 1.0 / math.factorial(k)
     for _ in range(s):
         acc, spare = matmul_t(acc, acc, spare), acc
     return acc
@@ -398,12 +395,6 @@ def ordered_products(steps: np.ndarray):
     matmul_t(run[:, :, 1:], time_last(ends[:-1])[..., None], blocks[:, :, 1:])
     samples[..., last] = time_last(ends)
     return time_first(samples[..., :n + 1]), drift
-
-
-def step_products(h: np.ndarray, dt: float):
-    """Running products of the steps exp(-i h_k dt) of a time-innermost stack
-    h[d, d, n] (see ordered_products)."""
-    return ordered_products(time_last(herm_expi_batch(time_first(h), dt)))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -5,8 +5,8 @@ from scipy.linalg import schur
 from scipy.optimize import brentq
 
 from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, TlsState, cli, decompose,
-                       energy_populations, example1_phase_average,
-                       example2_theta_split, gain_g, hermitian_eig, states,
+                       drives, energy_populations, example1_phase_average,
+                       example2_theta_split, gain_g, hermitian_eig, linalg, states,
                        thermal_populations, von_neumann_entropy)
 from ergodrive.errors import NegativeBeta
 from ergodrive.linalg import (REUNITARIZE_EVERY, _canonicalize, dagger, matmul_t,
@@ -142,6 +142,33 @@ def pauli_expi(h, dt):
     out[..., 1, 0] = -1j * sinc * (vx + 1j * vy)
     out[..., 1, 1] = cosang + 1j * sinc * vz
     return np.exp(-1j * a * dt)[..., None, None] * out
+
+
+def count_exponentials(monkeypatch):
+    """A list that receives the stack length of every herm_expi_batch call
+    from then on: what the propagations form, whichever function forms it."""
+    lengths = []
+    expi = linalg.herm_expi_batch
+
+    def counting(h, dt):
+        lengths.append(int(np.prod(np.shape(h)[:-2])))
+        return expi(h, dt)
+
+    for module in (linalg, drives):
+        monkeypatch.setattr(module, "herm_expi_batch", counting)
+    return lengths
+
+
+def open_drive_exponentials(u0_count, counts):
+    """The stack lengths an open-count drive and its verification form: the
+    U0 estimate's grids 32, 64, ..., u0_count; on each count tried, a U0
+    trace (none on the first, which multiplies the estimate's own steps) and
+    the driven estimate's two coarser grids; then verification's 2n and n
+    on the last count n."""
+    out = [32 * 2**k for k in range(u0_count.bit_length() - 5)]
+    for i, n in enumerate(counts):
+        out += ([n] if i else []) + [n // 2, n // 4]
+    return out + [2 * counts[-1], counts[-1]]
 
 
 def sequential_products(steps):

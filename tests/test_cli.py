@@ -17,7 +17,8 @@ from ergodrive import (DensityMatrix, HamiltonianOp, Schedule, cli, drives, ergo
                        matrix_to_json, optimize_phases, synthesize_drive)
 from ergodrive.errors import ParamOutOfRange
 from ergodrive.tolerances import REPORT_ROUNDING_REL
-from helpers import random_hermitian, random_instance
+from helpers import (count_exponentials, open_drive_exponentials, random_hermitian,
+                     random_instance)
 
 RHO2 = {"rho_i": matrix_to_json(np.diag([0.3, 0.7]).astype(complex)),
         "h_i": matrix_to_json(np.diag([0.0, 1.0]).astype(complex)),
@@ -87,24 +88,12 @@ def test_drive_synth_propagates_u0_once_per_grid(monkeypatch):
            "h_i": matrix_to_json(random_hermitian(rng, 2)),
            "h_f": matrix_to_json(random_hermitian(rng, 2)),
            "tau": 1.0, "phases": "analytic2"}
-    grids, products = [], []
-    propagate, step_products = drives.propagate_u0, drives.step_products
-
-    def counting(h_i, h_f, sched):
-        grids.append(sched.n_steps)
-        return propagate(h_i, h_f, sched)
-
-    def counting_products(h, dt):
-        products.append(h.shape[-1])
-        return step_products(h, dt)
-
-    monkeypatch.setattr(drives, "propagate_u0", counting)
-    monkeypatch.setattr(drives, "step_products", counting_products)
+    lengths = count_exponentials(monkeypatch)
     out = cli.run_drive_synth(cfg, 2048)
-    # U0 on the synthesis grid; verification propagates U0 on its own grid
-    # (by step_products itself, not through propagate_u0), then H0 + V
-    assert grids == [2048]
-    assert products == [2048, 4096, 2048]
+    # the steps of U0 on the synthesis grid, whose last sample the analytic
+    # phases take; then verification's own U0 on its grid of 2n steps and
+    # H0 + V on the n-step grid
+    assert lengths == [2048, 4096, 2048]
     monkeypatch.undo()
     # the same numbers as optimizer and synthesizer each propagating U0 themselves
     rho, h_i, h_f = cli._load_instance(cfg)
@@ -146,66 +135,70 @@ def test_drive_synth_step_count_is_exact_or_estimated(monkeypatch):
     cfg = {"rho_i": matrix_to_json(np.diag([0.2, 0.8]).astype(complex)),
            "h_i": matrix_to_json(random_hermitian(rng, 2)),
            "h_f": matrix_to_json(random_hermitian(rng, 2)), "tau": 1.0}
-    estimates, driven, grids = [], [], []
-    estimate, driven_error, propagate = (drives.final_unitary, drives.driven_error,
-                                         drives.propagate_u0)
-
-    def counting_estimate(h_i, h_f, sched):
-        estimates.append(sched.tau)
-        return estimate(h_i, h_f, sched)
-
-    def counting_driven(synth, h_i, h_f, sched):
-        driven.append(sched.n_steps)
-        return driven_error(synth, h_i, h_f, sched)
-
-    def counting(h_i, h_f, sched):
-        grids.append(sched.n_steps)
-        return propagate(h_i, h_f, sched)
-
-    monkeypatch.setattr(drives, "final_unitary", counting_estimate)
-    monkeypatch.setattr(drives, "driven_error", counting_driven)
-    monkeypatch.setattr(drives, "propagate_u0", counting)
+    lengths = count_exponentials(monkeypatch)
     chosen = cli.run_drive_synth(cfg)
-    # U0's count, then one driven estimate per grid tried
-    assert estimates == [1.0] and grids[0] in (64, 128, 256) and driven == grids
-    n = grids[-1]
-    # an explicit count, from --steps or the config, is honoured with no estimate
+    # U0's count n0 from one estimate, whose grids double up to it; then one
+    # driven estimate per count tried, from n0 up to the verified n
+    n0 = next(a for a, b in zip(lengths, lengths[1:]) if b < a)
+    n = lengths[-1]
+    counts = [n0 * 2**k for k in range((n // n0).bit_length())]
+    assert n0 in (64, 128, 256) and lengths == open_drive_exponentials(n0, counts)
+    # an explicit count, from --steps or the config, is honoured with no
+    # estimate: one U0 trace, then verification's two grids
+    lengths.clear()
     assert cli.run_drive_synth(cfg, n) == chosen
     assert cli.run_drive_synth(dict(cfg, n_steps=n)) == chosen
     cli.run_drive_synth(dict(cfg, n_steps=100), 33)
-    assert estimates == [1.0] and driven == grids[:-3] and grids[-3:] == [n, n, 33]
+    assert lengths == [n, 2 * n, n] * 2 + [33, 66, 33]
+
+
+def test_open_drive_forms_each_grids_steps_once(monkeypatch):
+    # at n = 128 the U0 estimate forms 32 + 64 + 128 steps, and the synthesis
+    # multiplies the last 128 of them into its U0 trace instead of forming
+    # them again; the driven estimate forms 64 + 32 and verification its own
+    # 256 + 128: 704 in all, and the same bytes as the fixed-count drive
+    rng = np.random.default_rng(73)
+    cfg = {"rho_i": matrix_to_json(np.diag([0.2, 0.8]).astype(complex)),
+           "h_i": matrix_to_json(random_hermitian(rng, 2)),
+           "h_f": matrix_to_json(random_hermitian(rng, 2)), "tau": 1.0}
+    lengths = count_exponentials(monkeypatch)
+    out = cli.run_drive_synth(cfg)
+    assert lengths == [32, 64, 128, 64, 32, 256, 128]
+    assert (sum(lengths[:3]), sum(lengths[3:5]), sum(lengths[5:])) == (224, 96, 384)
+    assert sum(lengths) == 704
+    assert cli.run_drive_synth(cfg, 128) == out
 
 
 def test_propagations_only_ever_get_a_fixed_step_count(monkeypatch):
-    # a tracer that sums sched.n_steps over every propagate_u0 call sees an
-    # integer each time under drive-synth's default count, whose driven
-    # estimate doubles 64 to 512 steps here; a grid phase scan on a schedule
-    # that leaves its count open takes U0(tau) from the count's estimate and
-    # propagates nothing
+    # drive-synth's default count, whose driven estimate doubles 64 to 512
+    # steps here, forms every grid's steps at an integer count; a grid phase
+    # scan on a schedule that leaves its count open takes U0(tau) from the
+    # count's estimate and propagates nothing
     h = matrix_to_json(np.diag([0.0, 20.0]).astype(complex))
     cfg = {"rho_i": matrix_to_json(np.array([[0.6, 0.3 + 0.1j], [0.3 - 0.1j, 0.4]])),
            "h_i": h, "h_f": h, "tau": 1.0}
-    grids, verified = [], []
-    propagate, verify = drives.propagate_u0, cli.verify_drive
-
-    def counting(h_i, h_f, sched):
-        assert isinstance(sched.n_steps, int)
-        grids.append(sched.n_steps)
-        return propagate(h_i, h_f, sched)
+    verified = []
+    verify = cli.verify_drive
 
     def verifying(synth, rho, h_i, h_f, sched):
         verified.append(len(synth.v_samples) - 1)   # sched leaves the count open
         return verify(synth, rho, h_i, h_f, sched)
 
-    monkeypatch.setattr(drives, "propagate_u0", counting)
+    lengths = count_exponentials(monkeypatch)
     monkeypatch.setattr(cli, "verify_drive", verifying)
     cli.run_drive_synth(cfg)
-    # one propagation per grid tried, exactly one at the accepted count
-    assert grids == [64, 128, 256, 512] and verified == [512]
+    # U0 is exact here, so its estimate picks 64; one U0 trace per grid
+    # tried, the first of them the estimate's own steps, and one driven
+    # estimate on each
+    assert lengths == [32, 64, 32, 16, 128, 64, 32, 256, 128, 64, 512, 256, 128, 1024, 512]
+    assert lengths == open_drive_exponentials(64, [64, 128, 256, 512]) and verified == [512]
     rho, h_i, h_f = random_instance(np.random.default_rng(74), 3)
-    grids.clear()
+    lengths.clear()
+    n, _ = drives.final_unitary(h_i, h_f, Schedule.linear(1.0))
+    estimate = lengths.copy()
+    lengths.clear()
     optimize_phases(rho, h_i, h_f, Schedule.linear(1.0), mode="grid", grid_points=4)
-    assert grids == []
+    assert lengths == estimate == [32 * 2**k for k in range(n.bit_length() - 5)]
 
 
 @pytest.mark.parametrize("width", [20.0, 50.0])
@@ -286,14 +279,22 @@ PINNED_DRIVES = {
     # sequential in-block loop (16 blocks, 32 when verified)
     "d2_100_steps": _pinned_drive_cfg(5, 2, phases="analytic2", n_steps=100),
     "d4_1000_steps": _pinned_drive_cfg(6, 4, phases="zeros", n_steps=1000),
+    # an open count whose driven estimate doubles it from 64 to 512 steps:
+    # the synthesis propagates U0 afresh on every count after the first
+    "d2_doubled_to_512": {
+        "rho_i": matrix_to_json(np.array([[0.6, 0.3 + 0.1j], [0.3 - 0.1j, 0.4]])),
+        "h_i": matrix_to_json(np.diag([0.0, 20.0])),
+        "h_f": matrix_to_json(np.diag([0.0, 20.0])), "tau": 1.0},
 }
 # sha256 of cli.run_drive_synth's JSON (as write_json prints it) for every
 # config above, recorded before the propagations' scratch stacks became fresh
 # arrays (the two partial-block ones before the kernels returned their own
-# arrays); they pin the bytes independently of any oracle
+# arrays, the doubled one before the synthesis reused the steps of U0's
+# estimate on its first count); they pin the bytes independently of any oracle
 PINNED_DRIVE_SHA256 = {
     "d2_100_steps": "28013a7350e1003b7bf2c753d7018059de2adb3e1ab6924231dd395edd1e1089",
     "d2_analytic2_open": "b32e576006a2aa270bd863e7f5283fc308e56280c191398e5133493d22f8e916",
+    "d2_doubled_to_512": "9aaa46b0a47b7b93cf959d3aebc4de235b039a5b5f3cd5919d963e530d74ffed",
     "d3_4096_steps": "ddebad67bd27f1baef5df88c6686d3cf6f2db3bb1908cf0a3886685a93460db9",
     "d3_phases": "9aeb9129421d0b8933c17653a2fab11c0cef1a8f245f6198c2a31f51605deb83",
     "d4_1000_steps": "ace625802ced415ec97ffab8190b424f57602789547f2502206508d4eb0377bb",

@@ -24,11 +24,11 @@ from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
 from ergodrive.errors import (BranchAmbiguity, DimMismatch, DimTooLarge, GaugeFailure,
                               LengthMismatch, NoConvergence, ParamInconsistent,
                               ParamOutOfRange, TooFarFromUnitary, VerificationFailed)
-from ergodrive.linalg import unitarity_defect
+from ergodrive.linalg import time_first, unitarity_defect
 from ergodrive.states import matrix_to_json
 from ergodrive.tls import cost, theta1
 from ergodrive.tolerances import GRID_SHIFT_MARGIN, PROPAGATION_ERROR, PROPAGATION_MAX_STEPS
-from helpers import (counterdiabatic_cost_oracle, eigenphases,
+from helpers import (count_exponentials, counterdiabatic_cost_oracle, eigenphases,
                      herm_expi, magnus4_gauss_final, ordered_products_sequential,
                      phase_cost_inputs, phase_costs_oracle, random_density, random_hermitian,
                      random_instance, random_probs, random_unitary, sequential_products)
@@ -97,6 +97,43 @@ def test_schedule_is_rotating_exactly_when_it_has_mu_and_omega_bar():
             Schedule(tau, mu=mu, omega_bar=omega_bar)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tau, mu, omega_bar", [
+    (1e-300, 1.0, 1e10),                                  # A = omega_bar / tau overflows
+    (1.0, 1e300, 1e300),                                  # mu A overflows
+    (1e10, 1e300, 1e10),                                  # mu A t overflows before t = tau
+    (np.float64(1e-300), np.float64(1.0), np.float64(1e10))])
+def test_rotating_schedule_whose_rate_overflows_is_refused(tau, mu, omega_bar):
+    # each would sample inf * 0 or cos(inf) as NaN with a RuntimeWarning;
+    # it is refused when it is made, and no warning is raised
+    with pytest.raises(ParamOutOfRange, match="must be finite"):
+        Schedule(tau, 64, mu, omega_bar)
+    # a finite angle, however coarse the grid, is accepted: such a schedule
+    # fails in counterdiabatic_cost's closed-form check, not in the sampler
+    assert Schedule(1.0, 64, 1e200, 1.0).rotating
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_tau=st.floats(-8.0, 8.0), k=st.integers(1, 15),
+       mu=st.floats(-4.0, 4.0), omega_bar=st.floats(0.0, 10.0))
+@example(log_tau=-8.0, k=15, mu=-4.0, omega_bar=10.0)
+def test_every_other_simpson_node_is_the_grid_bit_for_bit(log_tau, k, mu, omega_bar):
+    # tau / (2n) is exactly half of tau / n, so the 2n-step grid's even
+    # points are the n-step grid's, and H0, elementwise in t, is the same
+    # there bit for bit: the synthesis's driven estimate reads H0 off the
+    # Simpson nodes of U0's estimate, and verification its n-step grid's
+    # nodes off those of its own 2n-step grid
+    tau, n = 10.0**log_tau, 2**k
+    h_i = HamiltonianOp(np.diag([0.0, 1.0]))
+    h_f = HamiltonianOp(np.array([[0.0, 0.2], [0.2, 1.5]]))
+    fine, coarse = Schedule.linear(tau).times(2 * n), Schedule.linear(tau).times(n)
+    assert fine[::2].tobytes() == coarse.tobytes()
+    for sched in (Schedule.linear(tau), Schedule(tau, mu=mu, omega_bar=omega_bar)):
+        want = sched._h0_stack(h_i, h_f, coarse).tobytes()
+        assert sched._h0_stack(h_i, h_f, fine[::2]).tobytes() == want
+        assert sched._h0_stack(h_i, h_f, fine)[..., ::2].tobytes() == want
+
+
 def test_validate_against_dimension_rules():
     h2 = HamiltonianOp(0.5 * SZ)
     h3 = HamiltonianOp(np.diag([0.0, 1.0, 2.0]))
@@ -152,8 +189,11 @@ def test_final_unitary_matches_stepwise_product():
                       - oracle[-1]).max() < 1e-12
         # the pairwise product behind final_unitary and driven_error, odd
         # stack lengths included
-        u_n = drives._final_product(sched._h0_stack(h_i, h_f, sched.times(2 * n_steps)), 1.0)
+        u_n, steps = drives._final_product(
+            sched._h0_stack(h_i, h_f, sched.times(2 * n_steps)), 1.0)
         assert np.abs(u_n - oracle[-1]).max() < 1e-12
+        # the product leaves the steps it multiplied as they were
+        assert np.abs(time_first(steps) - _magnus_steps(h_i, h_f, sched)).max() < 1e-12
 
 
 def test_magnus_step_is_fourth_order():
@@ -215,25 +255,22 @@ def test_final_unitary_forms_no_grid_finer_than_its_count(monkeypatch):
 def test_step_count_loops_stop_at_the_first_non_finite_estimate(monkeypatch):
     # at tau = 1e30 and 1e300 U0's first estimate (32 against 64 steps) is
     # NaN; at tau = 1e-300 U0's is 0 but the driven one, V ~ 1/tau, is NaN:
-    # each refuses there instead of doubling to the step cap
+    # each refuses there instead of doubling to the step cap, having formed
+    # the steps of the estimates it made and nothing more (the synthesis
+    # multiplies the 64 steps of U0's estimate, the driven estimate forms 32
+    # and 16)
     rho = DensityMatrix(np.array([[0.6, 0.3 + 0.1j], [0.3 - 0.1j, 0.4]]))
     h_i = HamiltonianOp(np.diag([0.0, 1.0]))
     h_f = HamiltonianOp(np.array([[0.0, 0.2], [0.2, 1.5]]))
-    calls = []
-    product, propagate = drives._final_product, drives.propagate_u0
-    monkeypatch.setattr(drives, "_final_product",
-                        lambda *args: calls.append("_final_product") or product(*args))
-    monkeypatch.setattr(drives, "propagate_u0",
-                        lambda *args: calls.append("propagate_u0") or propagate(*args))
+    lengths = count_exponentials(monkeypatch)
     for tau, message, want in (
-            (1e30, "U0", ["_final_product"] * 2),
-            (1e300, "U0", ["_final_product"] * 2),
-            (1e-300, "driven", ["_final_product"] * 2 + ["propagate_u0"]
-             + ["_final_product"] * 2)):
-        calls.clear()
+            (1e30, "U0", [32, 64]),
+            (1e300, "U0", [32, 64]),
+            (1e-300, "driven", [32, 64, 32, 16])):
+        lengths.clear()
         with pytest.raises(NoConvergence, match=f"{message}.* at 64 steps is nan, not a finite"):
             synthesize_drive(rho, h_i, h_f, Schedule.linear(tau))
-        assert calls == want
+        assert lengths == want
 
 
 def _verified_distance(synth, rho, h_i, h_f, sched):

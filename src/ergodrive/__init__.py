@@ -7,10 +7,8 @@ reports and figure sweeps.
 """
 
 from .drives import (DriveSynthesis, PhaseOptResult, PropagatorTrace, Schedule,
-                     counterdiabatic_cost, driven_error, final_unitary,
-                     optimize_phases,
-                     propagate_u0, smoothstep, smoothstep_dot, synthesize_drive,
-                     target_unitary, verify_drive)
+                     counterdiabatic_cost, final_unitary, optimize_phases, propagate_u0,
+                     smoothstep_dot, synthesize_drive, target_unitary, verify_drive)
 from .ergotropy import (Counterexample, Decomposition, DeltaResult, ErgotropyReport,
                         UpperBoundResult, counterexample_populations, decompose, delta_noncyclic,
                         full_report, gain_g, noncyclic_ergotropy, upper_bound_delta)
@@ -18,12 +16,10 @@ from .errors import (BranchAmbiguity, ConvergenceError, ErgodriveError,
                      ValidationError, VerificationFailed)
 from .linalg import (HermEig, UnitaryPhases, dagger, herm_expi_batch,
                      hermitian_eig, principal_log_unitary, trace_distance)
-from .states import (DensityMatrix, HamiltonianOp, ThermalSolveResult,
-                     coherence_rel_entropy, energy_populations,
+from .states import (DensityMatrix, HamiltonianOp, ThermalSolveResult, energy_populations,
                      majorizes, matrix_from_json, matrix_to_json, passive_energy,
                      passive_state, solve_beta_for_energy,
                      solve_beta_for_entropy, thermal_populations, von_neumann_entropy)
-from .tls import (MuDynParams, ThetaSplit, TlsState, constmu_final_state, eigs_r, example1_phase_average, example1_thetas,
-                  example2_theta_split, example2_wmin, final_basis, overlap_w)
+from .tls import MuDynParams, TlsState, example1_phase_average
 
 __all__ = [name for name in dir() if not name.startswith("_")]

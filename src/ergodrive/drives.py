@@ -21,7 +21,7 @@ left open for synthesize_drive, the one home of the step-count rule:
 final_unitary returns (n, U_n(tau)), the least n = 64 * 2^k at which the
 step-doubling estimate of U0(tau)'s error, from U_{n/2} and U_n (pairwise
 products of the step stacks), is at most PROPAGATION_ERROR, and U0(tau)
-there; for a drive the count doubles while driven_error, the same estimate
+there; for a drive the count doubles while _driven_error, the same estimate
 for H0 + V from the drive's samples, is above DRIVEN_PROPAGATION_ERROR.
 propagate_u0 and counterdiabatic_cost refuse an open count and one above
 PROPAGATION_MAX_STEPS.
@@ -44,9 +44,9 @@ index offsets, and shifts them by the multiples of 2 pi / P to cost every
 other point of the class. synthesize_drive forms one U0 trace per count it
 tries and resolves its target phases there: on the count final_unitary
 picks, the trace is the running products of the steps its estimate formed
-on that grid, and the driven estimate takes H0 from every other one of
-their Simpson nodes; each doubled count is propagated afresh by
-propagate_u0, and its H0 sampled afresh. optimize_phases takes
+on that grid; on each doubled count, those of steps formed from H0 sampled
+once at its Simpson nodes. Either way the driven estimate takes H0 from
+every other one of those nodes. optimize_phases takes
 the final U0 a caller already has; otherwise it takes U0(tau) from
 final_unitary on a schedule that leaves its count open, propagating nothing,
 and from propagate_u0 on a fixed one.
@@ -80,14 +80,8 @@ _SZ = np.diag([1.0, -1.0]).astype(complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def smoothstep(s):
-    """3s^2 - 2s^3 on [0, 1]: monotone, flat at both ends."""
-    s = np.asarray(s, dtype=float)
-    return s * s * (3.0 - 2.0 * s)
-
-
 def smoothstep_dot(s):
-    """d/ds of smoothstep."""
+    """6s(1 - s): d/ds of the smoothstep ramp 3s^2 - 2s^3, monotone on [0, 1]."""
     s = np.asarray(s, dtype=float)
     return 6.0 * s * (1.0 - s)
 
@@ -102,7 +96,7 @@ class Schedule:
     constant gap whose Bloch angle turns at the rate -mu A (tls.MuDynParams);
     mu must be finite and omega_bar finite and >= 0, and giving only one of
     them is refused, as is a gap A or an angle mu A tau that overflows. The
-    correction V(t) follows the ramp f(t) = smoothstep(t/tau), which runs
+    correction V(t) follows the ramp f = 3s^2 - 2s^3, s = t/tau, which runs
     0 -> 1 with flat ends. n_steps is an integer >= 1, or None (the default)
     to leave the count to the error targets: synthesize_drive then picks it.
     """
@@ -264,9 +258,15 @@ def propagate_u0(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule) -> Pro
     n = sched.n_steps
     if n is not None and n > PROPAGATION_MAX_STEPS:
         raise ParamOutOfRange(f"propagating {n} steps is more than {PROPAGATION_MAX_STEPS}")
+    return _u0_trace(h_i, h_f, sched)[0]
+
+
+def _u0_trace(h_i: HamiltonianOp, h_f: HamiltonianOp, sched: Schedule):
+    """propagate_u0's trace on sched's grid, unchecked, and the H0 Simpson
+    nodes [d, d, 2n + 1] it took its steps from, sampled once."""
     ts = sched.times()
-    h_nodes = sched._h0_stack(h_i, h_f, sched.times(2 * n))
-    return PropagatorTrace(ts, *ordered_products(_magnus_steps(h_nodes, sched.tau)))
+    h_nodes = sched._h0_stack(h_i, h_f, sched.times(2 * sched.n_steps))
+    return PropagatorTrace(ts, *ordered_products(_magnus_steps(h_nodes, sched.tau))), h_nodes
 
 
 def _final_product(h_nodes: np.ndarray, tau: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -302,7 +302,7 @@ def final_unitary(h_i: HamiltonianOp, h_f: HamiltonianOp,
     For a fourth-order step, U_{n/2}(tau) - U(tau) = 16 (U_n(tau) - U(tau))
     to leading order, so the estimate of U_n's error is
     max |U_{n/2}(tau) - U_n(tau)| / 15 over the entries, read off the
-    coarser grid as in driven_error: no grid finer than the n returned is
+    coarser grid as in _driven_error: no grid finer than the n returned is
     formed. Only sched's tau and Hamiltonian are read, not its n_steps.
     Raises NoConvergence at the first estimate that is not a finite number,
     and at a failed one once verifying the next count would need more than
@@ -415,11 +415,12 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
     An explicit n_steps is used exactly, or refused before anything is
     sampled when verifying it needs more than PROPAGATION_MAX_STEPS steps
     (ParamOutOfRange). An open one starts at final_unitary's count and
-    doubles while driven_error is above DRIVEN_PROPAGATION_ERROR, up to a
+    doubles while _driven_error is above DRIVEN_PROPAGATION_ERROR, up to a
     verification of that many steps (NoConvergence, as at the first
     estimate that is not a finite number): one U0 per count tried, the first
     of them the running products of the steps that final_unitary's estimate
-    formed at that count, and verify_drive takes the open schedule. The cost
+    formed at that count, each later one from H0 sampled once at its
+    Simpson nodes, and verify_drive takes the open schedule. The cost
     w is the time average of ||V||_F = |fdot| (sum theta^2)^{1/2}; the ramp
     is monotone from 0 to 1, so the integral of |fdot| is 1 and w is w_min.
     """
@@ -427,12 +428,12 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
     fixed = sched.n_steps is not None
     if fixed:
         _check_verifiable(sched.n_steps)
-        trace = propagate_u0(h_i, h_f, sched)
+        sched.validate_against(h_i, h_f)
+        trace, _ = _u0_trace(h_i, h_f, sched)
     else:
         n, _, h_nodes, steps = _final_unitary(h_i, h_f, sched)
         sched = dataclasses.replace(sched, n_steps=n)
         trace = PropagatorTrace(sched.times(), *ordered_products(steps))
-        h0 = h_nodes[..., ::2]    # H0 on the grid: times(2n)[::2] is times(n) bit for bit
     while True:
         phi = phases if not isinstance(phases, str) else optimize_phases(
             rho_i, h_i, h_f, sched, mode="analytic2", u_f=trace.u_samples[-1]).phases
@@ -445,7 +446,8 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
                                v_samples=time_first(v), w=w_min, w_min=w_min)
         if fixed:
             return synth
-        error = _driven_error(h0, v, sched.tau)
+        # H0 on the grid: times(2n)[::2] is times(n) bit for bit
+        error = _driven_error(h_nodes[..., ::2], v, sched.tau)
         if error <= DRIVEN_PROPAGATION_ERROR:
             return synth
         if not np.isfinite(error):
@@ -457,39 +459,20 @@ def synthesize_drive(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianO
                 f"{sched.n_steps} steps is above {DRIVEN_PROPAGATION_ERROR:.0e}, and "
                 f"verifying on a finer grid needs more than {PROPAGATION_MAX_STEPS} steps")
         sched = dataclasses.replace(sched, n_steps=2 * sched.n_steps)
-        trace = propagate_u0(h_i, h_f, sched)
-        h0 = sched._h0_stack(h_i, h_f, trace.times)
-
-
-def driven_error(synth: DriveSynthesis, h_i: HamiltonianOp, h_f: HamiltonianOp,
-                 sched: Schedule) -> float:
-    """Step-doubling estimate of the largest entry error of U(tau), the
-    propagator of H0 + V over sched's n Magnus steps that verify_drive
-    integrates.
-
-    V rotates at the Bohr frequencies of H0, so U can need a finer grid than
-    U0: with commuting h_i and h_f, U0 is exact on any grid. The n + 1 points
-    of sched's grid are the Simpson nodes of a grid of n/2 steps, and every
-    other one those of a grid of n/4 steps, so H0 + V on sched's grid, V from
-    synth's samples, gives U on both coarser grids with no U0 propagated. For
-    a fourth-order step the error of U_m is |U_m - U_2m| / 15 to leading
-    order, and 16 times that of U_2m, so the estimate for n steps is
-    max |U_{n/4}(tau) - U_{n/2}(tau)| / 240 over the entries. n_steps must be
-    a multiple of 4 (ParamOutOfRange otherwise).
-    """
-    sched.validate_against(h_i, h_f)
-    ts = sched.times()
-    d, n = h_i.dim, len(ts) - 1
-    if n % 4:
-        raise ParamOutOfRange(f"driven_error needs n_steps divisible by 4, got {n}")
-    if synth.v_samples.shape != (n + 1, d, d):
-        raise ParamInconsistent("the drive is not sampled on the schedule's grid")
-    return _driven_error(sched._h0_stack(h_i, h_f, ts), time_last(synth.v_samples), sched.tau)
+        trace, h_nodes = _u0_trace(h_i, h_f, sched)
 
 
 def _driven_error(h0: np.ndarray, v: np.ndarray, tau: float) -> float:
-    """driven_error from H0 and V on the n + 1 points of the grid, as
-    time-innermost stacks h0[d, d, n + 1] and v[d, d, n + 1], neither written."""
+    """Step-doubling estimate of the largest entry error of U(tau), the
+    propagator of H0 + V that verify_drive integrates on a grid of n steps,
+    n a multiple of 4, from time-innermost stacks h0[d, d, n + 1] and
+    v[d, d, n + 1] on its points, neither written. V rotates at the Bohr
+    frequencies of H0, so U can need a finer grid than U0. The points are
+    the Simpson nodes of a grid of n/2 steps, every other one those of n/4
+    steps, so no U0 is propagated. A fourth-order U_m errs by
+    |U_m - U_2m| / 15 to leading order, 16 times U_2m's, so the estimate
+    is max |U_{n/4}(tau) - U_{n/2}(tau)| / 240 over the entries.
+    """
     h = np.add(h0, v)
     # every point: n/2 steps; every other point: n/4 steps
     finals = [_final_product(h[..., ::stride], tau)[0] for stride in (1, 2)]
@@ -802,13 +785,20 @@ def counterdiabatic_cost(sched: Schedule) -> Tuple[float, np.ndarray]:
     against the constant-mu closed form |mu| omega_bar / tau to
     STA_CLOSED_FORM_REL (VerificationFailed). The step count must be fixed
     and at most PROPAGATION_MAX_STEPS, like a propagation's (ParamOutOfRange
-    before sampling otherwise).
+    before sampling otherwise), and the angle must turn by less than pi per
+    step, |mu| omega_bar / n < pi, or the unwrapped samples alias the
+    rotation (GaugeFailure before sampling).
     """
     if not sched.rotating:
         raise ParamOutOfRange("counterdiabatic cost is defined for rotating schedules")
     if sched.n_steps is not None and sched.n_steps > PROPAGATION_MAX_STEPS:
         raise ParamOutOfRange(f"sampling {sched.n_steps} steps is more than "
                               f"{PROPAGATION_MAX_STEPS}")
+    if sched.n_steps is not None:    # Python floats: __post_init__ keeps mu omega_bar finite
+        step = abs(float(sched.mu)) * float(sched.omega_bar) / sched.n_steps
+        if step >= math.pi:
+            raise GaugeFailure(f"the mixing angle turns by {step:.6g} rad per step, at least "
+                               f"pi: the grid aliases the rotation; refine the grid")
     ts = sched.times()
     if len(ts) < 3:
         raise ParamOutOfRange("need at least 2 steps for the mixing-angle derivative")

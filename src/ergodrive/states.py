@@ -6,8 +6,7 @@ entropy-matched solver is restricted to beta >= 0 where the map is monotone.
 Every state and Hamiltonian is diagonalized once, when it is built, and hands
 out its spectrum as read-only arrays. Gibbs, passive and dephased references
 are population vectors on a known energy basis; passive_state alone builds
-one as a matrix. The relative entropy of coherence is S(rho_D) - S(rho), taken
-from the energy populations and the spectrum the state already holds.
+one as a matrix.
 """
 
 from __future__ import annotations
@@ -182,14 +181,6 @@ def passive_energy(rho: DensityMatrix, h: HamiltonianOp) -> float:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -Tr rho ln rho in nats, with 0 ln 0 = 0."""
     return _shannon(rho.eig().values)
-
-
-def coherence_rel_entropy(rho: DensityMatrix, h: HamiltonianOp) -> float:
-    """Relative entropy of coherence C(rho) = S(rho || rho_D) = S(rho_D) - S(rho),
-    rho_D dephased in h's eigenbasis (Baumgratz, Cramer & Plenio, PRL 113,
-    140401 (2014)), from the energy populations and rho's spectrum: finite,
-    and no state built or diagonalized."""
-    return _shannon(energy_populations(rho, h)) - _shannon(rho.eig().values)
 
 
 def thermal_populations(energies: np.ndarray, beta: float) -> np.ndarray:

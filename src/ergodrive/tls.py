@@ -8,10 +8,11 @@ frame.
 
 Each closed form is written once, as a kernel that broadcasts over arrays of
 its parameters (overlaps, theta1, theta2, nu, delta_enc, sta_delta, cost, ...);
-sweeps pass whole grids, scalar callers pass floats. TlsState and MuDynParams
-are validated inputs of the closed forms with logic of their own (eigs_r,
-final_basis, constmu_final_state, overlap_w, example2_theta_split). Squares go
-through sq(), so every array element rounds as the same kernel does on floats.
+sweeps pass whole grids, scalar callers pass floats. The cost split into the
+state and drive rotation half-angles is theta1, theta2, cost_floor and
+worst_cost. TlsState and MuDynParams are validated inputs of the closed forms.
+Squares go through sq(), so every array element rounds as the same kernel does
+on floats.
 The Monte Carlo phase average runs over blocks of cells, each cell drawing
 from its own generator, so a batch gives the bytes of one call per cell; each
 block is evaluated in place, in scratch arrays allocated once per call.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -222,22 +222,6 @@ def _eig_split(p, c_abs):
     return r1, r0, np.where(mixed, 1.0, a), np.where(mixed, 0.0, b), mixed
 
 
-def eigs_r(s: TlsState):
-    """Eigenvalues r1 <= r0 of rho and eigenvectors, columns [|r1>, |r0>].
-
-    |r1> = a|1> - e^{-i psi} b|0>, |r0> = e^{i psi} b|1> + a|0>, with
-    a = sqrt((r0-p)/(r0-r1)), b = sqrt((p-r1)/(r0-r1)). The maximally mixed
-    point returns the computational basis.
-    """
-    r1, r0, a, b, mixed = _eig_split(s.p, abs(s.c))
-    if mixed:
-        return r1, r0, np.eye(2, dtype=complex)
-    phase = np.exp(1j * s.psi)
-    vecs = np.array([[a, phase * b],
-                     [-np.conj(phase) * b, a]], dtype=complex)
-    return r1, r0, vecs
-
-
 def overlaps(p, c_abs):
     """(a, b) overlap magnitudes of the rho(p, |c|) eigenbasis with the energy
     basis; broadcasts."""
@@ -275,22 +259,11 @@ def delta_enc(p, c_abs, gap):
     return gap * (np.sqrt(sq(p - 0.5) + sq(c_abs)) - 0.5 + p)
 
 
-def example1_thetas(a, phi1, phi0):
-    """Principal eigenphases (theta_plus, theta_minus) of the correction log.
-
-    The state enters only through its overlap magnitude a = overlaps(p, |c|)[0].
-    Vectorized over phase arrays; the relative phases the bare drive adds can
-    be absorbed into (phi1, phi0), so they do not appear here.
-    """
-    shape = np.broadcast_shapes(np.shape(a), np.shape(phi1), np.shape(phi0))
-    tp, tm = _thetas(a, phi1, phi0, np.empty((5,) + shape))
-    return tp[()], tm[()]
-
-
 def _thetas(a, phi1, phi0, work):
-    """example1_thetas' body, evaluated in place in ``work``, a float stack
-    (5, *shape) over the broadcast shape of the arguments; returns its views
-    (theta_plus, theta_minus). It takes the operations of
+    """Principal eigenphases (theta_plus, theta_minus) of the correction log
+    at overlap magnitude a and target phases (phi1, phi0), evaluated in place
+    in ``work``, a float stack (5, *shape) over the broadcast shape of the
+    arguments; returns its views. It takes the operations of
     sig = 0.5 (phi1 + phi0), gam = arccos(clip(a cos(0.5 (phi1 - phi0)), -1, 1)),
     theta = wrap_pi(sig +- gam) in their order, so it rounds as they do."""
     tp, tm, gam, y, tmp = (work[k, ...] for k in range(5))   # views, 0-d ones too
@@ -319,7 +292,7 @@ PHASE_BLOCK = 16
 
 def example1_phase_average(a, tau: float, n_draws: int, rng):
     """Monte Carlo mean and standard error of the cost over uniform phases,
-    for the state of overlap magnitude a, as in example1_thetas.
+    for the state of overlap magnitude a, eigenphases as in _thetas.
 
     Broadcasts over a. ``rng`` is one Generator for a scalar a, or a sequence
     of one Generator per element of a (flat order); each element draws its
@@ -365,39 +338,6 @@ def example1_phase_average(a, tau: float, n_draws: int, rng):
 
 # ---------------------------------------------------- constant-mu closed form
 
-def final_basis(params: MuDynParams) -> np.ndarray:
-    """Final-Hamiltonian eigenbasis, columns [e1, e0], fixed sign convention.
-
-    e1 is the positive multiple of (omega_f + Omega_f, eps_f), e0 of
-    (omega_f - Omega_f, eps_f); evaluated in half-angle form for stability.
-    At eps_f = 0 the convention is the directional limit from eps_f > 0.
-    """
-    chi = np.arctan2(params.eps_f, params.omega_f)
-    e1 = np.array([np.cos(chi / 2), np.sin(chi / 2)], dtype=complex)
-    e0 = np.array([-np.sin(chi / 2), np.cos(chi / 2)], dtype=complex)
-    if params.eps_f < 0:
-        e0 = -e0
-    if abs(chi) == np.pi:   # omega_f < 0, eps_f = 0: excited state is |0>
-        e1 = np.array([0.0, 1.0], dtype=complex)
-        e0 = np.array([1.0, 0.0], dtype=complex)
-    return np.column_stack([e1, e0])
-
-
-def constmu_final_state(p_i: float, params: MuDynParams) -> TlsState:
-    """Final (p, c) of an initially diagonal state, in the final eigenbasis.
-
-    c is reported in the final_basis convention; coherent initial states have
-    no closed form here and go through the numeric propagator instead.
-    """
-    mu, ang = params.mu, nu(params.mu, params.omega_bar)
-    nc, ns = np.cos(ang), np.sin(ang)
-    den = 1 + mu**2
-    p_f = (2 * p_i + mu**2 - mu**2 * nc * (1 - 2 * p_i)) / (2 * den)
-    sgn = 1.0 if params.eps_f >= 0 else -1.0
-    c_f = -(mu * (1 - 2 * p_i) / (2 * den)) * sgn * (ns * np.sqrt(den) - 1j * (1 - nc))
-    return TlsState(float(p_f), complex(c_f))
-
-
 def sta_delta(gap, p_i, mu, omega_bar):
     """Ergotropy difference Omega_f (p_f - p_i) of the bare constant-mu drive
     alone, with final gap Omega_f = ``gap``; broadcasts over every argument.
@@ -438,42 +378,3 @@ def theta2(mu, omega_bar):
     alpha_exp, beta = alpha_beta(mu, omega_bar)
     # hypot, as the scalar abs() of a complex: np.abs rounds differently
     return np.arctan2(np.abs(beta), np.hypot(alpha_exp.real, alpha_exp.imag))
-
-
-def overlap_w(s: TlsState, params: MuDynParams) -> float:
-    """|W| = |A e^{-i phi_alpha} + B e^{i psi_i}| controlling the optimal cost."""
-    a, b = overlaps(s.p, abs(s.c))
-    alpha_exp, beta = alpha_beta(params.mu, params.omega_bar)
-    w = a * np.conj(alpha_exp) + b * beta * np.exp(1j * s.psi)
-    return float(abs(w))
-
-
-def example2_wmin(s: TlsState, params: MuDynParams) -> float:
-    """Minimal cost with optimal target phases at the state's coherence phase."""
-    return float(cost(np.arccos(np.clip(overlap_w(s, params), 0.0, 1.0)), params.tau))
-
-
-class ThetaSplit(NamedTuple):
-    theta1: float                    # state rotation half-angle
-    theta2: float                    # bare-drive rotation half-angle
-    wmin_range: Tuple[float, float]  # phase-optimal best ... no-control worst
-    w_psi: float                     # phase-optimal cost at this psi_i
-    psi_band: Tuple[float, float]    # w_psi range as psi_i + phi_alpha varies
-
-
-def example2_theta_split(s: TlsState, params: MuDynParams) -> ThetaSplit:
-    """Cost landscape split into the two rotation angles theta1, theta2.
-
-    With optimal target phases the cost is (sqrt2/tau) arccos|W|, bounded
-    between sqrt2|theta1 - theta2|/tau (aligned coherence phase) and
-    sqrt2(theta1 + theta2)/tau (anti-aligned); with no phase control at all
-    the worst case is sqrt2 pi/tau.
-    """
-    t1, t2 = float(theta1(s.p, abs(s.c))), float(theta2(params.mu, params.omega_bar))
-    lo = float(cost_floor(t1, t2, params.tau))
-    return ThetaSplit(
-        theta1=t1, theta2=t2,
-        wmin_range=(lo, float(worst_cost(params.tau))),
-        w_psi=example2_wmin(s, params),
-        psi_band=(lo, float(cost(t1 + t2, params.tau))),
-    )

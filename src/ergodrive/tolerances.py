@@ -59,8 +59,8 @@ VERIFY_ENDPOINT_REL = 1e-12
 VERIFY_WORK_REL = 1e-6
 # drive-synth's default step count: drives.final_unitary doubles it until
 # the step-doubling estimate of U0(tau)'s largest entry error is at most
-# PROPAGATION_ERROR, and it is doubled further while drives.driven_error, the
-# estimate for the propagator of H0 + V that verify_drive integrates, is above
+# PROPAGATION_ERROR, and drives.synthesize_drive doubles it further while the
+# same estimate for the propagator of H0 + V that verify_drive integrates is above
 # DRIVEN_PROPAGATION_ERROR. That propagator only feeds the verification, so
 # its target is a hundredth of VERIFY_STATE_DISTANCE rather than
 # PROPAGATION_ERROR. No propagation of either has more than

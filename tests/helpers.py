@@ -1,18 +1,21 @@
 """Random problem instances and oracles shared across the test modules."""
 
+from typing import NamedTuple, Tuple
+
 import numpy as np
 from scipy.linalg import schur
 from scipy.optimize import brentq
 
 from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, TlsState, cli, decompose,
-                       drives, energy_populations, example1_phase_average,
-                       example2_theta_split, gain_g, hermitian_eig, linalg, states,
-                       thermal_populations, von_neumann_entropy)
+                       drives, energy_populations, example1_phase_average, gain_g,
+                       hermitian_eig, linalg, states, thermal_populations,
+                       von_neumann_entropy)
 from ergodrive.errors import NegativeBeta
 from ergodrive.linalg import (REUNITARIZE_EVERY, _canonicalize, dagger, matmul_t,
                               polar_project, unitarity_defect)
-from ergodrive.tls import (cd_rate, constmu_final_state, cost, delta_enc, final_basis, overlaps,
-                           sta_delta, theta1)
+from ergodrive.states import _shannon
+from ergodrive.tls import (_eig_split, _thetas, alpha_beta, cd_rate, cost, cost_floor, delta_enc,
+                           nu, overlaps, sta_delta, theta1, theta2, worst_cost)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -305,6 +308,125 @@ def counterdiabatic_cost_oracle(sched):
     return float(np.trapezoid(norm_trace, ts)) / sched.tau, norm_trace
 
 
+# ------------------------------------------------------ closed-form oracles
+# Per-state and scalar forms of the package's closed forms, which only the
+# tests call: the two-level eigenbasis, eigenphases, final state and cost
+# split, the relative entropy of coherence, and the smoothstep ramp.
+
+def smoothstep(s):
+    """3s^2 - 2s^3 on [0, 1]: monotone, flat at both ends."""
+    s = np.asarray(s, dtype=float)
+    return s * s * (3.0 - 2.0 * s)
+
+
+def coherence_rel_entropy(rho: DensityMatrix, h: HamiltonianOp) -> float:
+    """Relative entropy of coherence C(rho) = S(rho || rho_D) = S(rho_D) - S(rho),
+    rho_D dephased in h's eigenbasis (Baumgratz, Cramer & Plenio, PRL 113,
+    140401 (2014)), from the energy populations and rho's spectrum: finite,
+    and no state built or diagonalized."""
+    return _shannon(energy_populations(rho, h)) - _shannon(rho.eig().values)
+
+
+def eigs_r(s: TlsState):
+    """Eigenvalues r1 <= r0 of rho and eigenvectors, columns [|r1>, |r0>].
+
+    |r1> = a|1> - e^{-i psi} b|0>, |r0> = e^{i psi} b|1> + a|0>, with
+    a = sqrt((r0-p)/(r0-r1)), b = sqrt((p-r1)/(r0-r1)). The maximally mixed
+    point returns the computational basis.
+    """
+    r1, r0, a, b, mixed = _eig_split(s.p, abs(s.c))
+    if mixed:
+        return r1, r0, np.eye(2, dtype=complex)
+    phase = np.exp(1j * s.psi)
+    vecs = np.array([[a, phase * b],
+                     [-np.conj(phase) * b, a]], dtype=complex)
+    return r1, r0, vecs
+
+
+def example1_thetas(a, phi1, phi0):
+    """Principal eigenphases (theta_plus, theta_minus) of the correction log.
+
+    The state enters only through its overlap magnitude a = overlaps(p, |c|)[0].
+    Vectorized over phase arrays; the relative phases the bare drive adds can
+    be absorbed into (phi1, phi0), so they do not appear here.
+    """
+    shape = np.broadcast_shapes(np.shape(a), np.shape(phi1), np.shape(phi0))
+    tp, tm = _thetas(a, phi1, phi0, np.empty((5,) + shape))
+    return tp[()], tm[()]
+
+
+def final_basis(params: MuDynParams) -> np.ndarray:
+    """Final-Hamiltonian eigenbasis, columns [e1, e0], fixed sign convention.
+
+    e1 is the positive multiple of (omega_f + Omega_f, eps_f), e0 of
+    (omega_f - Omega_f, eps_f); evaluated in half-angle form for stability.
+    At eps_f = 0 the convention is the directional limit from eps_f > 0.
+    """
+    chi = np.arctan2(params.eps_f, params.omega_f)
+    e1 = np.array([np.cos(chi / 2), np.sin(chi / 2)], dtype=complex)
+    e0 = np.array([-np.sin(chi / 2), np.cos(chi / 2)], dtype=complex)
+    if params.eps_f < 0:
+        e0 = -e0
+    if abs(chi) == np.pi:   # omega_f < 0, eps_f = 0: excited state is |0>
+        e1 = np.array([0.0, 1.0], dtype=complex)
+        e0 = np.array([1.0, 0.0], dtype=complex)
+    return np.column_stack([e1, e0])
+
+
+def constmu_final_state(p_i: float, params: MuDynParams) -> TlsState:
+    """Final (p, c) of an initially diagonal state, in the final eigenbasis.
+
+    c is reported in the final_basis convention; coherent initial states have
+    no closed form here and go through the numeric propagator instead.
+    """
+    mu, ang = params.mu, nu(params.mu, params.omega_bar)
+    nc, ns = np.cos(ang), np.sin(ang)
+    den = 1 + mu**2
+    p_f = (2 * p_i + mu**2 - mu**2 * nc * (1 - 2 * p_i)) / (2 * den)
+    sgn = 1.0 if params.eps_f >= 0 else -1.0
+    c_f = -(mu * (1 - 2 * p_i) / (2 * den)) * sgn * (ns * np.sqrt(den) - 1j * (1 - nc))
+    return TlsState(float(p_f), complex(c_f))
+
+
+def overlap_w(s: TlsState, params: MuDynParams) -> float:
+    """|W| = |A e^{-i phi_alpha} + B e^{i psi_i}| controlling the optimal cost."""
+    a, b = overlaps(s.p, abs(s.c))
+    alpha_exp, beta = alpha_beta(params.mu, params.omega_bar)
+    w = a * np.conj(alpha_exp) + b * beta * np.exp(1j * s.psi)
+    return float(abs(w))
+
+
+def example2_wmin(s: TlsState, params: MuDynParams) -> float:
+    """Minimal cost with optimal target phases at the state's coherence phase."""
+    return float(cost(np.arccos(np.clip(overlap_w(s, params), 0.0, 1.0)), params.tau))
+
+
+class ThetaSplit(NamedTuple):
+    theta1: float                    # state rotation half-angle
+    theta2: float                    # bare-drive rotation half-angle
+    wmin_range: Tuple[float, float]  # phase-optimal best ... no-control worst
+    w_psi: float                     # phase-optimal cost at this psi_i
+    psi_band: Tuple[float, float]    # w_psi range as psi_i + phi_alpha varies
+
+
+def example2_theta_split(s: TlsState, params: MuDynParams) -> ThetaSplit:
+    """Cost landscape split into the two rotation angles theta1, theta2.
+
+    With optimal target phases the cost is (sqrt2/tau) arccos|W|, bounded
+    between sqrt2|theta1 - theta2|/tau (aligned coherence phase) and
+    sqrt2(theta1 + theta2)/tau (anti-aligned); with no phase control at all
+    the worst case is sqrt2 pi/tau.
+    """
+    t1, t2 = float(theta1(s.p, abs(s.c))), float(theta2(params.mu, params.omega_bar))
+    lo = float(cost_floor(t1, t2, params.tau))
+    return ThetaSplit(
+        theta1=t1, theta2=t2,
+        wmin_range=(lo, float(worst_cost(params.tau))),
+        w_psi=example2_wmin(s, params),
+        psi_band=(lo, float(cost(t1 + t2, params.tau))),
+    )
+
+
 # ------------------------------------------------------------- figure oracle
 # The figure sweeps evaluated point by point, the tls kernels on floats and
 # one TlsState, MuDynParams, DensityMatrix and HamiltonianOp per grid cell,
@@ -390,7 +512,7 @@ def coherent_entropy_identity_residual(rho_i, h_i, h_f, beta):
     if beta <= 0:
         raise NegativeBeta("identity requires beta > 0")
     e_coh = decompose(rho_i, h_i, h_f).e_coh
-    c = states.coherence_rel_entropy(rho_i, h_i)
+    c = coherence_rel_entropy(rho_i, h_i)
     r_d = states._clamped_spectrum(states.energy_populations(rho_i, h_i))[1]
     s_d = states.gibbs_relative_entropy(r_d, h_f.energies, beta)
     s_r = states.gibbs_relative_entropy(rho_i.populations_desc(), h_f.energies, beta)

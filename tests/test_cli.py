@@ -280,7 +280,8 @@ PINNED_DRIVES = {
     "d2_100_steps": _pinned_drive_cfg(5, 2, phases="analytic2", n_steps=100),
     "d4_1000_steps": _pinned_drive_cfg(6, 4, phases="zeros", n_steps=1000),
     # an open count whose driven estimate doubles it from 64 to 512 steps:
-    # the synthesis propagates U0 afresh on every count after the first
+    # each count after the first takes its U0 trace from H0 sampled once at
+    # its Simpson nodes
     "d2_doubled_to_512": {
         "rho_i": matrix_to_json(np.array([[0.6, 0.3 + 0.1j], [0.3 - 0.1j, 0.4]])),
         "h_i": matrix_to_json(np.diag([0.0, 20.0])),
@@ -306,6 +307,20 @@ PINNED_DRIVE_SHA256 = {
 def test_drive_synth_json_matches_its_recorded_digest(case):
     text = json.dumps(cli.run_drive_synth(PINNED_DRIVES[case]), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DRIVE_SHA256[case]
+
+
+def test_doubled_drive_samples_h0_once_per_grid(monkeypatch):
+    # the U0 estimate samples the Simpson nodes of 32 and 64 steps; each
+    # doubled count those of its own 2n steps, whose even points are its
+    # n-step grid; verification those of 2 * 512 steps: no grid twice
+    grids = []
+    stack = Schedule._h0_stack
+    monkeypatch.setattr(Schedule, "_h0_stack", lambda self, h_i, h_f, ts:
+                        grids.append(len(ts)) or stack(self, h_i, h_f, ts))
+    out = cli.run_drive_synth(PINNED_DRIVES["d2_doubled_to_512"])
+    assert grids == [65, 129, 257, 513, 1025, 2049]
+    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DRIVE_SHA256["d2_doubled_to_512"]
 
 
 # sha256 of synthesize_drive's JSON (as write_json prints it) and of its V
@@ -623,6 +638,26 @@ def test_package_imports_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=src))
     assert done.stdout == "[]\n"
+
+
+def test_public_api_is_the_recorded_list():
+    # every export and removal is deliberate: the package exports its
+    # classes, kernels and submodules, and no function only the tests call
+    assert sorted(ergodrive.__all__) == [
+        "BranchAmbiguity", "ConvergenceError", "Counterexample", "Decomposition", "DeltaResult",
+        "DensityMatrix", "DriveSynthesis", "ErgodriveError", "ErgotropyReport", "HamiltonianOp",
+        "HermEig", "MuDynParams", "PhaseOptResult", "PropagatorTrace", "Schedule",
+        "ThermalSolveResult", "TlsState", "UnitaryPhases", "UpperBoundResult", "ValidationError",
+        "VerificationFailed", "counterdiabatic_cost", "counterexample_populations", "dagger",
+        "decompose", "delta_noncyclic", "drives", "energy_populations", "ergotropy", "errors",
+        "example1_phase_average", "final_unitary", "full_report", "gain_g", "herm_expi_batch",
+        "hermitian_eig", "linalg", "majorizes", "matrix_from_json", "matrix_to_json",
+        "noncyclic_ergotropy", "optimize_phases", "passive_energy", "passive_state",
+        "principal_log_unitary", "propagate_u0", "smoothstep_dot", "solve_beta_for_energy",
+        "solve_beta_for_entropy", "states", "synthesize_drive", "target_unitary",
+        "thermal_populations", "tls", "tolerances", "trace_distance", "upper_bound_delta",
+        "verify_drive", "von_neumann_entropy",
+    ]
 
 
 def test_zero_steps_are_refused(tmp_path, capsys):

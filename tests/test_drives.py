@@ -18,20 +18,21 @@ import ergodrive
 from ergodrive import (DensityMatrix, HamiltonianOp, MuDynParams, Schedule,
                        TlsState, cli, counterdiabatic_cost, drives, linalg,
                        herm_expi_batch, optimize_phases,
-                       passive_state, propagate_u0, smoothstep, smoothstep_dot,
+                       passive_state, propagate_u0, smoothstep_dot,
                        synthesize_drive, target_unitary, trace_distance,
                        verify_drive)
 from ergodrive.errors import (BranchAmbiguity, DimMismatch, DimTooLarge, GaugeFailure,
                               LengthMismatch, NoConvergence, ParamInconsistent,
                               ParamOutOfRange, TooFarFromUnitary, VerificationFailed)
-from ergodrive.linalg import time_first, unitarity_defect
+from ergodrive.linalg import time_first, time_last, unitarity_defect
 from ergodrive.states import matrix_to_json
 from ergodrive.tls import cost, theta1
 from ergodrive.tolerances import GRID_SHIFT_MARGIN, PROPAGATION_ERROR, PROPAGATION_MAX_STEPS
 from helpers import (count_exponentials, counterdiabatic_cost_oracle, eigenphases,
                      herm_expi, magnus4_gauss_final, ordered_products_sequential,
                      phase_cost_inputs, phase_costs_oracle, random_density, random_hermitian,
-                     random_instance, random_probs, random_unitary, sequential_products)
+                     random_instance, random_probs, random_unitary, sequential_products,
+                     smoothstep)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -187,7 +188,7 @@ def test_final_unitary_matches_stepwise_product():
         oracle, _ = sequential_products(_magnus_steps(h_i, h_f, sched))
         assert np.abs(propagate_u0(h_i, h_f, sched).u_samples[-1]
                       - oracle[-1]).max() < 1e-12
-        # the pairwise product behind final_unitary and driven_error, odd
+        # the pairwise product behind final_unitary and _driven_error, odd
         # stack lengths included
         u_n, steps = drives._final_product(
             sched._h0_stack(h_i, h_f, sched.times(2 * n_steps)), 1.0)
@@ -297,15 +298,12 @@ def test_driven_error_tracks_the_verified_state_distance(width):
     for n in (64, 128, 256):
         sched = Schedule.linear(1.0, n_steps=n)
         synth = synthesize_drive(rho, h_i, h_f, sched)
-        estimates.append(drives.driven_error(synth, h_i, h_f, sched))
+        estimates.append(drives._driven_error(sched._h0_stack(h_i, h_f, sched.times()),
+                                              time_last(synth.v_samples), sched.tau))
         dist = _verified_distance(synth, rho, h_i, h_f, sched)
         assert dist / 3 <= estimates[-1] <= 3 * dist
     for coarse, fine in zip(estimates, estimates[1:]):
         assert coarse >= 12 * fine
-    with pytest.raises(ParamOutOfRange, match="divisible by 4"):
-        drives.driven_error(synth, h_i, h_f, dataclasses.replace(sched, n_steps=6))
-    with pytest.raises(ParamInconsistent, match="not sampled on the schedule's grid"):
-        drives.driven_error(synth, h_i, h_f, dataclasses.replace(sched, n_steps=128))
 
 
 def test_fourth_order_work_integral_rules():
@@ -968,15 +966,21 @@ def test_counterdiabatic_cost_anchors():
     assert abs(w - 3.0) < 1e-6
 
 
-def test_counterdiabatic_cost_error_taxonomy():
+def test_counterdiabatic_cost_error_taxonomy(monkeypatch):
     with pytest.raises(ParamOutOfRange):
         counterdiabatic_cost(Schedule.linear(1.0))
     with pytest.raises(ParamOutOfRange):
         counterdiabatic_cost(Schedule(1.0, n_steps=1, mu=1.0, omega_bar=1.0))
     with pytest.raises(ParamOutOfRange):   # no gap
         counterdiabatic_cost(Schedule(1.0, n_steps=64, mu=1.0, omega_bar=0.0))
-    with pytest.raises(GaugeFailure):      # the angle turns by pi per step
+    # a grid that aliases the rotation, |mu| omega_bar / n >= pi, is refused
+    # before anything is sampled: unwrapping would fold every step of 1e198
+    # rad into (-pi, pi] and pass the gauge check
+    monkeypatch.setattr(Schedule, "times", lambda *args: pytest.fail("sampled an aliased grid"))
+    with pytest.raises(GaugeFailure, match="turns by 3.14159 rad per step"):
         counterdiabatic_cost(Schedule(1.0, n_steps=64, mu=-64 * np.pi, omega_bar=1.0))
+    with pytest.raises(GaugeFailure, match="turns by 1.5625e[+]198 rad per step"):
+        counterdiabatic_cost(Schedule(1.0, 64, 1e200, 1.0))
 
 
 @pytest.mark.parametrize("n_steps", [PROPAGATION_MAX_STEPS + 1, 10**19])

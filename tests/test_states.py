@@ -11,11 +11,12 @@ from ergodrive import (DensityMatrix, HamiltonianOp, states,
                        matrix_to_json, passive_energy, passive_state,
                        solve_beta_for_energy,
                        solve_beta_for_entropy, thermal_populations,
-                       von_neumann_entropy, coherence_rel_entropy)
+                       von_neumann_entropy)
 from ergodrive.errors import (DimMismatch, EnergyOutOfRange, EntropyOutOfRange,
                               LengthMismatch, NotAState, NotHermitian)
-from helpers import (dephase, near_pure_state, random_density, random_hermitian,
-                     random_instance, random_probs, relative_entropy, thermal_state)
+from helpers import (coherence_rel_entropy, dephase, near_pure_state, random_density,
+                     random_hermitian, random_instance, random_probs, relative_entropy,
+                     thermal_state)
 
 
 def test_density_matrix_validation():

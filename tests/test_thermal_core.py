@@ -8,14 +8,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ergodrive import (DensityMatrix, HamiltonianOp, coherence_rel_entropy,
+from ergodrive import (DensityMatrix, HamiltonianOp,
                        delta_noncyclic, full_report, passive_state,
                        solve_beta_for_energy, solve_beta_for_entropy,
                        thermal_populations, upper_bound_delta)
 from ergodrive import linalg, states
 from ergodrive.errors import NoConvergence
 from ergodrive.tolerances import BETA_RESIDUAL
-from helpers import brentq_oracle, random_instance
+from helpers import brentq_oracle, coherence_rel_entropy, random_instance
 
 MAX_EVALS = 40   # Gibbs-weight evaluations per solve, bracket search included
 PROPERTY = settings(max_examples=150, deadline=None,

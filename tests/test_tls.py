@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergodrive import (HamiltonianOp, MuDynParams, Schedule,
-                       TlsState, constmu_final_state,
-                       delta_noncyclic, eigs_r, example1_phase_average, example1_thetas,
-                       example2_theta_split, example2_wmin, final_basis,
-                       final_unitary, gain_g, overlap_w, propagate_u0, trace_distance)
+from ergodrive import (HamiltonianOp, MuDynParams, Schedule, TlsState, delta_noncyclic,
+                       example1_phase_average, final_unitary, gain_g, propagate_u0,
+                       trace_distance)
 from ergodrive.errors import ParamInconsistent, ParamOutOfRange
 from ergodrive.tls import (alpha_beta, cd_rate, check_bloch, check_drive, cos_sin_drive, cost,
                            delta_enc, nu, overlaps, sta_delta, theta1, theta2, wrap_pi, PHASE_BLOCK)
-from helpers import constmu_final_density, phase_average_oracle, wrap_pi_oracle
+from helpers import (constmu_final_density, constmu_final_state, eigs_r, example1_thetas,
+                     example2_theta_split, example2_wmin, final_basis, overlap_w,
+                     phase_average_oracle, wrap_pi_oracle)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

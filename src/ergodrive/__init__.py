@@ -6,9 +6,9 @@ counterdiabatic comparisons for driven two-level systems, and a CLI for
 reports and figure sweeps.
 """
 
-from .drives import (DriveSynthesis, PhaseOptResult, PropagatorTrace, Schedule,
-                     counterdiabatic_cost, final_unitary, optimize_phases, propagate_u0,
-                     smoothstep_dot, synthesize_drive, target_unitary, verify_drive)
+from .drives import (DriveSynthesis, PhaseOptResult, PropagatorTrace, Schedule, final_unitary,
+                     optimize_phases, propagate_u0, smoothstep_dot, synthesize_drive,
+                     target_unitary, verify_drive)
 from .ergotropy import (Counterexample, Decomposition, DeltaResult, ErgotropyReport,
                         UpperBoundResult, counterexample_populations, decompose, delta_noncyclic,
                         full_report, gain_g, noncyclic_ergotropy, upper_bound_delta)

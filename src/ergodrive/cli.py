@@ -8,8 +8,9 @@ at once; fig1's Monte Carlo columns are one call over the grid, evaluated in
 blocks of cells, each drawing from a generator seeded per grid point as
 [seed, i, j]. ``--steps`` belongs to drive-synth; ``--seed`` and
 ``--threads`` to the four figure commands, where ``--threads`` has no effect.
-Exit codes: 0 success, 2 validation error, 3 convergence failure (error JSON
-goes to stderr).
+Each command reads the config keys CONFIG_KEYS names for it and refuses any
+other. Exit codes: 0 success, 2 validation error, 3 convergence failure
+(error JSON goes to stderr).
 """
 
 from __future__ import annotations
@@ -76,6 +77,33 @@ def load_config(path):
     if not isinstance(cfg, dict):
         raise ParamOutOfRange(f"config must be a JSON object, got {type(cfg).__name__}")
     return cfg
+
+
+# every config key of each command; its run_* refuses any other
+_INSTANCE_KEYS = ("rho_i", "h_i", "h_f")
+CONFIG_KEYS = {
+    "ergotropy": _INSTANCE_KEYS,
+    "drive-synth": _INSTANCE_KEYS + ("tau", "n_steps", "phases"),
+    "fig1": ("tau", "lam_f_omega", "mc_draws", "p_min", "p_max", "p_points", "c_points"),
+    "fig2": ("omega0", "p_i", "c_abs", "ot_min", "ot_max", "ot_points",
+             "ots_min", "ots_max", "ots_points"),
+    "fig3": ("tau", "omega_f", "p_i", "c_abs", "mu_min", "mu_max", "mu_points",
+             "ob_min", "ob_max", "ob_points"),
+    "counterexample": ("beta", "e2i", "e2f_list"),
+}
+
+
+def _check_keys(cfg: dict, command: str) -> None:
+    """Refuse a key of cfg that command does not read (ParamOutOfRange), so a
+    misspelled one is never run at its default. The thresholds are fixed, so
+    a config that still sets "tolerances" is refused rather than run without
+    them."""
+    if "tolerances" in cfg:
+        raise ParamOutOfRange("the tolerances key is no longer accepted: "
+                              "the thresholds are fixed")
+    for key in cfg:
+        if key not in CONFIG_KEYS[command]:
+            raise ParamOutOfRange(f"{command} config has unknown key {key!r}")
 
 
 def _require(cfg: dict, key: str):
@@ -152,11 +180,7 @@ def _fixed_state(cfg: dict) -> tls.TlsState:
 
 
 def _load_instance(cfg: dict):
-    """(rho_i, h_i, h_f) from cfg. The thresholds are fixed, so a config that
-    still sets "tolerances" is refused rather than run without them."""
-    if "tolerances" in cfg:
-        raise ParamOutOfRange("the tolerances key is no longer accepted: "
-                              "the thresholds are fixed")
+    """(rho_i, h_i, h_f) from cfg."""
     rho = DensityMatrix(matrix_from_json(_require(cfg, "rho_i")))
     h_i = HamiltonianOp(matrix_from_json(_require(cfg, "h_i")))
     h_f = HamiltonianOp(matrix_from_json(_require(cfg, "h_f")))
@@ -166,6 +190,7 @@ def _load_instance(cfg: dict):
 # ----------------------------------------------------------------- scenarios
 
 def run_ergotropy(cfg: dict) -> dict:
+    _check_keys(cfg, "ergotropy")
     rho, h_i, h_f = _load_instance(cfg)
     return ergotropy.full_report(rho, h_i, h_f).to_json()
 
@@ -185,6 +210,7 @@ def run_drive_synth(cfg: dict, n_steps=None) -> dict:
     config's n_steps, used exactly; with neither, synthesize_drive picks it
     by its error targets for U0 and for the propagation of H0 + V that
     verification integrates, and verify_drive checks the drive on that grid."""
+    _check_keys(cfg, "drive-synth")
     rho, h_i, h_f = _load_instance(cfg)
     tau = _number(cfg, "tau", 1.0)
     if n_steps is None and "n_steps" in cfg:
@@ -207,6 +233,7 @@ def fig1_crossover(ps, deltas, wmins) -> float:
 
 def run_fig1(cfg: dict, seed: int = 0):
     """Gain vs cost over the (p_i, |c_i|) disk for proportional Hamiltonians."""
+    _check_keys(cfg, "fig1")
     tls.check_count(seed, "seed", 0)
     tau = _positive(cfg, "tau", 10.0)
     lam_f_omega = _number(cfg, "lam_f_omega", 1.0)
@@ -237,6 +264,7 @@ def run_fig1(cfg: dict, seed: int = 0):
 
 def run_fig2(cfg: dict):
     """STA cost vs optimal cost for the quarter-period rotating drive."""
+    _check_keys(cfg, "fig2")
     omega0 = _positive(cfg, "omega0", 1.0)
     s = _fixed_state(cfg)
     ot, ots = _cells(_grid(cfg, "ot", 0.5, 20.0, 40), _grid(cfg, "ots", 0.5, 20.0, 40))
@@ -259,6 +287,7 @@ def run_fig2(cfg: dict):
 
 def run_fig3(cfg: dict):
     """Cost landscape over (mu, omega_bar) with a fixed final-gap conversion."""
+    _check_keys(cfg, "fig3")
     tau = _positive(cfg, "tau", 1.0)
     gap = float(np.hypot(_number(cfg, "omega_f", 20.0 / tau), 0.0))
     s = _fixed_state(cfg)
@@ -274,6 +303,7 @@ def run_fig3(cfg: dict):
 
 def run_counterexample(cfg: dict):
     """Same-energy populations whose ergotropy drops below the thermal one."""
+    _check_keys(cfg, "counterexample")
     beta = _number(cfg, "beta", 1.0)
     e2i = _number(cfg, "e2i", 0.9)
     rows = []

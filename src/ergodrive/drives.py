@@ -23,8 +23,7 @@ step-doubling estimate of U0(tau)'s error, from U_{n/2} and U_n (pairwise
 products of the step stacks), is at most PROPAGATION_ERROR, and U0(tau)
 there; for a drive the count doubles while _driven_error, the same estimate
 for H0 + V from the drive's samples, is above DRIVEN_PROPAGATION_ERROR.
-propagate_u0 and counterdiabatic_cost refuse an open count and one above
-PROPAGATION_MAX_STEPS.
+propagate_u0 refuses an open count and one above PROPAGATION_MAX_STEPS.
 Every stack of small matrices on a time grid is kept time-innermost, as a
 (d, d, n) array (handed out as (n, d, d) views): the step exponentials are
 one Taylor kernel over the stack, and every product or conjugation
@@ -64,17 +63,16 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import (DimMismatch, DimTooLarge, GaugeFailure, LengthMismatch, NoConvergence,
-                     ParamInconsistent, ParamOutOfRange, VerificationFailed)
+from .errors import (DimMismatch, DimTooLarge, LengthMismatch, NoConvergence, ParamInconsistent,
+                     ParamOutOfRange, VerificationFailed)
 from .linalg import (dagger, herm_expi_batch, matmul_t, ordered_products, principal_log_unitary,
                      time_first, time_last, trace_distance)
 from .states import DensityMatrix, HamiltonianOp, matrix_to_json, passive_energy, passive_state
 from .tls import MuDynParams, check_count, check_drive, wrap_pi
-from .tolerances import (DRIVEN_PROPAGATION_ERROR, EIGENPHASE_SEPARATION, GAUGE_OVERLAP_MIN,
-                         GRID_SHIFT_MARGIN, PROPAGATION_ERROR, PROPAGATION_MAX_STEPS,
-                         ROTATING_ENDPOINT_REL, STA_CLOSED_FORM_REL, VERIFY_ENDPOINT_REL,
-                         VERIFY_ENERGY_REL, VERIFY_STATE_DISTANCE, VERIFY_WIDTH_FLOOR,
-                         VERIFY_WORK_REL)
+from .tolerances import (DRIVEN_PROPAGATION_ERROR, EIGENPHASE_SEPARATION, GRID_SHIFT_MARGIN,
+                         PROPAGATION_ERROR, PROPAGATION_MAX_STEPS, ROTATING_ENDPOINT_REL,
+                         VERIFY_ENDPOINT_REL, VERIFY_ENERGY_REL, VERIFY_STATE_DISTANCE,
+                         VERIFY_WIDTH_FLOOR, VERIFY_WORK_REL)
 
 _SZ = np.diag([1.0, -1.0]).astype(complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -117,7 +115,7 @@ class Schedule:
             check_drive(self.tau, self.omega_bar)
             if not np.isfinite(self.mu):
                 raise ParamOutOfRange(f"need a finite mu, got {self.mu}")
-            # the gap A and the angle mu A t at t = tau, as _omega_eps forms
+            # the gap A and the angle mu A t at t = tau, as _h0_stack forms
             # them, in Python floats, which overflow to inf without a warning
             tau, gap = float(self.tau), float(self.omega_bar) / float(self.tau)
             if not (math.isfinite(gap) and math.isfinite(float(self.mu) * gap * tau)):
@@ -147,12 +145,6 @@ class Schedule:
                                   f"the smallest normal float")
         return np.linspace(0.0, self.tau, n + 1)
 
-    def _omega_eps(self, ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(omega, eps) = A (cos, -sin)(mu A t) of a rotating schedule on ts."""
-        om0 = self.omega_bar / self.tau
-        angle = self.mu * om0 * ts
-        return om0 * np.cos(angle), -om0 * np.sin(angle)
-
     def h0_batch(self, h_i: HamiltonianOp, h_f: HamiltonianOp, ts: np.ndarray) -> np.ndarray:
         """H0 sampled on ts, shape (len(ts), d, d): a view of a time-innermost
         (d, d, len(ts)) array."""
@@ -161,9 +153,12 @@ class Schedule:
     def _h0_stack(self, h_i: HamiltonianOp, h_f: HamiltonianOp, ts: np.ndarray) -> np.ndarray:
         """H0 on ts as a fresh time-innermost stack [d, d, len(ts)]. The second
         term is added one row at a time, so no second full stack is formed,
-        only one row's worth [d, len(ts)]."""
+        only one row's worth [d, len(ts)]. A rotating schedule's two terms
+        are sz and sx times (omega, eps) = A (cos, -sin)(mu A t)."""
         if self.rotating:
-            (m0, m1), (c0, c1) = (_SZ, _SX), self._omega_eps(ts)
+            gap = self.omega_bar / self.tau
+            angle = self.mu * gap * ts
+            (m0, m1), (c0, c1) = (_SZ, _SX), (gap * np.cos(angle), -gap * np.sin(angle))
         else:
             (m0, c0), (m1, c1) = (h_i.mat, 1.0 - ts / self.tau), (h_f.mat, ts / self.tau)
         out = np.multiply(m0[..., None], c0)
@@ -773,48 +768,3 @@ def optimize_phases(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp
     mean = float(costs.mean())
     stderr = float(costs.std(ddof=1) / np.sqrt(n_draws))
     return PhaseOptResult(None, mean, stderr)
-
-
-def counterdiabatic_cost(sched: Schedule) -> Tuple[float, np.ndarray]:
-    """Cost of transitionless driving for a rotating two-level schedule.
-
-    The eigenvectors of H = (omega sz + eps sx) / 2 turn by half the mixing
-    angle theta = atan2(eps, omega), so norm_trace = (2 sum_n <edot_n|edot_n>)^{1/2}
-    = |theta dot| (Berry, J. Phys. A 42, 365303 (2009)), by second-order
-    differences of the unwrapped angle; w_sta is its time average, checked
-    against the constant-mu closed form |mu| omega_bar / tau to
-    STA_CLOSED_FORM_REL (VerificationFailed). The step count must be fixed
-    and at most PROPAGATION_MAX_STEPS, like a propagation's (ParamOutOfRange
-    before sampling otherwise), and the angle must turn by less than pi per
-    step, |mu| omega_bar / n < pi, or the unwrapped samples alias the
-    rotation (GaugeFailure before sampling).
-    """
-    if not sched.rotating:
-        raise ParamOutOfRange("counterdiabatic cost is defined for rotating schedules")
-    if sched.n_steps is not None and sched.n_steps > PROPAGATION_MAX_STEPS:
-        raise ParamOutOfRange(f"sampling {sched.n_steps} steps is more than "
-                              f"{PROPAGATION_MAX_STEPS}")
-    if sched.n_steps is not None:    # Python floats: __post_init__ keeps mu omega_bar finite
-        step = abs(float(sched.mu)) * float(sched.omega_bar) / sched.n_steps
-        if step >= math.pi:
-            raise GaugeFailure(f"the mixing angle turns by {step:.6g} rad per step, at least "
-                               f"pi: the grid aliases the rotation; refine the grid")
-    ts = sched.times()
-    if len(ts) < 3:
-        raise ParamOutOfRange("need at least 2 steps for the mixing-angle derivative")
-    om, ep = sched._omega_eps(ts)
-    if not np.hypot(om, ep).min() > 0.0:
-        raise ParamOutOfRange("the gap must stay positive on the grid")
-    theta = np.unwrap(np.arctan2(ep, om))
-    # consecutive eigenvectors overlap by |cos(dtheta / 2)|
-    if float(np.abs(np.cos(0.5 * np.diff(theta))).min()) < GAUGE_OVERLAP_MIN:
-        raise GaugeFailure("consecutive eigenvectors nearly orthogonal; refine the grid")
-    norm_trace = np.abs(np.gradient(theta, sched.tau / sched.n_steps, edge_order=2))
-    w_sta = float(np.trapezoid(norm_trace, ts)) / sched.tau
-
-    expected = abs(sched.mu) * sched.omega_bar / sched.tau
-    if abs(w_sta - expected) > STA_CLOSED_FORM_REL * max(1.0, expected):
-        raise VerificationFailed(
-            "counterdiabatic cost disagrees with the constant-mu closed form",
-            residuals={"w_sta": w_sta, "closed_form": expected})
-    return w_sta, norm_trace

@@ -70,10 +70,6 @@ class NoConvergence(ConvergenceError):
     pass
 
 
-class GaugeFailure(ConvergenceError):
-    """Eigenbasis flips between grid samples: the mixing angle jumps by about pi."""
-
-
 class VerificationFailed(ConvergenceError):
     """Synthesized drive missed its target beyond contract tolerances."""
 

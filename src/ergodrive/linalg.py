@@ -42,7 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BranchAmbiguity, DimMismatch, NotHermitian, NotUnitary, TooFarFromUnitary
+from .errors import (BranchAmbiguity, DimMismatch, NotHermitian, NotUnitary, ParamOutOfRange,
+                     TooFarFromUnitary)
 from .tolerances import (BLOCK_BASIS_NORM_MIN, BRANCH_CUT, DEGENERATE_ULPS, HERMITICITY,
                          UNITARITY, UNITARY_DEFECT_MAX)
 
@@ -141,7 +142,8 @@ def hermitian_eig(m, *, checked: bool = False) -> HermEig:
     """Eigendecomposition of a Hermitian matrix, ascending, canonical basis.
 
     Raises NotHermitian if m has a non-finite entry or its max-entry defect
-    exceeds HERMITICITY relative to the matrix scale. ``checked=True`` is for
+    exceeds HERMITICITY relative to the matrix scale, and ParamOutOfRange if
+    its spectral width overflows to infinity. ``checked=True`` is for
     callers that have already checked m and made it exactly Hermitian: the
     checks and the symmetrization are skipped (symmetrizing such an m would
     not change it).
@@ -157,6 +159,10 @@ def hermitian_eig(m, *, checked: bool = False) -> HermEig:
                            f"exceeds {HERMITICITY * scale:.3e}")
     else:
         values, vectors = _symmetrized_eigh(m)
+    # Python floats: the width overflows to inf without a warning
+    if values.size and not math.isfinite(float(values[-1]) - float(values[0])):
+        raise ParamOutOfRange(f"spectral width {values[-1]:.6g} - ({values[0]:.6g}) "
+                              f"is not a finite number")
     vectors = _canonicalize(values, np.asarray(vectors, dtype=complex), scale)
     return HermEig(values, vectors)
 
@@ -172,8 +178,11 @@ def hermitian_eigvals(m) -> np.ndarray:
 
 
 def _symmetrized_eigh(m: np.ndarray):
-    """LAPACK eigh of the Hermitian part (m + m^dag) / 2 of m[..., d, d]."""
-    return np.linalg.eigh(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
+    """LAPACK eigh of the Hermitian part m / 2 + (m / 2)^dag of m[..., d, d],
+    halved first so that the sum of entries near the float maximum does not
+    overflow (halving is exact in the normal range)."""
+    half = 0.5 * m
+    return np.linalg.eigh(half + np.conj(np.swapaxes(half, -1, -2)))
 
 
 def _unitary_eigenvectors(u: np.ndarray) -> np.ndarray:

@@ -350,7 +350,16 @@ def sta_delta(gap, p_i, mu, omega_bar):
 
 
 def cd_rate(mu, omega_bar, tau):
-    """|mu| Omega_bar / tau, the mean counterdiabatic coupling norm; broadcasts."""
+    """|mu| Omega_bar / tau, the cost w_sta of transitionless driving (STA)
+    along the constant-mu drive; broadcasts.
+
+    The eigenvectors e_n of H = (omega sz + eps sx) / 2 turn by half the
+    mixing angle theta = atan2(eps, omega), so the counterdiabatic term
+    H_cd = i sum_n |edot_n><e_n| has ||H_cd|| = (2 sum_n <edot_n|edot_n>)^{1/2}
+    = |theta dot| (Berry, J. Phys. A 42, 365303 (2009)). Along the drive,
+    theta = -mu A t with A = Omega_bar / tau, so ||H_cd|| = |mu| A at every
+    t, and its time average w_sta is the same.
+    """
     return np.abs(mu) * omega_bar / tau
 
 

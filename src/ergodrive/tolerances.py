@@ -81,12 +81,6 @@ ROTATING_ENDPOINT_REL = 1e-10
 # verify_drive measures the final-energy residual in units of h_f's spectral
 # width, but of at least this much.
 VERIFY_WIDTH_FLOOR = 1e-12
-# counterdiabatic_cost refuses a step dtheta of the mixing angle over which
-# consecutive eigenvectors overlap by |cos(dtheta / 2)| < GAUGE_OVERLAP_MIN, and
-# a constant-mu schedule whose cost is off its closed form by more than
-# STA_CLOSED_FORM_REL of that form (at least 1).
-GAUGE_OVERLAP_MIN = 1e-8
-STA_CLOSED_FORM_REL = 1e-6
 # full_report reports an upper bound below delta_e_nc as delta_e_nc, and a
 # negative gain_g as 0, when the shortfall is at most this many units of the
 # largest absolute energy of h_i and h_f (about 45 units of roundoff); a

@@ -285,12 +285,12 @@ def phase_average_oracle(a, tau, n_draws, rng):
 
 
 def counterdiabatic_cost_oracle(sched):
-    """(w_sta, norm_trace) of drives.counterdiabatic_cost along the instantaneous
+    """(w_sta, norm_trace) of a rotating schedule along the instantaneous
     eigenvectors: eigh of every sample of H = (omega sz + eps sx) / 2, with
     (omega, eps) = A (cos, -sin)(mu A t), A = omega_bar / tau, the gauge fixed
     by parallel transport between samples, and second-order differences of
     the vectors in (2 sum_n <edot_n|edot_n>)^{1/2}. The oracle of the
-    mixing-angle form."""
+    closed form tls.cd_rate."""
     ts = sched.times()
     om0 = sched.omega_bar / sched.tau
     om, ep = om0 * np.cos(sched.mu * om0 * ts), -om0 * np.sin(sched.mu * om0 * ts)

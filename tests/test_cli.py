@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -23,6 +24,7 @@ from helpers import (count_exponentials, open_drive_exponentials, random_hermiti
 RHO2 = {"rho_i": matrix_to_json(np.diag([0.3, 0.7]).astype(complex)),
         "h_i": matrix_to_json(np.diag([0.0, 1.0]).astype(complex)),
         "h_f": matrix_to_json(np.diag([0.0, 0.5]).astype(complex))}
+HUGE = matrix_to_json(np.diag([1e308, -1e308]).astype(complex))
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -574,6 +576,9 @@ def test_json_output_is_sorted_and_stable(tmp_path):
     ("ergotropy", dict(RHO2, tolerances={}), "tolerances key is no longer accepted"),
     ("drive-synth", dict(RHO2, tolerances={"branch_cut": 7.0}),
      "tolerances key is no longer accepted"),
+    # finite entries, but a spectral width beyond the float range
+    ("ergotropy", dict(RHO2, h_f=HUGE), "spectral width 1e+308 - (-1e+308) is not a finite"),
+    ("drive-synth", dict(RHO2, h_f=HUGE), "spectral width 1e+308 - (-1e+308) is not a finite"),
 ])
 def test_degenerate_sweep_configs_are_refused(tmp_path, capsys, command, cfg, message):
     path = write_cfg(tmp_path, "bad.json", cfg)
@@ -585,6 +590,39 @@ def test_degenerate_sweep_configs_are_refused(tmp_path, capsys, command, cfg, me
     assert err == {"error": "ParamOutOfRange", "message": err["message"]}
     assert message in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("ergotropy", dict(RHO2, h_ff=RHO2["h_f"]), "h_ff"),
+    ("drive-synth", dict(RHO2, tua=5, n_step=7), "tua"),
+    ("fig1", {"p_point": 3, "mc_draws": 0}, "p_point"),
+    ("fig2", {"p_point": 3}, "p_point"),
+    ("fig3", {"mu_point": 3}, "mu_point"),
+    ("counterexample", {"e2f": [0.5]}, "e2f"),
+])
+def test_unknown_config_keys_are_refused(tmp_path, capsys, command, cfg, key):
+    # a misspelled key would otherwise run at its default; run_* itself
+    # refuses it, since library callers bypass main
+    path = write_cfg(tmp_path, "typo.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "ParamOutOfRange",
+                               "message": f"{command} config has unknown key {key!r}"}
+    runner = getattr(cli, "run_" + command.replace("-", "_"))
+    with pytest.raises(ParamOutOfRange, match=f"unknown key {key!r}"):
+        runner(cfg)
+
+
+def test_readme_lists_every_config_key():
+    # the README's key table names each command's keys in CONFIG_KEYS order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for command, keys in cli.CONFIG_KEYS.items():
+        rows = [line for line in readme.splitlines() if line.startswith(f"| `{command}` |")]
+        assert len(rows) == 1, command
+        assert re.findall(r"`(\w+)`", rows[0].split("|")[2]) == list(keys)
 
 
 @pytest.mark.parametrize("command, cfg, flags, message", [
@@ -648,7 +686,7 @@ def test_public_api_is_the_recorded_list():
         "DensityMatrix", "DriveSynthesis", "ErgodriveError", "ErgotropyReport", "HamiltonianOp",
         "HermEig", "MuDynParams", "PhaseOptResult", "PropagatorTrace", "Schedule",
         "ThermalSolveResult", "TlsState", "UnitaryPhases", "UpperBoundResult", "ValidationError",
-        "VerificationFailed", "counterdiabatic_cost", "counterexample_populations", "dagger",
+        "VerificationFailed", "counterexample_populations", "dagger",
         "decompose", "delta_noncyclic", "drives", "energy_populations", "ergotropy", "errors",
         "example1_phase_average", "final_unitary", "full_report", "gain_g", "herm_expi_batch",
         "hermitian_eig", "linalg", "majorizes", "matrix_from_json", "matrix_to_json",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ergodrive import linalg
-from ergodrive.errors import (BranchAmbiguity, NotHermitian, NotUnitary,
+from ergodrive.errors import (BranchAmbiguity, NotHermitian, NotUnitary, ParamOutOfRange,
                               TooFarFromUnitary, ValidationError)
 from ergodrive.tolerances import DEGENERATE_ULPS
 from helpers import (herm_expi, pauli_expi, principal_log_oracle, random_hermitian,
@@ -214,6 +214,21 @@ def test_hermitian_eig_rejects_nonhermitian():
             m[i, j], m[j, i] = z, np.conj(z)
             with pytest.raises(NotHermitian, match="non-finite"):
                 linalg.hermitian_eig(m)
+
+
+def test_hermitian_eig_refuses_a_width_that_overflows():
+    # finite entries near the float maximum: the symmetrization halves before
+    # it adds, so it does not overflow, and a spectral width beyond the float
+    # range is refused before the degenerate-block scan subtracts the values
+    huge = np.diag([1e308, -1e308]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert linalg.hermitian_eigvals(huge).tolist() == [-1e308, 1e308]
+        with pytest.raises(ParamOutOfRange, match="spectral width 1e[+]308 - [(]-1e[+]308[)]"):
+            linalg.hermitian_eig(huge)
+        # a width just below the float maximum is still a spectrum
+        assert linalg.hermitian_eig(np.diag([0.9e308, -0.8e308])).values.tolist() == [-0.8e308,
+                                                                                    0.9e308]
 
 
 def test_principal_log_round_trip_and_branch():

@@ -135,7 +135,9 @@ class Schedule:
     def times(self, n_steps: Optional[int] = None) -> np.ndarray:
         """The n + 1 points of the n-step grid on [0, tau], n = n_steps or the
         schedule's own; a grid spacing below the smallest normal float is
-        refused (ParamOutOfRange), as is an open count."""
+        refused (ParamOutOfRange), as is an open count. The points are
+        k (tau / n) with the last one set to tau, the bits of
+        np.linspace(0, tau, n + 1) without its Python overhead."""
         n = self.n_steps if n_steps is None else n_steps
         if n is None:
             raise ParamOutOfRange("the schedule leaves n_steps to the error targets: "
@@ -143,7 +145,9 @@ class Schedule:
         if self.tau / n < np.finfo(float).tiny:
             raise ParamOutOfRange(f"{n} steps on tau = {self.tau} are spaced below "
                                   f"the smallest normal float")
-        return np.linspace(0.0, self.tau, n + 1)
+        ts = np.arange(n + 1) * (self.tau / n)
+        ts[-1] = self.tau
+        return ts
 
     def h0_batch(self, h_i: HamiltonianOp, h_f: HamiltonianOp, ts: np.ndarray) -> np.ndarray:
         """H0 sampled on ts, shape (len(ts), d, d): a view of a time-innermost

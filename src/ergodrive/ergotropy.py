@@ -8,7 +8,7 @@ passed in (hbar = 1).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -45,7 +45,7 @@ class ErgotropyReport:
 
     def to_json(self) -> dict:
         return {k: (None if v is None else (bool(v) if isinstance(v, (bool, np.bool_)) else float(v)))
-                for k, v in asdict(self).items()}
+                for k, v in self.__dict__.items()}
 
 
 class DeltaResult(NamedTuple):
@@ -64,7 +64,12 @@ class UpperBoundResult(NamedTuple):
 def noncyclic_ergotropy(rho_i: DensityMatrix, h_i: HamiltonianOp,
                         h_f: HamiltonianOp) -> float:
     """Maximal work extracted evolving rho_i from h_i into the passive state of h_f."""
-    return h_i.energy(rho_i) - states.passive_energy(rho_i, h_f)
+    return _noncyclic(h_i.energy(rho_i), states.passive_energy(rho_i, h_f))
+
+
+def _noncyclic(energy_i: float, passive_f: float) -> float:
+    """e_nc from Tr[rho_i h_i] and the passive energy of rho_i on h_f."""
+    return energy_i - passive_f
 
 
 def decompose(rho_i: DensityMatrix, h_i: HamiltonianOp,
@@ -75,15 +80,17 @@ def decompose(rho_i: DensityMatrix, h_i: HamiltonianOp,
     each term is individually nonnegative (permutation minimality for e_inc,
     Schur-Horn majorization for e_coh).
     """
-    r_d = states._clamped_spectrum(states.energy_populations(rho_i, h_i))[1]   # passive rho_D
-    e_inc = h_i.energy(rho_i) - r_d @ h_i.energies
-    e_pas = r_d @ h_i.energies - r_d @ h_f.energies
-    e_coh = r_d @ h_f.energies - states.passive_energy(rho_i, h_f)
-    return Decomposition(e_inc, e_pas, e_coh)
+    return _decompose(h_i.energy(rho_i), states.energy_populations(rho_i, h_i),
+                      states.passive_energy(rho_i, h_f), h_i.energies, h_f.energies)
 
 
-def _same_energy_solve(rho_i: DensityMatrix, h_i: HamiltonianOp) -> states.ThermalSolveResult:
-    return states.solve_beta_for_energy(h_i, h_i.energy(rho_i))
+def _decompose(energy_i: float, populations_i: np.ndarray, passive_f: float,
+               e_i: np.ndarray, e_f: np.ndarray) -> Decomposition:
+    """decompose from Tr[rho_i h_i], rho_i's h_i populations, its passive
+    energy on h_f and the ascending energies of h_i and h_f."""
+    r_d = states._clamped_spectrum(populations_i)[1]   # passive rho_D
+    on_i, on_f = r_d @ e_i, r_d @ e_f
+    return Decomposition(energy_i - on_i, on_i - on_f, on_f - passive_f)
 
 
 def delta_noncyclic(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp,
@@ -94,10 +101,17 @@ def delta_noncyclic(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp
     the flat-state value); the result is still computed and flagged.
     ``same_energy`` passes in that state's solve when the caller already has it.
     """
-    solve = _same_energy_solve(rho_i, h_i) if same_energy is None else same_energy
-    delta = float(states._clamped_spectrum(solve.populations)[1] @ h_f.energies
-                  - states.passive_energy(rho_i, h_f))
-    return DeltaResult(delta, solve.beta, solve.beta < 0)
+    if same_energy is None:
+        same_energy = states.solve_beta_for_energy(h_i, h_i.energy(rho_i))
+    p_f = states._clamped_spectrum(same_energy.populations)[1]
+    return _delta(same_energy, p_f, h_f.energies, states.passive_energy(rho_i, h_f))
+
+
+def _delta(same_energy: states.ThermalSolveResult, p_f: np.ndarray, e_f: np.ndarray,
+           passive_f: float) -> DeltaResult:
+    """delta_noncyclic from the same-energy solve, its passive populations
+    p_f, h_f's energies and rho_i's passive energy on h_f."""
+    return DeltaResult(float(p_f @ e_f - passive_f), same_energy.beta, same_energy.beta < 0)
 
 
 def gain_g(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp) -> float:
@@ -107,8 +121,12 @@ def gain_g(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp) -> floa
     ascending h_f levels; G is the work a cyclic process then extracts, so
     G >= 0 and G is insensitive to the coherences' phases.
     """
-    return float(transport_gain(states.energy_populations(rho_i, h_i),
-                                rho_i.populations_desc(), h_f.energies))
+    return _gain(states.energy_populations(rho_i, h_i), rho_i, h_f.energies)
+
+
+def _gain(populations_i: np.ndarray, rho_i: DensityMatrix, e_f: np.ndarray) -> float:
+    """gain_g from rho_i's h_i populations and h_f's energies."""
+    return float(transport_gain(populations_i, rho_i.populations_desc(), e_f))
 
 
 def transport_gain(p, r, e_f):
@@ -138,22 +156,35 @@ def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: Hamiltonian
     rho_i is maximally mixed (NegativeBeta), or S(rho_i) is below h_f's
     entropy floor, as at a (nearly) degenerate ground level (EntropyOutOfRange).
     """
-    scale = max(h_f.spectral_width, BOUND_SCALE_FLOOR)
+    s_i = _entropy_below_ceiling(rho_i)
+    if same_energy is None:
+        same_energy = states.solve_beta_for_energy(h_i, h_i.energy(rho_i))
+    p_f = states._clamped_spectrum(same_energy.populations)[1]
+    return _upper_bound(s_i, h_f, same_energy, p_f)
+
+
+def _entropy_below_ceiling(rho_i: DensityMatrix) -> float:
+    """S(rho_i), refused (NegativeBeta) at the entropy ceiling ln d: there
+    beta_i -> 0 and 1/beta_i amplifies roundoff past any cross-check, so the
+    flat corner is rejected outright."""
     s_i = states.von_neumann_entropy(rho_i)
-    # at the entropy ceiling beta_i -> 0 and 1/beta_i amplifies roundoff past
-    # any cross-check, so the flat corner is rejected outright
     if s_i >= np.log(rho_i.dim) - ENTROPY_CEILING_ATOL:
         raise NegativeBeta("entropy-matched beta_i must be positive; "
                            "the input is maximally mixed")
-    if same_energy is None:
-        same_energy = _same_energy_solve(rho_i, h_i)
+    return s_i
+
+
+def _upper_bound(s_i: float, h_f: HamiltonianOp, same_energy: states.ThermalSolveResult,
+                 p_f: np.ndarray) -> UpperBoundResult:
+    """upper_bound_delta from S(rho_i), the same-energy solve and its
+    passive populations p_f on h_f."""
+    scale = max(h_f.spectral_width, BOUND_SCALE_FLOOR)
     solve_s = states.solve_beta_for_entropy(h_f, s_i)
     if not solve_s.residual <= BETA_RESIDUAL:   # NaN is refused too
         raise EntropyOutOfRange(f"S(rho_i) = {s_i} is below the entropy floor of h_f")
     beta_i = solve_s.beta
     if beta_i <= 0:
         raise NegativeBeta("entropy-matched beta_i must be positive")
-    p_f = states._clamped_spectrum(same_energy.populations)[1]
     value = float(p_f @ h_f.energies - solve_s.populations @ h_f.energies)
     delta_s = states._shannon(same_energy.populations) - s_i
     entropic = (delta_s + states.gibbs_relative_entropy(p_f, h_f.energies, beta_i)) / beta_i
@@ -166,9 +197,13 @@ def full_report(rho_i: DensityMatrix, h_i: HamiltonianOp,
                 h_f: HamiltonianOp) -> ErgotropyReport:
     """Assemble the complete ergotropy report for one instance, building no state.
 
-    delta_e_nc and beta_same_energy are null when rho_i's energy has no Gibbs
-    match on h_i; upper_bound is null then and wherever upper_bound_delta
-    refuses: rho_i maximally mixed or S(rho_i) below h_f's entropy floor.
+    Each intermediate that several fields read (Tr[rho_i h_i], rho_i's h_i
+    populations, its passive energy on h_f, the same-energy solve and its
+    passive populations) is formed once, and each field by the formula of its
+    public function. delta_e_nc and beta_same_energy are null when rho_i's
+    energy has no Gibbs match on h_i; upper_bound is null then and wherever
+    upper_bound_delta refuses: rho_i maximally mixed or S(rho_i) below h_f's
+    entropy floor.
     delta_e_nc <= upper_bound and gain_g >= 0 hold exactly, but where they
     hold with equality (every qubit saturates the bound) the computed values
     can cross by roundoff. A bound below delta_e_nc, or a negative gain_g, by
@@ -178,19 +213,23 @@ def full_report(rho_i: DensityMatrix, h_i: HamiltonianOp,
     """
     e_i, e_f = h_i.energies, h_f.energies   # ascending: the ends hold the largest |e|
     floor = REPORT_ROUNDING_REL * float(max(-e_i[0], e_i[-1], -e_f[0], e_f[-1]))
-    g = gain_g(rho_i, h_i, h_f)
-    parts = dict(e_nc=noncyclic_ergotropy(rho_i, h_i, h_f),
+    populations_i = states.energy_populations(rho_i, h_i)
+    energy_i = h_i.energy(rho_i)
+    passive_f = states.passive_energy(rho_i, h_f)
+    g = _gain(populations_i, rho_i, e_f)
+    parts = dict(e_nc=_noncyclic(energy_i, passive_f),
                  gain_g=0.0 if -floor <= g < 0.0 else g,
-                 **decompose(rho_i, h_i, h_f)._asdict())
+                 **_decompose(energy_i, populations_i, passive_f, e_i, e_f)._asdict())
     try:
-        same_energy = _same_energy_solve(rho_i, h_i)
+        same_energy = states.solve_beta_for_energy(h_i, energy_i)
     except EnergyOutOfRange:
         return ErgotropyReport(**parts, delta_e_nc=None, upper_bound=None,
                                majorization_holds=False, beta_same_energy=None,
                                negative_temperature_flag=False)
-    d = delta_noncyclic(rho_i, h_i, h_f, same_energy)
+    p_f = states._clamped_spectrum(same_energy.populations)[1]
+    d = _delta(same_energy, p_f, e_f, passive_f)
     try:
-        bound = upper_bound_delta(rho_i, h_i, h_f, same_energy).value
+        bound = _upper_bound(_entropy_below_ceiling(rho_i), h_f, same_energy, p_f).value
     except (NegativeBeta, EntropyOutOfRange):
         bound = None
     if bound is not None and d.value - floor <= bound < d.value:

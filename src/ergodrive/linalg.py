@@ -4,6 +4,8 @@ Everything downstream (states, ergotropy, drive synthesis) goes through these
 few routines, so their contracts are deliberately strict: inputs are checked
 against the tolerances module and eigenbases are made deterministic (canonical
 phase and degenerate-subspace handling) so repeated runs agree bit-for-bit.
+hermitian_eig canonicalizes a basis when its vectors are first read, so a
+caller that reads only the values never pays for it.
 
 Stacks of small matrices on a time grid are laid out time-innermost, as
 (d, d, n) arrays, so that a product of two stacks (matmul_t) is d
@@ -48,11 +50,37 @@ from .tolerances import (BLOCK_BASIS_NORM_MIN, BRANCH_CUT, DEGENERATE_ULPS, HERM
                          UNITARITY, UNITARY_DEFECT_MAX)
 
 
-class HermEig(NamedTuple):
-    """Spectral decomposition of a Hermitian matrix; values ascending."""
+class HermEig:
+    """Spectral decomposition of a Hermitian matrix; values ascending.
 
-    values: np.ndarray   # (d,) real
-    vectors: np.ndarray  # (d, d) complex, orthonormal columns
+    ``values`` (d,) real, is set when the object is built. ``vectors``, the
+    canonical orthonormal eigenvectors as the (d, d) complex columns, are
+    formed by ``basis()`` on their first read and cached read-only, so a
+    caller that reads only the values never canonicalizes. Unpacks as
+    ``(values, vectors)``.
+    """
+
+    __slots__ = ("values", "_basis", "_vectors")
+
+    def __init__(self, values: np.ndarray, basis):
+        self.values = values
+        self._basis = basis
+        self._vectors = None
+
+    @property
+    def vectors(self) -> np.ndarray:
+        if self._vectors is None:
+            vectors = self._basis()
+            vectors.flags.writeable = False
+            self._vectors, self._basis = vectors, None
+        return self._vectors
+
+    def __iter__(self):
+        yield self.values
+        yield self.vectors
+
+    def __repr__(self):
+        return f"HermEig(values={self.values!r}, vectors={self.vectors!r})"
 
 
 class UnitaryPhases(NamedTuple):
@@ -146,7 +174,8 @@ def hermitian_eig(m, *, checked: bool = False) -> HermEig:
     its spectral width overflows to infinity. ``checked=True`` is for
     callers that have already checked m and made it exactly Hermitian: the
     checks and the symmetrization are skipped (symmetrizing such an m would
-    not change it).
+    not change it). The values are read-only; the canonical basis is formed
+    when the result's vectors are first read.
     """
     m = as_square(m)
     if not (checked or np.isfinite(m).all()):
@@ -163,8 +192,9 @@ def hermitian_eig(m, *, checked: bool = False) -> HermEig:
     if values.size and not math.isfinite(float(values[-1]) - float(values[0])):
         raise ParamOutOfRange(f"spectral width {values[-1]:.6g} - ({values[0]:.6g}) "
                               f"is not a finite number")
-    vectors = _canonicalize(values, np.asarray(vectors, dtype=complex), scale)
-    return HermEig(values, vectors)
+    values.flags.writeable = False
+    return HermEig(values, lambda: _canonicalize(values, np.asarray(vectors, dtype=complex),
+                                                 scale))
 
 
 def hermitian_eigvals(m) -> np.ndarray:
@@ -177,12 +207,17 @@ def hermitian_eigvals(m) -> np.ndarray:
     return _symmetrized_eigh(np.asarray(m, dtype=complex))[0]
 
 
-def _symmetrized_eigh(m: np.ndarray):
-    """LAPACK eigh of the Hermitian part m / 2 + (m / 2)^dag of m[..., d, d],
-    halved first so that the sum of entries near the float maximum does not
-    overflow (halving is exact in the normal range)."""
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """The Hermitian part m / 2 + (m / 2)^dag of m[..., d, d], halved first so
+    that the sum of entries near the float maximum does not overflow. Halving
+    is exact in the normal range, so there it has the bits of (m + m^dag) / 2."""
     half = 0.5 * m
-    return np.linalg.eigh(half + np.conj(np.swapaxes(half, -1, -2)))
+    return half + np.conj(np.swapaxes(half, -1, -2))
+
+
+def _symmetrized_eigh(m: np.ndarray):
+    """LAPACK eigh of the Hermitian part of m[..., d, d]."""
+    return np.linalg.eigh(hermitian_part(m))
 
 
 def _unitary_eigenvectors(u: np.ndarray) -> np.ndarray:

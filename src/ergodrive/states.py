@@ -50,7 +50,7 @@ class DensityMatrix:
             raise NotAState("density matrix has a non-finite entry")
         if linalg.hermiticity_defect(m) > HERMITICITY:
             raise NotAState("density matrix is not Hermitian within tolerance")
-        m = 0.5 * (m + dagger(m))
+        m = linalg.hermitian_part(m)
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > TRACE:
             raise NotAState(f"trace {tr} is not 1 within {TRACE}")
@@ -65,15 +65,16 @@ class DensityMatrix:
     def eig(self) -> HermEig:
         """Ascending eigenvalues (clamped to >= 0) and canonical eigenvectors.
 
-        Computed once, during construction; the arrays are read-only.
+        Computed once, during construction; the arrays are read-only. The
+        vectors are canonicalized on their first read, on the unclamped values.
         """
         if self._spectrum is None:
-            values, vectors = hermitian_eig(self.mat, checked=True)
-            if float(values[0]) < -EIG_FLOOR:
+            eig = hermitian_eig(self.mat, checked=True)
+            if float(eig.values[0]) < -EIG_FLOOR:
                 raise NotAState("density matrix has a negative eigenvalue beyond tolerance")
-            values, desc = _clamped_spectrum(values)
+            values, desc = _clamped_spectrum(eig.values)
             object.__setattr__(self, "_spectrum",
-                               HermEig(_read_only(values), _read_only(vectors)))
+                               HermEig(_read_only(values), lambda: eig.vectors))
             object.__setattr__(self, "_populations_desc", _read_only(desc))
         return self._spectrum
 
@@ -90,10 +91,9 @@ class HamiltonianOp:
 
     def __post_init__(self):
         m = linalg.as_square(self.mat, "hamiltonian")
-        values, vectors = hermitian_eig(m)    # refuses a non-finite entry
-        object.__setattr__(self, "mat", 0.5 * (m + dagger(m)))
-        object.__setattr__(self, "_spectrum",
-                           HermEig(_read_only(values), _read_only(vectors)))
+        spectrum = hermitian_eig(m)    # refuses a non-finite entry
+        object.__setattr__(self, "mat", linalg.hermitian_part(m))
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -106,7 +106,8 @@ class HamiltonianOp:
 
     @property
     def basis(self) -> np.ndarray:
-        """Canonical eigenbasis, columns ordered by ascending energy (read-only)."""
+        """Canonical eigenbasis, columns ordered by ascending energy (read-only),
+        canonicalized on its first read."""
         return self._spectrum.vectors
 
     @property
@@ -184,11 +185,16 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def thermal_populations(energies: np.ndarray, beta: float) -> np.ndarray:
-    """Gibbs weights exp(-beta e_n)/Z, overflow-guarded by an energy shift."""
+    """Gibbs weights exp(-beta e_n)/Z, overflow-guarded by an energy shift.
+
+    In place on the one fresh array, with the ufunc reductions that the
+    .max() and .sum() methods call, in the same order.
+    """
     x = -beta * np.asarray(energies, dtype=float)
-    x = x - x.max()
-    p = np.exp(x)
-    return p / p.sum()
+    x -= np.maximum.reduce(x)
+    np.exp(x, out=x)
+    x /= np.add.reduce(x)
+    return x
 
 
 def gibbs_relative_entropy(p: np.ndarray, energies: np.ndarray, beta: float) -> float:
@@ -205,7 +211,9 @@ def _mean_energy(energies: np.ndarray, beta: float) -> float:
 def _shannon(p: np.ndarray) -> float:
     """-sum p ln p in nats, with 0 ln 0 = 0."""
     p = p[p > 0.0]
-    return float(-(p * np.log(p)).sum())
+    terms = np.log(p)
+    terms *= p
+    return float(-np.add.reduce(terms))
 
 
 def _entropy_of_beta(energies: np.ndarray, beta: float) -> float:

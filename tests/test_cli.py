@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -60,6 +61,21 @@ def test_ergotropy_command_schema(tmp_path, capsys):
                            "beta_same_energy", "negative_temperature_flag"}
     # diag(0.3, 0.7) on these levels is population inverted: negative beta
     assert report["negative_temperature_flag"] is True
+
+
+def test_entries_near_the_float_maximum_give_a_finite_report(tmp_path, capsys):
+    # h_f = diag(1e308, 1e308) has a zero width, but m + m^dag overflows:
+    # the Hamiltonian is symmetrized by halving first, so it stays finite
+    big = np.diag([1e308, 1e308]).astype(complex)
+    cfg = write_cfg(tmp_path, "big.json", dict(RHO2, h_f=matrix_to_json(big)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h_f = HamiltonianOp(big)
+        assert run(["ergotropy", "--config", cfg]) == 0
+    assert np.array_equal(h_f.mat, big)
+    report = json.loads(capsys.readouterr().out)
+    assert all(v is None or isinstance(v, bool) or math.isfinite(v) for v in report.values())
+    assert report["e_nc"] == -1e308 and report["upper_bound"] is None
 
 
 def test_drive_synth_command(tmp_path, capsys):

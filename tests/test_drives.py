@@ -114,6 +114,17 @@ def test_rotating_schedule_whose_rate_overflows_is_refused(tau, mu, omega_bar):
     assert Schedule(1.0, 64, 1e200, 1.0).rotating
 
 
+def test_schedule_times_are_linspace_bit_for_bit():
+    # k (tau / n) with the last point set to tau is what np.linspace(0, tau,
+    # n + 1) computes; the grid is formed without its Python overhead
+    for tau in (1, 1.0, 0.3, 7.123456789, 1e-9, 10.0, 3.3e5):
+        sched = Schedule.linear(tau)
+        for n in range(1, 5000):
+            ts = sched.times(n)
+            want = np.linspace(0.0, tau, n + 1)
+            assert ts.dtype == want.dtype and ts.tobytes() == want.tobytes(), (tau, n)
+
+
 @settings(max_examples=150, deadline=None)
 @given(log_tau=st.floats(-8.0, 8.0), k=st.integers(1, 15),
        mu=st.floats(-4.0, 4.0), omega_bar=st.floats(0.0, 10.0))

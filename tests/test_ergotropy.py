@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergodrive import (DensityMatrix, HamiltonianOp, counterexample_populations, decompose, delta_noncyclic,
-                       full_report, gain_g, majorizes, noncyclic_ergotropy, states,
-                       thermal_populations, upper_bound_delta)
-from ergodrive.errors import EntropyOutOfRange, NegativeBeta, NoConvergence, ParamOutOfRange
-from ergodrive.tolerances import IDENTITY_RESIDUAL
+                       full_report, gain_g, majorizes, noncyclic_ergotropy,
+                       solve_beta_for_energy, states, thermal_populations, upper_bound_delta)
+from ergodrive.errors import (EnergyOutOfRange, EntropyOutOfRange, NegativeBeta, NoConvergence,
+                              ParamOutOfRange)
+from ergodrive.tolerances import IDENTITY_RESIDUAL, REPORT_ROUNDING_REL
 from helpers import (coherent_entropy_identity_residual, dephase, near_pure_state,
-                     random_instance, thermal_state)
+                     random_density, random_hermitian, random_instance, random_probs,
+                     random_unitary, thermal_state)
 
 
 def test_pure_excited_qubit_anchor():
@@ -302,3 +304,67 @@ def test_full_report_with_a_flat_final_hamiltonian_has_no_bound():
     rep = full_report(rho, HamiltonianOp(H_NULL_I), flat).to_json()
     assert rep["upper_bound"] is None
     assert rep["delta_e_nc"] is not None and rep["beta_same_energy"] is not None
+
+
+def _edge_instances(rng, d):
+    """A rank-deficient rho, a degenerate rho, a degenerate h_i and the
+    maximally mixed rho, each with random Hamiltonians otherwise."""
+    h_i, h_f = HamiltonianOp(random_hermitian(rng, d)), HamiltonianOp(random_hermitian(rng, d))
+    u = random_unitary(rng, d)
+
+    def state(p):
+        return DensityMatrix((u * (p / p.sum())) @ u.conj().T)
+
+    rank_deficient = state(np.append(random_probs(rng, d - 1), 0.0))
+    p = random_probs(rng, d)
+    p[1] = p[0]
+    levels = np.sort(rng.normal(size=d))
+    levels[1] = levels[0]
+    h_deg = HamiltonianOp((u * levels) @ u.conj().T)
+    flat = DensityMatrix(np.eye(d) / d)
+    return [(rank_deficient, h_i, h_f), (state(p), h_i, h_f),
+            (random_density(rng, d), h_deg, h_f), (flat, h_i, h_f)]
+
+
+def _bits(v):
+    return v if v is None or isinstance(v, (bool, np.bool_)) else float(v).hex()
+
+
+def test_report_fields_are_their_public_functions_bit_for_bit():
+    # full_report forms each shared intermediate once; every field must still
+    # be the bits of its public function, after the documented floor rule
+    rng = np.random.default_rng(38)
+    instances = [random_instance(rng, d) for d in (2, 3, 4, 5) for _ in range(8)]
+    instances += [inst for d in (2, 3, 4, 5) for inst in _edge_instances(rng, d)]
+    instances.append((DensityMatrix(np.diag([1.0, 0.0, 0.0])), HamiltonianOp(H_NULL_I),
+                      HamiltonianOp(H_NULL_F)))   # no Gibbs match on h_i
+    kinds = set()
+    for rho, h_i, h_f in instances:
+        e = np.concatenate([h_i.energies, h_f.energies])
+        floor = REPORT_ROUNDING_REL * float(np.abs(e).max())
+        g = gain_g(rho, h_i, h_f)
+        want = dict(e_nc=noncyclic_ergotropy(rho, h_i, h_f), gain_g=0.0 if -floor <= g < 0.0 else g,
+                    **decompose(rho, h_i, h_f)._asdict())
+        try:
+            solve = solve_beta_for_energy(h_i, h_i.energy(rho))
+        except EnergyOutOfRange:
+            kinds.add("no match")
+            want.update(delta_e_nc=None, upper_bound=None, majorization_holds=False,
+                        beta_same_energy=None, negative_temperature_flag=False)
+        else:
+            delta = delta_noncyclic(rho, h_i, h_f)
+            try:
+                bound = upper_bound_delta(rho, h_i, h_f).value
+                kinds.add("bound")
+            except (NegativeBeta, EntropyOutOfRange) as exc:
+                kinds.add(type(exc).__name__)
+                bound = None
+            if bound is not None and delta.value - floor <= bound < delta.value:
+                bound = delta.value
+            want.update(delta_e_nc=delta.value, upper_bound=bound,
+                        majorization_holds=majorizes(rho.populations_desc(), solve.populations),
+                        beta_same_energy=delta.beta,
+                        negative_temperature_flag=delta.negative_temperature)
+        got = full_report(rho, h_i, h_f).__dict__
+        assert {k: _bits(v) for k, v in got.items()} == {k: _bits(want[k]) for k in got}
+    assert kinds == {"no match", "bound", "NegativeBeta"}

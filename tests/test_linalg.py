@@ -216,6 +216,42 @@ def test_hermitian_eig_rejects_nonhermitian():
                 linalg.hermitian_eig(m)
 
 
+def _eager_basis(m):
+    """hermitian_eig's canonical basis, formed at once from the same eigh."""
+    m = np.asarray(m, dtype=complex)
+    values, vectors = np.linalg.eigh(linalg.hermitian_part(m))
+    return linalg._canonicalize(values, vectors, max(float(np.abs(m).max()), 1.0))
+
+
+def test_lazy_vectors_are_the_eager_basis_read_only_and_formed_once(monkeypatch):
+    rng = np.random.default_rng(9)
+    for m in (random_hermitian(rng, 4), np.diag([0.3, 0.4, 0.3]), np.eye(3)):
+        want = _eager_basis(m).tobytes()
+        formed = []
+        canonicalize = linalg._canonicalize
+        monkeypatch.setattr(linalg, "_canonicalize",
+                            lambda *a: formed.append(1) or canonicalize(*a))
+        eig = linalg.hermitian_eig(m)
+        assert formed == []   # values alone: no basis yet
+        first = eig.vectors
+        assert first.tobytes() == want
+        values, vectors = eig
+        assert values is eig.values and vectors is first and eig.vectors is first
+        assert formed == [1]
+        for a in (eig.values, first):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        monkeypatch.undo()
+
+
+def test_hermitian_part_keeps_the_bits_of_the_plain_sum_in_the_normal_range():
+    rng = np.random.default_rng(10)
+    for d in (1, 2, 5):
+        m = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        want = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+        assert linalg.hermitian_part(m).tobytes() == want.tobytes()
+
+
 def test_hermitian_eig_refuses_a_width_that_overflows():
     # finite entries near the float maximum: the symmetrization halves before
     # it adds, so it does not overflow, and a spectral width beyond the float

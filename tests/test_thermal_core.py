@@ -327,6 +327,21 @@ def test_one_eigendecomposition_per_object_and_one_energy_solve_per_report():
     assert eigs[0] == built[0]
 
 
+def test_a_report_canonicalizes_the_basis_of_h_i_alone():
+    # the report reads rho's values and h_f's energies; only h_i's basis,
+    # for rho's energy populations, is canonicalized, once
+    rng = np.random.default_rng(36)
+    for d in (2, 3, 4, 5):
+        rho, h_i, h_f = random_instance(rng, d)
+        with counting(linalg, "_canonicalize") as formed:
+            full_report(rho, h_i, h_f)
+            assert formed[0] == 1
+            h_i.basis
+            assert formed[0] == 1
+            rho.eig().vectors, h_f.basis
+            assert formed[0] == 3
+
+
 def test_one_hermiticity_check_per_object():
     # DensityMatrix checks and symmetrizes its matrix itself; its one
     # hermitian_eig then neither re-checks nor re-symmetrizes it
@@ -359,6 +374,15 @@ def test_shared_solve_matches_the_standalone_calls():
     solve = solve_beta_for_energy(h_i, h_i.energy(rho))
     assert delta_noncyclic(rho, h_i, h_f, solve) == delta_noncyclic(rho, h_i, h_f)
     assert upper_bound_delta(rho, h_i, h_f, solve) == upper_bound_delta(rho, h_i, h_f)
+
+
+def test_density_matrix_canonicalizes_on_its_unclamped_values():
+    # eigh gives the first two levels as -1e-13 and 0, further apart than
+    # roundoff, so each keeps its own vector; clamped to 0 and 0 they would
+    # be one block, re-based onto the first two unit vectors
+    rho = DensityMatrix(np.diag([0.0, -1e-13, 1.0 + 1e-13]))
+    assert rho.eig().values[:2].tolist() == [0.0, 0.0]
+    assert np.array_equal(rho.eig().vectors, np.eye(3)[:, [1, 0, 2]])
 
 
 def test_cached_spectra_are_read_only():

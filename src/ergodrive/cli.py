@@ -231,6 +231,18 @@ def fig1_crossover(ps, deltas, wmins) -> float:
     return float(ps[k]) if k < len(ps) else float("nan")
 
 
+def fig1_least_tau(draws: int) -> float:
+    """The least tau at which fig1's cost columns stay finite with ``draws``
+    Monte Carlo draws per cell.
+
+    Every cost is at most sqrt2 pi / tau (w_min's half-angle is at most
+    pi / 2, and each drawn eigenphase at most pi in size), and the standard
+    error sums up to ``draws`` squared deviations of such costs: tau must
+    keep that sum, doubled for rounding, below the largest float.
+    """
+    return 2.0 * math.pi * math.sqrt(max(draws, 1) / sys.float_info.max)
+
+
 def run_fig1(cfg: dict, seed: int = 0):
     """Gain vs cost over the (p_i, |c_i|) disk for proportional Hamiltonians."""
     _check_keys(cfg, "fig1")
@@ -242,6 +254,10 @@ def run_fig1(cfg: dict, seed: int = 0):
         raise ParamOutOfRange(f"mc_draws must be 0 or >= 2, got {draws}")
     if draws > FIGURE_MAX_DRAWS:
         raise ParamOutOfRange(f"mc_draws must be at most {FIGURE_MAX_DRAWS}, got {draws}")
+    least_tau = fig1_least_tau(draws)
+    if not tau >= least_tau:
+        raise ParamOutOfRange(f"tau must be >= {least_tau:.6g} with {draws} Monte Carlo "
+                              f"draws, got {tau}: the cost columns would overflow")
     p_axis, n_c = _grid(cfg, "p", 0.0, 1.0, 200), _points(cfg, "c_points", 200)
     p, frac = _cells(p_axis, (0.0, 1.0, n_c))
     c = frac * np.sqrt(np.maximum(p * (1.0 - p), 0.0))

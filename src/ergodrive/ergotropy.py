@@ -260,7 +260,7 @@ def counterexample_populations(beta: float, e2i: float, e2f: float) -> Counterex
         raise ParamOutOfRange("beta must be positive")
     if not (0.0 < e2i < 1.0) or not (0.0 <= e2f <= 1.0):
         raise ParamOutOfRange("middle levels must satisfy 0 < e2i < 1, 0 <= e2f <= 1")
-    en_i = np.array([0.0, e2i, 1.0])
+    en_i = np.array([0.0, e2i, 1.0])   # ascending, as thermal_populations takes them
     p_th = states.thermal_populations(en_i, beta)
     alpha = np.exp(-beta) * beta * (e2i - e2i**2) / 3.0
     q = p_th + np.array([alpha / e2i - alpha, -alpha / e2i, alpha])

@@ -166,28 +166,42 @@ def _canonicalize(values: np.ndarray, vectors: np.ndarray, scale: float) -> np.n
     return _fix_column_phases(vectors)
 
 
-def hermitian_eig(m, *, checked: bool = False) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix, ascending, canonical basis.
+def entry_scale(m: np.ndarray) -> float:
+    """max(1, largest |m_ij|): the scale of m's hermiticity and degeneracy
+    tolerances."""
+    return max(float(np.abs(m).max()), 1.0) if m.size else 1.0
 
-    Raises NotHermitian if m has a non-finite entry or its max-entry defect
-    exceeds HERMITICITY relative to the matrix scale, and ParamOutOfRange if
-    its spectral width overflows to infinity. ``checked=True`` is for
-    callers that have already checked m and made it exactly Hermitian: the
-    checks and the symmetrization are skipped (symmetrizing such an m would
-    not change it). The values are read-only; the canonical basis is formed
-    when the result's vectors are first read.
-    """
-    m = as_square(m)
-    if not (checked or np.isfinite(m).all()):
+
+def check_hermitian(m: np.ndarray) -> float:
+    """entry_scale(m) of a square m, after refusing (NotHermitian) a
+    non-finite entry or a max-entry hermiticity defect above HERMITICITY
+    times that scale."""
+    if not np.isfinite(m).all():
         raise NotHermitian("hermitian matrix has a non-finite entry")
-    scale = max(float(np.abs(m).max()), 1.0) if m.size else 1.0
-    if checked:
-        values, vectors = np.linalg.eigh(m)
-    elif hermiticity_defect(m) > HERMITICITY * scale:
+    scale = entry_scale(m)
+    if hermiticity_defect(m) > HERMITICITY * scale:
         raise NotHermitian(f"hermiticity defect {hermiticity_defect(m):.3e} "
                            f"exceeds {HERMITICITY * scale:.3e}")
-    else:
-        values, vectors = _symmetrized_eigh(m)
+    return scale
+
+
+def hermitian_eig(m, *, scale: float | None = None) -> HermEig:
+    """Eigendecomposition of a Hermitian matrix, ascending, canonical basis.
+
+    Raises what check_hermitian raises for m, and ParamOutOfRange if its
+    spectral width overflows to infinity. ``scale`` is for callers that have
+    already checked m and made it exactly Hermitian (hermitian_part): it is
+    the entry_scale of the matrix they checked, which sets the degeneracy
+    cutoff of the canonical basis, and the checks and the symmetrization
+    are skipped (symmetrizing such an m would not change it). The values are
+    read-only; the canonical basis is formed when the result's vectors are
+    first read.
+    """
+    m = as_square(m)
+    if scale is None:
+        scale = check_hermitian(m)
+        m = hermitian_part(m)
+    values, vectors = np.linalg.eigh(m)
     # Python floats: the width overflows to inf without a warning
     if values.size and not math.isfinite(float(values[-1]) - float(values[0])):
         raise ParamOutOfRange(f"spectral width {values[-1]:.6g} - ({values[0]:.6g}) "
@@ -204,7 +218,7 @@ def hermitian_eigvals(m) -> np.ndarray:
     same bits as one call per matrix (eigvalsh, another LAPACK path, does not).
     No hermiticity check: callers build the stack Hermitian.
     """
-    return _symmetrized_eigh(np.asarray(m, dtype=complex))[0]
+    return np.linalg.eigh(hermitian_part(np.asarray(m, dtype=complex)))[0]
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -213,11 +227,6 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     is exact in the normal range, so there it has the bits of (m + m^dag) / 2."""
     half = 0.5 * m
     return half + np.conj(np.swapaxes(half, -1, -2))
-
-
-def _symmetrized_eigh(m: np.ndarray):
-    """LAPACK eigh of the Hermitian part of m[..., d, d]."""
-    return np.linalg.eigh(hermitian_part(m))
 
 
 def _unitary_eigenvectors(u: np.ndarray) -> np.ndarray:

@@ -69,7 +69,7 @@ class DensityMatrix:
         vectors are canonicalized on their first read, on the unclamped values.
         """
         if self._spectrum is None:
-            eig = hermitian_eig(self.mat, checked=True)
+            eig = hermitian_eig(self.mat, scale=linalg.entry_scale(self.mat))
             if float(eig.values[0]) < -EIG_FLOOR:
                 raise NotAState("density matrix has a negative eigenvalue beyond tolerance")
             values, desc = _clamped_spectrum(eig.values)
@@ -91,9 +91,10 @@ class HamiltonianOp:
 
     def __post_init__(self):
         m = linalg.as_square(self.mat, "hamiltonian")
-        spectrum = hermitian_eig(m)    # refuses a non-finite entry
-        object.__setattr__(self, "mat", linalg.hermitian_part(m))
-        object.__setattr__(self, "_spectrum", spectrum)
+        scale = linalg.check_hermitian(m)
+        m = linalg.hermitian_part(m)   # symmetrized once, for mat and the spectrum
+        object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "_spectrum", hermitian_eig(m, scale=scale))
 
     @property
     def dim(self) -> int:
@@ -185,13 +186,17 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def thermal_populations(energies: np.ndarray, beta: float) -> np.ndarray:
-    """Gibbs weights exp(-beta e_n)/Z, overflow-guarded by an energy shift.
+    """Gibbs weights exp(-beta e_n)/Z on ascending energies (a float array),
+    overflow-guarded by an energy shift.
 
-    In place on the one fresh array, with the ufunc reductions that the
-    .max() and .sum() methods call, in the same order.
+    Rounding is monotone, so on ascending energies the largest exponent
+    -beta e_n is the first one for beta >= 0 and the last one for beta < 0:
+    subtracting it subtracts the float that a max-reduce would find. In place
+    on the one fresh array, with the ufunc reduction that the .sum() method
+    calls.
     """
-    x = -beta * np.asarray(energies, dtype=float)
-    x -= np.maximum.reduce(x)
+    x = -beta * energies
+    x -= x[0] if beta >= 0 else x[-1]
     np.exp(x, out=x)
     x /= np.add.reduce(x)
     return x
@@ -204,20 +209,12 @@ def gibbs_relative_entropy(p: np.ndarray, energies: np.ndarray, beta: float) -> 
     return -_shannon(p) - float(p @ (x - np.logaddexp.reduce(x)))
 
 
-def _mean_energy(energies: np.ndarray, beta: float) -> float:
-    return float(thermal_populations(energies, beta) @ energies)
-
-
 def _shannon(p: np.ndarray) -> float:
     """-sum p ln p in nats, with 0 ln 0 = 0."""
     p = p[p > 0.0]
     terms = np.log(p)
     terms *= p
     return float(-np.add.reduce(terms))
-
-
-def _entropy_of_beta(energies: np.ndarray, beta: float) -> float:
-    return _shannon(thermal_populations(energies, beta))
 
 
 def _div(num: float, den: float) -> float:
@@ -333,6 +330,11 @@ def solve_beta_for_energy(h: HamiltonianOp, energy: float) -> ThermalSolveResult
     f(0) = mean_energy(0) - energy, so beta is exactly 0.0 when the flat
     state matches, and a bracketed Brent solve on that half of the interval
     finds |beta|. The residual is held to BETA_RESIDUAL x spectral width.
+    The solve keeps the Gibbs weights and the residual of every point it
+    evaluates and returns the root's, so it forms no Gibbs state after
+    finding its root: the bracket search and Brent's method return only
+    points they have evaluated, and +-x / width is the beta the objective
+    formed at x. h's energies are ascending, as thermal_populations needs.
     """
     en = h.energies
     width = h.spectral_width
@@ -340,19 +342,26 @@ def solve_beta_for_energy(h: HamiltonianOp, energy: float) -> ThermalSolveResult
         raise EnergyOutOfRange(f"energy {energy} not strictly inside "
                                f"({en[0]}, {en[-1]})")
     noise = ROUNDING * max(abs(en[0]), abs(en[-1]))
-    f0 = _mean_energy(en, 0.0) - energy
-    if f0 > 0:
-        beta = _decreasing_root(lambda x: _mean_energy(en, x / width) - energy,
-                                f0, energy - en[0], noise,
-                                BETA_MAX_SCALE, BETA_XTOL_SCALE) / width
-    elif f0 < 0:
-        beta = -_decreasing_root(lambda x: energy - _mean_energy(en, -x / width),
-                                 -f0, en[-1] - energy, noise,
-                                 BETA_MAX_SCALE, BETA_XTOL_SCALE) / width
-    else:
-        beta = 0.0
-    p = thermal_populations(en, beta)
-    residual = abs(float(p @ en) - energy)
+    p0 = thermal_populations(en, 0.0)
+    f0 = float(p0 @ en) - energy
+    gibbs = {0.0: (p0, f0)}   # point -> (Gibbs weights, their mean energy - energy)
+    x = beta = 0.0
+    if f0 > 0 or f0 < 0:
+        # |beta| width solves sign (mean_energy(sign |beta|) - energy) = 0,
+        # decreasing in |beta|; negation is exact, so the sign flips no bit
+        sign = math.copysign(1.0, f0)
+
+        def f(x):
+            p = thermal_populations(en, sign * x / width)
+            v = float(p @ en) - energy
+            gibbs[x] = p, v
+            return sign * v
+
+        x = _decreasing_root(f, sign * f0, energy - en[0] if sign > 0 else en[-1] - energy,
+                             noise, BETA_MAX_SCALE, BETA_XTOL_SCALE)
+        beta = sign * x / width
+    p, v = gibbs[x]
+    residual = abs(v)
     if not residual <= BETA_RESIDUAL * width:   # NaN is refused too
         raise NoConvergence(f"energy residual {residual:.3e} exceeds "
                             f"{BETA_RESIDUAL * width:.3e}")
@@ -367,7 +376,10 @@ def solve_beta_for_entropy(h: HamiltonianOp, entropy: float) -> ThermalSolveResu
     same bracketed Brent solve as the energy match. Targets below the
     beta_max floor return beta_max with the residual reported rather than
     raising: the caller sees how far the saturated solver landed. The
-    residual of a solved beta is held to BETA_RESIDUAL.
+    residual of a solved beta is held to BETA_RESIDUAL. As in the energy
+    match, the root's Gibbs weights and residual are those the solve formed
+    there (sqrt(y) / width is the objective's beta), and the beta_max weights
+    serve as the bracket's stop.
     """
     en = h.energies
     width = h.spectral_width
@@ -381,19 +393,27 @@ def solve_beta_for_entropy(h: HamiltonianOp, entropy: float) -> ThermalSolveResu
     s_floor = _shannon(p)
     if entropy <= s_floor:
         return ThermalSolveResult(beta_max, p, abs(s_floor - entropy))
-    f0 = _entropy_of_beta(en, 0.0) - entropy
-    beta = 0.0   # also for targets up to the slack above the computed ln d
+    # S is quadratic in beta at 0, so the solve runs in y = (beta width)^2;
+    # sqrt(BETA_MAX_SCALE**2) is BETA_MAX_SCALE, so y's stop is at beta_max
+    y_max = BETA_MAX_SCALE**2
+    p0 = thermal_populations(en, 0.0)
+    f0 = _shannon(p0) - entropy
+    gibbs = {0.0: (p0, f0), y_max: (p, s_floor - entropy)}   # as in the energy match
+    y = 0.0   # beta = 0 also for targets up to the slack above the computed ln d
     if f0 > 0:
-        # S is quadratic in beta at 0, so the solve runs in y = (beta width)^2
-        y = _decreasing_root(lambda y: _entropy_of_beta(en, math.sqrt(y) / width) - entropy,
-                             f0, entropy, ROUNDING * np.log(d),
-                             BETA_MAX_SCALE**2, BETA_XTOL_SCALE**2)
-        beta = math.sqrt(y) / width
-    p = thermal_populations(en, beta)
-    residual = abs(_shannon(p) - entropy)
+        def f(y):
+            if y not in gibbs:
+                p = thermal_populations(en, math.sqrt(y) / width)
+                gibbs[y] = p, _shannon(p) - entropy
+            return gibbs[y][1]
+
+        y = _decreasing_root(f, f0, entropy, ROUNDING * np.log(d), y_max,
+                             BETA_XTOL_SCALE**2)
+    p, v = gibbs[y]
+    residual = abs(v)
     if not residual <= BETA_RESIDUAL:   # NaN is refused too
         raise NoConvergence(f"entropy residual {residual:.3e}")
-    return ThermalSolveResult(beta, p, residual)
+    return ThermalSolveResult(math.sqrt(y) / width, p, residual)
 
 
 def majorizes(p, q) -> bool:
@@ -420,15 +440,19 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Inverse of matrix_to_json, with shape validation: dim must be an
-    integer >= 1 (a bool is not one)."""
+    integer >= 1 (a bool is not one), and re, and im where it is given,
+    must hold dim^2 numbers. A missing im is formed as zeros, after that
+    check."""
     try:
         dim = obj["dim"]
         if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
             raise DimMismatch(f"dim must be an integer >= 1, got {dim!r}")
         re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj.get("im", np.zeros(dim * dim)), dtype=float)
+        im = np.asarray(obj["im"], dtype=float) if "im" in obj else None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DimMismatch(f"bad matrix object: {exc}") from exc
-    if re.size != dim * dim or im.size != dim * dim:
-        raise DimMismatch(f"matrix payload length {re.size}/{im.size} != dim^2 = {dim * dim}")
-    return (re + 1j * im).reshape(dim, dim)
+    n = dim * dim
+    if re.size != n or (im is not None and im.size != n):
+        raise DimMismatch(f"matrix payload length {re.size}/{n if im is None else im.size} "
+                          f"!= dim^2 = {n}")
+    return (re + 1j * (np.zeros(n) if im is None else im)).reshape(dim, dim)

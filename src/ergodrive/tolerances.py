@@ -7,7 +7,7 @@ name; none is carried by an object or passed as an argument.
 
 import numpy as np
 
-HERMITICITY = 1e-12          # max-entry defect |m - m^dag| (hermitian_eig: per unit of scale)
+HERMITICITY = 1e-12          # max-entry defect |m - m^dag| (check_hermitian: per unit of scale)
 UNITARITY = 1e-10            # Frobenius defect |u^dag u - 1| (principal_log_unitary)
 TRACE = 1e-12                # |Tr rho - 1|
 EIG_FLOOR = 1e-12            # negative-eigenvalue clamp window

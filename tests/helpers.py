@@ -76,6 +76,17 @@ def thermal_state(h, beta):
     return DensityMatrix((v * thermal_populations(h.energies, beta)) @ v.conj().T)
 
 
+def thermal_populations_max_reduce(energies, beta):
+    """Gibbs weights exp(-beta e_n)/Z shifted by the max-reduce of the
+    exponents, on energies in any order: the oracle of
+    states.thermal_populations, which shifts by an end of ascending ones."""
+    x = -beta * np.asarray(energies, dtype=float)
+    x -= np.maximum.reduce(x)
+    np.exp(x, out=x)
+    x /= np.add.reduce(x)
+    return x
+
+
 def dephase(rho, h):
     """rho with its coherences in h's eigenbasis removed, as a DensityMatrix:
     oracle for the dephased populations behind coherence_rel_entropy."""

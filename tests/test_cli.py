@@ -18,9 +18,9 @@ import ergodrive
 from ergodrive import (DensityMatrix, HamiltonianOp, Schedule, cli, drives, ergotropy,
                        matrix_to_json, optimize_phases, synthesize_drive)
 from ergodrive.errors import ParamOutOfRange
-from ergodrive.tolerances import REPORT_ROUNDING_REL
-from helpers import (count_exponentials, open_drive_exponentials, random_hermitian,
-                     random_instance)
+from ergodrive.tolerances import FIGURE_MAX_DRAWS, REPORT_ROUNDING_REL
+from helpers import (count_exponentials, open_drive_exponentials, random_density,
+                     random_hermitian, random_instance, random_unitary)
 
 RHO2 = {"rho_i": matrix_to_json(np.diag([0.3, 0.7]).astype(complex)),
         "h_i": matrix_to_json(np.diag([0.0, 1.0]).astype(complex)),
@@ -365,6 +365,58 @@ def test_rotating_drive_matches_its_recorded_digest():
             == ROTATING_DRIVE_SHA256["v_samples"])
 
 
+def _report_cfg(rho, h_i, h_f):
+    return {"rho_i": matrix_to_json(rho), "h_i": matrix_to_json(h_i),
+            "h_f": matrix_to_json(h_f)}
+
+
+def _rotated(rng, values):
+    u = random_unitary(rng, len(values))
+    return (u * np.asarray(values, dtype=float)) @ u.conj().T
+
+
+def _pinned_reports():
+    cases = {}
+    for d in (2, 3, 4, 5):
+        rho, h_i, h_f = random_instance(np.random.default_rng([81, d]), d)
+        cases[f"random_d{d}"] = _report_cfg(rho.mat, h_i.mat, h_f.mat)
+    rng = np.random.default_rng([82, 0])
+    h = [random_hermitian(rng, d) for d in (4, 3, 4, 3, 3)]
+    cases["rank_deficient_d4"] = _report_cfg(_rotated(rng, [0.45, 0.3, 0.25, 0.0]), h[0],
+                                             random_hermitian(rng, 4))
+    cases["degenerate_rho_d3"] = _report_cfg(_rotated(rng, [0.5, 0.25, 0.25]), h[1], h[4])
+    cases["degenerate_h_d4"] = _report_cfg(random_density(rng, 4).mat,
+                                           _rotated(rng, [-0.8, -0.8, 0.3, 1.1]), h[2])
+    cases["maximally_mixed_d3"] = _report_cfg(np.eye(3) / 3, h[3], random_hermitian(rng, 3))
+    return cases
+
+
+# ergotropy instances at d = 2..5 and one of each edge class of the
+# benchmark's report pool (a rank-deficient state, a degenerate state, a
+# degenerate h_i, the flat state), with the sha256 of cli.run_ergotropy's
+# JSON as write_json prints it, recorded before the thermal solves kept the
+# populations of their roots; they pin the report bytes independently of
+# any oracle
+PINNED_REPORTS = _pinned_reports()
+PINNED_REPORT_SHA256 = {
+    "degenerate_h_d4": "7803d6d12caf28164f36644a08b9b08a06388905ca013870c2ff35997544098e",
+    "degenerate_rho_d3": "0cc59236e988b3fe7de07c9723ca7131e2b8809fc84b83ce4e0b299f04b87f95",
+    "maximally_mixed_d3": "277500b299b20bb9c3d01b032d32de0cfe548f8c5445f02d70f588ee3b6d257a",
+    "random_d2": "5b5fd4c1c592e8de12dff0c4f3347a57f525a6138bb57d4ae95a23c753ba1ca9",
+    "random_d3": "8fad3bdc0f90baf4ac04c8c06cd3050955cf4a5f9670dbd99603a5634026ef16",
+    "random_d4": "7ef77dca91ca197d8f3348695d31d7e379f4c63a51d5d7081aa372223d1de740",
+    "random_d5": "8129a66b8cfdad2d810d3f2a121586d6e0711de61768fb9bffbc61d052d078a5",
+    "rank_deficient_d4": "98a97dabb8a36f42d2a2aacf6704667da340d150a7042e4c91c746b2c0ee81f6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
+def test_ergotropy_json_matches_its_recorded_digest(case, capsys):
+    cli.write_json(cli.run_ergotropy(PINNED_REPORTS[case]))
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_SHA256[case]
+
+
 def test_drive_synth_is_the_library_drive_on_an_open_schedule():
     # the CLI maps the config and verifies; the step count and the analytic
     # phases are the library's
@@ -630,6 +682,37 @@ def test_unknown_config_keys_are_refused(tmp_path, capsys, command, cfg, key):
     runner = getattr(cli, "run_" + command.replace("-", "_"))
     with pytest.raises(ParamOutOfRange, match=f"unknown key {key!r}"):
         runner(cfg)
+
+
+@pytest.mark.parametrize("tau, draws", [
+    (1e-320, 2),     # w_min was NaN and w_mc_mean inf
+    (1e-300, 64),    # w_mc_stderr was inf: the sum of its squares overflowed
+    (math.nextafter(cli.fig1_least_tau(2), 0.0), 2),
+    (math.nextafter(cli.fig1_least_tau(FIGURE_MAX_DRAWS), 0.0), FIGURE_MAX_DRAWS),
+])
+def test_fig1_refuses_a_tau_at_which_its_cost_columns_overflow(tmp_path, capsys, tau, draws):
+    path = write_cfg(tmp_path, "fig1.json", {"p_points": 3, "c_points": 3, "tau": tau,
+                                             "mc_draws": draws})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["fig1", "--config", path]) == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(err)
+    assert out == "" and payload["error"] == "ParamOutOfRange"
+    assert payload["message"].startswith("tau must be >= ")
+
+
+@pytest.mark.parametrize("draws", [0, 2, 64, FIGURE_MAX_DRAWS])
+def test_fig1_just_above_its_least_tau_prints_finite_columns(draws):
+    cfg = {"p_points": 3, "c_points": 3, "mc_draws": draws,
+           "tau": math.nextafter(cli.fig1_least_tau(draws), math.inf)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        header, columns, _ = cli.run_fig1(cfg)
+    table = np.column_stack(np.broadcast_arrays(*columns))
+    # without draws the Monte Carlo columns are NaN, as documented
+    assert np.isfinite(table[:, :5 if draws == 0 else None]).all()
+    assert table[:, header.index("w_min")].max() > 1e140
 
 
 def test_readme_lists_every_config_key():

@@ -250,3 +250,7 @@ def test_matrix_json_round_trip():
     # real payload without "im" defaults to a real matrix
     real = matrix_from_json({"dim": 1, "re": [2.5]})
     assert real[0, 0] == 2.5
+    # its zeros are formed only after the length check: a huge dim with a
+    # short payload is refused without forming dim^2 of them
+    with pytest.raises(DimMismatch, match=r"length 1/1000000000000 != dim\^2"):
+        matrix_from_json({"dim": 10**6, "re": [1.0]})

@@ -15,7 +15,8 @@ from ergodrive import (DensityMatrix, HamiltonianOp,
 from ergodrive import linalg, states
 from ergodrive.errors import NoConvergence
 from ergodrive.tolerances import BETA_RESIDUAL
-from helpers import brentq_oracle, coherence_rel_entropy, random_instance
+from helpers import (brentq_oracle, coherence_rel_entropy, random_instance,
+                     thermal_populations_max_reduce)
 
 MAX_EVALS = 40   # Gibbs-weight evaluations per solve, bracket search included
 PROPERTY = settings(max_examples=150, deadline=None,
@@ -124,6 +125,93 @@ def test_entropy_solve_meets_the_residual_bound(problem):
         assert target <= _entropy(en, beta_max)
 
 
+@st.composite
+def gibbs_spectra(draw):
+    """Ascending energies, d = 1..6: distinct or with a level repeated, of
+    width 1e-3..1e3, offset by up to 1e8 either way."""
+    d = draw(st.integers(1, 6))
+    levels = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
+    if d > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, d - 2))
+        levels[k + 1] = levels[k]
+    offset = draw(st.sampled_from([0.0, 1.0, -1.0])) * 10.0 ** draw(st.floats(-3.0, 8.0))
+    return np.sort(levels * 10.0 ** draw(st.floats(-3.0, 3.0)) + offset)
+
+
+@PROPERTY
+@given(gibbs_spectra(), st.floats(-1e3, 1e3))
+def test_thermal_populations_are_the_max_reduce_form_bit_for_bit(en, beta_width):
+    width = float(en[-1] - en[0]) or 1.0
+    beta_max = states.BETA_MAX_SCALE / width
+    betas = [0.0, -0.0, 1e-300, -1e-300, beta_max, -beta_max, np.inf, -np.inf,
+             beta_width / width]
+    for beta in betas:
+        with np.errstate(all="ignore"):   # +-inf times a zero energy is NaN
+            got, want = thermal_populations(en, beta), thermal_populations_max_reduce(en, beta)
+        # NaN where the oracle has NaN (its sign bit differs between the
+        # forms, and JSON and CSV print every NaN alike), else the same bits
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan), beta
+        assert got[~nan].tobytes() == want[~nan].tobytes(), beta
+        assert not nan.any() or abs(beta) == np.inf
+
+
+@contextmanager
+def recording_solve():
+    """The (beta, Gibbs weights) that thermal_populations forms, in order,
+    and how many it had formed when each _decreasing_root returned, while
+    the block runs."""
+    formed, at_root = [], []
+    gibbs, root = states.thermal_populations, states._decreasing_root
+
+    def recorded_gibbs(en, beta):
+        formed.append((beta, gibbs(en, beta)))
+        return formed[-1][1]
+
+    def recorded_root(*args):
+        x = root(*args)
+        at_root.append(len(formed))
+        return x
+
+    states.thermal_populations, states._decreasing_root = recorded_gibbs, recorded_root
+    try:
+        yield formed, at_root
+    finally:
+        states.thermal_populations, states._decreasing_root = gibbs, root
+
+
+@PROPERTY
+@given(st.one_of(energy_problems().map(lambda hp: (solve_beta_for_energy, *hp)),
+                 entropy_problems().map(lambda hp: (solve_beta_for_entropy, *hp))))
+def test_a_solve_returns_the_gibbs_weights_it_formed_at_its_root(problem):
+    solve, h, target = problem
+    try:
+        with recording_solve() as (formed, at_root):
+            res = solve(h, target)
+    except NoConvergence:   # an energy past the Gibbs energies at +-beta_max
+        assume(False)
+    # the returned weights are an array the solve formed, with nothing
+    # formed after the root was found, and bit for bit the weights at beta
+    assert any(p is res.populations for _, p in formed)
+    assert at_root in ([], [len(formed)])
+    assert res.populations.tobytes() == thermal_populations(h.energies, res.beta).tobytes()
+
+
+def test_the_entropy_solve_forms_the_beta_max_weights_once():
+    # a gap of 1e-4 of the width puts the root at beta width = 7000, past the
+    # last bracket point below the stop, (4096)^2 in y = (beta width)^2, so
+    # the bracket search takes the weights at the stop, beta_max, which the
+    # floor test formed
+    h = HamiltonianOp(np.diag([0.0, 1e-4, 1.0]))
+    beta_max = states.BETA_MAX_SCALE / h.spectral_width
+    with recording_solve() as (formed, at_root):
+        res = solve_beta_for_entropy(h, _entropy(h.energies, 0.7 * beta_max))
+    betas = [beta for beta, _ in formed]
+    assert betas[0] == beta_max and betas.count(beta_max) == 1
+    assert 4096.0 < res.beta * h.spectral_width < states.BETA_MAX_SCALE
+    assert at_root == [len(formed)]
+
+
 def test_unreachable_energy_raises_no_convergence():
     h = HamiltonianOp(np.diag([0.0, 1e-3, 1.0]))
     edge = _mean_energy(h.energies, states.BETA_MAX_SCALE / h.spectral_width)
@@ -133,10 +221,12 @@ def test_unreachable_energy_raises_no_convergence():
 
 
 def test_nan_residuals_are_refused(monkeypatch):
-    # each residual check states the accepted region, so NaN falls outside it
+    # each residual check states the accepted region, so NaN falls outside it;
+    # NaN Gibbs weights make f(0) NaN, so the energy match returns beta = 0
+    # with the flat point's NaN weights
     h = HamiltonianOp(np.diag([0.0, 0.5, 1.0]))
     with monkeypatch.context() as m:
-        m.setattr(states, "_decreasing_root", lambda *args: math.nan)
+        m.setattr(states, "thermal_populations", lambda en, beta: np.full(en.shape, np.nan))
         with pytest.raises(NoConvergence, match="energy residual nan"):
             solve_beta_for_energy(h, 0.3)
     with monkeypatch.context() as m:
@@ -363,7 +453,7 @@ def test_checked_eigendecomposition_is_bit_identical():
     for d in (2, 3, 5):
         rho, h, _ = random_instance(rng, d)
         for m in (rho.mat, h.mat):
-            a, b = linalg.hermitian_eig(m), linalg.hermitian_eig(m, checked=True)
+            a, b = linalg.hermitian_eig(m), linalg.hermitian_eig(m, scale=linalg.entry_scale(m))
             assert a.values.tobytes() == b.values.tobytes()
             assert a.vectors.tobytes() == b.vectors.tobytes()
 

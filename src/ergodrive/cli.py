@@ -9,8 +9,10 @@ blocks of cells, each drawing from a generator seeded per grid point as
 [seed, i, j]. ``--steps`` belongs to drive-synth; ``--seed`` and
 ``--threads`` to the four figure commands, where ``--threads`` has no effect.
 Each command reads the config keys CONFIG_KEYS names for it and refuses any
-other. Exit codes: 0 success, 2 validation error, 3 convergence failure
-(error JSON goes to stderr).
+other; a figure sweep also refuses a config at which a column, or a step
+of the arithmetic behind it, would leave the float range. Exit codes: 0
+success, 2 validation error, 3 convergence failure (error JSON goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -179,6 +181,26 @@ def _fixed_state(cfg: dict) -> tls.TlsState:
     return tls.TlsState(_number(cfg, "p_i", 0.4), complex(_number(cfg, "c_abs", np.sqrt(0.24))))
 
 
+def _finite_sweep(run):
+    """run_fig1, run_fig2 or run_fig3 with NumPy's overflow, invalid-value and
+    divide-by-zero signals raised: a config at which the sweep would signal
+    one, so a column could come out inf or NaN, is refused (ParamOutOfRange)
+    at that operation, with no RuntimeWarning, naming the keys the config
+    sets. Where nothing is signalled the columns keep their bits."""
+    command = run.__name__.removeprefix("run_")
+
+    @functools.wraps(run)
+    def checked(cfg, *args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return run(cfg, *args, **kwargs)
+        except FloatingPointError as exc:
+            keys = ", ".join(k for k in CONFIG_KEYS[command] if k in cfg)
+            raise ParamOutOfRange(f"the {command} sweep leaves the float range at the "
+                                  f"config's {keys}: {exc}") from None
+    return checked
+
+
 def _load_instance(cfg: dict):
     """(rho_i, h_i, h_f) from cfg."""
     rho = DensityMatrix(matrix_from_json(_require(cfg, "rho_i")))
@@ -243,6 +265,7 @@ def fig1_least_tau(draws: int) -> float:
     return 2.0 * math.pi * math.sqrt(max(draws, 1) / sys.float_info.max)
 
 
+@_finite_sweep
 def run_fig1(cfg: dict, seed: int = 0):
     """Gain vs cost over the (p_i, |c_i|) disk for proportional Hamiltonians."""
     _check_keys(cfg, "fig1")
@@ -278,6 +301,7 @@ def run_fig1(cfg: dict, seed: int = 0):
     return header, (p, c, delta, g, w_min, mean, err), crossover
 
 
+@_finite_sweep
 def run_fig2(cfg: dict):
     """STA cost vs optimal cost for the quarter-period rotating drive."""
     _check_keys(cfg, "fig2")
@@ -301,11 +325,15 @@ def run_fig2(cfg: dict):
                     tls.sta_delta(gap, s.p, mu, omega_bar))
 
 
+@_finite_sweep
 def run_fig3(cfg: dict):
     """Cost landscape over (mu, omega_bar) with a fixed final-gap conversion."""
     _check_keys(cfg, "fig3")
     tau = _positive(cfg, "tau", 1.0)
-    gap = float(np.hypot(_number(cfg, "omega_f", 20.0 / tau), 0.0))
+    # the default is formed only where it is read, as a NumPy float, so its
+    # overflow at a tiny tau is signalled
+    omega_f = _real(cfg["omega_f"], "omega_f") if "omega_f" in cfg else 20.0 / np.float64(tau)
+    gap = float(np.hypot(omega_f, 0.0))
     s = _fixed_state(cfg)
     mu, omega_bar = _cells(_grid(cfg, "mu", 0.0, 4.0, 41), _grid(cfg, "ob", 0.0, 4.0, 41))
     tls.check_drive(tau, omega_bar)

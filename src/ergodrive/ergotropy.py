@@ -64,12 +64,7 @@ class UpperBoundResult(NamedTuple):
 def noncyclic_ergotropy(rho_i: DensityMatrix, h_i: HamiltonianOp,
                         h_f: HamiltonianOp) -> float:
     """Maximal work extracted evolving rho_i from h_i into the passive state of h_f."""
-    return _noncyclic(h_i.energy(rho_i), states.passive_energy(rho_i, h_f))
-
-
-def _noncyclic(energy_i: float, passive_f: float) -> float:
-    """e_nc from Tr[rho_i h_i] and the passive energy of rho_i on h_f."""
-    return energy_i - passive_f
+    return h_i.energy(rho_i) - states.passive_energy(rho_i, h_f)
 
 
 def decompose(rho_i: DensityMatrix, h_i: HamiltonianOp,
@@ -93,16 +88,13 @@ def _decompose(energy_i: float, populations_i: np.ndarray, passive_f: float,
     return Decomposition(energy_i - on_i, on_i - on_f, on_f - passive_f)
 
 
-def delta_noncyclic(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp,
-                    same_energy: Optional[states.ThermalSolveResult] = None) -> DeltaResult:
+def delta_noncyclic(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp) -> DeltaResult:
     """Ergotropy difference between rho_i and the same-energy thermal state.
 
     The matching inverse temperature may come out negative (mean energy above
     the flat-state value); the result is still computed and flagged.
-    ``same_energy`` passes in that state's solve when the caller already has it.
     """
-    if same_energy is None:
-        same_energy = states.solve_beta_for_energy(h_i, h_i.energy(rho_i))
+    same_energy = states.solve_beta_for_energy(h_i, h_i.energy(rho_i))
     p_f = states._clamped_spectrum(same_energy.populations)[1]
     return _delta(same_energy, p_f, h_f.energies, states.passive_energy(rho_i, h_f))
 
@@ -121,12 +113,8 @@ def gain_g(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp) -> floa
     ascending h_f levels; G is the work a cyclic process then extracts, so
     G >= 0 and G is insensitive to the coherences' phases.
     """
-    return _gain(states.energy_populations(rho_i, h_i), rho_i, h_f.energies)
-
-
-def _gain(populations_i: np.ndarray, rho_i: DensityMatrix, e_f: np.ndarray) -> float:
-    """gain_g from rho_i's h_i populations and h_f's energies."""
-    return float(transport_gain(populations_i, rho_i.populations_desc(), e_f))
+    return float(transport_gain(states.energy_populations(rho_i, h_i),
+                                rho_i.populations_desc(), h_f.energies))
 
 
 def transport_gain(p, r, e_f):
@@ -140,9 +128,8 @@ def transport_gain(p, r, e_f):
     return np.vecdot(np.subtract(p, r), e_f)
 
 
-def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: HamiltonianOp,
-                      same_energy: Optional[states.ThermalSolveResult] = None
-                      ) -> UpperBoundResult:
+def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp,
+                      h_f: HamiltonianOp) -> UpperBoundResult:
     """Upper bound on delta_noncyclic from the same-energy thermal state.
 
     value = Tr[passive(rho_th)_f h_f] - Tr[tau_f(beta_i) h_f], with rho_th the
@@ -150,15 +137,13 @@ def upper_bound_delta(rho_i: DensityMatrix, h_i: HamiltonianOp, h_f: Hamiltonian
     The equivalent entropic form beta_i^{-1}[dS + S(passive(rho_th)_f || tau_f)]
     is evaluated as a cross-check; the two must agree to identity tolerance.
     Both states are population vectors on h_f's eigenbasis; the relative
-    entropy takes tau_f's log weights. ``same_energy`` passes in the solve
-    for rho_th when the caller already has it. There is no bound, and a typed
+    entropy takes tau_f's log weights. There is no bound, and a typed
     refusal, when rho_i's energy has no Gibbs match on h_i (EnergyOutOfRange),
     rho_i is maximally mixed (NegativeBeta), or S(rho_i) is below h_f's
     entropy floor, as at a (nearly) degenerate ground level (EntropyOutOfRange).
     """
     s_i = _entropy_below_ceiling(rho_i)
-    if same_energy is None:
-        same_energy = states.solve_beta_for_energy(h_i, h_i.energy(rho_i))
+    same_energy = states.solve_beta_for_energy(h_i, h_i.energy(rho_i))
     p_f = states._clamped_spectrum(same_energy.populations)[1]
     return _upper_bound(s_i, h_f, same_energy, p_f)
 
@@ -216,8 +201,8 @@ def full_report(rho_i: DensityMatrix, h_i: HamiltonianOp,
     populations_i = states.energy_populations(rho_i, h_i)
     energy_i = h_i.energy(rho_i)
     passive_f = states.passive_energy(rho_i, h_f)
-    g = _gain(populations_i, rho_i, e_f)
-    parts = dict(e_nc=_noncyclic(energy_i, passive_f),
+    g = float(transport_gain(populations_i, rho_i.populations_desc(), e_f))
+    parts = dict(e_nc=energy_i - passive_f,
                  gain_g=0.0 if -floor <= g < 0.0 else g,
                  **_decompose(energy_i, populations_i, passive_f, e_i, e_f)._asdict())
     try:

@@ -185,9 +185,10 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return _shannon(rho.eig().values)
 
 
-def thermal_populations(energies: np.ndarray, beta: float) -> np.ndarray:
-    """Gibbs weights exp(-beta e_n)/Z on ascending energies (a float array),
-    overflow-guarded by an energy shift.
+def thermal_populations(energies, beta: float) -> np.ndarray:
+    """Gibbs weights exp(-beta e_n)/Z on ascending energies (an array, list
+    or tuple of reals; the order is not checked), overflow-guarded by an
+    energy shift.
 
     Rounding is monotone, so on ascending energies the largest exponent
     -beta e_n is the first one for beta >= 0 and the last one for beta < 0:
@@ -195,7 +196,7 @@ def thermal_populations(energies: np.ndarray, beta: float) -> np.ndarray:
     on the one fresh array, with the ufunc reduction that the .sum() method
     calls.
     """
-    x = -beta * energies
+    x = -beta * np.asarray(energies, dtype=float)
     x -= x[0] if beta >= 0 else x[-1]
     np.exp(x, out=x)
     x /= np.add.reduce(x)
@@ -280,45 +281,46 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) 
                         f"value is {xcur!r}")
 
 
-def _decreasing_root(f, f0: float, tail: float, noise: float, stop: float,
-                     xtol: float) -> float:
-    """Root x in (0, stop] of a decreasing f with f(0) = f0 > 0 and f -> -tail.
+def _decreasing_root(evaluate, known: dict, tail: float, noise: float, stop: float,
+                     xtol: float) -> tuple:
+    """Root x in (0, stop] of a decreasing f with f(0) > 0 and f -> -tail,
+    returned as (x, f(x), the Gibbs weights formed at x).
 
-    x is dimensionless (beta times the spectral width, or its square). A
-    point where |f| <= ``noise``, the rounding error of f, is a root. The
+    evaluate(x) is (f(x), the Gibbs weights formed at x). ``known``, the
+    solve's one table of evaluated points, maps x = 0 and any other point
+    the solve evaluated to that pair; each point the search evaluates joins
+    it, so none is evaluated twice. x is dimensionless (beta times the
+    spectral width, or its square). f(0) is read as formed; elsewhere
+    |f| <= ``noise``, the rounding error of f, is read as 0, a root. The
     bracket grows geometrically from x = 1 until f changes sign. Brent's
     method (_brent, rtol 4 eps, absolute ``xtol``) then runs on
     log1p(f / tail), which has the sign of f and is nearly linear where f
     nears an exponential tail, so a target near a spectrum edge costs about
-    as many evaluations as a central one. Raises NoConvergence when
-    f(stop) > 0 or Brent's iteration limit is hit.
+    as many evaluations as a central one. Both return only evaluated points.
+    Raises NoConvergence when f(stop) > 0 or Brent's iteration limit is hit.
     """
-    def f_or_zero(x):
-        fx = f(x)
-        return 0.0 if abs(fx) <= noise else fx
+    def f(x):
+        if x not in known:
+            known[x] = evaluate(x)
+        fx = known[x][0]
+        return 0.0 if x != 0 and abs(fx) <= noise else fx
 
-    lo, f_lo = 0.0, f0
-    hi = 1.0
+    lo, hi = 0.0, 1.0
     while hi < stop:
-        f_hi = f_or_zero(hi)
+        f_hi = f(hi)
         if f_hi <= 0:
             break
-        lo, f_lo = hi, f_hi
+        lo = hi
         hi *= BRACKET_GROWTH
     else:
         hi = stop
-        f_hi = f_or_zero(hi)
+        f_hi = f(hi)
     if f_hi > 0:
         raise NoConvergence("root not bracketed")
-    if f_hi == 0:
-        return hi
-    known = {lo: f_lo, hi: f_hi}
-
-    def g(x):
-        y = (known[x] if x in known else f_or_zero(x)) / tail
-        return math.log1p(max(y, _LOG1P_FLOOR))
-
-    return _brent(g, lo, hi, xtol, BETA_RTOL)
+    if f_hi != 0:
+        hi = _brent(lambda x: math.log1p(max(f(x) / tail, _LOG1P_FLOOR)), lo, hi, xtol,
+                    BETA_RTOL)
+    return (hi, *known[hi])
 
 
 def solve_beta_for_energy(h: HamiltonianOp, energy: float) -> ThermalSolveResult:
@@ -330,11 +332,11 @@ def solve_beta_for_energy(h: HamiltonianOp, energy: float) -> ThermalSolveResult
     f(0) = mean_energy(0) - energy, so beta is exactly 0.0 when the flat
     state matches, and a bracketed Brent solve on that half of the interval
     finds |beta|. The residual is held to BETA_RESIDUAL x spectral width.
-    The solve keeps the Gibbs weights and the residual of every point it
-    evaluates and returns the root's, so it forms no Gibbs state after
-    finding its root: the bracket search and Brent's method return only
-    points they have evaluated, and +-x / width is the beta the objective
-    formed at x. h's energies are ascending, as thermal_populations needs.
+    The flat state seeds _decreasing_root's table of evaluated points, and
+    the solve returns the Gibbs weights and residual that the table holds at
+    the root, so it forms no Gibbs state after finding it (+-x / width is
+    the beta the objective formed at x). h's energies are ascending, as
+    thermal_populations needs.
     """
     en = h.energies
     width = h.spectral_width
@@ -342,25 +344,22 @@ def solve_beta_for_energy(h: HamiltonianOp, energy: float) -> ThermalSolveResult
         raise EnergyOutOfRange(f"energy {energy} not strictly inside "
                                f"({en[0]}, {en[-1]})")
     noise = ROUNDING * max(abs(en[0]), abs(en[-1]))
-    p0 = thermal_populations(en, 0.0)
-    f0 = float(p0 @ en) - energy
-    gibbs = {0.0: (p0, f0)}   # point -> (Gibbs weights, their mean energy - energy)
-    x = beta = 0.0
-    if f0 > 0 or f0 < 0:
+    p = thermal_populations(en, 0.0)
+    v = float(p @ en) - energy
+    beta = 0.0
+    if v > 0 or v < 0:
         # |beta| width solves sign (mean_energy(sign |beta|) - energy) = 0,
         # decreasing in |beta|; negation is exact, so the sign flips no bit
-        sign = math.copysign(1.0, f0)
+        sign = math.copysign(1.0, v)
 
-        def f(x):
+        def evaluate(x):
             p = thermal_populations(en, sign * x / width)
-            v = float(p @ en) - energy
-            gibbs[x] = p, v
-            return sign * v
+            return sign * (float(p @ en) - energy), p
 
-        x = _decreasing_root(f, sign * f0, energy - en[0] if sign > 0 else en[-1] - energy,
-                             noise, BETA_MAX_SCALE, BETA_XTOL_SCALE)
+        x, v, p = _decreasing_root(evaluate, {0.0: (sign * v, p)},
+                                   energy - en[0] if sign > 0 else en[-1] - energy,
+                                   noise, BETA_MAX_SCALE, BETA_XTOL_SCALE)
         beta = sign * x / width
-    p, v = gibbs[x]
     residual = abs(v)
     if not residual <= BETA_RESIDUAL * width:   # NaN is refused too
         raise NoConvergence(f"energy residual {residual:.3e} exceeds "
@@ -377,9 +376,9 @@ def solve_beta_for_entropy(h: HamiltonianOp, entropy: float) -> ThermalSolveResu
     beta_max floor return beta_max with the residual reported rather than
     raising: the caller sees how far the saturated solver landed. The
     residual of a solved beta is held to BETA_RESIDUAL. As in the energy
-    match, the root's Gibbs weights and residual are those the solve formed
-    there (sqrt(y) / width is the objective's beta), and the beta_max weights
-    serve as the bracket's stop.
+    match, the root's Gibbs weights and residual are read from the table of
+    evaluated points (sqrt(y) / width is the objective's beta), which the
+    flat state and the beta_max weights, the bracket's stop, seed.
     """
     en = h.energies
     width = h.spectral_width
@@ -389,27 +388,23 @@ def solve_beta_for_entropy(h: HamiltonianOp, entropy: float) -> ThermalSolveResu
     if not (-ENTROPY_RANGE_ATOL <= entropy <= np.log(d) + ENTROPY_RANGE_ATOL):
         raise EntropyOutOfRange(f"entropy {entropy} outside [0, ln {d}]")
     beta_max = BETA_MAX_SCALE / width
-    p = thermal_populations(en, beta_max)
-    s_floor = _shannon(p)
+    p_max = thermal_populations(en, beta_max)
+    s_floor = _shannon(p_max)
     if entropy <= s_floor:
-        return ThermalSolveResult(beta_max, p, abs(s_floor - entropy))
+        return ThermalSolveResult(beta_max, p_max, abs(s_floor - entropy))
     # S is quadratic in beta at 0, so the solve runs in y = (beta width)^2;
     # sqrt(BETA_MAX_SCALE**2) is BETA_MAX_SCALE, so y's stop is at beta_max
     y_max = BETA_MAX_SCALE**2
-    p0 = thermal_populations(en, 0.0)
-    f0 = _shannon(p0) - entropy
-    gibbs = {0.0: (p0, f0), y_max: (p, s_floor - entropy)}   # as in the energy match
+    p = thermal_populations(en, 0.0)
+    v = _shannon(p) - entropy
     y = 0.0   # beta = 0 also for targets up to the slack above the computed ln d
-    if f0 > 0:
-        def f(y):
-            if y not in gibbs:
-                p = thermal_populations(en, math.sqrt(y) / width)
-                gibbs[y] = p, _shannon(p) - entropy
-            return gibbs[y][1]
+    if v > 0:
+        def evaluate(y):
+            p = thermal_populations(en, math.sqrt(y) / width)
+            return _shannon(p) - entropy, p
 
-        y = _decreasing_root(f, f0, entropy, ROUNDING * np.log(d), y_max,
-                             BETA_XTOL_SCALE**2)
-    p, v = gibbs[y]
+        y, v, p = _decreasing_root(evaluate, {0.0: (v, p), y_max: (s_floor - entropy, p_max)},
+                                   entropy, ROUNDING * np.log(d), y_max, BETA_XTOL_SCALE**2)
     residual = abs(v)
     if not residual <= BETA_RESIDUAL:   # NaN is refused too
         raise NoConvergence(f"entropy residual {residual:.3e}")

@@ -647,6 +647,24 @@ def test_json_output_is_sorted_and_stable(tmp_path):
     # finite entries, but a spectral width beyond the float range
     ("ergotropy", dict(RHO2, h_f=HUGE), "spectral width 1e+308 - (-1e+308) is not a finite"),
     ("drive-synth", dict(RHO2, h_f=HUGE), "spectral width 1e+308 - (-1e+308) is not a finite"),
+    # a sweep at which a column, or a step of the arithmetic behind it, would
+    # leave the float range is refused at that step, naming the keys set
+    ("fig2", {"omega0": 1e308}, "the fig2 sweep leaves the float range at the config's omega0: "
+                                "overflow"),
+    ("fig2", {"omega0": 1e-308}, "at the config's omega0: overflow"),
+    ("fig2", {"ot_max": 1e308}, "at the config's ot_max: overflow"),
+    ("fig2", {"ots_min": 1e-320}, "at the config's ots_min: overflow"),
+    ("fig3", {"omega_f": 1e308}, "the fig3 sweep leaves the float range at the config's "
+                                 "omega_f: overflow"),
+    ("fig3", {"mu_max": 1e300}, "at the config's mu_max: overflow"),
+    ("fig3", {"ob_max": 1e308}, "at the config's ob_max: overflow"),
+    # the default omega_f = 20 / tau overflows too
+    ("fig3", {"tau": 1e-320}, "at the config's tau: overflow"),
+    ("fig3", {"tau": 1e-320, "omega_f": 1.0}, "at the config's tau, omega_f: overflow"),
+    # linspace forms stop - start
+    ("fig3", {"mu_min": -1e308, "mu_max": 1e308}, "at the config's mu_min, mu_max: overflow"),
+    ("fig1", {"p_min": -1e308, "p_max": 1e308, "p_points": 3},
+     "the fig1 sweep leaves the float range at the config's p_min, p_max, p_points: overflow"),
 ])
 def test_degenerate_sweep_configs_are_refused(tmp_path, capsys, command, cfg, message):
     path = write_cfg(tmp_path, "bad.json", cfg)
@@ -713,6 +731,29 @@ def test_fig1_just_above_its_least_tau_prints_finite_columns(draws):
     # without draws the Monte Carlo columns are NaN, as documented
     assert np.isfinite(table[:, :5 if draws == 0 else None]).all()
     assert table[:, header.index("w_min")].max() > 1e140
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("fig2", {"omega0": 1e307}), ("fig2", {"ot_max": 1e300}),
+    ("fig2", {"ots_min": 1e-150}), ("fig3", {"omega_f": 1e307}), ("fig3", {"mu_max": 1e150}),
+    ("fig3", {"ob_max": 1e307}), ("fig3", {"tau": 1e-300}),
+    # a bound formed from the axis ends alone would refuse these: 2 omega0
+    # is inf, so mu is -0; |theta1 - theta2| stays below pi / 2; omega_f is set, so
+    # the default 20 / tau, which would overflow, is never formed
+    ("fig2", {"omega0": sys.float_info.max, "ots_min": 0.5, "ot_min": 4.0}),
+    ("fig2", {"omega0": 5e307, "ots_min": 1e307, "p_i": 0.0, "c_abs": 0.0}),
+    ("fig3", {"tau": 1e-307, "omega_f": 1.0}),
+])
+def test_fig2_and_fig3_just_inside_their_range_print_finite_columns(command, cfg):
+    # the refusals above stop short of configs whose columns stay finite
+    cfg = dict(cfg, **{k: 5 for k in ("ot_points", "ots_points", "mu_points", "ob_points")
+                       if k in cli.CONFIG_KEYS[command]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, columns = getattr(cli, "run_" + command)(cfg)
+    table = np.column_stack(np.broadcast_arrays(*columns))
+    assert np.isfinite(table).all()
+    assert np.abs(table).max() > 1e140
 
 
 def test_readme_lists_every_config_key():

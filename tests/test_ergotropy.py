@@ -338,6 +338,10 @@ def test_report_fields_are_their_public_functions_bit_for_bit():
     instances += [inst for d in (2, 3, 4, 5) for inst in _edge_instances(rng, d)]
     instances.append((DensityMatrix(np.diag([1.0, 0.0, 0.0])), HamiltonianOp(H_NULL_I),
                       HamiltonianOp(H_NULL_F)))   # no Gibbs match on h_i
+    # S(rho_i) = 0.33 lies below ln 2, the entropy floor of h_f's doubly
+    # degenerate ground level, so upper_bound_delta refuses and the bound is null
+    instances.append((DensityMatrix(np.diag([0.9, 0.1, 0.0])), HamiltonianOp(H_NULL_I),
+                      HamiltonianOp(np.diag([0.0, 0.0, 1.0]))))
     kinds = set()
     for rho, h_i, h_f in instances:
         e = np.concatenate([h_i.energies, h_f.energies])
@@ -367,4 +371,4 @@ def test_report_fields_are_their_public_functions_bit_for_bit():
                         negative_temperature_flag=delta.negative_temperature)
         got = full_report(rho, h_i, h_f).__dict__
         assert {k: _bits(v) for k, v in got.items()} == {k: _bits(want[k]) for k in got}
-    assert kinds == {"no match", "bound", "NegativeBeta"}
+    assert kinds == {"no match", "bound", "NegativeBeta", "EntropyOutOfRange"}

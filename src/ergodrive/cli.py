@@ -8,9 +8,10 @@ at once; fig1's Monte Carlo columns are one call over the grid, evaluated in
 blocks of cells, each drawing from a generator seeded per grid point as
 [seed, i, j]. ``--steps`` belongs to drive-synth; ``--seed`` and
 ``--threads`` to the four figure commands, where ``--threads`` has no effect.
-Each command reads the config keys CONFIG_KEYS names for it and refuses any
-other; a figure sweep also refuses a config at which a column, or a step
-of the arithmetic behind it, would leave the float range. Exit codes: 0
+CONFIG_KEYS holds every config key of each command, with its parser and
+default; a command refuses any other key. A figure sweep refuses a config at
+which a column, or a step of the arithmetic behind it, would leave the float
+range (_finite_sweep, the one float-range rule). Exit codes: 0
 success, 2 validation error, 3 convergence failure (error JSON goes to
 stderr).
 """
@@ -81,37 +82,7 @@ def load_config(path):
     return cfg
 
 
-# every config key of each command; its run_* refuses any other
-_INSTANCE_KEYS = ("rho_i", "h_i", "h_f")
-CONFIG_KEYS = {
-    "ergotropy": _INSTANCE_KEYS,
-    "drive-synth": _INSTANCE_KEYS + ("tau", "n_steps", "phases"),
-    "fig1": ("tau", "lam_f_omega", "mc_draws", "p_min", "p_max", "p_points", "c_points"),
-    "fig2": ("omega0", "p_i", "c_abs", "ot_min", "ot_max", "ot_points",
-             "ots_min", "ots_max", "ots_points"),
-    "fig3": ("tau", "omega_f", "p_i", "c_abs", "mu_min", "mu_max", "mu_points",
-             "ob_min", "ob_max", "ob_points"),
-    "counterexample": ("beta", "e2i", "e2f_list"),
-}
-
-
-def _check_keys(cfg: dict, command: str) -> None:
-    """Refuse a key of cfg that command does not read (ParamOutOfRange), so a
-    misspelled one is never run at its default. The thresholds are fixed, so
-    a config that still sets "tolerances" is refused rather than run without
-    them."""
-    if "tolerances" in cfg:
-        raise ParamOutOfRange("the tolerances key is no longer accepted: "
-                              "the thresholds are fixed")
-    for key in cfg:
-        if key not in CONFIG_KEYS[command]:
-            raise ParamOutOfRange(f"{command} config has unknown key {key!r}")
-
-
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ParamOutOfRange(f"config is missing required key {key!r}")
-    return cfg[key]
+REQUIRED = object()     # the CONFIG_KEYS default of a key that a config must set
 
 
 def _real(v, name: str) -> float:
@@ -126,43 +97,103 @@ def _real(v, name: str) -> float:
     raise ParamOutOfRange(f"{name} must be a finite number, got {v!r}")
 
 
-def _number(cfg: dict, key: str, default: float) -> float:
-    return _real(cfg.get(key, default), key)
+def _positive(v, name: str) -> float:
+    x = _real(v, name)
+    if not x > 0:
+        raise ParamOutOfRange(f"{name} must be > 0, got {x}")
+    return x
 
 
-def _count(cfg: dict, key: str, default: int) -> int:
-    v = _number(cfg, key, default)
-    if not v.is_integer():
-        raise ParamOutOfRange(f"{key} must be an integer, got {cfg[key]!r}")
-    return int(v)
+def _count(v, name: str) -> int:
+    x = _real(v, name)
+    if not x.is_integer():
+        raise ParamOutOfRange(f"{name} must be an integer, got {v!r}")
+    return int(x)
 
 
-def _numbers(cfg: dict, key: str, default) -> list:
-    v = cfg.get(key, default)
-    if not isinstance(v, list):
-        raise ParamOutOfRange(f"{key} must be a list of numbers, got {v!r}")
-    return [_real(x, f"{key} entry") for x in v]
-
-
-def _points(cfg: dict, key: str, default: int) -> int:
-    n = _count(cfg, key, default)
+def _points(v, name: str) -> int:
+    n = _count(v, name)
     if n < 1:
-        raise ParamOutOfRange(f"{key} must be >= 1, got {n}")
+        raise ParamOutOfRange(f"{name} must be >= 1, got {n}")
     return n
 
 
-def _positive(cfg: dict, key: str, default: float) -> float:
-    v = _number(cfg, key, default)
-    if not v > 0:
-        raise ParamOutOfRange(f"{key} must be > 0, got {v}")
-    return v
+def _draws(v, name: str) -> int:
+    n = _count(v, name)
+    if n < 0 or n == 1:
+        raise ParamOutOfRange(f"{name} must be 0 or >= 2, got {n}")
+    if n > FIGURE_MAX_DRAWS:
+        raise ParamOutOfRange(f"{name} must be at most {FIGURE_MAX_DRAWS}, got {n}")
+    return n
 
 
-def _grid(cfg: dict, axis: str, lo: float, hi: float, n: int) -> tuple:
-    """linspace's (start, stop, num) from cfg's {axis}_min, {axis}_max,
-    {axis}_points, for _cells."""
-    return (_number(cfg, f"{axis}_min", lo), _number(cfg, f"{axis}_max", hi),
-            _points(cfg, f"{axis}_points", n))
+def _numbers(v, name: str) -> list:
+    if not isinstance(v, list):
+        raise ParamOutOfRange(f"{name} must be a list of numbers, got {v!r}")
+    return [_real(x, f"{name} entry") for x in v]
+
+
+def _phases(v, name: str):
+    """v as synthesize_drive takes it, which checks it before any propagation:
+    "zeros" is None, another name is passed on as given, and a list must hold
+    finite numbers."""
+    if v == "zeros":
+        return None
+    return v if isinstance(v, str) else _numbers(v, name)
+
+
+# every config key of each command, in order, as (parser, default): the
+# default is a config value, REQUIRED, or None for a key that stays unset
+_INSTANCE_KEYS = {
+    "rho_i": (lambda v, name: DensityMatrix(matrix_from_json(v)), REQUIRED),
+    "h_i": (lambda v, name: HamiltonianOp(matrix_from_json(v)), REQUIRED),
+    "h_f": (lambda v, name: HamiltonianOp(matrix_from_json(v)), REQUIRED)}
+_STATE_KEYS = {"p_i": (_real, 0.4), "c_abs": (_real, math.sqrt(0.24))}
+CONFIG_KEYS = {
+    "ergotropy": _INSTANCE_KEYS,
+    "drive-synth": {**_INSTANCE_KEYS, "tau": (_real, 1.0), "n_steps": (_count, None),
+                    "phases": (_phases, "zeros")},
+    "fig1": {"tau": (_positive, 10.0), "lam_f_omega": (_real, 1.0), "mc_draws": (_draws, 4096),
+             "p_min": (_real, 0.0), "p_max": (_real, 1.0), "p_points": (_points, 200),
+             "c_points": (_points, 200)},
+    "fig2": {"omega0": (_positive, 1.0), **_STATE_KEYS,
+             "ot_min": (_real, 0.5), "ot_max": (_real, 20.0), "ot_points": (_points, 40),
+             "ots_min": (_real, 0.5), "ots_max": (_real, 20.0), "ots_points": (_points, 40)},
+    "fig3": {"tau": (_positive, 1.0), "omega_f": (_real, None), **_STATE_KEYS,
+             "mu_min": (_real, 0.0), "mu_max": (_real, 4.0), "mu_points": (_points, 41),
+             "ob_min": (_real, 0.0), "ob_max": (_real, 4.0), "ob_points": (_points, 41)},
+    "counterexample": {"beta": (_real, 1.0), "e2i": (_real, 0.9),
+                       "e2f_list": (_numbers, [0.1, 0.3, 0.5, 0.7, 0.85, 0.95])},
+}
+
+
+def _config(cfg: dict, command: str) -> dict:
+    """Every key of command, parsed from cfg or from its default. A key that
+    command does not read is refused (ParamOutOfRange), so a misspelled one
+    is never run at its default; the thresholds are fixed, so a config that
+    still sets "tolerances" is refused rather than run without them."""
+    if "tolerances" in cfg:
+        raise ParamOutOfRange("the tolerances key is no longer accepted: "
+                              "the thresholds are fixed")
+    keys = CONFIG_KEYS[command]
+    for key in cfg:
+        if key not in keys:
+            raise ParamOutOfRange(f"{command} config has unknown key {key!r}")
+    conf = {}
+    for key, (parse, default) in keys.items():
+        if key in cfg:
+            conf[key] = parse(cfg[key], key)
+        elif default is REQUIRED:
+            raise ParamOutOfRange(f"config is missing required key {key!r}")
+        else:
+            conf[key] = None if default is None else parse(default, key)
+    return conf
+
+
+def _axis(conf: dict, name: str) -> tuple:
+    """linspace's (start, stop, num) from conf's {name}_min, {name}_max and
+    {name}_points, for _cells."""
+    return conf[f"{name}_min"], conf[f"{name}_max"], conf[f"{name}_points"]
 
 
 def _cells(a: tuple, b: tuple):
@@ -176,17 +207,13 @@ def _cells(a: tuple, b: tuple):
     return aa.ravel(), bb.ravel()
 
 
-def _fixed_state(cfg: dict) -> tls.TlsState:
-    """The initial state of the fig2 and fig3 sweeps."""
-    return tls.TlsState(_number(cfg, "p_i", 0.4), complex(_number(cfg, "c_abs", np.sqrt(0.24))))
-
-
 def _finite_sweep(run):
     """run_fig1, run_fig2 or run_fig3 with NumPy's overflow, invalid-value and
     divide-by-zero signals raised: a config at which the sweep would signal
     one, so a column could come out inf or NaN, is refused (ParamOutOfRange)
     at that operation, with no RuntimeWarning, naming the keys the config
-    sets. Where nothing is signalled the columns keep their bits."""
+    sets. This is the sweeps' one float-range rule; where nothing is
+    signalled the columns keep their bits."""
     command = run.__name__.removeprefix("run_")
 
     @functools.wraps(run)
@@ -201,30 +228,11 @@ def _finite_sweep(run):
     return checked
 
 
-def _load_instance(cfg: dict):
-    """(rho_i, h_i, h_f) from cfg."""
-    rho = DensityMatrix(matrix_from_json(_require(cfg, "rho_i")))
-    h_i = HamiltonianOp(matrix_from_json(_require(cfg, "h_i")))
-    h_f = HamiltonianOp(matrix_from_json(_require(cfg, "h_f")))
-    return rho, h_i, h_f
-
-
 # ----------------------------------------------------------------- scenarios
 
 def run_ergotropy(cfg: dict) -> dict:
-    _check_keys(cfg, "ergotropy")
-    rho, h_i, h_f = _load_instance(cfg)
-    return ergotropy.full_report(rho, h_i, h_f).to_json()
-
-
-def _phases(cfg: dict):
-    """cfg's phases as synthesize_drive takes them, which checks them before
-    any propagation: "zeros" is None, another name is passed on as given,
-    and a list must hold finite numbers."""
-    phases = cfg.get("phases", "zeros")
-    if phases == "zeros":
-        return None
-    return phases if isinstance(phases, str) else _numbers(cfg, "phases", None)
+    conf = _config(cfg, "ergotropy")
+    return ergotropy.full_report(conf["rho_i"], conf["h_i"], conf["h_f"]).to_json()
 
 
 def run_drive_synth(cfg: dict, n_steps=None) -> dict:
@@ -232,13 +240,10 @@ def run_drive_synth(cfg: dict, n_steps=None) -> dict:
     config's n_steps, used exactly; with neither, synthesize_drive picks it
     by its error targets for U0 and for the propagation of H0 + V that
     verification integrates, and verify_drive checks the drive on that grid."""
-    _check_keys(cfg, "drive-synth")
-    rho, h_i, h_f = _load_instance(cfg)
-    tau = _number(cfg, "tau", 1.0)
-    if n_steps is None and "n_steps" in cfg:
-        n_steps = _count(cfg, "n_steps", None)
-    sched = Schedule.linear(tau, n_steps=n_steps)
-    synth = synthesize_drive(rho, h_i, h_f, sched, _phases(cfg))
+    conf = _config(cfg, "drive-synth")
+    rho, h_i, h_f = conf["rho_i"], conf["h_i"], conf["h_f"]
+    sched = Schedule.linear(conf["tau"], n_steps=conf["n_steps"] if n_steps is None else n_steps)
+    synth = synthesize_drive(rho, h_i, h_f, sched, conf["phases"])
     energy_res, dist = verify_drive(synth, rho, h_i, h_f, sched)
     return dict(synth.to_json(),
                 residuals={"final_energy_residual": energy_res, "state_distance": dist})
@@ -253,36 +258,14 @@ def fig1_crossover(ps, deltas, wmins) -> float:
     return float(ps[k]) if k < len(ps) else float("nan")
 
 
-def fig1_least_tau(draws: int) -> float:
-    """The least tau at which fig1's cost columns stay finite with ``draws``
-    Monte Carlo draws per cell.
-
-    Every cost is at most sqrt2 pi / tau (w_min's half-angle is at most
-    pi / 2, and each drawn eigenphase at most pi in size), and the standard
-    error sums up to ``draws`` squared deviations of such costs: tau must
-    keep that sum, doubled for rounding, below the largest float.
-    """
-    return 2.0 * math.pi * math.sqrt(max(draws, 1) / sys.float_info.max)
-
-
 @_finite_sweep
 def run_fig1(cfg: dict, seed: int = 0):
     """Gain vs cost over the (p_i, |c_i|) disk for proportional Hamiltonians."""
-    _check_keys(cfg, "fig1")
+    conf = _config(cfg, "fig1")
     tls.check_count(seed, "seed", 0)
-    tau = _positive(cfg, "tau", 10.0)
-    lam_f_omega = _number(cfg, "lam_f_omega", 1.0)
-    draws = _count(cfg, "mc_draws", 4096)
-    if draws < 0 or draws == 1:
-        raise ParamOutOfRange(f"mc_draws must be 0 or >= 2, got {draws}")
-    if draws > FIGURE_MAX_DRAWS:
-        raise ParamOutOfRange(f"mc_draws must be at most {FIGURE_MAX_DRAWS}, got {draws}")
-    least_tau = fig1_least_tau(draws)
-    if not tau >= least_tau:
-        raise ParamOutOfRange(f"tau must be >= {least_tau:.6g} with {draws} Monte Carlo "
-                              f"draws, got {tau}: the cost columns would overflow")
-    p_axis, n_c = _grid(cfg, "p", 0.0, 1.0, 200), _points(cfg, "c_points", 200)
-    p, frac = _cells(p_axis, (0.0, 1.0, n_c))
+    tau, lam_f_omega, draws = conf["tau"], conf["lam_f_omega"], conf["mc_draws"]
+    n_p, n_c = conf["p_points"], conf["c_points"]
+    p, frac = _cells(_axis(conf, "p"), (0.0, 1.0, n_c))
     c = frac * np.sqrt(np.maximum(p * (1.0 - p), 0.0))
     tls.check_bloch(p, c)
     h = HamiltonianOp(0.5 * lam_f_omega * _SZ)
@@ -293,7 +276,7 @@ def run_fig1(cfg: dict, seed: int = 0):
     w_min = tls.cost(tls.theta1(p, c), tau)
     mean = err = np.full(p.shape, np.nan)
     if draws > 0:
-        rngs = [np.random.default_rng([seed, i, j]) for i in range(p_axis[2]) for j in range(n_c)]
+        rngs = [np.random.default_rng([seed, i, j]) for i in range(n_p) for j in range(n_c)]
         mean, err = tls.example1_phase_average(tls.overlaps(p, c)[0], tau, draws, rngs)
     top = slice(n_c - 1, None, n_c)   # maximal-coherence slice
     crossover = fig1_crossover(p[::n_c], delta[top], w_min[top])
@@ -304,10 +287,10 @@ def run_fig1(cfg: dict, seed: int = 0):
 @_finite_sweep
 def run_fig2(cfg: dict):
     """STA cost vs optimal cost for the quarter-period rotating drive."""
-    _check_keys(cfg, "fig2")
-    omega0 = _positive(cfg, "omega0", 1.0)
-    s = _fixed_state(cfg)
-    ot, ots = _cells(_grid(cfg, "ot", 0.5, 20.0, 40), _grid(cfg, "ots", 0.5, 20.0, 40))
+    conf = _config(cfg, "fig2")
+    omega0 = conf["omega0"]
+    s = tls.TlsState(conf["p_i"], complex(conf["c_abs"]))
+    ot, ots = _cells(_axis(conf, "ot"), _axis(conf, "ots"))
     tau = ot / omega0
     mu, omega_bar, omega_f, eps_f = tls.cos_sin_drive(omega0, tau, ots / omega0)
     tls.check_drive(tau, omega_bar)
@@ -328,14 +311,14 @@ def run_fig2(cfg: dict):
 @_finite_sweep
 def run_fig3(cfg: dict):
     """Cost landscape over (mu, omega_bar) with a fixed final-gap conversion."""
-    _check_keys(cfg, "fig3")
-    tau = _positive(cfg, "tau", 1.0)
+    conf = _config(cfg, "fig3")
+    tau = conf["tau"]
     # the default is formed only where it is read, as a NumPy float, so its
     # overflow at a tiny tau is signalled
-    omega_f = _real(cfg["omega_f"], "omega_f") if "omega_f" in cfg else 20.0 / np.float64(tau)
+    omega_f = 20.0 / np.float64(tau) if conf["omega_f"] is None else conf["omega_f"]
     gap = float(np.hypot(omega_f, 0.0))
-    s = _fixed_state(cfg)
-    mu, omega_bar = _cells(_grid(cfg, "mu", 0.0, 4.0, 41), _grid(cfg, "ob", 0.0, 4.0, 41))
+    s = tls.TlsState(conf["p_i"], complex(conf["c_abs"]))
+    mu, omega_bar = _cells(_axis(conf, "mu"), _axis(conf, "ob"))
     tls.check_drive(tau, omega_bar)
     w_min_lower = tls.cost_floor(tls.theta1(s.p, abs(s.c)), tls.theta2(mu, omega_bar), tau)
     header = ["mu", "omega_bar", "w_sta", "w_min_lower", "w_min_upper",
@@ -347,11 +330,10 @@ def run_fig3(cfg: dict):
 
 def run_counterexample(cfg: dict):
     """Same-energy populations whose ergotropy drops below the thermal one."""
-    _check_keys(cfg, "counterexample")
-    beta = _number(cfg, "beta", 1.0)
-    e2i = _number(cfg, "e2i", 0.9)
+    conf = _config(cfg, "counterexample")
+    beta, e2i = conf["beta"], conf["e2i"]
     rows = []
-    for e2f in _numbers(cfg, "e2f_list", [0.1, 0.3, 0.5, 0.7, 0.85, 0.95]):
+    for e2f in conf["e2f_list"]:
         ce = ergotropy.counterexample_populations(beta, e2i, e2f)
         rows.append((beta, e2i, e2f, *ce.q, *ce.p_th, ce.delta_e_nc))
     header = ["beta", "e2i", "e2f", "q1", "q2", "q3",

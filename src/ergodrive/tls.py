@@ -88,6 +88,10 @@ def check_bloch(p, c_abs):
     bad = _first_outside((p >= -BLOCH_ATOL) & (p <= 1 + BLOCH_ATOL), p)
     if bad is not None:
         raise ParamOutOfRange(f"population p = {bad[0]} outside [0, 1]")
+    # |c|^2 <= p(1-p) <= 1/4 needs |c| <= 1, and past 1e154 |c|^2 overflows
+    bad = _first_outside(c_abs <= 1, c_abs)
+    if bad is not None:
+        raise ParamOutOfRange(f"coherence outside the Bloch ball: |c| = {bad[0]}")
     c2, p1p = sq(c_abs), p * (1 - p)
     bad = _first_outside(c2 <= p1p + BLOCH_ATOL, c2, p1p)
     if bad is not None:

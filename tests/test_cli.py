@@ -16,7 +16,7 @@ import pytest
 
 import ergodrive
 from ergodrive import (DensityMatrix, HamiltonianOp, Schedule, cli, drives, ergotropy,
-                       matrix_to_json, optimize_phases, synthesize_drive)
+                       matrix_from_json, matrix_to_json, optimize_phases, synthesize_drive)
 from ergodrive.errors import ParamOutOfRange
 from ergodrive.tolerances import FIGURE_MAX_DRAWS, REPORT_ROUNDING_REL
 from helpers import (count_exponentials, open_drive_exponentials, random_density,
@@ -36,6 +36,12 @@ def write_cfg(tmp_path, name, cfg):
 
 def run(args):
     return cli.main(args)
+
+
+def load_instance(cfg):
+    """(rho_i, h_i, h_f) of an instance config, built by the public classes."""
+    return (DensityMatrix(matrix_from_json(cfg["rho_i"])),
+            HamiltonianOp(matrix_from_json(cfg["h_i"])), HamiltonianOp(matrix_from_json(cfg["h_f"])))
 
 
 def test_fmt_and_writers(tmp_path, capsys):
@@ -114,7 +120,7 @@ def test_drive_synth_propagates_u0_once_per_grid(monkeypatch):
     assert lengths == [2048, 4096, 2048]
     monkeypatch.undo()
     # the same numbers as optimizer and synthesizer each propagating U0 themselves
-    rho, h_i, h_f = cli._load_instance(cfg)
+    rho, h_i, h_f = load_instance(cfg)
     sched = Schedule.linear(1.0, n_steps=2048)
     phases = optimize_phases(rho, h_i, h_f, sched, mode="analytic2").phases
     assert out["w_min"] == synthesize_drive(rho, h_i, h_f, sched, phases).w_min
@@ -421,7 +427,7 @@ def test_drive_synth_is_the_library_drive_on_an_open_schedule():
     # the CLI maps the config and verifies; the step count and the analytic
     # phases are the library's
     cfg = PINNED_DRIVES["d2_analytic2_open"]
-    rho, h_i, h_f = cli._load_instance(cfg)
+    rho, h_i, h_f = load_instance(cfg)
     out = cli.run_drive_synth(cfg)
     del out["residuals"]
     assert synthesize_drive(rho, h_i, h_f, Schedule.linear(1.0), "analytic2").to_json() == out
@@ -661,6 +667,9 @@ def test_json_output_is_sorted_and_stable(tmp_path):
     # the default omega_f = 20 / tau overflows too
     ("fig3", {"tau": 1e-320}, "at the config's tau: overflow"),
     ("fig3", {"tau": 1e-320, "omega_f": 1.0}, "at the config's tau, omega_f: overflow"),
+    # a coherence whose square would overflow is refused before squaring
+    ("fig2", {"c_abs": 1e308}, "coherence outside the Bloch ball: |c| = 1e+308"),
+    ("fig3", {"c_abs": -1e308}, "coherence outside the Bloch ball: |c| = 1e+308"),
     # linspace forms stop - start
     ("fig3", {"mu_min": -1e308, "mu_max": 1e308}, "at the config's mu_min, mu_max: overflow"),
     ("fig1", {"p_min": -1e308, "p_max": 1e308, "p_points": 3},
@@ -705,8 +714,6 @@ def test_unknown_config_keys_are_refused(tmp_path, capsys, command, cfg, key):
 @pytest.mark.parametrize("tau, draws", [
     (1e-320, 2),     # w_min was NaN and w_mc_mean inf
     (1e-300, 64),    # w_mc_stderr was inf: the sum of its squares overflowed
-    (math.nextafter(cli.fig1_least_tau(2), 0.0), 2),
-    (math.nextafter(cli.fig1_least_tau(FIGURE_MAX_DRAWS), 0.0), FIGURE_MAX_DRAWS),
 ])
 def test_fig1_refuses_a_tau_at_which_its_cost_columns_overflow(tmp_path, capsys, tau, draws):
     path = write_cfg(tmp_path, "fig1.json", {"p_points": 3, "c_points": 3, "tau": tau,
@@ -717,13 +724,23 @@ def test_fig1_refuses_a_tau_at_which_its_cost_columns_overflow(tmp_path, capsys,
     out, err = capsys.readouterr()
     payload = json.loads(err)
     assert out == "" and payload["error"] == "ParamOutOfRange"
-    assert payload["message"].startswith("tau must be >= ")
+    assert payload["message"].startswith("the fig1 sweep leaves the float range at the "
+                                         "config's tau, mc_draws, p_points, c_points: overflow")
 
 
-@pytest.mark.parametrize("draws", [0, 2, 64, FIGURE_MAX_DRAWS])
-def test_fig1_just_above_its_least_tau_prints_finite_columns(draws):
-    cfg = {"p_points": 3, "c_points": 3, "mc_draws": draws,
-           "tau": math.nextafter(cli.fig1_least_tau(draws), math.inf)}
+@pytest.mark.parametrize("tau, draws", [
+    # just below and just above 2 pi sqrt(max(draws, 1) / float max), a bound
+    # fig1 once refused below: it kept room for the standard error's sum of
+    # squares, so the columns stay finite on both sides of it
+    (6.627306956324197e-154, 2),
+    (1.1996707045943343e-151, FIGURE_MAX_DRAWS),
+    (4.68621368982162e-154, 0),
+    (6.6273069563242e-154, 2),
+    (3.748970951857296e-153, 64),
+    (1.1996707045943347e-151, FIGURE_MAX_DRAWS),
+])
+def test_fig1_at_a_tiny_tau_prints_finite_columns(tau, draws):
+    cfg = {"p_points": 3, "c_points": 3, "mc_draws": draws, "tau": tau}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         header, columns, _ = cli.run_fig1(cfg)
@@ -756,13 +773,35 @@ def test_fig2_and_fig3_just_inside_their_range_print_finite_columns(command, cfg
     assert np.abs(table).max() > 1e140
 
 
+# the README's words for the defaults that are not JSON values
+README_DEFAULTS = {"required": cli.REQUIRED, "open": None, "20/τ": None,
+                   "√0.24": math.sqrt(0.24)}
+
+
 def test_readme_lists_every_config_key():
-    # the README's key table names each command's keys in CONFIG_KEYS order
+    # the README's key table names each command's keys in CONFIG_KEYS order,
+    # each with CONFIG_KEYS' default: a key listed without one shares the
+    # default of the next key that has one
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     for command, keys in cli.CONFIG_KEYS.items():
         rows = [line for line in readme.splitlines() if line.startswith(f"| `{command}` |")]
         assert len(rows) == 1, command
-        assert re.findall(r"`(\w+)`", rows[0].split("|")[2]) == list(keys)
+        listed = re.findall(r"`(\w+)`(?: \(([^)]*)\))?", rows[0].split("|")[2])
+        assert [key for key, _ in listed] == list(keys)
+        default = None
+        for key, text in reversed(listed):
+            if text:
+                default = README_DEFAULTS[text] if text in README_DEFAULTS else json.loads(text)
+            assert default == keys[key][1], (command, key)
+
+
+def test_every_default_passes_its_own_parser():
+    # a default is a config value: a config that leaves its key out runs as
+    # one that sets it to the default, so no default may be refused
+    for command, keys in cli.CONFIG_KEYS.items():
+        for key, (parse, default) in keys.items():
+            if default is not cli.REQUIRED and default is not None:
+                parse(default, key)
 
 
 @pytest.mark.parametrize("command, cfg, flags, message", [

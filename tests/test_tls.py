@@ -1,5 +1,7 @@
 """Two-level closed forms against matrix computations and the integrator."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -392,6 +394,7 @@ def test_theta_split_orderings():
     (check_bloch, (0.5, float("nan"))),
     (check_bloch, (float("inf"), 0.0)),
     (check_bloch, (0.5, float("inf"))),
+    (check_bloch, (0.4, 1e200)),        # |c|^2 would overflow
     (check_drive, (float("nan"), 1.0)),
     (check_drive, (1.0, float("nan"))),
     (check_drive, (float("inf"), 1.0)),
@@ -415,6 +418,10 @@ def test_non_finite_states_and_drives_are_refused():
         TlsState(0.4, nan)
     with pytest.raises(ParamOutOfRange, match="outside"):
         TlsState(nan, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParamOutOfRange, match=r"Bloch ball: \|c\| = 1e\+200"):
+            TlsState(0.4, 1e200)
     for args in [(1.0, nan, 1.0), (1.0, 1.0, nan), (1.0, float("inf"), 1.0), (1.0, 1.0, 0.0)]:
         with pytest.raises(ParamOutOfRange, match="both finite"):
             MuDynParams.constant_rate(*args)

@@ -667,13 +667,13 @@ def test_json_output_is_sorted_and_stable(tmp_path):
     # the default omega_f = 20 / tau overflows too
     ("fig3", {"tau": 1e-320}, "at the config's tau: overflow"),
     ("fig3", {"tau": 1e-320, "omega_f": 1.0}, "at the config's tau, omega_f: overflow"),
-    # a coherence whose square would overflow is refused before squaring
-    ("fig2", {"c_abs": 1e308}, "coherence outside the Bloch ball: |c| = 1e+308"),
-    ("fig3", {"c_abs": -1e308}, "coherence outside the Bloch ball: |c| = 1e+308"),
     # linspace forms stop - start
     ("fig3", {"mu_min": -1e308, "mu_max": 1e308}, "at the config's mu_min, mu_max: overflow"),
     ("fig1", {"p_min": -1e308, "p_max": 1e308, "p_points": 3},
      "the fig1 sweep leaves the float range at the config's p_min, p_max, p_points: overflow"),
+    # a coherence whose square would overflow is refused before squaring
+    ("fig2", {"c_abs": 1e308}, "coherence outside the Bloch ball: |c| = 1e+308"),
+    ("fig3", {"c_abs": -1e308}, "coherence outside the Bloch ball: |c| = 1e+308"),
 ])
 def test_degenerate_sweep_configs_are_refused(tmp_path, capsys, command, cfg, message):
     path = write_cfg(tmp_path, "bad.json", cfg)
